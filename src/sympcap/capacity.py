@@ -6,8 +6,8 @@ quadratic energy shells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -157,11 +157,10 @@ def minimal_action_quadratic(region: EnergyShellRegion):
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """Sample counts of a passed certificate; every sample passed its check."""
+
     inner_samples: int
-    inner_hits: int
-    box_samples: int
     region_hits: int
-    region_in_cylinder: int
 
 
 def capacity_sandwich(cert: SandwichCertificate):
@@ -187,13 +186,7 @@ def capacity_sandwich(cert: SandwichCertificate):
         w = region_pts[np.argmin(in_cyl)]
         raise CertificateInvalid("region point escapes the outer cylinder", witness=w)
 
-    report = CertificateReport(
-        inner_samples=cert.samples,
-        inner_hits=int(inside.sum()),
-        box_samples=cert.samples,
-        region_hits=int(hits.sum()),
-        region_in_cylinder=int(np.sum(in_cyl)),
-    )
+    report = CertificateReport(inner_samples=cert.samples, region_hits=int(hits.sum()))
     return CapacityValue(value=math.pi * cert.inner.radius**2, exact=True), report
 
 

@@ -142,38 +142,47 @@ def _spectrum_json(entries, hbar):
 # subcommand handlers
 
 
+# descriptor key -> token name in `capacity --ball` / `--cylinder`
+_REGION_TOKENS = {"radius": "R", "n": "N", "axis": "j", "plane": "plane"}
+
+
 def cmd_capacity(args):
-    if args.ball:
-        kv = _parse_kv(args.ball)
-        result = cap_mod.capacity_ball(float(kv["R"]), int(kv["N"]))
-    elif args.cylinder:
-        kv = _parse_kv(args.cylinder)
-        Z = cap_mod.Cylinder(axis_index=int(kv.get("j", 1)), radius=float(kv["R"]),
-                             dim=int(kv["N"]), plane_kind=kv.get("plane", "conjugate"))
-        result = cap_mod.capacity_cylinder(Z)
+    if args.ball or args.cylinder:
+        kind, tokens = ("ball", args.ball) if args.ball else ("cylinder", args.cylinder)
+        kv = _parse_kv(tokens)
+        desc = {"type": kind}
+        desc.update({key: kv[tok] for key, tok in _REGION_TOKENS.items() if tok in kv})
+        result = _capacity_from_descriptor(desc, _REGION_TOKENS)
     elif args.region:
-        desc = json.loads(args.region)
-        result = _capacity_from_descriptor(desc)
+        result = _capacity_from_descriptor(json.loads(args.region))
     else:
         raise InputError("provide --ball, --cylinder or --region")
     _emit_json(args, result.to_json())
     return 0
 
 
-def _capacity_from_descriptor(desc: dict) -> cap_mod.CapacityValue:
+def _capacity_from_descriptor(desc: dict, names=None) -> cap_mod.CapacityValue:
+    """Capacity of a region descriptor; `names` maps its keys to the user's spelling."""
     kind = desc.get("type")
+    names = names or {}
+
+    def need(key):
+        if key not in desc:
+            raise InputError(f"{kind} region is missing key {names.get(key, key)!r}")
+        return desc[key]
+
     if kind == "ball":
-        return cap_mod.capacity_ball(float(desc["radius"]), int(desc["n"]))
+        return cap_mod.capacity_ball(float(need("radius")), int(need("n")))
     if kind == "cylinder":
-        Z = cap_mod.Cylinder(axis_index=int(desc.get("axis", 1)), radius=float(desc["radius"]),
-                             dim=int(desc["n"]), plane_kind=desc.get("plane", "conjugate"))
+        Z = cap_mod.Cylinder(axis_index=int(desc.get("axis", 1)), radius=float(need("radius")),
+                             dim=int(need("n")), plane_kind=desc.get("plane", "conjugate"))
         return cap_mod.capacity_cylinder(Z)
     if kind == "ellipsoid":
-        M = core.matrix_from_json(desc["matrix"])
-        region = cap_mod.EnergyShellRegion(core.QuadraticHamiltonian(M), float(desc["energy"]))
+        M = core.matrix_from_json(need("matrix"))
+        region = cap_mod.EnergyShellRegion(core.QuadraticHamiltonian(M), float(need("energy")))
         return cap_mod.capacity_ellipsoid(region)
     if kind == "bottle":
-        bottle = cap_mod.bordeaux_bottle_fixture(float(desc["radius"]), float(desc["neck"]))
+        bottle = cap_mod.bordeaux_bottle_fixture(float(need("radius")), float(need("neck")))
         return bottle.capacity
     raise InputError(f"unknown region type {kind!r}")
 
@@ -223,12 +232,11 @@ def cmd_nonsqueeze(args):
 def cmd_evolve(args):
     pot = _parse_potential(args)
     flow = shadows.FlowSpec(
-        grad_V=_numeric_free_gradient(pot),
+        grad_V=pot.dV,
         grad_T=lambda p: p / pot.mass,
         V=lambda q: np.asarray(pot.V(q[..., 0])),
         T=lambda p: np.sum(p * p, axis=-1) / (2.0 * pot.mass),
         dt=args.dt,
-        steps=0,
         n_modes=1,
     )
     times = [float(s) for s in args.times.split(",")]
@@ -248,23 +256,6 @@ def cmd_evolve(args):
     _emit_csv(args, ["time", "plane", "area", "bound", "satisfied"],
               [r.to_row() for r in reports])
     return 0
-
-
-def _numeric_free_gradient(pot):
-    """Analytic-free dV/dq via a high-order central difference.
-
-    Accurate enough for the shadow experiments (the Verlet map stays
-    exactly symplectic regardless of how the force is obtained).
-    """
-
-    def grad(q):
-        h = 1e-5
-        qs = q[..., 0]
-        d = (np.asarray(pot.V(qs - 2 * h)) - 8 * np.asarray(pot.V(qs - h))
-             + 8 * np.asarray(pot.V(qs + h)) - np.asarray(pot.V(qs + 2 * h))) / (12 * h)
-        return d[..., None]
-
-    return grad
 
 
 def cmd_quantize_1d(args):
@@ -345,13 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sympcap")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, hbar=False):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+    def common(sp):
         sp.add_argument("--out", default=None)
-        if hbar:
-            sp.add_argument("--hbar", type=float, default=1.0)
 
     sp = sub.add_parser("capacity", help="symplectic area of a region")
     sp.add_argument("--ball", nargs="*", default=None, metavar="K=V")
@@ -373,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--plane", default="conjugate:1")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol", type=float, default=1e-10)
     common(sp)
     sp.set_defaults(func=cmd_shadow)
 
@@ -380,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--sigma", type=float, default=1.0)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_nonsqueeze)
 
@@ -392,26 +381,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--times", default="1")
     sp.add_argument("--plane", default="conjugate:1")
     sp.add_argument("--dump-points", default=None, metavar="PREFIX")
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_evolve)
 
     sp = sub.add_parser("quantize-1d", help="EBK levels of a confining 1-D potential")
     sp.add_argument("--potential", nargs="+", required=True)
     sp.add_argument("--nmax", type=int, required=True)
-    common(sp, hbar=True)
+    sp.add_argument("--hbar", type=float, default=1.0)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
+    common(sp)
     sp.set_defaults(func=cmd_quantize_1d)
 
     sp = sub.add_parser("quantize-quadratic", help="oscillator levels via the symplectic spectrum")
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--matrix-file", default=None)
     sp.add_argument("--n", required=True, help="comma-separated quantum numbers")
-    common(sp, hbar=True)
+    sp.add_argument("--hbar", type=float, default=1.0)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
+    common(sp)
     sp.set_defaults(func=cmd_quantize_quadratic)
 
     sp = sub.add_parser("quantize-separable", help="torus level of a separable system")
     sp.add_argument("--potentials", required=True, help="JSON list of potential descriptors")
     sp.add_argument("--n", required=True)
-    common(sp, hbar=True)
+    sp.add_argument("--hbar", type=float, default=1.0)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
+    common(sp)
     sp.set_defaults(func=cmd_quantize_separable)
 
     sp = sub.add_parser("dos", help="density of states of an oscillator Hamiltonian")
@@ -422,14 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--matrix-file", default=None)
     sp.add_argument("--numeric", action="store_true")
-    common(sp, hbar=True)
+    sp.add_argument("--hbar", type=float, default=1.0)
+    common(sp)
     sp.set_defaults(func=cmd_dos)
 
     sp = sub.add_parser("blob-check", help="match a capacity to a blob index")
     sp.add_argument("--value", required=True)
-    common(sp, hbar=True)
+    sp.add_argument("--tol", type=float, default=0.05)
+    sp.add_argument("--hbar", type=float, default=1.0)
+    common(sp)
     sp.set_defaults(func=cmd_blob_check)
-    sp.set_defaults(tol=0.05)
 
     sp = sub.add_parser("bottle-demo", help="nonconvex counterexample numbers")
     sp.add_argument("--radius", type=float, default=1.0)

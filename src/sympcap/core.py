@@ -6,7 +6,7 @@ standard form is J = [[0, I], [-I, 0]] in that block ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, schur
@@ -124,6 +124,8 @@ class QuadraticHamiltonian:
     @classmethod
     def isotropic(cls, N: int, omega: float, mass: float = 1.0) -> "QuadraticHamiltonian":
         """N identical harmonic modes: H = sum_j (p_j^2 + m^2 w^2 q_j^2) / 2m."""
+        if N < 1:
+            raise ValueError(f"need N >= 1, got {N}")
         d = np.concatenate([np.full(N, mass * omega**2), np.full(N, 1.0 / mass)])
         return cls(np.diag(d))
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .capacity import CapacityValue, volume_ball
+from .capacity import CapacityValue
 from .core import QuadraticHamiltonian, williamson
 from .errors import (
     LevelNotBound,
@@ -42,29 +42,20 @@ class PlanckConfig:
         return 2.0 * math.pi * self.hbar
 
 
-@dataclass(frozen=True)
-class QuantumBlobIndex:
-    n: int
-    target_area: float
-
-    @classmethod
-    def for_level(cls, n: int, cfg: PlanckConfig) -> "QuantumBlobIndex":
-        if n < 0:
-            raise ValueError(f"blob index must be nonnegative, got {n}")
-        return cls(n=n, target_area=(n + 0.5) * cfg.h)
-
-
 @dataclass(eq=False)
 class Potential1D:
     """Confining 1-D potential V(q) with mass m on a search bracket.
 
-    The callable must accept numpy arrays. The bracket must confine every
-    energy that will be requested: V at both edges above E.
+    The callables must accept numpy arrays. The bracket must confine every
+    energy that will be requested: V at both edges above E. `dV` is the
+    analytic derivative dV/dq (minus the force); the descriptor
+    factories below set it.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
     mass: float = 1.0
     bracket: tuple = (-50.0, 50.0)
+    dV: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -176,13 +167,6 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     for k in sign_changes:
         roots.append(brentq(g, q[k], q[k + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200))
     q_minus, q_plus = sorted(roots)
-
-    tol = 1e-12 * max(abs(E), 1.0)
-    for qr in (q_minus, q_plus):
-        if abs(g(qr)) > tol * max(1.0, abs(float(pot.V(qr)))):
-            # brentq converged in q; V residual can only exceed tol for a
-            # pathologically steep wall, which we still accept in q-space.
-            pass
     return float(q_minus), float(q_plus)
 
 
@@ -408,24 +392,35 @@ def harmonic_potential(omega: float = 1.0, mass: float = 1.0, bracket=None) -> P
     if bracket is None:
         bracket = (-60.0 / math.sqrt(mass) / omega, 60.0 / math.sqrt(mass) / omega)
     return Potential1D(V=lambda q: 0.5 * mass * omega**2 * np.square(q), mass=mass,
-                       bracket=bracket)
+                       bracket=bracket, dV=lambda q: mass * omega**2 * np.asarray(q))
 
 
 def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0, bracket=None) -> Potential1D:
     if bracket is None:
         bracket = (-3.0 / a, 60.0 / a)
+
+    def dV(q):
+        x = np.exp(-a * np.asarray(q, dtype=float))
+        return 2.0 * D * a * x * (1.0 - x)
+
     return Potential1D(V=lambda q: D * np.square(1.0 - np.exp(-a * np.asarray(q, dtype=float))),
-                       mass=mass, bracket=bracket)
+                       mass=mass, bracket=bracket, dV=dV)
 
 
 def quartic_potential(coeff: float = 0.25, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Potential1D:
-    return Potential1D(V=lambda q: coeff * np.power(q, 4), mass=mass, bracket=bracket)
+    if coeff <= 0:
+        raise ValueError(f"quartic coeff must be positive, got {coeff}: the potential is "
+                         "not confining")
+    return Potential1D(V=lambda q: coeff * np.power(q, 4), mass=mass, bracket=bracket,
+                       dV=lambda q: 4.0 * coeff * q * q * q)
 
 
 def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Potential1D:
     c = list(coeffs)
+    dc = np.polynomial.polynomial.polyder(c)
     return Potential1D(V=lambda q: np.polynomial.polynomial.polyval(np.asarray(q, dtype=float), c),
-                       mass=mass, bracket=bracket)
+                       mass=mass, bracket=bracket,
+                       dV=lambda q: np.polynomial.polynomial.polyval(np.asarray(q, dtype=float), dc))
 
 
 def make_potential(desc: dict) -> Potential1D:

@@ -6,7 +6,7 @@ drops below its initial area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -17,6 +17,7 @@ from .errors import FlowDiverged, FlowError
 from .sampling import ball_points
 
 CONJUGATE_TOL = 1e-9
+GRADIENT_CHECK_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,9 @@ class FlowSpec:
     grad_V: Callable[[np.ndarray], np.ndarray]
     grad_T: Callable[[np.ndarray], np.ndarray]
     dt: float
-    steps: int
     V: Optional[Callable[[np.ndarray], np.ndarray]] = None
     T: Optional[Callable[[np.ndarray], np.ndarray]] = None
     n_modes: int = 1
-    check_points: int = 5
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -197,7 +196,7 @@ class FlowSpec:
         if f is None:
             return
         rng = np.random.default_rng(1234)
-        x = rng.uniform(-1.0, 1.0, size=(self.check_points, self.n_modes))
+        x = rng.uniform(-1.0, 1.0, size=(GRADIENT_CHECK_POINTS, self.n_modes))
         g = np.asarray(grad(x), dtype=float)
         h = 1e-6
         for k in range(self.n_modes):
@@ -222,27 +221,22 @@ def verlet_step(state: np.ndarray, flow: FlowSpec) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     q = state[..., :n].copy()
     p = state[..., n:].copy()
-    try:
-        p -= 0.5 * flow.dt * np.asarray(flow.grad_V(q))
-        q += flow.dt * np.asarray(flow.grad_T(p))
-        p -= 0.5 * flow.dt * np.asarray(flow.grad_V(q))
-    except Exception as exc:  # gradient callables are caller-supplied
-        raise FlowError(f"gradient evaluation failed: {exc}") from exc
+    _advance(q, p, flow, 1)
     return np.concatenate([q, p], axis=-1)
 
 
-def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, steps: int) -> None:
-    """Advance in place by `steps` Verlet steps, fusing adjacent half-kicks.
+def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int) -> None:
+    """Advance in place by `count` Verlet steps, fusing adjacent half-kicks.
 
     Algebraically identical to iterating verlet_step; one force evaluation
     per step instead of two.
     """
-    if steps <= 0:
+    if count <= 0:
         return
     dt = flow.dt
-    try:
+    try:  # gradient callables are caller-supplied
         p -= 0.5 * dt * np.asarray(flow.grad_V(q))
-        for _ in range(steps - 1):
+        for _ in range(count - 1):
             q += dt * np.asarray(flow.grad_T(p))
             p -= dt * np.asarray(flow.grad_V(q))
         q += dt * np.asarray(flow.grad_T(p))
@@ -292,6 +286,8 @@ def evolve_ball_shadow(
     bound. Returns a list of ShadowReport (and the projected clouds when
     `collect_points` is set).
     """
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     if grid_cell <= 0:
         raise ValueError(f"grid_cell must be positive, got {grid_cell}")
     n = flow.n_modes

@@ -204,6 +204,63 @@ class TestOtherCommands:
         assert dumped.shape == (1000, 2)
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["dos", "--ndim", "0", "--energy", "1"],
+        ["evolve", "--potential", "harmonic", "omega=1", "--samples", "0"],
+        ["quantize-1d", "--potential", "quartic", "coeff=-1", "--nmax", "1"],
+    ])
+    def test_exit_2(self, capsys, argv):
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["capacity", "--region", '{"type": "ellipsoid"}'],
+         "ellipsoid region is missing key 'matrix'"),
+        (["capacity", "--ball", "R=1"], "ball region is missing key 'N'"),
+    ])
+    def test_missing_key_named(self, capsys, argv, message):
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--ball", "R=1", "N=3", "--tol", "1e-3"],
+        ["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,4]}', "--seed", "1"],
+        ["bottle-demo", "--format", "csv"],
+    ])
+    def test_unread_options_rejected(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+
+class TestOptionsRead:
+    def test_shadow_tol(self, capsys):
+        m = json.dumps({"n": 1, "matrix": [1.0, 0.0, 0.0, 1.0 + 1e-9]})
+        assert invoke(capsys, "shadow", "--matrix", m)[0] == 2
+        assert invoke(capsys, "shadow", "--matrix", m, "--tol", "1e-6")[0] == 0
+
+    def test_blob_check_tol(self, capsys):
+        value = str(1.2 * math.pi)
+        assert json.loads(invoke(capsys, "blob-check", "--value", value)[1])["blob_index"] is None
+        _, out = invoke(capsys, "blob-check", "--value", value, "--tol", "0.2")
+        assert json.loads(out)["blob_index"] == 0
+
+    def test_evolve_seed(self, capsys, tmp_path):
+        clouds = []
+        for seed in ("1", "2"):
+            prefix = str(tmp_path / f"seed{seed}")
+            code, _ = invoke(capsys, "evolve", "--potential", "harmonic", "omega=1",
+                             "--times", "0", "--samples", "100", "--seed", seed,
+                             "--dump-points", prefix)
+            assert code == 0
+            clouds.append(np.loadtxt(f"{prefix}_t0.csv", delimiter=",", skiprows=1))
+        assert not np.array_equal(*clouds)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["capacity", "--ball", "R=1.5", "N=2"],

@@ -292,6 +292,26 @@ class TestPotentialFactory:
         with pytest.raises(ValueError):
             make_potential({"kind": "coulomb"})
 
+    @pytest.mark.parametrize("desc", [
+        {"kind": "harmonic", "omega": 1.3, "mass": 2.5},
+        {"kind": "morse", "D": 8.0, "a": 1.4, "mass": 0.7},
+        {"kind": "quartic", "coeff": 0.3, "mass": 2.0},
+        # the benchmark's convex form b q + q^2/2 + c3 q^3 + c4 q^4
+        {"kind": "polynomial", "coeffs": [0.0, 0.1, 0.5, 0.15, 0.12], "mass": 1.5},
+    ])
+    def test_dV_matches_central_difference(self, desc):
+        pot = make_potential(desc)
+        q = np.random.default_rng(3).uniform(-1.5, 2.5, size=64)
+        h = 1e-6
+        fd = (pot.V(q + h) - pot.V(q - h)) / (2 * h)
+        dV = pot.dV(q)
+        assert np.max(np.abs(dV - fd)) <= 1e-7 * np.max(np.abs(dV))
+
+    @pytest.mark.parametrize("coeff", [0.0, -1.0])
+    def test_nonconfining_quartic_rejected(self, coeff):
+        with pytest.raises(ValueError, match="not confining"):
+            quartic_potential(coeff)
+
     def test_hbar_scaling(self):
         # harmonic levels scale linearly with hbar
         pot = harmonic_potential(1.0)

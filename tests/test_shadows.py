@@ -9,6 +9,7 @@ from sympcap.errors import FlowDiverged, FlowError
 from sympcap.shadows import (
     FlowSpec,
     PlaneSelector,
+    _advance,
     evolve_ball_shadow,
     grid_shadow_area,
     linear_shadow_area,
@@ -17,26 +18,24 @@ from sympcap.shadows import (
 )
 
 
-def harmonic_flow(dt, steps=0):
+def harmonic_flow(dt):
     return FlowSpec(
         grad_V=lambda q: q,
         grad_T=lambda p: p,
         V=lambda q: 0.5 * np.sum(np.square(q), axis=-1),
         T=lambda p: 0.5 * np.sum(np.square(p), axis=-1),
         dt=dt,
-        steps=steps,
         n_modes=1,
     )
 
 
-def quartic_flow(dt, steps=0):
+def quartic_flow(dt):
     return FlowSpec(
         grad_V=lambda q: q**3,
         grad_T=lambda p: p,
         V=lambda q: 0.25 * np.sum(q**4, axis=-1),
         T=lambda p: 0.5 * np.sum(np.square(p), axis=-1),
         dt=dt,
-        steps=steps,
         n_modes=1,
     )
 
@@ -105,7 +104,7 @@ class TestEnsemble:
 class TestVerlet:
     def test_free_particle_drift_is_exact(self):
         flow = FlowSpec(grad_V=lambda q: np.zeros_like(q), grad_T=lambda p: p,
-                        dt=0.25, steps=0, n_modes=1)
+                        dt=0.25, n_modes=1)
         z = verlet_step(np.array([1.0, 2.0]), flow)
         assert z == pytest.approx([1.5, 2.0], abs=0)
 
@@ -142,18 +141,28 @@ class TestVerlet:
                 Jm[:, k] = (verlet_step(z0 + e, flow) - verlet_step(z0 - e, flow)) / (2 * h)
             assert np.linalg.det(Jm) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("make_flow", [harmonic_flow, quartic_flow])
+    def test_fused_kernel_matches_single_steps(self, make_flow):
+        flow = make_flow(0.01)
+        z = np.random.default_rng(7).uniform(-1, 1, size=(50, 2))
+        q, p = z[:, :1].copy(), z[:, 1:].copy()
+        _advance(q, p, flow, 300)
+        for _ in range(300):
+            z = verlet_step(z, flow)
+        assert np.max(np.abs(np.concatenate([q, p], axis=1) - z)) <= 1e-12
+
     def test_bad_gradient_rejected(self):
         with pytest.raises(FlowError):
             FlowSpec(grad_V=lambda q: 3 * q, grad_T=lambda p: p,
                      V=lambda q: 0.5 * np.sum(q * q, -1),
                      T=lambda p: 0.5 * np.sum(p * p, -1),
-                     dt=0.1, steps=0, n_modes=1)
+                     dt=0.1, n_modes=1)
 
 
 class TestEvolveShadow:
     def test_initial_snapshot_all_planes(self):
         flow = FlowSpec(grad_V=lambda q: np.zeros_like(q), grad_T=lambda p: p,
-                        dt=0.1, steps=0, n_modes=2)
+                        dt=0.1, n_modes=2)
         ball = Ball(np.zeros(4), 1.0)
         for plane in (PlaneSelector.conjugate(1), PlaneSelector.position_pair(1, 2),
                       PlaneSelector.momentum_pair(1, 2), PlaneSelector.mixed(1, 2)):
@@ -189,7 +198,7 @@ class TestEvolveShadow:
     def test_divergence_detected(self):
         # inverted quartic: trajectories escape to infinity fast
         flow = FlowSpec(grad_V=lambda q: -(q**3) * 50, grad_T=lambda p: p,
-                        dt=0.5, steps=0, n_modes=1)
+                        dt=0.5, n_modes=1)
         ball = Ball(np.zeros(2), 2.0)
         with pytest.raises(FlowDiverged), np.errstate(all="ignore"):
             evolve_ball_shadow(ball, flow, PlaneSelector.conjugate(1),
