@@ -154,7 +154,10 @@ def cmd_capacity(args):
         desc.update({key: kv[tok] for key, tok in _REGION_TOKENS.items() if tok in kv})
         result = _capacity_from_descriptor(desc, _REGION_TOKENS)
     elif args.region:
-        result = _capacity_from_descriptor(json.loads(args.region))
+        desc = json.loads(args.region)
+        if not isinstance(desc, dict):
+            raise InputError("--region must be a JSON object")
+        result = _capacity_from_descriptor(desc)
     else:
         raise InputError("provide --ball, --cylinder or --region")
     _emit_json(args, result.to_json())
@@ -284,6 +287,8 @@ def cmd_quantize_quadratic(args):
 
 def cmd_quantize_separable(args):
     descs = json.loads(args.potentials)
+    if not (isinstance(descs, list) and all(isinstance(d, dict) for d in descs)):
+        raise InputError("--potentials must be a JSON array of potential objects")
     pots = [ebk.make_potential(d) for d in descs]
     cfg = ebk.PlanckConfig(args.hbar)
     entry = ebk.spectrum_separable(pots, _parse_ints(args.n), cfg)

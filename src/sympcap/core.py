@@ -231,6 +231,11 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ValueError("matrix descriptor must be a JSON object with keys 'n' and 'matrix'")
+    for key in ("n", "matrix"):
+        if key not in obj:
+            raise ValueError(f"matrix descriptor is missing key {key!r}")
     n = int(obj["n"])
     flat = np.asarray(obj["matrix"], dtype=float)
     if flat.size != 4 * n * n:

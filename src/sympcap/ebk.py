@@ -49,13 +49,14 @@ class Potential1D:
     The callables must accept numpy arrays. The bracket must confine every
     energy that will be requested: V at both edges above E. `dV` is the
     analytic derivative dV/dq (minus the force); the descriptor
-    factories below set it.
+    factories below set it, and turning_points polishes roots with it.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
     mass: float = 1.0
     bracket: tuple = (-50.0, 50.0)
     dV: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _scan: Optional[tuple] = field(default=None, init=False, repr=False)  # see _scan()
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -130,18 +131,29 @@ def quantize_quadratic(H: QuadraticHamiltonian, n, cfg: PlanckConfig) -> Spectru
     )
 
 
+_SCAN_POINTS = 4096
+_EPS = np.finfo(float).eps
+
+
+def _scan(pot: Potential1D) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, V on it): _SCAN_POINTS over the bracket, sampled once per (V, bracket)."""
+    if pot._scan is None or pot._scan[0] is not pot.V or pot._scan[1] != pot.bracket:
+        q = np.linspace(*pot.bracket, _SCAN_POINTS)
+        pot._scan = (pot.V, pot.bracket, q, np.asarray(pot.V(q), dtype=float))
+    return pot._scan[2:]
+
+
 def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     """Classical turning points V(q) = E bracketing a single well.
 
-    Scans the bracket for sign changes of V - E, zooming toward the
+    Finds the sign changes of V - E on the well scan, zooming toward the
     minimum when the classically allowed region is narrower than the grid,
-    refuses multi-well energies, and polishes each crossing by bisection.
+    refuses multi-well energies, and polishes both crossings at once.
     """
+    q, v = _scan(pot)
+    f = v - E
     lo, hi = pot.bracket
-    points = 4096
     for _ in range(60):
-        q = np.linspace(lo, hi, points)
-        f = np.asarray(pot.V(q), dtype=float) - E
         if (f < 0).any():
             break
         # allowed region (if any) is narrower than the grid spacing: zoom
@@ -151,6 +163,8 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
         if width < 1e-13 * max(abs(center), 1.0) + 1e-300:
             raise NoClassicalRegion(f"E={E} is below the potential minimum")
         lo, hi = center - width / 2, center + width / 2
+        q = np.linspace(lo, hi, _SCAN_POINTS)
+        f = np.asarray(pot.V(q), dtype=float) - E
     else:
         raise NoClassicalRegion(f"E={E} is below the potential minimum")
 
@@ -159,21 +173,48 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
         raise MultiWell(f"{sign_changes.size} turning points at E={E}; single well required")
     if sign_changes.size < 2:
         raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
-
-    def g(x):
-        return float(pot.V(x)) - E
-
-    roots = []
-    for k in sign_changes:
-        roots.append(brentq(g, q[k], q[k + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200))
-    q_minus, q_plus = sorted(roots)
-    return float(q_minus), float(q_plus)
+    # Newton on dV from the cell midpoints, both roots at once; brentq on its
+    # cell for a root that leaves it or has not settled in 8 steps, or lacks dV
+    a, b = q[sign_changes], q[sign_changes + 1]
+    x = 0.5 * (a + b)
+    settled = np.zeros(2, dtype=bool)
+    if pot.dV is not None:
+        with np.errstate(all="ignore"):
+            for _ in range(8):
+                f = np.asarray(pot.V(x), dtype=float) - E
+                step = f / np.asarray(pot.dV(x), dtype=float)
+                x = x - step
+                # a step within 4 ulp of x, or a residual at the rounding level of E
+                settled = ((np.abs(step) <= 4 * _EPS * np.abs(x))
+                           | (np.abs(f) <= 4 * _EPS * abs(E)))
+                if settled.all():
+                    break
+    for i in np.flatnonzero(~(settled & (a <= x) & (x <= b))):
+        x[i] = brentq(lambda s: float(pot.V(s)) - E, a[i], b[i],
+                      xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    return float(x[0]), float(x[1])
 
 
 @lru_cache(maxsize=8)
 def _gauss_legendre(nodes: int):
+    """sin(theta), weights and cos(theta) at the Gauss-Legendre nodes x, theta = pi x / 2."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
+    return np.sin(0.5 * math.pi * x), w, np.cos(0.5 * math.pi * x)
+
+
+def _action_period(pot: Potential1D, E: float, nodes: int = 256) -> tuple[float, float]:
+    """Loop action A(E) and period T(E) = dA/dE = 2 int m/p dq on the same
+    nodes: under the substitution of action_integral both integrands are smooth."""
+    q_minus, q_plus = turning_points(pot, E)
+    mid = 0.5 * (q_plus + q_minus)
+    half = 0.5 * (q_plus - q_minus)
+    sin, w, cos = _gauss_legendre(nodes)
+    q = mid + half * sin
+    integrand = np.sqrt(np.maximum(2.0 * pot.mass * (E - np.asarray(pot.V(q))), 0.0))
+    action = float(2.0 * (0.5 * math.pi) * half * np.sum(w * integrand * cos))
+    with np.errstate(divide="ignore"):  # p rounded to 0 at a node: T = inf, Newton bisects
+        period = float(2.0 * (0.5 * math.pi) * half * pot.mass * np.sum(w * cos / integrand))
+    return action, period
 
 
 def action_integral(pot: Potential1D, E: float, nodes: int = 256) -> float:
@@ -183,63 +224,65 @@ def action_integral(pot: Potential1D, E: float, nodes: int = 256) -> float:
     in theta, which absorbs the square-root endpoint singularity and is
     spectrally accurate for smooth potentials.
     """
-    q_minus, q_plus = turning_points(pot, E)
-    mid = 0.5 * (q_plus + q_minus)
-    half = 0.5 * (q_plus - q_minus)
-    x, w = _gauss_legendre(nodes)
-    theta = 0.5 * math.pi * x
-    q = mid + half * np.sin(theta)
-    integrand = np.sqrt(np.maximum(2.0 * pot.mass * (E - np.asarray(pot.V(q))), 0.0))
-    return float(2.0 * (0.5 * math.pi) * half * np.sum(w * integrand * np.cos(theta)))
+    return _action_period(pot, E, nodes)[0]
 
 
-def _potential_minimum(pot: Potential1D) -> tuple[float, float]:
-    lo, hi = pot.bracket
-    q = np.linspace(lo, hi, 4096)
-    v = np.asarray(pot.V(q), dtype=float)
-    k = int(np.argmin(v))
-    a = q[max(k - 1, 0)]
-    b = q[min(k + 1, q.size - 1)]
-    res = minimize_scalar(lambda x: float(pot.V(x)), bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-13})
-    return float(res.x), float(res.fun)
+def _well_bottom(pot: Potential1D) -> tuple[float, float, float]:
+    """The well bottom as a point (vmin, 0, T0) of the action curve: T0 = 2 pi sqrt(m / V''),
+    the harmonic period, with V'' the second difference of the scan (inf if not positive)."""
+    q, v = _scan(pot)
+    k = min(max(int(np.argmin(v)), 1), q.size - 2)
+    res = minimize_scalar(lambda x: float(pot.V(x)), bounds=(q[k - 1], q[k + 1]),
+                          method="bounded", options={"xatol": 1e-13})
+    curvature = (v[k - 1] - 2.0 * v[k] + v[k + 1]) / (q[1] - q[0]) ** 2
+    period = 2.0 * math.pi * math.sqrt(pot.mass / curvature) if curvature > 0 else math.inf
+    return float(res.fun), 0.0, period
 
 
-def _solve_level(pot: Potential1D, target_action: float, vmin: float, e_cap: float) -> float:
-    """Energy with action_integral(E) = target_action, by bracketed root-finding."""
-    scale = max(abs(vmin), 1.0)
-    e_lo = vmin + 1e-12 * scale
-    gap = 1e-6 * scale
-    e_hi = vmin + gap
-    while e_hi < e_cap:
+def _solve_level(pot: Potential1D, target_action: float, below: tuple,
+                 e_cap: float) -> tuple[float, float, float]:
+    """(E, A, T) where A(E) = target_action, by Newton with slope dA/dE = T.
+
+    Starts from `below`, a point (E, A, T) with A < target_action. The bracket's top, just
+    under e_cap, is evaluated only when a step reaches it or fails before that. A step fails
+    if it leaves the bracket, has no finite T, or does not halve the last step once the top
+    is `reached` (known to reach the target); it then bisects. Stops at a step of 4 ulp.
+    """
+    E, A, T = below
+    e_top = e_cap * (1 - 1e-12) if e_cap > 0 else e_cap + abs(e_cap) * 1e-12
+    e_lo, e_hi, reached, last = E, e_top, False, math.inf
+    while True:
+        step = (target_action - A) / T
+        if (not (T < math.inf and e_lo <= E + step <= e_hi)
+                or (reached and abs(step) > 0.5 * abs(last))):
+            step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
+        # never return the unevaluated start point, nor stop short of an unevaluated top
+        if (E != below[0] and abs(step) <= 4 * _EPS * max(abs(E), abs(below[0]))
+                and (reached or E + step < e_top)):
+            return E, A, T
+        E, last = E + step, step
+        top = E == e_top and not reached
         try:
-            if action_integral(pot, e_hi) >= target_action:
-                break
-        except NoClassicalRegion:
-            raise LevelNotBound("bracket stopped confining before the target action")
-        e_lo = e_hi
-        gap *= 2.0
-        e_hi = vmin + gap
-    else:
-        e_hi = e_cap * (1 - 1e-12) if e_cap > 0 else e_cap + abs(e_cap) * 1e-12
-        try:
-            reachable = action_integral(pot, e_hi) >= target_action
-        except (NoClassicalRegion, MultiWell):
-            reachable = False
-        if not reachable:
-            raise LevelNotBound(
-                f"action {target_action} not reached below dissociation at E={e_cap}"
-            )
-
-    def f(E):
-        return action_integral(pot, E) - target_action
-
-    E_n = brentq(f, e_lo, e_hi, xtol=1e-14 * max(abs(e_hi), 1.0), rtol=8.9e-16, maxiter=200)
-    return float(E_n)
+            A, T = _action_period(pot, E)
+        except (NoClassicalRegion, MultiWell) as exc:
+            if not top:
+                if isinstance(exc, MultiWell):
+                    raise
+                raise LevelNotBound("bracket stopped confining before the target action")
+            A = -math.inf
+        if A < target_action:
+            if top:
+                raise LevelNotBound(
+                    f"action {target_action} not reached below dissociation at E={e_cap}"
+                )
+            e_lo = E
+        else:
+            e_hi, reached = E, True
+        if top:
+            T = math.inf  # the period diverges at dissociation: bisect next
 
 
 def _check_monotone(pot: Potential1D, vmin: float, e_top: float):
-    scale = max(abs(vmin), 1.0)
     energies = vmin + (e_top - vmin) * np.linspace(1e-6, 1.0, 9)
     vals = []
     for E in energies:
@@ -255,10 +298,7 @@ def level_1d(pot: Potential1D, n: int, cfg: PlanckConfig) -> tuple[float, float]
     """(energy, action) for the single level with action (n + 1/2) h."""
     if n < 0:
         raise ValueError(f"quantum number must be nonnegative, got {n}")
-    _, vmin = _potential_minimum(pot)
-    e_cap = pot.confinement_energy()
-    E = _solve_level(pot, (n + 0.5) * cfg.h, vmin, e_cap)
-    return E, action_integral(pot, E)
+    return _solve_level(pot, (n + 0.5) * cfg.h, _well_bottom(pot), pot.confinement_energy())[:2]
 
 
 def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResult:
@@ -269,19 +309,19 @@ def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResu
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    _, vmin = _potential_minimum(pot)
+    below = _well_bottom(pot)
+    vmin = below[0]
     e_cap = pot.confinement_energy()
     _check_monotone(pot, vmin, min(e_cap, vmin + max(abs(vmin), 1.0) * 100))
 
     result = SpectrumResult(entries=[], hbar=cfg.hbar)
     for n in range(n_max + 1):
-        target = (n + 0.5) * cfg.h
         try:
-            E = _solve_level(pot, target, vmin, e_cap)
+            below = _solve_level(pot, (n + 0.5) * cfg.h, below, e_cap)
         except LevelNotBound as exc:
             result.skipped.append({"n": n, "reason": str(exc)})
             continue
-        action = action_integral(pot, E)
+        E, action, _ = below
         result.entries.append(
             SpectrumEntry(
                 quantum_numbers=(n,), energy=E, actions=(action,), maslov_per_loop=(2,)

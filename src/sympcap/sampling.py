@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 
 def ball_points(count: int, dim: int, radius: float = 1.0, center=None, seed: int = 0) -> np.ndarray:
@@ -13,6 +12,8 @@ def ball_points(count: int, dim: int, radius: float = 1.0, center=None, seed: in
     Halton samples pushed through the Gaussian-direction + radius transform:
     direction from a normalized inverse-normal map, radius from u^(1/dim).
     """
+    from scipy.stats import qmc  # here, not at module level: importing scipy.stats takes ~0.5 s
+
     eng = qmc.Halton(d=dim + 1, scramble=True, seed=seed)
     u = eng.random(count)
     g = ndtri(np.clip(u[:, :dim], 1e-15, 1 - 1e-15))
@@ -26,6 +27,8 @@ def ball_points(count: int, dim: int, radius: float = 1.0, center=None, seed: in
 
 def box_points(count: int, lo, hi, seed: int = 0) -> np.ndarray:
     """Low-discrepancy points filling an axis-aligned box [lo, hi]."""
+    from scipy.stats import qmc
+
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     eng = qmc.Halton(d=lo.size, scramble=True, seed=seed)

@@ -25,15 +25,17 @@ def read_golden(name):
 
 
 # Float tolerance of the golden comparison, relative and absolute.
-# `ebk._solve_level` stops brentq once the bracket is narrower than
-# xtol + rtol*|E|, with xtol = 1e-14*max(|E_hi|, 1): 1e-14 to 4e-14 for the
-# golden levels. Over that window action_integral(E) - h/2 is flat to
-# rounding across several ULP of E, and where brentq stops depends on the
-# summation order of np.sum and on libm's sin, which vary with the numpy
-# build and the CPU. Between two such builds the harmonic energies moved by
-# up to 4 ULP (2.2e-16, 2 eps relative) and the actions by 1 ULP. 64 eps
-# (1.4e-14) is at least 32 times that drift and of the order of the
-# solver's stopping width. The absolute floor covers values that are pure
+# The goldens were written by an earlier EBK solver, which ran brentq on
+# action_integral(E) - h/2 and stopped once the bracket was narrower than
+# 1e-14*max(|E_hi|, 1) + rtol*|E|: 1e-14 to 4e-14 for the golden levels.
+# Over that window the root function is flat to rounding across several ULP
+# of E, and where a root finder stops in it depends on the summation order
+# of np.sum and on libm's sin, which vary with the numpy build and the CPU.
+# Between two such builds the harmonic energies moved by up to 4 ULP
+# (2.2e-16, 2 eps relative) and the actions by 1 ULP. `ebk._solve_level`
+# now stops at a Newton step of 4 ULP; here it lands within 1 ULP of the
+# golden energies and 4 ULP of the golden actions. 64 eps (1.4e-14) is at
+# least 16 times either. The absolute floor covers values that are pure
 # rounding noise, such as the Williamson residual of 2.2e-16.
 GOLDEN_FLOAT_TOL = 64 * sys.float_info.epsilon
 
@@ -221,6 +223,24 @@ class TestInputErrors:
         (["capacity", "--ball", "R=1"], "ball region is missing key 'N'"),
     ])
     def test_missing_key_named(self, capsys, argv, message):
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["capacity", "--region", "[1]"], "--region must be a JSON object"),
+        (["quantize-separable", "--potentials", "[1]", "--n", "0"],
+         "--potentials must be a JSON array of potential objects"),
+        (["quantize-separable", "--potentials", '{"kind": "harmonic"}', "--n", "0"],
+         "--potentials must be a JSON array of potential objects"),
+        (["capacity", "--region",
+          '{"type": "ellipsoid", "matrix": {"matrix": [1, 0, 0, 4]}, "energy": 1}'],
+         "matrix descriptor is missing key 'n'"),
+        (["williamson", "--matrix", '{"n": 1}'], "matrix descriptor is missing key 'matrix'"),
+        (["williamson", "--matrix", "[1, 0, 0, 4]"],
+         "matrix descriptor must be a JSON object with keys 'n' and 'matrix'"),
+    ])
+    def test_wrong_shaped_json(self, capsys, argv, message):
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}

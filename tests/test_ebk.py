@@ -111,6 +111,27 @@ class TestTurningPoints:
         with pytest.raises(MultiWell):
             turning_points(pot, 0.5)
 
+    def test_double_well_refused_with_dV(self):
+        pot = Potential1D(V=lambda q: (np.square(q) - 1.0) ** 2, bracket=(-3, 3),
+                          dV=lambda q: 4.0 * q * (np.square(q) - 1.0))
+        with pytest.raises(MultiWell):
+            turning_points(pot, 0.5)
+
+    @pytest.mark.parametrize("pot,E,exact", [
+        (harmonic_potential(2.0, 1.5), 0.9, (-math.sqrt(0.3), math.sqrt(0.3))),
+        (harmonic_potential(0.7), 3.1, (-math.sqrt(6.2) / 0.7, math.sqrt(6.2) / 0.7)),
+        (morse_potential(10.0, 1.0), 4.0,
+         (-math.log(1 + math.sqrt(0.4)), -math.log(1 - math.sqrt(0.4)))),
+        (morse_potential(10.0, 1.0), 9.9,
+         (-math.log(1 + math.sqrt(0.99)), -math.log(1 - math.sqrt(0.99)))),
+        (quartic_potential(0.25), 1.0, (-math.sqrt(2.0), math.sqrt(2.0))),
+        (quartic_potential(0.25), 7.0, (-28.0 ** 0.25, 28.0 ** 0.25)),
+    ])
+    def test_closed_forms_to_rounding(self, pot, E, exact):
+        qm, qp = turning_points(pot, E)
+        assert qm == pytest.approx(exact[0], abs=1e-14)
+        assert qp == pytest.approx(exact[1], abs=1e-14)
+
 
 class TestActionIntegral:
     def test_harmonic_closed_form(self):
@@ -146,6 +167,16 @@ class TestActionIntegral:
         for m in (0.3, 1.0, 4.0):
             assert action_integral(harmonic_potential(2.0, m), E) == pytest.approx(
                 2 * math.pi * E / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("E", [0.3, 5.0, 9.5])
+    def test_period_is_dA_dE(self, E):
+        # Morse, closed form: A = (2 pi / a) sqrt(2 m D) (1 - sqrt(1 - E/D))
+        from sympcap.ebk import _action_period
+        D, a, m = 10.0, 1.3, 0.8
+        A, T = _action_period(morse_potential(D, a, m), E)
+        u = math.sqrt(1.0 - E / D)
+        assert A == pytest.approx(2 * math.pi / a * math.sqrt(2 * m * D) * (1 - u), rel=1e-12)
+        assert T == pytest.approx(math.pi / a * math.sqrt(2 * m / D) / u, rel=1e-10)
 
     def test_monotone_in_energy(self):
         pot = quartic_potential(0.25)
@@ -183,6 +214,42 @@ class TestSpectrum1D:
         for entry in res.entries:
             x = entry.actions[0] / CFG.h - 0.5
             assert abs(x - round(x)) < 1e-8
+
+    def test_without_dV(self):
+        # no analytic derivative: turning points fall back to brentq on each cell
+        res = spectrum_1d(Potential1D(V=lambda q: 0.5 * q * q), 5, CFG)
+        assert [e.energy for e in res.entries] == pytest.approx(
+            [n + 0.5 for n in range(6)], rel=0, abs=1e-10)
+
+    def test_V_reassigned_after_solve(self):
+        # the well scan is cached on the potential and must follow V
+        pot = harmonic_potential(1.0)
+        assert level_1d(pot, 0, CFG)[0] == pytest.approx(0.5, rel=1e-12)
+        pot.V = lambda q: 2.0 * np.square(q)
+        pot.dV = lambda q: 4.0 * np.asarray(q)
+        assert level_1d(pot, 0, CFG)[0] == pytest.approx(1.0, rel=1e-12)
+        assert spectrum_1d(pot, 1, CFG).entries[1].energy == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("desc", [
+        {"kind": "quartic", "coeff": 0.25},
+        {"kind": "morse", "D": 10.0, "a": 1.0},
+        # the benchmark's convex form b q + q^2/2 + c3 q^3 + c4 q^4
+        {"kind": "polynomial", "coeffs": [0.0, 0.1, 0.5, 0.15, 0.12]},
+    ])
+    def test_V_points_per_level(self, desc):
+        # one well scan per potential, then a few Newton steps per level: a
+        # solver that rescans V on every action evaluation needs ~150 000 a level
+        pot = make_potential(desc)
+        V, points = pot.V, []
+
+        def counted(q):
+            points.append(np.size(q))
+            return V(q)
+
+        pot.V = counted
+        res = spectrum_1d(pot, 10, CFG)
+        assert res.entries
+        assert sum(points) <= 20_000 * len(res.entries)
 
 
 class TestSpectrumSeparable:

@@ -1,7 +1,10 @@
-"""Every name a sympcap module imports is used in that module."""
+"""Imports of the sympcap modules: each name is used, and `import sympcap` stays light."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sympcap"
 
@@ -25,3 +28,13 @@ def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [u for path in modules for u in unused_imports(path)] == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats (for Halton sampling) costs ~0.5 s to import; only the
+    # samplers need it, so a plain `import sympcap` must not load it
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, sympcap; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
