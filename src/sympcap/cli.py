@@ -23,6 +23,7 @@ from . import core, ebk, shadows
 from .errors import SympcapError
 
 FLOAT_FMT = "%.17g"
+NOT_FINITE = "result is not finite"
 
 
 def _fmt(x) -> str:
@@ -86,10 +87,7 @@ def _parse_potential(args) -> ebk.Potential1D:
     else:
         desc = _parse_kv(tokens[1:])
         desc["kind"] = tokens[0]
-    try:
-        return ebk.make_potential(desc)
-    except (KeyError, ValueError) as exc:
-        raise InputError(str(exc))
+    return ebk.make_potential(desc)
 
 
 def _emit(args, text: str):
@@ -101,7 +99,11 @@ def _emit(args, text: str):
 
 
 def _emit_json(args, obj):
-    _emit(args, json.dumps(obj, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:  # an infinite or NaN float
+        raise InputError(NOT_FINITE) from None
+    _emit(args, text + "\n")
 
 
 def _emit_csv(args, header, rows):
@@ -451,9 +453,11 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (InputError, json.JSONDecodeError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (InputError, json.JSONDecodeError, ValueError, FileNotFoundError, KeyError,
+            OverflowError) as exc:
+        message = NOT_FINITE if isinstance(exc, OverflowError) else str(exc)
         sys.stdout.write(json.dumps(
-            {"error": "InvalidInput", "message": str(exc)}, sort_keys=True) + "\n")
+            {"error": "InvalidInput", "message": message}, sort_keys=True) + "\n")
         return 2
     except SympcapError as exc:
         sys.stdout.write(json.dumps(

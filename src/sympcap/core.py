@@ -91,15 +91,23 @@ def random_symplectic(N: int, sigma: float, seed: int) -> SymplecticMatrix:
     Deterministic for a fixed seed. Accepts an np.random.Generator in place
     of an integer seed so ensembles can share one stream.
     """
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return SymplecticMatrix(_random_symplectic_stack(N, 1, sigma, rng)[0], tol=1e-9)
+
+
+def _random_symplectic_stack(N: int, count: int, sigma: float, rng) -> np.ndarray:
+    """`count` uncertified random_symplectic draws, stacked (count, 2N, 2N).
+
+    One normal draw takes the same numbers from the stream as `count` in a
+    row, and expm treats each slice on its own.
+    """
     if N < 1:
         raise DimensionError(f"need N >= 1, got {N}")
     if sigma <= 0:
         raise ValueError(f"need sigma > 0, got {sigma}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    G = rng.normal(0.0, sigma, size=(2 * N, 2 * N))
-    A = 0.5 * (G + G.T)
-    S = expm(standard_form(N) @ A)
-    return SymplecticMatrix(S, tol=1e-9)
+    G = rng.normal(0.0, sigma, size=(count, 2 * N, 2 * N))
+    A = 0.5 * (G + np.swapaxes(G, 1, 2))
+    return expm(standard_form(N) @ A)
 
 
 @dataclass(eq=False)

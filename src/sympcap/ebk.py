@@ -467,18 +467,25 @@ def make_potential(desc: dict) -> Potential1D:
     """Build a Potential1D from a JSON descriptor {"kind": ..., params...}."""
     desc = dict(desc)
     kind = desc.pop("kind", None)
-    bracket = tuple(desc.pop("bracket")) if "bracket" in desc else None
-    mass = float(desc.pop("mass", 1.0))
+    kwargs = {"mass": float(desc.pop("mass", 1.0))}
+    if "bracket" in desc:
+        kwargs["bracket"] = tuple(desc.pop("bracket"))
     if kind == "harmonic":
-        return harmonic_potential(omega=float(desc.pop("omega", 1.0)), mass=mass,
-                                  bracket=bracket, **desc)
-    if kind == "morse":
-        return morse_potential(D=float(desc.pop("D", 10.0)), a=float(desc.pop("a", 1.0)),
-                               mass=mass, bracket=bracket, **desc)
-    if kind == "quartic":
-        kwargs = {"bracket": bracket} if bracket else {}
-        return quartic_potential(coeff=float(desc.pop("coeff", 0.25)), mass=mass, **kwargs, **desc)
-    if kind == "polynomial":
-        kwargs = {"bracket": bracket} if bracket else {}
-        return polynomial_potential(desc.pop("coeffs"), mass=mass, **kwargs, **desc)
-    raise ValueError(f"unknown potential kind {kind!r}")
+        factory = harmonic_potential
+        kwargs["omega"] = float(desc.pop("omega", 1.0))
+    elif kind == "morse":
+        factory = morse_potential
+        kwargs.update(D=float(desc.pop("D", 10.0)), a=float(desc.pop("a", 1.0)))
+    elif kind == "quartic":
+        factory = quartic_potential
+        kwargs["coeff"] = float(desc.pop("coeff", 0.25))
+    elif kind == "polynomial":
+        if "coeffs" not in desc:
+            raise ValueError("polynomial potential is missing key 'coeffs'")
+        factory = polynomial_potential
+        kwargs["coeffs"] = desc.pop("coeffs")
+    else:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    if desc:
+        raise ValueError(f"{kind} potential has unknown key {next(iter(desc))!r}")
+    return factory(**kwargs)

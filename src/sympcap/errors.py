@@ -29,8 +29,11 @@ class CertificateInvalid(SympcapError):
         self.witness = witness
 
 
-class InvalidNeck(SympcapError):
-    """Bottle neck radius must be strictly smaller than the body radius."""
+class InvalidNeck(SympcapError, ValueError):
+    """Bottle neck radius must be strictly smaller than the body radius.
+
+    Also a ValueError: it reports bad input, not a numerical failure.
+    """
 
 
 class FlowError(SympcapError):

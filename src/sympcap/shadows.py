@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .capacity import Ball
-from .core import SymplecticMatrix, random_symplectic
+from .core import SymplecticMatrix, _random_symplectic_stack
 from .errors import FlowDiverged, FlowError
 from .sampling import ball_points
 
@@ -94,10 +95,7 @@ def linear_shadow_area(S: SymplecticMatrix, R: float, plane: PlaneSelector) -> S
     """
     if R <= 0:
         raise ValueError(f"radius must be positive, got {R}")
-    a, b = plane.indices(S.n)
-    A = S.matrix @ S.matrix.T
-    sub = A[np.ix_([a, b], [a, b])]
-    area = math.pi * R * R * math.sqrt(max(np.linalg.det(sub), 0.0))
+    area = math.pi * R * R * math.sqrt(max(_plane_dets(S.matrix, [plane])[0], 0.0))
     bound = math.pi * R * R
     return ShadowReport(
         plane=plane,
@@ -118,25 +116,11 @@ class EnsembleSummary:
     conjugate_bound_held: bool
 
 
-def _plane_dets(S: np.ndarray, n: int):
-    """Determinants of all 2x2 coordinate blocks of SS^T, split into
-    conjugate and nonconjugate plane families."""
-    A = S @ S.T
-    conj, nonconj = [], []
-    for j in range(n):
-        sub = A[np.ix_([j, n + j], [j, n + j])]
-        conj.append((f"q{j+1}p{j+1}", float(np.linalg.det(sub))))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            pairs = [(f"q{i+1}q{j+1}", (i, j)), (f"p{i+1}p{j+1}", (n + i, n + j)),
-                     (f"q{i+1}p{j+1}", (i, n + j))]
-            for label, (a, b) in pairs:
-                if a < b:
-                    sub = A[np.ix_([a, b], [a, b])]
-                    nonconj.append((label, float(np.linalg.det(sub))))
-    return conj, nonconj
+def _plane_dets(S: np.ndarray, planes: Sequence[PlaneSelector]) -> np.ndarray:
+    """det of the 2x2 block of SS^T on each plane; S may be a stack (..., 2n, 2n)."""
+    idx = np.array([plane.indices(S.shape[-1] // 2) for plane in planes])
+    A = S @ np.swapaxes(S, -1, -2)
+    return np.linalg.det(A[..., idx[:, :, None], idx[:, None, :]])
 
 
 def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -> EnsembleSummary:
@@ -144,28 +128,32 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
 
     Every conjugate 2x2 block of SS^T must have determinant >= 1 (within
     roundoff); nonconjugate blocks are free to shrink and the smallest one
-    found is reported with its witness.
+    found is reported with its witness, the first in (member, plane) order.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    rng = np.random.default_rng(seed)
-    min_conj = math.inf
-    min_nonconj = math.inf
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    stack = _random_symplectic_stack(N, count, sigma, np.random.default_rng(seed))
+    for S in stack:  # certify each member; the first failure raises
+        SymplecticMatrix(S, tol=1e-9)
+    # every nonconjugate coordinate plane once, in witness order
+    nonconj = []
+    for i, j in permutations(range(1, N + 1), 2):
+        if i < j:
+            nonconj += [PlaneSelector.position_pair(i, j), PlaneSelector.momentum_pair(i, j)]
+        nonconj.append(PlaneSelector.mixed(i, j))
+    dets = _plane_dets(stack, [PlaneSelector.conjugate(j) for j in range(1, N + 1)] + nonconj)
+    min_conj = float(dets[:, :N].min())
     witness = None
-    for k in range(count):
-        S = random_symplectic(N, sigma, rng)
-        conj, nonconj = _plane_dets(S.matrix, N)
-        for _, d in conj:
-            min_conj = min(min_conj, d)
-        for label, d in nonconj:
-            if d < min_nonconj:
-                min_nonconj = d
-                witness = {"member": k, "plane": label, "det": d}
+    if nonconj:
+        k, p = divmod(int(np.argmin(dets[:, N:])), len(nonconj))
+        witness = {"member": k, "plane": nonconj[p].label(), "det": float(dets[k, N + p])}
     return EnsembleSummary(
         n_modes=N,
         count=count,
         min_conjugate_det=min_conj,
-        min_nonconjugate_det=min_nonconj if N > 1 else math.inf,
+        min_nonconjugate_det=witness["det"] if witness else math.inf,
         nonconjugate_witness=witness,
         conjugate_bound_held=min_conj >= 1 - CONJUGATE_TOL,
     )
@@ -254,16 +242,19 @@ def grid_shadow_area(points_2d: np.ndarray, grid_cell: float,
     subtracts half of every occupied cell with an unoccupied 4-neighbor.
     """
     cells = np.floor(points_2d / grid_cell).astype(np.int64)
-    occupied = np.unique(cells, axis=0)
-    count = occupied.shape[0]
-    if perimeter_correction and count:
-        # encode (i, j) pairs for fast neighbor membership tests
-        span = occupied.max() - occupied.min() + 3
-        base = occupied.min() - 1
-        code = (occupied[:, 0] - base) * span + (occupied[:, 1] - base)
+    if not len(cells):
+        return 0.0
+    # one code per cell, rows `span` apart with an empty column on each
+    # side, so the 4-neighbors of a code are code +- span and code +- 1
+    lo = cells.min(axis=0) - 1
+    span = cells[:, 1].max() - lo[1] + 2
+    codes = np.unique((cells[:, 0] - lo[0]) * span + (cells[:, 1] - lo[1]))
+    count = codes.size
+    if perimeter_correction:
         boundary = np.zeros(count, dtype=bool)
         for d in (span, -span, 1, -1):
-            boundary |= ~np.isin(code + d, code)
+            at = np.minimum(np.searchsorted(codes, codes + d), count - 1)
+            boundary |= codes[at] != codes + d
         count = count - 0.5 * int(boundary.sum())
     return count * grid_cell * grid_cell
 

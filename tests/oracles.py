@@ -1,8 +1,11 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately dumb and path-independent from the library
-code: closed forms, dense diagonalization, adaptive quadrature, and direct
-ODE integration.
+code: closed forms, dense diagonalization, adaptive quadrature, direct ODE
+integration, and plain loops over ensemble members, planes and grid cells.
+The ensemble oracle draws its members with the library's single-member
+`random_symplectic`, so it also checks that a stacked draw matches draws in
+a row.
 """
 
 import math
@@ -10,6 +13,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
+
+from sympcap.core import random_symplectic
 
 
 def morse_levels(D, a, mass, hbar):
@@ -95,3 +100,46 @@ def random_pd_matrix(rng, N, cond_cap=50.0):
     M = G @ G.T
     w = np.linalg.eigvalsh(M)
     return M + (w[-1] / cond_cap) * np.eye(2 * N)
+
+
+def ensemble_oracle(N, count, sigma, seed):
+    """(min conjugate det, min nonconjugate det, witness) of the 2x2 blocks
+    of S S^T, member by member on one stream with a strict-< witness.
+
+    Planes are visited conjugate first, then for each ordered pair i != j
+    the blocks q_i q_j, p_i p_j and q_i p_j whose first index is the smaller.
+    """
+    rng = np.random.default_rng(seed)
+    min_conj = min_nonconj = math.inf
+    witness = None
+    for k in range(count):
+        S = random_symplectic(N, sigma, rng).matrix
+        A = S @ S.T
+        for j in range(N):
+            min_conj = min(min_conj, float(np.linalg.det(A[np.ix_([j, N + j], [j, N + j])])))
+        for i in range(N):
+            for j in range(N):
+                if i == j:
+                    continue
+                for label, (a, b) in ((f"q{i + 1}q{j + 1}", (i, j)),
+                                      (f"p{i + 1}p{j + 1}", (N + i, N + j)),
+                                      (f"q{i + 1}p{j + 1}", (i, N + j))):
+                    if a < b:
+                        d = float(np.linalg.det(A[np.ix_([a, b], [a, b])]))
+                        if d < min_nonconj:
+                            min_nonconj = d
+                            witness = {"member": k, "plane": label, "det": d}
+    return min_conj, min_nonconj, witness
+
+
+def grid_area_oracle(points, cell, perimeter_correction):
+    """Occupancy-grid area from a set of cells and an explicit 4-neighbour loop."""
+    cells = {(math.floor(x / cell), math.floor(y / cell)) for x, y in points}
+    count = len(cells)
+    if perimeter_correction:
+        boundary = 0
+        for i, j in cells:
+            if any(c not in cells for c in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))):
+                boundary += 1
+        count = count - 0.5 * boundary
+    return count * cell * cell

@@ -211,6 +211,10 @@ class TestInputErrors:
         ["dos", "--ndim", "0", "--energy", "1"],
         ["evolve", "--potential", "harmonic", "omega=1", "--samples", "0"],
         ["quantize-1d", "--potential", "quartic", "coeff=-1", "--nmax", "1"],
+        ["nonsqueeze-ensemble", "--n", "2", "--count", "0"],
+        ["nonsqueeze-ensemble", "--n", "2", "--count", "-3"],
+        ["bottle-demo", "--neck", "2"],
+        ["capacity", "--region", '{"type": "bottle", "radius": 1, "neck": 2}'],
     ])
     def test_exit_2(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -221,11 +225,26 @@ class TestInputErrors:
         (["capacity", "--region", '{"type": "ellipsoid"}'],
          "ellipsoid region is missing key 'matrix'"),
         (["capacity", "--ball", "R=1"], "ball region is missing key 'N'"),
+        (["quantize-1d", "--potential", "polynomial", "--nmax", "1"],
+         "polynomial potential is missing key 'coeffs'"),
+        (["quantize-separable", "--potentials", '[{"kind": "polynomial"}]', "--n", "0"],
+         "polynomial potential is missing key 'coeffs'"),
     ])
     def test_missing_key_named(self, capsys, argv, message):
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--ball", "R=1e200", "N=2"],
+        ["capacity", "--ball", "R=nan", "N=2"],
+        ["shadow", "--random", "2", "--sigma", "nan"],
+        ["dos", "--energy", "1e308", "--ndim", "3"],
+    ])
+    def test_not_finite(self, capsys, argv):
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": "result is not finite"}
 
     @pytest.mark.parametrize("argv,message", [
         (["capacity", "--region", "[1]"], "--region must be a JSON object"),
@@ -239,6 +258,8 @@ class TestInputErrors:
         (["williamson", "--matrix", '{"n": 1}'], "matrix descriptor is missing key 'matrix'"),
         (["williamson", "--matrix", "[1, 0, 0, 4]"],
          "matrix descriptor must be a JSON object with keys 'n' and 'matrix'"),
+        (["quantize-1d", "--potential", "harmonic", "foo=1", "--nmax", "1"],
+         "harmonic potential has unknown key 'foo'"),
     ])
     def test_wrong_shaped_json(self, capsys, argv, message):
         code, out = invoke(capsys, *argv)

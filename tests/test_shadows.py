@@ -17,6 +17,8 @@ from sympcap.shadows import (
     verlet_step,
 )
 
+from oracles import ensemble_oracle, grid_area_oracle
+
 
 def harmonic_flow(dt):
     return FlowSpec(
@@ -99,6 +101,45 @@ class TestEnsemble:
         summary = nonsqueeze_ensemble(1, 10, sigma=1.0, seed=3)
         # the only plane is the full phase plane: det SS^T = (det S)^2 = 1
         assert summary.min_conjugate_det == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_matches_member_by_member_oracle(self, N, sigma):
+        """Same minima, witness member and witness plane, bit for bit; or,
+        when a member fails its symplectic check, the same error."""
+        def outcome(run):
+            try:
+                return run()
+            except ValueError as exc:
+                return str(exc)
+
+        seed = 10 * N + int(sigma)
+        want = outcome(lambda: ensemble_oracle(N, 150, sigma, seed))
+        got = outcome(lambda: nonsqueeze_ensemble(N, 150, sigma, seed))
+        if not isinstance(want, str):
+            got = (got.min_conjugate_det, got.min_nonconjugate_det, got.nonconjugate_witness)
+            # plain Python numbers, as the CLI's JSON output needs
+            assert type(got[0]) is float and type(got[1]) is float
+            assert N == 1 or (type(got[2]["member"]) is int and type(got[2]["det"]) is float)
+        assert got == want
+
+    def test_witness_is_first_of_tied_minima(self):
+        # at sigma 1e-20 every member rounds to the identity, so all dets tie at 1
+        summary = nonsqueeze_ensemble(3, 4, sigma=1e-20, seed=2)
+        assert summary.nonconjugate_witness == {"member": 0, "plane": "q1q2", "det": 1.0}
+        assert ensemble_oracle(3, 4, 1e-20, 2)[2] == summary.nonconjugate_witness
+
+    def test_first_failing_member_reported(self):
+        with pytest.raises(ValueError, match=r"symplectic defect 2\.605e-03 exceeds") as exc:
+            nonsqueeze_ensemble(12, 5, sigma=4.0, seed=0)
+        with pytest.raises(ValueError) as want:
+            ensemble_oracle(12, 5, 4.0, 0)
+        assert str(exc.value) == str(want.value)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_ensemble_rejected(self, count):
+        with pytest.raises(ValueError, match="count >= 1"):
+            nonsqueeze_ensemble(2, count)
 
 
 class TestVerlet:
@@ -216,3 +257,29 @@ def test_grid_area_of_known_square():
     pts = rng.uniform(0, 1, size=(200_000, 2))
     # cell-aligned square: the raw count is exact, no boundary cut to correct
     assert grid_shadow_area(pts, 0.05, perimeter_correction=False) == pytest.approx(1.0, rel=0.01)
+
+
+def _filament(n):
+    x = np.linspace(-3.0, 3.0, n)
+    return np.column_stack([x, np.full(n, 0.0123)])
+
+
+def _annulus(n):
+    """Gaussian points outside radius 0.8: the hole has a boundary too."""
+    pts = np.random.default_rng(5).normal(size=(n, 2))
+    return pts[np.hypot(pts[:, 0], pts[:, 1]) > 0.8]
+
+
+@pytest.mark.parametrize("points,cell", [
+    pytest.param(np.random.default_rng(3).normal(size=(5000, 2)) * 0.7 + [-7.3, -2.1], 0.05,
+                 id="negative"),
+    pytest.param(np.array([[-0.31, 4.2]]), 0.1, id="single-point"),
+    pytest.param(_filament(4000), 0.05, id="filament"),
+    pytest.param(np.array([[-1e9, 0.5], [1e9, 0.5], [1e9 + 0.07, 0.5]]), 0.05, id="far-apart"),
+    pytest.param(_annulus(20000), 0.1, id="annulus"),
+    pytest.param(np.random.default_rng(4).normal(size=(100_000, 2)), 0.05, id="gaussian-1e5"),
+])
+@pytest.mark.parametrize("perimeter_correction", [True, False])
+def test_grid_area_matches_cell_set_oracle(points, cell, perimeter_correction):
+    want = grid_area_oracle(points, cell, perimeter_correction)
+    assert grid_shadow_area(points, cell, perimeter_correction) == want
