@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import QuadraticHamiltonian, williamson
+from .core import QuadraticHamiltonian, max_symplectic_eigenvalue
 from .errors import CertificateInvalid, InvalidNeck, UnsupportedRegion
 from .sampling import ball_points, box_points
 
@@ -140,8 +140,8 @@ def capacity_cylinder(Z: Cylinder) -> CapacityValue:
 
 def capacity_ellipsoid(region: EnergyShellRegion) -> CapacityValue:
     """2 pi E / w_max with w_max the largest symplectic eigenvalue."""
-    dec = williamson(region.hamiltonian)
-    return CapacityValue(value=2.0 * math.pi * region.energy / dec.omegas[0], exact=True)
+    w_max = max_symplectic_eigenvalue(region.hamiltonian)
+    return CapacityValue(value=2.0 * math.pi * region.energy / w_max, exact=True)
 
 
 def minimal_action_quadratic(region: EnergyShellRegion):
@@ -150,8 +150,7 @@ def minimal_action_quadratic(region: EnergyShellRegion):
     Returns (action, orbit_frequency); the action coincides with the
     ellipsoid capacity.
     """
-    dec = williamson(region.hamiltonian)
-    omega_max = float(dec.omegas[0])
+    omega_max = max_symplectic_eigenvalue(region.hamiltonian)
     return 2.0 * math.pi * region.energy / omega_max, omega_max
 
 

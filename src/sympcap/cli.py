@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -351,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cylinder", nargs="*", default=None, metavar="K=V")
     sp.add_argument("--region", default=None, help="inline JSON region descriptor")
     common(sp)
-    sp.set_defaults(func=cmd_capacity)
+    sp.set_defaults(handler="cmd_capacity")
 
     sp = sub.add_parser("williamson", help="symplectic spectrum and normal form")
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--matrix-file", default=None)
     common(sp)
-    sp.set_defaults(func=cmd_williamson)
+    sp.set_defaults(handler="cmd_williamson")
 
     sp = sub.add_parser("shadow", help="exact projected area under a linear map")
     sp.add_argument("--matrix", default=None)
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-10)
     common(sp)
-    sp.set_defaults(func=cmd_shadow)
+    sp.set_defaults(handler="cmd_shadow")
 
     sp = sub.add_parser("nonsqueeze-ensemble", help="conjugate-plane determinant sweep")
     sp.add_argument("--n", type=int, required=True)
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
-    sp.set_defaults(func=cmd_nonsqueeze)
+    sp.set_defaults(handler="cmd_nonsqueeze")
 
     sp = sub.add_parser("evolve", help="advect a ball and estimate shadow areas")
     sp.add_argument("--potential", nargs="+", required=True)
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump-points", default=None, metavar="PREFIX")
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
-    sp.set_defaults(func=cmd_evolve)
+    sp.set_defaults(handler="cmd_evolve")
 
     sp = sub.add_parser("quantize-1d", help="EBK levels of a confining 1-D potential")
     sp.add_argument("--potential", nargs="+", required=True)
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hbar", type=float, default=1.0)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     common(sp)
-    sp.set_defaults(func=cmd_quantize_1d)
+    sp.set_defaults(handler="cmd_quantize_1d")
 
     sp = sub.add_parser("quantize-quadratic", help="oscillator levels via the symplectic spectrum")
     sp.add_argument("--matrix", default=None)
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hbar", type=float, default=1.0)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     common(sp)
-    sp.set_defaults(func=cmd_quantize_quadratic)
+    sp.set_defaults(handler="cmd_quantize_quadratic")
 
     sp = sub.add_parser("quantize-separable", help="torus level of a separable system")
     sp.add_argument("--potentials", required=True, help="JSON list of potential descriptors")
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hbar", type=float, default=1.0)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     common(sp)
-    sp.set_defaults(func=cmd_quantize_separable)
+    sp.set_defaults(handler="cmd_quantize_separable")
 
     sp = sub.add_parser("dos", help="density of states of an oscillator Hamiltonian")
     sp.add_argument("--ndim", type=int, default=1)
@@ -427,34 +428,42 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--numeric", action="store_true")
     sp.add_argument("--hbar", type=float, default=1.0)
     common(sp)
-    sp.set_defaults(func=cmd_dos)
+    sp.set_defaults(handler="cmd_dos")
 
     sp = sub.add_parser("blob-check", help="match a capacity to a blob index")
     sp.add_argument("--value", required=True)
     sp.add_argument("--tol", type=float, default=0.05)
     sp.add_argument("--hbar", type=float, default=1.0)
     common(sp)
-    sp.set_defaults(func=cmd_blob_check)
+    sp.set_defaults(handler="cmd_blob_check")
 
     sp = sub.add_parser("bottle-demo", help="nonconvex counterexample numbers")
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--neck", type=float, default=0.5)
     common(sp)
-    sp.set_defaults(func=cmd_bottle_demo)
+    sp.set_defaults(handler="cmd_bottle_demo")
 
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first run() call and shared by every later one."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except (InputError, json.JSONDecodeError, ValueError, FileNotFoundError, KeyError,
-            OverflowError) as exc:
+        # by name, so a cmd_* rebound on this module after the parser was
+        # built (a tracer, a test's monkeypatch) is the one that runs
+        return globals()[args.handler](args)
+    # TypeError: a JSON value of the wrong type, such as R=[1] or N=null
+    except (InputError, json.JSONDecodeError, ValueError, TypeError, FileNotFoundError,
+            KeyError, OverflowError) as exc:
         message = NOT_FINITE if isinstance(exc, OverflowError) else str(exc)
         sys.stdout.write(json.dumps(
             {"error": "InvalidInput", "message": message}, sort_keys=True) + "\n")

@@ -35,11 +35,33 @@ def _check_even_square(S: np.ndarray) -> int:
     return S.shape[0] // 2
 
 
+def _defects(S: np.ndarray) -> np.ndarray:
+    """Max-norm of S^T J S - J for each matrix of a (..., 2n, 2n) stack."""
+    J = standard_form(S.shape[-1] // 2)
+    return np.max(np.abs(np.swapaxes(S, -1, -2) @ J @ S - J), axis=(-2, -1))
+
+
 def symplectic_defect(S: np.ndarray) -> float:
     """Max-norm of S^T J S - J."""
-    n = _check_even_square(S)
-    J = standard_form(n)
-    return float(np.max(np.abs(S.T @ J @ S - J)))
+    _check_even_square(S)
+    return float(_defects(np.asarray(S, dtype=float)))
+
+
+def _certify(stack: np.ndarray, tol: float) -> None:
+    """Raise ValueError for the first matrix of a (count, 2n, 2n) stack that
+    is not symplectic: its defect above `tol`, or det S off 1 beyond 1e-8.
+
+    The comparisons are written so that a NaN defect or det fails them.
+    """
+    defects = _defects(stack)
+    dets = np.linalg.det(stack)
+    bad_defect = ~(defects <= tol)
+    bad = bad_defect | ~(np.abs(dets - 1.0) <= 1e-8)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_defect[k]:
+            raise ValueError(f"symplectic defect {defects[k]:.3e} exceeds tolerance {tol:.3e}")
+        raise ValueError(f"det S = {dets[k]!r} differs from 1 beyond 1e-8")
 
 
 def is_symplectic(S: np.ndarray, tol: float = DEFAULT_SYMPLECTIC_TOL) -> bool:
@@ -52,7 +74,7 @@ class SymplecticMatrix:
     """A certified linear canonical transformation.
 
     Construction fails unless the symplectic defect is within `tol` and
-    det S = 1 within 1e-8.
+    det S = 1 within 1e-8; a matrix with a NaN entry fails.
     """
 
     entries: np.ndarray
@@ -61,12 +83,7 @@ class SymplecticMatrix:
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
         self.n = _check_even_square(self.entries)
-        defect = symplectic_defect(self.entries)
-        if defect > self.tol:
-            raise ValueError(f"symplectic defect {defect:.3e} exceeds tolerance {self.tol:.3e}")
-        det = np.linalg.det(self.entries)
-        if abs(det - 1.0) > 1e-8:
-            raise ValueError(f"det S = {det!r} differs from 1 beyond 1e-8")
+        _certify(self.entries[None], self.tol)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -103,7 +120,7 @@ def _random_symplectic_stack(N: int, count: int, sigma: float, rng) -> np.ndarra
     """
     if N < 1:
         raise DimensionError(f"need N >= 1, got {N}")
-    if sigma <= 0:
+    if not sigma > 0:  # NaN too
         raise ValueError(f"need sigma > 0, got {sigma}")
     G = rng.normal(0.0, sigma, size=(count, 2 * N, 2 * N))
     A = 0.5 * (G + np.swapaxes(G, 1, 2))
@@ -119,6 +136,8 @@ class QuadraticHamiltonian:
     def __post_init__(self):
         self.M = np.asarray(self.M, dtype=float)
         self.n = _check_even_square(self.M)
+        if not np.all(np.isfinite(self.M)):
+            raise ValueError("matrix entries must be finite")
         scale = np.max(np.abs(self.M))
         if scale == 0 or np.max(np.abs(self.M - self.M.T)) > 1e-12 * scale:
             raise ValueError("matrix must be symmetric")
@@ -161,11 +180,16 @@ class WilliamsonDecomposition:
         return np.diag(np.concatenate([self.omegas, self.omegas]))
 
 
+def _require_positive(w: np.ndarray) -> None:
+    """Raise NotPositiveDefinite unless the ascending eigenvalues `w` are all positive."""
+    if w[0] <= 0:
+        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is not positive")
+
+
 def _sym_sqrt(M: np.ndarray):
     """Symmetric square root and inverse square root via eigendecomposition."""
     w, V = np.linalg.eigh(M)
-    if w[0] <= 0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is not positive")
+    _require_positive(w)
     sq = (V * np.sqrt(w)) @ V.T
     isq = (V / np.sqrt(w)) @ V.T
     return sq, isq
@@ -182,6 +206,12 @@ def symplectic_eigenvalues(H: QuadraticHamiltonian) -> np.ndarray:
     if omegas.size != H.n:
         raise NumericalDegeneracy("could not pair eigenvalues of JM into +/- i omega")
     return omegas
+
+
+def max_symplectic_eigenvalue(H: QuadraticHamiltonian) -> float:
+    """w_max of a positive-definite H, without williamson's normal form."""
+    _require_positive(np.linalg.eigvalsh(H.M))
+    return float(symplectic_eigenvalues(H)[0])
 
 
 def williamson(H: QuadraticHamiltonian) -> WilliamsonDecomposition:

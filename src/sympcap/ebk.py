@@ -34,7 +34,7 @@ class PlanckConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
+        if not self.hbar > 0:  # NaN too
             raise ValueError(f"hbar must be positive, got {self.hbar}")
 
     @property

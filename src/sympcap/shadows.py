@@ -13,11 +13,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .capacity import Ball
-from .core import SymplecticMatrix, _random_symplectic_stack
+from .core import SymplecticMatrix, _certify, _random_symplectic_stack
 from .errors import FlowDiverged, FlowError
 from .sampling import ball_points
 
 CONJUGATE_TOL = 1e-9
+CELL_LIMIT = 2.0**62  # bound on grid cell indices and codes, half of int64's
 GRADIENT_CHECK_POINTS = 5
 
 
@@ -135,8 +136,7 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     stack = _random_symplectic_stack(N, count, sigma, np.random.default_rng(seed))
-    for S in stack:  # certify each member; the first failure raises
-        SymplecticMatrix(S, tol=1e-9)
+    _certify(stack, 1e-9)  # the first member that fails raises
     # every nonconjugate coordinate plane once, in witness order
     nonconj = []
     for i, j in permutations(range(1, N + 1), 2):
@@ -240,14 +240,22 @@ def grid_shadow_area(points_2d: np.ndarray, grid_cell: float,
     Cells straddling the boundary are on average half covered, so the raw
     count overestimates by about perimeter * cell / 2; the correction
     subtracts half of every occupied cell with an unoccupied 4-neighbor.
+    A cloud with a non-finite coordinate, or too wide for int64 cell codes
+    at this cell size (indices or code range beyond 2^62), is refused.
     """
-    cells = np.floor(points_2d / grid_cell).astype(np.int64)
-    if not len(cells):
+    scaled = np.floor(np.asarray(points_2d, dtype=float) / grid_cell)
+    if not len(scaled):
         return 0.0
+    ends = np.stack([scaled.min(axis=0), scaled.max(axis=0)])
+    # cell indices, and the codes below (less than the product), must fit
+    # in int64 with room to spare; a NaN or infinite coordinate fails too
+    if not (np.abs(ends).max() < CELL_LIMIT and np.prod(ends[1] - ends[0] + 3) < CELL_LIMIT):
+        raise ValueError(f"cloud does not fit an int64 grid of cell {grid_cell}")
+    cells = scaled.astype(np.int64)
     # one code per cell, rows `span` apart with an empty column on each
     # side, so the 4-neighbors of a code are code +- span and code +- 1
-    lo = cells.min(axis=0) - 1
-    span = cells[:, 1].max() - lo[1] + 2
+    lo = ends[0].astype(np.int64) - 1
+    span = int(ends[1, 1]) - lo[1] + 2
     codes = np.unique((cells[:, 0] - lo[0]) * span + (cells[:, 1] - lo[1]))
     count = codes.size
     if perimeter_correction:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately dumb and path-independent from the library
 code: closed forms, dense diagonalization, adaptive quadrature, direct ODE
-integration, and plain loops over ensemble members, planes and grid cells.
+integration, and plain loops over ensemble members, planes, grid cells and
+certificates.
 The ensemble oracle draws its members with the library's single-member
 `random_symplectic`, so it also checks that a stacked draw matches draws in
 a row.
@@ -143,3 +144,24 @@ def grid_area_oracle(points, cell, perimeter_correction):
                 boundary += 1
         count = count - 0.5 * boundary
     return count * cell * cell
+
+
+def certify_oracle(stack, tol):
+    """(index, message) of the first non-symplectic matrix of a stack, or None.
+
+    Member by member, as SymplecticMatrix once certified ensembles: the
+    defect max|S^T J S - J| against `tol`, then det S against 1 within 1e-8;
+    a NaN fails either test.
+    """
+    n = stack.shape[-1] // 2
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:] = np.eye(n)
+    J[n:, :n] = -np.eye(n)
+    for k, S in enumerate(stack):
+        defect = float(np.max(np.abs(S.T @ J @ S - J)))
+        if not defect <= tol:
+            return k, f"symplectic defect {defect:.3e} exceeds tolerance {tol:.3e}"
+        det = np.linalg.det(S)
+        if not abs(det - 1.0) <= 1e-8:
+            return k, f"det S = {det!r} differs from 1 beyond 1e-8"
+    return None

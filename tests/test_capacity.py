@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sympcap.capacity import (
     minimal_action_quadratic,
     volume_ball,
 )
-from sympcap.core import QuadraticHamiltonian, random_symplectic
+from sympcap.core import QuadraticHamiltonian, random_symplectic, williamson
 from sympcap.errors import (
     CertificateInvalid,
     InvalidNeck,
@@ -94,6 +95,22 @@ class TestEllipsoidCapacity:
     def test_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
             capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(np.diag([1.0, -2.0])), 1.0))
+
+    def test_indefinite_shell_has_no_minimal_action(self):
+        region = EnergyShellRegion(QuadraticHamiltonian(np.diag([1.0, 2.0, -1.0, 1.0])), 1.0)
+        with pytest.raises(NotPositiveDefinite):
+            minimal_action_quadratic(region)
+
+    def test_spectrum_alone_matches_williamson(self):
+        # w_max from eig(JM) instead of the normal form: the same to rounding
+        rng = np.random.default_rng(42)
+        for N in (1, 2, 3, 4):
+            for _ in range(6):
+                region = EnergyShellRegion(QuadraticHamiltonian(random_pd_matrix(rng, N)), 0.7)
+                want = 2 * math.pi * 0.7 / williamson(region.hamiltonian).omegas[0]
+                got = capacity_ellipsoid(region).value
+                assert got == pytest.approx(want, rel=32 * sys.float_info.epsilon, abs=0)
+                assert minimal_action_quadratic(region)[0] == got
 
     def test_symplectic_invariance(self):
         rng = np.random.default_rng(7)

@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -6,7 +10,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sympcap import cli
 from sympcap.cli import run
 
 
@@ -238,13 +244,40 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         ["capacity", "--ball", "R=1e200", "N=2"],
         ["capacity", "--ball", "R=nan", "N=2"],
-        ["shadow", "--random", "2", "--sigma", "nan"],
+        ["shadow", "--random", "2", "--radius", "1e200"],
         ["dos", "--energy", "1e308", "--ndim", "3"],
     ])
     def test_not_finite(self, capsys, argv):
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": "result is not finite"}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["shadow", "--random", "2", "--sigma", "nan"], "need sigma > 0, got nan"),
+        (["nonsqueeze-ensemble", "--n", "2", "--count", "3", "--sigma", "nan"],
+         "need sigma > 0, got nan"),
+        (["shadow", "--matrix", '{"n": 1, "matrix": [NaN, 0, 0, NaN]}'],
+         "symplectic defect nan exceeds tolerance 1.000e-10"),
+        (["quantize-1d", "--potential", "harmonic", "--nmax", "1", "--hbar", "nan"],
+         "hbar must be positive, got nan"),
+        (["capacity", "--region",
+          '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": [NaN, 0, 0, 1]}, "energy": 1}'],
+         "matrix entries must be finite"),
+    ])
+    def test_nan_refused_before_computing(self, capsys, argv, message):
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--ball", "R=[1]", "N=2"],
+        ["capacity", "--ball", "R=1", "N=null"],
+        ["capacity", "--region", '{"type": "ball", "radius": {}, "n": 2}'],
+    ])
+    def test_wrong_json_type(self, capsys, argv):
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "InvalidInput"
 
     @pytest.mark.parametrize("argv,message", [
         (["capacity", "--region", "[1]"], "--region must be a JSON object"),
@@ -389,3 +422,109 @@ class TestGoldenComparison:
         golden = read_golden(name)
         assert old in golden
         assert golden_diff(golden, golden.replace(old, new, 1)) != []
+
+
+def quiet_run(argv):
+    """run(argv) with stdout and stderr captured: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(list(argv))
+    return code, out.getvalue()
+
+
+class TestSharedParser:
+    def test_one_parser_for_every_call(self, capsys, monkeypatch):
+        used = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            used.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert invoke(capsys, "capacity", "--ball", "R=1", "N=3")[0] == 0
+        assert invoke(capsys, "blob-check", "--value", "1")[0] == 0
+        assert len(used) == 2 and used[0] is used[1]
+
+    def test_handler_rebound_after_first_call_runs(self, capsys, monkeypatch):
+        assert invoke(capsys, "capacity", "--ball", "R=1", "N=3")[0] == 0  # parser built
+        seen = []
+        monkeypatch.setattr(cli, "cmd_capacity", lambda args: seen.append(args.ball) or 3)
+        assert invoke(capsys, "capacity", "--ball", "R=2", "N=1") == (3, "")
+        assert seen == [["R=2", "N=1"]]
+
+
+# Vocabulary of the one-process fuzz test: per subcommand, a valid argv and
+# the options it takes. A fuzzed argv is one of these (or an unknown
+# subcommand) followed by options and values, valid and not, plus the odd
+# unknown flag. `evolve --times` is left out: a large time makes as many
+# Verlet steps, which no bound limits yet.
+FUZZ_COMMANDS = [
+    (["capacity", "--ball", "R=1", "N=2"], ["--ball", "--cylinder", "--region"]),
+    (["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,4]}'], ["--matrix"]),
+    (["shadow", "--random", "2", "--seed", "5"],
+     ["--matrix", "--random", "--sigma", "--radius", "--plane", "--seed", "--tol"]),
+    (["nonsqueeze-ensemble", "--n", "2", "--count", "2"], ["--n", "--count", "--sigma", "--seed"]),
+    (["evolve", "--potential", "harmonic", "omega=1", "--times", "0,0.5", "--dt", "0.05",
+      "--samples", "50"],
+     ["--potential", "--radius", "--dt", "--samples", "--grid-cell", "--plane", "--seed"]),
+    (["quantize-1d", "--potential", "morse", "D=2", "a=1", "--nmax", "2"],
+     ["--potential", "--nmax", "--hbar", "--format"]),
+    (["quantize-quadratic", "--matrix", '{"n":1,"matrix":[1,0,0,1]}', "--n", "0"],
+     ["--matrix", "--n", "--hbar", "--format"]),
+    (["quantize-separable", "--potentials", '[{"kind":"harmonic","omega":1}]', "--n", "1"],
+     ["--potentials", "--n", "--hbar", "--format"]),
+    (["dos", "--energy", "2"],
+     ["--ndim", "--omega", "--mass", "--energy", "--matrix", "--numeric", "--hbar"]),
+    (["blob-check", "--value", "3.14"], ["--value", "--tol", "--hbar"]),
+    (["bottle-demo", "--neck", "0.5"], ["--radius", "--neck"]),
+    (["frobnicate"], []),
+]
+FUZZ_UNKNOWN = ["--bogus", "-h"]
+FUZZ_VALUES = [
+    "0", "1", "2", "-1", "0.5", "-0.5", "1e-3", "1e308", "nan", "inf", "-inf", "x", "",
+    "R=1", "N=2", "R=-1", "N=0", "R=nan", "R=[1]", "N=null", "j=3", "plane=qq",
+    "conjugate:1", "qq:1,2", "qp:2", "pp:1,1", "0,1", "1,2",
+    "harmonic", "quartic", "morse", "polynomial", "coeff=1", "omega=0", "omega=[1]", "D=null",
+    "coeffs=[0,0,1]", "json", "csv", "{}", "[]", "null",
+    '{"type":"ball"}', '{"type":"ball","radius":[1],"n":2}',
+    '{"type":"cylinder","radius":1,"n":2,"axis":"x"}',
+    '{"type":"ellipsoid","matrix":{"n":1,"matrix":[1,0,0,-1]},"energy":1}',
+    '{"type":"ellipsoid","matrix":{"n":1,"matrix":[NaN,0,0,1]},"energy":1}',
+    '{"n":1,"matrix":[1,0,0]}', '{"n":1,"matrix":[NaN,0,0,1]}', '{"n":null,"matrix":[1,0,0,1]}',
+    '[{"kind":"morse"}]', '[{"kind":"harmonic","omega":null}]',
+]
+
+
+@st.composite
+def fuzz_argv(draw):
+    base, options = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):  # an option and a value; a value alone extends a list
+            argv.append(draw(st.sampled_from(options + FUZZ_UNKNOWN)))
+        argv.append(draw(st.sampled_from(FUZZ_VALUES)))
+    return argv
+
+
+# runs on the defaults of --sigma, --radius, --plane and --tol, which a
+# fuzzed call overrides on its own namespace only
+FUZZ_GOLDEN = ("shadow.json", ["shadow", "--random", "2", "--seed", "3"])
+
+
+@functools.cache
+def fuzz_golden_output():
+    name, argv = FUZZ_GOLDEN
+    code, out = quiet_run(argv)
+    assert code == 0 and golden_diff(read_golden(name), out) == []
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_in_one_process(argv):
+    """Any argv exits 0, 2 or 3 without raising, and leaves nothing behind in
+    the shared parser: the golden argv run next prints the same bytes."""
+    want = fuzz_golden_output()
+    assert quiet_run(argv)[0] in (0, 2, 3)
+    assert quiet_run(FUZZ_GOLDEN[1]) == (0, want)

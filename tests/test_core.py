@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sympcap.core import (
     QuadraticHamiltonian,
     SymplecticMatrix,
+    _certify,
+    _random_symplectic_stack,
     compose,
     is_symplectic,
     matrix_from_json,
@@ -19,7 +21,7 @@ from sympcap.core import (
 )
 from sympcap.errors import DimensionError, NotPositiveDefinite
 
-from oracles import random_pd_matrix
+from oracles import certify_oracle, random_pd_matrix
 
 
 class TestStandardForm:
@@ -86,6 +88,53 @@ class TestRandomSymplectic:
     def test_deterministic(self):
         assert np.array_equal(random_symplectic(2, 1.0, 9).matrix,
                               random_symplectic(2, 1.0, 9).matrix)
+
+
+class TestCertificate:
+    """One certificate for one matrix or a stack, checked against the
+    member-by-member oracle."""
+
+    @staticmethod
+    def outcome(stack, tol):
+        try:
+            _certify(stack, tol)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def test_good_stack_accepted(self):
+        stack = _random_symplectic_stack(2, 6, 1.0, np.random.default_rng(4))
+        assert certify_oracle(stack, 1e-9) is None
+        assert self.outcome(stack, 1e-9) is None
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("fault,tol", [
+        pytest.param("scale", 1e-9, id="defect"),
+        pytest.param("scale", 1.0, id="det"),  # the scaled members pass a defect test this loose
+        pytest.param("nan", 1e-9, id="nan"),
+    ])
+    def test_first_failing_member_as_oracle(self, position, fault, tol):
+        stack = _random_symplectic_stack(2, 7, 1.0, np.random.default_rng(5))
+        # a second, different fault after the first: reporting it instead
+        # of the first would change the message
+        for k, factor in ((position, 1.001), (position + 2, 1.01)):
+            if k < len(stack):
+                stack[k] = np.nan if fault == "nan" and k == position else stack[k] * factor
+        k, message = certify_oracle(stack, tol)
+        assert k == position
+        assert self.outcome(stack, tol) == message
+        with pytest.raises(ValueError) as exc:
+            SymplecticMatrix(stack[position], tol=tol)
+        assert str(exc.value) == message
+
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(ValueError, match="symplectic defect nan exceeds"):
+            SymplecticMatrix(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("sigma", [float("nan"), 0.0, -1.0])
+    def test_nonpositive_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="need sigma > 0"):
+            random_symplectic(2, sigma, 0)
 
 
 class TestWilliamson:

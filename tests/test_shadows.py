@@ -6,6 +6,7 @@ import pytest
 from sympcap.capacity import Ball
 from sympcap.core import SymplecticMatrix, random_symplectic
 from sympcap.errors import FlowDiverged, FlowError
+from sympcap.sampling import _halton, ball_points, box_points
 from sympcap.shadows import (
     FlowSpec,
     PlaneSelector,
@@ -135,6 +136,10 @@ class TestEnsemble:
         with pytest.raises(ValueError) as want:
             ensemble_oracle(12, 5, 4.0, 0)
         assert str(exc.value) == str(want.value)
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="need sigma > 0, got nan"):
+            nonsqueeze_ensemble(2, 5, sigma=float("nan"))
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_empty_ensemble_rejected(self, count):
@@ -283,3 +288,52 @@ def _annulus(n):
 def test_grid_area_matches_cell_set_oracle(points, cell, perimeter_correction):
     want = grid_area_oracle(points, cell, perimeter_correction)
     assert grid_shadow_area(points, cell, perimeter_correction) == want
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param([[1e20, 0], [2e20, 0]], id="indices-beyond-int64"),
+    pytest.param([[0, 0], [2e8, 2e8]], id="code-range-beyond-int64"),
+    pytest.param([[0, 0], [np.nan, 0]], id="nan"),
+    pytest.param([[0, 0], [0, -np.inf]], id="inf"),
+])
+def test_grid_area_refuses_cloud_beyond_int64_codes(points):
+    # at cell 0.05 the second case spans 4e9 cells on each axis, so its
+    # codes would run to 1.6e19 > 2^63
+    with pytest.raises(ValueError, match="int64 grid"):
+        grid_shadow_area(points, 0.05, False)
+
+
+class TestHaltonMemo:
+    def test_callers_get_their_own_points(self):
+        for draw in (lambda: ball_points(300, 4, 2.0, seed=3),
+                     lambda: ball_points(300, 4, 2.0, center=np.ones(4), seed=3),
+                     lambda: box_points(300, [0.0, -1.0], [1.0, 2.0], seed=3)):
+            first = draw()
+            want = first.copy()
+            first[:] = 7.0
+            assert np.array_equal(draw(), want)
+
+    def test_base_is_memoized_and_read_only(self):
+        u = _halton(300, 5, 3)
+        assert _halton(300, 5, 3) is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.5
+
+    def test_points_match_a_fresh_draw(self):
+        from scipy.special import ndtri
+        from scipy.stats import qmc
+
+        u = qmc.Halton(d=3, scramble=True, seed=8).random(300)
+        g = ndtri(np.clip(u[:, :2], 1e-15, 1 - 1e-15))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        want = g * (1.5 * u[:, 2] ** 0.5)[:, None]
+        for _ in range(2):
+            assert np.array_equal(ball_points(300, 2, 1.5, seed=8), want)
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(1), None, 1.5])
+    def test_seed_must_be_an_integer(self, seed):
+        # a memo would repeat a stream's points; refused on every call
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                box_points(50, [0.0], [1.0], seed=seed)
