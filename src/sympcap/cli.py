@@ -340,8 +340,16 @@ def cmd_bottle_demo(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes --help to stderr, as it does usage errors: stdout carries only
+    a result or an error object. Subcommand parsers are of this class too."""
+
+    def print_help(self, file=None):
+        super().print_help(file or sys.stderr)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sympcap")
+    p = _Parser(prog="sympcap")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):

@@ -5,6 +5,7 @@ drops below its initial area.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -20,6 +21,9 @@ from .sampling import ball_points
 CONJUGATE_TOL = 1e-9
 CELL_LIMIT = 2.0**62  # bound on grid cell indices and codes, half of int64's
 GRADIENT_CHECK_POINTS = 5
+# bound on samples x Verlet steps of one evolve_ball_shadow call: 4 times
+# the 5e8 of the README's quartic example, some 10 s at 5 ns a particle-step
+MAX_PARTICLE_STEPS = 2 * 10**9
 
 
 @dataclass(frozen=True)
@@ -117,11 +121,32 @@ class EnsembleSummary:
     conjugate_bound_held: bool
 
 
+@functools.cache
+def _index_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair k < l of range(m), as two read-only arrays."""
+    pairs = np.triu_indices(m, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def _plane_dets(S: np.ndarray, planes: Sequence[PlaneSelector]) -> np.ndarray:
-    """det of the 2x2 block of SS^T on each plane; S may be a stack (..., 2n, 2n)."""
-    idx = np.array([plane.indices(S.shape[-1] // 2) for plane in planes])
-    A = S @ np.swapaxes(S, -1, -2)
-    return np.linalg.det(A[..., idx[:, :, None], idx[:, None, :]])
+    """det of the 2x2 block of SS^T on each plane; S may be a stack (..., 2n, 2n).
+
+    By Cauchy-Binet, with u and v the plane's two rows of S, the det is the
+    sum over k < l of the squared 2x2 minors (u_k v_l - u_l v_k)^2. Every
+    term is >= 0, so nothing cancels, unlike |u|^2 |v|^2 - (u.v)^2. One
+    plane at a time keeps memory at a few (..., n (2n - 1)) temporaries.
+    """
+    n = S.shape[-1] // 2
+    k, l = _index_pairs(2 * n)
+    dets = np.empty(S.shape[:-2] + (len(planes),))
+    for p, plane in enumerate(planes):
+        a, b = plane.indices(n)
+        u, v = S[..., a, :], S[..., b, :]
+        minors = u[..., k] * v[..., l] - u[..., l] * v[..., k]
+        dets[..., p] = np.sum(minors * minors, axis=-1)
+    return dets
 
 
 def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -> EnsembleSummary:
@@ -136,7 +161,7 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     stack = _random_symplectic_stack(N, count, sigma, np.random.default_rng(seed))
-    _certify(stack, 1e-9)  # the first member that fails raises
+    _certify(stack)  # the first member that fails raises
     # every nonconjugate coordinate plane once, in witness order
     nonconj = []
     for i, j in permutations(range(1, N + 1), 2):
@@ -175,8 +200,8 @@ class FlowSpec:
     n_modes: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         self._check_gradient(self.V, self.grad_V, "V")
         self._check_gradient(self.T, self.grad_T, "T")
 
@@ -302,6 +327,10 @@ def evolve_ball_shadow(
         if abs(k * flow.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"snapshot time {t} is not a multiple of dt={flow.dt}")
         snap_steps.append(k)
+    steps = max(snap_steps, default=0)
+    if samples * max(1, steps) > MAX_PARTICLE_STEPS:
+        raise ValueError(f"{samples} samples x {steps} Verlet steps exceeds the bound of "
+                         f"{MAX_PARTICLE_STEPS:.1e} particle-steps")
 
     state = ball_points(samples, 2 * n, ball.radius, ball.center, seed=seed)
     q = np.ascontiguousarray(state[:, :n])

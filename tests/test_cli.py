@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympcap import cli
+from sympcap import cli, shadows
 from sympcap.cli import run
 
 
@@ -269,6 +270,35 @@ class TestInputErrors:
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
 
+    @pytest.mark.parametrize("entries,defect", [
+        ([1e10, 0, 0, 1], "1.000e+00"),
+        ([1e200, 0, 0, 1], "1.000e+00"),
+        ([1, 0, 0, 1 + 1e-9], "5.000e-10"),
+    ])
+    def test_not_symplectic_matrix(self, capsys, entries, defect):
+        code, out = invoke(capsys, "shadow", "--matrix", json.dumps({"n": 1, "matrix": entries}))
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "InvalidInput",
+            "message": f"symplectic defect {defect} exceeds tolerance 1.000e-10"}
+
+    def test_infinite_dt(self, capsys):
+        code, out = invoke(capsys, "evolve", "--potential", "harmonic", "omega=1",
+                           "--times", "0,0.5", "--dt", "inf", "--samples", "50")
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput",
+                                   "message": "dt must be finite and positive, got inf"}
+
+    def test_too_many_particle_steps_refused_at_once(self, capsys, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("points drawn for a run over the bound")
+
+        monkeypatch.setattr(shadows, "ball_points", draw)
+        code, out = invoke(capsys, "evolve", "--potential", "harmonic", "omega=1",
+                           "--times", "1e12", "--dt", "1", "--samples", "10")
+        assert code == 2
+        assert "particle-steps" in json.loads(out)["message"]
+
     @pytest.mark.parametrize("argv", [
         ["capacity", "--ball", "R=[1]", "N=2"],
         ["capacity", "--ball", "R=1", "N=null"],
@@ -309,6 +339,13 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["shadow", "--help"], ["evolve", "-h"]])
+    def test_help_on_stderr(self, capsys, argv):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: sympcap")
 
 
 class TestOptionsRead:
@@ -425,11 +462,11 @@ class TestGoldenComparison:
 
 
 def quiet_run(argv):
-    """run(argv) with stdout and stderr captured: (exit code, stdout)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """run(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestSharedParser:
@@ -457,8 +494,7 @@ class TestSharedParser:
 # Vocabulary of the one-process fuzz test: per subcommand, a valid argv and
 # the options it takes. A fuzzed argv is one of these (or an unknown
 # subcommand) followed by options and values, valid and not, plus the odd
-# unknown flag. `evolve --times` is left out: a large time makes as many
-# Verlet steps, which no bound limits yet.
+# unknown flag.
 FUZZ_COMMANDS = [
     (["capacity", "--ball", "R=1", "N=2"], ["--ball", "--cylinder", "--region"]),
     (["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,4]}'], ["--matrix"]),
@@ -467,7 +503,8 @@ FUZZ_COMMANDS = [
     (["nonsqueeze-ensemble", "--n", "2", "--count", "2"], ["--n", "--count", "--sigma", "--seed"]),
     (["evolve", "--potential", "harmonic", "omega=1", "--times", "0,0.5", "--dt", "0.05",
       "--samples", "50"],
-     ["--potential", "--radius", "--dt", "--samples", "--grid-cell", "--plane", "--seed"]),
+     ["--potential", "--radius", "--dt", "--samples", "--grid-cell", "--times", "--plane",
+      "--seed"]),
     (["quantize-1d", "--potential", "morse", "D=2", "a=1", "--nmax", "2"],
      ["--potential", "--nmax", "--hbar", "--format"]),
     (["quantize-quadratic", "--matrix", '{"n":1,"matrix":[1,0,0,1]}', "--n", "0"],
@@ -515,16 +552,45 @@ FUZZ_GOLDEN = ("shadow.json", ["shadow", "--random", "2", "--seed", "3"])
 @functools.cache
 def fuzz_golden_output():
     name, argv = FUZZ_GOLDEN
-    code, out = quiet_run(argv)
+    code, out, _ = quiet_run(argv)
     assert code == 0 and golden_diff(read_golden(name), out) == []
     return out
+
+
+CSV_HEADER = re.compile(r"[a-z]+(,[a-z]+)*")
+
+
+def stdout_contract(code, out, err):
+    """Why the stdout of one exit breaks the contract, or None: exit 0 prints
+    one JSON object or one CSV table, exit 2 or 3 one JSON error object, and
+    a usage error or --help (argparse's, on stderr) nothing."""
+    if not out:
+        return None if err.startswith("usage:") and code in (0, 2) else "nothing printed"
+    if code == 0 and not out.startswith("{"):
+        rows = list(csv.reader(io.StringIO(out)))
+        if not (CSV_HEADER.fullmatch(out.split("\n", 1)[0]) and out.endswith("\n")
+                and all(len(row) == len(rows[0]) for row in rows)):
+            return "not one CSV table"
+        return None
+    if out.count("\n") != 1 or not out.endswith("\n"):
+        return "not one line"
+    obj = json.loads(out)  # raises on anything but one JSON value
+    if not isinstance(obj, dict):
+        return "not a JSON object"
+    if code in (2, 3) and sorted(obj) != ["error", "message"]:
+        return "not an error object"
+    return None
 
 
 @settings(max_examples=200, deadline=None)
 @given(argv=fuzz_argv())
 def test_fuzzed_argv_in_one_process(argv):
-    """Any argv exits 0, 2 or 3 without raising, and leaves nothing behind in
-    the shared parser: the golden argv run next prints the same bytes."""
+    """Any argv exits 0, 2 or 3 without raising, prints by the stdout
+    contract, and leaves nothing behind in the shared parser: the golden
+    argv run next prints the same bytes."""
     want = fuzz_golden_output()
-    assert quiet_run(argv)[0] in (0, 2, 3)
-    assert quiet_run(FUZZ_GOLDEN[1]) == (0, want)
+    code, out, err = quiet_run(argv)
+    assert code in (0, 2, 3)
+    assert code == 2 or out or "-h" in argv  # a silent exit 0 is --help only
+    assert stdout_contract(code, out, err) is None, (code, out, err)
+    assert quiet_run(FUZZ_GOLDEN[1]) == (0, want, "")

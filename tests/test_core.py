@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sympcap.core import (
+    DEFAULT_SYMPLECTIC_TOL,
     QuadraticHamiltonian,
     SymplecticMatrix,
     _certify,
@@ -57,6 +58,14 @@ class TestCompose:
         I = compose(S, S.inverse())
         assert np.allclose(I.matrix, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("N,sigma", [(1, 5.0), (2, 5.0), (4, 2.0)])
+    def test_inverse_product_certifies(self, N, sigma):
+        # P = S S^-1 is I plus rounding; where J is 0, both |P^T J P - J| and
+        # |P|^T |J| |P| are of that rounding's size, so the 1 of the rule admits P
+        for seed in range(4):
+            S = random_symplectic(N, sigma, seed)
+            assert is_symplectic(compose(S, S.inverse()).matrix)
+
     def test_diagonal_product(self):
         S1 = SymplecticMatrix(np.diag([2.0, 0.5]))
         S2 = SymplecticMatrix(np.diag([3.0, 1.0 / 3.0]))
@@ -92,10 +101,10 @@ class TestRandomSymplectic:
 
 class TestCertificate:
     """One certificate for one matrix or a stack, checked against the
-    member-by-member oracle."""
+    member-by-member, entry-by-entry oracle."""
 
     @staticmethod
-    def outcome(stack, tol):
+    def outcome(stack, tol=DEFAULT_SYMPLECTIC_TOL):
         try:
             _certify(stack, tol)
         except ValueError as exc:
@@ -104,28 +113,61 @@ class TestCertificate:
 
     def test_good_stack_accepted(self):
         stack = _random_symplectic_stack(2, 6, 1.0, np.random.default_rng(4))
-        assert certify_oracle(stack, 1e-9) is None
-        assert self.outcome(stack, 1e-9) is None
+        assert certify_oracle(stack, DEFAULT_SYMPLECTIC_TOL) is None
+        assert self.outcome(stack) is None
 
     @pytest.mark.parametrize("position", [0, 3, 6])
-    @pytest.mark.parametrize("fault,tol", [
-        pytest.param("scale", 1e-9, id="defect"),
-        pytest.param("scale", 1.0, id="det"),  # the scaled members pass a defect test this loose
-        pytest.param("nan", 1e-9, id="nan"),
-    ])
-    def test_first_failing_member_as_oracle(self, position, fault, tol):
+    @pytest.mark.parametrize("fault", ["defect", "nan"])
+    def test_first_failing_member_as_oracle(self, position, fault):
         stack = _random_symplectic_stack(2, 7, 1.0, np.random.default_rng(5))
         # a second, different fault after the first: reporting it instead
         # of the first would change the message
         for k, factor in ((position, 1.001), (position + 2, 1.01)):
             if k < len(stack):
                 stack[k] = np.nan if fault == "nan" and k == position else stack[k] * factor
-        k, message = certify_oracle(stack, tol)
+        k, message = certify_oracle(stack, DEFAULT_SYMPLECTIC_TOL)
         assert k == position
-        assert self.outcome(stack, tol) == message
+        assert self.outcome(stack) == message
         with pytest.raises(ValueError) as exc:
-            SymplecticMatrix(stack[position], tol=tol)
+            SymplecticMatrix(stack[position])
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, 3.0, 4.0, 5.0])
+    def test_every_draw_certifies(self, N, sigma):
+        # the cells of the benchmark's shadow --random sweep, 4 seeds each
+        for seed in range(4):
+            S = random_symplectic(N, sigma, seed).matrix
+            assert certify_oracle(S[None], DEFAULT_SYMPLECTIC_TOL) is None
+            assert is_symplectic(S)
+
+    @pytest.mark.parametrize("N,sigma", [(1, 1.0), (2, 3.0), (4, 5.0), (10, 2.0)])
+    def test_perturbed_entry_refused(self, N, sigma):
+        S = random_symplectic(N, sigma, 8).matrix
+        i, j = np.unravel_index(np.argmax(np.abs(S)), S.shape)
+        S[i, j] *= 1 + 1e3 * DEFAULT_SYMPLECTIC_TOL
+        k, message = certify_oracle(S[None], DEFAULT_SYMPLECTIC_TOL)
+        assert k == 0 and self.outcome(S[None]) == message
+        assert not is_symplectic(S)
+
+    @pytest.mark.parametrize("entries,defect", [
+        pytest.param([1e10, 0, 0, 1], "1.000e+00", id="det-1e10"),
+        pytest.param([1e200, 0, 0, 1], "1.000e+00", id="det-1e200"),
+        pytest.param([np.nan, 0, 0, 1], "nan", id="nan"),
+        pytest.param([1, 0, 0, 1 + 1e-9], "5.000e-10", id="off-by-1e-9"),
+    ])
+    def test_not_symplectic_refused(self, entries, defect):
+        S = np.array(entries, dtype=float).reshape(2, 2)
+        with pytest.raises(ValueError) as exc:
+            SymplecticMatrix(S)
+        assert str(exc.value) == f"symplectic defect {defect} exceeds tolerance 1.000e-10"
+        assert certify_oracle(S[None], 1e-10) == (0, str(exc.value))
+        assert not is_symplectic(S)
+
+    def test_user_tolerance(self):
+        S = np.diag([1.0, 1.0 + 1e-9])
+        assert SymplecticMatrix(S, tol=1e-6).tol == 1e-6
+        assert is_symplectic(S, 1e-6) and certify_oracle(S[None], 1e-6) is None
 
     def test_nan_matrix_rejected(self):
         with pytest.raises(ValueError, match="symplectic defect nan exceeds"):

@@ -1,16 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sympcap.capacity import Ball
-from sympcap.core import SymplecticMatrix, random_symplectic
+from sympcap import shadows
+from sympcap.core import DEFAULT_SYMPLECTIC_TOL, SymplecticMatrix, random_symplectic
 from sympcap.errors import FlowDiverged, FlowError
 from sympcap.sampling import _halton, ball_points, box_points
 from sympcap.shadows import (
+    MAX_PARTICLE_STEPS,
     FlowSpec,
     PlaneSelector,
     _advance,
+    _plane_dets,
     evolve_ball_shadow,
     grid_shadow_area,
     linear_shadow_area,
@@ -18,7 +22,7 @@ from sympcap.shadows import (
     verlet_step,
 )
 
-from oracles import ensemble_oracle, grid_area_oracle
+from oracles import certify_oracle, ensemble_oracle, exact_plane_det, grid_area_oracle
 
 
 def harmonic_flow(dt):
@@ -106,23 +110,44 @@ class TestEnsemble:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_matches_member_by_member_oracle(self, N, sigma):
-        """Same minima, witness member and witness plane, bit for bit; or,
-        when a member fails its symplectic check, the same error."""
-        def outcome(run):
-            try:
-                return run()
-            except ValueError as exc:
-                return str(exc)
-
+        """Minima within 1e-12 relative of the exact ones (measured: 2 eps),
+        and the oracle's witness member and plane, carrying the minimum."""
         seed = 10 * N + int(sigma)
-        want = outcome(lambda: ensemble_oracle(N, 150, sigma, seed))
-        got = outcome(lambda: nonsqueeze_ensemble(N, 150, sigma, seed))
-        if not isinstance(want, str):
-            got = (got.min_conjugate_det, got.min_nonconjugate_det, got.nonconjugate_witness)
-            # plain Python numbers, as the CLI's JSON output needs
-            assert type(got[0]) is float and type(got[1]) is float
-            assert N == 1 or (type(got[2]["member"]) is int and type(got[2]["det"]) is float)
-        assert got == want
+        want = ensemble_oracle(N, 150, sigma, seed)
+        got = nonsqueeze_ensemble(N, 150, sigma, seed)
+        # plain Python numbers, as the CLI's JSON output needs
+        assert type(got.min_conjugate_det) is float and type(got.min_nonconjugate_det) is float
+        assert abs(got.min_conjugate_det - want[0]) <= 1e-12 * want[0]
+        if N == 1:
+            assert got.nonconjugate_witness is None and want[2] is None
+            return
+        witness = got.nonconjugate_witness
+        assert type(witness["member"]) is int and type(witness["det"]) is float
+        assert witness["det"] == got.min_nonconjugate_det
+        assert abs(got.min_nonconjugate_det - want[1]) <= 1e-12 * want[1]
+        assert (witness["member"], witness["plane"]) == (want[2]["member"], want[2]["plane"])
+
+    # N >= 2 or sigma <= 4. At N = 1, sigma = 5 the float S itself is
+    # symplectic only to about eps |S|^2, so its lone determinant has no
+    # 1e-9 bound, and that cell is left out.
+    @pytest.mark.parametrize("N,sigma", [(N, sigma) for N in (1, 2, 3, 4)
+                                         for sigma in (1.0, 2.0, 3.0, 4.0, 5.0)
+                                         if N >= 2 or sigma <= 4.0])
+    def test_cauchy_binet_against_exact(self, N, sigma):
+        """Every plane determinant within 1e-9 relative of the exact Gram
+        determinant of the same float S."""
+        planes = [PlaneSelector.conjugate(j) for j in range(1, N + 1)]
+        planes += [PlaneSelector.mixed(i, j) for i in range(1, N + 1)
+                   for j in range(1, N + 1) if i != j]
+        stack = np.stack([random_symplectic(N, sigma, seed).matrix for seed in range(4)])
+        got = _plane_dets(stack, planes)
+        assert got.shape == (4, len(planes))
+        for k, S in enumerate(stack):
+            # one S or a stack, alike up to the order of the final sum
+            assert np.allclose(_plane_dets(S, planes), got[k], rtol=1e-15, atol=0)
+            for p, plane in enumerate(planes):
+                exact = exact_plane_det(S, *plane.indices(N))
+                assert abs(Fraction(float(got[k, p])) - exact) <= Fraction(1e-9) * exact
 
     def test_witness_is_first_of_tied_minima(self):
         # at sigma 1e-20 every member rounds to the identity, so all dets tie at 1
@@ -130,12 +155,27 @@ class TestEnsemble:
         assert summary.nonconjugate_witness == {"member": 0, "plane": "q1q2", "det": 1.0}
         assert ensemble_oracle(3, 4, 1e-20, 2)[2] == summary.nonconjugate_witness
 
-    def test_first_failing_member_reported(self):
-        with pytest.raises(ValueError, match=r"symplectic defect 2\.605e-03 exceeds") as exc:
+    def test_first_failing_member_reported(self, monkeypatch):
+        draw = shadows._random_symplectic_stack
+
+        def faulty(*args):  # members 2 and 4 scaled off symplectic
+            stack = draw(*args)
+            # |S|^T |J| |S| reaches 2e9 here, so a scaling by c, which moves
+            # S^T J S - J by c^2 - 1, must be large to exceed 1e-10 of it
+            stack[2] *= 2.0
+            stack[4] *= 1.001
+            faulty.stack = stack
+            return stack
+
+        monkeypatch.setattr(shadows, "_random_symplectic_stack", faulty)
+        with pytest.raises(ValueError, match=r"symplectic defect \S+ exceeds") as exc:
             nonsqueeze_ensemble(12, 5, sigma=4.0, seed=0)
-        with pytest.raises(ValueError) as want:
-            ensemble_oracle(12, 5, 4.0, 0)
-        assert str(exc.value) == str(want.value)
+        assert certify_oracle(faulty.stack, DEFAULT_SYMPLECTIC_TOL) == (2, str(exc.value))
+
+    def test_large_sigma_ensemble_certifies(self):
+        # refused by an absolute defect bound before the rule scaled with |S|
+        summary = nonsqueeze_ensemble(12, 5, sigma=4.0, seed=0)
+        assert summary.conjugate_bound_held
 
     def test_nan_sigma_rejected(self):
         with pytest.raises(ValueError, match="need sigma > 0, got nan"):
@@ -255,6 +295,27 @@ class TestEvolveShadow:
         with pytest.raises(ValueError):
             evolve_ball_shadow(Ball(np.zeros(2), 1.0), flow,
                                PlaneSelector.conjugate(1), 100, 0.05, [0.0153])
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1e-3])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        # an infinite dt once gave round(t / dt) = 0 steps: a cloud that never moved
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            harmonic_flow(dt)
+
+    @pytest.mark.parametrize("samples,t", [(10, 1e12), (2, 1e9 + 1), (MAX_PARTICLE_STEPS + 1, 0.0)])
+    def test_particle_steps_bounded(self, samples, t, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("points drawn for a run over the bound")
+
+        # refused before any point is drawn or moved
+        monkeypatch.setattr(shadows, "ball_points", draw)
+        with pytest.raises(ValueError, match="particle-steps"):
+            evolve_ball_shadow(Ball(np.zeros(2), 1.0), harmonic_flow(1.0),
+                               PlaneSelector.conjugate(1), samples, 0.05, [0.0, t])
+
+    def test_particle_step_bound_admits_readme_example(self):
+        # evolve --times 1,2,5 --dt 0.001 --samples 100000
+        assert 5 * 10**8 < MAX_PARTICLE_STEPS
 
 
 def test_grid_area_of_known_square():
