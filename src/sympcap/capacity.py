@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import QuadraticHamiltonian, max_symplectic_eigenvalue
+from .core import QuadraticHamiltonian, symplectic_eigenvalues
 from .errors import CertificateInvalid, InvalidNeck, UnsupportedRegion
 from .sampling import ball_points, box_points
 
@@ -140,7 +140,7 @@ def capacity_cylinder(Z: Cylinder) -> CapacityValue:
 
 def capacity_ellipsoid(region: EnergyShellRegion) -> CapacityValue:
     """2 pi E / w_max with w_max the largest symplectic eigenvalue."""
-    w_max = max_symplectic_eigenvalue(region.hamiltonian)
+    w_max = float(symplectic_eigenvalues(region.hamiltonian)[0])
     return CapacityValue(value=2.0 * math.pi * region.energy / w_max, exact=True)
 
 
@@ -150,7 +150,7 @@ def minimal_action_quadratic(region: EnergyShellRegion):
     Returns (action, orbit_frequency); the action coincides with the
     ellipsoid capacity.
     """
-    omega_max = max_symplectic_eigenvalue(region.hamiltonian)
+    omega_max = float(symplectic_eigenvalues(region.hamiltonian)[0])
     return 2.0 * math.pi * region.energy / omega_max, omega_max
 
 

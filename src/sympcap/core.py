@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 from .errors import DimensionError, NotPositiveDefinite, NumericalDegeneracy
 
@@ -122,6 +121,8 @@ def _random_symplectic_stack(N: int, count: int, sigma: float, rng) -> np.ndarra
         raise DimensionError(f"need N >= 1, got {N}")
     if not sigma > 0:  # NaN too
         raise ValueError(f"need sigma > 0, got {sigma}")
+    from scipy.linalg import expm  # here, not at module level: scipy.linalg takes ~0.35 s to import
+
     G = rng.normal(0.0, sigma, size=(count, 2 * N, 2 * N))
     A = 0.5 * (G + np.swapaxes(G, 1, 2))
     return expm(standard_form(N) @ A)
@@ -196,7 +197,9 @@ def _sym_sqrt(M: np.ndarray):
 
 
 def symplectic_eigenvalues(H: QuadraticHamiltonian) -> np.ndarray:
-    """Symplectic spectrum of M: positive imaginary parts of eig(JM), descending."""
+    """Symplectic spectrum of a positive-definite M: positive imaginary parts of
+    eig(JM), descending. Raises NotPositiveDefinite first, then NumericalDegeneracy."""
+    _require_positive(np.linalg.eigvalsh(H.M))
     J = standard_form(H.n)
     ev = np.linalg.eigvals(J @ H.M)
     scale = np.max(np.abs(H.M))
@@ -206,12 +209,6 @@ def symplectic_eigenvalues(H: QuadraticHamiltonian) -> np.ndarray:
     if omegas.size != H.n:
         raise NumericalDegeneracy("could not pair eigenvalues of JM into +/- i omega")
     return omegas
-
-
-def max_symplectic_eigenvalue(H: QuadraticHamiltonian) -> float:
-    """w_max of a positive-definite H, without williamson's normal form."""
-    _require_positive(np.linalg.eigvalsh(H.M))
-    return float(symplectic_eigenvalues(H)[0])
 
 
 def williamson(H: QuadraticHamiltonian) -> WilliamsonDecomposition:
@@ -226,6 +223,8 @@ def williamson(H: QuadraticHamiltonian) -> WilliamsonDecomposition:
     J = standard_form(n)
     Msq, Misq = _sym_sqrt(M)  # raises NotPositiveDefinite first
     symplectic_eigenvalues(H)  # raises NumericalDegeneracy if JM is pathological
+
+    from scipy.linalg import schur  # here, not at module level, as expm
 
     K = Msq @ J @ Msq
     K = 0.5 * (K - K.T)

@@ -13,15 +13,13 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .capacity import CapacityValue
-from .core import QuadraticHamiltonian, williamson
+from .core import QuadraticHamiltonian, symplectic_eigenvalues
 from .errors import (
     LevelNotBound,
     MultiWell,
     NoClassicalRegion,
-    NonMonotoneAction,
     NotABlob,
     UnsupportedForClosedForm,
 )
@@ -48,14 +46,14 @@ class Potential1D:
 
     The callables must accept numpy arrays. The bracket must confine every
     energy that will be requested: V at both edges above E. `dV` is the
-    analytic derivative dV/dq (minus the force); the descriptor
-    factories below set it, and turning_points polishes roots with it.
+    analytic derivative dV/dq (minus the force): turning_points polishes
+    roots with it, and its sign change locates the well bottom.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
+    dV: Callable[[np.ndarray], np.ndarray]
     mass: float = 1.0
     bracket: tuple = (-50.0, 50.0)
-    dV: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _scan: Optional[tuple] = field(default=None, init=False, repr=False)  # see _scan()
 
     def __post_init__(self):
@@ -117,10 +115,9 @@ def quantize_quadratic(H: QuadraticHamiltonian, n, cfg: PlanckConfig) -> Spectru
     n = tuple(int(k) for k in np.atleast_1d(n))
     if any(k < 0 for k in n):
         raise ValueError(f"quantum numbers must be nonnegative, got {n}")
-    dec = williamson(H)
-    if len(n) != dec.omegas.size:
-        raise ValueError(f"expected {dec.omegas.size} quantum numbers, got {len(n)}")
-    omegas = dec.omegas[::-1]  # ascending
+    omegas = symplectic_eigenvalues(H)[::-1]  # ascending
+    if len(n) != omegas.size:
+        raise ValueError(f"expected {omegas.size} quantum numbers, got {len(n)}")
     energy = float(sum((k + 0.5) * cfg.hbar * w for k, w in zip(n, omegas)))
     actions = tuple((k + 0.5) * cfg.h for k in n)
     return SpectrumEntry(
@@ -141,6 +138,20 @@ def _scan(pot: Potential1D) -> tuple[np.ndarray, np.ndarray]:
         q = np.linspace(*pot.bracket, _SCAN_POINTS)
         pot._scan = (pot.V, pot.bracket, q, np.asarray(pot.V(q), dtype=float))
     return pot._scan[2:]
+
+
+def _bisect(f, a, b, xtol: float = 0.0) -> np.ndarray:
+    """Sign changes of the vectorized f on the cells [a, b], by bisection: each cell
+    is halved until it is no wider than xtol or its midpoint rounds to an end."""
+    neg = np.signbit(f(a))
+    while True:
+        m = 0.5 * (a + b)
+        live = (b - a > xtol) & (a < m) & (m < b)
+        if not live.any():
+            return m
+        right = np.signbit(f(m)) == neg  # f(m) has the sign of f(a): the change is in [m, b]
+        a = np.where(live & right, m, a)
+        b = np.where(live & ~right, m, b)
 
 
 def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
@@ -173,25 +184,23 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
         raise MultiWell(f"{sign_changes.size} turning points at E={E}; single well required")
     if sign_changes.size < 2:
         raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
-    # Newton on dV from the cell midpoints, both roots at once; brentq on its
-    # cell for a root that leaves it or has not settled in 8 steps, or lacks dV
+    # Newton on dV from the cell midpoints, both roots at once; bisection on its
+    # cell for a root that leaves it or has not settled in 8 steps
     a, b = q[sign_changes], q[sign_changes + 1]
     x = 0.5 * (a + b)
-    settled = np.zeros(2, dtype=bool)
-    if pot.dV is not None:
-        with np.errstate(all="ignore"):
-            for _ in range(8):
-                f = np.asarray(pot.V(x), dtype=float) - E
-                step = f / np.asarray(pot.dV(x), dtype=float)
-                x = x - step
-                # a step within 4 ulp of x, or a residual at the rounding level of E
-                settled = ((np.abs(step) <= 4 * _EPS * np.abs(x))
-                           | (np.abs(f) <= 4 * _EPS * abs(E)))
-                if settled.all():
-                    break
-    for i in np.flatnonzero(~(settled & (a <= x) & (x <= b))):
-        x[i] = brentq(lambda s: float(pot.V(s)) - E, a[i], b[i],
-                      xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    with np.errstate(all="ignore"):
+        for _ in range(8):
+            f = np.asarray(pot.V(x), dtype=float) - E
+            step = f / np.asarray(pot.dV(x), dtype=float)
+            x = x - step
+            # a step within 4 ulp of x, or a residual at the rounding level of E
+            settled = ((np.abs(step) <= 4 * _EPS * np.abs(x))
+                       | (np.abs(f) <= 4 * _EPS * abs(E)))
+            if settled.all():
+                break
+    bad = ~(settled & (a <= x) & (x <= b))
+    if bad.any():
+        x[bad] = _bisect(lambda s: np.asarray(pot.V(s), dtype=float) - E, a[bad], b[bad])
     return float(x[0]), float(x[1])
 
 
@@ -228,15 +237,15 @@ def action_integral(pot: Potential1D, E: float, nodes: int = 256) -> float:
 
 
 def _well_bottom(pot: Potential1D) -> tuple[float, float, float]:
-    """The well bottom as a point (vmin, 0, T0) of the action curve: T0 = 2 pi sqrt(m / V''),
-    the harmonic period, with V'' the second difference of the scan (inf if not positive)."""
+    """The well bottom as a point (vmin, 0, T0) of the action curve: vmin is V where dV
+    changes sign in the scan's argmin cell, T0 = 2 pi sqrt(m / V'') the harmonic period,
+    with V'' the second difference of the scan (inf if not positive)."""
     q, v = _scan(pot)
     k = min(max(int(np.argmin(v)), 1), q.size - 2)
-    res = minimize_scalar(lambda x: float(pot.V(x)), bounds=(q[k - 1], q[k + 1]),
-                          method="bounded", options={"xatol": 1e-13})
+    x = _bisect(lambda s: np.asarray(pot.dV(s), dtype=float), q[k - 1], q[k + 1], xtol=1e-13)
     curvature = (v[k - 1] - 2.0 * v[k] + v[k + 1]) / (q[1] - q[0]) ** 2
     period = 2.0 * math.pi * math.sqrt(pot.mass / curvature) if curvature > 0 else math.inf
-    return float(res.fun), 0.0, period
+    return float(pot.V(x)), 0.0, period
 
 
 def _solve_level(pot: Potential1D, target_action: float, below: tuple,
@@ -282,18 +291,6 @@ def _solve_level(pot: Potential1D, target_action: float, below: tuple,
             T = math.inf  # the period diverges at dissociation: bisect next
 
 
-def _check_monotone(pot: Potential1D, vmin: float, e_top: float):
-    energies = vmin + (e_top - vmin) * np.linspace(1e-6, 1.0, 9)
-    vals = []
-    for E in energies:
-        try:
-            vals.append(action_integral(pot, E))
-        except (NoClassicalRegion, MultiWell):
-            break
-    if len(vals) >= 2 and np.any(np.diff(vals) <= 0):
-        raise NonMonotoneAction("action integral not strictly increasing in energy")
-
-
 def level_1d(pot: Potential1D, n: int, cfg: PlanckConfig) -> tuple[float, float]:
     """(energy, action) for the single level with action (n + 1/2) h."""
     if n < 0:
@@ -310,10 +307,7 @@ def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResu
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     below = _well_bottom(pot)
-    vmin = below[0]
     e_cap = pot.confinement_energy()
-    _check_monotone(pot, vmin, min(e_cap, vmin + max(abs(vmin), 1.0) * 100))
-
     result = SpectrumResult(entries=[], hbar=cfg.hbar)
     for n in range(n_max + 1):
         try:
@@ -403,8 +397,7 @@ def density_of_states(
     """
     if E <= 0:
         raise ValueError(f"energy must be positive, got {E}")
-    dec = williamson(H)
-    omegas = dec.omegas
+    omegas = symplectic_eigenvalues(H)
     N = omegas.size
 
     if numerical:

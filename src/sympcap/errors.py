@@ -56,10 +56,6 @@ class MultiWell(SympcapError):
     """Potential has several wells at this energy; single-loop quantization refused."""
 
 
-class NonMonotoneAction(SympcapError):
-    """Action integral is not monotone in energy over the search range."""
-
-
 class LevelNotBound(SympcapError):
     """Requested level lies above dissociation; no bound state exists."""
 

@@ -6,7 +6,6 @@ import functools
 import operator
 
 import numpy as np
-from scipy.special import ndtri
 
 
 @functools.lru_cache(maxsize=4)
@@ -31,6 +30,8 @@ def ball_points(count: int, dim: int, radius: float = 1.0, center=None, seed: in
     Halton samples pushed through the Gaussian-direction + radius transform:
     direction from a normalized inverse-normal map, radius from u^(1/dim).
     """
+    from scipy.special import ndtri  # here, not at module level, like qmc in _halton
+
     u = _halton(count, dim + 1, seed)
     g = ndtri(np.clip(u[:, :dim], 1e-15, 1 - 1e-15))
     g /= np.linalg.norm(g, axis=1, keepdims=True)

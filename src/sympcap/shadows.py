@@ -323,6 +323,8 @@ def evolve_ball_shadow(
     times = sorted(set(float(t) for t in snapshot_times))
     snap_steps = []
     for t in times:
+        if t < 0:
+            raise ValueError(f"snapshot time {t} is negative")
         k = round(t / flow.dt)
         if abs(k * flow.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"snapshot time {t} is not a multiple of dt={flow.dt}")

@@ -289,6 +289,13 @@ class TestInputErrors:
         assert json.loads(out) == {"error": "InvalidInput",
                                    "message": "dt must be finite and positive, got inf"}
 
+    def test_negative_time(self, capsys):
+        code, out = invoke(capsys, "evolve", "--potential", "quartic", "coeff=1",
+                           "--times=-1,0", "--dt", "0.01", "--samples", "2000")
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput",
+                                   "message": "snapshot time -1.0 is negative"}
+
     def test_too_many_particle_steps_refused_at_once(self, capsys, monkeypatch):
         def draw(*args, **kwargs):
             raise AssertionError("points drawn for a run over the bound")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,34 @@ from sympcap.errors import (
 from oracles import action_by_quad, morse_levels, quartic_levels
 
 CFG = PlanckConfig(1.0)
+
+
+def _spoil_dV(pot, spoil):
+    """A copy of `pot` whose dV returns spoil(dV(q))."""
+    dV = pot.dV
+    return dataclasses.replace(pot, dV=lambda q: spoil(dV(q)))
+
+
+# (potential, energy, exact turning points)
+CLOSED_FORMS = [
+    (harmonic_potential(2.0, 1.5), 0.9, (-math.sqrt(0.3), math.sqrt(0.3))),
+    (harmonic_potential(0.7), 3.1, (-math.sqrt(6.2) / 0.7, math.sqrt(6.2) / 0.7)),
+    (morse_potential(10.0, 1.0), 4.0,
+     (-math.log(1 + math.sqrt(0.4)), -math.log(1 - math.sqrt(0.4)))),
+    (morse_potential(10.0, 1.0), 9.9,
+     (-math.log(1 + math.sqrt(0.99)), -math.log(1 - math.sqrt(0.99)))),
+    (quartic_potential(0.25), 1.0, (-math.sqrt(2.0), math.sqrt(2.0))),
+    (quartic_potential(0.25), 7.0, (-28.0 ** 0.25, 28.0 ** 0.25)),
+]
+# A wrong dV sends Newton out of its cell or leaves it unsettled, so these roots
+# must come from bisection on V alone. Morse at E = 9.9 is left out: there the
+# rounded V equals E over 25 ulp, and bisection stops 12 ulp (1.1e-14) off.
+SPOILED_DV = [
+    pytest.param(_spoil_dV(pot, spoil), E, exact, id=f"{name}-{i}")
+    for name, spoil in [("dV*1e-3", lambda d: 1e-3 * d), ("-dV", lambda d: -d),
+                        ("nan-dV", lambda d: np.full(np.shape(d), np.nan))]
+    for i, (pot, E, exact) in enumerate(CLOSED_FORMS) if i != 3
+]
 
 
 class TestBlobCheck:
@@ -106,27 +135,13 @@ class TestTurningPoints:
         with pytest.raises(NoClassicalRegion):
             turning_points(harmonic_potential(1.0), -0.5)
 
-    def test_double_well_refused(self):
-        pot = Potential1D(V=lambda q: (np.square(q) - 1.0) ** 2, bracket=(-3, 3))
-        with pytest.raises(MultiWell):
-            turning_points(pot, 0.5)
-
     def test_double_well_refused_with_dV(self):
         pot = Potential1D(V=lambda q: (np.square(q) - 1.0) ** 2, bracket=(-3, 3),
                           dV=lambda q: 4.0 * q * (np.square(q) - 1.0))
         with pytest.raises(MultiWell):
             turning_points(pot, 0.5)
 
-    @pytest.mark.parametrize("pot,E,exact", [
-        (harmonic_potential(2.0, 1.5), 0.9, (-math.sqrt(0.3), math.sqrt(0.3))),
-        (harmonic_potential(0.7), 3.1, (-math.sqrt(6.2) / 0.7, math.sqrt(6.2) / 0.7)),
-        (morse_potential(10.0, 1.0), 4.0,
-         (-math.log(1 + math.sqrt(0.4)), -math.log(1 - math.sqrt(0.4)))),
-        (morse_potential(10.0, 1.0), 9.9,
-         (-math.log(1 + math.sqrt(0.99)), -math.log(1 - math.sqrt(0.99)))),
-        (quartic_potential(0.25), 1.0, (-math.sqrt(2.0), math.sqrt(2.0))),
-        (quartic_potential(0.25), 7.0, (-28.0 ** 0.25, 28.0 ** 0.25)),
-    ])
+    @pytest.mark.parametrize("pot,E,exact", CLOSED_FORMS + SPOILED_DV)
     def test_closed_forms_to_rounding(self, pot, E, exact):
         qm, qp = turning_points(pot, E)
         assert qm == pytest.approx(exact[0], abs=1e-14)
@@ -179,9 +194,17 @@ class TestActionIntegral:
         assert T == pytest.approx(math.pi / a * math.sqrt(2 * m / D) / u, rel=1e-10)
 
     def test_monotone_in_energy(self):
-        pot = quartic_potential(0.25)
-        vals = [action_integral(pot, E) for E in np.linspace(0.05, 8.0, 30)]
-        assert np.all(np.diff(vals) > 0)
+        # the allowed region and the integrand both grow with E, so the solver
+        # runs no monotonicity scan of its own
+        for desc, e_lo, e_hi in [
+            ({"kind": "quartic", "coeff": 0.25}, 0.05, 8.0),
+            ({"kind": "morse", "D": 10.0, "a": 1.0}, 0.05, 9.999),
+            # the benchmark's convex form b q + q^2/2 + c3 q^3 + c4 q^4
+            ({"kind": "polynomial", "coeffs": [0.0, 0.1, 0.5, 0.15, 0.12]}, 0.0, 8.0),
+        ]:
+            pot = make_potential(desc)
+            vals = [action_integral(pot, E) for E in np.linspace(e_lo, e_hi, 30)]
+            assert np.all(np.diff(vals) > 0), desc
 
 
 class TestSpectrum1D:
@@ -214,12 +237,6 @@ class TestSpectrum1D:
         for entry in res.entries:
             x = entry.actions[0] / CFG.h - 0.5
             assert abs(x - round(x)) < 1e-8
-
-    def test_without_dV(self):
-        # no analytic derivative: turning points fall back to brentq on each cell
-        res = spectrum_1d(Potential1D(V=lambda q: 0.5 * q * q), 5, CFG)
-        assert [e.energy for e in res.entries] == pytest.approx(
-            [n + 0.5 for n in range(6)], rel=0, abs=1e-10)
 
     def test_V_reassigned_after_solve(self):
         # the well scan is cached on the potential and must follow V
@@ -380,8 +397,12 @@ class TestPotentialFactory:
             quartic_potential(coeff)
 
     def test_hbar_scaling(self):
-        # harmonic levels scale linearly with hbar
+        # harmonic levels scale linearly with hbar. At hbar = 1e-9 they sit
+        # ~1e-4 below the scan's lowest sample, so the well bottom must come
+        # from the sign change of dV, not from the scan
         pot = harmonic_potential(1.0)
-        res = spectrum_1d(pot, 2, PlanckConfig(hbar=0.5))
-        for n, entry in enumerate(res.entries):
-            assert entry.energy == pytest.approx((n + 0.5) * 0.5, rel=1e-10)
+        for hbar, rel in [(0.5, 1e-10), (1e-9, 1e-15)]:
+            res = spectrum_1d(pot, 2, PlanckConfig(hbar=hbar))
+            assert len(res.entries) == 3
+            for n, entry in enumerate(res.entries):
+                assert entry.energy == pytest.approx((n + 0.5) * hbar, rel=rel)

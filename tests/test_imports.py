@@ -31,10 +31,12 @@ def test_no_unused_imports():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats (for Halton sampling) costs ~0.5 s to import; only the
-    # samplers need it, so a plain `import sympcap` must not load it
+    # each of these takes 0.3 s or more to import; only random draws, the
+    # Williamson normal form and the samplers need scipy, so a plain
+    # `import sympcap` must load none of them (EBK needs no scipy)
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = "import sys, sympcap; print('scipy.stats' in sys.modules)"
+    modules = ("scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats")
+    code = f"import sys, sympcap; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -313,6 +313,16 @@ class TestEvolveShadow:
             evolve_ball_shadow(Ball(np.zeros(2), 1.0), harmonic_flow(1.0),
                                PlaneSelector.conjugate(1), samples, 0.05, [0.0, t])
 
+    def test_negative_time_refused(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("points drawn for a run with a negative time")
+
+        # a negative step count was once skipped, so t = 0 reported a moved cloud
+        monkeypatch.setattr(shadows, "ball_points", draw)
+        with pytest.raises(ValueError, match="snapshot time -1.0 is negative"):
+            evolve_ball_shadow(Ball(np.zeros(2), 1.0), harmonic_flow(0.01),
+                               PlaneSelector.conjugate(1), 100, 0.05, [-1.0, 0.0])
+
     def test_particle_step_bound_admits_readme_example(self):
         # evolve --times 1,2,5 --dt 0.001 --samples 100000
         assert 5 * 10**8 < MAX_PARTICLE_STEPS
