@@ -6,7 +6,8 @@ standard form is J = [[0, I], [-I, 0]] in that block ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,17 +32,22 @@ def _check_even_square(S: np.ndarray) -> int:
     return S.shape[0] // 2
 
 
-def _defects(S: np.ndarray) -> np.ndarray:
-    """max |S^T J S - J| / (1 + |S|^T |J| |S|) over the entries of each matrix
-    of a (..., 2n, 2n) stack, NaN for a NaN entry. The rounding of S^T (J S)
-    is within a few n eps of |S|^T |J S| entrywise (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 3.5); the 1 keeps the
-    absolute test where that product is tiny.
+def _defects(S: np.ndarray, bound: Optional[np.ndarray] = None) -> np.ndarray:
+    """max |S^T J S - J| / (1 + B^T |J| B) over the entries of each matrix of a
+    (..., 2n, 2n) stack, NaN for a NaN entry, with B an entrywise bound on |S|
+    (|S| itself by default). The rounding of S^T (J S) is within a few n eps of
+    |S|^T |J S| entrywise (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.5); the 1 keeps the absolute test where that
+    product is tiny.
     """
     J = standard_form(S.shape[-1] // 2)
     JS = J @ S  # exact: J is a signed permutation, so |J S| = |J| |S|
     St = np.swapaxes(S, -1, -2)
-    return np.max(np.abs(St @ JS - J) / (1.0 + np.abs(St) @ np.abs(JS)), axis=(-2, -1))
+    if bound is None:
+        scale = np.abs(St) @ np.abs(JS)
+    else:
+        scale = np.swapaxes(bound, -1, -2) @ np.abs(J @ bound)
+    return np.max(np.abs(St @ JS - J) / (1.0 + scale), axis=(-2, -1))
 
 
 def symplectic_defect(S: np.ndarray) -> float:
@@ -50,12 +56,13 @@ def symplectic_defect(S: np.ndarray) -> float:
     return float(_defects(np.asarray(S, dtype=float)))
 
 
-def _certify(stack: np.ndarray, tol: float = DEFAULT_SYMPLECTIC_TOL) -> None:
+def _certify(stack: np.ndarray, tol: float = DEFAULT_SYMPLECTIC_TOL,
+             bound: Optional[np.ndarray] = None) -> None:
     """Raise ValueError for the first matrix of a (count, 2n, 2n) stack whose
-    relative defect is not within `tol` (a NaN fails). This is the one
-    symplecticity test; S^T J S = J gives det S = Pf(S^T J S) / Pf(J) = 1.
+    relative defect (`_defects`) is not within `tol` (a NaN fails). This is the
+    one symplecticity test; S^T J S = J gives det S = Pf(S^T J S) / Pf(J) = 1.
     """
-    defects = _defects(stack)
+    defects = _defects(stack, bound)
     bad = ~(defects <= tol)
     if bad.any():
         k = int(np.argmax(bad))
@@ -73,16 +80,19 @@ class SymplecticMatrix:
 
     Construction fails unless the relative symplectic defect is within
     `tol`; a matrix with a NaN entry fails. Only user-typed matrices need a
-    `tol` other than the default.
+    `tol` other than the default. `bound`, an entrywise bound on |entries|
+    before rounding, scales the defect in place of |entries|: `compose`
+    passes |S1| |S2|.
     """
 
     entries: np.ndarray
     tol: float = DEFAULT_SYMPLECTIC_TOL
+    bound: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, bound):
         self.entries = np.asarray(self.entries, dtype=float)
         self.n = _check_even_square(self.entries)
-        _certify(self.entries[None], self.tol)
+        _certify(self.entries[None], self.tol, None if bound is None else bound[None])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -95,10 +105,13 @@ class SymplecticMatrix:
 
 
 def compose(S1: SymplecticMatrix, S2: SymplecticMatrix) -> SymplecticMatrix:
-    """Product S1 @ S2, re-certified symplectic."""
+    """Product S1 @ S2, re-certified symplectic on the scale of |S1| |S2|: the
+    product's rounding is a few n eps of that, which can be large against its
+    own entries (S S^-1 is I plus rounding of size eps |S| |S^-1|)."""
     if S1.n != S2.n:
         raise DimensionError(f"dimension mismatch: {2 * S1.n} vs {2 * S2.n}")
-    return SymplecticMatrix(S1.entries @ S2.entries)
+    return SymplecticMatrix(S1.entries @ S2.entries,
+                            bound=np.abs(S1.entries) @ np.abs(S2.entries))
 
 
 def random_symplectic(N: int, sigma: float, seed: int) -> SymplecticMatrix:
@@ -200,6 +213,11 @@ def symplectic_eigenvalues(H: QuadraticHamiltonian) -> np.ndarray:
     """Symplectic spectrum of a positive-definite M: positive imaginary parts of
     eig(JM), descending. Raises NotPositiveDefinite first, then NumericalDegeneracy."""
     _require_positive(np.linalg.eigvalsh(H.M))
+    return _jm_spectrum(H)
+
+
+def _jm_spectrum(H: QuadraticHamiltonian) -> np.ndarray:
+    """symplectic_eigenvalues for an M already known to be positive-definite."""
     J = standard_form(H.n)
     ev = np.linalg.eigvals(J @ H.M)
     scale = np.max(np.abs(H.M))
@@ -222,7 +240,7 @@ def williamson(H: QuadraticHamiltonian) -> WilliamsonDecomposition:
     M = H.M
     J = standard_form(n)
     Msq, Misq = _sym_sqrt(M)  # raises NotPositiveDefinite first
-    symplectic_eigenvalues(H)  # raises NumericalDegeneracy if JM is pathological
+    _jm_spectrum(H)  # raises NumericalDegeneracy if JM is pathological
 
     from scipy.linalg import schur  # here, not at module level, as expm
 

@@ -55,6 +55,9 @@ class Potential1D:
     mass: float = 1.0
     bracket: tuple = (-50.0, 50.0)
     _scan: Optional[tuple] = field(default=None, init=False, repr=False)  # see _scan()
+    # (E, roots, dV at them) of the last turning-point polish of a level solve, which
+    # the next one starts from; () before the first, None outside a solve
+    _warm: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -132,75 +135,113 @@ _SCAN_POINTS = 4096
 _EPS = np.finfo(float).eps
 
 
-def _scan(pot: Potential1D) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, V on it): _SCAN_POINTS over the bracket, sampled once per (V, bracket)."""
+def _monotone_runs(v: np.ndarray) -> list:
+    """The monotone runs of the samples v, as (start, first, last, key, descending):
+    key is v[start:start + key.size], negated if descending so that it ascends, and
+    first and last are the run's end values. Neighbouring runs share an end point;
+    a flat cell joins the run before it."""
+    d = np.sign(np.diff(v))
+    d = d[np.maximum.accumulate(np.where(d != 0, np.arange(d.size), 0))]
+    cuts = [0, *(np.flatnonzero(d[1:] != d[:-1]) + 1).tolist(), d.size]
+    runs = []
+    for start, end in zip(cuts[:-1], cuts[1:]):
+        key, descending = v[start:end + 1], bool(d[start] < 0)
+        runs.append((start, float(key[0]), float(key[-1]), -key if descending else key,
+                     descending))
+    return runs
+
+
+def _sampled(q: np.ndarray, V) -> tuple:
+    """(q, V(q), its minimum, its monotone runs): a grid ready for crossing lookups."""
+    v = np.asarray(V(q), dtype=float)
+    return q, v, float(v.min()), _monotone_runs(v)
+
+
+def _crossings(runs: list, E: float) -> np.ndarray:
+    """Cells k of the sampled grid with (v[k] < E) != (v[k+1] < E), the sign changes
+    of v - E, by one binary search in each monotone run whose end values straddle E."""
+    cells = [start - 1 + int(key.searchsorted(-E, "right") if descending
+                             else key.searchsorted(E, "left"))
+             for start, first, last, key, descending in runs if (first < E) != (last < E)]
+    return np.array(cells, dtype=np.intp)
+
+
+def _scan(pot: Potential1D) -> tuple:
+    """The well scan, _sampled on _SCAN_POINTS over the bracket once per (V, bracket)."""
     if pot._scan is None or pot._scan[0] is not pot.V or pot._scan[1] != pot.bracket:
-        q = np.linspace(*pot.bracket, _SCAN_POINTS)
-        pot._scan = (pot.V, pot.bracket, q, np.asarray(pot.V(q), dtype=float))
+        pot._scan = (pot.V, pot.bracket, *_sampled(np.linspace(*pot.bracket, _SCAN_POINTS),
+                                                   pot.V))
     return pot._scan[2:]
 
 
-def _bisect(f, a, b, xtol: float = 0.0) -> np.ndarray:
-    """Sign changes of the vectorized f on the cells [a, b], by bisection: each cell
-    is halved until it is no wider than xtol or its midpoint rounds to an end."""
-    neg = np.signbit(f(a))
+def _bisect(f, a: float, b: float, xtol: float = 0.0) -> float:
+    """A sign change of f on [a, b], by bisection on floats: the cell is halved
+    until it is no wider than xtol or its midpoint rounds to an end."""
+    neg = math.copysign(1.0, f(a)) < 0
     while True:
         m = 0.5 * (a + b)
-        live = (b - a > xtol) & (a < m) & (m < b)
-        if not live.any():
+        if not (b - a > xtol and a < m < b):
             return m
-        right = np.signbit(f(m)) == neg  # f(m) has the sign of f(a): the change is in [m, b]
-        a = np.where(live & right, m, a)
-        b = np.where(live & ~right, m, b)
+        if (math.copysign(1.0, f(m)) < 0) == neg:  # the change is in [m, b]
+            a = m
+        else:
+            b = m
 
 
 def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     """Classical turning points V(q) = E bracketing a single well.
 
-    Finds the sign changes of V - E on the well scan, zooming toward the
-    minimum when the classically allowed region is narrower than the grid,
-    refuses multi-well energies, and polishes both crossings at once.
+    Looks the crossings of E up in the monotone runs of the well scan, zooming
+    toward the minimum when the classically allowed region is narrower than the
+    grid, refuses multi-well energies, and polishes both crossings at once.
+    Inside a level solve, the polish starts from the previous call's roots.
     """
-    q, v = _scan(pot)
-    f = v - E
+    q, v, vmin, runs = _scan(pot)
     lo, hi = pot.bracket
     for _ in range(60):
-        if (f < 0).any():
+        if vmin < E:
             break
         # allowed region (if any) is narrower than the grid spacing: zoom
         # toward the smallest sampled value
-        center = q[int(np.argmin(f))]
+        center = q[int(np.argmin(v - E))]
         width = (hi - lo) / 16.0
         if width < 1e-13 * max(abs(center), 1.0) + 1e-300:
             raise NoClassicalRegion(f"E={E} is below the potential minimum")
         lo, hi = center - width / 2, center + width / 2
-        q = np.linspace(lo, hi, _SCAN_POINTS)
-        f = np.asarray(pot.V(q), dtype=float) - E
+        q, v, vmin, runs = _sampled(np.linspace(lo, hi, _SCAN_POINTS), pot.V)
     else:
         raise NoClassicalRegion(f"E={E} is below the potential minimum")
 
-    sign_changes = np.nonzero(np.diff(np.signbit(f)))[0]
-    if sign_changes.size > 2:
-        raise MultiWell(f"{sign_changes.size} turning points at E={E}; single well required")
-    if sign_changes.size < 2:
+    cells = _crossings(runs, E)
+    if cells.size > 2:
+        raise MultiWell(f"{cells.size} turning points at E={E}; single well required")
+    if cells.size < 2:
         raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
-    # Newton on dV from the cell midpoints, both roots at once; bisection on its
-    # cell for a root that leaves it or has not settled in 8 steps
-    a, b = q[sign_changes], q[sign_changes + 1]
+    # Newton on dV, both roots at once, from the first-order prediction off the
+    # previous call's roots where it falls in the cell, else from the cell midpoint;
+    # bisection on its cell for a root that leaves it or has not settled in 8 steps
+    a, b = q[cells], q[cells + 1]
     x = 0.5 * (a + b)
+    warm = pot._warm
     with np.errstate(all="ignore"):
+        if warm:
+            E0, x0, d0 = warm
+            guess = x0 + (E - E0) / d0
+            x = np.where((a <= guess) & (guess <= b), guess, x)
         for _ in range(8):
             f = np.asarray(pot.V(x), dtype=float) - E
-            step = f / np.asarray(pot.dV(x), dtype=float)
+            d = np.asarray(pot.dV(x), dtype=float)
+            step = f / d
             x = x - step
             # a step within 4 ulp of x, or a residual at the rounding level of E
             settled = ((np.abs(step) <= 4 * _EPS * np.abs(x))
                        | (np.abs(f) <= 4 * _EPS * abs(E)))
             if settled.all():
                 break
-    bad = ~(settled & (a <= x) & (x <= b))
-    if bad.any():
-        x[bad] = _bisect(lambda s: np.asarray(pot.V(s), dtype=float) - E, a[bad], b[bad])
+    for i in np.flatnonzero(~(settled & (a <= x) & (x <= b))):
+        x[i] = _bisect(lambda s: pot.V(s) - E, float(a[i]), float(b[i]))
+    if warm is not None:
+        pot._warm = (E, x, d)
     return float(x[0]), float(x[1])
 
 
@@ -240,62 +281,74 @@ def _well_bottom(pot: Potential1D) -> tuple[float, float, float]:
     """The well bottom as a point (vmin, 0, T0) of the action curve: vmin is V where dV
     changes sign in the scan's argmin cell, T0 = 2 pi sqrt(m / V'') the harmonic period,
     with V'' the second difference of the scan (inf if not positive)."""
-    q, v = _scan(pot)
+    q, v = _scan(pot)[:2]
     k = min(max(int(np.argmin(v)), 1), q.size - 2)
-    x = _bisect(lambda s: np.asarray(pot.dV(s), dtype=float), q[k - 1], q[k + 1], xtol=1e-13)
+    x = _bisect(pot.dV, float(q[k - 1]), float(q[k + 1]), xtol=1e-13)
     curvature = (v[k - 1] - 2.0 * v[k] + v[k + 1]) / (q[1] - q[0]) ** 2
     period = 2.0 * math.pi * math.sqrt(pot.mass / curvature) if curvature > 0 else math.inf
     return float(pot.V(x)), 0.0, period
 
 
-def _solve_level(pot: Potential1D, target_action: float, below: tuple,
-                 e_cap: float) -> tuple[float, float, float]:
+def _solve_level(pot: Potential1D, target_action: float, below: tuple, e_cap: float,
+                 tops: dict) -> tuple[float, float, float]:
     """(E, A, T) where A(E) = target_action, by Newton with slope dA/dE = T.
 
     Starts from `below`, a point (E, A, T) with A < target_action. The bracket's top, just
-    under e_cap, is evaluated only when a step reaches it or fails before that. A step fails
-    if it leaves the bracket, has no finite T, or does not halve the last step once the top
-    is `reached` (known to reach the target); it then bisects. Stops at a step of 4 ulp.
+    under e_cap, is evaluated only when a step reaches it or fails before that, and at
+    most once per `tops`, which maps it to its action. A step fails if it leaves the
+    bracket, has no finite T, or does not halve the last step once the top is `reached`
+    (known to reach the target); it then bisects. Stops at a step of 4 ulp. Each
+    evaluation's turning points start from the previous one's.
     """
     E, A, T = below
     e_top = e_cap * (1 - 1e-12) if e_cap > 0 else e_cap + abs(e_cap) * 1e-12
     e_lo, e_hi, reached, last = E, e_top, False, math.inf
-    while True:
-        step = (target_action - A) / T
-        if (not (T < math.inf and e_lo <= E + step <= e_hi)
-                or (reached and abs(step) > 0.5 * abs(last))):
-            step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
-        # never return the unevaluated start point, nor stop short of an unevaluated top
-        if (E != below[0] and abs(step) <= 4 * _EPS * max(abs(E), abs(below[0]))
-                and (reached or E + step < e_top)):
-            return E, A, T
-        E, last = E + step, step
-        top = E == e_top and not reached
-        try:
-            A, T = _action_period(pot, E)
-        except (NoClassicalRegion, MultiWell) as exc:
-            if not top:
-                if isinstance(exc, MultiWell):
-                    raise
-                raise LevelNotBound("bracket stopped confining before the target action")
-            A = -math.inf
-        if A < target_action:
+    pot._warm = ()
+    try:
+        while True:
+            step = (target_action - A) / T
+            if (not (T < math.inf and e_lo <= E + step <= e_hi)
+                    or (reached and abs(step) > 0.5 * abs(last))):
+                step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
+            # never return the unevaluated start point, nor stop short of an unevaluated top
+            if (E != below[0] and abs(step) <= 4 * _EPS * max(abs(E), abs(below[0]))
+                    and (reached or E + step < e_top)):
+                return E, A, T
+            E, last = E + step, step
+            top = E == e_top and not reached
+            if top and E in tops:
+                A = tops[E]
+            else:
+                try:
+                    A, T = _action_period(pot, E)
+                except (NoClassicalRegion, MultiWell) as exc:
+                    if not top:
+                        if isinstance(exc, MultiWell):
+                            raise
+                        raise LevelNotBound("bracket stopped confining before the target action")
+                    A = -math.inf
+                if top:
+                    tops[E] = A
+            if A < target_action:
+                if top:
+                    raise LevelNotBound(
+                        f"action {target_action} not reached below dissociation at E={e_cap}"
+                    )
+                e_lo = E
+            else:
+                e_hi, reached = E, True
             if top:
-                raise LevelNotBound(
-                    f"action {target_action} not reached below dissociation at E={e_cap}"
-                )
-            e_lo = E
-        else:
-            e_hi, reached = E, True
-        if top:
-            T = math.inf  # the period diverges at dissociation: bisect next
+                T = math.inf  # the period diverges at dissociation: bisect next
+    finally:
+        pot._warm = None
 
 
 def level_1d(pot: Potential1D, n: int, cfg: PlanckConfig) -> tuple[float, float]:
     """(energy, action) for the single level with action (n + 1/2) h."""
     if n < 0:
         raise ValueError(f"quantum number must be nonnegative, got {n}")
-    return _solve_level(pot, (n + 0.5) * cfg.h, _well_bottom(pot), pot.confinement_energy())[:2]
+    return _solve_level(pot, (n + 0.5) * cfg.h, _well_bottom(pot), pot.confinement_energy(),
+                        {})[:2]
 
 
 def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResult:
@@ -308,10 +361,11 @@ def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResu
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     below = _well_bottom(pot)
     e_cap = pot.confinement_energy()
+    tops = {}
     result = SpectrumResult(entries=[], hbar=cfg.hbar)
     for n in range(n_max + 1):
         try:
-            below = _solve_level(pot, (n + 0.5) * cfg.h, below, e_cap)
+            below = _solve_level(pot, (n + 0.5) * cfg.h, below, e_cap, tops)
         except LevelNotBound as exc:
             result.skipped.append({"n": n, "reason": str(exc)})
             continue
@@ -444,7 +498,7 @@ def quartic_potential(coeff: float = 0.25, mass: float = 1.0, bracket=(-30.0, 30
     if coeff <= 0:
         raise ValueError(f"quartic coeff must be positive, got {coeff}: the potential is "
                          "not confining")
-    return Potential1D(V=lambda q: coeff * np.power(q, 4), mass=mass, bracket=bracket,
+    return Potential1D(V=lambda q: coeff * np.square(np.square(q)), mass=mass, bracket=bracket,
                        dV=lambda q: 4.0 * coeff * q * q * q)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sympcap.core as core
 from sympcap.core import (
     DEFAULT_SYMPLECTIC_TOL,
     QuadraticHamiltonian,
@@ -65,6 +66,23 @@ class TestCompose:
         for seed in range(4):
             S = random_symplectic(N, sigma, seed)
             assert is_symplectic(compose(S, S.inverse()).matrix)
+
+    @pytest.mark.parametrize("N", [4, 8, 10])
+    def test_inverse_product_certifies_on_factor_scale(self, N):
+        # off the diagonal, P = S S^-1 rounds by about eps |S| |S^-1|, which is
+        # large against P's own |P|^T |J| |P| ~ 1; bounded from |S1| |S2| it is not
+        for seed in range(6):
+            S = random_symplectic(N, 3.0, seed)
+            compose(S, S.inverse())
+
+    def test_nonsymplectic_product_refused(self):
+        # a factor certified to a loose tol carries its defect (5e-7 relative)
+        # into the product, which is certified to the default tol
+        S1 = SymplecticMatrix(np.diag([2.0, 0.5 * (1 + 1e-6)]), tol=1e-5)
+        with pytest.raises(ValueError, match="symplectic defect 5.000e-07"):
+            compose(S1, SymplecticMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match="symplectic defect"):
+            compose(random_symplectic(1, 2.0, 0), S1)
 
     def test_diagonal_product(self):
         S1 = SymplecticMatrix(np.diag([2.0, 0.5]))
@@ -197,6 +215,13 @@ class TestWilliamson:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             williamson(QuadraticHamiltonian(np.diag([1.0, -1.0])))
+
+    def test_positive_definiteness_checked_once(self, monkeypatch):
+        checks = []
+        require = core._require_positive
+        monkeypatch.setattr(core, "_require_positive", lambda w: checks.append(w) or require(w))
+        williamson(QuadraticHamiltonian(random_pd_matrix(np.random.default_rng(5), 3)))
+        assert len(checks) == 1
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5])
     def test_reconstruction_random_pd(self, N):

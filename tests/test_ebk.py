@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sympcap import ebk
 from sympcap.capacity import CapacityValue, capacity_ball, capacity_ellipsoid, EnergyShellRegion
 from sympcap.core import QuadraticHamiltonian
 from sympcap.ebk import (
@@ -30,6 +32,7 @@ from sympcap.errors import (
     NotABlob,
     UnsupportedForClosedForm,
 )
+from sympcap.ebk import _crossings, _monotone_runs, _scan
 
 from oracles import action_by_quad, morse_levels, quartic_levels
 
@@ -62,6 +65,22 @@ SPOILED_DV = [
                         ("nan-dV", lambda d: np.full(np.shape(d), np.nan))]
     for i, (pot, E, exact) in enumerate(CLOSED_FORMS) if i != 3
 ]
+
+BENCH_POLY = {"kind": "polynomial", "coeffs": [0.0, 0.1, 0.5, 0.15, 0.12]}
+# single wells of every kind, then a double well and a Morse tail that rounds flat to D
+SCANNED = [
+    harmonic_potential(0.7),
+    morse_potential(10.0, 1.0),
+    quartic_potential(0.25),
+    make_potential(BENCH_POLY),
+    Potential1D(V=lambda q: (np.square(q) - 1.0) ** 2, bracket=(-3, 3),
+                dV=lambda q: 4.0 * q * (np.square(q) - 1.0)),
+    morse_potential(10.0, 1.0, bracket=(5.0, 60.0)),
+]
+
+
+def _sign_changes(v, E):
+    return np.nonzero(np.diff(np.signbit(v - E)))[0].tolist()
 
 
 class TestBlobCheck:
@@ -146,6 +165,39 @@ class TestTurningPoints:
         qm, qp = turning_points(pot, E)
         assert qm == pytest.approx(exact[0], abs=1e-14)
         assert qp == pytest.approx(exact[1], abs=1e-14)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), k=st.integers(0, len(SCANNED) - 1), j=st.integers(0, 4095),
+           at=st.sampled_from(["sample", "below", "above", "random"]))
+    def test_run_lookup_matches_sign_scan(self, data, k, j, at):
+        q, v, vmin, runs = _scan(SCANNED[k])
+        E = {"sample": float(v[j]), "below": np.nextafter(v[j], -np.inf),
+             "above": np.nextafter(v[j], np.inf)}.get(at)
+        if E is None:
+            E = data.draw(st.floats(vmin - 1.0, float(v.max()) + 1.0))
+        assert _crossings(runs, float(E)).tolist() == _sign_changes(v, E)
+
+    @settings(max_examples=400, deadline=None)
+    @given(v=st.lists(st.integers(-3, 3), min_size=2, max_size=40),
+           E=st.integers(-8, 8).map(lambda i: i / 2))
+    def test_run_lookup_on_plateaus_and_wiggles(self, v, E):
+        v = np.array(v, dtype=float)
+        assert _crossings(_monotone_runs(v), E).tolist() == _sign_changes(v, E)
+
+    @pytest.mark.parametrize("pot", SCANNED[:4], ids=["harmonic", "morse", "quartic", "poly"])
+    def test_warm_start_agrees_with_cold(self, pot):
+        # the polish starts from the last root moved by (E - E_prev) / dV, or from
+        # the cell midpoint when that leaves the cell; both settle on one root
+        for E0 in (0.3, 2.5, 9.0):
+            for rel in (1e-1, 1e-4, 1e-8, 1e-12, 1e-15):
+                E = E0 * (1 + rel)
+                pot._warm = ()
+                turning_points(pot, E0)
+                warm = turning_points(pot, E)
+                pot._warm = None
+                cold = turning_points(pot, E)
+                for w, c in zip(warm, cold):
+                    assert abs(w - c) <= 4 * math.ulp(c), (E0, rel)
 
 
 class TestActionIntegral:
@@ -267,6 +319,39 @@ class TestSpectrum1D:
         res = spectrum_1d(pot, 10, CFG)
         assert res.entries
         assert sum(points) <= 20_000 * len(res.entries)
+
+    @pytest.mark.parametrize("desc,bound", [
+        ({"kind": "quartic", "coeff": 0.25}, 12),
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, 16),
+        (BENCH_POLY, 12),
+    ])
+    def test_newton_dV_calls_per_level(self, desc, bound):
+        # each Newton step calls dV once on both roots (the well bottom's bisection
+        # calls it on scalars). From cell midpoints the polish takes about 4 steps an
+        # action evaluation, 17, 27 and 16 calls a level here; warm-started, 2 to 3
+        pot = make_potential(desc)
+        dV, calls = pot.dV, []
+        pot.dV = lambda q: calls.append(np.ndim(q)) or dV(q)
+        res = spectrum_1d(pot, 10, CFG)
+        assert sum(calls) <= bound * len(res.entries)
+
+    def test_bracket_top_evaluated_once(self, monkeypatch):
+        # levels 4..10 lie past dissociation: each is refused at the top of the
+        # bracket, whose action is computed for the first of them only
+        pot = morse_potential(10.0, 1.0)
+        e_cap = pot.confinement_energy()
+        action_period, tops = ebk._action_period, []
+
+        def counted(p, E, *args):
+            tops.extend([E] if E > e_cap * (1 - 1e-11) else [])
+            return action_period(p, E, *args)
+
+        monkeypatch.setattr(ebk, "_action_period", counted)
+        res = spectrum_1d(pot, 10, CFG)
+        assert len(tops) == 1
+        assert res.skipped == [
+            {"n": n, "reason": f"action {(n + 0.5) * CFG.h} not reached below dissociation "
+                               f"at E={e_cap}"} for n in range(4, 11)]
 
 
 class TestSpectrumSeparable:
