@@ -20,6 +20,7 @@ from .errors import (
     LevelNotBound,
     MultiWell,
     NoClassicalRegion,
+    NoConvergence,
     NotABlob,
     UnsupportedForClosedForm,
 )
@@ -38,6 +39,17 @@ class PlanckConfig:
     @property
     def h(self) -> float:
         return 2.0 * math.pi * self.hbar
+
+
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(name: str, value: float):
+    if not 0 < value < math.inf:  # NaN too
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(eq=False)
@@ -60,8 +72,7 @@ class Potential1D:
     _warm: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        _positive("mass", self.mass)
         lo, hi = self.bracket
         if not lo < hi:
             raise ValueError(f"bad bracket {self.bracket}")
@@ -132,7 +143,7 @@ def quantize_quadratic(H: QuadraticHamiltonian, n, cfg: PlanckConfig) -> Spectru
 
 
 _SCAN_POINTS = 4096
-_EPS = np.finfo(float).eps
+_ULP4 = 4 * float(np.finfo(float).eps)  # 4 ulp of 1
 
 
 def _monotone_runs(v: np.ndarray) -> list:
@@ -219,30 +230,37 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
         raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
     # Newton on dV, both roots at once, from the first-order prediction off the
     # previous call's roots where it falls in the cell, else from the cell midpoint;
-    # bisection on its cell for a root that leaves it or has not settled in 8 steps
-    a, b = q[cells], q[cells + 1]
-    x = 0.5 * (a + b)
+    # bisection on its cell for a root that leaves it or has not settled in 8 steps.
+    # The steps run on the two-root array, the tests on its Python floats.
+    a, b = q[cells].tolist(), q[cells + 1].tolist()
+    x = [0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])]
     warm = pot._warm
+    if warm:
+        E0, x0, d0 = warm
+        for i in range(2):
+            guess = x0[i] + (E - E0) / d0[i] if d0[i] else math.nan
+            if a[i] <= guess <= b[i]:
+                x[i] = guess
+    x, f_tol = np.array(x), _ULP4 * abs(E)
     with np.errstate(all="ignore"):
-        if warm:
-            E0, x0, d0 = warm
-            guess = x0 + (E - E0) / d0
-            x = np.where((a <= guess) & (guess <= b), guess, x)
         for _ in range(8):
             f = np.asarray(pot.V(x), dtype=float) - E
             d = np.asarray(pot.dV(x), dtype=float)
             step = f / d
             x = x - step
-            # a step within 4 ulp of x, or a residual at the rounding level of E
-            settled = ((np.abs(step) <= 4 * _EPS * np.abs(x))
-                       | (np.abs(f) <= 4 * _EPS * abs(E)))
-            if settled.all():
+            # a step within 4 ulp of x, or a residual at the rounding level of E;
+            # a NaN step or residual is not settled
+            settled = [abs(dx) <= _ULP4 * abs(xi) or abs(fi) <= f_tol
+                       for dx, xi, fi in zip(step.tolist(), x.tolist(), f.tolist())]
+            if settled[0] and settled[1]:
                 break
-    for i in np.flatnonzero(~(settled & (a <= x) & (x <= b))):
-        x[i] = _bisect(lambda s: pot.V(s) - E, float(a[i]), float(b[i]))
+    x = x.tolist()
+    for i in range(2):
+        if not (settled[i] and a[i] <= x[i] <= b[i]):
+            x[i] = _bisect(lambda s: pot.V(s) - E, a[i], b[i])
     if warm is not None:
-        pot._warm = (E, x, d)
-    return float(x[0]), float(x[1])
+        pot._warm = (E, x, d.tolist())
+    return x[0], x[1]
 
 
 @lru_cache(maxsize=8)
@@ -279,42 +297,57 @@ def action_integral(pot: Potential1D, E: float, nodes: int = 256) -> float:
 
 def _well_bottom(pot: Potential1D) -> tuple[float, float, float]:
     """The well bottom as a point (vmin, 0, T0) of the action curve: vmin is V where dV
-    changes sign in the scan's argmin cell, T0 = 2 pi sqrt(m / V'') the harmonic period,
-    with V'' the second difference of the scan (inf if not positive)."""
+    changes sign in the scan's argmin cell, located to 1e-13 of the cell, T0 = 2 pi
+    sqrt(m / V'') the harmonic period, with V'' the second difference of the scan (inf if
+    not positive)."""
     q, v = _scan(pot)[:2]
     k = min(max(int(np.argmin(v)), 1), q.size - 2)
-    x = _bisect(pot.dV, float(q[k - 1]), float(q[k + 1]), xtol=1e-13)
+    a, b = float(q[k - 1]), float(q[k + 1])
+    x = _bisect(pot.dV, a, b, xtol=1e-13 * (b - a))
     curvature = (v[k - 1] - 2.0 * v[k] + v[k + 1]) / (q[1] - q[0]) ** 2
     period = 2.0 * math.pi * math.sqrt(pot.mass / curvature) if curvature > 0 else math.inf
     return float(pot.V(x)), 0.0, period
 
 
+# Action evaluations allowed per level. Levels take at most 13 in the ebk-spectra
+# benchmark pass and 7 in the test suite; pure bisection from a bracket 2^90 times
+# wider than its 4-ulp stop would take 90.
+_MAX_EVALUATIONS = 100
+
+
 def _solve_level(pot: Potential1D, target_action: float, below: tuple, e_cap: float,
-                 tops: dict) -> tuple[float, float, float]:
+                 tops: dict, guess: float = math.nan) -> tuple[float, float, float]:
     """(E, A, T) where A(E) = target_action, by Newton with slope dA/dE = T.
 
-    Starts from `below`, a point (E, A, T) with A < target_action. The bracket's top, just
+    Starts from `below`, a point (E, A, T) with A < target_action, and takes its first
+    step to `guess` if that lies strictly between E and the bracket's top. The top, just
     under e_cap, is evaluated only when a step reaches it or fails before that, and at
     most once per `tops`, which maps it to its action. A step fails if it leaves the
     bracket, has no finite T, or does not halve the last step once the top is `reached`
-    (known to reach the target); it then bisects. Stops at a step of 4 ulp. Each
-    evaluation's turning points start from the previous one's.
+    (known to reach the target); it then bisects. Stops at a step of 4 ulp; raises
+    NoConvergence where that takes more than _MAX_EVALUATIONS steps. Each evaluation's
+    turning points start from the previous one's.
     """
     E, A, T = below
     e_top = e_cap * (1 - 1e-12) if e_cap > 0 else e_cap + abs(e_cap) * 1e-12
     e_lo, e_hi, reached, last = E, e_top, False, math.inf
+    step = guess - E if e_lo < guess < e_hi else None
     pot._warm = ()
     try:
-        while True:
-            step = (target_action - A) / T
-            if (not (T < math.inf and e_lo <= E + step <= e_hi)
-                    or (reached and abs(step) > 0.5 * abs(last))):
-                step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
-            # never return the unevaluated start point, nor stop short of an unevaluated top
-            if (E != below[0] and abs(step) <= 4 * _EPS * max(abs(E), abs(below[0]))
-                    and (reached or E + step < e_top)):
-                return E, A, T
-            E, last = E + step, step
+        for steps in range(_MAX_EVALUATIONS + 1):
+            if step is None:
+                step = (target_action - A) / T
+                if (not (T < math.inf and e_lo <= E + step <= e_hi)
+                        or (reached and abs(step) > 0.5 * abs(last))):
+                    step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
+                # never return the unevaluated start point, nor stop short of an
+                # unevaluated top
+                if (E != below[0] and abs(step) <= _ULP4 * max(abs(E), abs(below[0]))
+                        and (reached or E + step < e_top)):
+                    return E, A, T
+            if steps == _MAX_EVALUATIONS:
+                break
+            E, last, step = E + step, step, None
             top = E == e_top and not reached
             if top and E in tops:
                 A = tops[E]
@@ -341,6 +374,24 @@ def _solve_level(pot: Potential1D, target_action: float, below: tuple, e_cap: fl
                 T = math.inf  # the period diverges at dissociation: bisect next
     finally:
         pot._warm = None
+    raise NoConvergence(f"action {target_action} not converged in {_MAX_EVALUATIONS} "
+                        f"action evaluations, last E={E} in [{e_lo}, {e_hi}]")
+
+
+def _hermite_start(prev: tuple, last: tuple, target_action: float) -> float:
+    """E at target_action on the Hermite interpolant of E(A) through two points (E, A, T)
+    of the action curve, with slopes dE/dA = 1/T: cubic, or quadratic when `prev` is the
+    well bottom (A = 0), whose scan-based period is not used. NaN on a division by 0."""
+    (E0, A0, T0), (E1, A1, T1) = prev, last
+    h, d = A1 - A0, target_action - A1
+    try:
+        s, m1 = (E1 - E0) / h, 1.0 / T1
+        c = (m1 - s) / h
+        if A0 > 0:
+            c += (d + h) * (1.0 / T0 + m1 - 2.0 * s) / (h * h)
+    except ZeroDivisionError:
+        return math.nan
+    return E1 + d * (m1 + d * c)
 
 
 def level_1d(pot: Potential1D, n: int, cfg: PlanckConfig) -> tuple[float, float]:
@@ -354,18 +405,23 @@ def level_1d(pot: Potential1D, n: int, cfg: PlanckConfig) -> tuple[float, float]
 def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResult:
     """Librational EBK levels n = 0..n_max: solve loop action = (n + 1/2) h.
 
-    Each level carries Maslov index 2 (two caustic touches per loop).
-    Levels above dissociation are skipped with a notice.
+    Each level carries Maslov index 2 (two caustic touches per loop). Level 0 starts
+    from the well bottom, each later one from a Hermite extrapolation of E(A) through the
+    last two points solved (the bottom among them for level 1). Levels above
+    dissociation are skipped with a notice.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     below = _well_bottom(pot)
+    prev = None
     e_cap = pot.confinement_energy()
     tops = {}
     result = SpectrumResult(entries=[], hbar=cfg.hbar)
     for n in range(n_max + 1):
+        target = (n + 0.5) * cfg.h
+        guess = math.nan if prev is None else _hermite_start(prev, below, target)
         try:
-            below = _solve_level(pot, (n + 0.5) * cfg.h, below, e_cap, tops)
+            prev, below = below, _solve_level(pot, target, below, e_cap, tops, guess)
         except LevelNotBound as exc:
             result.skipped.append({"n": n, "reason": str(exc)})
             continue
@@ -476,6 +532,8 @@ def density_of_states(
 
 
 def harmonic_potential(omega: float = 1.0, mass: float = 1.0, bracket=None) -> Potential1D:
+    _positive("harmonic omega", omega)
+    _positive("mass", mass)
     if bracket is None:
         bracket = (-60.0 / math.sqrt(mass) / omega, 60.0 / math.sqrt(mass) / omega)
     return Potential1D(V=lambda q: 0.5 * mass * omega**2 * np.square(q), mass=mass,
@@ -483,6 +541,8 @@ def harmonic_potential(omega: float = 1.0, mass: float = 1.0, bracket=None) -> P
 
 
 def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0, bracket=None) -> Potential1D:
+    _finite("morse D", D)
+    _positive("morse a", a)
     if bracket is None:
         bracket = (-3.0 / a, 60.0 / a)
 
@@ -495,6 +555,7 @@ def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0, bracket=
 
 
 def quartic_potential(coeff: float = 0.25, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Potential1D:
+    _finite("quartic coeff", coeff)
     if coeff <= 0:
         raise ValueError(f"quartic coeff must be positive, got {coeff}: the potential is "
                          "not confining")
@@ -502,12 +563,24 @@ def quartic_potential(coeff: float = 0.25, mass: float = 1.0, bracket=(-30.0, 30
                        dV=lambda q: 4.0 * coeff * q * q * q)
 
 
+def _horner(c: list):
+    """q -> sum_k c[k] q^k on float arrays, in the operation order of numpy's polyval."""
+    def value(q):
+        q = np.asarray(q, dtype=float)
+        y = c[-1] + q * 0
+        for ck in c[-2::-1]:
+            y = ck + y * q
+        return y
+
+    return value
+
+
 def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Potential1D:
-    c = list(coeffs)
-    dc = np.polynomial.polynomial.polyder(c)
-    return Potential1D(V=lambda q: np.polynomial.polynomial.polyval(np.asarray(q, dtype=float), c),
-                       mass=mass, bracket=bracket,
-                       dV=lambda q: np.polynomial.polynomial.polyval(np.asarray(q, dtype=float), dc))
+    c = [_finite("polynomial coefficient", float(ck)) for ck in coeffs]
+    if not c:
+        raise ValueError("polynomial potential needs at least one coefficient")
+    dc = np.polynomial.polynomial.polyder(c).tolist()
+    return Potential1D(V=_horner(c), mass=mass, bracket=bracket, dV=_horner(dc))
 
 
 def make_potential(desc: dict) -> Potential1D:

@@ -60,6 +60,10 @@ class LevelNotBound(SympcapError):
     """Requested level lies above dissociation; no bound state exists."""
 
 
+class NoConvergence(SympcapError):
+    """An iterative solver reached its evaluation cap before converging."""
+
+
 class NotABlob(SympcapError):
     """Capacity is infinite (or zero), so no blob index can be assigned."""
 

@@ -6,7 +6,8 @@ integration, plain loops over ensemble members, planes, grid cells and
 certificate entries, and exact-rational (Fraction) Gram determinants.
 The ensemble oracle draws its members with the library's single-member
 `random_symplectic`, so it also checks that a stacked draw matches draws in
-a row.
+a row. The turning-point oracle shares the library's well scan, crossing
+lookup and bisection, and polishes with whole-array masks.
 """
 
 import math
@@ -17,6 +18,8 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from sympcap.core import random_symplectic
+from sympcap.ebk import _SCAN_POINTS, _bisect, _crossings, _sampled, _scan
+from sympcap.errors import MultiWell, NoClassicalRegion
 
 
 def morse_levels(D, a, mass, hbar):
@@ -175,3 +178,50 @@ def exact_plane_det(S, a, b):
     v = [Fraction(float(x)) for x in S[b]]
     uv = sum(x * y for x, y in zip(u, v))
     return sum(x * x for x in u) * sum(y * y for y in v) - uv * uv
+
+
+def turning_points_oracle(pot, E):
+    """`ebk.turning_points` with its polish tested on numpy masks: the convergence
+    test `|step| <= 4 eps |x| or |f| <= 4 eps |E|` and the in-cell test build boolean
+    arrays. Reads and updates the warm state `pot._warm` as the library does."""
+    eps = np.finfo(float).eps
+    q, v, vmin, runs = _scan(pot)
+    lo, hi = pot.bracket
+    for _ in range(60):
+        if vmin < E:
+            break
+        center = q[int(np.argmin(v - E))]
+        width = (hi - lo) / 16.0
+        if width < 1e-13 * max(abs(center), 1.0) + 1e-300:
+            raise NoClassicalRegion(f"E={E} is below the potential minimum")
+        lo, hi = center - width / 2, center + width / 2
+        q, v, vmin, runs = _sampled(np.linspace(lo, hi, _SCAN_POINTS), pot.V)
+    else:
+        raise NoClassicalRegion(f"E={E} is below the potential minimum")
+    cells = _crossings(runs, E)
+    if cells.size > 2:
+        raise MultiWell(f"{cells.size} turning points at E={E}; single well required")
+    if cells.size < 2:
+        raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
+    a, b = q[cells], q[cells + 1]
+    x = 0.5 * (a + b)
+    warm = pot._warm
+    with np.errstate(all="ignore"):
+        if warm:
+            E0, x0, d0 = warm
+            guess = np.asarray(x0) + (E - E0) / np.asarray(d0)
+            x = np.where((a <= guess) & (guess <= b), guess, x)
+        for _ in range(8):
+            f = np.asarray(pot.V(x), dtype=float) - E
+            d = np.asarray(pot.dV(x), dtype=float)
+            step = f / d
+            x = x - step
+            settled = ((np.abs(step) <= 4 * eps * np.abs(x))
+                       | (np.abs(f) <= 4 * eps * abs(E)))
+            if settled.all():
+                break
+    for i in np.flatnonzero(~(settled & (a <= x) & (x <= b))):
+        x[i] = _bisect(lambda s: pot.V(s) - E, float(a[i]), float(b[i]))
+    if warm is not None:
+        pot._warm = (E, x, d)
+    return float(x[0]), float(x[1])

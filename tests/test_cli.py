@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympcap import cli, shadows
+from sympcap import cli, ebk, shadows
 from sympcap.cli import run
 
 
@@ -141,6 +141,19 @@ class TestQuantizeCommands:
         code, out = invoke(capsys, "quantize-separable", "--potentials", pots, "--n", "0,0")
         assert code == 0
         assert json.loads(out)["entries"][0]["energy"] == pytest.approx(1.0, rel=1e-10)
+
+    def test_unresolved_well_stops_at_the_cap(self, capsys, monkeypatch):
+        # the scan cannot resolve a well this narrow: the bottom lands far above the
+        # ground state, and the solver must stop at its evaluation cap, not loop
+        action_period, calls = ebk._action_period, []
+        monkeypatch.setattr(ebk, "_action_period",
+                            lambda *args: calls.append(1) or action_period(*args))
+        code, out = invoke(capsys, "quantize-1d", "--potential", "quartic", "coeff=1e300",
+                           "--nmax", "1")
+        assert code in (0, 3)
+        assert len(calls) <= 2 * ebk._MAX_EVALUATIONS
+        if code == 3:
+            assert json.loads(out)["error"] == "NoConvergence"
 
     def test_nonpd_matrix_exit_3(self, capsys):
         m = {"n": 1, "matrix": [1.0, 0.0, 0.0, -1.0]}
@@ -281,6 +294,27 @@ class TestInputErrors:
         assert json.loads(out) == {
             "error": "InvalidInput",
             "message": f"symplectic defect {defect} exceeds tolerance 1.000e-10"}
+
+    @pytest.mark.parametrize("potential,message", [
+        (["harmonic", "omega=0"], "harmonic omega must be finite and positive, got 0.0"),
+        (["morse", "a=0"], "morse a must be finite and positive, got 0.0"),
+        (['{"kind":"polynomial","coeffs":[]}'],
+         "polynomial potential needs at least one coefficient"),
+        (["quartic", "coeff=nan"], "quartic coeff must be finite, got nan"),
+        (["morse", "D=nan"], "morse D must be finite, got nan"),
+        (['{"kind":"polynomial","coeffs":[0,NaN,0.5]}'],
+         "polynomial coefficient must be finite, got nan"),
+        (["harmonic", "omega=nan"], "harmonic omega must be finite and positive, got nan"),
+        (["harmonic", "omega=inf"], "harmonic omega must be finite and positive, got inf"),
+        (["morse", "a=-1"], "morse a must be finite and positive, got -1.0"),
+        (["quartic", "coeff=inf"], "quartic coeff must be finite, got inf"),
+        (["harmonic", "omega=1", "mass=0"], "mass must be finite and positive, got 0.0"),
+        (["quartic", "mass=nan"], "mass must be finite and positive, got nan"),
+    ])
+    def test_bad_potential_parameter(self, capsys, potential, message):
+        code, out = invoke(capsys, "quantize-1d", "--potential", *potential, "--nmax", "1")
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": message}
 
     def test_infinite_dt(self, capsys):
         code, out = invoke(capsys, "evolve", "--potential", "harmonic", "omega=1",
@@ -537,6 +571,7 @@ FUZZ_VALUES = [
     '{"type":"ellipsoid","matrix":{"n":1,"matrix":[NaN,0,0,1]},"energy":1}',
     '{"n":1,"matrix":[1,0,0]}', '{"n":1,"matrix":[NaN,0,0,1]}', '{"n":null,"matrix":[1,0,0,1]}',
     '[{"kind":"morse"}]', '[{"kind":"harmonic","omega":null}]',
+    "omega=nan", "a=0", "coeff=1e300", '{"kind":"polynomial","coeffs":[]}',
 ]
 
 

@@ -29,12 +29,13 @@ from sympcap.ebk import (
 from sympcap.errors import (
     MultiWell,
     NoClassicalRegion,
+    NoConvergence,
     NotABlob,
     UnsupportedForClosedForm,
 )
 from sympcap.ebk import _crossings, _monotone_runs, _scan
 
-from oracles import action_by_quad, morse_levels, quartic_levels
+from oracles import action_by_quad, morse_levels, quartic_levels, turning_points_oracle
 
 CFG = PlanckConfig(1.0)
 
@@ -183,6 +184,37 @@ class TestTurningPoints:
     def test_run_lookup_on_plateaus_and_wiggles(self, v, E):
         v = np.array(v, dtype=float)
         assert _crossings(_monotone_runs(v), E).tolist() == _sign_changes(v, E)
+
+    @pytest.mark.parametrize("pot", SCANNED[:4], ids=["harmonic", "morse", "quartic", "poly"])
+    def test_polish_matches_mask_oracle(self, pot, monkeypatch):
+        # the scalar convergence and in-cell tests decide as the mask arrays do, so
+        # roots and warm state are bit for bit the same: cold, along a warm chain of
+        # 50 energies (1e-8 to 0.99 of the confinement energy, so some zoom), and at
+        # every call of a spectrum solve
+        u = np.random.default_rng(7).uniform(size=50)
+        energies = (pot.confinement_energy() * 0.99 * 10.0 ** (-8 * u)).tolist()
+
+        def both(p, E):
+            warm = p._warm
+            want = turning_points_oracle(p, E)
+            want_warm, p._warm = p._warm, warm
+            got = turning_points(p, E)
+            assert got == want, E
+            if warm is not None:
+                assert [p._warm[0], *p._warm[1], *p._warm[2]] == \
+                    [want_warm[0], *want_warm[1].tolist(), *want_warm[2].tolist()], E
+            return got
+
+        for E in energies:
+            both(pot, E)
+        pot._warm = ()
+        try:
+            for E in sorted(energies):
+                both(pot, E)
+        finally:
+            pot._warm = None
+        monkeypatch.setattr(ebk, "turning_points", both)
+        assert spectrum_1d(pot, 10, CFG).entries
 
     @pytest.mark.parametrize("pot", SCANNED[:4], ids=["harmonic", "morse", "quartic", "poly"])
     def test_warm_start_agrees_with_cold(self, pot):
@@ -335,6 +367,46 @@ class TestSpectrum1D:
         res = spectrum_1d(pot, 10, CFG)
         assert sum(calls) <= bound * len(res.entries)
 
+    @pytest.mark.parametrize("desc,bound", [
+        ({"kind": "harmonic", "omega": 1.0}, 2.0),
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, 3.2),
+        ({"kind": "quartic", "coeff": 0.25}, 3.8),
+        (BENCH_POLY, 3.5),
+    ])
+    def test_action_evaluations_per_level(self, desc, bound, monkeypatch):
+        # levels n >= 1 start from a Hermite extrapolation of E(A), which lands at
+        # rounding level for the harmonic (E linear in A) and Morse (quadratic) wells.
+        # A Newton step from the level below takes 1.91, 5.0, 4.27 and 4.0 here
+        action_period, calls = ebk._action_period, []
+
+        def counted(p, E, *args):
+            calls.append(E)
+            return action_period(p, E, *args)
+
+        monkeypatch.setattr(ebk, "_action_period", counted)
+        res = spectrum_1d(make_potential(desc), 10, CFG)
+        assert len(calls) <= bound * len(res.entries)
+
+    def test_hermite_start_keeps_levels(self, monkeypatch):
+        # with the Hermite start refused (NaN guess), every level is the one a plain
+        # Newton start finds, to within the rounding plateau of A(E)
+        for desc in ({"kind": "morse", "D": 10.0, "a": 1.0}, {"kind": "quartic"}, BENCH_POLY):
+            with_start = spectrum_1d(make_potential(desc), 10, CFG).entries
+            monkeypatch.setattr(ebk, "_hermite_start", lambda *args: math.nan)
+            plain = spectrum_1d(make_potential(desc), 10, CFG).entries
+            monkeypatch.undo()
+            assert [e.quantum_numbers for e in with_start] == [e.quantum_numbers for e in plain]
+            for a, b in zip(with_start, plain):
+                assert a.energy == pytest.approx(b.energy, rel=16 * 2.2e-16)
+
+    def test_evaluation_cap(self, monkeypatch):
+        # the quartic ground state takes 6 evaluations from the well bottom
+        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 3)
+        with pytest.raises(NoConvergence, match="not converged in 3 action evaluations"):
+            level_1d(quartic_potential(0.25), 0, CFG)
+        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 6)
+        assert level_1d(quartic_potential(0.25), 0, CFG)[1] == pytest.approx(0.5 * CFG.h)
+
     def test_bracket_top_evaluated_once(self, monkeypatch):
         # levels 4..10 lie past dissociation: each is refused at the top of the
         # bracket, whose action is computed for the first of them only
@@ -475,6 +547,16 @@ class TestPotentialFactory:
         fd = (pot.V(q + h) - pot.V(q - h)) / (2 * h)
         dV = pot.dV(q)
         assert np.max(np.abs(dV - fd)) <= 1e-7 * np.max(np.abs(dV))
+
+    @pytest.mark.parametrize("coeffs", [BENCH_POLY["coeffs"], [0.0, 0.0, 0.5],
+                                        [3.0], [1.5, -2.0, 0.25, 1e-3, -7.0, 0.5]])
+    def test_polynomial_is_polyval_bitwise(self, coeffs):
+        pot = make_potential({"kind": "polynomial", "coeffs": coeffs})
+        polyval, polyder = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+        q = np.random.default_rng(5).uniform(-40.0, 40.0, size=257)
+        for x in (q, q[:2], q[3], float(q[4]), -q):
+            assert np.array_equal(pot.V(x), polyval(x, coeffs))
+            assert np.array_equal(pot.dV(x), polyval(x, polyder(coeffs)))
 
     @pytest.mark.parametrize("coeff", [0.0, -1.0])
     def test_nonconfining_quartic_rejected(self, coeff):
