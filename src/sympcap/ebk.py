@@ -52,24 +52,21 @@ def _positive(name: str, value: float):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(eq=False)
+@dataclass
 class Potential1D:
     """Confining 1-D potential V(q) with mass m on a search bracket.
 
     The callables must accept numpy arrays. The bracket must confine every
     energy that will be requested: V at both edges above E. `dV` is the
     analytic derivative dV/dq (minus the force): turning_points polishes
-    roots with it, and its sign change locates the well bottom.
+    roots with it, and its sign change locates the well bottom. A plain
+    value: it carries no solver state and can be shared between calls.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
     dV: Callable[[np.ndarray], np.ndarray]
     mass: float = 1.0
     bracket: tuple = (-50.0, 50.0)
-    _scan: Optional[tuple] = field(default=None, init=False, repr=False)  # see _scan()
-    # (E, roots, dV at them) of the last turning-point polish of a level solve, which
-    # the next one starts from; () before the first, None outside a solve
-    _warm: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _positive("mass", self.mass)
@@ -177,12 +174,18 @@ def _crossings(runs: list, E: float) -> np.ndarray:
     return np.array(cells, dtype=np.intp)
 
 
-def _scan(pot: Potential1D) -> tuple:
-    """The well scan, _sampled on _SCAN_POINTS over the bracket once per (V, bracket)."""
-    if pot._scan is None or pot._scan[0] is not pot.V or pot._scan[1] != pot.bracket:
-        pot._scan = (pot.V, pot.bracket, *_sampled(np.linspace(*pot.bracket, _SCAN_POINTS),
-                                                   pot.V))
-    return pot._scan[2:]
+class _Well:
+    """The solver state of one spectrum_1d or level_1d call: the well scan (_sampled on
+    _SCAN_POINTS over the bracket), the confinement energy, the action at the bracket top
+    once evaluated, and the (E, roots, dV at them) of the last turning-point polish, which
+    the next one starts from (None: start cold)."""
+
+    def __init__(self, pot: Potential1D):
+        self.pot = pot
+        self.scan = _sampled(np.linspace(*pot.bracket, _SCAN_POINTS), pot.V)
+        self.e_cap = pot.confinement_energy()
+        self.top_action = None
+        self.warm = None
 
 
 def _bisect(f, a: float, b: float, xtol: float = 0.0) -> float:
@@ -199,15 +202,16 @@ def _bisect(f, a: float, b: float, xtol: float = 0.0) -> float:
             b = m
 
 
-def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
+def turning_points(pot: Potential1D | _Well, E: float) -> tuple[float, float]:
     """Classical turning points V(q) = E bracketing a single well.
 
     Looks the crossings of E up in the monotone runs of the well scan, zooming
     toward the minimum when the classically allowed region is narrower than the
     grid, refuses multi-well energies, and polishes both crossings at once.
-    Inside a level solve, the polish starts from the previous call's roots.
+    Given a solver's _Well, reuses its scan and starts from its last polish.
     """
-    q, v, vmin, runs = _scan(pot)
+    well = pot if isinstance(pot, _Well) else _Well(pot)
+    pot, (q, v, vmin, runs) = well.pot, well.scan
     lo, hi = pot.bracket
     for _ in range(60):
         if vmin < E:
@@ -234,7 +238,7 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     # The steps run on the two-root array, the tests on its Python floats.
     a, b = q[cells].tolist(), q[cells + 1].tolist()
     x = [0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])]
-    warm = pot._warm
+    warm = well.warm
     if warm:
         E0, x0, d0 = warm
         for i in range(2):
@@ -258,8 +262,7 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     for i in range(2):
         if not (settled[i] and a[i] <= x[i] <= b[i]):
             x[i] = _bisect(lambda s: pot.V(s) - E, a[i], b[i])
-    if warm is not None:
-        pot._warm = (E, x, d.tolist())
+    well.warm = (E, x, d.tolist())
     return x[0], x[1]
 
 
@@ -270,10 +273,10 @@ def _gauss_legendre(nodes: int):
     return np.sin(0.5 * math.pi * x), w, np.cos(0.5 * math.pi * x)
 
 
-def _action_period(pot: Potential1D, E: float, nodes: int = 256) -> tuple[float, float]:
+def _action_period(well: _Well, E: float, nodes: int = 256) -> tuple[float, float]:
     """Loop action A(E) and period T(E) = dA/dE = 2 int m/p dq on the same
     nodes: under the substitution of action_integral both integrands are smooth."""
-    q_minus, q_plus = turning_points(pot, E)
+    pot, (q_minus, q_plus) = well.pot, turning_points(well, E)
     mid = 0.5 * (q_plus + q_minus)
     half = 0.5 * (q_plus - q_minus)
     sin, w, cos = _gauss_legendre(nodes)
@@ -292,15 +295,15 @@ def action_integral(pot: Potential1D, E: float, nodes: int = 256) -> float:
     in theta, which absorbs the square-root endpoint singularity and is
     spectrally accurate for smooth potentials.
     """
-    return _action_period(pot, E, nodes)[0]
+    return _action_period(_Well(pot), E, nodes)[0]
 
 
-def _well_bottom(pot: Potential1D) -> tuple[float, float, float]:
+def _well_bottom(well: _Well) -> tuple[float, float, float]:
     """The well bottom as a point (vmin, 0, T0) of the action curve: vmin is V where dV
     changes sign in the scan's argmin cell, located to 1e-13 of the cell, T0 = 2 pi
     sqrt(m / V'') the harmonic period, with V'' the second difference of the scan (inf if
     not positive)."""
-    q, v = _scan(pot)[:2]
+    pot, (q, v) = well.pot, well.scan[:2]
     k = min(max(int(np.argmin(v)), 1), q.size - 2)
     a, b = float(q[k - 1]), float(q[k + 1])
     x = _bisect(pot.dV, a, b, xtol=1e-13 * (b - a))
@@ -315,65 +318,63 @@ def _well_bottom(pot: Potential1D) -> tuple[float, float, float]:
 _MAX_EVALUATIONS = 100
 
 
-def _solve_level(pot: Potential1D, target_action: float, below: tuple, e_cap: float,
-                 tops: dict, guess: float = math.nan) -> tuple[float, float, float]:
+def _solve_level(well: _Well, target_action: float, below: tuple,
+                 guess: float = math.nan) -> tuple[float, float, float]:
     """(E, A, T) where A(E) = target_action, by Newton with slope dA/dE = T.
 
     Starts from `below`, a point (E, A, T) with A < target_action, and takes its first
     step to `guess` if that lies strictly between E and the bracket's top. The top, just
-    under e_cap, is evaluated only when a step reaches it or fails before that, and at
-    most once per `tops`, which maps it to its action. A step fails if it leaves the
-    bracket, has no finite T, or does not halve the last step once the top is `reached`
-    (known to reach the target); it then bisects. Stops at a step of 4 ulp; raises
-    NoConvergence where that takes more than _MAX_EVALUATIONS steps. Each evaluation's
-    turning points start from the previous one's.
+    under the well's confinement energy, is evaluated only when a step reaches it or fails
+    before that, and at most once per well, which keeps its action. A step fails if it
+    leaves the bracket, has no finite T, or does not halve the last step once the top is
+    `reached` (known to reach the target); it then bisects. Stops at a step of 4 ulp;
+    raises NoConvergence where that takes more than _MAX_EVALUATIONS steps. The first
+    evaluation's turning points start cold, each later one's from the previous one's.
     """
     E, A, T = below
+    e_cap = well.e_cap
     e_top = e_cap * (1 - 1e-12) if e_cap > 0 else e_cap + abs(e_cap) * 1e-12
     e_lo, e_hi, reached, last = E, e_top, False, math.inf
     step = guess - E if e_lo < guess < e_hi else None
-    pot._warm = ()
-    try:
-        for steps in range(_MAX_EVALUATIONS + 1):
-            if step is None:
-                step = (target_action - A) / T
-                if (not (T < math.inf and e_lo <= E + step <= e_hi)
-                        or (reached and abs(step) > 0.5 * abs(last))):
-                    step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
-                # never return the unevaluated start point, nor stop short of an
-                # unevaluated top
-                if (E != below[0] and abs(step) <= _ULP4 * max(abs(E), abs(below[0]))
-                        and (reached or E + step < e_top)):
-                    return E, A, T
-            if steps == _MAX_EVALUATIONS:
-                break
-            E, last, step = E + step, step, None
-            top = E == e_top and not reached
-            if top and E in tops:
-                A = tops[E]
-            else:
-                try:
-                    A, T = _action_period(pot, E)
-                except (NoClassicalRegion, MultiWell) as exc:
-                    if not top:
-                        if isinstance(exc, MultiWell):
-                            raise
-                        raise LevelNotBound("bracket stopped confining before the target action")
-                    A = -math.inf
-                if top:
-                    tops[E] = A
-            if A < target_action:
-                if top:
-                    raise LevelNotBound(
-                        f"action {target_action} not reached below dissociation at E={e_cap}"
-                    )
-                e_lo = E
-            else:
-                e_hi, reached = E, True
+    well.warm = None
+    for steps in range(_MAX_EVALUATIONS + 1):
+        if step is None:
+            step = (target_action - A) / T
+            if (not (T < math.inf and e_lo <= E + step <= e_hi)
+                    or (reached and abs(step) > 0.5 * abs(last))):
+                step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
+            # never return the unevaluated start point, nor stop short of an
+            # unevaluated top
+            if (E != below[0] and abs(step) <= _ULP4 * max(abs(E), abs(below[0]))
+                    and (reached or E + step < e_top)):
+                return E, A, T
+        if steps == _MAX_EVALUATIONS:
+            break
+        E, last, step = E + step, step, None
+        top = E == e_top and not reached
+        if top and well.top_action is not None:
+            A = well.top_action
+        else:
+            try:
+                A, T = _action_period(well, E)
+            except (NoClassicalRegion, MultiWell) as exc:
+                if not top:
+                    if isinstance(exc, MultiWell):
+                        raise
+                    raise LevelNotBound("bracket stopped confining before the target action")
+                A = -math.inf
             if top:
-                T = math.inf  # the period diverges at dissociation: bisect next
-    finally:
-        pot._warm = None
+                well.top_action = A
+        if A < target_action:
+            if top:
+                raise LevelNotBound(
+                    f"action {target_action} not reached below dissociation at E={e_cap}"
+                )
+            e_lo = E
+        else:
+            e_hi, reached = E, True
+        if top:
+            T = math.inf  # the period diverges at dissociation: bisect next
     raise NoConvergence(f"action {target_action} not converged in {_MAX_EVALUATIONS} "
                         f"action evaluations, last E={E} in [{e_lo}, {e_hi}]")
 
@@ -398,8 +399,8 @@ def level_1d(pot: Potential1D, n: int, cfg: PlanckConfig) -> tuple[float, float]
     """(energy, action) for the single level with action (n + 1/2) h."""
     if n < 0:
         raise ValueError(f"quantum number must be nonnegative, got {n}")
-    return _solve_level(pot, (n + 0.5) * cfg.h, _well_bottom(pot), pot.confinement_energy(),
-                        {})[:2]
+    well = _Well(pot)
+    return _solve_level(well, (n + 0.5) * cfg.h, _well_bottom(well))[:2]
 
 
 def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResult:
@@ -412,16 +413,14 @@ def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResu
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    below = _well_bottom(pot)
-    prev = None
-    e_cap = pot.confinement_energy()
-    tops = {}
+    well = _Well(pot)
+    below, prev = _well_bottom(well), None
     result = SpectrumResult(entries=[], hbar=cfg.hbar)
     for n in range(n_max + 1):
         target = (n + 0.5) * cfg.h
         guess = math.nan if prev is None else _hermite_start(prev, below, target)
         try:
-            prev, below = below, _solve_level(pot, target, below, e_cap, tops, guess)
+            prev, below = below, _solve_level(well, target, below, guess)
         except LevelNotBound as exc:
             result.skipped.append({"n": n, "reason": str(exc)})
             continue

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from sympcap.core import random_symplectic
-from sympcap.ebk import _SCAN_POINTS, _bisect, _crossings, _sampled, _scan
+from sympcap.ebk import _SCAN_POINTS, _bisect, _crossings, _sampled
 from sympcap.errors import MultiWell, NoClassicalRegion
 
 
@@ -180,12 +180,13 @@ def exact_plane_det(S, a, b):
     return sum(x * x for x in u) * sum(y * y for y in v) - uv * uv
 
 
-def turning_points_oracle(pot, E):
-    """`ebk.turning_points` with its polish tested on numpy masks: the convergence
-    test `|step| <= 4 eps |x| or |f| <= 4 eps |E|` and the in-cell test build boolean
-    arrays. Reads and updates the warm state `pot._warm` as the library does."""
+def turning_points_oracle(well, E):
+    """`ebk.turning_points` on a solver's `ebk._Well`, with its polish tested on numpy
+    masks: the convergence test `|step| <= 4 eps |x| or |f| <= 4 eps |E|` and the
+    in-cell test build boolean arrays. Reads and updates the warm state `well.warm` as
+    the library does."""
     eps = np.finfo(float).eps
-    q, v, vmin, runs = _scan(pot)
+    pot, (q, v, vmin, runs) = well.pot, well.scan
     lo, hi = pot.bracket
     for _ in range(60):
         if vmin < E:
@@ -205,7 +206,7 @@ def turning_points_oracle(pot, E):
         raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
     a, b = q[cells], q[cells + 1]
     x = 0.5 * (a + b)
-    warm = pot._warm
+    warm = well.warm
     with np.errstate(all="ignore"):
         if warm:
             E0, x0, d0 = warm
@@ -222,6 +223,5 @@ def turning_points_oracle(pot, E):
                 break
     for i in np.flatnonzero(~(settled & (a <= x) & (x <= b))):
         x[i] = _bisect(lambda s: pot.V(s) - E, float(a[i]), float(b[i]))
-    if warm is not None:
-        pot._warm = (E, x, d)
+    well.warm = (E, x, d)
     return float(x[0]), float(x[1])

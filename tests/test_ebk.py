@@ -33,7 +33,7 @@ from sympcap.errors import (
     NotABlob,
     UnsupportedForClosedForm,
 )
-from sympcap.ebk import _crossings, _monotone_runs, _scan
+from sympcap.ebk import _Well, _action_period, _crossings, _monotone_runs
 
 from oracles import action_by_quad, morse_levels, quartic_levels, turning_points_oracle
 
@@ -78,6 +78,11 @@ SCANNED = [
                 dV=lambda q: 4.0 * q * (np.square(q) - 1.0)),
     morse_potential(10.0, 1.0, bracket=(5.0, 60.0)),
 ]
+SCANNED_WELLS = [_Well(pot) for pot in SCANNED]
+# the single wells the solver-state tests run on
+WELL_DESCS = [{"kind": "harmonic", "omega": 1.0}, {"kind": "morse", "D": 10.0, "a": 1.0},
+              {"kind": "quartic", "coeff": 0.25}, BENCH_POLY]
+WELL_IDS = ["harmonic", "morse", "quartic", "poly"]
 
 
 def _sign_changes(v, E):
@@ -171,7 +176,7 @@ class TestTurningPoints:
     @given(data=st.data(), k=st.integers(0, len(SCANNED) - 1), j=st.integers(0, 4095),
            at=st.sampled_from(["sample", "below", "above", "random"]))
     def test_run_lookup_matches_sign_scan(self, data, k, j, at):
-        q, v, vmin, runs = _scan(SCANNED[k])
+        q, v, vmin, runs = SCANNED_WELLS[k].scan
         E = {"sample": float(v[j]), "below": np.nextafter(v[j], -np.inf),
              "above": np.nextafter(v[j], np.inf)}.get(at)
         if E is None:
@@ -194,25 +199,23 @@ class TestTurningPoints:
         u = np.random.default_rng(7).uniform(size=50)
         energies = (pot.confinement_energy() * 0.99 * 10.0 ** (-8 * u)).tolist()
 
-        def both(p, E):
-            warm = p._warm
-            want = turning_points_oracle(p, E)
-            want_warm, p._warm = p._warm, warm
-            got = turning_points(p, E)
+        def both(well, E):
+            warm = well.warm
+            want = turning_points_oracle(well, E)
+            want_warm, well.warm = well.warm, warm
+            got = turning_points(well, E)
             assert got == want, E
-            if warm is not None:
-                assert [p._warm[0], *p._warm[1], *p._warm[2]] == \
-                    [want_warm[0], *want_warm[1].tolist(), *want_warm[2].tolist()], E
+            assert [well.warm[0], *well.warm[1], *well.warm[2]] == \
+                [want_warm[0], *want_warm[1].tolist(), *want_warm[2].tolist()], E
             return got
 
+        well = _Well(pot)
         for E in energies:
-            both(pot, E)
-        pot._warm = ()
-        try:
-            for E in sorted(energies):
-                both(pot, E)
-        finally:
-            pot._warm = None
+            well.warm = None
+            both(well, E)
+        well.warm = None
+        for E in sorted(energies):
+            both(well, E)
         monkeypatch.setattr(ebk, "turning_points", both)
         assert spectrum_1d(pot, 10, CFG).entries
 
@@ -220,14 +223,15 @@ class TestTurningPoints:
     def test_warm_start_agrees_with_cold(self, pot):
         # the polish starts from the last root moved by (E - E_prev) / dV, or from
         # the cell midpoint when that leaves the cell; both settle on one root
+        well = _Well(pot)
         for E0 in (0.3, 2.5, 9.0):
             for rel in (1e-1, 1e-4, 1e-8, 1e-12, 1e-15):
                 E = E0 * (1 + rel)
-                pot._warm = ()
-                turning_points(pot, E0)
-                warm = turning_points(pot, E)
-                pot._warm = None
-                cold = turning_points(pot, E)
+                well.warm = None
+                turning_points(well, E0)
+                warm = turning_points(well, E)
+                well.warm = None
+                cold = turning_points(well, E)
                 for w, c in zip(warm, cold):
                     assert abs(w - c) <= 4 * math.ulp(c), (E0, rel)
 
@@ -270,9 +274,8 @@ class TestActionIntegral:
     @pytest.mark.parametrize("E", [0.3, 5.0, 9.5])
     def test_period_is_dA_dE(self, E):
         # Morse, closed form: A = (2 pi / a) sqrt(2 m D) (1 - sqrt(1 - E/D))
-        from sympcap.ebk import _action_period
         D, a, m = 10.0, 1.3, 0.8
-        A, T = _action_period(morse_potential(D, a, m), E)
+        A, T = _action_period(_Well(morse_potential(D, a, m)), E)
         u = math.sqrt(1.0 - E / D)
         assert A == pytest.approx(2 * math.pi / a * math.sqrt(2 * m * D) * (1 - u), rel=1e-12)
         assert T == pytest.approx(math.pi / a * math.sqrt(2 * m / D) / u, rel=1e-10)
@@ -323,7 +326,7 @@ class TestSpectrum1D:
             assert abs(x - round(x)) < 1e-8
 
     def test_V_reassigned_after_solve(self):
-        # the well scan is cached on the potential and must follow V
+        # each call scans the V it is given: nothing of an earlier solve is kept
         pot = harmonic_potential(1.0)
         assert level_1d(pot, 0, CFG)[0] == pytest.approx(0.5, rel=1e-12)
         pot.V = lambda q: 2.0 * np.square(q)
@@ -338,7 +341,7 @@ class TestSpectrum1D:
         {"kind": "polynomial", "coeffs": [0.0, 0.1, 0.5, 0.15, 0.12]},
     ])
     def test_V_points_per_level(self, desc):
-        # one well scan per potential, then a few Newton steps per level: a
+        # one well scan per call, then a few Newton steps per level: a
         # solver that rescans V on every action evaluation needs ~150 000 a level
         pot = make_potential(desc)
         V, points = pot.V, []
@@ -424,6 +427,42 @@ class TestSpectrum1D:
         assert res.skipped == [
             {"n": n, "reason": f"action {(n + 0.5) * CFG.h} not reached below dissociation "
                                f"at E={e_cap}"} for n in range(4, 11)]
+
+    @pytest.mark.parametrize("desc", WELL_DESCS, ids=WELL_IDS)
+    def test_reentrant(self, desc, monkeypatch):
+        # a solve and a turning-point lookup on the same potential, run from inside
+        # each action evaluation of another solve, leave its levels bit for bit
+        pot = make_potential(desc)
+        plain = spectrum_1d(pot, 8, CFG)
+        action_period, state = ebk._action_period, {"nested": False, "outer": 0}
+
+        def interrupting(well, E, *args):
+            if not state["nested"]:
+                state["nested"], state["outer"] = True, state["outer"] + 1
+                spectrum_1d(pot, 1, CFG)
+                turning_points(pot, 0.5 * E)
+                state["nested"] = False
+            return action_period(well, E, *args)
+
+        monkeypatch.setattr(ebk, "_action_period", interrupting)
+        got = spectrum_1d(pot, 8, CFG)
+        assert state["outer"] > len(plain.entries)
+        assert got.entries == plain.entries
+        assert got.skipped == plain.skipped
+
+    @pytest.mark.parametrize("desc", WELL_DESCS, ids=WELL_IDS)
+    def test_turning_points_by_module_name(self, desc, monkeypatch):
+        # the benchmark's tracer and these tests count turning-point lookups by
+        # replacing ebk.turning_points, so every action evaluation must go through it
+        counts = {"turning_points": 0, "_action_period": 0}
+        for name in counts:
+            def counted(*args, _fn=getattr(ebk, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(ebk, name, counted)
+        assert spectrum_1d(make_potential(desc), 10, CFG).entries
+        assert counts["turning_points"] == counts["_action_period"] > 0
 
 
 class TestSpectrumSeparable:
@@ -517,6 +556,28 @@ class TestCrossModule:
             cap = capacity_ellipsoid(EnergyShellRegion(H, E_n))
             assert cap.value == pytest.approx((n + 0.5) * CFG.h, rel=1e-10)
             assert blob_check(cap, CFG) == n
+
+
+class TestPotentialValue:
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(Potential1D)]
+        assert names == ["V", "dV", "mass", "bracket"]
+
+    def test_solve_leaves_no_state(self):
+        pot = quartic_potential(0.25)
+        before = dict(vars(pot))
+        assert spectrum_1d(pot, 3, CFG).entries
+        assert vars(pot) == before
+        pot = quartic_potential(1e300)  # too narrow for the scan: NoConvergence
+        before = dict(vars(pot))
+        with pytest.raises(NoConvergence):
+            spectrum_1d(pot, 1, CFG)
+        assert vars(pot) == before
+
+    def test_value_equality(self):
+        V, dV = (lambda q: np.square(q)), (lambda q: 2.0 * np.asarray(q))
+        assert Potential1D(V=V, dV=dV) == Potential1D(V=V, dV=dV)
+        assert Potential1D(V=V, dV=dV, mass=2.0) != Potential1D(V=V, dV=dV)
 
 
 class TestPotentialFactory:
