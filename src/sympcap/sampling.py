@@ -3,25 +3,90 @@
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
+
+
+def _primes(count: int) -> list[int]:
+    """The first `count` primes, one Halton base per dimension."""
+    primes: list[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
 
 
 @functools.lru_cache(maxsize=4)
 def _halton(count: int, dim: int, seed: int) -> np.ndarray:
     """`count` scrambled Halton points in [0, 1)^dim, memoized and read-only.
 
-    An integer seed names a fixed point set, and the sandwich certificate and
-    shadow runs ask for the same few sets again and again, while a scipy draw
-    of 10 000 points costs ~10 ms. A seed that is not an integer (a Generator,
-    None) would be a fresh stream that a memo must not repeat: it is refused.
-    """
-    from scipy.stats import qmc  # here, not at module level: importing scipy.stats takes ~0.5 s
+    Owen's randomized Halton ("A randomized Halton algorithm in R",
+    arXiv:1706.02808) in numpy, bit-identical to scipy's
+    `qmc.Halton(scramble=True, seed=seed)`. Dimension i uses the i-th prime
+    base b. Its ceil(54 / log2 b) - 1 digit permutations of arange(b) are
+    shuffled in turn from `default_rng(seed)`, the bases in order. Each
+    point sums perm_j[digit_j] * scale_j from the least significant digit
+    up, where scale_0 = 1/b and scale_{j+1} = scale_j / b, as scipy does.
+    Once every index has run out of digits, a term is the same constant for
+    all points and is added as a scalar: the same float operation, without
+    the gather. The result is Fortran-ordered, like scipy's, on purpose: on
+    a C-ordered copy, bit-identical too, a warm `bottle-demo` ran about 3x
+    slower (2.1 against 0.7 ms).
 
-    u = qmc.Halton(d=dim, scramble=True, seed=operator.index(seed)).random(count)
+    A fresh draw of 1e5 x 3 points takes ~30 ms, against ~58 ms for scipy's
+    (2-core x86-64, numpy 2.4), and needs no `qmc` import (~0.5 s). The
+    sandwich certificate and shadow runs ask for the same few sets again and
+    again, so the memo pays even that once. A seed that is not an
+    integer (a Generator, None) would be a fresh stream that a memo must not
+    repeat: it is refused. A negative count, dimension or seed raises
+    ValueError, as in scipy.
+    """
+    rng = np.random.default_rng(operator.index(seed))
+    if count < 0 or dim < 0:
+        raise ValueError(f"need count >= 0 and dim >= 0, got {count} and {dim}")
+    index = np.arange(count)
+    cols = []
+    for base in _primes(dim):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        col = np.zeros(count)
+        quotient, top, scale = index, count - 1, 1.0 / base
+        for perm in perms:
+            if top > 0:
+                quotient, digit = np.divmod(quotient, base)
+                col += (perm * scale)[digit]
+                top //= base
+            else:
+                col += perm[0] * scale
+            scale /= base
+        cols.append(col)
+    u = np.array(cols, dtype=float).reshape(dim, count).T
     u.flags.writeable = False
     return u
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_ball(count: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions g and radial factors s of `ball_points`, memoized and read-only.
+
+    The directions are normalized inverse-normal images of the first dim
+    Halton coordinates; s = u^(1/dim) of the last one. A point of the ball
+    of radius R is g * (R * s).
+    """
+    from scipy.special import ndtri  # here, not at module level: scipy.special takes ~0.13 s to import
+
+    u = _halton(count, dim + 1, seed)
+    g = ndtri(np.clip(u[:, :dim], 1e-15, 1 - 1e-15))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    s = u[:, dim] ** (1.0 / dim)
+    g.flags.writeable = False
+    s.flags.writeable = False
+    return g, s
 
 
 def ball_points(count: int, dim: int, radius: float = 1.0, center=None, seed: int = 0) -> np.ndarray:
@@ -30,13 +95,8 @@ def ball_points(count: int, dim: int, radius: float = 1.0, center=None, seed: in
     Halton samples pushed through the Gaussian-direction + radius transform:
     direction from a normalized inverse-normal map, radius from u^(1/dim).
     """
-    from scipy.special import ndtri  # here, not at module level, like qmc in _halton
-
-    u = _halton(count, dim + 1, seed)
-    g = ndtri(np.clip(u[:, :dim], 1e-15, 1 - 1e-15))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = radius * u[:, dim] ** (1.0 / dim)
-    pts = g * r[:, None]
+    g, s = _unit_ball(count, dim, operator.index(seed))
+    pts = g * (radius * s)[:, None]
     if center is not None:
         pts = pts + np.asarray(center, dtype=float)
     return pts
@@ -46,4 +106,4 @@ def box_points(count: int, lo, hi, seed: int = 0) -> np.ndarray:
     """Low-discrepancy points filling an axis-aligned box [lo, hi]."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    return lo + (hi - lo) * _halton(count, lo.size, seed)
+    return lo + (hi - lo) * _halton(count, lo.size, operator.index(seed))

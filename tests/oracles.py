@@ -3,7 +3,8 @@
 Everything here is deliberately dumb and path-independent from the library
 code: closed forms, dense diagonalization, adaptive quadrature, direct ODE
 integration, plain loops over ensemble members, planes, grid cells and
-certificate entries, and exact-rational (Fraction) Gram determinants.
+certificate entries, exact-rational (Fraction) Gram determinants, and
+scipy's scrambled Halton and inverse-normal map for the samplers.
 The ensemble oracle draws its members with the library's single-member
 `random_symplectic`, so it also checks that a stacked draw matches draws in
 a row. The turning-point oracle shares the library's well scan, crossing
@@ -16,6 +17,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from sympcap.core import random_symplectic
 from sympcap.ebk import _SCAN_POINTS, _bisect, _crossings, _sampled
@@ -225,3 +228,19 @@ def turning_points_oracle(well, E):
         x[i] = _bisect(lambda s: pot.V(s) - E, float(a[i]), float(b[i]))
     well.warm = (E, x, d)
     return float(x[0]), float(x[1])
+
+
+def halton_oracle(count, dim, seed):
+    """scipy's scrambled Halton: the bitwise reference for `sampling._halton`."""
+    return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+
+
+def ball_points_oracle(count, dim, radius, center, seed):
+    """`ball_points` by its first formula, on scipy's Halton, redrawn on every call."""
+    u = halton_oracle(count, dim + 1, seed)
+    g = ndtri(np.clip(u[:, :dim], 1e-15, 1 - 1e-15))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    pts = g * (radius * u[:, dim] ** (1.0 / dim))[:, None]
+    if center is not None:
+        pts = pts + np.asarray(center, dtype=float)
+    return pts

@@ -31,12 +31,31 @@ def test_no_unused_imports():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # each of these takes 0.3 s or more to import; only random draws, the
-    # Williamson normal form and the samplers need scipy, so a plain
-    # `import sympcap` must load none of them (EBK needs no scipy)
+    # each of these takes 0.1 s or more to import; only ndtri (ball_points),
+    # expm (random draws) and schur (the Williamson normal form) still need
+    # scipy, so a plain `import sympcap` must load none of them (EBK needs no
+    # scipy)
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     modules = ("scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats")
     code = f"import sys, sympcap; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_sampling_commands_leave_scipy_stats_unloaded():
+    # the Halton draws are numpy's own: scipy.stats alone took ~0.5 s and
+    # ~20 MB of every cold evolve and bottle-demo
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (
+        "import contextlib, io, sys\n"
+        "from sympcap import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['bottle-demo', '--radius', '1', '--neck', '0.5']) == 0\n"
+        "    assert cli.run(['evolve', '--potential', 'quartic', 'coeff=0.25', '--times', '0.5',\n"
+        "                    '--dt', '0.01', '--samples', '100']) == 0\n"
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from sympcap.capacity import Ball
 from sympcap import shadows
 from sympcap.core import DEFAULT_SYMPLECTIC_TOL, SymplecticMatrix, random_symplectic
 from sympcap.errors import FlowDiverged, FlowError
-from sympcap.sampling import _halton, ball_points, box_points
+from sympcap.sampling import _halton, _unit_ball, ball_points, box_points
 from sympcap.shadows import (
     MAX_PARTICLE_STEPS,
     FlowSpec,
@@ -22,7 +22,14 @@ from sympcap.shadows import (
     verlet_step,
 )
 
-from oracles import certify_oracle, ensemble_oracle, exact_plane_det, grid_area_oracle
+from oracles import (
+    ball_points_oracle,
+    certify_oracle,
+    ensemble_oracle,
+    exact_plane_det,
+    grid_area_oracle,
+    halton_oracle,
+)
 
 
 def harmonic_flow(dt):
@@ -392,15 +399,25 @@ class TestHaltonMemo:
             u[0, 0] = 0.5
 
     def test_points_match_a_fresh_draw(self):
-        from scipy.special import ndtri
-        from scipy.stats import qmc
-
-        u = qmc.Halton(d=3, scramble=True, seed=8).random(300)
-        g = ndtri(np.clip(u[:, :2], 1e-15, 1 - 1e-15))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        want = g * (1.5 * u[:, 2] ** 0.5)[:, None]
+        want = ball_points_oracle(300, 2, 1.5, None, 8)
         for _ in range(2):
             assert np.array_equal(ball_points(300, 2, 1.5, seed=8), want)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_ball_points_match_the_oracle_bit_for_bit(self, dim):
+        # one memo entry serves every radius and center
+        for radius, center in [(1.0, None), (0.3, None), (2.5, np.linspace(-1.0, 1.0, dim)),
+                               (1e-3, np.full(dim, 7.0))]:
+            want = ball_points_oracle(2000, dim, radius, center, 4)
+            assert np.array_equal(ball_points(2000, dim, radius, center, seed=4), want)
+
+    def test_unit_ball_entries_are_read_only(self):
+        entry = _unit_ball(300, 4, 3)
+        assert _unit_ball(300, 4, 3) is entry
+        for a in entry:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
 
     @pytest.mark.parametrize("seed", [np.random.default_rng(1), None, 1.5])
     def test_seed_must_be_an_integer(self, seed):
@@ -408,3 +425,39 @@ class TestHaltonMemo:
         for _ in range(2):
             with pytest.raises(TypeError):
                 box_points(50, [0.0], [1.0], seed=seed)
+            with pytest.raises(TypeError):
+                ball_points(50, 2, seed=seed)
+
+    def test_float_seed_refused_after_its_integer_is_memoized(self):
+        # 1.0 == 1 and hashes alike, so a memo keyed on the raw seed would
+        # hand out the seed-1 points
+        ball_points(50, 2, seed=1)
+        box_points(50, [0.0], [1.0], seed=1)
+        with pytest.raises(TypeError):
+            ball_points(50, 2, seed=1.0)
+        with pytest.raises(TypeError):
+            box_points(50, [0.0], [1.0], seed=1.0)
+
+
+class TestHaltonOracle:
+    @pytest.mark.parametrize("dim, count, seed", [
+        (2, 1000, 0), (3, 10_000, 5), (5, 100_000, 1), (7, 1234, 3), (4, 10_000, 1), (5, 10_000, 0),
+    ])
+    def test_bit_identical_to_scipy(self, dim, count, seed):
+        u = _halton(count, dim, seed)
+        assert np.array_equal(u, halton_oracle(count, dim, seed))
+        assert u.flags.f_contiguous
+        assert not u.flags.writeable
+
+    @pytest.mark.parametrize("count, dim", [(5, 0), (0, 3), (1, 2)])
+    def test_empty_and_single_point_shapes(self, count, dim):
+        u = _halton(count, dim, 2)
+        assert u.shape == (count, dim)
+        assert np.array_equal(u, halton_oracle(count, dim, 2))
+
+    @pytest.mark.parametrize("count, dim, seed", [(-1, 2, 0), (10, -1, 0), (10, 2, -1)])
+    def test_negative_arguments_raise_value_error(self, count, dim, seed):
+        with pytest.raises(ValueError):
+            halton_oracle(count, dim, seed)
+        with pytest.raises(ValueError):
+            _halton(count, dim, seed)
