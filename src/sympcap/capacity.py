@@ -211,8 +211,8 @@ def bordeaux_bottle_fixture(R: float, r: float) -> BordeauxBottle:
     B(R): capacity pi R^2 by the sandwich rule, while a loop around the
     neck has action pi r^2.
     """
-    if R <= 0 or r <= 0:
-        raise ValueError("radii must be positive")
+    if not (0 < R < math.inf and 0 < r < math.inf):  # NaN too
+        raise ValueError(f"radii must be finite and positive, got R={R}, r={r}")
     if r >= R:
         raise InvalidNeck(f"neck radius {r} must be smaller than body radius {R}")
 

@@ -167,14 +167,10 @@ class QuadraticHamiltonian:
         """N identical harmonic modes: H = sum_j (p_j^2 + m^2 w^2 q_j^2) / 2m."""
         if N < 1:
             raise ValueError(f"need N >= 1, got {N}")
+        _positive("omega", omega)
+        _positive("mass", mass)
         d = np.concatenate([np.full(N, mass * omega**2), np.full(N, 1.0 / mass)])
         return cls(np.diag(d))
-
-    @classmethod
-    def from_frequencies(cls, omegas) -> "QuadraticHamiltonian":
-        """Normal-form Hamiltonian sum_j w_j (q_j^2 + p_j^2) / 2."""
-        w = np.asarray(omegas, dtype=float)
-        return cls(np.diag(np.concatenate([w, w])))
 
 
 @dataclass(eq=False)
@@ -194,87 +190,77 @@ class WilliamsonDecomposition:
         return np.diag(np.concatenate([self.omegas, self.omegas]))
 
 
+def _positive(name: str, value: float) -> None:
+    if not 0 < value < np.inf:  # NaN too
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _require_positive(w: np.ndarray) -> None:
     """Raise NotPositiveDefinite unless the ascending eigenvalues `w` are all positive."""
     if w[0] <= 0:
         raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is not positive")
 
 
-def _sym_sqrt(M: np.ndarray):
-    """Symmetric square root and inverse square root via eigendecomposition."""
-    w, V = np.linalg.eigh(M)
+def _normal_modes(H: QuadraticHamiltonian, vectors: bool):
+    """Symplectic spectrum of H, descending, from one Hermitian eigenproblem.
+
+    K = M^{1/2} J M^{1/2} is real antisymmetric, so iK is Hermitian with
+    eigenvalues -w_1..-w_N, w_N..w_1 (Williamson, Amer. J. Math. 58, 141
+    (1936)). With `vectors`, returns (omegas, M^{1/2}, X), X holding the unit
+    eigenvectors of iK at +w_j as columns in the same order; else the omegas
+    alone. Raises NotPositiveDefinite first, then NumericalDegeneracy.
+    """
+    n = H.n
+    w, V = np.linalg.eigh(H.M)
     _require_positive(w)
-    sq = (V * np.sqrt(w)) @ V.T
-    isq = (V / np.sqrt(w)) @ V.T
-    return sq, isq
+    root = (V * np.sqrt(w)) @ V.T
+    K = root @ standard_form(n) @ root
+    iK = 0.5j * (K - K.T)
+    ev, X = np.linalg.eigh(iK) if vectors else (np.linalg.eigvalsh(iK), None)
+    if not ev[n] > 0:
+        raise NumericalDegeneracy(f"smallest symplectic eigenvalue {ev[n]:.3e} is not positive")
+    omegas = ev[n:][::-1]
+    return (omegas, root, X[:, n:][:, ::-1]) if vectors else omegas
 
 
 def symplectic_eigenvalues(H: QuadraticHamiltonian) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite M: positive imaginary parts of
-    eig(JM), descending. Raises NotPositiveDefinite first, then NumericalDegeneracy."""
-    _require_positive(np.linalg.eigvalsh(H.M))
-    return _jm_spectrum(H)
-
-
-def _jm_spectrum(H: QuadraticHamiltonian) -> np.ndarray:
-    """symplectic_eigenvalues for an M already known to be positive-definite."""
-    J = standard_form(H.n)
-    ev = np.linalg.eigvals(J @ H.M)
-    scale = np.max(np.abs(H.M))
-    if np.max(np.abs(ev.real)) > 1e-8 * scale:
-        raise NumericalDegeneracy("eigenvalues of JM have large real parts")
-    omegas = np.sort(ev.imag[ev.imag > 0])[::-1]
-    if omegas.size != H.n:
-        raise NumericalDegeneracy("could not pair eigenvalues of JM into +/- i omega")
-    return omegas
+    """Symplectic spectrum w_1 >= .. >= w_N of a positive-definite M: the
+    positive eigenvalues of i M^{1/2} J M^{1/2}, equal to those of eig(JM) / i.
+    Raises NotPositiveDefinite first, then NumericalDegeneracy."""
+    return _normal_modes(H, vectors=False)
 
 
 def williamson(H: QuadraticHamiltonian) -> WilliamsonDecomposition:
     """Williamson normal form of a positive-definite quadratic Hamiltonian.
 
-    Diagonalizes via the real Schur form of the antisymmetric matrix
-    M^{1/2} J M^{1/2}, which handles degenerate symplectic eigenvalues
-    (isotropic oscillators) without explicit clustering.
+    Each unit eigenvector x + iy of iK at +w_j (`_normal_modes`) gets the
+    phase that puts its entry of largest modulus on the positive imaginary
+    axis; entries within 8 eps of that modulus tie, and the lowest index
+    wins. It then gives the orthonormal pair a_j = sqrt2 y, b_j = sqrt2 x,
+    with K a_j = -w_j b_j and K b_j = w_j a_j, for a degenerate w too. With
+    Q = [a | b], R = M^{-1/2} Q D^{1/2} is symplectic with R^T M R = D, so
+    S = R^{-1} = D^{-1/2} Q^T M^{1/2}. One first-order step
+    S <- S (I + J E / 2), E = S^T J S - J, takes the eigenvectors' rounding
+    out of E. Raises NumericalDegeneracy if S still fails its certificate.
     """
     n = H.n
-    M = H.M
+    omegas, root, X = _normal_modes(H, vectors=True)
+    modulus = np.abs(X)
+    top = np.argmax(modulus >= (1 - 8 * np.finfo(float).eps) * modulus.max(axis=0), axis=0)
+    pivot = X[top, np.arange(n)]
+    X = X * (1j * pivot.conj() / np.abs(pivot))
+    Q = np.sqrt(2.0) * np.hstack([X.imag, X.real])
+    d = np.concatenate([omegas, omegas])
+    S = Q.T @ root / np.sqrt(d)[:, None]
     J = standard_form(n)
-    Msq, Misq = _sym_sqrt(M)  # raises NotPositiveDefinite first
-    _jm_spectrum(H)  # raises NumericalDegeneracy if JM is pathological
+    S = S + 0.5 * S @ J @ (S.T @ J @ S - J)
 
-    from scipy.linalg import schur  # here, not at module level, as expm
-
-    K = Msq @ J @ Msq
-    K = 0.5 * (K - K.T)
-    U, Q = schur(K, output="real")
-
-    # U is block diagonal with 2x2 blocks [[0, w_j], [-w_j, 0]]; fix signs so
-    # each block's upper-right entry is +w_j.
-    omegas = np.empty(n)
-    for j in range(n):
-        kappa = U[2 * j, 2 * j + 1]
-        if kappa < 0:
-            Q[:, [2 * j, 2 * j + 1]] = Q[:, [2 * j + 1, 2 * j]]
-            kappa = -kappa
-        omegas[j] = kappa
-
-    order = np.argsort(omegas)[::-1]
-    omegas = omegas[order]
-    col_order = np.empty(2 * n, dtype=int)
-    # interleaved (x_j, y_j) columns -> (x-block, y-block) with blocks sorted
-    for rank, j in enumerate(order):
-        col_order[rank] = 2 * j
-        col_order[n + rank] = 2 * j + 1
-    Qp = Q[:, col_order]
-
-    Dsq = np.sqrt(np.concatenate([omegas, omegas]))
-    R = Misq @ Qp * Dsq[None, :]
-    # R is symplectic with R^T M R = D, so S = R^{-1} gives S^T D S = M.
-    S = np.linalg.solve(R, np.eye(2 * n))
-
-    D = np.diag(np.concatenate([omegas, omegas]))
-    residual = float(np.max(np.abs(S.T @ D @ S - M)) / np.max(np.abs(M)))
-    return WilliamsonDecomposition(omegas=omegas, S=SymplecticMatrix(S), residual=residual)
+    residual = float(np.max(np.abs(S.T @ (d[:, None] * S) - H.M)) / np.max(np.abs(H.M)))
+    try:
+        S = SymplecticMatrix(S)
+    except ValueError as exc:  # M is valid: the rounding of S is at fault
+        raise NumericalDegeneracy(f"Williamson normal form: {exc}") from None
+    return WilliamsonDecomposition(omegas=omegas, S=S, residual=residual)
 
 
 def matrix_to_json(M: np.ndarray) -> dict:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .capacity import CapacityValue
-from .core import QuadraticHamiltonian, symplectic_eigenvalues
+from .core import QuadraticHamiltonian, _positive, symplectic_eigenvalues
 from .errors import (
     LevelNotBound,
     MultiWell,
@@ -35,6 +35,7 @@ class PlanckConfig:
     def __post_init__(self):
         if not self.hbar > 0:  # NaN too
             raise ValueError(f"hbar must be positive, got {self.hbar}")
+        _finite("hbar", self.hbar)
 
     @property
     def h(self) -> float:
@@ -45,11 +46,6 @@ def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
-
-
-def _positive(name: str, value: float):
-    if not 0 < value < math.inf:  # NaN too
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -266,20 +262,23 @@ def turning_points(pot: Potential1D | _Well, E: float) -> tuple[float, float]:
     return x[0], x[1]
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int):
+_QUAD_NODES = 256  # Gauss-Legendre nodes of every action and period integral
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre():
     """sin(theta), weights and cos(theta) at the Gauss-Legendre nodes x, theta = pi x / 2."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
     return np.sin(0.5 * math.pi * x), w, np.cos(0.5 * math.pi * x)
 
 
-def _action_period(well: _Well, E: float, nodes: int = 256) -> tuple[float, float]:
+def _action_period(well: _Well, E: float) -> tuple[float, float]:
     """Loop action A(E) and period T(E) = dA/dE = 2 int m/p dq on the same
     nodes: under the substitution of action_integral both integrands are smooth."""
     pot, (q_minus, q_plus) = well.pot, turning_points(well, E)
     mid = 0.5 * (q_plus + q_minus)
     half = 0.5 * (q_plus - q_minus)
-    sin, w, cos = _gauss_legendre(nodes)
+    sin, w, cos = _gauss_legendre()
     q = mid + half * sin
     integrand = np.sqrt(np.maximum(2.0 * pot.mass * (E - np.asarray(pot.V(q))), 0.0))
     action = float(2.0 * (0.5 * math.pi) * half * np.sum(w * integrand * cos))
@@ -288,14 +287,14 @@ def _action_period(well: _Well, E: float, nodes: int = 256) -> tuple[float, floa
     return action, period
 
 
-def action_integral(pot: Potential1D, E: float, nodes: int = 256) -> float:
+def action_integral(pot: Potential1D, E: float) -> float:
     """Loop action 2 * int sqrt(2m (E - V)) dq between the turning points.
 
     Uses the substitution q = mid + half * sin(theta) with Gauss-Legendre
     in theta, which absorbs the square-root endpoint singularity and is
     spectrally accurate for smooth potentials.
     """
-    return _action_period(_Well(pot), E, nodes)[0]
+    return _action_period(_Well(pot), E)[0]
 
 
 def _well_bottom(well: _Well) -> tuple[float, float, float]:
@@ -491,12 +490,14 @@ def loop_action(basis_actions, nu, cfg: PlanckConfig, tol: float = 1e-8) -> Loop
     return LoopRecord(nu=nu, action=action, maslov=maslov, ebk_integer=ebk)
 
 
+_DOS_REL_STEP = 1e-4  # central-difference step of density_of_states, relative to E
+
+
 def density_of_states(
     H: QuadraticHamiltonian,
     E: float,
     cfg: PlanckConfig,
     numerical: bool = False,
-    rel_step: float = 1e-4,
 ) -> float:
     """States per unit energy of the isotropic N-mode oscillator.
 
@@ -514,7 +515,7 @@ def density_of_states(
         def states(e):
             return (2.0 * math.pi * e) ** N / (math.factorial(N) * np.prod(omegas)) / cfg.h**N
 
-        step = rel_step * E
+        step = _DOS_REL_STEP * E
         return float((states(E + step) - states(E - step)) / (2.0 * step))
 
     spread = (omegas[0] - omegas[-1]) / omegas[0]

@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately dumb and path-independent from the library
-code: closed forms, dense diagonalization, adaptive quadrature, direct ODE
+code: closed forms, dense diagonalization, the nonsymmetric eigenvalues of
+J M for the symplectic spectrum, adaptive quadrature, direct ODE
 integration, plain loops over ensemble members, planes, grid cells and
 certificate entries, exact-rational (Fraction) Gram determinants, and
 scipy's scrambled Halton and inverse-normal map for the samplers.
@@ -108,6 +109,27 @@ def random_pd_matrix(rng, N, cond_cap=50.0):
     M = G @ G.T
     w = np.linalg.eigvalsh(M)
     return M + (w[-1] / cond_cap) * np.eye(2 * N)
+
+
+def pd_matrix_with_condition(rng, N, cond):
+    """Random symmetric positive-definite 2N x 2N matrix with eigenvalues 1 and
+    `cond`, the others log-uniform between them, in a random orthonormal basis."""
+    U, _ = np.linalg.qr(rng.normal(size=(2 * N, 2 * N)))
+    lam = np.exp(rng.uniform(0.0, math.log(cond), 2 * N))
+    lam[0], lam[-1] = 1.0, cond
+    M = (U * lam) @ U.T
+    return 0.5 * (M + M.T)
+
+
+def jm_spectrum(M):
+    """Symplectic spectrum, descending: the positive imaginary parts of the
+    nonsymmetric eigenvalues of J M."""
+    n = M.shape[0] // 2
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:] = np.eye(n)
+    J[n:, :n] = -np.eye(n)
+    ev = np.linalg.eigvals(J @ M)
+    return np.sort(ev.imag[ev.imag > 0])[::-1]
 
 
 def ensemble_oracle(N, count, sigma, seed):

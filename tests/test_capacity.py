@@ -242,6 +242,12 @@ class TestBordeauxBottle:
         with pytest.raises(InvalidNeck):
             bordeaux_bottle_fixture(1.0, 1.0)
 
+    @pytest.mark.parametrize("R,r", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5),
+                                     (0.0, 0.5), (1.0, -0.5)])
+    def test_radii_finite_and_positive(self, R, r):
+        with pytest.raises(ValueError, match="radii must be finite and positive"):
+            bordeaux_bottle_fixture(R, r)
+
     def test_oracle_shape(self):
         b = bordeaux_bottle_fixture(1.0, 0.5)
         inside_ball = b.oracle(np.array([0.0, 0.0, 0.0, 0.0]))

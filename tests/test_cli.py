@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from sympcap import cli, ebk, shadows
 from sympcap.cli import run
 
+from oracles import pd_matrix_with_condition
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -235,6 +237,15 @@ class TestInputErrors:
         ["nonsqueeze-ensemble", "--n", "2", "--count", "-3"],
         ["bottle-demo", "--neck", "2"],
         ["capacity", "--region", '{"type": "bottle", "radius": 1, "neck": 2}'],
+        ["dos", "--ndim", "1", "--omega", "-1", "--energy", "2"],
+        ["dos", "--ndim", "1", "--omega", "0", "--energy", "2"],
+        ["dos", "--ndim", "1", "--mass", "-1", "--energy", "2"],
+        ["dos", "--ndim", "1", "--omega", "inf", "--energy", "2"],
+        ["blob-check", "--value", "3", "--hbar", "inf"],
+        ["dos", "--ndim", "2", "--energy", "1", "--hbar", "inf"],
+        ["bottle-demo", "--radius", "nan"],
+        ["bottle-demo", "--radius", "inf", "--neck", "1"],
+        ["capacity", "--region", '{"type": "bottle", "radius": 1, "neck": NaN}'],
     ])
     def test_exit_2(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -254,6 +265,17 @@ class TestInputErrors:
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    def test_uncertified_normal_form_exit_3(self, capsys):
+        # a valid positive-definite M of condition number 1e14 whose computed
+        # S fails its symplectic certificate: a numerical failure, not bad input
+        M = pd_matrix_with_condition(np.random.default_rng(210), 3, 1e14)
+        matrix = json.dumps({"n": 3, "matrix": M.ravel().tolist()})
+        code, out = invoke(capsys, "williamson", "--matrix", matrix)
+        assert code == 3
+        obj = json.loads(out)
+        assert obj["error"] == "NumericalDegeneracy"
+        assert "symplectic defect" in obj["message"]
 
     @pytest.mark.parametrize("argv", [
         ["capacity", "--ball", "R=1e200", "N=2"],

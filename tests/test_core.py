@@ -21,9 +21,9 @@ from sympcap.core import (
     symplectic_eigenvalues,
     williamson,
 )
-from sympcap.errors import DimensionError, NotPositiveDefinite
+from sympcap.errors import DimensionError, NotPositiveDefinite, NumericalDegeneracy
 
-from oracles import certify_oracle, random_pd_matrix
+from oracles import certify_oracle, jm_spectrum, pd_matrix_with_condition, random_pd_matrix
 
 
 class TestStandardForm:
@@ -197,20 +197,83 @@ class TestCertificate:
             random_symplectic(2, sigma, 0)
 
 
+def assert_normal_form(dec, M, residual=1e-13, defect=1e-14):
+    """S^T D S = M within `residual` of max |M|, as recomputed here and as
+    reported, and S symplectic within `defect`."""
+    S = dec.S.matrix
+    assert np.max(np.abs(S.T @ dec.D @ S - M)) <= residual * np.max(np.abs(M))
+    assert dec.residual <= residual
+    assert certify_oracle(S[None], defect) is None
+
+
+class TestQuadraticHamiltonian:
+    @pytest.mark.parametrize("omega,mass", [(-1.0, 1.0), (0.0, 1.0), (np.nan, 1.0),
+                                            (np.inf, 1.0), (1.0, -1.0), (1.0, np.inf)])
+    def test_isotropic_parameters_finite_and_positive(self, omega, mass):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            QuadraticHamiltonian.isotropic(2, omega, mass)
+
+
 class TestWilliamson:
+    # A degenerate spectrum leaves the basis of each eigenspace to the
+    # eigensolver; the normal form must hold whichever basis it picks.
     def test_isotropic_oscillator_frequencies(self):
         # H = (|p|^2 + m^2 w^2 |q|^2) / 2m with m=1, w=2 has spectrum (2, 2)
-        dec = williamson(QuadraticHamiltonian.isotropic(2, omega=2.0, mass=1.0))
+        H = QuadraticHamiltonian.isotropic(2, omega=2.0, mass=1.0)
+        dec = williamson(H)
         assert np.allclose(dec.omegas, [2.0, 2.0], atol=1e-12)
+        assert_normal_form(dec, H.M)
 
     def test_identity_matrix(self):
         dec = williamson(QuadraticHamiltonian(np.eye(6)))
         assert np.allclose(dec.omegas, np.ones(3), atol=1e-12)
+        assert_normal_form(dec, np.eye(6))
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_conjugated_isotropic(self, N, seed):
+        S = random_symplectic(N, 0.5, seed).matrix
+        H = QuadraticHamiltonian(S.T @ QuadraticHamiltonian.isotropic(N, 1.3).M @ S)
+        dec = williamson(H)
+        assert np.allclose(dec.omegas, 1.3, rtol=1e-13)
+        assert_normal_form(dec, H.M)
 
     def test_single_mode_by_hand(self):
         # eig(JM) for M = diag(1, 4) are +/- 2i
         dec = williamson(QuadraticHamiltonian(np.diag([1.0, 4.0])))
         assert dec.omegas == pytest.approx([2.0], abs=1e-12)
+        assert np.allclose(dec.S.matrix, np.diag([1 / np.sqrt(2), np.sqrt(2)]), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("noise_seed", range(4))
+    def test_single_mode_canonical_phase_under_noise(self, noise_seed):
+        # the eigenvector of iK at +2 is (i, 1) / sqrt2 up to a phase: both
+        # entries tie for the largest modulus, whatever the rounding, and the
+        # first one is put on the positive imaginary axis
+        G = np.random.default_rng(noise_seed).uniform(-1e-15, 1e-15, (2, 2))
+        S = williamson(QuadraticHamiltonian(np.diag([1.0, 4.0]) + G + G.T)).S.matrix
+        assert np.allclose(S, np.diag([1 / np.sqrt(2), np.sqrt(2)]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_ill_conditioned_certified_or_numerical(self, N):
+        # condition number 1e12: the Schur path refused about half of these
+        # as a bad input (symplectic defect above 1e-10, ValueError). A
+        # normal form that fails its certificate is a numerical failure
+        rng = np.random.default_rng(2026 + N)
+        for _ in range(10):
+            M = pd_matrix_with_condition(rng, N, 1e12)
+            try:
+                dec = williamson(QuadraticHamiltonian(M))
+            except NumericalDegeneracy as exc:
+                assert "symplectic defect" in str(exc)
+                continue
+            assert_normal_form(dec, QuadraticHamiltonian(M).M, residual=1e-10,
+                               defect=DEFAULT_SYMPLECTIC_TOL)
+
+    def test_uncertified_normal_form_is_numerical(self):
+        # condition number 1e14: rounding leaves S with a defect of 3.5e-6
+        M = pd_matrix_with_condition(np.random.default_rng(210), 3, 1e14)
+        with pytest.raises(NumericalDegeneracy, match="symplectic defect .* exceeds tolerance"):
+            williamson(QuadraticHamiltonian(M))
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
@@ -245,6 +308,21 @@ class TestWilliamson:
         w1 = williamson(QuadraticHamiltonian(M)).omegas
         w2 = williamson(QuadraticHamiltonian(S.matrix.T @ M @ S.matrix)).omegas
         assert np.max(np.abs(w1 - w2) / w1) <= 1e-8
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_spectrum_matches_jm_eigenvalues(self, N):
+        # the Hermitian iK against the nonsymmetric eig(JM): each is within a
+        # few eps cond(M) of the exact spectrum (at most 3.8 eps cond(M)
+        # apart over 6 000 such draws), so 16 eps cond(M) bounds them
+        rng = np.random.default_rng(300 + N)
+        for _ in range(10):
+            M = random_pd_matrix(rng, N)
+            S = random_symplectic(N, 0.7, rng).matrix
+            for A in (M, S.T @ M @ S):
+                H = QuadraticHamiltonian(0.5 * (A + A.T))
+                want = jm_spectrum(H.M)
+                bound = 16 * np.finfo(float).eps * np.linalg.cond(H.M)
+                assert np.max(np.abs(symplectic_eigenvalues(H) - want) / want) <= bound
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), N=st.integers(1, 3))

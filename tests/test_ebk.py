@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ def _sign_changes(v, E):
     return np.nonzero(np.diff(np.signbit(v - E)))[0].tolist()
 
 
+class TestPlanckConfig:
+    @pytest.mark.parametrize("hbar,message", [
+        (math.nan, "hbar must be positive, got nan"),
+        (0.0, "hbar must be positive, got 0.0"),
+        (-1.0, "hbar must be positive, got -1.0"),
+        (math.inf, "hbar must be finite, got inf"),
+    ])
+    def test_hbar_finite_and_positive(self, hbar, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PlanckConfig(hbar)
+
+
 class TestBlobCheck:
     def test_ground_state_ball(self):
         # B(sqrt((2n+1) hbar)) has area pi (2n+1) hbar = (n + 1/2) h
@@ -115,7 +128,7 @@ class TestQuantizeQuadratic:
             assert entry.energy == pytest.approx(0.5 * omega, rel=1e-12)
 
     def test_two_mode_example(self):
-        H = QuadraticHamiltonian.from_frequencies([1.0, 3.0])
+        H = QuadraticHamiltonian(np.diag([1.0, 3.0, 1.0, 3.0]))
         entry = quantize_quadratic(H, (2, 0), CFG)
         # cross-check: exact two-mode oscillator formula (2.5)(1) + (0.5)(3)
         assert entry.energy == pytest.approx(4.0, rel=1e-12)
@@ -482,7 +495,7 @@ class TestSpectrumSeparable:
         pots = [harmonic_potential(w) for w in omegas]
         n = (1, 3)
         sep = spectrum_separable(pots, n, CFG)
-        quad = quantize_quadratic(QuadraticHamiltonian.from_frequencies(omegas), n, CFG)
+        quad = quantize_quadratic(QuadraticHamiltonian(np.diag(omegas + omegas)), n, CFG)
         assert sep.energy == pytest.approx(quad.energy, rel=1e-10)
 
     def test_basis_loops(self):
@@ -540,7 +553,7 @@ class TestDensityOfStates:
         assert abs(g_num - g_ana) / g_ana <= 1e-6
 
     def test_anisotropic_closed_form_refused(self):
-        H = QuadraticHamiltonian.from_frequencies([1.0, 2.0])
+        H = QuadraticHamiltonian(np.diag([1.0, 2.0, 1.0, 2.0]))
         with pytest.raises(UnsupportedForClosedForm):
             density_of_states(H, 1.0, CFG)
         # numerical route still works

@@ -31,9 +31,9 @@ def test_no_unused_imports():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # each of these takes 0.1 s or more to import; only ndtri (ball_points),
-    # expm (random draws) and schur (the Williamson normal form) still need
-    # scipy, so a plain `import sympcap` must load none of them (EBK needs no
+    # each of these takes 0.1 s or more to import; only ndtri (ball_points)
+    # and expm (random draws) still need scipy, so a plain `import sympcap`
+    # must load none of them (EBK and the Williamson normal form need no
     # scipy)
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     modules = ("scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats")
@@ -59,3 +59,25 @@ def test_sampling_commands_leave_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_linear_algebra_commands_load_no_scipy():
+    # the symplectic spectrum and the Williamson normal form are numpy's
+    # eigh alone: scipy.linalg's schur cost a cold williamson about 0.3 s
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    matrix = '{"n": 2, "matrix": [2, 0.5, 0, 0, 0.5, 3, 0, 0, 0, 0, 1, 0.2, 0, 0, 0.2, 4]}'
+    region = '{"type": "ellipsoid", "energy": 1, "matrix": %s}' % matrix
+    code = (
+        "import contextlib, io, sys\n"
+        "from sympcap import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run(['williamson', '--matrix', {matrix!r}]) == 0\n"
+        f"    assert cli.run(['capacity', '--region', {region!r}]) == 0\n"
+        f"    assert cli.run(['quantize-quadratic', '--matrix', {matrix!r}, '--n', '1,0']) == 0\n"
+        "    assert cli.run(['dos', '--ndim', '3', '--energy', '2']) == 0\n"
+        f"    assert cli.run(['dos', '--matrix', {matrix!r}, '--energy', '2', '--numeric']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
