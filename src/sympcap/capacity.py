@@ -6,6 +6,7 @@ quadratic energy shells.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,10 +55,6 @@ class Ball:
     @property
     def dim(self) -> int:
         return self.center.size
-
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        d = np.asarray(z, dtype=float) - self.center
-        return np.sum(d * d, axis=-1) <= self.radius**2 * (1 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -215,6 +212,9 @@ def bordeaux_bottle_fixture(R: float, r: float) -> BordeauxBottle:
         raise ValueError(f"radii must be finite and positive, got R={R}, r={r}")
     if r >= R:
         raise InvalidNeck(f"neck radius {r} must be smaller than body radius {R}")
+    # the areas pi r^2 < pi R^2 must be normal doubles, or they round to 0 or inf
+    if not (sys.float_info.min <= math.pi * r * r and math.pi * R * R <= sys.float_info.max):
+        raise ValueError(f"radii R={R}, r={r} have areas beyond double precision")
 
     N = 2  # (q1, q2, p1, p2)
 

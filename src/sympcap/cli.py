@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -47,25 +46,6 @@ def _parse_kv(tokens):
         except json.JSONDecodeError:
             out[k] = v
     return out
-
-
-def _parse_plane(spec: str) -> shadows.PlaneSelector:
-    if ":" not in spec:
-        raise InputError(f"plane must look like conjugate:1 or qq:1,2, got {spec!r}")
-    kind, idx = spec.split(":", 1)
-    nums = [int(s) for s in idx.split(",")]
-    try:
-        if kind == "conjugate":
-            return shadows.PlaneSelector.conjugate(nums[0])
-        if kind == "qq":
-            return shadows.PlaneSelector.position_pair(*nums)
-        if kind == "pp":
-            return shadows.PlaneSelector.momentum_pair(*nums)
-        if kind == "qp":
-            return shadows.PlaneSelector.mixed(*nums)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc))
-    raise InputError(f"unknown plane kind {kind!r}")
 
 
 def _parse_ints(spec: str):
@@ -209,8 +189,7 @@ def cmd_shadow(args):
         S = core.random_symplectic(args.random, args.sigma, args.seed)
     else:
         S = core.SymplecticMatrix(_load_matrix(args), tol=args.tol)
-    plane = _parse_plane(args.plane)
-    rep = shadows.linear_shadow_area(S, args.radius, plane)
+    rep = shadows.linear_shadow_area(S, args.radius, shadows.PlaneSelector.parse(args.plane))
     _emit_json(args, {
         "plane": rep.plane.label(),
         "area": rep.area,
@@ -223,13 +202,13 @@ def cmd_shadow(args):
 
 def cmd_nonsqueeze(args):
     summary = shadows.nonsqueeze_ensemble(args.n, args.count, args.sigma, args.seed)
+    witness = summary.nonconjugate_witness
     _emit_json(args, {
         "n": summary.n_modes,
         "count": summary.count,
         "min_conjugate_det": summary.min_conjugate_det,
-        "min_nonconjugate_det": (None if math.isinf(summary.min_nonconjugate_det)
-                                 else summary.min_nonconjugate_det),
-        "nonconjugate_witness": summary.nonconjugate_witness,
+        "min_nonconjugate_det": witness["det"] if witness else None,
+        "nonconjugate_witness": witness,
         "conjugate_bound_held": summary.conjugate_bound_held,
     })
     return 0
@@ -237,19 +216,12 @@ def cmd_nonsqueeze(args):
 
 def cmd_evolve(args):
     pot = _parse_potential(args)
-    flow = shadows.FlowSpec(
-        grad_V=pot.dV,
-        grad_T=lambda p: p / pot.mass,
-        V=lambda q: np.asarray(pot.V(q[..., 0])),
-        T=lambda p: np.sum(p * p, axis=-1) / (2.0 * pot.mass),
-        dt=args.dt,
-        n_modes=1,
-    )
+    flow = shadows.FlowSpec(V=lambda q: pot.V(q[..., 0]), grad_V=pot.dV, dt=args.dt,
+                            mass=pot.mass)
     times = [float(s) for s in args.times.split(",")]
     ball = cap_mod.Ball(np.zeros(2), args.radius)
-    plane = _parse_plane(args.plane)
     out = shadows.evolve_ball_shadow(
-        ball, flow, plane, args.samples, args.grid_cell, times,
+        ball, flow, shadows.PlaneSelector.parse(args.plane), args.samples, args.grid_cell, times,
         seed=args.seed, collect_points=bool(args.dump_points),
     )
     if args.dump_points:

@@ -196,8 +196,15 @@ def _positive(name: str, value: float) -> None:
 
 
 def _require_positive(w: np.ndarray) -> None:
-    """Raise NotPositiveDefinite unless the ascending eigenvalues `w` are all positive."""
+    """Raise NotPositiveDefinite unless the ascending eigenvalues `w` are all positive.
+
+    A w[0] within n eps max|w| of 0 has no sign at double precision (eigh
+    reads diag(1e-300, 1e300) as 0 and 1e300), so M is reported singular.
+    """
     if w[0] <= 0:
+        if -w[0] <= w.size * np.finfo(float).eps * max(-w[0], w[-1]):
+            raise NotPositiveDefinite(f"matrix is singular to double precision: smallest "
+                                      f"eigenvalue {w[0]:.3e}, largest {w[-1]:.3e}")
         raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is not positive")
 
 

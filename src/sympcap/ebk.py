@@ -103,6 +103,8 @@ class SpectrumResult:
 
 def blob_check(cap: CapacityValue, cfg: PlanckConfig, tol: float = 0.05) -> Optional[int]:
     """Blob index n with |cap - (n + 1/2) h| <= tol * h, if one exists."""
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     if cap.infinite:
         raise NotABlob("infinite capacity has no blob index")
     x = cap.value / cfg.h - 0.5

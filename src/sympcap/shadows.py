@@ -14,11 +14,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .capacity import Ball
-from .core import SymplecticMatrix, _certify, _random_symplectic_stack
+from .core import SymplecticMatrix, _certify, _positive, _random_symplectic_stack
 from .errors import FlowDiverged, FlowError
 from .sampling import ball_points
 
 CONJUGATE_TOL = 1e-9
+GRID_SHADOW_TOL = 0.05  # relative allowance of a grid shadow area below pi R^2
 CELL_LIMIT = 2.0**62  # bound on grid cell indices and codes, half of int64's
 GRADIENT_CHECK_POINTS = 5
 # bound on samples x Verlet steps of one evolve_ball_shadow call: 4 times
@@ -28,55 +29,47 @@ MAX_PARTICLE_STEPS = 2 * 10**9
 
 @dataclass(frozen=True)
 class PlaneSelector:
-    """A 2-plane spanned by two phase-space coordinates (1-based indices)."""
+    """The coordinate 2-plane (a_i, b_j), with a and b each "q" or "p" and
+    1-based mode indices i, j: (q_j, p_j) is the conjugate plane of mode j."""
 
-    kind: str  # conjugate | position_pair | momentum_pair | mixed
+    a: str
     i: int
+    b: str
     j: int
+
+    def __post_init__(self):
+        if not {self.a, self.b} <= {"q", "p"}:
+            raise ValueError(f"plane coordinates are q or p, got {self.a!r} and {self.b!r}")
+        if (self.a, self.i) == (self.b, self.j):
+            raise ValueError(f"plane {self.label()} needs two distinct coordinates")
 
     @classmethod
     def conjugate(cls, j: int) -> "PlaneSelector":
-        return cls("conjugate", j, j)
+        return cls("q", j, "p", j)
 
     @classmethod
-    def position_pair(cls, i: int, j: int) -> "PlaneSelector":
-        if i == j:
-            raise ValueError("position pair needs two distinct indices")
-        return cls("position_pair", i, j)
-
-    @classmethod
-    def momentum_pair(cls, i: int, j: int) -> "PlaneSelector":
-        if i == j:
-            raise ValueError("momentum pair needs two distinct indices")
-        return cls("momentum_pair", i, j)
-
-    @classmethod
-    def mixed(cls, i: int, j: int) -> "PlaneSelector":
-        if i == j:
-            raise ValueError("mixed plane (q_i, p_j) needs i != j; use conjugate(j)")
-        return cls("mixed", i, j)
+    def parse(cls, spec: str) -> "PlaneSelector":
+        """`conjugate:j`, `qq:i,j`, `pp:i,j` or `qp:i,j` with i != j."""
+        kind, colon, idx = spec.partition(":")
+        nums = idx.split(",")
+        if not colon or len(nums) != {"conjugate": 1, "qq": 2, "pp": 2, "qp": 2}.get(kind):
+            raise ValueError(f"plane must be conjugate:j, qq:i,j, pp:i,j or qp:i,j, got {spec!r}")
+        i, j = int(nums[0]), int(nums[-1])
+        if kind == "conjugate":
+            return cls.conjugate(j)
+        if kind == "qp" and i == j:
+            raise ValueError(f"qp:{j},{j} is the conjugate plane; write conjugate:{j}")
+        return cls(kind[0], i, kind[1], j)
 
     def indices(self, n: int) -> tuple[int, int]:
         """0-based coordinate indices into a (q-block, p-block) vector."""
         for idx in (self.i, self.j):
             if not (1 <= idx <= n):
                 raise ValueError(f"index {idx} outside 1..{n}")
-        if self.kind == "conjugate":
-            return self.j - 1, n + self.j - 1
-        if self.kind == "position_pair":
-            return self.i - 1, self.j - 1
-        if self.kind == "momentum_pair":
-            return n + self.i - 1, n + self.j - 1
-        if self.kind == "mixed":
-            return self.i - 1, n + self.j - 1
-        raise ValueError(f"unknown plane kind {self.kind!r}")
+        return self.i - 1 + n * (self.a == "p"), self.j - 1 + n * (self.b == "p")
 
     def label(self) -> str:
-        if self.kind == "conjugate":
-            return f"q{self.j}p{self.j}"
-        names = {"position_pair": ("q", "q"), "momentum_pair": ("p", "p"), "mixed": ("q", "p")}
-        a, b = names[self.kind]
-        return f"{a}{self.i}{b}{self.j}"
+        return f"{self.a}{self.i}{self.b}{self.j}"
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,6 @@ class EnsembleSummary:
     n_modes: int
     count: int
     min_conjugate_det: float
-    min_nonconjugate_det: float
     nonconjugate_witness: Optional[dict]
     conjugate_bound_held: bool
 
@@ -166,8 +158,8 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
     nonconj = []
     for i, j in permutations(range(1, N + 1), 2):
         if i < j:
-            nonconj += [PlaneSelector.position_pair(i, j), PlaneSelector.momentum_pair(i, j)]
-        nonconj.append(PlaneSelector.mixed(i, j))
+            nonconj += [PlaneSelector("q", i, "q", j), PlaneSelector("p", i, "p", j)]
+        nonconj.append(PlaneSelector("q", i, "p", j))
     dets = _plane_dets(stack, [PlaneSelector.conjugate(j) for j in range(1, N + 1)] + nonconj)
     min_conj = float(dets[:, :N].min())
     witness = None
@@ -178,7 +170,6 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
         n_modes=N,
         count=count,
         min_conjugate_det=min_conj,
-        min_nonconjugate_det=witness["det"] if witness else math.inf,
         nonconjugate_witness=witness,
         conjugate_bound_held=min_conj >= 1 - CONJUGATE_TOL,
     )
@@ -186,46 +177,40 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
 
 @dataclass
 class FlowSpec:
-    """Separable Hamiltonian H(q, p) = T(p) + V(q) with explicit gradients.
+    """Hamiltonian H(q, p) = |p|^2 / 2 mass + V(q) on n_modes degrees of freedom.
 
-    Gradients are spot-checked against central finite differences at
-    construction; callables must be vectorized over a leading sample axis.
+    `V` and its gradient `grad_V` must be vectorized over a leading sample
+    axis (V maps (..., n_modes) to (...)); the gradient is spot-checked
+    against central finite differences of V at construction.
     """
 
+    V: Callable[[np.ndarray], np.ndarray]
     grad_V: Callable[[np.ndarray], np.ndarray]
-    grad_T: Callable[[np.ndarray], np.ndarray]
     dt: float
-    V: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    T: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    mass: float = 1.0
     n_modes: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        self._check_gradient(self.V, self.grad_V, "V")
-        self._check_gradient(self.T, self.grad_T, "T")
-
-    def _check_gradient(self, f, grad, name):
-        if f is None:
-            return
+        _positive("mass", self.mass)
         rng = np.random.default_rng(1234)
         x = rng.uniform(-1.0, 1.0, size=(GRADIENT_CHECK_POINTS, self.n_modes))
-        g = np.asarray(grad(x), dtype=float)
+        g = np.asarray(self.grad_V(x), dtype=float)
         h = 1e-6
         for k in range(self.n_modes):
             e = np.zeros(self.n_modes)
             e[k] = h
-            fd = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h)
+            fd = (np.asarray(self.V(x + e)) - np.asarray(self.V(x - e))) / (2 * h)
             scale = np.maximum(np.abs(g[:, k]), 1.0)
             if np.max(np.abs(fd - g[:, k]) / scale) > 1e-6 * 10:
-                raise FlowError(f"gradient of {name} disagrees with finite differences")
+                raise FlowError("gradient of V disagrees with finite differences")
 
     def energy(self, state: np.ndarray) -> np.ndarray:
-        if self.V is None or self.T is None:
-            raise FlowError("energy requires both V and T callables")
         n = self.n_modes
         state = np.asarray(state, dtype=float)
-        return np.asarray(self.T(state[..., n:])) + np.asarray(self.V(state[..., :n]))
+        p = state[..., n:]
+        return np.sum(p * p, axis=-1) / (2.0 * self.mass) + np.asarray(self.V(state[..., :n]))
 
 
 def verlet_step(state: np.ndarray, flow: FlowSpec) -> np.ndarray:
@@ -250,9 +235,9 @@ def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int) -> None:
     try:  # gradient callables are caller-supplied
         p -= 0.5 * dt * np.asarray(flow.grad_V(q))
         for _ in range(count - 1):
-            q += dt * np.asarray(flow.grad_T(p))
+            q += dt * (p / flow.mass)
             p -= dt * np.asarray(flow.grad_V(q))
-        q += dt * np.asarray(flow.grad_T(p))
+        q += dt * (p / flow.mass)
         p -= 0.5 * dt * np.asarray(flow.grad_V(q))
     except Exception as exc:
         raise FlowError(f"gradient evaluation failed: {exc}") from exc
@@ -300,13 +285,12 @@ def evolve_ball_shadow(
     grid_cell: float,
     snapshot_times: Sequence[float],
     seed: int = 0,
-    tolerance: float = 0.05,
     collect_points: bool = False,
 ):
     """Advect ball samples under the flow and estimate shadow areas.
 
     The grid estimate is one-sided (an undersampled filament can only lose
-    cells), so `satisfied` uses the relative tolerance below the pi R^2
+    cells), so `satisfied` allows GRID_SHADOW_TOL relative below the pi R^2
     bound. Returns a list of ShadowReport (and the projected clouds when
     `collect_points` is set).
     """
@@ -353,13 +337,13 @@ def evolve_ball_shadow(
                 plane=plane,
                 area=area,
                 bound=bound,
-                satisfied=area >= bound * (1 - tolerance),
+                satisfied=area >= bound * (1 - GRID_SHADOW_TOL),
                 method="grid-estimate",
                 time=t,
             )
         )
         if collect_points:
-            clouds.append(proj.copy())
+            clouds.append(proj)
     if collect_points:
         return reports, clouds
     return reports

@@ -125,20 +125,15 @@ def test_criterion_5_linear_nonsqueezing():
 def test_criterion_6_nonlinear_shadow():
     t0 = time.perf_counter()
     ok = True
-    quartic_flow = FlowSpec(
-        grad_V=lambda q: q * q * q, grad_T=lambda p: p,
-        V=lambda q: 0.25 * np.sum(q**4, -1), T=lambda p: 0.5 * np.sum(p * p, -1),
-        dt=1e-3, n_modes=1)
+    quartic_flow = FlowSpec(V=lambda q: 0.25 * np.sum(q**4, -1), grad_V=lambda q: q * q * q,
+                            dt=1e-3)
     reports = evolve_ball_shadow(Ball(np.zeros(2), 1.0), quartic_flow,
                                  PlaneSelector.conjugate(1), 100_000, 0.025,
                                  [1.0, 2.0, 5.0], seed=0)
     for rep in reports:
         ok &= rep.area >= 0.95 * math.pi
 
-    harmonic_flow = FlowSpec(
-        grad_V=lambda q: q, grad_T=lambda p: p,
-        V=lambda q: 0.5 * np.sum(q * q, -1), T=lambda p: 0.5 * np.sum(p * p, -1),
-        dt=1e-3, n_modes=1)
+    harmonic_flow = FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=lambda q: q, dt=1e-3)
     controls = evolve_ball_shadow(Ball(np.zeros(2), 1.0), harmonic_flow,
                                   PlaneSelector.conjugate(1), 100_000, 0.025,
                                   [0.0, 1.0, 2.0, 5.0], seed=0)

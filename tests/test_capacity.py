@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from sympcap import capacity
 from sympcap.capacity import (
     Ball,
     CapacityValue,
@@ -170,7 +171,8 @@ class TestSandwich:
     def _ball_cert(self, R=1.0, N=2, oracle=None):
         ball = Ball(np.zeros(2 * N), R)
         if oracle is None:
-            oracle = ball.contains
+            def oracle(z):
+                return np.sum(z * z, axis=-1) <= R * R * (1 + 1e-12)
         lo = -R * np.ones(2 * N)
         hi = R * np.ones(2 * N)
         return SandwichCertificate(
@@ -246,6 +248,16 @@ class TestBordeauxBottle:
                                      (0.0, 0.5), (1.0, -0.5)])
     def test_radii_finite_and_positive(self, R, r):
         with pytest.raises(ValueError, match="radii must be finite and positive"):
+            bordeaux_bottle_fixture(R, r)
+
+    @pytest.mark.parametrize("R,r", [(1e-200, 1e-201), (1.0, 1e-170), (1e160, 1.0)])
+    def test_areas_within_double_precision(self, R, r, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("points drawn for unrepresentable radii")
+
+        # pi r^2 once rounded to 0: capacity 0.0, and the neck action not below it
+        monkeypatch.setattr(capacity, "ball_points", draw)
+        with pytest.raises(ValueError, match="areas beyond double precision"):
             bordeaux_bottle_fixture(R, r)
 
     def test_oracle_shape(self):

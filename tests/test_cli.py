@@ -246,6 +246,14 @@ class TestInputErrors:
         ["bottle-demo", "--radius", "nan"],
         ["bottle-demo", "--radius", "inf", "--neck", "1"],
         ["capacity", "--region", '{"type": "bottle", "radius": 1, "neck": NaN}'],
+        ["shadow", "--random", "2", "--plane", "conjugate:1,2"],
+        ["shadow", "--random", "3", "--plane", "qq:1,2,3"],
+        ["shadow", "--random", "2", "--plane", "qp:1,1"],
+        ["evolve", "--potential", "harmonic", "--samples", "10", "--plane", "conjugate:1,1"],
+        ["blob-check", "--value", "3.5", "--tol", "nan"],
+        ["blob-check", "--value", "3.5", "--tol", "-1"],
+        ["bottle-demo", "--radius", "1e-200", "--neck", "1e-201"],
+        ["capacity", "--region", '{"type": "bottle", "radius": 1e-200, "neck": 1e-201}'],
     ])
     def test_exit_2(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -276,6 +284,17 @@ class TestInputErrors:
         obj = json.loads(out)
         assert obj["error"] == "NumericalDegeneracy"
         assert "symplectic defect" in obj["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["williamson", "--matrix", '{"n": 1, "matrix": [1e-300, 0, 0, 1e300]}'],
+        ["dos", "--ndim", "2", "--mass", "1e300", "--energy", "1"],
+    ])
+    def test_singular_to_double_precision_exit_3(self, capsys, argv):
+        code, out = invoke(capsys, *argv)
+        assert code == 3
+        obj = json.loads(out)
+        assert obj["error"] == "NotPositiveDefinite"
+        assert obj["message"].startswith("matrix is singular to double precision")
 
     @pytest.mark.parametrize("argv", [
         ["capacity", "--ball", "R=1e200", "N=2"],

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,17 @@ class TestWilliamson:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             williamson(QuadraticHamiltonian(np.diag([1.0, -1.0])))
+
+    @pytest.mark.parametrize("d,message", [
+        ([1e-300, 1e300], "singular to double precision: smallest eigenvalue 0.000e+00"),
+        ([0.0, 1.0], "singular to double precision: smallest eigenvalue 0.000e+00"),
+        ([-1e-17, 1.0], "singular to double precision: smallest eigenvalue -1.000e-17"),
+        ([-1e-15, 1.0], "smallest eigenvalue -1.000e-15 is not positive"),
+    ])
+    def test_singular_named(self, d, message):
+        # eigh reads diag(1e-300, 1e300) as 0, which once read "not positive"
+        with pytest.raises(NotPositiveDefinite, match=re.escape(message)):
+            williamson(QuadraticHamiltonian(np.diag(d)))
 
     def test_positive_definiteness_checked_once(self, monkeypatch):
         checks = []

@@ -119,6 +119,12 @@ class TestBlobCheck:
         with pytest.raises(NotABlob):
             blob_check(CapacityValue.infinity(), CFG)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+    def test_tol_nonnegative(self, tol):
+        # a NaN or negative tol once matched no index and answered "no blob"
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            blob_check(CapacityValue(CFG.h / 2), CFG, tol=tol)
+
 
 class TestQuantizeQuadratic:
     def test_single_mode_ground_state(self):
