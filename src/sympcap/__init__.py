@@ -1,12 +1,10 @@
 """sympcap: symplectic capacities, nonsqueezing experiments, EBK quantization."""
 
 from .capacity import (
-    Ball,
     BordeauxBottle,
     CapacityValue,
     Cylinder,
     EnergyShellRegion,
-    SandwichCertificate,
     bordeaux_bottle_fixture,
     capacity_ball,
     capacity_cylinder,

@@ -16,6 +16,9 @@ from .core import QuadraticHamiltonian, symplectic_eigenvalues
 from .errors import CertificateInvalid, InvalidNeck, UnsupportedRegion
 from .sampling import ball_points, box_points
 
+SANDWICH_SAMPLES = 10_000  # points of each sampled inclusion check
+SANDWICH_SEED = 0  # of the inner-ball draw; the bounding-box draw uses SANDWICH_SEED + 1
+
 
 @dataclass(frozen=True)
 class CapacityValue:
@@ -29,7 +32,7 @@ class CapacityValue:
     infinite: bool = False
 
     def __post_init__(self):
-        if not self.infinite and self.value < 0:
+        if not self.infinite and not self.value >= 0:  # NaN too
             raise ValueError(f"capacity must be nonnegative, got {self.value}")
 
     @classmethod
@@ -40,21 +43,14 @@ class CapacityValue:
         return {"value": "inf" if self.infinite else self.value, "exact": self.exact}
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Round phase-space ball |z - center| <= radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
+def _area(value: float) -> CapacityValue:
+    """An analytic capacity. One that is not finite (from a NaN input, or an
+    overflow such as pi R^2 at R = 1e200) raises OverflowError, as float
+    arithmetic that overflows does, rather than becoming a NaN or an
+    unflagged infinite value."""
+    if not math.isfinite(value):
+        raise OverflowError(f"capacity {value} is not finite")
+    return CapacityValue(value=value, exact=True)
 
 
 @dataclass(frozen=True)
@@ -92,31 +88,11 @@ class EnergyShellRegion:
             raise ValueError(f"energy must be positive, got {self.energy}")
 
 
-@dataclass
-class SandwichCertificate:
-    """Witness that a region is pinched between a ball and a cylinder of
-    equal radius; inclusions are validated by sampling, not proved.
-    """
-
-    inner: Ball
-    outer: Cylinder
-    membership_oracle: Callable[[np.ndarray], np.ndarray]
-    bounding_box: tuple  # (lo, hi) arrays enclosing the region
-    samples: int = 10_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not math.isclose(self.inner.radius, self.outer.radius, rel_tol=1e-12):
-            raise CertificateInvalid(
-                f"inner radius {self.inner.radius} != outer radius {self.outer.radius}"
-            )
-
-
 def capacity_ball(R: float, N: int) -> CapacityValue:
     """pi R^2, independent of the ambient dimension."""
     if R <= 0 or N < 1:
         raise ValueError(f"need R > 0 and N >= 1, got R={R}, N={N}")
-    return CapacityValue(value=math.pi * R * R, exact=True)
+    return _area(math.pi * R * R)
 
 
 def volume_ball(R: float, N: int) -> float:
@@ -132,13 +108,13 @@ def capacity_cylinder(Z: Cylinder) -> CapacityValue:
         raise UnsupportedRegion(
             f"no capacity formula for a cylinder over a {Z.plane_kind} plane"
         )
-    return CapacityValue(value=math.pi * Z.radius * Z.radius, exact=True)
+    return _area(math.pi * Z.radius * Z.radius)
 
 
 def capacity_ellipsoid(region: EnergyShellRegion) -> CapacityValue:
     """2 pi E / w_max with w_max the largest symplectic eigenvalue."""
     w_max = float(symplectic_eigenvalues(region.hamiltonian)[0])
-    return CapacityValue(value=2.0 * math.pi * region.energy / w_max, exact=True)
+    return _area(2.0 * math.pi * region.energy / w_max)
 
 
 def minimal_action_quadratic(region: EnergyShellRegion):
@@ -159,31 +135,33 @@ class CertificateReport:
     region_hits: int
 
 
-def capacity_sandwich(cert: SandwichCertificate):
-    """pi R^2 for any region pinched between B(R) and Z_j(R).
+def capacity_sandwich(oracle: Callable[[np.ndarray], np.ndarray], radius: float, box):
+    """pi R^2 for any region pinched between B(R) and Z_1(R), both about the origin.
 
-    Validates both inclusions on quasi-random samples and raises
-    CertificateInvalid with a witness point on the first violation.
-    Returns (CapacityValue, CertificateReport).
+    `oracle` tests membership in the region and `box` = (lo, hi) encloses
+    it in 2N dimensions. Both inclusions are validated on SANDWICH_SAMPLES
+    quasi-random points, not proved; the first violation raises
+    CertificateInvalid with a witness point. Returns (CapacityValue,
+    CertificateReport).
     """
-    dim = cert.inner.dim
-    pts = ball_points(cert.samples, dim, cert.inner.radius, cert.inner.center, seed=cert.seed)
-    inside = np.asarray(cert.membership_oracle(pts), dtype=bool)
+    lo, hi = box
+    outer = Cylinder(1, radius, len(lo) // 2)
+    pts = ball_points(SANDWICH_SAMPLES, len(lo), radius, seed=SANDWICH_SEED)
+    inside = np.asarray(oracle(pts), dtype=bool)
     if not inside.all():
         w = pts[np.argmin(inside)]
         raise CertificateInvalid("inner-ball point rejected by the region oracle", witness=w)
 
-    lo, hi = cert.bounding_box
-    box = box_points(cert.samples, lo, hi, seed=cert.seed + 1)
-    hits = np.asarray(cert.membership_oracle(box), dtype=bool)
-    region_pts = box[hits]
-    in_cyl = cert.outer.contains(region_pts)
+    box_pts = box_points(SANDWICH_SAMPLES, lo, hi, seed=SANDWICH_SEED + 1)
+    hits = np.asarray(oracle(box_pts), dtype=bool)
+    region_pts = box_pts[hits]
+    in_cyl = outer.contains(region_pts)
     if not np.all(in_cyl):
         w = region_pts[np.argmin(in_cyl)]
         raise CertificateInvalid("region point escapes the outer cylinder", witness=w)
 
-    report = CertificateReport(inner_samples=cert.samples, region_hits=int(hits.sum()))
-    return CapacityValue(value=math.pi * cert.inner.radius**2, exact=True), report
+    report = CertificateReport(inner_samples=SANDWICH_SAMPLES, region_hits=int(hits.sum()))
+    return _area(math.pi * radius**2), report
 
 
 @dataclass
@@ -196,8 +174,6 @@ class BordeauxBottle:
     neck_loop_action: float
     capacity: CapacityValue
     report: CertificateReport
-    body_radius: float
-    neck_radius: float
 
 
 def bordeaux_bottle_fixture(R: float, r: float) -> BordeauxBottle:
@@ -216,12 +192,10 @@ def bordeaux_bottle_fixture(R: float, r: float) -> BordeauxBottle:
     if not (sys.float_info.min <= math.pi * r * r and math.pi * R * R <= sys.float_info.max):
         raise ValueError(f"radii R={R}, r={r} have areas beyond double precision")
 
-    N = 2  # (q1, q2, p1, p2)
-
     def oracle(z):
         z = np.asarray(z, dtype=float)
         in_ball = np.sum(z * z, axis=-1) <= R * R * (1 + 1e-12)
-        q1, q2, p1, p2 = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
+        q1, q2, p1, p2 = z[..., 0], z[..., 1], z[..., 2], z[..., 3]  # N = 2
         in_neck = (
             (q1 * q1 + p1 * p1 <= r * r)
             & (q2 >= R)
@@ -232,18 +206,6 @@ def bordeaux_bottle_fixture(R: float, r: float) -> BordeauxBottle:
 
     lo = np.array([-R, -R, -R, -R])
     hi = np.array([R, 3 * R, R, R])
-    cert = SandwichCertificate(
-        inner=Ball(np.zeros(2 * N), R),
-        outer=Cylinder(axis_index=1, radius=R, dim=N),
-        membership_oracle=oracle,
-        bounding_box=(lo, hi),
-    )
-    cap, report = capacity_sandwich(cert)
-    return BordeauxBottle(
-        oracle=oracle,
-        neck_loop_action=math.pi * r * r,
-        capacity=cap,
-        report=report,
-        body_radius=R,
-        neck_radius=r,
-    )
+    cap, report = capacity_sandwich(oracle, R, (lo, hi))
+    return BordeauxBottle(oracle=oracle, neck_loop_action=math.pi * r * r, capacity=cap,
+                          report=report)

@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -87,12 +88,20 @@ def _emit_json(args, obj):
     _emit(args, text + "\n")
 
 
+def _csv_cell(x):
+    if not isinstance(x, float):
+        return x
+    if not math.isfinite(x):
+        raise InputError(NOT_FINITE)
+    return _fmt(x)
+
+
 def _emit_csv(args, header, rows):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
-        w.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
+        w.writerow([_csv_cell(x) for x in row])
     _emit(args, buf.getvalue())
 
 
@@ -125,6 +134,13 @@ def _spectrum_json(entries, hbar):
 # subcommand handlers
 
 
+# descriptor keys of each region type
+_REGION_KEYS = {
+    "ball": ("radius", "n"),
+    "cylinder": ("axis", "radius", "n", "plane"),
+    "ellipsoid": ("matrix", "energy"),
+    "bottle": ("radius", "neck"),
+}
 # descriptor key -> token name in `capacity --ball` / `--cylinder`
 _REGION_TOKENS = {"radius": "R", "n": "N", "axis": "j", "plane": "plane"}
 
@@ -132,45 +148,51 @@ _REGION_TOKENS = {"radius": "R", "n": "N", "axis": "j", "plane": "plane"}
 def cmd_capacity(args):
     if args.ball or args.cylinder:
         kind, tokens = ("ball", args.ball) if args.ball else ("cylinder", args.cylinder)
-        kv = _parse_kv(tokens)
-        desc = {"type": kind}
-        desc.update({key: kv[tok] for key, tok in _REGION_TOKENS.items() if tok in kv})
-        result = _capacity_from_descriptor(desc, _REGION_TOKENS)
+        result = _capacity_from_descriptor(kind, _parse_kv(tokens), _REGION_TOKENS)
     elif args.region:
         desc = json.loads(args.region)
         if not isinstance(desc, dict):
             raise InputError("--region must be a JSON object")
-        result = _capacity_from_descriptor(desc)
+        result = _capacity_from_descriptor(desc.pop("type", None), desc)
     else:
         raise InputError("provide --ball, --cylinder or --region")
     _emit_json(args, result.to_json())
     return 0
 
 
-def _capacity_from_descriptor(desc: dict, names=None) -> cap_mod.CapacityValue:
-    """Capacity of a region descriptor; `names` maps its keys to the user's spelling."""
-    kind = desc.get("type")
+def _capacity_from_descriptor(kind, fields: dict, names=None) -> cap_mod.CapacityValue:
+    """Capacity of a region of type `kind`; `names` maps its descriptor keys to
+    the user's spelling, in which `fields` is keyed."""
+    if not (isinstance(kind, str) and kind in _REGION_KEYS):
+        raise InputError(f"unknown region type {kind!r}")
     names = names or {}
+    keys = {names.get(key, key): key for key in _REGION_KEYS[kind]}
+    for name in fields:
+        if name not in keys:
+            raise InputError(f"{kind} region has unknown key {name!r}")
+    desc = {keys[name]: value for name, value in fields.items()}
 
     def need(key):
         if key not in desc:
             raise InputError(f"{kind} region is missing key {names.get(key, key)!r}")
         return desc[key]
 
+    def integer(key, default=None):
+        value = need(key) if default is None else desc.get(key, default)
+        return core._integer(f"{kind} region key {names.get(key, key)!r}", value)
+
     if kind == "ball":
-        return cap_mod.capacity_ball(float(need("radius")), int(need("n")))
+        return cap_mod.capacity_ball(float(need("radius")), integer("n"))
     if kind == "cylinder":
-        Z = cap_mod.Cylinder(axis_index=int(desc.get("axis", 1)), radius=float(need("radius")),
-                             dim=int(need("n")), plane_kind=desc.get("plane", "conjugate"))
+        Z = cap_mod.Cylinder(axis_index=integer("axis", 1), radius=float(need("radius")),
+                             dim=integer("n"), plane_kind=desc.get("plane", "conjugate"))
         return cap_mod.capacity_cylinder(Z)
     if kind == "ellipsoid":
         M = core.matrix_from_json(need("matrix"))
         region = cap_mod.EnergyShellRegion(core.QuadraticHamiltonian(M), float(need("energy")))
         return cap_mod.capacity_ellipsoid(region)
-    if kind == "bottle":
-        bottle = cap_mod.bordeaux_bottle_fixture(float(need("radius")), float(need("neck")))
-        return bottle.capacity
-    raise InputError(f"unknown region type {kind!r}")
+    bottle = cap_mod.bordeaux_bottle_fixture(float(need("radius")), float(need("neck")))
+    return bottle.capacity
 
 
 def cmd_williamson(args):
@@ -219,10 +241,9 @@ def cmd_evolve(args):
     flow = shadows.FlowSpec(V=lambda q: pot.V(q[..., 0]), grad_V=pot.dV, dt=args.dt,
                             mass=pot.mass)
     times = [float(s) for s in args.times.split(",")]
-    ball = cap_mod.Ball(np.zeros(2), args.radius)
     out = shadows.evolve_ball_shadow(
-        ball, flow, shadows.PlaneSelector.parse(args.plane), args.samples, args.grid_cell, times,
-        seed=args.seed, collect_points=bool(args.dump_points),
+        args.radius, flow, shadows.PlaneSelector.parse(args.plane), args.samples, args.grid_cell,
+        times, seed=args.seed, collect_points=bool(args.dump_points),
     )
     if args.dump_points:
         reports, clouds = out
@@ -348,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--plane", default="conjugate:1")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=core.DEFAULT_SYMPLECTIC_TOL)
     common(sp)
     sp.set_defaults(handler="cmd_shadow")
 
@@ -412,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("blob-check", help="match a capacity to a blob index")
     sp.add_argument("--value", required=True)
-    sp.add_argument("--tol", type=float, default=0.05)
+    sp.add_argument("--tol", type=float, default=ebk.BLOB_TOL)
     sp.add_argument("--hbar", type=float, default=1.0)
     common(sp)
     sp.set_defaults(handler="cmd_blob_check")

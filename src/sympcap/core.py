@@ -195,6 +195,14 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; a bool or a float with a fractional part (NaN and
+    inf too) is refused rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_positive(w: np.ndarray) -> None:
     """Raise NotPositiveDefinite unless the ascending eigenvalues `w` are all positive.
 
@@ -282,7 +290,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     for key in ("n", "matrix"):
         if key not in obj:
             raise ValueError(f"matrix descriptor is missing key {key!r}")
-    n = int(obj["n"])
+    n = _integer("matrix descriptor key 'n'", obj["n"])
     flat = np.asarray(obj["matrix"], dtype=float)
     if flat.size != 4 * n * n:
         raise DimensionError(f"expected {4 * n * n} entries for n={n}, got {flat.size}")

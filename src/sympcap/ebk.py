@@ -25,6 +25,8 @@ from .errors import (
     UnsupportedForClosedForm,
 )
 
+BLOB_TOL = 0.05  # default blob_check distance to (n + 1/2) h, in units of h
+
 
 @dataclass(frozen=True)
 class PlanckConfig:
@@ -101,7 +103,7 @@ class SpectrumResult:
     skipped: list = field(default_factory=list)  # levels above dissociation, with notices
 
 
-def blob_check(cap: CapacityValue, cfg: PlanckConfig, tol: float = 0.05) -> Optional[int]:
+def blob_check(cap: CapacityValue, cfg: PlanckConfig, tol: float = BLOB_TOL) -> Optional[int]:
     """Blob index n with |cap - (n + 1/2) h| <= tol * h, if one exists."""
     if not tol >= 0:  # NaN too
         raise ValueError(f"tol must be nonnegative, got {tol}")

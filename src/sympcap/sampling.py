@@ -89,17 +89,14 @@ def _unit_ball(count: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     return g, s
 
 
-def ball_points(count: int, dim: int, radius: float = 1.0, center=None, seed: int = 0) -> np.ndarray:
-    """Low-discrepancy points filling a dim-dimensional ball.
+def ball_points(count: int, dim: int, radius: float = 1.0, seed: int = 0) -> np.ndarray:
+    """Low-discrepancy points filling the dim-dimensional ball of `radius` about the origin.
 
     Halton samples pushed through the Gaussian-direction + radius transform:
     direction from a normalized inverse-normal map, radius from u^(1/dim).
     """
     g, s = _unit_ball(count, dim, operator.index(seed))
-    pts = g * (radius * s)[:, None]
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+    return g * (radius * s)[:, None]
 
 
 def box_points(count: int, lo, hi, seed: int = 0) -> np.ndarray:

@@ -13,7 +13,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .capacity import Ball
 from .core import SymplecticMatrix, _certify, _positive, _random_symplectic_stack
 from .errors import FlowDiverged, FlowError
 from .sampling import ball_points
@@ -278,7 +277,7 @@ def grid_shadow_area(points_2d: np.ndarray, grid_cell: float,
 
 
 def evolve_ball_shadow(
-    ball: Ball,
+    radius: float,
     flow: FlowSpec,
     plane: PlaneSelector,
     samples: int,
@@ -287,28 +286,29 @@ def evolve_ball_shadow(
     seed: int = 0,
     collect_points: bool = False,
 ):
-    """Advect ball samples under the flow and estimate shadow areas.
+    """Advect samples of the ball B(radius) about the origin under the flow
+    and estimate shadow areas.
 
     The grid estimate is one-sided (an undersampled filament can only lose
     cells), so `satisfied` allows GRID_SHADOW_TOL relative below the pi R^2
     bound. Returns a list of ShadowReport (and the projected clouds when
     `collect_points` is set).
     """
+    _positive("radius", radius)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    if grid_cell <= 0:
-        raise ValueError(f"grid_cell must be positive, got {grid_cell}")
+    _positive("grid_cell", grid_cell)
     n = flow.n_modes
-    if ball.dim != 2 * n:
-        raise ValueError(f"ball dimension {ball.dim} != 2 * n_modes {2 * n}")
     a, b = plane.indices(n)
-    bound = math.pi * ball.radius**2
+    bound = math.pi * radius**2
 
     times = sorted(set(float(t) for t in snapshot_times))
     snap_steps = []
     for t in times:
         if t < 0:
             raise ValueError(f"snapshot time {t} is negative")
+        if not math.isfinite(t):
+            raise ValueError(f"snapshot time {t} is not finite")
         k = round(t / flow.dt)
         if abs(k * flow.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"snapshot time {t} is not a multiple of dt={flow.dt}")
@@ -318,7 +318,7 @@ def evolve_ball_shadow(
         raise ValueError(f"{samples} samples x {steps} Verlet steps exceeds the bound of "
                          f"{MAX_PARTICLE_STEPS:.1e} particle-steps")
 
-    state = ball_points(samples, 2 * n, ball.radius, ball.center, seed=seed)
+    state = ball_points(samples, 2 * n, radius, seed=seed)
     q = np.ascontiguousarray(state[:, :n])
     p = np.ascontiguousarray(state[:, n:])
     reports = []

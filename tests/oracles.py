@@ -257,12 +257,9 @@ def halton_oracle(count, dim, seed):
     return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
 
 
-def ball_points_oracle(count, dim, radius, center, seed):
+def ball_points_oracle(count, dim, radius, seed):
     """`ball_points` by its first formula, on scipy's Halton, redrawn on every call."""
     u = halton_oracle(count, dim + 1, seed)
     g = ndtri(np.clip(u[:, :dim], 1e-15, 1 - 1e-15))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    pts = g * (radius * u[:, dim] ** (1.0 / dim))[:, None]
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+    return g * (radius * u[:, dim] ** (1.0 / dim))[:, None]

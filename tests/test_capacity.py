@@ -6,11 +6,9 @@ import pytest
 
 from sympcap import capacity
 from sympcap.capacity import (
-    Ball,
     CapacityValue,
     Cylinder,
     EnergyShellRegion,
-    SandwichCertificate,
     bordeaux_bottle_fixture,
     capacity_ball,
     capacity_cylinder,
@@ -39,6 +37,12 @@ class TestBallCapacity:
 
     def test_scaling(self):
         assert capacity_ball(2.0, 1).value == pytest.approx(4 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("R", [math.nan, 1e200])
+    def test_area_not_finite_raises(self, R):
+        # once a NaN, or an infinite value without the `infinite` flag
+        with pytest.raises(OverflowError, match="is not finite"):
+            capacity_ball(R, 2)
 
 
 class TestBallVolume:
@@ -168,22 +172,18 @@ class TestMinimalAction:
 
 
 class TestSandwich:
-    def _ball_cert(self, R=1.0, N=2, oracle=None):
-        ball = Ball(np.zeros(2 * N), R)
-        if oracle is None:
-            def oracle(z):
-                return np.sum(z * z, axis=-1) <= R * R * (1 + 1e-12)
-        lo = -R * np.ones(2 * N)
-        hi = R * np.ones(2 * N)
-        return SandwichCertificate(
-            inner=ball,
-            outer=Cylinder(1, R, N),
-            membership_oracle=oracle,
-            bounding_box=(lo, hi),
-        )
+    @staticmethod
+    def _ball_oracle(R=1.0):
+        def oracle(z):
+            return np.sum(z * z, axis=-1) <= R * R * (1 + 1e-12)
+        return oracle
+
+    @staticmethod
+    def _box(R=1.0, N=2):
+        return -R * np.ones(2 * N), R * np.ones(2 * N)
 
     def test_ball_is_its_own_sandwich(self):
-        cap, report = capacity_sandwich(self._ball_cert())
+        cap, report = capacity_sandwich(self._ball_oracle(), 1.0, self._box())
         assert cap.value == pytest.approx(math.pi, abs=0)
         assert cap.exact
         assert report.region_hits > 0
@@ -195,7 +195,7 @@ class TestSandwich:
             return (r2 <= 1.0) & (r2 >= 0.25)  # hollow: rejects inner points
 
         with pytest.raises(CertificateInvalid) as exc:
-            capacity_sandwich(self._ball_cert(oracle=bad_oracle))
+            capacity_sandwich(bad_oracle, 1.0, self._box())
         assert exc.value.witness is not None
 
     def test_region_escaping_cylinder_fails(self):
@@ -203,19 +203,8 @@ class TestSandwich:
             z = np.asarray(z)
             return np.sum(z * z, axis=-1) <= 4.0  # radius 2 > cylinder radius 1
 
-        cert = self._ball_cert(oracle=big_oracle)
-        cert.bounding_box = (-2 * np.ones(4), 2 * np.ones(4))
         with pytest.raises(CertificateInvalid):
-            capacity_sandwich(cert)
-
-    def test_mismatched_radii_rejected(self):
-        with pytest.raises(CertificateInvalid):
-            SandwichCertificate(
-                inner=Ball(np.zeros(4), 1.0),
-                outer=Cylinder(1, 2.0, 2),
-                membership_oracle=lambda z: np.ones(len(z), dtype=bool),
-                bounding_box=(-np.ones(4), np.ones(4)),
-            )
+            capacity_sandwich(big_oracle, 1.0, self._box(R=2.0))
 
 
 class TestBordeauxBottle:
@@ -276,3 +265,8 @@ class TestCapacityValue:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             CapacityValue(-1.0)
+
+    def test_nan_rejected(self):
+        # NaN once passed `value < 0` and reached blob_check's round()
+        with pytest.raises(ValueError, match="capacity must be nonnegative, got nan"):
+            CapacityValue(math.nan)

@@ -254,6 +254,9 @@ class TestInputErrors:
         ["blob-check", "--value", "3.5", "--tol", "-1"],
         ["bottle-demo", "--radius", "1e-200", "--neck", "1e-201"],
         ["capacity", "--region", '{"type": "bottle", "radius": 1e-200, "neck": 1e-201}'],
+        ["evolve", "--potential", "harmonic", "--samples", "100", "--grid-cell", "inf"],
+        ["evolve", "--potential", "harmonic", "--samples", "100", "--radius", "nan"],
+        ["evolve", "--potential", "harmonic", "--samples", "100", "--radius", "inf"],
     ])
     def test_exit_2(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -273,6 +276,55 @@ class TestInputErrors:
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["capacity", "--ball", "R=1", "N=2", "foo=3"], "ball region has unknown key 'foo'"),
+        (["capacity", "--ball", "R=1", "N=2", "j=1"], "ball region has unknown key 'j'"),
+        (["capacity", "--cylinder", "radius=1", "N=2"],
+         "cylinder region has unknown key 'radius'"),
+        (["capacity", "--region", '{"type": "ball", "radius": 1, "n": 2, "bogus": 1}'],
+         "ball region has unknown key 'bogus'"),
+        (["capacity", "--region", '{"type": "bottle", "radius": 1, "neck": 0.5, "extra": 1}'],
+         "bottle region has unknown key 'extra'"),
+        (["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
+          '[1, 0, 0, 1]}, "energy": 1, "radius": 5}'],
+         "ellipsoid region has unknown key 'radius'"),
+    ])
+    def test_unknown_key_named(self, capsys, argv, message):
+        # unknown keys were once dropped, and the region computed without them
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["capacity", "--ball", "R=1", "N=2.7"], "ball region key 'N' must be an integer, got 2.7"),
+        (["capacity", "--ball", "R=1", "N=true"],
+         "ball region key 'N' must be an integer, got True"),
+        (["capacity", "--ball", "R=1", "N=NaN"], "ball region key 'N' must be an integer, got nan"),
+        (["capacity", "--cylinder", "R=1", "N=2", "j=1.5"],
+         "cylinder region key 'j' must be an integer, got 1.5"),
+        (["capacity", "--region", '{"type": "cylinder", "radius": 1, "n": 2, "axis": true}'],
+         "cylinder region key 'axis' must be an integer, got True"),
+        (["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1.5, "matrix": '
+          '[1, 0, 0, 1]}, "energy": 1}'],
+         "matrix descriptor key 'n' must be an integer, got 1.5"),
+        (["williamson", "--matrix", '{"n": true, "matrix": [1, 0, 0, 1]}'],
+         "matrix descriptor key 'n' must be an integer, got True"),
+    ])
+    def test_integer_not_truncated(self, capsys, argv, message):
+        # int() once read N=2.7 as 2 and true as 1
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--ball", "R=1", "N=2.0"],
+        ["capacity", "--region", '{"type": "cylinder", "radius": 1, "n": 2.0, "axis": 1.0}'],
+    ])
+    def test_integral_float_accepted(self, capsys, argv):
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {"exact": True, "value": math.pi}
 
     def test_uncertified_normal_form_exit_3(self, capsys):
         # a valid positive-definite M of condition number 1e14 whose computed
@@ -301,6 +353,9 @@ class TestInputErrors:
         ["capacity", "--ball", "R=nan", "N=2"],
         ["shadow", "--random", "2", "--radius", "1e200"],
         ["dos", "--energy", "1e308", "--ndim", "3"],
+        ["capacity", "--cylinder", "R=nan", "N=2"],
+        ["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
+         '[1, 0, 0, 1]}, "energy": NaN}'],
     ])
     def test_not_finite(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -318,6 +373,11 @@ class TestInputErrors:
         (["capacity", "--region",
           '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": [NaN, 0, 0, 1]}, "energy": 1}'],
          "matrix entries must be finite"),
+        (["blob-check", "--value", "nan"], "capacity must be nonnegative, got nan"),
+        (["evolve", "--potential", "harmonic", "--samples", "100", "--times", "0,nan"],
+         "snapshot time nan is not finite"),
+        (["evolve", "--potential", "harmonic", "--samples", "100", "--times", "inf"],
+         "snapshot time inf is not finite"),
     ])
     def test_nan_refused_before_computing(self, capsys, argv, message):
         code, out = invoke(capsys, *argv)
@@ -602,7 +662,8 @@ FUZZ_COMMANDS = [
 FUZZ_UNKNOWN = ["--bogus", "-h"]
 FUZZ_VALUES = [
     "0", "1", "2", "-1", "0.5", "-0.5", "1e-3", "1e308", "nan", "inf", "-inf", "x", "",
-    "R=1", "N=2", "R=-1", "N=0", "R=nan", "R=[1]", "N=null", "j=3", "plane=qq",
+    "R=1", "N=2", "R=-1", "N=0", "R=nan", "R=[1]", "N=null", "j=3", "plane=qq", "N=2.5",
+    "j=true", "foo=1",
     "conjugate:1", "qq:1,2", "qp:2", "pp:1,1", "0,1", "1,2",
     "harmonic", "quartic", "morse", "polynomial", "coeff=1", "omega=0", "omega=[1]", "D=null",
     "coeffs=[0,0,1]", "json", "csv", "{}", "[]", "null",
@@ -654,6 +715,8 @@ def stdout_contract(code, out, err):
         if not (CSV_HEADER.fullmatch(out.split("\n", 1)[0]) and out.endswith("\n")
                 and all(len(row) == len(rows[0]) for row in rows)):
             return "not one CSV table"
+        if any(cell in ("inf", "-inf", "nan") for row in rows[1:] for cell in row):
+            return "a non-finite CSV cell"
         return None
     if out.count("\n") != 1 or not out.endswith("\n"):
         return "not one line"
@@ -677,3 +740,11 @@ def test_fuzzed_argv_in_one_process(argv):
     assert code == 2 or out or "-h" in argv  # a silent exit 0 is --help only
     assert stdout_contract(code, out, err) is None, (code, out, err)
     assert quiet_run(FUZZ_GOLDEN[1]) == (0, want, "")
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_contract_refuses_non_finite_csv_cell(cell):
+    # `evolve --grid-cell inf` once printed this table with exit 0
+    out = f"time,plane,area,bound,satisfied\n1,q1p1,{cell},3.1415926535897931,True\n"
+    assert stdout_contract(0, out, "") == "a non-finite CSV cell"
+    assert stdout_contract(0, out.replace(cell, "3.5"), "") is None

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sympcap.capacity import Ball
 from sympcap import shadows
 from sympcap.core import DEFAULT_SYMPLECTIC_TOL, SymplecticMatrix, random_symplectic
 from sympcap.errors import FlowDiverged, FlowError
@@ -284,16 +283,14 @@ class TestVerlet:
 class TestEvolveShadow:
     def test_initial_snapshot_all_planes(self):
         flow = free_flow(0.1, n_modes=2)
-        ball = Ball(np.zeros(4), 1.0)
         for plane in (PlaneSelector.conjugate(1), PlaneSelector("q", 1, "q", 2),
                       PlaneSelector("p", 1, "p", 2), PlaneSelector("q", 1, "p", 2)):
-            [rep] = evolve_ball_shadow(ball, flow, plane, 30_000, 0.08, [0.0])
+            [rep] = evolve_ball_shadow(1.0, flow, plane, 30_000, 0.08, [0.0])
             assert rep.area == pytest.approx(math.pi, rel=0.05)
 
     def test_harmonic_rotation_preserves_disk(self):
         flow = harmonic_flow(1e-2)
-        ball = Ball(np.zeros(2), 1.0)
-        reports = evolve_ball_shadow(ball, flow, PlaneSelector.conjugate(1),
+        reports = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
                                      30_000, 0.04, [0.0, 1.0, 2.0, 5.0])
         for rep in reports:
             assert rep.area == pytest.approx(math.pi, rel=0.05)
@@ -301,18 +298,16 @@ class TestEvolveShadow:
 
     def test_quartic_conjugate_shadow_keeps_bound(self):
         flow = quartic_flow(1e-3)
-        ball = Ball(np.zeros(2), 1.0)
-        reports = evolve_ball_shadow(ball, flow, PlaneSelector.conjugate(1),
+        reports = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
                                      30_000, 0.04, [1.0, 2.0])
         for rep in reports:
             assert rep.area >= 0.95 * math.pi
 
     def test_grid_estimate_converges(self):
         flow = harmonic_flow(1e-2)
-        ball = Ball(np.zeros(2), 1.0)
-        [coarse] = evolve_ball_shadow(ball, flow, PlaneSelector.conjugate(1),
+        [coarse] = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
                                       30_000, 0.05, [1.0])
-        [fine] = evolve_ball_shadow(ball, flow, PlaneSelector.conjugate(1),
+        [fine] = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
                                     60_000, 0.025, [1.0])
         assert abs(fine.area - coarse.area) / coarse.area < 0.02
 
@@ -320,15 +315,14 @@ class TestEvolveShadow:
         # inverted quartic: trajectories escape to infinity fast
         flow = FlowSpec(V=lambda q: -12.5 * np.sum(q**4, -1), grad_V=lambda q: -(q**3) * 50,
                         dt=0.5)
-        ball = Ball(np.zeros(2), 2.0)
         with pytest.raises(FlowDiverged), np.errstate(all="ignore"):
-            evolve_ball_shadow(ball, flow, PlaneSelector.conjugate(1),
+            evolve_ball_shadow(2.0, flow, PlaneSelector.conjugate(1),
                                1000, 0.05, [50.0])
 
     def test_snapshot_must_align_with_dt(self):
         flow = harmonic_flow(1e-2)
         with pytest.raises(ValueError):
-            evolve_ball_shadow(Ball(np.zeros(2), 1.0), flow,
+            evolve_ball_shadow(1.0, flow,
                                PlaneSelector.conjugate(1), 100, 0.05, [0.0153])
 
     @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1e-3])
@@ -345,7 +339,7 @@ class TestEvolveShadow:
         # refused before any point is drawn or moved
         monkeypatch.setattr(shadows, "ball_points", draw)
         with pytest.raises(ValueError, match="particle-steps"):
-            evolve_ball_shadow(Ball(np.zeros(2), 1.0), harmonic_flow(1.0),
+            evolve_ball_shadow(1.0, harmonic_flow(1.0),
                                PlaneSelector.conjugate(1), samples, 0.05, [0.0, t])
 
     def test_negative_time_refused(self, monkeypatch):
@@ -355,8 +349,32 @@ class TestEvolveShadow:
         # a negative step count was once skipped, so t = 0 reported a moved cloud
         monkeypatch.setattr(shadows, "ball_points", draw)
         with pytest.raises(ValueError, match="snapshot time -1.0 is negative"):
-            evolve_ball_shadow(Ball(np.zeros(2), 1.0), harmonic_flow(0.01),
+            evolve_ball_shadow(1.0, harmonic_flow(0.01),
                                PlaneSelector.conjugate(1), 100, 0.05, [-1.0, 0.0])
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_radius_must_be_finite_and_positive(self, radius, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("points drawn for an invalid radius")
+
+        # a NaN or infinite radius once drew a non-finite cloud: FlowDiverged, not bad input
+        monkeypatch.setattr(shadows, "ball_points", draw)
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            evolve_ball_shadow(radius, harmonic_flow(0.01), PlaneSelector.conjugate(1),
+                               100, 0.05, [0.0])
+
+    @pytest.mark.parametrize("cell", [math.inf, math.nan, 0.0, -0.05])
+    def test_grid_cell_must_be_finite_and_positive(self, cell):
+        # an infinite cell once put the whole cloud in one cell: an infinite area
+        with pytest.raises(ValueError, match="grid_cell must be finite and positive"):
+            evolve_ball_shadow(1.0, harmonic_flow(0.01), PlaneSelector.conjugate(1),
+                               100, cell, [0.0])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_time_must_be_finite(self, t):
+        with pytest.raises(ValueError, match=f"snapshot time {t} is not finite"):
+            evolve_ball_shadow(1.0, harmonic_flow(0.01), PlaneSelector.conjugate(1),
+                               100, 0.05, [0.0, t])
 
     def test_particle_step_bound_admits_readme_example(self):
         # evolve --times 1,2,5 --dt 0.001 --samples 100000
@@ -412,7 +430,6 @@ def test_grid_area_refuses_cloud_beyond_int64_codes(points):
 class TestHaltonMemo:
     def test_callers_get_their_own_points(self):
         for draw in (lambda: ball_points(300, 4, 2.0, seed=3),
-                     lambda: ball_points(300, 4, 2.0, center=np.ones(4), seed=3),
                      lambda: box_points(300, [0.0, -1.0], [1.0, 2.0], seed=3)):
             first = draw()
             want = first.copy()
@@ -427,17 +444,16 @@ class TestHaltonMemo:
             u[0, 0] = 0.5
 
     def test_points_match_a_fresh_draw(self):
-        want = ball_points_oracle(300, 2, 1.5, None, 8)
+        want = ball_points_oracle(300, 2, 1.5, 8)
         for _ in range(2):
             assert np.array_equal(ball_points(300, 2, 1.5, seed=8), want)
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_ball_points_match_the_oracle_bit_for_bit(self, dim):
-        # one memo entry serves every radius and center
-        for radius, center in [(1.0, None), (0.3, None), (2.5, np.linspace(-1.0, 1.0, dim)),
-                               (1e-3, np.full(dim, 7.0))]:
-            want = ball_points_oracle(2000, dim, radius, center, 4)
-            assert np.array_equal(ball_points(2000, dim, radius, center, seed=4), want)
+        # one memo entry serves every radius
+        for radius in (1.0, 0.3, 2.5, 1e-3):
+            want = ball_points_oracle(2000, dim, radius, 4)
+            assert np.array_equal(ball_points(2000, dim, radius, seed=4), want)
 
     def test_unit_ball_entries_are_read_only(self):
         entry = _unit_ball(300, 4, 3)
