@@ -18,6 +18,7 @@ from .sampling import ball_points, box_points
 
 SANDWICH_SAMPLES = 10_000  # points of each sampled inclusion check
 SANDWICH_SEED = 0  # of the inner-ball draw; the bounding-box draw uses SANDWICH_SEED + 1
+CYLINDER_PLANES = ("conjugate", "qq", "pp", "qp")  # the --plane kinds
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,11 @@ def _area(value: float) -> CapacityValue:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """q_j^2 + p_j^2 <= R^2 over the conjugate plane of mode j (1-based)."""
+    """q_j^2 + p_j^2 <= R^2 over the conjugate plane of mode j (1-based).
+
+    `plane_kind` is one of CYLINDER_PLANES; only "conjugate" has a capacity
+    formula here.
+    """
 
     axis_index: int
     radius: float
@@ -67,6 +72,9 @@ class Cylinder:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if not (1 <= self.axis_index <= self.dim):
             raise ValueError(f"axis index {self.axis_index} outside 1..{self.dim}")
+        if self.plane_kind not in CYLINDER_PLANES:
+            raise ValueError(f"cylinder plane must be one of {', '.join(CYLINDER_PLANES)}, "
+                             f"got {self.plane_kind!r}")
 
     def contains(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)

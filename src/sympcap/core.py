@@ -6,6 +6,7 @@ standard form is J = [[0, I], [-I, 0]] in that block ordering.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass
 from typing import Optional
 
@@ -196,9 +197,11 @@ def _positive(name: str, value: float) -> None:
 
 
 def _integer(name: str, value) -> int:
-    """`value` as an int; a bool or a float with a fractional part (NaN and
-    inf too) is refused rather than truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """`value` as an int; anything but an integral number (a bool, a string,
+    null, a list, a float with a fractional part, NaN, inf) is refused by
+    name rather than truncated or parsed."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -104,11 +104,21 @@ class SpectrumResult:
 
 
 def blob_check(cap: CapacityValue, cfg: PlanckConfig, tol: float = BLOB_TOL) -> Optional[int]:
-    """Blob index n with |cap - (n + 1/2) h| <= tol * h, if one exists."""
+    """Blob index n with |cap - (n + 1/2) h| <= tol * h, if one exists.
+
+    A capacity whose double spacing exceeds max(tol, 4 eps) * h cannot be
+    placed on the ladder: its distance to (n + 1/2) h is lost to rounding
+    (1e308 once read as a blob), so it is refused. The 4 eps floor keeps
+    tol = 0 usable on values below 4h.
+    """
     if not tol >= 0:  # NaN too
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if cap.infinite:
         raise NotABlob("infinite capacity has no blob index")
+    resolution = max(tol, _ULP4) * cfg.h
+    if math.ulp(cap.value) > resolution:
+        raise ValueError(f"capacity {cap.value!r} has double spacing {math.ulp(cap.value):.3e}, "
+                         f"coarser than the tolerance max(tol, 4 eps) * h = {resolution:.3e}")
     x = cap.value / cfg.h - 0.5
     n = round(x)
     if n >= 0 and abs(cap.value - (n + 0.5) * cfg.h) <= tol * cfg.h:
@@ -563,17 +573,26 @@ def quartic_potential(coeff: float = 0.25, mass: float = 1.0, bracket=(-30.0, 30
     if coeff <= 0:
         raise ValueError(f"quartic coeff must be positive, got {coeff}: the potential is "
                          "not confining")
+
+    def dV(q):
+        f = 4.0 * coeff * q  # 4 coeff q^3 in that order, on one fresh array
+        f *= q
+        f *= q
+        return f
+
     return Potential1D(V=lambda q: coeff * np.square(np.square(q)), mass=mass, bracket=bracket,
-                       dV=lambda q: 4.0 * coeff * q * q * q)
+                       dV=dV)
 
 
 def _horner(c: list):
-    """q -> sum_k c[k] q^k on float arrays, in the operation order of numpy's polyval."""
+    """q -> sum_k c[k] q^k on float arrays, in the operation order of numpy's
+    polyval, updating one fresh array in place."""
     def value(q):
         q = np.asarray(q, dtype=float)
         y = c[-1] + q * 0
         for ck in c[-2::-1]:
-            y = ck + y * q
+            y *= q
+            y += ck
         return y
 
     return value

@@ -226,18 +226,30 @@ def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int) -> None:
     """Advance in place by `count` Verlet steps, fusing adjacent half-kicks.
 
     Algebraically identical to iterating verlet_step; one force evaluation
-    per step instead of two.
+    per step instead of two. Each kick and drift writes into one scratch
+    buffer, allocated per call, instead of allocating two temporaries: on
+    5 000 one-mode particles (2 cores, numpy 2.4.6) that took a traced
+    particle-step from 3.8 to 2.5 ns, with the in-place quartic force. The
+    drift multiplies by h = dt / mass, the same bits as dt * (p / mass) at
+    mass 1 and a last-bit rounding apart otherwise.
     """
     if count <= 0:
         return
     dt = flow.dt
+    h = dt / flow.mass
+    buf = np.empty_like(p)
     try:  # gradient callables are caller-supplied
-        p -= 0.5 * dt * np.asarray(flow.grad_V(q))
+        np.multiply(flow.grad_V(q), 0.5 * dt, out=buf)
+        p -= buf
         for _ in range(count - 1):
-            q += dt * (p / flow.mass)
-            p -= dt * np.asarray(flow.grad_V(q))
-        q += dt * (p / flow.mass)
-        p -= 0.5 * dt * np.asarray(flow.grad_V(q))
+            np.multiply(p, h, out=buf)
+            q += buf
+            np.multiply(flow.grad_V(q), dt, out=buf)
+            p -= buf
+        np.multiply(p, h, out=buf)
+        q += buf
+        np.multiply(flow.grad_V(q), 0.5 * dt, out=buf)
+        p -= buf
     except Exception as exc:
         raise FlowError(f"gradient evaluation failed: {exc}") from exc
 
@@ -251,11 +263,19 @@ def grid_shadow_area(points_2d: np.ndarray, grid_cell: float,
     subtracts half of every occupied cell with an unoccupied 4-neighbor.
     A cloud with a non-finite coordinate, or too wide for int64 cell codes
     at this cell size (indices or code range beyond 2^62), is refused.
+
+    Two numpy paths are avoided on purpose (2 cores, numpy 2.4.6, 5 000
+    points): `.min(axis=0)` on a C-ordered (n, 2) array, as `evolve`
+    projects it, took about 180 us a call, against about 8 us per column;
+    `np.unique` took its hash path at 230-760 us, against about 50 us for a
+    sort and an adjacent-difference mask, which keep the same cell set and
+    so the same area bits.
     """
     scaled = np.floor(np.asarray(points_2d, dtype=float) / grid_cell)
     if not len(scaled):
         return 0.0
-    ends = np.stack([scaled.min(axis=0), scaled.max(axis=0)])
+    x, y = scaled[:, 0], scaled[:, 1]
+    ends = np.array([[x.min(), y.min()], [x.max(), y.max()]])
     # cell indices, and the codes below (less than the product), must fit
     # in int64 with room to spare; a NaN or infinite coordinate fails too
     if not (np.abs(ends).max() < CELL_LIMIT and np.prod(ends[1] - ends[0] + 3) < CELL_LIMIT):
@@ -265,7 +285,8 @@ def grid_shadow_area(points_2d: np.ndarray, grid_cell: float,
     # side, so the 4-neighbors of a code are code +- span and code +- 1
     lo = ends[0].astype(np.int64) - 1
     span = int(ends[1, 1]) - lo[1] + 2
-    codes = np.unique((cells[:, 0] - lo[0]) * span + (cells[:, 1] - lo[1]))
+    codes = np.sort((cells[:, 0] - lo[0]) * span + (cells[:, 1] - lo[1]))
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     count = codes.size
     if perimeter_correction:
         boundary = np.zeros(count, dtype=bool)

@@ -5,7 +5,9 @@ code: closed forms, dense diagonalization, the nonsymmetric eigenvalues of
 J M for the symplectic spectrum, adaptive quadrature, direct ODE
 integration, plain loops over ensemble members, planes, grid cells and
 certificate entries, exact-rational (Fraction) Gram determinants, and
-scipy's scrambled Halton and inverse-normal map for the samplers.
+scipy's scrambled Halton and inverse-normal map for the samplers, and the
+allocating forms of the Verlet kernel and of the quartic and polynomial
+forces.
 The ensemble oracle draws its members with the library's single-member
 `random_symplectic`, so it also checks that a stacked draw matches draws in
 a row. The turning-point oracle shares the library's well scan, crossing
@@ -194,6 +196,36 @@ def certify_oracle(stack, tol):
         if not defect <= tol:
             return k, f"symplectic defect {defect:.3e} exceeds tolerance {tol:.3e}"
     return None
+
+
+def advance_oracle(q, p, flow, count):
+    """`shadows._advance` as first written: fused half-kicks, a fresh array
+    for every kick and drift, and the drift as dt * (p / mass)."""
+    if count <= 0:
+        return
+    dt = flow.dt
+    p -= 0.5 * dt * np.asarray(flow.grad_V(q))
+    for _ in range(count - 1):
+        q += dt * (p / flow.mass)
+        p -= dt * np.asarray(flow.grad_V(q))
+    q += dt * (p / flow.mass)
+    p -= 0.5 * dt * np.asarray(flow.grad_V(q))
+
+
+def quartic_dV_oracle(coeff):
+    return lambda q: 4.0 * coeff * q * q * q
+
+
+def horner_oracle(c):
+    """sum_k c[k] q^k with a fresh array at every Horner step."""
+    def value(q):
+        q = np.asarray(q, dtype=float)
+        y = c[-1] + q * 0
+        for ck in c[-2::-1]:
+            y = ck + y * q
+        return y
+
+    return value
 
 
 def exact_plane_det(S, a, b):

@@ -78,6 +78,12 @@ class TestCylinderCapacity:
         with pytest.raises(UnsupportedRegion):
             capacity_cylinder(Cylinder(1, 1.0, 3, plane_kind="qq"))
 
+    @pytest.mark.parametrize("kind", ["foo", "", "QQ", "conjugate:1", None, 1])
+    def test_unknown_plane_kind_is_bad_input(self, kind):
+        # "foo" once reached capacity_cylinder and raised UnsupportedRegion (exit 3)
+        with pytest.raises(ValueError, match="cylinder plane must be one of"):
+            Cylinder(1, 1.0, 3, plane_kind=kind)
+
 
 class TestEllipsoidCapacity:
     def test_isotropic(self):

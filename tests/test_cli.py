@@ -257,6 +257,8 @@ class TestInputErrors:
         ["evolve", "--potential", "harmonic", "--samples", "100", "--grid-cell", "inf"],
         ["evolve", "--potential", "harmonic", "--samples", "100", "--radius", "nan"],
         ["evolve", "--potential", "harmonic", "--samples", "100", "--radius", "inf"],
+        ["capacity", "--cylinder", "j=1", "R=1", "N=2", "plane=foo"],
+        ["capacity", "--region", '{"type": "cylinder", "radius": 1, "n": 2, "plane": 1}'],
     ])
     def test_exit_2(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -310,9 +312,16 @@ class TestInputErrors:
          "matrix descriptor key 'n' must be an integer, got 1.5"),
         (["williamson", "--matrix", '{"n": true, "matrix": [1, 0, 0, 1]}'],
          "matrix descriptor key 'n' must be an integer, got True"),
+        (["capacity", "--ball", "R=1", 'N="2"'], "ball region key 'N' must be an integer, got '2'"),
+        (["capacity", "--ball", "R=1", 'N="2.7"'],
+         "ball region key 'N' must be an integer, got '2.7'"),
+        (["williamson", "--matrix", '{"n": "1", "matrix": [1, 0, 0, 1]}'],
+         "matrix descriptor key 'n' must be an integer, got '1'"),
+        (["capacity", "--ball", "R=1", "N=null"], "ball region key 'N' must be an integer, got None"),
     ])
     def test_integer_not_truncated(self, capsys, argv, message):
-        # int() once read N=2.7 as 2 and true as 1
+        # int() once read N=2.7 as 2, true as 1 and the string "2" as 2, and
+        # its message for null named Python's int(), not the key
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
@@ -495,6 +504,17 @@ class TestOptionsRead:
         m = json.dumps({"n": 1, "matrix": [1.0, 0.0, 0.0, 1.0 + 1e-9]})
         assert invoke(capsys, "shadow", "--matrix", m)[0] == 2
         assert invoke(capsys, "shadow", "--matrix", m, "--tol", "1e-6")[0] == 0
+
+    @pytest.mark.parametrize("argv,spacing,resolution", [
+        (["blob-check", "--value", "1e308"], "1.996e+292", "3.142e-01"),
+        (["blob-check", "--value", "1e20", "--tol", "0.001"], "1.638e+04", "6.283e-03"),
+    ])
+    def test_blob_value_beyond_tolerance_refused(self, capsys, argv, spacing, resolution):
+        # once exit 0: a 308-digit blob_index, and 1e20 read as a blob
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert spacing in message and resolution in message
 
     def test_blob_check_tol(self, capsys):
         value = str(1.2 * math.pi)

@@ -36,7 +36,14 @@ from sympcap.errors import (
 )
 from sympcap.ebk import _Well, _action_period, _crossings, _monotone_runs
 
-from oracles import action_by_quad, morse_levels, quartic_levels, turning_points_oracle
+from oracles import (
+    action_by_quad,
+    horner_oracle,
+    morse_levels,
+    quartic_dV_oracle,
+    quartic_levels,
+    turning_points_oracle,
+)
 
 CFG = PlanckConfig(1.0)
 
@@ -118,6 +125,25 @@ class TestBlobCheck:
     def test_infinite_rejected(self):
         with pytest.raises(NotABlob):
             blob_check(CapacityValue.infinity(), CFG)
+
+    @pytest.mark.parametrize("value,tol", [(1e308, 0.05), (1e20, 0.001), (1e17, 0.05),
+                                           (40.0, 0.0)])
+    def test_unresolvable_value_refused(self, value, tol):
+        # |cap - (n + 1/2) h| once rounded to 0 here: 1e308 read as a blob
+        # with a 308-digit index
+        with pytest.raises(ValueError, match=r"double spacing .* coarser than the tolerance"):
+            blob_check(CapacityValue(value), CFG, tol=tol)
+
+    def test_resolution_edge(self):
+        # ulp(2^40) = 2^-12 = 2.4e-4 is within 0.001 h = 6.3e-3; ulp(2^46) = 2^-6 is not
+        assert blob_check(CapacityValue(2.0**40), CFG, tol=0.001) is None
+        with pytest.raises(ValueError, match="double spacing"):
+            blob_check(CapacityValue(2.0**46), CFG, tol=0.001)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_zero_tol_places_exact_rungs(self, n):
+        assert blob_check(CapacityValue((n + 0.5) * CFG.h), CFG, tol=0.0) == n
+        assert blob_check(CapacityValue((n + 0.6) * CFG.h), CFG, tol=0.0) is None
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
     def test_tol_nonnegative(self, tol):
@@ -637,6 +663,23 @@ class TestPotentialFactory:
         for x in (q, q[:2], q[3], float(q[4]), -q):
             assert np.array_equal(pot.V(x), polyval(x, coeffs))
             assert np.array_equal(pot.dV(x), polyval(x, polyder(coeffs)))
+
+    @pytest.mark.parametrize("pot,V,dV", [
+        (quartic_potential(0.25), lambda q: 0.25 * np.square(np.square(q)),
+         quartic_dV_oracle(0.25)),
+        (quartic_potential(1.7), lambda q: 1.7 * np.square(np.square(q)), quartic_dV_oracle(1.7)),
+        (make_potential(BENCH_POLY), horner_oracle(BENCH_POLY["coeffs"]),
+         horner_oracle(np.polynomial.polynomial.polyder(BENCH_POLY["coeffs"]).tolist())),
+    ], ids=["quartic", "quartic-1.7", "polynomial"])
+    def test_forces_match_allocating_forms(self, pot, V, dV):
+        # the in-place forms: same bits and result type, input untouched
+        q = np.random.default_rng(6).uniform(-3.0, 3.0, size=(300, 1))
+        for x in (q, q[:, 0], q[::3, 0], np.array(q[5, 0]), float(q[7, 0]), 2.5, -1e-3):
+            before = np.array(x, copy=True)
+            for got, want in ((pot.V(x), V(x)), (pot.dV(x), dV(x))):
+                assert type(got) is type(want)
+                assert np.array_equal(got, want)
+            assert np.array_equal(x, before)
 
     @pytest.mark.parametrize("coeff", [0.0, -1.0])
     def test_nonconfining_quartic_rejected(self, coeff):

@@ -6,6 +6,7 @@ import pytest
 
 from sympcap import shadows
 from sympcap.core import DEFAULT_SYMPLECTIC_TOL, SymplecticMatrix, random_symplectic
+from sympcap.ebk import harmonic_potential, polynomial_potential, quartic_potential
 from sympcap.errors import FlowDiverged, FlowError
 from sympcap.sampling import _halton, _unit_ball, ball_points, box_points
 from sympcap.shadows import (
@@ -22,6 +23,7 @@ from sympcap.shadows import (
 )
 
 from oracles import (
+    advance_oracle,
     ball_points_oracle,
     certify_oracle,
     ensemble_oracle,
@@ -42,6 +44,35 @@ def quartic_flow(dt):
 def free_flow(dt, n_modes=1):
     return FlowSpec(V=lambda q: np.zeros(q.shape[:-1]), grad_V=np.zeros_like, dt=dt,
                     n_modes=n_modes)
+
+
+def cli_flow(pot, dt, mass=1.0):
+    """The flow `evolve` builds from a 1-D potential."""
+    return FlowSpec(V=lambda q: pot.V(q[..., 0]), grad_V=pot.dV, dt=dt, mass=mass)
+
+
+def _read_only_cube(q):
+    g = q**3
+    g.flags.writeable = False
+    return g
+
+
+CLI_POTENTIALS = [
+    pytest.param(harmonic_potential(1.1), id="harmonic"),
+    pytest.param(quartic_potential(0.25), id="quartic"),
+    pytest.param(polynomial_potential([0.0, 0.1, 0.5, 0.15, 0.12]), id="polynomial"),
+]
+
+
+def _advance_both(flow, counts, size=2000):
+    """(kernel, oracle) states after advancing the same ball by each count in turn."""
+    z = ball_points(size, 2, 1.0, seed=3)
+    got = [z[:, :1].copy(), z[:, 1:].copy()]
+    want = [a.copy() for a in got]
+    for count in counts:
+        _advance(*got, flow, count)
+        advance_oracle(*want, flow, count)
+    return np.concatenate(got, axis=1), np.concatenate(want, axis=1)
 
 
 class TestPlaneSelector:
@@ -248,6 +279,26 @@ class TestVerlet:
             z = verlet_step(z, flow)
         assert np.max(np.abs(np.concatenate([q, p], axis=1) - z)) <= 1e-12
 
+    @pytest.mark.parametrize("pot", CLI_POTENTIALS)
+    def test_in_place_kernel_is_bit_identical_at_mass_1(self, pot):
+        got, want = _advance_both(cli_flow(pot, 0.02), (0, 1, 2, 250))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mass", [0.5, 3.0])
+    @pytest.mark.parametrize("pot", CLI_POTENTIALS)
+    def test_in_place_kernel_with_mass(self, pot, mass):
+        # the kernel rounds h = dt / mass, the oracle p / mass: last-bit differences
+        got, want = _advance_both(cli_flow(pot, 0.02, mass), (1, 250))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("V,grad", [
+        (lambda q: 0.5 * np.sum(q * q, -1), lambda q: q),
+        (lambda q: 0.25 * np.sum(q**4, -1), _read_only_cube),
+    ], ids=["own-argument", "read-only"])
+    def test_in_place_kernel_gradient_aliasing(self, V, grad):
+        got, want = _advance_both(FlowSpec(V=V, grad_V=grad, dt=0.01), (1, 100))
+        assert np.array_equal(got, want)
+
     def test_mass_step_is_kick_drift_kick(self):
         m, dt = 2.0, 0.05
         flow = FlowSpec(V=lambda q: 0.25 * np.sum(q**4, -1), grad_V=lambda q: q**3, dt=dt, mass=m)
@@ -407,6 +458,12 @@ def _annulus(n):
     pytest.param(np.array([[-1e9, 0.5], [1e9, 0.5], [1e9 + 0.07, 0.5]]), 0.05, id="far-apart"),
     pytest.param(_annulus(20000), 0.1, id="annulus"),
     pytest.param(np.random.default_rng(4).normal(size=(100_000, 2)), 0.05, id="gaussian-1e5"),
+    pytest.param(np.random.default_rng(6).normal(size=(3000, 4))[::2, 1:3], 0.05,
+                 id="strided-view"),
+    pytest.param(np.asfortranarray(np.random.default_rng(7).normal(size=(5000, 2))), 0.05,
+                 id="fortran-ordered"),
+    pytest.param(np.repeat(np.random.default_rng(8).uniform(-1, 1, size=(50, 2)), 100, axis=0),
+                 0.05, id="heavy-duplicates"),
 ])
 @pytest.mark.parametrize("perimeter_correction", [True, False])
 def test_grid_area_matches_cell_set_oracle(points, cell, perimeter_correction):
