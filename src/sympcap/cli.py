@@ -45,7 +45,10 @@ def _parse_kv(tokens):
         try:
             out[k] = json.loads(v)
         except json.JSONDecodeError:
-            out[k] = v
+            try:  # a number JSON does not read, such as nan, inf or 1.
+                out[k] = float(v)
+            except ValueError:
+                out[k] = v
     return out
 
 
@@ -181,17 +184,20 @@ def _capacity_from_descriptor(kind, fields: dict, names=None) -> cap_mod.Capacit
         value = need(key) if default is None else desc.get(key, default)
         return core._integer(f"{kind} region key {names.get(key, key)!r}", value)
 
+    def real(key):
+        return core._real(f"{kind} region key {names.get(key, key)!r}", need(key))
+
     if kind == "ball":
-        return cap_mod.capacity_ball(float(need("radius")), integer("n"))
+        return cap_mod.capacity_ball(real("radius"), integer("n"))
     if kind == "cylinder":
-        Z = cap_mod.Cylinder(axis_index=integer("axis", 1), radius=float(need("radius")),
+        Z = cap_mod.Cylinder(axis_index=integer("axis", 1), radius=real("radius"),
                              dim=integer("n"), plane_kind=desc.get("plane", "conjugate"))
         return cap_mod.capacity_cylinder(Z)
     if kind == "ellipsoid":
         M = core.matrix_from_json(need("matrix"))
-        region = cap_mod.EnergyShellRegion(core.QuadraticHamiltonian(M), float(need("energy")))
+        region = cap_mod.EnergyShellRegion(core.QuadraticHamiltonian(M), real("energy"))
         return cap_mod.capacity_ellipsoid(region)
-    bottle = cap_mod.bordeaux_bottle_fixture(float(need("radius")), float(need("neck")))
+    bottle = cap_mod.bordeaux_bottle_fixture(real("radius"), real("neck"))
     return bottle.capacity
 
 

@@ -206,6 +206,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """`value` as a float; anything but a real number (a bool, a string, null,
+    a list) is refused by name rather than parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _require_positive(w: np.ndarray) -> None:
     """Raise NotPositiveDefinite unless the ascending eigenvalues `w` are all positive.
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .capacity import CapacityValue
-from .core import QuadraticHamiltonian, _positive, symplectic_eigenvalues
+from .core import QuadraticHamiltonian, _positive, _real, symplectic_eigenvalues
 from .errors import (
     LevelNotBound,
     MultiWell,
@@ -187,8 +187,8 @@ def _crossings(runs: list, E: float) -> np.ndarray:
 class _Well:
     """The solver state of one spectrum_1d or level_1d call: the well scan (_sampled on
     _SCAN_POINTS over the bracket), the confinement energy, the action at the bracket top
-    once evaluated, and the (E, roots, dV at them) of the last turning-point polish, which
-    the next one starts from (None: start cold)."""
+    once evaluated, and the (E, roots, dV, V'' estimate) of the last turning-point polish,
+    each a pair but E, which the next one starts from (None: start cold)."""
 
     def __init__(self, pot: Potential1D):
         self.pot = pot
@@ -212,15 +212,59 @@ def _bisect(f, a: float, b: float, xtol: float = 0.0) -> float:
             b = m
 
 
+def _sign_change(f, a: float, b: float, xtol: float) -> float:
+    """A sign change of f on [a, b], to within xtol, by regula falsi with the Illinois
+    rule: the value at an end kept twice running is halved. A point within xtol / 2 of
+    an end moves xtol / 2 inside, so the bracket closes around a root once one is
+    found; a bracket not halved in three steps is bisected, and one whose ends have the
+    same sign goes to _bisect. Stops as _bisect does, at the bracket's midpoint."""
+    fa, fb = float(f(a)), float(f(b))
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        return _bisect(f, a, b, xtol)
+    kept, widths = None, (math.inf,) * 3
+    while True:
+        m = 0.5 * (a + b)
+        if not (b - a > xtol and a < m < b):
+            return m
+        x = m
+        if b - a <= 0.5 * widths[0]:
+            chord = min(max(a - fa * (b - a) / (fb - fa), a + 0.5 * xtol), b - 0.5 * xtol)
+            if a < chord < b:
+                x = chord
+        widths = (*widths[1:], b - a)
+        fx = float(f(x))
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):  # the change is in [x, b]
+            a, fa = x, fx
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+        else:
+            b, fb = x, fx
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+
+
 def turning_points(pot: Potential1D | _Well, E: float) -> tuple[float, float]:
     """Classical turning points V(q) = E bracketing a single well.
 
     Looks the crossings of E up in the monotone runs of the well scan, zooming
     toward the minimum when the classically allowed region is narrower than the
-    grid, refuses multi-well energies, and polishes both crossings at once.
-    Given a solver's _Well, reuses its scan and starts from its last polish.
+    grid, refuses multi-well energies, and polishes both crossings at once by
+    Newton on dV. Each root starts from the chord of the scan across its crossing
+    cell. Given a solver's _Well, reuses its scan, starts a root from the last
+    polish's root moved to second order in E where that lands in the cell, and
+    runs under the solver's np.errstate.
     """
-    well = pot if isinstance(pot, _Well) else _Well(pot)
+    if isinstance(pot, _Well):
+        return _turning_points(pot, E)
+    with np.errstate(all="ignore"):
+        return _turning_points(_Well(pot), E)
+
+
+def _turning_points(well: _Well, E: float) -> tuple[float, float]:
     pot, (q, v, vmin, runs) = well.pot, well.scan
     lo, hi = pot.bracket
     for _ in range(60):
@@ -242,38 +286,52 @@ def turning_points(pot: Potential1D | _Well, E: float) -> tuple[float, float]:
         raise MultiWell(f"{cells.size} turning points at E={E}; single well required")
     if cells.size < 2:
         raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
-    # Newton on dV, both roots at once, from the first-order prediction off the
-    # previous call's roots where it falls in the cell, else from the cell midpoint;
-    # bisection on its cell for a root that leaves it or has not settled in 8 steps.
-    # The steps run on the two-root array, the tests on its Python floats.
-    a, b = q[cells].tolist(), q[cells + 1].tolist()
-    x = [0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])]
-    warm = well.warm
-    if warm:
-        E0, x0, d0 = warm
+    # Newton on dV, both roots at once, from the warm prediction x0 + t - V'' t^2 / 2 V'
+    # (t = (E - E0) / V') where it falls in the cell, else from the chord of the scan
+    # across it; bisection on its cell for a root that leaves it or has not settled in
+    # 8 steps. The steps run on the two-root array, the tests on its Python floats.
+    a, b, x = [], [], []
+    for k in cells.tolist():
+        (qa, qb), (va, vb) = q[k:k + 2].tolist(), v[k:k + 2].tolist()
+        a.append(qa)
+        b.append(qb)
+        x.append(qa + (E - va) / (vb - va) * (qb - qa))
+    if well.warm:
+        E0, x0, d0, c0 = well.warm
         for i in range(2):
-            guess = x0[i] + (E - E0) / d0[i] if d0[i] else math.nan
-            if a[i] <= guess <= b[i]:
-                x[i] = guess
+            if d0[i]:
+                t = (E - E0) / d0[i]
+                guess = x0[i] + t - 0.5 * c0[i] * t * t / d0[i]
+                if a[i] <= guess <= b[i]:
+                    x[i] = guess
     x, f_tol = np.array(x), _ULP4 * abs(E)
-    with np.errstate(all="ignore"):
-        for _ in range(8):
-            f = np.asarray(pot.V(x), dtype=float) - E
-            d = np.asarray(pot.dV(x), dtype=float)
-            step = f / d
-            x = x - step
-            # a step within 4 ulp of x, or a residual at the rounding level of E;
-            # a NaN step or residual is not settled
-            settled = [abs(dx) <= _ULP4 * abs(xi) or abs(fi) <= f_tol
-                       for dx, xi, fi in zip(step.tolist(), x.tolist(), f.tolist())]
-            if settled[0] and settled[1]:
-                break
-    x = x.tolist()
+    x_last = d_last = None
+    for _ in range(8):
+        f = np.asarray(pot.V(x), dtype=float) - E
+        d = np.asarray(pot.dV(x), dtype=float)
+        step = f / d
+        x_prev, d_prev, x_last, d_last = x_last, d_last, x, d
+        x = x - step
+        # a step within 4 ulp of x, or a residual at the rounding level of E;
+        # a NaN step or residual is not settled
+        (s0, s1), (r0, r1), (f0, f1) = step.tolist(), x.tolist(), f.tolist()
+        settled = (abs(s0) <= _ULP4 * abs(r0) or abs(f0) <= f_tol,
+                   abs(s1) <= _ULP4 * abs(r1) or abs(f1) <= f_tol)
+        if settled[0] and settled[1]:
+            break
+    # V'' for the next prediction: the slope of dV between the last two iterates,
+    # 0 where there is one or they are within 4 ulp of each other
+    roots, d_at, curvature = x.tolist(), d_last.tolist(), [0.0, 0.0]
+    if x_prev is not None:
+        for i, (xl, xp, dp) in enumerate(zip(x_last.tolist(), x_prev.tolist(),
+                                             d_prev.tolist())):
+            if abs(xl - xp) > _ULP4 * abs(xl):
+                curvature[i] = (d_at[i] - dp) / (xl - xp)
     for i in range(2):
-        if not (settled[i] and a[i] <= x[i] <= b[i]):
-            x[i] = _bisect(lambda s: pot.V(s) - E, a[i], b[i])
-    well.warm = (E, x, d.tolist())
-    return x[0], x[1]
+        if not (settled[i] and a[i] <= roots[i] <= b[i]):
+            roots[i] = _bisect(lambda s: pot.V(s) - E, a[i], b[i])
+    well.warm = (E, roots, d_at, curvature)
+    return roots[0], roots[1]
 
 
 _QUAD_NODES = 256  # Gauss-Legendre nodes of every action and period integral
@@ -281,24 +339,25 @@ _QUAD_NODES = 256  # Gauss-Legendre nodes of every action and period integral
 
 @lru_cache(maxsize=1)
 def _gauss_legendre():
-    """sin(theta), weights and cos(theta) at the Gauss-Legendre nodes x, theta = pi x / 2."""
+    """sin(theta) and the folded weights w cos(theta) at the Gauss-Legendre nodes x,
+    theta = pi x / 2."""
     x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    return np.sin(0.5 * math.pi * x), w, np.cos(0.5 * math.pi * x)
+    return np.sin(0.5 * math.pi * x), w * np.cos(0.5 * math.pi * x)
 
 
 def _action_period(well: _Well, E: float) -> tuple[float, float]:
-    """Loop action A(E) and period T(E) = dA/dE = 2 int m/p dq on the same
-    nodes: under the substitution of action_integral both integrands are smooth."""
+    """Loop action A(E) and period T(E) = dA/dE = 2 int m/p dq on the same nodes: under
+    the substitution of action_integral both integrands are smooth, and each integral
+    is one dot product of the folded weights with p or 1/p. Runs under the caller's
+    np.errstate: a p that rounds to 0 at a node makes T infinite, and Newton bisects."""
     pot, (q_minus, q_plus) = well.pot, turning_points(well, E)
     mid = 0.5 * (q_plus + q_minus)
     half = 0.5 * (q_plus - q_minus)
-    sin, w, cos = _gauss_legendre()
-    q = mid + half * sin
-    integrand = np.sqrt(np.maximum(2.0 * pot.mass * (E - np.asarray(pot.V(q))), 0.0))
-    action = float(2.0 * (0.5 * math.pi) * half * np.sum(w * integrand * cos))
-    with np.errstate(divide="ignore"):  # p rounded to 0 at a node: T = inf, Newton bisects
-        period = float(2.0 * (0.5 * math.pi) * half * pot.mass * np.sum(w * cos / integrand))
-    return action, period
+    sin, wc = _gauss_legendre()
+    p = E - np.asarray(pot.V(mid + half * sin))
+    p *= 2.0 * pot.mass
+    p = np.sqrt(np.maximum(p, 0.0, out=p), out=p)
+    return math.pi * half * float(wc @ p), math.pi * half * pot.mass * float(wc @ (1.0 / p))
 
 
 def action_integral(pot: Potential1D, E: float) -> float:
@@ -308,19 +367,38 @@ def action_integral(pot: Potential1D, E: float) -> float:
     in theta, which absorbs the square-root endpoint singularity and is
     spectrally accurate for smooth potentials.
     """
-    return _action_period(_Well(pot), E)[0]
+    with np.errstate(all="ignore"):
+        return _action_period(_Well(pot), E)[0]
 
 
 def _well_bottom(well: _Well) -> tuple[float, float, float]:
     """The well bottom as a point (vmin, 0, T0) of the action curve: vmin is V where dV
-    changes sign in the scan's argmin cell, located to 1e-13 of the cell, T0 = 2 pi
-    sqrt(m / V'') the harmonic period, with V'' the second difference of the scan (inf if
-    not positive)."""
+    changes sign in the scan's argmin cell and its neighbour, located by _sign_change to
+    1e-13 of those two cells, T0 = 2 pi sqrt(m / V'') the harmonic period, with V'' the
+    second difference D(h) of the scan (inf if not positive).
+
+    Regula falsi is slow on a multiple root, so it runs on dV^(1/r), r the order of the
+    root read off the scan: V ~ |q - q*|^(r+1) has D(2h) / D(h) = 2^(r+1) where q* is a
+    sample, and above 8 for r = 3 wherever q* lies in the cell. The estimate is rounded
+    to an odd r, the order at a smooth bottom.
+    """
     pot, (q, v) = well.pot, well.scan[:2]
     k = min(max(int(np.argmin(v)), 1), q.size - 2)
     a, b = float(q[k - 1]), float(q[k + 1])
-    x = _bisect(pot.dV, a, b, xtol=1e-13 * (b - a))
-    curvature = (v[k - 1] - 2.0 * v[k] + v[k + 1]) / (q[1] - q[0]) ** 2
+    below, at, above = v[k - 1:k + 2].tolist()
+    second = below - 2.0 * at + above  # D(h)
+    order = 1
+    if 2 <= k <= q.size - 3 and second > 0:
+        ratio = (float(v[k - 2]) - 2.0 * at + float(v[k + 2])) / second
+        if 8.0 < ratio < math.inf:
+            order = 2 * round(math.log2(ratio) / 2.0 - 1.0) + 1
+
+    def root(s):
+        d = float(pot.dV(s))
+        return math.copysign(abs(d) ** (1.0 / order), d)
+
+    x = _sign_change(root, a, b, 1e-13 * (b - a))
+    curvature = second / float(q[1] - q[0]) ** 2
     period = 2.0 * math.pi * math.sqrt(pot.mass / curvature) if curvature > 0 else math.inf
     return float(pot.V(x)), 0.0, period
 
@@ -341,8 +419,10 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
     before that, and at most once per well, which keeps its action. A step fails if it
     leaves the bracket, has no finite T, or does not halve the last step once the top is
     `reached` (known to reach the target); it then bisects. Stops at a step of 4 ulp;
-    raises NoConvergence where that takes more than _MAX_EVALUATIONS steps. The first
+    raises NoConvergence where that takes more than _MAX_EVALUATIONS steps, or where an
+    energy above `below` has an allowed region too narrow for the scan's zoom. The first
     evaluation's turning points start cold, each later one's from the previous one's.
+    The evaluations run under one np.errstate that ignores floating-point warnings.
     """
     E, A, T = below
     e_cap = well.e_cap
@@ -350,44 +430,50 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
     e_lo, e_hi, reached, last = E, e_top, False, math.inf
     step = guess - E if e_lo < guess < e_hi else None
     well.warm = None
-    for steps in range(_MAX_EVALUATIONS + 1):
-        if step is None:
-            step = (target_action - A) / T
-            if (not (T < math.inf and e_lo <= E + step <= e_hi)
-                    or (reached and abs(step) > 0.5 * abs(last))):
-                step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
-            # never return the unevaluated start point, nor stop short of an
-            # unevaluated top
-            if (E != below[0] and abs(step) <= _ULP4 * max(abs(E), abs(below[0]))
-                    and (reached or E + step < e_top)):
-                return E, A, T
-        if steps == _MAX_EVALUATIONS:
-            break
-        E, last, step = E + step, step, None
-        top = E == e_top and not reached
-        if top and well.top_action is not None:
-            A = well.top_action
-        else:
-            try:
-                A, T = _action_period(well, E)
-            except (NoClassicalRegion, MultiWell) as exc:
-                if not top:
-                    if isinstance(exc, MultiWell):
-                        raise
-                    raise LevelNotBound("bracket stopped confining before the target action")
-                A = -math.inf
+    with np.errstate(all="ignore"):  # for every evaluation of the level
+        for steps in range(_MAX_EVALUATIONS + 1):
+            if step is None:
+                step = (target_action - A) / T
+                if (not (T < math.inf and e_lo <= E + step <= e_hi)
+                        or (reached and abs(step) > 0.5 * abs(last))):
+                    step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
+                # never return the unevaluated start point, nor stop short of an
+                # unevaluated top
+                if (E != below[0] and abs(step) <= _ULP4 * max(abs(E), abs(below[0]))
+                        and (reached or E + step < e_top)):
+                    return E, A, T
+            if steps == _MAX_EVALUATIONS:
+                break
+            E, last, step = E + step, step, None
+            top = E == e_top and not reached
+            if top and well.top_action is not None:
+                A = well.top_action
+            else:
+                try:
+                    A, T = _action_period(well, E)
+                except (NoClassicalRegion, MultiWell) as exc:
+                    if not top:
+                        if isinstance(exc, MultiWell):
+                            raise
+                        if E <= well.scan[2]:  # above an allowed E: the zoom ran out
+                            raise NoConvergence(
+                                f"action {target_action} not converged: the allowed region "
+                                f"at E={E} is too narrow for the well scan") from None
+                        raise LevelNotBound(
+                            "bracket stopped confining before the target action")
+                    A = -math.inf
+                if top:
+                    well.top_action = A
+            if A < target_action:
+                if top:
+                    raise LevelNotBound(
+                        f"action {target_action} not reached below dissociation at E={e_cap}"
+                    )
+                e_lo = E
+            else:
+                e_hi, reached = E, True
             if top:
-                well.top_action = A
-        if A < target_action:
-            if top:
-                raise LevelNotBound(
-                    f"action {target_action} not reached below dissociation at E={e_cap}"
-                )
-            e_lo = E
-        else:
-            e_hi, reached = E, True
-        if top:
-            T = math.inf  # the period diverges at dissociation: bisect next
+                T = math.inf  # the period diverges at dissociation: bisect next
     raise NoConvergence(f"action {target_action} not converged in {_MAX_EVALUATIONS} "
                         f"action evaluations, last E={E} in [{e_lo}, {e_hi}]")
 
@@ -610,25 +696,31 @@ def make_potential(desc: dict) -> Potential1D:
     """Build a Potential1D from a JSON descriptor {"kind": ..., params...}."""
     desc = dict(desc)
     kind = desc.pop("kind", None)
-    kwargs = {"mass": float(desc.pop("mass", 1.0))}
+    if kind not in ("harmonic", "morse", "quartic", "polynomial"):
+        raise ValueError(f"unknown potential kind {kind!r}")
+
+    def real(key, default):
+        return _real(f"{kind} potential key {key!r}", desc.pop(key, default))
+
+    kwargs = {"mass": real("mass", 1.0)}
     if "bracket" in desc:
-        kwargs["bracket"] = tuple(desc.pop("bracket"))
+        kwargs["bracket"] = tuple(_real(f"{kind} potential key 'bracket' entry", end)
+                                  for end in desc.pop("bracket"))
     if kind == "harmonic":
         factory = harmonic_potential
-        kwargs["omega"] = float(desc.pop("omega", 1.0))
+        kwargs["omega"] = real("omega", 1.0)
     elif kind == "morse":
         factory = morse_potential
-        kwargs.update(D=float(desc.pop("D", 10.0)), a=float(desc.pop("a", 1.0)))
+        kwargs.update(D=real("D", 10.0), a=real("a", 1.0))
     elif kind == "quartic":
         factory = quartic_potential
-        kwargs["coeff"] = float(desc.pop("coeff", 0.25))
-    elif kind == "polynomial":
+        kwargs["coeff"] = real("coeff", 0.25)
+    else:
         if "coeffs" not in desc:
             raise ValueError("polynomial potential is missing key 'coeffs'")
         factory = polynomial_potential
-        kwargs["coeffs"] = desc.pop("coeffs")
-    else:
-        raise ValueError(f"unknown potential kind {kind!r}")
+        kwargs["coeffs"] = [_real("polynomial potential key 'coeffs' entry", ck)
+                            for ck in desc.pop("coeffs")]
     if desc:
         raise ValueError(f"{kind} potential has unknown key {next(iter(desc))!r}")
     return factory(**kwargs)

@@ -238,10 +238,12 @@ def exact_plane_det(S, a, b):
 
 
 def turning_points_oracle(well, E):
-    """`ebk.turning_points` on a solver's `ebk._Well`, with its polish tested on numpy
-    masks: the convergence test `|step| <= 4 eps |x| or |f| <= 4 eps |E|` and the
-    in-cell test build boolean arrays. Reads and updates the warm state `well.warm` as
-    the library does."""
+    """`ebk.turning_points` on a solver's `ebk._Well`, with its polish run on numpy
+    arrays and masks: the chord start across each crossing cell, the second-order warm
+    start where it lands in the cell, the convergence test `|step| <= 4 eps |x| or
+    |f| <= 4 eps |E|`, the in-cell test and the V'' estimate from the last two iterates
+    all build arrays. Reads and updates the warm state `well.warm` as the library
+    does, with arrays for its pairs."""
     eps = np.finfo(float).eps
     pot, (q, v, vmin, runs) = well.pot, well.scan
     lo, hi = pot.bracket
@@ -262,25 +264,34 @@ def turning_points_oracle(well, E):
     if cells.size < 2:
         raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
     a, b = q[cells], q[cells + 1]
-    x = 0.5 * (a + b)
+    va, vb = v[cells], v[cells + 1]
     warm = well.warm
     with np.errstate(all="ignore"):
+        x = a + (E - va) / (vb - va) * (b - a)
         if warm:
-            E0, x0, d0 = warm
-            guess = np.asarray(x0) + (E - E0) / np.asarray(d0)
-            x = np.where((a <= guess) & (guess <= b), guess, x)
+            E0, x0, d0, c0 = warm[0], *(np.asarray(pair) for pair in warm[1:])
+            t = (E - E0) / d0
+            guess = x0 + t - 0.5 * c0 * t * t / d0
+            x = np.where((d0 != 0) & (a <= guess) & (guess <= b), guess, x)
+        iterates = []
         for _ in range(8):
             f = np.asarray(pot.V(x), dtype=float) - E
             d = np.asarray(pot.dV(x), dtype=float)
             step = f / d
+            iterates.append((x, d))
             x = x - step
             settled = ((np.abs(step) <= 4 * eps * np.abs(x))
                        | (np.abs(f) <= 4 * eps * abs(E)))
             if settled.all():
                 break
+        curvature = np.zeros(2)
+        if len(iterates) > 1:
+            (x_prev, d_prev), (x_last, d_last) = iterates[-2:]
+            curvature = np.where(np.abs(x_last - x_prev) > 4 * eps * np.abs(x_last),
+                                 (d_last - d_prev) / (x_last - x_prev), 0.0)
     for i in np.flatnonzero(~(settled & (a <= x) & (x <= b))):
         x[i] = _bisect(lambda s: pot.V(s) - E, float(a[i]), float(b[i]))
-    well.warm = (E, x, d)
+    well.warm = (E, x, iterates[-1][1], curvature)
     return float(x[0]), float(x[1])
 
 

@@ -259,6 +259,11 @@ class TestInputErrors:
         ["evolve", "--potential", "harmonic", "--samples", "100", "--radius", "inf"],
         ["capacity", "--cylinder", "j=1", "R=1", "N=2", "plane=foo"],
         ["capacity", "--region", '{"type": "cylinder", "radius": 1, "n": 2, "plane": 1}'],
+        ["capacity", "--ball", 'R="1"', "N=2"],
+        ["capacity", "--region", '{"type":"ball","radius":"2","n":2}'],
+        ["quantize-1d", "--potential", "quartic", 'coeff="0.3"', "--nmax", "1"],
+        ["capacity", "--ball", 'R="1e"', "N=2"],
+        ["capacity", "--ball", "R=true", "N=2"],
     ])
     def test_exit_2(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -325,6 +330,51 @@ class TestInputErrors:
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["capacity", "--ball", 'R="1"', "N=2"], "ball region key 'R' must be a real number, got '1'"),
+        (["capacity", "--region", '{"type":"ball","radius":"2","n":2}'],
+         "ball region key 'radius' must be a real number, got '2'"),
+        (["capacity", "--ball", 'R="1e"', "N=2"],
+         "ball region key 'R' must be a real number, got '1e'"),
+        (["capacity", "--ball", "R=1e", "N=2"], "ball region key 'R' must be a real number, got '1e'"),
+        (["capacity", "--ball", "R=true", "N=2"],
+         "ball region key 'R' must be a real number, got True"),
+        (["capacity", "--cylinder", "R=null", "N=2"],
+         "cylinder region key 'R' must be a real number, got None"),
+        (["capacity", "--region", '{"type": "bottle", "radius": 1, "neck": "0.5"}'],
+         "bottle region key 'neck' must be a real number, got '0.5'"),
+        (["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
+          '[1, 0, 0, 1]}, "energy": "1"}'],
+         "ellipsoid region key 'energy' must be a real number, got '1'"),
+        (["quantize-1d", "--potential", "quartic", 'coeff="0.3"', "--nmax", "1"],
+         "quartic potential key 'coeff' must be a real number, got '0.3'"),
+        (["quantize-1d", "--potential", "morse", "D=false", "--nmax", "1"],
+         "morse potential key 'D' must be a real number, got False"),
+        (["quantize-1d", "--potential", "harmonic", 'mass="2"', "--nmax", "1"],
+         "harmonic potential key 'mass' must be a real number, got '2'"),
+        (["quantize-1d", "--potential", '{"kind": "polynomial", "coeffs": [0, "1", 0.5]}',
+          "--nmax", "1"], "polynomial potential key 'coeffs' entry must be a real number, got '1'"),
+        (["quantize-separable", "--potentials",
+          '[{"kind": "harmonic", "bracket": ["-5", 5]}]', "--n", "0"],
+         "harmonic potential key 'bracket' entry must be a real number, got '-5'"),
+    ])
+    def test_real_not_parsed(self, capsys, argv, message):
+        # float() once read the JSON strings "1" and "0.3" as numbers, and its
+        # message for "1e" named Python's float(), not the key
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--ball", "R=2", "N=2"],
+        ["capacity", "--ball", "R=2.", "N=2"],
+        ["capacity", "--region", '{"type": "ball", "radius": 2, "n": 2}'],
+        ["quantize-1d", "--potential", '{"kind": "quartic", "coeff": 1, "mass": 2}', "--nmax", "0"],
+    ])
+    def test_integer_real_accepted(self, capsys, argv):
+        code, out = invoke(capsys, *argv)
+        assert code == 0
 
     @pytest.mark.parametrize("argv", [
         ["capacity", "--ball", "R=1", "N=2.0"],

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -250,8 +251,9 @@ class TestTurningPoints:
             want_warm, well.warm = well.warm, warm
             got = turning_points(well, E)
             assert got == want, E
-            assert [well.warm[0], *well.warm[1], *well.warm[2]] == \
-                [want_warm[0], *want_warm[1].tolist(), *want_warm[2].tolist()], E
+            assert [well.warm[0], *well.warm[1], *well.warm[2], *well.warm[3]] == \
+                [want_warm[0], *want_warm[1].tolist(), *want_warm[2].tolist(),
+                 *want_warm[3].tolist()], E
             return got
 
         well = _Well(pot)
@@ -266,8 +268,9 @@ class TestTurningPoints:
 
     @pytest.mark.parametrize("pot", SCANNED[:4], ids=["harmonic", "morse", "quartic", "poly"])
     def test_warm_start_agrees_with_cold(self, pot):
-        # the polish starts from the last root moved by (E - E_prev) / dV, or from
-        # the cell midpoint when that leaves the cell; both settle on one root
+        # the polish starts from the last root moved to second order in E - E_prev, or
+        # from the chord of the scan across the cell when that leaves the cell; both
+        # settle on one root
         well = _Well(pot)
         for E0 in (0.3, 2.5, 9.0):
             for rel in (1e-1, 1e-4, 1e-8, 1e-12, 1e-15):
@@ -279,6 +282,49 @@ class TestTurningPoints:
                 cold = turning_points(well, E)
                 for w, c in zip(warm, cold):
                     assert abs(w - c) <= 4 * math.ulp(c), (E0, rel)
+
+
+def _morse_dV(q):
+    x = math.exp(-0.8 * q)
+    return 16.0 * x * (1.0 - x)
+
+
+class TestSignChange:
+    @pytest.mark.parametrize("f,a,b,calls", [
+        (lambda q: 1.69 * q, -0.011, 0.034, 4),
+        (_morse_dV, -0.0192, 0.0193, 9),
+        # a benchmark polynomial's dV about its bottom: the root is found next to an
+        # end, and the step xtol / 2 inside that end closes the bracket (24 calls without)
+        (lambda q: 0.15 + q + 0.6 * math.sqrt(0.1) * q * q + 0.4 * q ** 3, -0.16, -0.13, 8),
+        (lambda q: 0.25 * (q - 0.3) + (q - 0.3) ** 3, 0.0, 1.0, 13),
+        (lambda q: math.exp(q) - 2.0, 0.0, 3.0, 15),
+        (lambda q: math.tanh(5.0 * (q - 0.2)), -1.0, 1.0, 10),
+    ], ids=["linear", "morse", "bench-poly", "cubic", "exp", "tanh"])
+    def test_superlinear(self, f, a, b, calls):
+        # bisection takes 45 calls to 1e-13 of the bracket; regula falsi without the
+        # Illinois halving takes 21 and 25 on the cubic and exp
+        xtol, args = 1e-13 * (b - a), []
+        x = ebk._sign_change(lambda s: args.append(s) or f(s), a, b, xtol)
+        assert len(args) <= calls
+        assert f(x) == 0.0 or (f(x - xtol) < 0.0) != (f(x + xtol) < 0.0)
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda q: q ** 3, -0.03, 0.01),
+        (lambda q: -1.0 if q < 0.1 else 1.0, 0.0, 1.0),
+    ], ids=["triple-root", "jump"])
+    def test_bounded_where_slow(self, f, a, b):
+        # a bracket not halved in three steps is bisected, so at most three times
+        # the 45 calls of bisection
+        xtol, args = 1e-13 * (b - a), []
+        x = ebk._sign_change(lambda s: args.append(s) or f(s), a, b, xtol)
+        assert len(args) <= 3 * 45
+        assert f(x) == 0.0 or (f(x - xtol) < 0.0) != (f(x + xtol) < 0.0)
+
+    def test_ends_of_one_sign_bisect(self):
+        def f(q):
+            return (q - 0.3) ** 2
+
+        assert ebk._sign_change(f, 0.0, 1.0, 1e-12) == ebk._bisect(f, 0.0, 1.0, 1e-12)
 
 
 class TestActionIntegral:
@@ -406,7 +452,7 @@ class TestSpectrum1D:
         (BENCH_POLY, 12),
     ])
     def test_newton_dV_calls_per_level(self, desc, bound):
-        # each Newton step calls dV once on both roots (the well bottom's bisection
+        # each Newton step calls dV once on both roots (the well bottom's root finder
         # calls it on scalars). From cell midpoints the polish takes about 4 steps an
         # action evaluation, 17, 27 and 16 calls a level here; warm-started, 2 to 3
         pot = make_potential(desc)
@@ -414,6 +460,44 @@ class TestSpectrum1D:
         pot.dV = lambda q: calls.append(np.ndim(q)) or dV(q)
         res = spectrum_1d(pot, 10, CFG)
         assert sum(calls) <= bound * len(res.entries)
+
+    @pytest.mark.parametrize("desc,levels", [
+        ({"kind": "morse", "D": 10.0, "a": math.sqrt(20.0) / 4.0}, 4),
+        ({"kind": "quartic", "coeff": 0.25}, 7),
+    ], ids=["morse", "quartic"])
+    def test_dV_call_budgets(self, desc, levels, monkeypatch):
+        # the well bottom calls dV on scalars, each Newton step of a polish once on both
+        # roots. Bisection took 45 calls for the bottom, and the polish from cell
+        # midpoints and first-order predictions 2.75 (Morse) and 2.64 (quartic) calls
+        # an action evaluation here
+        pot = make_potential(desc)
+        dV, calls = pot.dV, []
+        pot.dV = lambda q: calls.append(np.ndim(q)) or dV(q)
+        action_period, evaluations = ebk._action_period, []
+        monkeypatch.setattr(ebk, "_action_period",
+                            lambda well, E: evaluations.append(E) or action_period(well, E))
+        res = spectrum_1d(pot, 6, CFG)
+        assert [e.quantum_numbers for e in res.entries] == [(n,) for n in range(levels)]
+        assert calls.count(0) <= 10
+        assert calls.count(1) < 2.5 * len(evaluations)
+
+    @pytest.mark.parametrize("desc,q_star", [
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, 0.0),
+        ({"kind": "morse", "D": 8.0, "a": 1.7}, 0.0),
+        ({"kind": "quartic", "coeff": 0.25}, 0.0),
+        # 0.5 (q - 1/4)^2 + (q - 1/4)^4 / 8: convex, with coefficients exact in binary
+        ({"kind": "polynomial", "coeffs": [0.03173828125, -0.2578125, 0.546875, -0.125, 0.125]},
+         0.25),
+    ], ids=["morse", "morse-steep", "quartic", "poly"])
+    def test_well_bottom_to_1e13_of_a_cell(self, desc, q_star):
+        # _well_bottom ends with V at the point it found
+        pot = make_potential(desc)
+        well = _Well(pot)
+        V, at = pot.V, []
+        pot.V = lambda q: at.append(q) or V(q)
+        assert ebk._well_bottom(well)[:2] == (V(at[-1]), 0.0)
+        q = well.scan[0]
+        assert abs(at[-1] - q_star) <= 1e-13 * (q[1] - q[0])
 
     @pytest.mark.parametrize("desc,bound", [
         ({"kind": "harmonic", "omega": 1.0}, 2.0),
@@ -508,6 +592,30 @@ class TestSpectrum1D:
             monkeypatch.setattr(ebk, name, counted)
         assert spectrum_1d(make_potential(desc), 10, CFG).entries
         assert counts["turning_points"] == counts["_action_period"] > 0
+
+
+class TestWarningHygiene:
+    @pytest.mark.parametrize("desc,energies", [
+        ({"kind": "harmonic", "omega": 1.0}, [1e-8, 0.5, 1000.0]),
+        # p rounds to 0 at a quadrature node at 9.999999999, so T is infinite
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, [1e-8, 4.0, 9.999999999]),
+        ({"kind": "quartic", "coeff": 0.25}, [1e-8, 1.0, 1e5]),
+        (BENCH_POLY, [1e-8, 1.0, 1e4]),
+    ], ids=WELL_IDS)
+    def test_no_runtime_warning(self, desc, energies):
+        # the solver holds one np.errstate for each level, and the public
+        # turning_points and action_integral their own: no warning leaks from either
+        pot = make_potential(desc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for E in energies:
+                turning_points(pot, E)
+                assert math.isfinite(action_integral(pot, E))
+            level_1d(pot, 3, CFG)
+            assert spectrum_1d(pot, 12, CFG).entries
+        if desc["kind"] == "morse":
+            with np.errstate(divide="ignore"):
+                assert _action_period(_Well(pot), energies[-1])[1] == math.inf
 
 
 class TestSpectrumSeparable:
@@ -638,6 +746,9 @@ class TestPotentialFactory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_potential({"kind": "coulomb"})
+        # the kind is checked before any key is read
+        with pytest.raises(ValueError, match="unknown potential kind 'coulomb'"):
+            make_potential({"kind": "coulomb", "mass": "1"})
 
     @pytest.mark.parametrize("desc", [
         {"kind": "harmonic", "omega": 1.3, "mass": 2.5},
