@@ -10,7 +10,6 @@ from .capacity import (
     capacity_cylinder,
     capacity_ellipsoid,
     capacity_sandwich,
-    minimal_action_quadratic,
     volume_ball,
 )
 from .core import (

@@ -1,6 +1,8 @@
 """Symplectic areas (Gromov widths) of balls, cylinders, ellipsoids and
-sandwich-certified regions, and the minimal-action characterization for
-quadratic energy shells.
+sandwich-certified regions.
+
+The capacity of a quadratic energy shell, 2 pi E / w_max
+(`capacity_ellipsoid`), is also the action of its fastest normal-mode orbit.
 """
 
 from __future__ import annotations
@@ -120,19 +122,10 @@ def capacity_cylinder(Z: Cylinder) -> CapacityValue:
 
 
 def capacity_ellipsoid(region: EnergyShellRegion) -> CapacityValue:
-    """2 pi E / w_max with w_max the largest symplectic eigenvalue."""
+    """2 pi E / w_max with w_max the largest symplectic eigenvalue: the
+    smallest action of a closed orbit on the shell, the fastest normal mode's."""
     w_max = float(symplectic_eigenvalues(region.hamiltonian)[0])
     return _area(2.0 * math.pi * region.energy / w_max)
-
-
-def minimal_action_quadratic(region: EnergyShellRegion):
-    """Smallest closed-orbit action on the shell: the fastest normal mode.
-
-    Returns (action, orbit_frequency); the action coincides with the
-    ellipsoid capacity.
-    """
-    omega_max = float(symplectic_eigenvalues(region.hamiltonian)[0])
-    return 2.0 * math.pi * region.energy / omega_max, omega_max
 
 
 @dataclass(frozen=True)

@@ -307,9 +307,8 @@ def cmd_dos(args):
         H = core.QuadraticHamiltonian(_load_matrix(args))
     else:
         H = core.QuadraticHamiltonian.isotropic(args.ndim, args.omega, args.mass)
-    g = ebk.density_of_states(H, args.energy, cfg, numerical=args.numeric)
-    _emit_json(args, {"energy": args.energy, "g": g,
-                      "mode": "numeric" if args.numeric else "analytic"})
+    g = ebk.density_of_states(H, args.energy, cfg)
+    _emit_json(args, {"energy": args.energy, "g": g, "mode": "analytic"})
     return 0
 
 
@@ -432,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--energy", type=float, required=True)
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--matrix-file", default=None)
-    sp.add_argument("--numeric", action="store_true")
     sp.add_argument("--hbar", type=float, default=1.0)
     common(sp)
     sp.set_defaults(handler="cmd_dos")

@@ -2,7 +2,8 @@
 
 Oscillator spectra via symplectic (Williamson) frequencies, 1-D and
 separable action-integral spectra with the Maslov half-integer shift, blob
-index checks, and the isotropic-oscillator density of states.
+index checks, and the closed-form oscillator density of states for any
+spectrum.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     NoClassicalRegion,
     NoConvergence,
     NotABlob,
-    UnsupportedForClosedForm,
 )
 
 BLOB_TOL = 0.05  # default blob_check distance to (n + 1/2) h, in units of h
@@ -590,41 +590,22 @@ def loop_action(basis_actions, nu, cfg: PlanckConfig, tol: float = 1e-8) -> Loop
     return LoopRecord(nu=nu, action=action, maslov=maslov, ebk_integer=ebk)
 
 
-_DOS_REL_STEP = 1e-4  # central-difference step of density_of_states, relative to E
+def density_of_states(H: QuadraticHamiltonian, E: float, cfg: PlanckConfig) -> float:
+    """States per unit energy of N oscillator modes, for any spectrum:
+    g(E) = E^(N-1) / ((N-1)! prod_j hbar w_j), the E-derivative of the
+    phase-space volume (2 pi E)^N / (N! prod_j w_j) counted in cells h^N.
 
-
-def density_of_states(
-    H: QuadraticHamiltonian,
-    E: float,
-    cfg: PlanckConfig,
-    numerical: bool = False,
-) -> float:
-    """States per unit energy of the isotropic N-mode oscillator.
-
-    Analytic: (1 / (hbar w))^N E^(N-1) / (N-1)!. The numerical mode
-    differentiates the enclosed phase-space volume in units of h^N by
-    central differences and also covers anisotropic spectra.
+    The product is taken as (hbar w_1)^N prod_j (w_j / w_1) with w_1 the
+    fastest frequency, so an isotropic spectrum gives (1 / hbar w)^N
+    E^(N-1) / (N-1)! with no rounding from the ratios.
     """
     if E <= 0:
         raise ValueError(f"energy must be positive, got {E}")
     omegas = symplectic_eigenvalues(H)
     N = omegas.size
-
-    if numerical:
-        # Vol{H <= E} = (2 pi E)^N / (N! prod w_j); counted in cells h^N.
-        def states(e):
-            return (2.0 * math.pi * e) ** N / (math.factorial(N) * np.prod(omegas)) / cfg.h**N
-
-        step = _DOS_REL_STEP * E
-        return float((states(E + step) - states(E - step)) / (2.0 * step))
-
-    spread = (omegas[0] - omegas[-1]) / omegas[0]
-    if spread > 1e-10:
-        raise UnsupportedForClosedForm(
-            "closed form needs an isotropic spectrum; use numerical=True"
-        )
     omega = float(omegas[0])
-    return (1.0 / (cfg.hbar * omega)) ** N * E ** (N - 1) / math.factorial(N - 1)
+    return ((1.0 / (cfg.hbar * omega)) ** N * E ** (N - 1) / math.factorial(N - 1)
+            * float(np.prod(omega / omegas)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,3 @@ class NoConvergence(SympcapError):
 
 class NotABlob(SympcapError):
     """Capacity is infinite (or zero), so no blob index can be assigned."""
-
-
-class UnsupportedForClosedForm(SympcapError):
-    """Closed-form density of states requires an isotropic Hamiltonian."""

@@ -254,8 +254,7 @@ def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int) -> None:
         raise FlowError(f"gradient evaluation failed: {exc}") from exc
 
 
-def grid_shadow_area(points_2d: np.ndarray, grid_cell: float,
-                     perimeter_correction: bool = True) -> float:
+def grid_shadow_area(points_2d: np.ndarray, grid_cell: float) -> float:
     """Occupancy-grid area of a projected point cloud.
 
     Cells straddling the boundary are on average half covered, so the raw
@@ -288,13 +287,11 @@ def grid_shadow_area(points_2d: np.ndarray, grid_cell: float,
     codes = np.sort((cells[:, 0] - lo[0]) * span + (cells[:, 1] - lo[1]))
     codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     count = codes.size
-    if perimeter_correction:
-        boundary = np.zeros(count, dtype=bool)
-        for d in (span, -span, 1, -1):
-            at = np.minimum(np.searchsorted(codes, codes + d), count - 1)
-            boundary |= codes[at] != codes + d
-        count = count - 0.5 * int(boundary.sum())
-    return count * grid_cell * grid_cell
+    boundary = np.zeros(count, dtype=bool)
+    for d in (span, -span, 1, -1):
+        at = np.minimum(np.searchsorted(codes, codes + d), count - 1)
+        boundary |= codes[at] != codes + d
+    return (count - 0.5 * int(boundary.sum())) * grid_cell * grid_cell
 
 
 def evolve_ball_shadow(

@@ -164,17 +164,14 @@ def ensemble_oracle(N, count, sigma, seed):
     return min_conj, min_nonconj, witness
 
 
-def grid_area_oracle(points, cell, perimeter_correction):
+def grid_area_oracle(points, cell):
     """Occupancy-grid area from a set of cells and an explicit 4-neighbour loop."""
     cells = {(math.floor(x / cell), math.floor(y / cell)) for x, y in points}
-    count = len(cells)
-    if perimeter_correction:
-        boundary = 0
-        for i, j in cells:
-            if any(c not in cells for c in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))):
-                boundary += 1
-        count = count - 0.5 * boundary
-    return count * cell * cell
+    boundary = 0
+    for i, j in cells:
+        if any(c not in cells for c in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))):
+            boundary += 1
+    return (len(cells) - 0.5 * boundary) * cell * cell
 
 
 def certify_oracle(stack, tol):

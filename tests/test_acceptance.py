@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from sympcap.capacity import (
     EnergyShellRegion,
     bordeaux_bottle_fixture,
     capacity_ball,
     capacity_ellipsoid,
-    minimal_action_quadratic,
     volume_ball,
 )
 from sympcap.core import QuadraticHamiltonian, random_symplectic, williamson
@@ -67,6 +67,38 @@ def test_criterion_2_capacity_volume_identity():
     report(2, "volume * N! = capacity^N for N = 1..8", ok)
 
 
+LOOP_NODES = 64  # trapezoid nodes of a loop integral, exact on the ellipses below
+
+
+def _normal_mode_actions(M, E, check_flow):
+    """(ok, actions): the loop action of each normal-mode orbit of H = z^T M z / 2
+    at energy E, from williamson's S alone (S^T D S = M).
+
+    In the coordinates S z, mode j runs the circle (r cos theta, -r sin theta)
+    of its conjugate plane, r = sqrt(2E / w_j), so the loop is z = S^-1 w(theta).
+    `ok` says that every loop node lies on H = E and, with `check_flow`, that
+    exp(T J M / LOOP_NODES), T = 2 pi / w_j, takes each node to the next one.
+    """
+    H = QuadraticHamiltonian(M)
+    N = H.n
+    decomposition = williamson(H)
+    columns = np.linalg.inv(decomposition.S.matrix)
+    J = np.block([[np.zeros((N, N)), np.eye(N)], [-np.eye(N), np.zeros((N, N))]])
+    theta = 2 * math.pi * np.arange(LOOP_NODES) / LOOP_NODES
+    ok, actions = True, []
+    for j, w in enumerate(decomposition.omegas):
+        r = math.sqrt(2 * E / w)
+        a, b = columns[:, j], columns[:, N + j]
+        z = r * (np.outer(np.cos(theta), a) - np.outer(np.sin(theta), b))
+        dz = -r * (np.outer(np.sin(theta), a) + np.outer(np.cos(theta), b))  # dz / dtheta
+        ok &= np.max(np.abs(0.5 * np.einsum("ki,ij,kj->k", z, M, z) - E)) <= 1e-10 * E
+        if check_flow:
+            step = expm(2 * math.pi / (w * LOOP_NODES) * J @ M)
+            ok &= np.max(np.abs(z @ step.T - np.roll(z, -1, axis=0))) <= 1e-10 * np.abs(z).max()
+        actions.append(2 * math.pi / LOOP_NODES * float(np.sum(z[:, N:] * dz[:, :N])))
+    return ok, actions
+
+
 def test_criterion_3_ellipsoid_capacity_minimal_action():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -75,21 +107,20 @@ def test_criterion_3_ellipsoid_capacity_minimal_action():
         N = int(rng.integers(1, 5))
         M = random_pd_matrix(rng, N)
         E = float(rng.uniform(0.2, 4.0))
-        region = EnergyShellRegion(QuadraticHamiltonian(M), E)
-        cap = capacity_ellipsoid(region).value
-        action, _ = minimal_action_quadratic(region)
-        ok &= abs(cap - action) <= 1e-12 * cap
+        cap = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(M), E)).value
+        on_orbit, actions = _normal_mode_actions(M, E, check_flow=True)
+        ok &= on_orbit and abs(cap - min(actions)) <= 1e-12 * cap
         for _ in range(20):
             S = random_symplectic(N, 0.6, rng)
             Mc = S.matrix.T @ M @ S.matrix
-            region_c = EnergyShellRegion(QuadraticHamiltonian(Mc), E)
-            cap_c = capacity_ellipsoid(region_c).value
-            act_c, _ = minimal_action_quadratic(region_c)
+            cap_c = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(Mc), E)).value
+            on_shell, actions_c = _normal_mode_actions(Mc, E, check_flow=False)
             ok &= abs(cap_c - cap) <= 1e-8 * cap
-            ok &= abs(act_c - action) <= 1e-8 * action
+            ok &= on_shell and abs(cap_c - min(actions_c)) <= 1e-12 * cap_c
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
-    report(3, f"ellipsoid capacity = minimal orbit action, invariant ({elapsed:.1f}s)", ok)
+    report(3, f"ellipsoid capacity = least normal-mode orbit action, invariant ({elapsed:.1f}s)",
+           ok)
 
 
 def test_criterion_4_isotropic_capacity_value():
@@ -159,35 +190,62 @@ def test_criterion_7_morse_and_quartic_spectra():
     report(7, "Morse EBK exact to 1e-8; quartic within 1% of 200-basis oracle", ok)
 
 
+def _quantum_numbers(a, budget):
+    """Every n >= 0 with sum_j a_j n_j <= budget."""
+    if not a:
+        yield ()
+        return
+    for k in range(int(budget / a[0]) + 1):
+        for rest in _quantum_numbers(a[1:], budget - k * a[0]):
+            yield (k,) + rest
+
+
 def test_criterion_8_density_of_states():
+    # Weyl's law: the quantize_quadratic levels at or below E number about the
+    # phase-space volume in cells h^N, W = E g(E) / N. Level n owns the unit cell
+    # n + [0, 1)^N; with a_j = hbar w_j and A = sum_j a_j those cells cover
+    # {x >= 0: a.x <= E - A/2} and lie in {x >= 0: a.x < E + A/2}, so
+    # W (1 - A/2E)^N <= count <= W (1 + A/2E)^N, a window of order E^(N-1)
     ok = True
-    for N in range(1, 5):
-        H = QuadraticHamiltonian.isotropic(N, 1.0)
-        for E in (0.5, 1.0, 2.0):
-            g_ana = density_of_states(H, E, CFG)
-            g_num = density_of_states(H, E, CFG, numerical=True)
-            ok &= abs(g_num - g_ana) <= 1e-6 * abs(g_ana)
-    report(8, "analytic g(E) vs finite-difference volume, (N, E) grid", ok)
+    for hbar, omegas, E in ((1.0, (1.0,), 10.3), (1.0, (1.0, 1.0), 20.3),
+                            (0.5, (1.0, 2.0), 15.2), (1.0, (0.7, 1.0, 1.3), 12.1),
+                            (0.6, (1.0, 1.0, 1.0), 7.1), (1.0, (0.9, 1.1, 1.3, 1.7), 12.0)):
+        cfg = PlanckConfig(hbar)
+        N = len(omegas)
+        S = random_symplectic(N, 0.5, seed=N).matrix
+        H = QuadraticHamiltonian(S.T @ np.diag(omegas + omegas) @ S)
+        a = [hbar * w for w in omegas]
+        count = sum(quantize_quadratic(H, n, cfg).energy <= E for n in _quantum_numbers(a, E))
+        weyl = E * density_of_states(H, E, cfg) / N
+        half_cell = sum(a) / (2 * E)
+        ok &= weyl * (1 - half_cell) ** N <= count <= weyl * (1 + half_cell) ** N
+    report(8, "level count within O(E^(N-1)) of Weyl's E g(E) / N, (hbar, spectrum) grid", ok)
 
 
 def test_criterion_9_ebk_integer_property():
     ok = True
-    # every emitted spectrum entry
+    measured = []  # (level, action) of every emitted spectrum entry
     for pot in (harmonic_potential(1.0), morse_potential(10.0, 1.0), quartic_potential(0.25)):
         res = spectrum_1d(pot, 3, CFG)
         for entry in res.entries:
             for action, mu in zip(entry.actions, entry.maslov_per_loop):
                 x = action / CFG.h - mu / 4.0
                 ok &= abs(x - round(x)) <= 1e-8 and round(x) >= 0
-    # loop_action with random nonnegative windings
+            measured.append((entry.quantum_numbers[0], entry.actions[0]))
+    # loop_action on tori of those measured actions, with random nonnegative
+    # windings: its integer is the same combination of the entries' levels
     rng = np.random.default_rng(99)
     for _ in range(200):
-        k = int(rng.integers(1, 5))
-        ns = rng.integers(0, 8, size=k)
-        nus = rng.integers(0, 6, size=k)
-        rec = loop_action([(n + 0.5) * CFG.h for n in ns], nus, CFG)
+        picks = rng.integers(0, len(measured), size=int(rng.integers(1, 5)))
+        nus = rng.integers(0, 6, size=picks.size)
+        try:
+            rec = loop_action([measured[i][1] for i in picks], nus, CFG)
+        except ValueError:  # loop_action refuses actions it finds unquantized
+            ok = False
+            continue
+        want = sum(int(nu) * measured[i][0] for nu, i in zip(nus, picks))
         x = rec.action / CFG.h - rec.maslov / 4.0
-        ok &= abs(x - round(x)) <= 1e-8 and rec.ebk_integer == round(x) >= 0
+        ok &= abs(x - want) <= 1e-8 and rec.ebk_integer == want
     report(9, "action/h - maslov/4 is a nonnegative integer", ok)
 
 

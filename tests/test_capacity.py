@@ -14,7 +14,6 @@ from sympcap.capacity import (
     capacity_cylinder,
     capacity_ellipsoid,
     capacity_sandwich,
-    minimal_action_quadratic,
     volume_ball,
 )
 from sympcap.core import QuadraticHamiltonian, random_symplectic, williamson
@@ -104,13 +103,10 @@ class TestEllipsoidCapacity:
         assert capacity_ellipsoid(region).value == pytest.approx(2 * math.pi / 3, rel=1e-8)
 
     def test_not_pd(self):
-        with pytest.raises(NotPositiveDefinite):
-            capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(np.diag([1.0, -2.0])), 1.0))
-
-    def test_indefinite_shell_has_no_minimal_action(self):
-        region = EnergyShellRegion(QuadraticHamiltonian(np.diag([1.0, 2.0, -1.0, 1.0])), 1.0)
-        with pytest.raises(NotPositiveDefinite):
-            minimal_action_quadratic(region)
+        # an indefinite shell is no ellipsoid and has no minimal-action orbit
+        for d in ([1.0, -2.0], [1.0, 2.0, -1.0, 1.0]):
+            with pytest.raises(NotPositiveDefinite):
+                capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(np.diag(d)), 1.0))
 
     def test_spectrum_alone_matches_williamson(self):
         # w_max from eig(JM) instead of the normal form: the same to rounding
@@ -121,7 +117,6 @@ class TestEllipsoidCapacity:
                 want = 2 * math.pi * 0.7 / williamson(region.hamiltonian).omegas[0]
                 got = capacity_ellipsoid(region).value
                 assert got == pytest.approx(want, rel=32 * sys.float_info.epsilon, abs=0)
-                assert minimal_action_quadratic(region)[0] == got
 
     def test_symplectic_invariance(self):
         rng = np.random.default_rng(7)
@@ -147,34 +142,24 @@ class TestEllipsoidCapacity:
 
 
 class TestMinimalAction:
+    """The ellipsoid capacity is the action of the fastest normal-mode orbit."""
+
     def test_isotropic(self):
         region = EnergyShellRegion(QuadraticHamiltonian.isotropic(3, 2.0), 1.5)
-        action, freq = minimal_action_quadratic(region)
-        assert action == pytest.approx(2 * math.pi * 1.5 / 2.0, rel=1e-12)
-        assert freq == pytest.approx(2.0, rel=1e-12)
+        assert capacity_ellipsoid(region).value == pytest.approx(2 * math.pi * 1.5 / 2.0,
+                                                                 rel=1e-12)
 
     def test_unit_circle(self):
-        action, freq = minimal_action_quadratic(
-            EnergyShellRegion(QuadraticHamiltonian(np.eye(2)), 0.5))
-        assert action == pytest.approx(math.pi, rel=1e-12)
-        assert freq == pytest.approx(1.0, rel=1e-12)
+        region = EnergyShellRegion(QuadraticHamiltonian(np.eye(2)), 0.5)
+        assert capacity_ellipsoid(region).value == pytest.approx(math.pi, rel=1e-12)
 
     def test_against_orbit_integration(self):
         # integrate both normal-mode orbits and trapezoid their circulation
         M = np.diag([1.0, 3.0, 1.0, 3.0])
         oracle_actions = normal_mode_actions(M, E=1.0)
-        action, _ = minimal_action_quadratic(
-            EnergyShellRegion(QuadraticHamiltonian(M), 1.0))
+        action = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(M), 1.0)).value
         assert action == pytest.approx(min(oracle_actions), rel=1e-6)
         assert action == pytest.approx(2 * math.pi / 3, rel=1e-12)
-
-    def test_equals_capacity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            M = random_pd_matrix(rng, int(rng.integers(1, 5)))
-            region = EnergyShellRegion(QuadraticHamiltonian(M), float(rng.uniform(0.1, 5)))
-            action, _ = minimal_action_quadratic(region)
-            assert action == pytest.approx(capacity_ellipsoid(region).value, rel=1e-12)
 
 
 class TestSandwich:

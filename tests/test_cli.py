@@ -145,17 +145,19 @@ class TestQuantizeCommands:
         assert json.loads(out)["entries"][0]["energy"] == pytest.approx(1.0, rel=1e-10)
 
     def test_unresolved_well_stops_at_the_cap(self, capsys, monkeypatch):
-        # the scan cannot resolve a well this narrow: the bottom lands far above the
-        # ground state, and the solver must stop at its evaluation cap, not loop
+        # the well bottom is found at 0, but at the first Newton energy the allowed
+        # region is narrower than the zoom of turning_points reaches: the solver
+        # stops with NoConvergence within its evaluation cap, and does not loop
         action_period, calls = ebk._action_period, []
         monkeypatch.setattr(ebk, "_action_period",
                             lambda *args: calls.append(1) or action_period(*args))
         code, out = invoke(capsys, "quantize-1d", "--potential", "quartic", "coeff=1e300",
                            "--nmax", "1")
-        assert code in (0, 3)
+        assert code == 3
         assert len(calls) <= 2 * ebk._MAX_EVALUATIONS
-        if code == 3:
-            assert json.loads(out)["error"] == "NoConvergence"
+        obj = json.loads(out)
+        assert obj["error"] == "NoConvergence"
+        assert obj["message"].endswith("is too narrow for the well scan")
 
     def test_nonpd_matrix_exit_3(self, capsys):
         m = {"n": 1, "matrix": [1.0, 0.0, 0.0, -1.0]}
@@ -192,6 +194,15 @@ class TestOtherCommands:
         code, out = invoke(capsys, "dos", "--ndim", "3", "--energy", "2")
         assert code == 0
         assert json.loads(out)["g"] == pytest.approx(2.0)
+
+    def test_dos_anisotropic_matrix(self, capsys):
+        # g(E) = E^(N-1) / ((N-1)! prod_j hbar w_j) = 1 / (1 * 2) at E = 1
+        m = {"n": 2, "matrix": np.diag([1.0, 2.0, 1.0, 2.0]).ravel().tolist()}
+        code, out = invoke(capsys, "dos", "--matrix", json.dumps(m), "--energy", "1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["g"] == pytest.approx(0.5, rel=1e-12)
+        assert obj["mode"] == "analytic"
 
     def test_blob_check(self, capsys):
         code, out = invoke(capsys, "blob-check", "--value", str(3 * math.pi))
@@ -534,6 +545,7 @@ class TestInputErrors:
         ["capacity", "--ball", "R=1", "N=3", "--tol", "1e-3"],
         ["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,4]}', "--seed", "1"],
         ["bottle-demo", "--format", "csv"],
+        ["dos", "--ndim", "3", "--energy", "2", "--numeric"],
     ])
     def test_unread_options_rejected(self, capsys, argv):
         assert run(argv) == 2
@@ -724,7 +736,7 @@ FUZZ_COMMANDS = [
     (["quantize-separable", "--potentials", '[{"kind":"harmonic","omega":1}]', "--n", "1"],
      ["--potentials", "--n", "--hbar", "--format"]),
     (["dos", "--energy", "2"],
-     ["--ndim", "--omega", "--mass", "--energy", "--matrix", "--numeric", "--hbar"]),
+     ["--ndim", "--omega", "--mass", "--energy", "--matrix", "--hbar"]),
     (["blob-check", "--value", "3.14"], ["--value", "--tol", "--hbar"]),
     (["bottle-demo", "--neck", "0.5"], ["--radius", "--neck"]),
     (["frobnicate"], []),

@@ -33,7 +33,6 @@ from sympcap.errors import (
     NoClassicalRegion,
     NoConvergence,
     NotABlob,
-    UnsupportedForClosedForm,
 )
 from sympcap.ebk import _Well, _action_period, _crossings, _monotone_runs
 
@@ -686,18 +685,25 @@ class TestDensityOfStates:
         H = QuadraticHamiltonian.isotropic(3, 1.0)
         assert density_of_states(H, 2.0, CFG) == pytest.approx(2.0, rel=1e-12)
 
-    def test_numeric_matches_analytic(self):
-        H = QuadraticHamiltonian.isotropic(2, 1.0)
-        g_num = density_of_states(H, 1.0, CFG, numerical=True)
-        g_ana = density_of_states(H, 1.0, CFG)
-        assert abs(g_num - g_ana) / g_ana <= 1e-6
-
-    def test_anisotropic_closed_form_refused(self):
+    def test_anisotropic_value(self):
+        # E^(N-1) / ((N-1)! prod_j hbar w_j) at w = (1, 2), hbar = 1 and 0.5
         H = QuadraticHamiltonian(np.diag([1.0, 2.0, 1.0, 2.0]))
-        with pytest.raises(UnsupportedForClosedForm):
-            density_of_states(H, 1.0, CFG)
-        # numerical route still works
-        assert density_of_states(H, 1.0, CFG, numerical=True) > 0
+        assert density_of_states(H, 1.0, CFG) == pytest.approx(0.5, rel=1e-12)
+        assert density_of_states(H, 3.0, PlanckConfig(0.5)) == pytest.approx(6.0, rel=1e-12)
+
+    def test_three_mode_anisotropic_matches_volume_derivative(self):
+        # d/dE of the phase-space volume (2 pi E)^3 / (3! prod w_j) in cells h^3,
+        # by a central difference of relative step 1e-4, which is off by step^2 / 3
+        omegas = (0.7, 1.0, 1.3)
+        H = QuadraticHamiltonian(np.diag(omegas * 2))
+        cfg = PlanckConfig(0.8)
+
+        def states(e):
+            return (2 * math.pi * e) ** 3 / (6 * math.prod(omegas)) / cfg.h ** 3
+
+        E, step = 2.0, 2e-4
+        want = (states(E + step) - states(E - step)) / (2 * step)
+        assert density_of_states(H, E, cfg) == pytest.approx(want, rel=1e-8)
 
 
 class TestCrossModule:

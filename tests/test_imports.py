@@ -75,7 +75,7 @@ def test_linear_algebra_commands_load_no_scipy():
         f"    assert cli.run(['capacity', '--region', {region!r}]) == 0\n"
         f"    assert cli.run(['quantize-quadratic', '--matrix', {matrix!r}, '--n', '1,0']) == 0\n"
         "    assert cli.run(['dos', '--ndim', '3', '--energy', '2']) == 0\n"
-        f"    assert cli.run(['dos', '--matrix', {matrix!r}, '--energy', '2', '--numeric']) == 0\n"
+        f"    assert cli.run(['dos', '--matrix', {matrix!r}, '--energy', '2']) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
