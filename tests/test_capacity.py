@@ -103,10 +103,15 @@ class TestEllipsoidCapacity:
         assert capacity_ellipsoid(region).value == pytest.approx(2 * math.pi / 3, rel=1e-8)
 
     def test_not_pd(self):
-        # an indefinite shell is no ellipsoid and has no minimal-action orbit
-        for d in ([1.0, -2.0], [1.0, 2.0, -1.0, 1.0]):
-            with pytest.raises(NotPositiveDefinite):
-                capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(np.diag(d)), 1.0))
+        with pytest.raises(NotPositiveDefinite):
+            capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(np.diag([1.0, -2.0])), 1.0))
+
+    def test_indefinite_shell_has_no_minimal_action(self):
+        # an indefinite shell is no ellipsoid and has no minimal-action orbit,
+        # so the capacity (the action of that orbit) is refused
+        region = EnergyShellRegion(QuadraticHamiltonian(np.diag([1.0, 2.0, -1.0, 1.0])), 1.0)
+        with pytest.raises(NotPositiveDefinite):
+            capacity_ellipsoid(region)
 
     def test_spectrum_alone_matches_williamson(self):
         # w_max from eig(JM) instead of the normal form: the same to rounding
