@@ -1,6 +1,12 @@
 """Symplectic areas (Gromov widths) of balls, cylinders, ellipsoids and
 sandwich-certified regions.
 
+A cylinder over a conjugate plane (q_j, p_j) has capacity pi R^2: no ball
+wider than its hole fits inside (Gromov, Invent. Math. 82, 307 (1985)).
+Over any other coordinate plane its capacity is infinite: a diagonal linear
+symplectic map shrinks both of the plane's coordinates, growing their
+conjugate partners instead, and so takes any ball inside.
+
 The capacity of a quadratic energy shell, 2 pi E / w_max
 (`capacity_ellipsoid`), is also the action of its fastest normal-mode orbit.
 """
@@ -15,12 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .core import QuadraticHamiltonian, symplectic_eigenvalues
-from .errors import CertificateInvalid, InvalidNeck, UnsupportedRegion
+from .errors import CertificateInvalid, InvalidNeck
 from .sampling import ball_points, box_points
+from .shadows import PlaneSelector
 
 SANDWICH_SAMPLES = 10_000  # points of each sampled inclusion check
 SANDWICH_SEED = 0  # of the inner-ball draw; the bounding-box draw uses SANDWICH_SEED + 1
-CYLINDER_PLANES = ("conjugate", "qq", "pp", "qp")  # the --plane kinds
 
 
 @dataclass(frozen=True)
@@ -58,32 +64,25 @@ def _area(value: float) -> CapacityValue:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """q_j^2 + p_j^2 <= R^2 over the conjugate plane of mode j (1-based).
+    """x_a^2 + x_b^2 <= R^2 in 2 `dim` dimensions, with (x_a, x_b) the
+    coordinate plane `plane`."""
 
-    `plane_kind` is one of CYLINDER_PLANES; only "conjugate" has a capacity
-    formula here.
-    """
-
-    axis_index: int
+    plane: PlaneSelector
     radius: float
     dim: int
-    plane_kind: str = "conjugate"
 
     def __post_init__(self):
+        if not isinstance(self.plane, PlaneSelector):
+            raise ValueError(f"cylinder plane must be a PlaneSelector, got {self.plane!r}")
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if not (1 <= self.axis_index <= self.dim):
-            raise ValueError(f"axis index {self.axis_index} outside 1..{self.dim}")
-        if self.plane_kind not in CYLINDER_PLANES:
-            raise ValueError(f"cylinder plane must be one of {', '.join(CYLINDER_PLANES)}, "
-                             f"got {self.plane_kind!r}")
+        self.plane.indices(self.dim)  # an index outside 1..dim raises
 
     def contains(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        j = self.axis_index - 1
-        q = z[..., j]
-        p = z[..., self.dim + j]
-        return q * q + p * p <= self.radius**2 * (1 + 1e-12)
+        a, b = self.plane.indices(self.dim)
+        x, y = z[..., a], z[..., b]
+        return x * x + y * y <= self.radius**2 * (1 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -113,12 +112,14 @@ def volume_ball(R: float, N: int) -> float:
 
 
 def capacity_cylinder(Z: Cylinder) -> CapacityValue:
-    """pi R^2 for a cylinder over a conjugate plane, regardless of N."""
-    if Z.plane_kind != "conjugate":
-        raise UnsupportedRegion(
-            f"no capacity formula for a cylinder over a {Z.plane_kind} plane"
-        )
-    return _area(math.pi * Z.radius * Z.radius)
+    """pi R^2 over a conjugate plane, regardless of N; infinite over any other.
+
+    A radius whose pi R^2 is not finite (NaN, or an overflow) raises
+    OverflowError on every plane.
+    """
+    area = _area(math.pi * Z.radius * Z.radius)
+    # two distinct coordinates of one mode j are q_j and p_j
+    return area if Z.plane.i == Z.plane.j else CapacityValue.infinity()
 
 
 def capacity_ellipsoid(region: EnergyShellRegion) -> CapacityValue:
@@ -146,7 +147,7 @@ def capacity_sandwich(oracle: Callable[[np.ndarray], np.ndarray], radius: float,
     CertificateReport).
     """
     lo, hi = box
-    outer = Cylinder(1, radius, len(lo) // 2)
+    outer = Cylinder(PlaneSelector.conjugate(1), radius, len(lo) // 2)
     pts = ball_points(SANDWICH_SAMPLES, len(lo), radius, seed=SANDWICH_SEED)
     inside = np.asarray(oracle(pts), dtype=bool)
     if not inside.all():

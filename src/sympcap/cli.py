@@ -53,7 +53,7 @@ def _parse_kv(tokens):
 
 
 def _parse_ints(spec: str):
-    return [int(s) for s in spec.split(",")]
+    return [core._parse_int("quantum number", s) for s in spec.split(",")]
 
 
 def _load_matrix(args) -> np.ndarray:
@@ -140,12 +140,12 @@ def _spectrum_json(entries, hbar):
 # descriptor keys of each region type
 _REGION_KEYS = {
     "ball": ("radius", "n"),
-    "cylinder": ("axis", "radius", "n", "plane"),
+    "cylinder": ("radius", "n", "plane"),
     "ellipsoid": ("matrix", "energy"),
     "bottle": ("radius", "neck"),
 }
 # descriptor key -> token name in `capacity --ball` / `--cylinder`
-_REGION_TOKENS = {"radius": "R", "n": "N", "axis": "j", "plane": "plane"}
+_REGION_TOKENS = {"radius": "R", "n": "N"}
 
 
 def cmd_capacity(args):
@@ -180,9 +180,8 @@ def _capacity_from_descriptor(kind, fields: dict, names=None) -> cap_mod.Capacit
             raise InputError(f"{kind} region is missing key {names.get(key, key)!r}")
         return desc[key]
 
-    def integer(key, default=None):
-        value = need(key) if default is None else desc.get(key, default)
-        return core._integer(f"{kind} region key {names.get(key, key)!r}", value)
+    def integer(key):
+        return core._integer(f"{kind} region key {names.get(key, key)!r}", need(key))
 
     def real(key):
         return core._real(f"{kind} region key {names.get(key, key)!r}", need(key))
@@ -190,8 +189,8 @@ def _capacity_from_descriptor(kind, fields: dict, names=None) -> cap_mod.Capacit
     if kind == "ball":
         return cap_mod.capacity_ball(real("radius"), integer("n"))
     if kind == "cylinder":
-        Z = cap_mod.Cylinder(axis_index=integer("axis", 1), radius=real("radius"),
-                             dim=integer("n"), plane_kind=desc.get("plane", "conjugate"))
+        Z = cap_mod.Cylinder(radius=real("radius"), dim=integer("n"),
+                             plane=shadows.PlaneSelector.parse(desc.get("plane", "conjugate:1")))
         return cap_mod.capacity_cylinder(Z)
     if kind == "ellipsoid":
         M = core.matrix_from_json(need("matrix"))
@@ -247,17 +246,14 @@ def cmd_evolve(args):
     flow = shadows.FlowSpec(V=lambda q: pot.V(q[..., 0]), grad_V=pot.dV, dt=args.dt,
                             mass=pot.mass)
     times = [float(s) for s in args.times.split(",")]
-    out = shadows.evolve_ball_shadow(
+    reports, clouds = shadows.evolve_ball_shadow(
         args.radius, flow, shadows.PlaneSelector.parse(args.plane), args.samples, args.grid_cell,
-        times, seed=args.seed, collect_points=bool(args.dump_points),
+        times, seed=args.seed,
     )
     if args.dump_points:
-        reports, clouds = out
         for rep, cloud in zip(reports, clouds):
             path = f"{args.dump_points}_t{rep.time:g}.csv"
             np.savetxt(path, cloud, delimiter=",", fmt=FLOAT_FMT, header="x,y", comments="")
-    else:
-        reports = out
     _emit_csv(args, ["time", "plane", "area", "bound", "satisfied"],
               [r.to_row() for r in reports])
     return 0

@@ -81,28 +81,24 @@ class SymplecticMatrix:
 
     Construction fails unless the relative symplectic defect is within
     `tol`; a matrix with a NaN entry fails. Only user-typed matrices need a
-    `tol` other than the default. `bound`, an entrywise bound on |entries|
-    before rounding, scales the defect in place of |entries|: `compose`
+    `tol` other than the default. `bound`, an entrywise bound on |matrix|
+    before rounding, scales the defect in place of |matrix|: `compose`
     passes |S1| |S2|.
     """
 
-    entries: np.ndarray
+    matrix: np.ndarray
     tol: float = DEFAULT_SYMPLECTIC_TOL
     bound: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, bound):
-        self.entries = np.asarray(self.entries, dtype=float)
-        self.n = _check_even_square(self.entries)
-        _certify(self.entries[None], self.tol, None if bound is None else bound[None])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.n = _check_even_square(self.matrix)
+        _certify(self.matrix[None], self.tol, None if bound is None else bound[None])
 
     def inverse(self) -> "SymplecticMatrix":
         # For symplectic S: S^{-1} = J^T S^T J, exact up to roundoff.
         J = standard_form(self.n)
-        return SymplecticMatrix(J.T @ self.entries.T @ J)
+        return SymplecticMatrix(J.T @ self.matrix.T @ J)
 
 
 def compose(S1: SymplecticMatrix, S2: SymplecticMatrix) -> SymplecticMatrix:
@@ -111,8 +107,8 @@ def compose(S1: SymplecticMatrix, S2: SymplecticMatrix) -> SymplecticMatrix:
     own entries (S S^-1 is I plus rounding of size eps |S| |S^-1|)."""
     if S1.n != S2.n:
         raise DimensionError(f"dimension mismatch: {2 * S1.n} vs {2 * S2.n}")
-    return SymplecticMatrix(S1.entries @ S2.entries,
-                            bound=np.abs(S1.entries) @ np.abs(S2.entries))
+    return SymplecticMatrix(S1.matrix @ S2.matrix,
+                            bound=np.abs(S1.matrix) @ np.abs(S2.matrix))
 
 
 def random_symplectic(N: int, sigma: float, seed: int) -> SymplecticMatrix:
@@ -204,6 +200,15 @@ def _integer(name: str, value) -> int:
             or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _parse_int(name: str, text: str) -> int:
+    """`text`, a command-line token, as an int; what int() does not read
+    (`1.5`, `a`, an empty string) is refused by name."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _real(name: str, value) -> float:

@@ -17,10 +17,6 @@ class NumericalDegeneracy(SympcapError):
     """Eigenstructure too degenerate or non-normal to resolve reliably."""
 
 
-class UnsupportedRegion(SympcapError):
-    """The region has no capacity formula implemented (and we refuse to guess)."""
-
-
 class CertificateInvalid(SympcapError):
     """A sandwich certificate failed a sampled inclusion check."""
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import SymplecticMatrix, _certify, _positive, _random_symplectic_stack
+from .core import SymplecticMatrix, _certify, _parse_int, _positive, _random_symplectic_stack
 from .errors import FlowDiverged, FlowError
 from .sampling import ball_points
 
@@ -49,11 +49,11 @@ class PlaneSelector:
     @classmethod
     def parse(cls, spec: str) -> "PlaneSelector":
         """`conjugate:j`, `qq:i,j`, `pp:i,j` or `qp:i,j` with i != j."""
-        kind, colon, idx = spec.partition(":")
+        kind, colon, idx = spec.partition(":") if isinstance(spec, str) else ("", "", "")
         nums = idx.split(",")
         if not colon or len(nums) != {"conjugate": 1, "qq": 2, "pp": 2, "qp": 2}.get(kind):
             raise ValueError(f"plane must be conjugate:j, qq:i,j, pp:i,j or qp:i,j, got {spec!r}")
-        i, j = int(nums[0]), int(nums[-1])
+        i, j = (_parse_int("plane index", s) for s in (nums[0], nums[-1]))
         if kind == "conjugate":
             return cls.conjugate(j)
         if kind == "qp" and i == j:
@@ -64,7 +64,7 @@ class PlaneSelector:
         """0-based coordinate indices into a (q-block, p-block) vector."""
         for idx in (self.i, self.j):
             if not (1 <= idx <= n):
-                raise ValueError(f"index {idx} outside 1..{n}")
+                raise ValueError(f"plane index {idx} outside 1..{n}")
         return self.i - 1 + n * (self.a == "p"), self.j - 1 + n * (self.b == "p")
 
     def label(self) -> str:
@@ -302,15 +302,14 @@ def evolve_ball_shadow(
     grid_cell: float,
     snapshot_times: Sequence[float],
     seed: int = 0,
-    collect_points: bool = False,
 ):
     """Advect samples of the ball B(radius) about the origin under the flow
     and estimate shadow areas.
 
     The grid estimate is one-sided (an undersampled filament can only lose
     cells), so `satisfied` allows GRID_SHADOW_TOL relative below the pi R^2
-    bound. Returns a list of ShadowReport (and the projected clouds when
-    `collect_points` is set).
+    bound. Returns (reports, clouds): a ShadowReport and the projected
+    (samples, 2) cloud for each snapshot time, in ascending time order.
     """
     _positive("radius", radius)
     if samples < 1:
@@ -360,8 +359,5 @@ def evolve_ball_shadow(
                 time=t,
             )
         )
-        if collect_points:
-            clouds.append(proj)
-    if collect_points:
-        return reports, clouds
-    return reports
+        clouds.append(proj)
+    return reports, clouds

@@ -4,7 +4,8 @@ Everything here is deliberately dumb and path-independent from the library
 code: closed forms, dense diagonalization, the nonsymmetric eigenvalues of
 J M for the symplectic spectrum, adaptive quadrature, direct ODE
 integration, plain loops over ensemble members, planes, grid cells and
-certificate entries, exact-rational (Fraction) Gram determinants, and
+certificate entries, exact-rational (Fraction) Gram determinants,
+diagonal squeezing maps for cylinders over coordinate planes, and
 scipy's scrambled Halton and inverse-normal map for the samplers, and the
 allocating forms of the Verlet kernel and of the quartic and polynomial
 forces.
@@ -232,6 +233,24 @@ def exact_plane_det(S, a, b):
     v = [Fraction(float(x)) for x in S[b]]
     uv = sum(x * y for x, y in zip(u, v))
     return sum(x * x for x in u) * sum(y * y for y in v) - uv * uv
+
+
+def squeezing_map(plane, n, lam):
+    """Diagonal 2n x 2n map that divides each coordinate of `plane` (a
+    PlaneSelector) by lam and multiplies its conjugate partner by lam; every
+    other coordinate is fixed. On a qq plane that is (q, p) -> (q / lam, lam p)
+    on both modes, on a pp plane its inverse, and on qp:i,j (q_i, p_i) ->
+    (q_i / lam, lam p_i) with (q_j, p_j) -> (lam q_j, p_j / lam). On a
+    conjugate plane (q_j, p_j) the partner of q_j is p_j, so the map is
+    (q_j / lam, lam p_j). Symplectic: each mode's q and p scales multiply to 1.
+    """
+    d = np.ones(2 * n)
+    # the first coordinate last, so on a conjugate plane its shrink stands
+    for coord, mode in ((plane.b, plane.j), (plane.a, plane.i)):
+        k = mode - 1 + (n if coord == "p" else 0)
+        partner = k + n if coord == "q" else k - n
+        d[k], d[partner] = 1.0 / lam, lam
+    return np.diag(d)
 
 
 def turning_points_oracle(well, E):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -16,15 +17,11 @@ from sympcap.capacity import (
     capacity_sandwich,
     volume_ball,
 )
-from sympcap.core import QuadraticHamiltonian, random_symplectic, williamson
-from sympcap.errors import (
-    CertificateInvalid,
-    InvalidNeck,
-    NotPositiveDefinite,
-    UnsupportedRegion,
-)
+from sympcap.core import QuadraticHamiltonian, SymplecticMatrix, random_symplectic, williamson
+from sympcap.errors import CertificateInvalid, InvalidNeck, NotPositiveDefinite
+from sympcap.shadows import PlaneSelector
 
-from oracles import normal_mode_actions, random_pd_matrix
+from oracles import normal_mode_actions, random_pd_matrix, squeezing_map
 
 
 class TestBallCapacity:
@@ -62,26 +59,82 @@ class TestBallVolume:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def nonconjugate_planes(N):
+    """(N, plane) for every qq:i,j and pp:i,j with i < j, and qp:i,j with i != j."""
+    planes = []
+    for i, j in itertools.permutations(range(1, N + 1), 2):
+        if i < j:
+            planes += [PlaneSelector("q", i, "q", j), PlaneSelector("p", i, "p", j)]
+        planes.append(PlaneSelector("q", i, "p", j))
+    return [(N, plane) for plane in planes]
+
+
+def sphere_points(count, dim, radius, seed=0):
+    """Gaussian directions scaled to the sphere of `radius`: the boundary of B(radius)."""
+    g = np.random.default_rng(seed).normal(size=(count, dim))
+    return radius * g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
 class TestCylinderCapacity:
     def test_basic(self):
-        assert capacity_cylinder(Cylinder(1, 1.0, 3)).value == pytest.approx(math.pi)
+        Z = Cylinder(PlaneSelector.conjugate(1), 1.0, 3)
+        assert capacity_cylinder(Z).value == pytest.approx(math.pi)
 
     def test_blob_sized(self):
-        Z = Cylinder(2, math.sqrt(3.0), 2)
+        Z = Cylinder(PlaneSelector.conjugate(2), math.sqrt(3.0), 2)
         assert capacity_cylinder(Z).value == pytest.approx(3 * math.pi, rel=1e-15)
 
     def test_degenerate_disk(self):
-        assert capacity_cylinder(Cylinder(1, 1.0, 1)).value == pytest.approx(math.pi)
-
-    def test_nonconjugate_refused(self):
-        with pytest.raises(UnsupportedRegion):
-            capacity_cylinder(Cylinder(1, 1.0, 3, plane_kind="qq"))
+        Z = Cylinder(PlaneSelector.conjugate(1), 1.0, 1)
+        assert capacity_cylinder(Z).value == pytest.approx(math.pi)
 
     @pytest.mark.parametrize("kind", ["foo", "", "QQ", "conjugate:1", None, 1])
     def test_unknown_plane_kind_is_bad_input(self, kind):
-        # "foo" once reached capacity_cylinder and raised UnsupportedRegion (exit 3)
-        with pytest.raises(ValueError, match="cylinder plane must be one of"):
-            Cylinder(1, 1.0, 3, plane_kind=kind)
+        # a plane spec, valid or not, is text for PlaneSelector.parse, not a plane
+        with pytest.raises(ValueError, match="cylinder plane must be a PlaneSelector"):
+            Cylinder(kind, 1.0, 3)
+
+    @pytest.mark.parametrize("spec,a,b", [("qq:1,2", 0, 1), ("pp:1,2", 2, 3), ("qp:1,2", 0, 3),
+                                          ("conjugate:2", 1, 3)])
+    def test_contains_reads_the_plane(self, spec, a, b):
+        # contains once tested q1^2 + p1^2 on every plane
+        Z = Cylinder(PlaneSelector.parse(spec), 1.0, 2)
+        inside, outside = np.full((2, 4), 5.0)  # far out on the other coordinates
+        inside[[a, b]] = 0.6, 0.7
+        outside[[a, b]] = 0.6, 0.9
+        assert Z.contains(inside) and not Z.contains(outside)
+        assert Z.contains(np.stack([inside, outside])).tolist() == [True, False]
+
+    @pytest.mark.parametrize("ratio", [2.0, 10.0])
+    @pytest.mark.parametrize("N,plane", nonconjugate_planes(2) + nonconjugate_planes(3),
+                             ids=lambda x: x.label() if isinstance(x, PlaneSelector) else None)
+    def test_squeezing_witness(self, N, plane, ratio):
+        # B(r) with r = ratio R passes through a hole of radius R in this plane
+        R = 0.5
+        r = ratio * R
+        S = SymplecticMatrix(squeezing_map(plane, N, ratio)).matrix  # certified
+        a, b = plane.indices(N)
+        block = (S @ S.T)[np.ix_([a, b], [a, b])]
+        # S(B(r)) projects onto the ellipse of this block, whose widest radius is
+        # r sqrt(lambda_max); it equals R here up to rounding
+        assert r * r * np.linalg.eigvalsh(block).max() <= R * R * (1 + 1e-12)
+        Z = Cylinder(plane, R, N)
+        assert Z.contains(sphere_points(2000, 2 * N, r) @ S.T).all()
+        assert capacity_cylinder(Z).infinite
+
+    @pytest.mark.parametrize("ratio", [2.0, 10.0])
+    @pytest.mark.parametrize("N,j", [(2, 1), (2, 2), (3, 1), (3, 3)])
+    def test_conjugate_plane_not_squeezed(self, N, j, ratio):
+        # the same construction on a conjugate plane keeps the shadow's area
+        R = 0.5
+        plane = PlaneSelector.conjugate(j)
+        S = SymplecticMatrix(squeezing_map(plane, N, ratio)).matrix
+        a, b = plane.indices(N)
+        block = (S @ S.T)[np.ix_([a, b], [a, b])]
+        assert np.linalg.det(block) >= 1 - 1e-12
+        Z = Cylinder(plane, R, N)
+        assert not Z.contains(sphere_points(2000, 2 * N, ratio * R) @ S.T).all()
+        assert capacity_cylinder(Z) == CapacityValue(math.pi * R * R)
 
 
 class TestEllipsoidCapacity:

@@ -91,9 +91,9 @@ class TestCapacityCommand:
         assert obj == {"exact": True, "value": pytest.approx(math.pi)}
 
     def test_cylinder(self, capsys):
-        code, out = invoke(capsys, "capacity", "--cylinder", "j=2", "R=2", "N=3")
+        code, out = invoke(capsys, "capacity", "--cylinder", "R=2", "N=3", "plane=conjugate:2")
         assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(4 * math.pi)
+        assert json.loads(out) == {"exact": True, "value": 4 * math.pi}
 
     def test_ellipsoid_region(self, capsys):
         region = {"type": "ellipsoid",
@@ -103,10 +103,12 @@ class TestCapacityCommand:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.pi)
 
-    def test_nonconjugate_cylinder_exit_3(self, capsys):
-        code, out = invoke(capsys, "capacity", "--cylinder", "j=1", "R=1", "N=2", "plane=qq")
-        assert code == 3
-        assert json.loads(out)["error"] == "UnsupportedRegion"
+    @pytest.mark.parametrize("plane", ["qq:1,2", "pp:1,2", "qp:1,2", "qp:2,1"])
+    def test_nonconjugate_cylinder_infinite(self, capsys, plane):
+        # once exit 3, UnsupportedRegion: no capacity formula
+        code, out = invoke(capsys, "capacity", "--cylinder", "R=1", "N=2", f"plane={plane}")
+        assert code == 0
+        assert json.loads(out) == {"exact": True, "value": "inf"}
 
     def test_missing_region_exit_2(self, capsys):
         code, out = invoke(capsys, "capacity")
@@ -268,7 +270,7 @@ class TestInputErrors:
         ["evolve", "--potential", "harmonic", "--samples", "100", "--grid-cell", "inf"],
         ["evolve", "--potential", "harmonic", "--samples", "100", "--radius", "nan"],
         ["evolve", "--potential", "harmonic", "--samples", "100", "--radius", "inf"],
-        ["capacity", "--cylinder", "j=1", "R=1", "N=2", "plane=foo"],
+        ["capacity", "--cylinder", "R=1", "N=2", "plane=foo"],
         ["capacity", "--region", '{"type": "cylinder", "radius": 1, "n": 2, "plane": 1}'],
         ["capacity", "--ball", 'R="1"', "N=2"],
         ["capacity", "--region", '{"type":"ball","radius":"2","n":2}'],
@@ -307,9 +309,24 @@ class TestInputErrors:
         (["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
           '[1, 0, 0, 1]}, "energy": 1, "radius": 5}'],
          "ellipsoid region has unknown key 'radius'"),
+        (["capacity", "--cylinder", "R=2", "N=3", "j=2"], "cylinder region has unknown key 'j'"),
     ])
     def test_unknown_key_named(self, capsys, argv, message):
         # unknown keys were once dropped, and the region computed without them
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["capacity", "--cylinder", "R=1", "N=2", "plane=qq:1,3"], "plane index 3 outside 1..2"),
+        (["capacity", "--cylinder", "R=1", "N=2", "plane=foo"],
+         "plane must be conjugate:j, qq:i,j, pp:i,j or qp:i,j, got 'foo'"),
+        (["capacity", "--region", '{"type": "cylinder", "radius": 1, "n": 2, "plane": 1}'],
+         "plane must be conjugate:j, qq:i,j, pp:i,j or qp:i,j, got 1"),
+    ])
+    def test_cylinder_plane_named(self, capsys, argv, message):
+        # a plane is read as shadow --plane reads it; a non-string is refused
+        # before it reaches str.partition
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
@@ -319,10 +336,10 @@ class TestInputErrors:
         (["capacity", "--ball", "R=1", "N=true"],
          "ball region key 'N' must be an integer, got True"),
         (["capacity", "--ball", "R=1", "N=NaN"], "ball region key 'N' must be an integer, got nan"),
-        (["capacity", "--cylinder", "R=1", "N=2", "j=1.5"],
-         "cylinder region key 'j' must be an integer, got 1.5"),
-        (["capacity", "--region", '{"type": "cylinder", "radius": 1, "n": 2, "axis": true}'],
-         "cylinder region key 'axis' must be an integer, got True"),
+        (["shadow", "--random", "2", "--plane", "conjugate:1.5"],
+         "plane index must be an integer, got '1.5'"),
+        (["shadow", "--random", "2", "--plane", "qq:a,2"],
+         "plane index must be an integer, got 'a'"),
         (["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1.5, "matrix": '
           '[1, 0, 0, 1]}, "energy": 1}'],
          "matrix descriptor key 'n' must be an integer, got 1.5"),
@@ -334,10 +351,15 @@ class TestInputErrors:
         (["williamson", "--matrix", '{"n": "1", "matrix": [1, 0, 0, 1]}'],
          "matrix descriptor key 'n' must be an integer, got '1'"),
         (["capacity", "--ball", "R=1", "N=null"], "ball region key 'N' must be an integer, got None"),
+        (["quantize-quadratic", "--matrix", '{"n":1,"matrix":[1,0,0,1]}', "--n", "1.5"],
+         "quantum number must be an integer, got '1.5'"),
+        (["quantize-quadratic", "--matrix", '{"n":2,"matrix":[1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1]}',
+          "--n", "0,,1"], "quantum number must be an integer, got ''"),
     ])
     def test_integer_not_truncated(self, capsys, argv, message):
         # int() once read N=2.7 as 2, true as 1 and the string "2" as 2, and
-        # its message for null named Python's int(), not the key
+        # its message for null, and for the plane index or quantum number
+        # "1.5", named Python's int(), not the key
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
@@ -389,7 +411,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv", [
         ["capacity", "--ball", "R=1", "N=2.0"],
-        ["capacity", "--region", '{"type": "cylinder", "radius": 1, "n": 2.0, "axis": 1.0}'],
+        ["capacity", "--region", '{"type": "cylinder", "radius": 1, "n": 2.0}'],
     ])
     def test_integral_float_accepted(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -745,12 +767,13 @@ FUZZ_UNKNOWN = ["--bogus", "-h"]
 FUZZ_VALUES = [
     "0", "1", "2", "-1", "0.5", "-0.5", "1e-3", "1e308", "nan", "inf", "-inf", "x", "",
     "R=1", "N=2", "R=-1", "N=0", "R=nan", "R=[1]", "N=null", "j=3", "plane=qq", "N=2.5",
-    "j=true", "foo=1",
+    "j=true", "foo=1", "plane=qq:1,2", "plane=conjugate:3", "plane=qp:1,1",
     "conjugate:1", "qq:1,2", "qp:2", "pp:1,1", "0,1", "1,2",
     "harmonic", "quartic", "morse", "polynomial", "coeff=1", "omega=0", "omega=[1]", "D=null",
     "coeffs=[0,0,1]", "json", "csv", "{}", "[]", "null",
     '{"type":"ball"}', '{"type":"ball","radius":[1],"n":2}',
     '{"type":"cylinder","radius":1,"n":2,"axis":"x"}',
+    '{"type":"cylinder","radius":1,"n":2,"plane":1}',
     '{"type":"ellipsoid","matrix":{"n":1,"matrix":[1,0,0,-1]},"energy":1}',
     '{"type":"ellipsoid","matrix":{"n":1,"matrix":[NaN,0,0,1]},"energy":1}',
     '{"n":1,"matrix":[1,0,0]}', '{"n":1,"matrix":[NaN,0,0,1]}', '{"n":null,"matrix":[1,0,0,1]}',

@@ -336,12 +336,12 @@ class TestEvolveShadow:
         flow = free_flow(0.1, n_modes=2)
         for plane in (PlaneSelector.conjugate(1), PlaneSelector("q", 1, "q", 2),
                       PlaneSelector("p", 1, "p", 2), PlaneSelector("q", 1, "p", 2)):
-            [rep] = evolve_ball_shadow(1.0, flow, plane, 30_000, 0.08, [0.0])
+            [rep], _ = evolve_ball_shadow(1.0, flow, plane, 30_000, 0.08, [0.0])
             assert rep.area == pytest.approx(math.pi, rel=0.05)
 
     def test_harmonic_rotation_preserves_disk(self):
         flow = harmonic_flow(1e-2)
-        reports = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
+        reports, _ = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
                                      30_000, 0.04, [0.0, 1.0, 2.0, 5.0])
         for rep in reports:
             assert rep.area == pytest.approx(math.pi, rel=0.05)
@@ -349,16 +349,16 @@ class TestEvolveShadow:
 
     def test_quartic_conjugate_shadow_keeps_bound(self):
         flow = quartic_flow(1e-3)
-        reports = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
+        reports, _ = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
                                      30_000, 0.04, [1.0, 2.0])
         for rep in reports:
             assert rep.area >= 0.95 * math.pi
 
     def test_grid_estimate_converges(self):
         flow = harmonic_flow(1e-2)
-        [coarse] = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
+        [coarse], _ = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
                                       30_000, 0.05, [1.0])
-        [fine] = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
+        [fine], _ = evolve_ball_shadow(1.0, flow, PlaneSelector.conjugate(1),
                                     60_000, 0.025, [1.0])
         assert abs(fine.area - coarse.area) / coarse.area < 0.02
 
