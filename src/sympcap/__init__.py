@@ -16,8 +16,6 @@ from .core import (
     QuadraticHamiltonian,
     SymplecticMatrix,
     WilliamsonDecomposition,
-    compose,
-    is_symplectic,
     random_symplectic,
     standard_form,
     symplectic_eigenvalues,
@@ -29,7 +27,6 @@ from .ebk import (
     Potential1D,
     SpectrumEntry,
     SpectrumResult,
-    action_integral,
     blob_check,
     density_of_states,
     loop_action,
@@ -37,7 +34,6 @@ from .ebk import (
     quantize_quadratic,
     spectrum_1d,
     spectrum_separable,
-    turning_points,
 )
 from .shadows import (
     FlowSpec,
@@ -46,7 +42,6 @@ from .shadows import (
     evolve_ball_shadow,
     linear_shadow_area,
     nonsqueeze_ensemble,
-    verlet_step,
 )
 
 __version__ = "0.1.0"

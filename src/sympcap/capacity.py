@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import QuadraticHamiltonian, symplectic_eigenvalues
+from .core import QuadraticHamiltonian, _positive, symplectic_eigenvalues
 from .errors import CertificateInvalid, InvalidNeck
 from .sampling import ball_points, box_points
 from .shadows import PlaneSelector
@@ -74,8 +74,7 @@ class Cylinder:
     def __post_init__(self):
         if not isinstance(self.plane, PlaneSelector):
             raise ValueError(f"cylinder plane must be a PlaneSelector, got {self.plane!r}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        _positive("radius", self.radius)
         self.plane.indices(self.dim)  # an index outside 1..dim raises
 
     def contains(self, z: np.ndarray) -> np.ndarray:
@@ -112,14 +111,14 @@ def volume_ball(R: float, N: int) -> float:
 
 
 def capacity_cylinder(Z: Cylinder) -> CapacityValue:
-    """pi R^2 over a conjugate plane, regardless of N; infinite over any other.
-
-    A radius whose pi R^2 is not finite (NaN, or an overflow) raises
-    OverflowError on every plane.
+    """pi R^2 over a conjugate plane, regardless of N; infinite over any other,
+    for every radius. Over a conjugate plane a radius whose pi R^2 overflows
+    raises OverflowError.
     """
-    area = _area(math.pi * Z.radius * Z.radius)
     # two distinct coordinates of one mode j are q_j and p_j
-    return area if Z.plane.i == Z.plane.j else CapacityValue.infinity()
+    if Z.plane.i != Z.plane.j:
+        return CapacityValue.infinity()
+    return _area(math.pi * Z.radius * Z.radius)
 
 
 def capacity_ellipsoid(region: EnergyShellRegion) -> CapacityValue:

@@ -7,8 +7,7 @@ standard form is J = [[0, I], [-I, 0]] in that block ordering.
 from __future__ import annotations
 
 import numbers
-from dataclasses import InitVar, dataclass
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,46 +32,30 @@ def _check_even_square(S: np.ndarray) -> int:
     return S.shape[0] // 2
 
 
-def _defects(S: np.ndarray, bound: Optional[np.ndarray] = None) -> np.ndarray:
-    """max |S^T J S - J| / (1 + B^T |J| B) over the entries of each matrix of a
-    (..., 2n, 2n) stack, NaN for a NaN entry, with B an entrywise bound on |S|
-    (|S| itself by default). The rounding of S^T (J S) is within a few n eps of
-    |S|^T |J S| entrywise (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 3.5); the 1 keeps the absolute test where that
-    product is tiny.
+def _defects(S: np.ndarray) -> np.ndarray:
+    """max |S^T J S - J| / (1 + |S|^T |J| |S|) over the entries of each matrix of a
+    (..., 2n, 2n) stack, NaN for a NaN entry. The rounding of S^T (J S) is within
+    a few n eps of |S|^T |J S| entrywise (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.5); the 1 keeps the absolute test where
+    that product is tiny.
     """
     J = standard_form(S.shape[-1] // 2)
     JS = J @ S  # exact: J is a signed permutation, so |J S| = |J| |S|
     St = np.swapaxes(S, -1, -2)
-    if bound is None:
-        scale = np.abs(St) @ np.abs(JS)
-    else:
-        scale = np.swapaxes(bound, -1, -2) @ np.abs(J @ bound)
+    scale = np.abs(St) @ np.abs(JS)
     return np.max(np.abs(St @ JS - J) / (1.0 + scale), axis=(-2, -1))
 
 
-def symplectic_defect(S: np.ndarray) -> float:
-    """Largest entrywise |S^T J S - J| / (1 + |S|^T |J| |S|)."""
-    _check_even_square(S)
-    return float(_defects(np.asarray(S, dtype=float)))
-
-
-def _certify(stack: np.ndarray, tol: float = DEFAULT_SYMPLECTIC_TOL,
-             bound: Optional[np.ndarray] = None) -> None:
+def _certify(stack: np.ndarray, tol: float = DEFAULT_SYMPLECTIC_TOL) -> None:
     """Raise ValueError for the first matrix of a (count, 2n, 2n) stack whose
     relative defect (`_defects`) is not within `tol` (a NaN fails). This is the
     one symplecticity test; S^T J S = J gives det S = Pf(S^T J S) / Pf(J) = 1.
     """
-    defects = _defects(stack, bound)
+    defects = _defects(stack)
     bad = ~(defects <= tol)
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"symplectic defect {defects[k]:.3e} exceeds tolerance {tol:.3e}")
-
-
-def is_symplectic(S: np.ndarray, tol: float = DEFAULT_SYMPLECTIC_TOL) -> bool:
-    """True iff the relative defect of S is within `tol`, as `_certify` decides."""
-    return symplectic_defect(S) <= tol
 
 
 @dataclass(eq=False)
@@ -81,34 +64,16 @@ class SymplecticMatrix:
 
     Construction fails unless the relative symplectic defect is within
     `tol`; a matrix with a NaN entry fails. Only user-typed matrices need a
-    `tol` other than the default. `bound`, an entrywise bound on |matrix|
-    before rounding, scales the defect in place of |matrix|: `compose`
-    passes |S1| |S2|.
+    `tol` other than the default.
     """
 
     matrix: np.ndarray
     tol: float = DEFAULT_SYMPLECTIC_TOL
-    bound: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self, bound):
+    def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
         self.n = _check_even_square(self.matrix)
-        _certify(self.matrix[None], self.tol, None if bound is None else bound[None])
-
-    def inverse(self) -> "SymplecticMatrix":
-        # For symplectic S: S^{-1} = J^T S^T J, exact up to roundoff.
-        J = standard_form(self.n)
-        return SymplecticMatrix(J.T @ self.matrix.T @ J)
-
-
-def compose(S1: SymplecticMatrix, S2: SymplecticMatrix) -> SymplecticMatrix:
-    """Product S1 @ S2, re-certified symplectic on the scale of |S1| |S2|: the
-    product's rounding is a few n eps of that, which can be large against its
-    own entries (S S^-1 is I plus rounding of size eps |S| |S^-1|)."""
-    if S1.n != S2.n:
-        raise DimensionError(f"dimension mismatch: {2 * S1.n} vs {2 * S2.n}")
-    return SymplecticMatrix(S1.matrix @ S2.matrix,
-                            bound=np.abs(S1.matrix) @ np.abs(S2.matrix))
+        _certify(self.matrix[None], self.tol)
 
 
 def random_symplectic(N: int, sigma: float, seed: int) -> SymplecticMatrix:
@@ -155,10 +120,6 @@ class QuadraticHamiltonian:
         # store the exactly symmetric part
         self.M = 0.5 * (self.M + self.M.T)
 
-    def __call__(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        return 0.5 * float(z @ self.M @ z)
-
     @classmethod
     def isotropic(cls, N: int, omega: float, mass: float = 1.0) -> "QuadraticHamiltonian":
         """N identical harmonic modes: H = sum_j (p_j^2 + m^2 w^2 q_j^2) / 2m."""
@@ -182,10 +143,6 @@ class WilliamsonDecomposition:
     S: SymplecticMatrix
     residual: float
 
-    @property
-    def D(self) -> np.ndarray:
-        return np.diag(np.concatenate([self.omegas, self.omegas]))
-
 
 def _positive(name: str, value: float) -> None:
     if not 0 < value < np.inf:  # NaN too
@@ -202,13 +159,15 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _parse_int(name: str, text: str) -> int:
-    """`text`, a command-line token, as an int; what int() does not read
-    (`1.5`, `a`, an empty string) is refused by name."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+def _parse_int(text: str, name: str = "integer") -> int:
+    """`text`, a command-line token, as an int: an optional sign and ASCII
+    digits. Anything else (`1.5`, `a`, an empty string, and what int() would
+    read: `1_0`, ` 3`, non-ASCII digits) is refused by name. The argparse
+    type of every integer option."""
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{name} must be an integer, got {text!r}")
+    return int(text)
 
 
 def _real(name: str, value) -> float:

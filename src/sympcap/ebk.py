@@ -247,24 +247,16 @@ def _sign_change(f, a: float, b: float, xtol: float) -> float:
             kept = "a"
 
 
-def turning_points(pot: Potential1D | _Well, E: float) -> tuple[float, float]:
-    """Classical turning points V(q) = E bracketing a single well.
+def turning_points(well: _Well, E: float) -> tuple[float, float]:
+    """Classical turning points V(q) = E bracketing a single well, on a solver's _Well.
 
     Looks the crossings of E up in the monotone runs of the well scan, zooming
     toward the minimum when the classically allowed region is narrower than the
     grid, refuses multi-well energies, and polishes both crossings at once by
-    Newton on dV. Each root starts from the chord of the scan across its crossing
-    cell. Given a solver's _Well, reuses its scan, starts a root from the last
-    polish's root moved to second order in E where that lands in the cell, and
-    runs under the solver's np.errstate.
+    Newton on dV. Each root starts from the last polish's root moved to second
+    order in E where that lands in its crossing cell, else from the chord of the
+    scan across the cell. Runs under the solver's np.errstate.
     """
-    if isinstance(pot, _Well):
-        return _turning_points(pot, E)
-    with np.errstate(all="ignore"):
-        return _turning_points(_Well(pot), E)
-
-
-def _turning_points(well: _Well, E: float) -> tuple[float, float]:
     pot, (q, v, vmin, runs) = well.pot, well.scan
     lo, hi = pot.bracket
     for _ in range(60):
@@ -346,10 +338,12 @@ def _gauss_legendre():
 
 
 def _action_period(well: _Well, E: float) -> tuple[float, float]:
-    """Loop action A(E) and period T(E) = dA/dE = 2 int m/p dq on the same nodes: under
-    the substitution of action_integral both integrands are smooth, and each integral
-    is one dot product of the folded weights with p or 1/p. Runs under the caller's
-    np.errstate: a p that rounds to 0 at a node makes T infinite, and Newton bisects."""
+    """Loop action A(E) = 2 int sqrt(2m (E - V)) dq between the turning points and
+    period T(E) = dA/dE = 2 int m/p dq on the same nodes. The substitution
+    q = mid + half sin(theta), with Gauss-Legendre in theta, absorbs the square-root
+    endpoint singularity, so both integrands are smooth and each integral is one dot
+    product of the folded weights with p or 1/p. Runs under the caller's np.errstate:
+    a p that rounds to 0 at a node makes T infinite, and Newton bisects."""
     pot, (q_minus, q_plus) = well.pot, turning_points(well, E)
     mid = 0.5 * (q_plus + q_minus)
     half = 0.5 * (q_plus - q_minus)
@@ -358,17 +352,6 @@ def _action_period(well: _Well, E: float) -> tuple[float, float]:
     p *= 2.0 * pot.mass
     p = np.sqrt(np.maximum(p, 0.0, out=p), out=p)
     return math.pi * half * float(wc @ p), math.pi * half * pot.mass * float(wc @ (1.0 / p))
-
-
-def action_integral(pot: Potential1D, E: float) -> float:
-    """Loop action 2 * int sqrt(2m (E - V)) dq between the turning points.
-
-    Uses the substitution q = mid + half * sin(theta) with Gauss-Legendre
-    in theta, which absorbs the square-root endpoint singularity and is
-    spectrally accurate for smooth potentials.
-    """
-    with np.errstate(all="ignore"):
-        return _action_period(_Well(pot), E)[0]
 
 
 def _well_bottom(well: _Well) -> tuple[float, float, float]:

@@ -39,10 +39,6 @@ class FlowError(SympcapError):
 class FlowDiverged(SympcapError):
     """Trajectory blew up during integration."""
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
 
 class NoClassicalRegion(SympcapError):
     """Energy below the potential minimum: no classically allowed region."""

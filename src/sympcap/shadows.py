@@ -53,7 +53,7 @@ class PlaneSelector:
         nums = idx.split(",")
         if not colon or len(nums) != {"conjugate": 1, "qq": 2, "pp": 2, "qp": 2}.get(kind):
             raise ValueError(f"plane must be conjugate:j, qq:i,j, pp:i,j or qp:i,j, got {spec!r}")
-        i, j = (_parse_int("plane index", s) for s in (nums[0], nums[-1]))
+        i, j = (_parse_int(s, "plane index") for s in (nums[0], nums[-1]))
         if kind == "conjugate":
             return cls.conjugate(j)
         if kind == "qp" and i == j:
@@ -212,22 +212,12 @@ class FlowSpec:
         return np.sum(p * p, axis=-1) / (2.0 * self.mass) + np.asarray(self.V(state[..., :n]))
 
 
-def verlet_step(state: np.ndarray, flow: FlowSpec) -> np.ndarray:
-    """One Stoermer-Verlet (kick-drift-kick) step; exactly symplectic."""
-    n = flow.n_modes
-    state = np.asarray(state, dtype=float)
-    q = state[..., :n].copy()
-    p = state[..., n:].copy()
-    _advance(q, p, flow, 1)
-    return np.concatenate([q, p], axis=-1)
-
-
 def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int) -> None:
-    """Advance in place by `count` Verlet steps, fusing adjacent half-kicks.
-
-    Algebraically identical to iterating verlet_step; one force evaluation
-    per step instead of two. Each kick and drift writes into one scratch
-    buffer, allocated per call, instead of allocating two temporaries: on
+    """Advance in place by `count` Stoermer-Verlet (kick-drift-kick) steps,
+    exactly symplectic, fusing adjacent half-kicks: one force evaluation per
+    step instead of two, algebraically identical to `count` single steps.
+    Each kick and drift writes into one scratch buffer, allocated per call,
+    instead of allocating two temporaries: on
     5 000 one-mode particles (2 cores, numpy 2.4.6) that took a traced
     particle-step from 3.8 to 2.5 ns, with the in-place quartic force. The
     drift multiplies by h = dt / mass, the same bits as dt * (p / mass) at
@@ -346,7 +336,7 @@ def evolve_ball_shadow(
         step = target
         state = np.concatenate([q, p], axis=1)
         if not np.all(np.isfinite(state)):
-            raise FlowDiverged(f"non-finite coordinate at t={t}", time=t)
+            raise FlowDiverged(f"non-finite coordinate at t={t}")
         proj = state[:, [a, b]]
         area = grid_shadow_area(proj, grid_cell)
         reports.append(

@@ -9,6 +9,11 @@ diagonal squeezing maps for cylinders over coordinate planes, and
 scipy's scrambled Halton and inverse-normal map for the samplers, and the
 allocating forms of the Verlet kernel and of the quartic and polynomial
 forces.
+Each library kernel has one entry, and its oracle checks that entry:
+`certify_oracle` the one symplectic certificate (`core._certify`, which
+`SymplecticMatrix` runs), `advance_oracle` the one Verlet kernel
+(`shadows._advance`, a single step at count 1), and `turning_points_oracle`
+`ebk.turning_points` on a solver's `ebk._Well`.
 The ensemble oracle draws its members with the library's single-member
 `random_symplectic`, so it also checks that a stacked draw matches draws in
 a row. The turning-point oracle shares the library's well scan, crossing

@@ -110,6 +110,13 @@ class TestCapacityCommand:
         assert code == 0
         assert json.loads(out) == {"exact": True, "value": "inf"}
 
+    @pytest.mark.parametrize("R", ["1e200", "1e-200"])
+    def test_nonconjugate_cylinder_infinite_at_any_radius(self, capsys, R):
+        # pi R^2 at R = 1e200 once overflowed first: "result is not finite"
+        code, out = invoke(capsys, "capacity", "--cylinder", f"R={R}", "N=2", "plane=qq:1,2")
+        assert code == 0
+        assert json.loads(out) == {"exact": True, "value": "inf"}
+
     def test_missing_region_exit_2(self, capsys):
         code, out = invoke(capsys, "capacity")
         assert code == 2
@@ -355,14 +362,36 @@ class TestInputErrors:
          "quantum number must be an integer, got '1.5'"),
         (["quantize-quadratic", "--matrix", '{"n":2,"matrix":[1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1]}',
           "--n", "0,,1"], "quantum number must be an integer, got ''"),
+        (["quantize-quadratic", "--matrix", '{"n":1,"matrix":[1,0,0,1]}', "--n", "1_0"],
+         "quantum number must be an integer, got '1_0'"),
+        (["quantize-quadratic", "--matrix", '{"n":1,"matrix":[1,0,0,1]}', "--n", " 1"],
+         "quantum number must be an integer, got ' 1'"),
+        (["shadow", "--random", "2", "--plane", "qq: 1,2 "],
+         "plane index must be an integer, got ' 1'"),
+        (["capacity", "--cylinder", "R=1", "N=2", "plane=conjugate:\u0662"],
+         "plane index must be an integer, got '\u0662'"),
+        # argparse options: a usage error on stderr, as for --nmax abc
+        (["nonsqueeze-ensemble", "--n", "1_0", "--count", "1"],
+         "argument --n: invalid _parse_int value: '1_0'"),
+        (["quantize-1d", "--potential", "harmonic", "--nmax", "\u0663"],
+         "argument --nmax: invalid _parse_int value: '\u0663'"),
+        (["shadow", "--random", "2", "--seed", "3 "],
+         "argument --seed: invalid _parse_int value: '3 '"),
+        (["dos", "--ndim", "+", "--energy", "1"], "argument --ndim: invalid _parse_int value: '+'"),
     ])
     def test_integer_not_truncated(self, capsys, argv, message):
         # int() once read N=2.7 as 2, true as 1 and the string "2" as 2, and
         # its message for null, and for the plane index or quantum number
-        # "1.5", named Python's int(), not the key
-        code, out = invoke(capsys, *argv)
+        # "1.5", named Python's int(), not the key; it also read digit-group
+        # underscores, surrounding whitespace and non-ASCII digits
+        code = run(argv)
+        captured = capsys.readouterr()
         assert code == 2
-        assert json.loads(out) == {"error": "InvalidInput", "message": message}
+        if message.startswith("argument --"):
+            assert captured.out == "" and captured.err.startswith("usage:")
+            assert captured.err.endswith(f" error: {message}\n")
+        else:
+            assert json.loads(captured.out) == {"error": "InvalidInput", "message": message}
 
     @pytest.mark.parametrize("argv,message", [
         (["capacity", "--ball", 'R="1"', "N=2"], "ball region key 'R' must be a real number, got '1'"),
@@ -404,6 +433,7 @@ class TestInputErrors:
         ["capacity", "--ball", "R=2.", "N=2"],
         ["capacity", "--region", '{"type": "ball", "radius": 2, "n": 2}'],
         ["quantize-1d", "--potential", '{"kind": "quartic", "coeff": 1, "mass": 2}', "--nmax", "0"],
+        ["nonsqueeze-ensemble", "--n", "+2", "--count", "1", "--seed", "-0"],
     ])
     def test_integer_real_accepted(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -445,7 +475,7 @@ class TestInputErrors:
         ["capacity", "--ball", "R=nan", "N=2"],
         ["shadow", "--random", "2", "--radius", "1e200"],
         ["dos", "--energy", "1e308", "--ndim", "3"],
-        ["capacity", "--cylinder", "R=nan", "N=2"],
+        ["capacity", "--cylinder", "R=1e200", "N=2"],
         ["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
          '[1, 0, 0, 1]}, "energy": NaN}'],
     ])
@@ -470,6 +500,9 @@ class TestInputErrors:
          "snapshot time nan is not finite"),
         (["evolve", "--potential", "harmonic", "--samples", "100", "--times", "inf"],
          "snapshot time inf is not finite"),
+        (["capacity", "--cylinder", "R=nan", "N=2", "plane=qq:1,2"],
+         "radius must be finite and positive, got nan"),
+        (["capacity", "--cylinder", "R=inf", "N=2"], "radius must be finite and positive, got inf"),
     ])
     def test_nan_refused_before_computing(self, capsys, argv, message):
         code, out = invoke(capsys, *argv)
@@ -778,7 +811,7 @@ FUZZ_VALUES = [
     '{"type":"ellipsoid","matrix":{"n":1,"matrix":[NaN,0,0,1]},"energy":1}',
     '{"n":1,"matrix":[1,0,0]}', '{"n":1,"matrix":[NaN,0,0,1]}', '{"n":null,"matrix":[1,0,0,1]}',
     '[{"kind":"morse"}]', '[{"kind":"harmonic","omega":null}]',
-    "omega=nan", "a=0", "coeff=1e300", '{"kind":"polynomial","coeffs":[]}',
+    "omega=nan", "a=0", "coeff=1e300", '{"kind":"polynomial","coeffs":[]}', "1_0", " 3",
 ]
 
 

@@ -11,14 +11,12 @@ from sympcap.core import (
     QuadraticHamiltonian,
     SymplecticMatrix,
     _certify,
+    _defects,
     _random_symplectic_stack,
-    compose,
-    is_symplectic,
     matrix_from_json,
     matrix_to_json,
     random_symplectic,
     standard_form,
-    symplectic_defect,
     symplectic_eigenvalues,
     williamson,
 )
@@ -41,63 +39,18 @@ class TestStandardForm:
 
 class TestIsSymplectic:
     def test_identity(self):
-        assert is_symplectic(np.eye(4), 1e-10)
+        assert SymplecticMatrix(np.eye(4), 1e-10).n == 2
 
     def test_area_preserving_scaling(self):
-        assert is_symplectic(np.diag([2.0, 0.5]), 1e-10)
+        assert SymplecticMatrix(np.diag([2.0, 0.5]), 1e-10).n == 1
 
     def test_area_scaling_by_four_fails(self):
-        assert not is_symplectic(np.diag([2.0, 2.0]), 1e-10)
+        with pytest.raises(ValueError, match="symplectic defect"):
+            SymplecticMatrix(np.diag([2.0, 2.0]), 1e-10)
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(DimensionError):
-            is_symplectic(np.eye(3))
-
-
-class TestCompose:
-    def test_inverse_gives_identity(self):
-        S = random_symplectic(2, 0.8, seed=11)
-        I = compose(S, S.inverse())
-        assert np.allclose(I.matrix, np.eye(4), atol=1e-12)
-
-    @pytest.mark.parametrize("N,sigma", [(1, 5.0), (2, 5.0), (4, 2.0)])
-    def test_inverse_product_certifies(self, N, sigma):
-        # P = S S^-1 is I plus rounding; where J is 0, both |P^T J P - J| and
-        # |P|^T |J| |P| are of that rounding's size, so the 1 of the rule admits P
-        for seed in range(4):
-            S = random_symplectic(N, sigma, seed)
-            assert is_symplectic(compose(S, S.inverse()).matrix)
-
-    @pytest.mark.parametrize("N", [4, 8, 10])
-    def test_inverse_product_certifies_on_factor_scale(self, N):
-        # off the diagonal, P = S S^-1 rounds by about eps |S| |S^-1|, which is
-        # large against P's own |P|^T |J| |P| ~ 1; bounded from |S1| |S2| it is not
-        for seed in range(6):
-            S = random_symplectic(N, 3.0, seed)
-            compose(S, S.inverse())
-
-    def test_nonsymplectic_product_refused(self):
-        # a factor certified to a loose tol carries its defect (5e-7 relative)
-        # into the product, which is certified to the default tol
-        S1 = SymplecticMatrix(np.diag([2.0, 0.5 * (1 + 1e-6)]), tol=1e-5)
-        with pytest.raises(ValueError, match="symplectic defect 5.000e-07"):
-            compose(S1, SymplecticMatrix(np.eye(2)))
-        with pytest.raises(ValueError, match="symplectic defect"):
-            compose(random_symplectic(1, 2.0, 0), S1)
-
-    def test_diagonal_product(self):
-        S1 = SymplecticMatrix(np.diag([2.0, 0.5]))
-        S2 = SymplecticMatrix(np.diag([3.0, 1.0 / 3.0]))
-        assert np.allclose(compose(S1, S2).matrix, np.diag([6.0, 1.0 / 6.0]), atol=1e-14)
-
-    def test_random_product_is_symplectic(self):
-        S1 = random_symplectic(3, 0.7, seed=1)
-        S2 = random_symplectic(3, 0.7, seed=2)
-        assert symplectic_defect(compose(S1, S2).matrix) <= 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            compose(random_symplectic(1, 1.0, 0), random_symplectic(2, 1.0, 0))
+            SymplecticMatrix(np.eye(3))
 
 
 class TestRandomSymplectic:
@@ -111,7 +64,7 @@ class TestRandomSymplectic:
 
     def test_defect(self):
         S = random_symplectic(3, 0.5, seed=7)
-        assert symplectic_defect(S.matrix) <= 1e-9
+        assert _defects(S.matrix) <= 1e-9
 
     def test_deterministic(self):
         assert np.array_equal(random_symplectic(2, 1.0, 9).matrix,
@@ -158,7 +111,7 @@ class TestCertificate:
         for seed in range(4):
             S = random_symplectic(N, sigma, seed).matrix
             assert certify_oracle(S[None], DEFAULT_SYMPLECTIC_TOL) is None
-            assert is_symplectic(S)
+            assert _defects(S) <= DEFAULT_SYMPLECTIC_TOL
 
     @pytest.mark.parametrize("N,sigma", [(1, 1.0), (2, 3.0), (4, 5.0), (10, 2.0)])
     def test_perturbed_entry_refused(self, N, sigma):
@@ -167,7 +120,8 @@ class TestCertificate:
         S[i, j] *= 1 + 1e3 * DEFAULT_SYMPLECTIC_TOL
         k, message = certify_oracle(S[None], DEFAULT_SYMPLECTIC_TOL)
         assert k == 0 and self.outcome(S[None]) == message
-        assert not is_symplectic(S)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SymplecticMatrix(S)
 
     @pytest.mark.parametrize("entries,defect", [
         pytest.param([1e10, 0, 0, 1], "1.000e+00", id="det-1e10"),
@@ -181,12 +135,14 @@ class TestCertificate:
             SymplecticMatrix(S)
         assert str(exc.value) == f"symplectic defect {defect} exceeds tolerance 1.000e-10"
         assert certify_oracle(S[None], 1e-10) == (0, str(exc.value))
-        assert not is_symplectic(S)
+        assert not _defects(S) <= 1e-10
 
     def test_user_tolerance(self):
         S = np.diag([1.0, 1.0 + 1e-9])
         assert SymplecticMatrix(S, tol=1e-6).tol == 1e-6
-        assert is_symplectic(S, 1e-6) and certify_oracle(S[None], 1e-6) is None
+        assert certify_oracle(S[None], 1e-6) is None
+        with pytest.raises(ValueError, match="symplectic defect 5.000e-10"):
+            SymplecticMatrix(S)
 
     def test_nan_matrix_rejected(self):
         with pytest.raises(ValueError, match="symplectic defect nan exceeds"):
@@ -201,8 +157,8 @@ class TestCertificate:
 def assert_normal_form(dec, M, residual=1e-13, defect=1e-14):
     """S^T D S = M within `residual` of max |M|, as recomputed here and as
     reported, and S symplectic within `defect`."""
-    S = dec.S.matrix
-    assert np.max(np.abs(S.T @ dec.D @ S - M)) <= residual * np.max(np.abs(M))
+    S, d = dec.S.matrix, np.concatenate([dec.omegas, dec.omegas])
+    assert np.max(np.abs(S.T @ (d[:, None] * S) - M)) <= residual * np.max(np.abs(M))
     assert dec.residual <= residual
     assert certify_oracle(S[None], defect) is None
 
@@ -304,10 +260,11 @@ class TestWilliamson:
         for _ in range(5):
             M = random_pd_matrix(rng, N)
             dec = williamson(QuadraticHamiltonian(M))
-            recon = dec.S.matrix.T @ dec.D @ dec.S.matrix
+            D = np.diag(np.concatenate([dec.omegas, dec.omegas]))
+            recon = dec.S.matrix.T @ D @ dec.S.matrix
             rel = np.max(np.abs(recon - M)) / np.max(np.abs(M))
             assert rel <= 1e-8
-            assert symplectic_defect(dec.S.matrix) <= 1e-9
+            assert _defects(dec.S.matrix) <= 1e-9
             assert np.all(dec.omegas > 0)
             assert np.all(np.diff(dec.omegas) <= 1e-12)  # sorted descending
 

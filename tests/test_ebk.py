@@ -13,7 +13,6 @@ from sympcap.core import QuadraticHamiltonian
 from sympcap.ebk import (
     PlanckConfig,
     Potential1D,
-    action_integral,
     basis_loops,
     blob_check,
     density_of_states,
@@ -46,6 +45,13 @@ from oracles import (
 )
 
 CFG = PlanckConfig(1.0)
+
+
+@pytest.fixture
+def solver_errstate():
+    """The np.errstate under which the solver runs turning_points and _action_period."""
+    with np.errstate(all="ignore"):
+        yield
 
 
 def _spoil_dV(pot, spoil):
@@ -177,11 +183,12 @@ class TestQuantizeQuadratic:
         assert entry.energy == pytest.approx(0.5 * np.sum(williamson(H).omegas), rel=1e-10)
 
 
+@pytest.mark.usefixtures("solver_errstate")
 class TestTurningPoints:
     def test_harmonic_analytic(self):
         m, omega, E = 1.5, 2.0, 0.9
         pot = harmonic_potential(omega, m)
-        qm, qp = turning_points(pot, E)
+        qm, qp = turning_points(_Well(pot), E)
         q_star = math.sqrt(2 * E / (m * omega**2))
         assert qm == pytest.approx(-q_star, abs=1e-10)
         assert qp == pytest.approx(q_star, abs=1e-10)
@@ -190,30 +197,30 @@ class TestTurningPoints:
         D, a = 10.0, 1.0
         pot = morse_potential(D, a)
         E = 4.0
-        qm, qp = turning_points(pot, E)
+        qm, qp = turning_points(_Well(pot), E)
         s = math.sqrt(E / D)
         assert qm == pytest.approx(-math.log(1 + s) / a, abs=1e-10)
         assert qp == pytest.approx(-math.log(1 - s) / a, abs=1e-10)
 
     def test_quartic_analytic(self):
         pot = quartic_potential(0.25)
-        qm, qp = turning_points(pot, 1.0)
+        qm, qp = turning_points(_Well(pot), 1.0)
         assert qp == pytest.approx(math.sqrt(2.0), abs=1e-10)
         assert qm == pytest.approx(-math.sqrt(2.0), abs=1e-10)
 
     def test_below_minimum(self):
         with pytest.raises(NoClassicalRegion):
-            turning_points(harmonic_potential(1.0), -0.5)
+            turning_points(_Well(harmonic_potential(1.0)), -0.5)
 
     def test_double_well_refused_with_dV(self):
         pot = Potential1D(V=lambda q: (np.square(q) - 1.0) ** 2, bracket=(-3, 3),
                           dV=lambda q: 4.0 * q * (np.square(q) - 1.0))
         with pytest.raises(MultiWell):
-            turning_points(pot, 0.5)
+            turning_points(_Well(pot), 0.5)
 
     @pytest.mark.parametrize("pot,E,exact", CLOSED_FORMS + SPOILED_DV)
     def test_closed_forms_to_rounding(self, pot, E, exact):
-        qm, qp = turning_points(pot, E)
+        qm, qp = turning_points(_Well(pot), E)
         assert qm == pytest.approx(exact[0], abs=1e-14)
         assert qp == pytest.approx(exact[1], abs=1e-14)
 
@@ -326,39 +333,40 @@ class TestSignChange:
         assert ebk._sign_change(f, 0.0, 1.0, 1e-12) == ebk._bisect(f, 0.0, 1.0, 1e-12)
 
 
+@pytest.mark.usefixtures("solver_errstate")
 class TestActionIntegral:
     def test_harmonic_closed_form(self):
         for m, omega, E in [(1.0, 1.0, 1.0), (2.0, 0.7, 0.3), (0.5, 3.0, 4.0)]:
             pot = harmonic_potential(omega, m)
-            assert action_integral(pot, E) == pytest.approx(2 * math.pi * E / omega, rel=1e-12)
+            assert _action_period(_Well(pot), E)[0] == pytest.approx(2 * math.pi * E / omega, rel=1e-12)
 
     def test_linear_scaling_in_energy(self):
         pot = harmonic_potential(1.3)
         lam2 = 2.7
-        assert action_integral(pot, lam2 * 0.9) == pytest.approx(
-            lam2 * action_integral(pot, 0.9), rel=1e-12)
+        assert _action_period(_Well(pot), lam2 * 0.9)[0] == pytest.approx(
+            lam2 * _action_period(_Well(pot), 0.9)[0], rel=1e-12)
 
     def test_quartic_against_adaptive_quadrature(self):
         pot = quartic_potential(0.25)
         E = 1.0
-        qm, qp = turning_points(pot, E)
+        qm, qp = turning_points(_Well(pot), E)
         oracle = action_by_quad(lambda q: 0.25 * q**4, 1.0, E, qm, qp)
-        assert action_integral(pot, E) == pytest.approx(oracle, rel=1e-8)
+        assert _action_period(_Well(pot), E)[0] == pytest.approx(oracle, rel=1e-8)
 
     def test_morse_against_adaptive_quadrature(self):
         D, a = 10.0, 1.0
         pot = morse_potential(D, a)
         E = 6.0
-        qm, qp = turning_points(pot, E)
+        qm, qp = turning_points(_Well(pot), E)
         oracle = action_by_quad(lambda q: D * (1 - math.exp(-a * q)) ** 2, 1.0, E, qm, qp)
-        assert action_integral(pot, E) == pytest.approx(oracle, rel=1e-8)
+        assert _action_period(_Well(pot), E)[0] == pytest.approx(oracle, rel=1e-8)
 
     def test_invariant_under_canonical_rescaling(self):
         # (q, p) -> ((m w)^{-1/2} q, (m w)^{1/2} p) removes the mass, so the
         # harmonic loop action can depend on (E, w) only
         E = 1.7
         for m in (0.3, 1.0, 4.0):
-            assert action_integral(harmonic_potential(2.0, m), E) == pytest.approx(
+            assert _action_period(_Well(harmonic_potential(2.0, m)), E)[0] == pytest.approx(
                 2 * math.pi * E / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("E", [0.3, 5.0, 9.5])
@@ -380,7 +388,7 @@ class TestActionIntegral:
             ({"kind": "polynomial", "coeffs": [0.0, 0.1, 0.5, 0.15, 0.12]}, 0.0, 8.0),
         ]:
             pot = make_potential(desc)
-            vals = [action_integral(pot, E) for E in np.linspace(e_lo, e_hi, 30)]
+            vals = [_action_period(_Well(pot), E)[0] for E in np.linspace(e_lo, e_hi, 30)]
             assert np.all(np.diff(vals) > 0), desc
 
 
@@ -568,7 +576,7 @@ class TestSpectrum1D:
             if not state["nested"]:
                 state["nested"], state["outer"] = True, state["outer"] + 1
                 spectrum_1d(pot, 1, CFG)
-                turning_points(pot, 0.5 * E)
+                turning_points(_Well(pot), 0.5 * E)
                 state["nested"] = False
             return action_period(well, E, *args)
 
@@ -602,14 +610,14 @@ class TestWarningHygiene:
         (BENCH_POLY, [1e-8, 1.0, 1e4]),
     ], ids=WELL_IDS)
     def test_no_runtime_warning(self, desc, energies):
-        # the solver holds one np.errstate for each level, and the public
-        # turning_points and action_integral their own: no warning leaks from either
+        # the solver holds one np.errstate for each level, under which its turning
+        # points and actions run (finite at these extreme energies): no warning leaks
         pot = make_potential(desc)
+        with np.errstate(all="ignore"):
+            for E in energies:
+                assert math.isfinite(_action_period(_Well(pot), E)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for E in energies:
-                turning_points(pot, E)
-                assert math.isfinite(action_integral(pot, E))
             level_1d(pot, 3, CFG)
             assert spectrum_1d(pot, 12, CFG).entries
         if desc["kind"] == "morse":
