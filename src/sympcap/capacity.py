@@ -98,15 +98,17 @@ class EnergyShellRegion:
 
 def capacity_ball(R: float, N: int) -> CapacityValue:
     """pi R^2, independent of the ambient dimension."""
-    if R <= 0 or N < 1:
-        raise ValueError(f"need R > 0 and N >= 1, got R={R}, N={N}")
+    _positive("radius", R)
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
     return _area(math.pi * R * R)
 
 
 def volume_ball(R: float, N: int) -> float:
     """pi^N R^{2N} / N!  (Lebesgue volume of the 2N-ball)."""
-    if R <= 0 or N < 1:
-        raise ValueError(f"need R > 0 and N >= 1, got R={R}, N={N}")
+    _positive("radius", R)
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
     return math.pi**N * R ** (2 * N) / math.factorial(N)
 
 

@@ -349,6 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", default=None)
 
+    # the argparse types: a usage error names the type by its __name__
+    def integer(text):
+        return core._parse_int(text)
+
+    def seed(text):
+        if (value := core._parse_int(text)) < 0:
+            raise ValueError(text)
+        return value
+
     sp = sub.add_parser("capacity", help="symplectic area of a region")
     sp.add_argument("--ball", nargs="*", default=None, metavar="K=V")
     sp.add_argument("--cylinder", nargs="*", default=None, metavar="K=V")
@@ -365,20 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("shadow", help="exact projected area under a linear map")
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--matrix-file", default=None)
-    sp.add_argument("--random", type=core._parse_int, default=None, metavar="N")
+    sp.add_argument("--random", type=integer, default=None, metavar="N")
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--plane", default="conjugate:1")
-    sp.add_argument("--seed", type=core._parse_int, default=0)
+    sp.add_argument("--seed", type=seed, default=0)
     sp.add_argument("--tol", type=float, default=core.DEFAULT_SYMPLECTIC_TOL)
     common(sp)
     sp.set_defaults(handler="cmd_shadow")
 
     sp = sub.add_parser("nonsqueeze-ensemble", help="conjugate-plane determinant sweep")
-    sp.add_argument("--n", type=core._parse_int, required=True)
-    sp.add_argument("--count", type=core._parse_int, required=True)
+    sp.add_argument("--n", type=integer, required=True)
+    sp.add_argument("--count", type=integer, required=True)
     sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--seed", type=core._parse_int, default=0)
+    sp.add_argument("--seed", type=seed, default=0)
     common(sp)
     sp.set_defaults(handler="cmd_nonsqueeze")
 
@@ -386,18 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--potential", nargs="+", required=True)
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--samples", type=core._parse_int, default=20_000)
+    sp.add_argument("--samples", type=integer, default=20_000)
     sp.add_argument("--grid-cell", type=float, default=0.05)
     sp.add_argument("--times", default="1")
     sp.add_argument("--plane", default="conjugate:1")
     sp.add_argument("--dump-points", default=None, metavar="PREFIX")
-    sp.add_argument("--seed", type=core._parse_int, default=0)
+    sp.add_argument("--seed", type=seed, default=0)
     common(sp)
     sp.set_defaults(handler="cmd_evolve")
 
     sp = sub.add_parser("quantize-1d", help="EBK levels of a confining 1-D potential")
     sp.add_argument("--potential", nargs="+", required=True)
-    sp.add_argument("--nmax", type=core._parse_int, required=True)
+    sp.add_argument("--nmax", type=integer, required=True)
     sp.add_argument("--hbar", type=float, default=1.0)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     common(sp)
@@ -421,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler="cmd_quantize_separable")
 
     sp = sub.add_parser("dos", help="density of states of an oscillator Hamiltonian")
-    sp.add_argument("--ndim", type=core._parse_int, default=1)
+    sp.add_argument("--ndim", type=integer, default=1)
     sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--mass", type=float, default=1.0)
     sp.add_argument("--energy", type=float, required=True)

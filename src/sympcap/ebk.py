@@ -169,12 +169,6 @@ def _monotone_runs(v: np.ndarray) -> list:
     return runs
 
 
-def _sampled(q: np.ndarray, V) -> tuple:
-    """(q, V(q), its minimum, its monotone runs): a grid ready for crossing lookups."""
-    v = np.asarray(V(q), dtype=float)
-    return q, v, float(v.min()), _monotone_runs(v)
-
-
 def _crossings(runs: list, E: float) -> np.ndarray:
     """Cells k of the sampled grid with (v[k] < E) != (v[k+1] < E), the sign changes
     of v - E, by one binary search in each monotone run whose end values straddle E."""
@@ -185,17 +179,25 @@ def _crossings(runs: list, E: float) -> np.ndarray:
 
 
 class _Well:
-    """The solver state of one spectrum_1d or level_1d call: the well scan (_sampled on
-    _SCAN_POINTS over the bracket), the confinement energy, the action at the bracket top
-    once evaluated, and the (E, roots, dV, V'' estimate) of the last turning-point polish,
-    each a pair but E, which the next one starts from (None: start cold)."""
+    """The solver state of one spectrum_1d or level_1d call: the confinement energy, the
+    well scan (q, v, vmin, runs), which samples V once on _SCAN_POINTS over the bracket
+    with the well bottom spliced in where it lies below every sample, that bottom (vmin,
+    0, T0), the action at the bracket top once evaluated, and the (E, roots, dV, V''
+    estimate) of the last turning-point polish, each a pair but E, which the next one
+    starts from (None: start cold)."""
 
     def __init__(self, pot: Potential1D):
-        self.pot = pot
-        self.scan = _sampled(np.linspace(*pot.bracket, _SCAN_POINTS), pot.V)
-        self.e_cap = pot.confinement_energy()
-        self.top_action = None
-        self.warm = None
+        self.pot, self.e_cap = pot, pot.confinement_energy()
+        q = np.linspace(*pot.bracket, _SCAN_POINTS)
+        v = np.asarray(pot.V(q), dtype=float)
+        x, vmin, period = _well_bottom(pot, q, v)
+        self.bottom = (vmin, 0.0, period)
+        if vmin < v.min():
+            k = int(q.searchsorted(x))
+            q = np.concatenate((q[:k], [x], q[k:]))
+            v = np.concatenate((v[:k], [vmin], v[k:]))
+        self.scan = q, v, float(v.min()), _monotone_runs(v)
+        self.top_action = self.warm = None
 
 
 def _bisect(f, a: float, b: float, xtol: float = 0.0) -> float:
@@ -250,29 +252,15 @@ def _sign_change(f, a: float, b: float, xtol: float) -> float:
 def turning_points(well: _Well, E: float) -> tuple[float, float]:
     """Classical turning points V(q) = E bracketing a single well, on a solver's _Well.
 
-    Looks the crossings of E up in the monotone runs of the well scan, zooming
-    toward the minimum when the classically allowed region is narrower than the
-    grid, refuses multi-well energies, and polishes both crossings at once by
-    Newton on dV. Each root starts from the last polish's root moved to second
-    order in E where that lands in its crossing cell, else from the chord of the
-    scan across the cell. Runs under the solver's np.errstate.
+    Looks the crossings of E up in the monotone runs of the well scan, which holds the
+    well bottom, refuses energies at or below the scan's minimum and multi-well energies,
+    and polishes both crossings at once by Newton on dV. Each root starts from the last
+    polish's root moved to second order in E where that lands in its crossing cell, else
+    from the chord of the scan across the cell. Runs under the solver's np.errstate.
     """
     pot, (q, v, vmin, runs) = well.pot, well.scan
-    lo, hi = pot.bracket
-    for _ in range(60):
-        if vmin < E:
-            break
-        # allowed region (if any) is narrower than the grid spacing: zoom
-        # toward the smallest sampled value
-        center = q[int(np.argmin(v - E))]
-        width = (hi - lo) / 16.0
-        if width < 1e-13 * max(abs(center), 1.0) + 1e-300:
-            raise NoClassicalRegion(f"E={E} is below the potential minimum")
-        lo, hi = center - width / 2, center + width / 2
-        q, v, vmin, runs = _sampled(np.linspace(lo, hi, _SCAN_POINTS), pot.V)
-    else:
+    if not vmin < E:
         raise NoClassicalRegion(f"E={E} is below the potential minimum")
-
     cells = _crossings(runs, E)
     if cells.size > 2:
         raise MultiWell(f"{cells.size} turning points at E={E}; single well required")
@@ -354,18 +342,18 @@ def _action_period(well: _Well, E: float) -> tuple[float, float]:
     return math.pi * half * float(wc @ p), math.pi * half * pot.mass * float(wc @ (1.0 / p))
 
 
-def _well_bottom(well: _Well) -> tuple[float, float, float]:
-    """The well bottom as a point (vmin, 0, T0) of the action curve: vmin is V where dV
-    changes sign in the scan's argmin cell and its neighbour, located by _sign_change to
-    1e-13 of those two cells, T0 = 2 pi sqrt(m / V'') the harmonic period, with V'' the
-    second difference D(h) of the scan (inf if not positive).
+def _well_bottom(pot: Potential1D, q: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
+    """The well bottom (x, vmin, T0) of the samples v = V(q) on an even grid q: x is where
+    dV changes sign in the argmin cell and its neighbour, located by _sign_change to 1e-13
+    of those two cells, vmin = V(x), and T0 = 2 pi sqrt(m / V'') the harmonic period, with
+    V'' the second difference D(h) of the samples (inf if not positive). (vmin, 0, T0) is
+    the bottom's point of the action curve.
 
     Regula falsi is slow on a multiple root, so it runs on dV^(1/r), r the order of the
     root read off the scan: V ~ |q - q*|^(r+1) has D(2h) / D(h) = 2^(r+1) where q* is a
     sample, and above 8 for r = 3 wherever q* lies in the cell. The estimate is rounded
     to an odd r, the order at a smooth bottom.
     """
-    pot, (q, v) = well.pot, well.scan[:2]
     k = min(max(int(np.argmin(v)), 1), q.size - 2)
     a, b = float(q[k - 1]), float(q[k + 1])
     below, at, above = v[k - 1:k + 2].tolist()
@@ -383,7 +371,7 @@ def _well_bottom(well: _Well) -> tuple[float, float, float]:
     x = _sign_change(root, a, b, 1e-13 * (b - a))
     curvature = second / float(q[1] - q[0]) ** 2
     period = 2.0 * math.pi * math.sqrt(pot.mass / curvature) if curvature > 0 else math.inf
-    return float(pot.V(x)), 0.0, period
+    return x, float(pot.V(x)), period
 
 
 # Action evaluations allowed per level. Levels take at most 13 in the ebk-spectra
@@ -402,9 +390,10 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
     before that, and at most once per well, which keeps its action. A step fails if it
     leaves the bracket, has no finite T, or does not halve the last step once the top is
     `reached` (known to reach the target); it then bisects. Stops at a step of 4 ulp;
-    raises NoConvergence where that takes more than _MAX_EVALUATIONS steps, or where an
-    energy above `below` has an allowed region too narrow for the scan's zoom. The first
-    evaluation's turning points start cold, each later one's from the previous one's.
+    raises NoConvergence where that takes more than _MAX_EVALUATIONS steps. The scan holds
+    the well bottom, so an energy above `below` without two turning points is one the
+    bracket no longer confines: LevelNotBound. The first evaluation's turning points
+    start cold, each later one's from the previous one's.
     The evaluations run under one np.errstate that ignores floating-point warnings.
     """
     E, A, T = below
@@ -438,10 +427,6 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
                     if not top:
                         if isinstance(exc, MultiWell):
                             raise
-                        if E <= well.scan[2]:  # above an allowed E: the zoom ran out
-                            raise NoConvergence(
-                                f"action {target_action} not converged: the allowed region "
-                                f"at E={E} is too narrow for the well scan") from None
                         raise LevelNotBound(
                             "bracket stopped confining before the target action")
                     A = -math.inf
@@ -482,7 +467,7 @@ def level_1d(pot: Potential1D, n: int, cfg: PlanckConfig) -> tuple[float, float]
     if n < 0:
         raise ValueError(f"quantum number must be nonnegative, got {n}")
     well = _Well(pot)
-    return _solve_level(well, (n + 0.5) * cfg.h, _well_bottom(well))[:2]
+    return _solve_level(well, (n + 0.5) * cfg.h, well.bottom)[:2]
 
 
 def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResult:
@@ -496,7 +481,7 @@ def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResu
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     well = _Well(pot)
-    below, prev = _well_bottom(well), None
+    below, prev = well.bottom, None
     result = SpectrumResult(entries=[], hbar=cfg.hbar)
     for n in range(n_max + 1):
         target = (n + 0.5) * cfg.h

@@ -90,8 +90,7 @@ def linear_shadow_area(S: SymplecticMatrix, R: float, plane: PlaneSelector) -> S
     The image of the ball is the ellipsoid z^T (SS^T)^{-1} z <= R^2; its
     shadow is an ellipse of area pi R^2 sqrt(det (SS^T)_plane).
     """
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
+    _positive("radius", R)
     area = math.pi * R * R * math.sqrt(max(_plane_dets(S.matrix, [plane])[0], 0.0))
     bound = math.pi * R * R
     return ShadowReport(

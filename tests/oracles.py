@@ -30,7 +30,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from sympcap.core import random_symplectic
-from sympcap.ebk import _SCAN_POINTS, _bisect, _crossings, _sampled
+from sympcap.ebk import _bisect, _crossings
 from sympcap.errors import MultiWell, NoClassicalRegion
 
 
@@ -267,17 +267,7 @@ def turning_points_oracle(well, E):
     does, with arrays for its pairs."""
     eps = np.finfo(float).eps
     pot, (q, v, vmin, runs) = well.pot, well.scan
-    lo, hi = pot.bracket
-    for _ in range(60):
-        if vmin < E:
-            break
-        center = q[int(np.argmin(v - E))]
-        width = (hi - lo) / 16.0
-        if width < 1e-13 * max(abs(center), 1.0) + 1e-300:
-            raise NoClassicalRegion(f"E={E} is below the potential minimum")
-        lo, hi = center - width / 2, center + width / 2
-        q, v, vmin, runs = _sampled(np.linspace(lo, hi, _SCAN_POINTS), pot.V)
-    else:
+    if not vmin < E:
         raise NoClassicalRegion(f"E={E} is below the potential minimum")
     cells = _crossings(runs, E)
     if cells.size > 2:

@@ -34,14 +34,25 @@ class TestBallCapacity:
     def test_scaling(self):
         assert capacity_ball(2.0, 1).value == pytest.approx(4 * math.pi, rel=1e-15)
 
-    @pytest.mark.parametrize("R", [math.nan, 1e200])
-    def test_area_not_finite_raises(self, R):
-        # once a NaN, or an infinite value without the `infinite` flag
-        with pytest.raises(OverflowError, match="is not finite"):
+    @pytest.mark.parametrize("R,error,message", [
+        (math.nan, ValueError, "radius must be finite and positive, got nan"),
+        (math.inf, ValueError, "radius must be finite and positive, got inf"),
+        (1e200, OverflowError, "capacity inf is not finite"),
+    ], ids=["nan", "inf", "1e+200"])
+    def test_area_not_finite_raises(self, R, error, message):
+        # once a NaN, or an infinite value without the `infinite` flag: a radius
+        # that is not finite is refused by name, an area that overflows raises
+        with pytest.raises(error, match=f"^{message}$"):
             capacity_ball(R, 2)
 
 
 class TestBallVolume:
+    @pytest.mark.parametrize("R", [math.nan, math.inf, 0.0])
+    def test_radius_refused_by_name(self, R):
+        # a NaN or infinite radius once gave a NaN or infinite volume
+        with pytest.raises(ValueError, match="^radius must be finite and positive"):
+            volume_ball(R, 2)
+
     def test_disk(self):
         assert volume_ball(1.0, 1) == pytest.approx(math.pi, rel=1e-15)
 

@@ -246,8 +246,8 @@ class TestTurningPoints:
     def test_polish_matches_mask_oracle(self, pot, monkeypatch):
         # the scalar convergence and in-cell tests decide as the mask arrays do, so
         # roots and warm state are bit for bit the same: cold, along a warm chain of
-        # 50 energies (1e-8 to 0.99 of the confinement energy, so some zoom), and at
-        # every call of a spectrum solve
+        # 50 energies (1e-8 to 0.99 of the confinement energy, so some below all but
+        # the lowest point of the scan), and at every call of a spectrum solve
         u = np.random.default_rng(7).uniform(size=50)
         energies = (pot.confinement_energy() * 0.99 * 10.0 ** (-8 * u)).tolist()
 
@@ -497,14 +497,34 @@ class TestSpectrum1D:
          0.25),
     ], ids=["morse", "morse-steep", "quartic", "poly"])
     def test_well_bottom_to_1e13_of_a_cell(self, desc, q_star):
-        # _well_bottom ends with V at the point it found
+        # building the well ends with V at the bottom it found
         pot = make_potential(desc)
-        well = _Well(pot)
         V, at = pot.V, []
         pot.V = lambda q: at.append(q) or V(q)
-        assert ebk._well_bottom(well)[:2] == (V(at[-1]), 0.0)
-        q = well.scan[0]
-        assert abs(at[-1] - q_star) <= 1e-13 * (q[1] - q[0])
+        well = _Well(pot)
+        assert well.bottom[:2] == (V(at[-1]), 0.0)
+        lo, hi = pot.bracket
+        assert abs(at[-1] - q_star) <= 1e-13 * (hi - lo) / (ebk._SCAN_POINTS - 1)
+
+    @pytest.mark.parametrize("desc,omega", [
+        *(({"kind": "harmonic", "omega": w, "bracket": [-30, 30]}, w)
+          for w in (1e6, 1e20, 1e40, 1e100)),
+        ({"kind": "polynomial", "coeffs": [0, 0, 1e200]}, math.sqrt(2 * 1e200)),
+        ({"kind": "morse"}, None),
+    ], ids=["harmonic-1e6", "harmonic-1e20", "harmonic-1e40", "harmonic-1e100",
+            "polynomial-1e200", "morse"])
+    def test_one_scan_per_well(self, desc, omega):
+        # the well bottom is a point of the scan, so every energy above it has its
+        # crossing cells there however narrow the well: V is sampled on one grid
+        pot = make_potential(desc)
+        V, scans = pot.V, []
+        pot.V = lambda q: scans.append(np.size(q) >= ebk._SCAN_POINTS) or V(q)
+        res = spectrum_1d(pot, 3, CFG)
+        assert sum(scans) == 1
+        assert res.entries
+        if omega is not None:
+            assert [e.energy for e in res.entries] == \
+                [pytest.approx((n + 0.5) * omega, rel=1e-12) for n in range(4)]
 
     @pytest.mark.parametrize("desc,bound", [
         ({"kind": "harmonic", "omega": 1.0}, 2.0),
@@ -735,7 +755,7 @@ class TestPotentialValue:
         before = dict(vars(pot))
         assert spectrum_1d(pot, 3, CFG).entries
         assert vars(pot) == before
-        pot = quartic_potential(1e300)  # too narrow for the scan: NoConvergence
+        pot = quartic_potential(1e300)  # the energy search runs out: NoConvergence
         before = dict(vars(pot))
         with pytest.raises(NoConvergence):
             spectrum_1d(pot, 1, CFG)
