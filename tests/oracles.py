@@ -16,7 +16,9 @@ Each library kernel has one entry, and its oracle checks that entry:
 `ebk.turning_points` on a solver's `ebk._Well`.
 The ensemble oracle draws its members with the library's single-member
 `random_symplectic`, so it also checks that a stacked draw matches draws in
-a row. The turning-point oracle shares the library's well scan, crossing
+a row; as a single draw takes scipy's expm and a stack the library's
+batched Pade (`core._expm`), it also cross-checks that kernel against
+scipy. The turning-point oracle shares the library's well scan, crossing
 lookup and bisection, and polishes with whole-array masks.
 """
 

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -486,9 +487,15 @@ class TestInputErrors:
         ["capacity", "--cylinder", "R=1e200", "N=2"],
         ["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
          '[1, 0, 0, 1]}, "energy": NaN}'],
+        # draws with entries of 1e276 and more, whose certificate S^T J S would
+        # overflow: refused before numpy can warn on stderr
+        ["shadow", "--random", "2", "--sigma", "1e3", "--seed", "1"],
+        ["nonsqueeze-ensemble", "--n", "2", "--count", "5", "--sigma", "1e3", "--seed", "1"],
     ])
     def test_not_finite(self, capsys, argv):
-        code, out = invoke(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": "result is not finite"}
 

@@ -32,7 +32,7 @@ def test_no_unused_imports():
 
 def test_import_leaves_scipy_stats_unloaded():
     # each of these takes 0.1 s or more to import; only ndtri (ball_points)
-    # and expm (random draws) still need scipy, so a plain `import sympcap`
+    # and expm (single random draws) still need scipy, so a plain `import sympcap`
     # must load none of them (EBK and the Williamson normal form need no
     # scipy)
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -77,6 +77,23 @@ def test_linear_algebra_commands_load_no_scipy():
         "    assert cli.run(['dos', '--ndim', '3', '--energy', '2']) == 0\n"
         f"    assert cli.run(['dos', '--matrix', {matrix!r}, '--energy', '2']) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_ensemble_loads_no_scipy():
+    # a stack of draws is exponentiated by numpy's Pade 13: scipy.linalg's expm
+    # cost a cold nonsqueeze-ensemble about 0.2 s
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    modules = ("scipy.linalg", "scipy.special", "scipy.stats")
+    code = (
+        "import contextlib, io, sys\n"
+        "from sympcap import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['nonsqueeze-ensemble', '--n', '2', '--count', '1000']) == 0\n"
+        f"print([m for m in {modules!r} if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
