@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .core import QuadraticHamiltonian, _positive, symplectic_eigenvalues
-from .errors import CertificateInvalid, InvalidNeck
+from .errors import CertificateInvalid
 from .sampling import ball_points, box_points
 from .shadows import PlaneSelector
 
@@ -92,8 +92,7 @@ class EnergyShellRegion:
     energy: float
 
     def __post_init__(self):
-        if self.energy <= 0:
-            raise ValueError(f"energy must be positive, got {self.energy}")
+        _positive("energy", self.energy)
 
 
 def capacity_ball(R: float, N: int) -> CapacityValue:
@@ -187,10 +186,10 @@ def bordeaux_bottle_fixture(R: float, r: float) -> BordeauxBottle:
     B(R): capacity pi R^2 by the sandwich rule, while a loop around the
     neck has action pi r^2.
     """
-    if not (0 < R < math.inf and 0 < r < math.inf):  # NaN too
-        raise ValueError(f"radii must be finite and positive, got R={R}, r={r}")
+    _positive("radius", R)
+    _positive("neck", r)
     if r >= R:
-        raise InvalidNeck(f"neck radius {r} must be smaller than body radius {R}")
+        raise ValueError(f"neck radius {r} must be smaller than body radius {R}")
     # the areas pi r^2 < pi R^2 must be normal doubles, or they round to 0 or inf
     if not (sys.float_info.min <= math.pi * r * r and math.pi * R * R <= sys.float_info.max):
         raise ValueError(f"radii R={R}, r={r} have areas beyond double precision")

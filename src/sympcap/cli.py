@@ -31,16 +31,12 @@ def _fmt(x) -> str:
     return FLOAT_FMT % x
 
 
-class InputError(Exception):
-    pass
-
-
 def _parse_kv(tokens):
     """Parse ["R=1", "N=3"] style token lists into a dict."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
-            raise InputError(f"expected key=value, got {tok!r}")
+            raise ValueError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
         try:
             out[k] = json.loads(v)
@@ -56,13 +52,21 @@ def _parse_ints(spec: str):
     return [core._parse_int(s, "quantum number") for s in spec.split(",")]
 
 
+def _open(path: str, option: str, mode: str = "r"):
+    """open(path); a file that cannot be opened is refused by its option."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"{option} {path!r}: {exc.strerror}") from None
+
+
 def _load_matrix(args) -> np.ndarray:
     if getattr(args, "matrix", None):
         return core.matrix_from_json(json.loads(args.matrix))
     if getattr(args, "matrix_file", None):
-        with open(args.matrix_file) as fh:
+        with _open(args.matrix_file, "--matrix-file") as fh:
             return core.matrix_from_json(json.load(fh))
-    raise InputError("provide --matrix or --matrix-file")
+    raise ValueError("provide --matrix or --matrix-file")
 
 
 def _parse_potential(args) -> ebk.Potential1D:
@@ -77,7 +81,7 @@ def _parse_potential(args) -> ebk.Potential1D:
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open(args.out, "--out", "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -87,7 +91,7 @@ def _emit_json(args, obj):
     try:
         text = json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError:  # an infinite or NaN float
-        raise InputError(NOT_FINITE) from None
+        raise ValueError(NOT_FINITE) from None
     _emit(args, text + "\n")
 
 
@@ -95,7 +99,7 @@ def _csv_cell(x):
     if not isinstance(x, float):
         return x
     if not math.isfinite(x):
-        raise InputError(NOT_FINITE)
+        raise ValueError(NOT_FINITE)
     return _fmt(x)
 
 
@@ -108,29 +112,17 @@ def _emit_csv(args, header, rows):
     _emit(args, buf.getvalue())
 
 
-def _spectrum_rows(entries):
-    rows = []
-    for e in entries:
-        rows.append(
-            list(e.quantum_numbers) + [float(e.energy)] + [float(a) for a in e.actions]
-            + list(e.maslov_per_loop)
-        )
-    return rows
-
-
-def _spectrum_json(entries, hbar):
-    return {
-        "hbar": hbar,
-        "entries": [
-            {
-                "n": list(e.quantum_numbers),
-                "energy": e.energy,
-                "actions": list(e.actions),
-                "maslov": list(e.maslov_per_loop),
-            }
-            for e in entries
-        ],
-    }
+def _emit_spectrum(args, entries, hbar, **extra):
+    """Spectrum entries as one CSV row each, or as a JSON object with `hbar`
+    and the `extra` keys, by --format."""
+    if args.format == "csv":
+        _emit_csv(args, ["n", "energy", "action", "maslov"],
+                  [[*e.quantum_numbers, float(e.energy), *map(float, e.actions),
+                    *e.maslov_per_loop] for e in entries])
+    else:
+        _emit_json(args, {"hbar": hbar, **extra, "entries": [
+            {"n": list(e.quantum_numbers), "energy": e.energy, "actions": list(e.actions),
+             "maslov": list(e.maslov_per_loop)} for e in entries]})
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +147,10 @@ def cmd_capacity(args):
     elif args.region:
         desc = json.loads(args.region)
         if not isinstance(desc, dict):
-            raise InputError("--region must be a JSON object")
+            raise ValueError("--region must be a JSON object")
         result = _capacity_from_descriptor(desc.pop("type", None), desc)
     else:
-        raise InputError("provide --ball, --cylinder or --region")
+        raise ValueError("provide --ball, --cylinder or --region")
     _emit_json(args, result.to_json())
     return 0
 
@@ -167,17 +159,17 @@ def _capacity_from_descriptor(kind, fields: dict, names=None) -> cap_mod.Capacit
     """Capacity of a region of type `kind`; `names` maps its descriptor keys to
     the user's spelling, in which `fields` is keyed."""
     if not (isinstance(kind, str) and kind in _REGION_KEYS):
-        raise InputError(f"unknown region type {kind!r}")
+        raise ValueError(f"unknown region type {kind!r}")
     names = names or {}
     keys = {names.get(key, key): key for key in _REGION_KEYS[kind]}
     for name in fields:
         if name not in keys:
-            raise InputError(f"{kind} region has unknown key {name!r}")
+            raise ValueError(f"{kind} region has unknown key {name!r}")
     desc = {keys[name]: value for name, value in fields.items()}
 
     def need(key):
         if key not in desc:
-            raise InputError(f"{kind} region is missing key {names.get(key, key)!r}")
+            raise ValueError(f"{kind} region is missing key {names.get(key, key)!r}")
         return desc[key]
 
     def integer(key):
@@ -252,8 +244,8 @@ def cmd_evolve(args):
     )
     if args.dump_points:
         for rep, cloud in zip(reports, clouds):
-            path = f"{args.dump_points}_t{rep.time:g}.csv"
-            np.savetxt(path, cloud, delimiter=",", fmt=FLOAT_FMT, header="x,y", comments="")
+            with _open(f"{args.dump_points}_t{rep.time:g}.csv", "--dump-points", "w") as fh:
+                np.savetxt(fh, cloud, delimiter=",", fmt=FLOAT_FMT, header="x,y", comments="")
     _emit_csv(args, ["time", "plane", "area", "bound", "satisfied"],
               [r.to_row() for r in reports])
     return 0
@@ -263,12 +255,7 @@ def cmd_quantize_1d(args):
     pot = _parse_potential(args)
     cfg = ebk.PlanckConfig(args.hbar)
     res = ebk.spectrum_1d(pot, args.nmax, cfg)
-    if args.format == "csv":
-        _emit_csv(args, ["n", "energy", "action", "maslov"], _spectrum_rows(res.entries))
-    else:
-        obj = _spectrum_json(res.entries, res.hbar)
-        obj["skipped"] = res.skipped
-        _emit_json(args, obj)
+    _emit_spectrum(args, res.entries, res.hbar, skipped=res.skipped)
     return 0
 
 
@@ -276,24 +263,18 @@ def cmd_quantize_quadratic(args):
     M = _load_matrix(args)
     cfg = ebk.PlanckConfig(args.hbar)
     entry = ebk.quantize_quadratic(core.QuadraticHamiltonian(M), _parse_ints(args.n), cfg)
-    if args.format == "csv":
-        _emit_csv(args, ["n", "energy", "action", "maslov"], _spectrum_rows([entry]))
-    else:
-        _emit_json(args, _spectrum_json([entry], cfg.hbar))
+    _emit_spectrum(args, [entry], cfg.hbar)
     return 0
 
 
 def cmd_quantize_separable(args):
     descs = json.loads(args.potentials)
     if not (isinstance(descs, list) and all(isinstance(d, dict) for d in descs)):
-        raise InputError("--potentials must be a JSON array of potential objects")
+        raise ValueError("--potentials must be a JSON array of potential objects")
     pots = [ebk.make_potential(d) for d in descs]
     cfg = ebk.PlanckConfig(args.hbar)
     entry = ebk.spectrum_separable(pots, _parse_ints(args.n), cfg)
-    if args.format == "csv":
-        _emit_csv(args, ["n", "energy", "action", "maslov"], _spectrum_rows([entry]))
-    else:
-        _emit_json(args, _spectrum_json([entry], cfg.hbar))
+    _emit_spectrum(args, [entry], cfg.hbar)
     return 0
 
 
@@ -471,9 +452,8 @@ def run(argv) -> int:
         # by name, so a cmd_* rebound on this module after the parser was
         # built (a tracer, a test's monkeypatch) is the one that runs
         return globals()[args.handler](args)
-    # TypeError: a JSON value of the wrong type, such as R=[1] or N=null
-    except (InputError, json.JSONDecodeError, ValueError, TypeError, FileNotFoundError,
-            KeyError, OverflowError) as exc:
+    # bad input, named by its key or option; any other exception is a fault
+    except (ValueError, OSError, OverflowError) as exc:
         message = NOT_FINITE if isinstance(exc, OverflowError) else str(exc)
         sys.stdout.write(json.dumps(
             {"error": "InvalidInput", "message": message}, sort_keys=True) + "\n")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotPositiveDefinite, NumericalDegeneracy
+from .errors import NotPositiveDefinite, NumericalDegeneracy
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
 
@@ -19,16 +19,16 @@ DEFAULT_SYMPLECTIC_TOL = 1e-10
 def standard_form(n: int) -> np.ndarray:
     """The 2n x 2n standard form J with blocks [[0, I], [-I, 0]]."""
     if n < 1:
-        raise DimensionError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {n}")
     return np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
 
 
 def _check_even_square(S: np.ndarray) -> int:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {S.shape}")
+        raise ValueError(f"matrix must be square, got shape {S.shape}")
     if S.shape[0] % 2 != 0 or S.shape[0] < 2:
-        raise DimensionError(f"matrix dimension must be even and >= 2, got {S.shape[0]}")
+        raise ValueError(f"matrix dimension must be even and >= 2, got {S.shape[0]}")
     return S.shape[0] // 2
 
 
@@ -93,9 +93,10 @@ def _random_symplectic_stack(N: int, count: int, sigma: float, rng) -> np.ndarra
     row. A stack is exponentiated by `_expm`; a single draw by scipy's `expm`,
     2-4 times faster on one matrix. A draw too large to certify raises OverflowError."""
     if N < 1:
-        raise DimensionError(f"need N >= 1, got {N}")
-    if not sigma > 0:  # NaN too
-        raise ValueError(f"need sigma > 0, got {sigma}")
+        raise ValueError(f"need N >= 1, got {N}")
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    _positive("sigma", sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         A = rng.normal(0.0, sigma, size=(count, 2 * N, 2 * N))
         A = standard_form(N) @ (0.5 * (A + np.swapaxes(A, 1, 2)))  # the draw is freed
@@ -219,6 +220,17 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _reals(name: str, value, size=None) -> list:
+    """`value`, a JSON array (of `size` entries if given), as a list of floats,
+    each entry read by `_real`; anything else is refused by name."""
+    length = len(value) if isinstance(value, list) else None
+    if length is None or size not in (None, length):
+        of = "" if size is None else f"{size} "
+        raise ValueError(f"{name} must be an array of {of}real numbers, got "
+                         + (repr(value) if length is None else f"an array of {length}"))
+    return [_real(f"{name} entry", x) for x in value]
+
+
 def _require_positive(w: np.ndarray) -> None:
     """Raise NotPositiveDefinite unless the ascending eigenvalues `w` are all positive.
 
@@ -303,11 +315,13 @@ def matrix_to_json(M: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix descriptor must be a JSON object with keys 'n' and 'matrix'")
-    for key in ("n", "matrix"):
+    for key in ("n", "matrix", *obj):
+        if key not in ("n", "matrix"):
+            raise ValueError(f"matrix descriptor has unknown key {key!r}")
         if key not in obj:
             raise ValueError(f"matrix descriptor is missing key {key!r}")
     n = _integer("matrix descriptor key 'n'", obj["n"])
-    flat = np.asarray(obj["matrix"], dtype=float)
-    if flat.size != 4 * n * n:
-        raise DimensionError(f"expected {4 * n * n} entries for n={n}, got {flat.size}")
-    return flat.reshape(2 * n, 2 * n)
+    if n < 1:
+        raise ValueError(f"matrix descriptor key 'n' must be positive, got {n}")
+    flat = _reals("matrix descriptor key 'matrix'", obj["matrix"], 4 * n * n)
+    return np.array(flat).reshape(2 * n, 2 * n)

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .capacity import CapacityValue
-from .core import QuadraticHamiltonian, _positive, _real, symplectic_eigenvalues
+from .core import QuadraticHamiltonian, _positive, _real, _reals, symplectic_eigenvalues
 from .errors import (
     LevelNotBound,
     MultiWell,
@@ -35,9 +35,7 @@ class PlanckConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:  # NaN too
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        _finite("hbar", self.hbar)
+        _positive("hbar", self.hbar)
 
     @property
     def h(self) -> float:
@@ -69,8 +67,8 @@ class Potential1D:
     def __post_init__(self):
         _positive("mass", self.mass)
         lo, hi = self.bracket
-        if not lo < hi:
-            raise ValueError(f"bad bracket {self.bracket}")
+        if not -math.inf < lo < hi < math.inf:  # NaN too
+            raise ValueError(f"bracket must be finite ends lo < hi, got {self.bracket}")
 
     def confinement_energy(self) -> float:
         """Largest energy the bracket can confine."""
@@ -567,8 +565,7 @@ def density_of_states(H: QuadraticHamiltonian, E: float, cfg: PlanckConfig) -> f
     fastest frequency, so an isotropic spectrum gives (1 / hbar w)^N
     E^(N-1) / (N-1)! with no rounding from the ratios.
     """
-    if E <= 0:
-        raise ValueError(f"energy must be positive, got {E}")
+    _positive("energy", E)
     omegas = symplectic_eigenvalues(H)
     N = omegas.size
     omega = float(omegas[0])
@@ -653,8 +650,7 @@ def make_potential(desc: dict) -> Potential1D:
 
     kwargs = {"mass": real("mass", 1.0)}
     if "bracket" in desc:
-        kwargs["bracket"] = tuple(_real(f"{kind} potential key 'bracket' entry", end)
-                                  for end in desc.pop("bracket"))
+        kwargs["bracket"] = tuple(_reals(f"{kind} potential key 'bracket'", desc.pop("bracket"), 2))
     if kind == "harmonic":
         factory = harmonic_potential
         kwargs["omega"] = real("omega", 1.0)
@@ -668,8 +664,7 @@ def make_potential(desc: dict) -> Potential1D:
         if "coeffs" not in desc:
             raise ValueError("polynomial potential is missing key 'coeffs'")
         factory = polynomial_potential
-        kwargs["coeffs"] = [_real("polynomial potential key 'coeffs' entry", ck)
-                            for ck in desc.pop("coeffs")]
+        kwargs["coeffs"] = _reals("polynomial potential key 'coeffs'", desc.pop("coeffs"))
     if desc:
         raise ValueError(f"{kind} potential has unknown key {next(iter(desc))!r}")
     return factory(**kwargs)

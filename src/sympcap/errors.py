@@ -1,12 +1,13 @@
-"""Exception hierarchy shared by all sympcap modules."""
+"""Exception hierarchy shared by all sympcap modules.
+
+Malformed input (a wrong type, shape or range, named by its key or option)
+raises ValueError, never one of these. A SympcapError means that well-formed
+input could not be computed.
+"""
 
 
 class SympcapError(Exception):
     """Base class for all sympcap errors."""
-
-
-class DimensionError(SympcapError):
-    """Matrix or vector has an incompatible or odd dimension."""
 
 
 class NotPositiveDefinite(SympcapError):
@@ -23,13 +24,6 @@ class CertificateInvalid(SympcapError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class InvalidNeck(SympcapError, ValueError):
-    """Bottle neck radius must be strictly smaller than the body radius.
-
-    Also a ValueError: it reports bad input, not a numerical failure.
-    """
 
 
 class FlowError(SympcapError):

@@ -126,16 +126,18 @@ def _plane_dets(S: np.ndarray, planes: Sequence[PlaneSelector]) -> np.ndarray:
     By Cauchy-Binet, with u and v the plane's two rows of S, the det is the
     sum over k < l of the squared 2x2 minors (u_k v_l - u_l v_k)^2. Every
     term is >= 0, so nothing cancels, unlike |u|^2 |v|^2 - (u.v)^2. One
-    plane at a time keeps memory at a few (..., n (2n - 1)) temporaries.
+    plane at a time keeps memory at a few (..., n (2n - 1)) temporaries. A
+    det that overflows is inf, without a warning.
     """
     n = S.shape[-1] // 2
     k, l = _index_pairs(2 * n)
     dets = np.empty(S.shape[:-2] + (len(planes),))
-    for p, plane in enumerate(planes):
-        a, b = plane.indices(n)
-        u, v = S[..., a, :], S[..., b, :]
-        minors = u[..., k] * v[..., l] - u[..., l] * v[..., k]
-        dets[..., p] = np.sum(minors * minors, axis=-1)
+    with np.errstate(over="ignore"):
+        for p, plane in enumerate(planes):
+            a, b = plane.indices(n)
+            u, v = S[..., a, :], S[..., b, :]
+            minors = u[..., k] * v[..., l] - u[..., l] * v[..., k]
+            dets[..., p] = np.sum(minors * minors, axis=-1)
     return dets
 
 
@@ -146,10 +148,6 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
     roundoff); nonconjugate blocks are free to shrink and the smallest one
     found is reported with its witness, the first in (member, plane) order.
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
     stack = _random_symplectic_stack(N, count, sigma, np.random.default_rng(seed))
     _certify(stack)  # the first member that fails raises
     # every nonconjugate coordinate plane once, in witness order
@@ -189,8 +187,7 @@ class FlowSpec:
     n_modes: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        _positive("dt", self.dt)
         _positive("mass", self.mass)
         rng = np.random.default_rng(1234)
         x = rng.uniform(-1.0, 1.0, size=(GRADIENT_CHECK_POINTS, self.n_modes))

@@ -18,7 +18,7 @@ from sympcap.capacity import (
     volume_ball,
 )
 from sympcap.core import QuadraticHamiltonian, SymplecticMatrix, random_symplectic, williamson
-from sympcap.errors import CertificateInvalid, InvalidNeck, NotPositiveDefinite
+from sympcap.errors import CertificateInvalid, NotPositiveDefinite
 from sympcap.shadows import PlaneSelector
 
 from oracles import normal_mode_actions, random_pd_matrix, squeezing_map
@@ -290,13 +290,13 @@ class TestBordeauxBottle:
             assert b.neck_loop_action < b.capacity.value
 
     def test_invalid_neck(self):
-        with pytest.raises(InvalidNeck):
+        with pytest.raises(ValueError, match="neck radius 1.0 must be smaller"):
             bordeaux_bottle_fixture(1.0, 1.0)
 
     @pytest.mark.parametrize("R,r", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5),
                                      (0.0, 0.5), (1.0, -0.5)])
     def test_radii_finite_and_positive(self, R, r):
-        with pytest.raises(ValueError, match="radii must be finite and positive"):
+        with pytest.raises(ValueError, match="^(radius|neck) must be finite and positive"):
             bordeaux_bottle_fixture(R, r)
 
     @pytest.mark.parametrize("R,r", [(1e-200, 1e-201), (1.0, 1e-170), (1e160, 1.0)])

@@ -486,11 +486,13 @@ class TestInputErrors:
         ["dos", "--energy", "1e308", "--ndim", "3"],
         ["capacity", "--cylinder", "R=1e200", "N=2"],
         ["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
-         '[1, 0, 0, 1]}, "energy": NaN}'],
+         '[1, 0, 0, 1]}, "energy": 1e308}'],
         # draws with entries of 1e276 and more, whose certificate S^T J S would
         # overflow: refused before numpy can warn on stderr
         ["shadow", "--random", "2", "--sigma", "1e3", "--seed", "1"],
         ["nonsqueeze-ensemble", "--n", "2", "--count", "5", "--sigma", "1e3", "--seed", "1"],
+        # a shadow determinant that overflows, once after numpy's warning
+        ["shadow", "--random", "10", "--sigma", "100", "--seed", "1"],
     ])
     def test_not_finite(self, capsys, argv):
         with warnings.catch_warnings():
@@ -499,14 +501,24 @@ class TestInputErrors:
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": "result is not finite"}
 
+    def test_overflowing_dets_warn_nothing(self, capsys):
+        # exit 0 as before, without numpy's "overflow encountered in multiply"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["nonsqueeze-ensemble", "--n", "3", "--count", "5", "--sigma", "100",
+                        "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["conjugate_bound_held"] is True
+
     @pytest.mark.parametrize("argv,message", [
-        (["shadow", "--random", "2", "--sigma", "nan"], "need sigma > 0, got nan"),
+        (["shadow", "--random", "2", "--sigma", "nan"], "sigma must be finite and positive, got nan"),
         (["nonsqueeze-ensemble", "--n", "2", "--count", "3", "--sigma", "nan"],
-         "need sigma > 0, got nan"),
+         "sigma must be finite and positive, got nan"),
         (["shadow", "--matrix", '{"n": 1, "matrix": [NaN, 0, 0, NaN]}'],
          "symplectic defect nan exceeds tolerance 1.000e-10"),
         (["quantize-1d", "--potential", "harmonic", "--nmax", "1", "--hbar", "nan"],
-         "hbar must be positive, got nan"),
+         "hbar must be finite and positive, got nan"),
         (["capacity", "--region",
           '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": [NaN, 0, 0, 1]}, "energy": 1}'],
          "matrix entries must be finite"),
@@ -616,6 +628,65 @@ class TestInputErrors:
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["williamson", "--matrix", '{"n":1,"matrix":[1,0,0]}'],
+         "matrix descriptor key 'matrix' must be an array of 4 real numbers, got an array of 3"),
+        (["williamson", "--matrix", '{"n":0,"matrix":[]}'],
+         "matrix descriptor key 'n' must be positive, got 0"),
+        (["shadow", "--matrix", '{"n":0,"matrix":[]}'],
+         "matrix descriptor key 'n' must be positive, got 0"),
+        (["williamson", "--matrix", '{"n":-1,"matrix":[1,0,0,1]}'],
+         "matrix descriptor key 'n' must be positive, got -1"),
+        (["williamson", "--matrix", '{"n":1,"matrix":"abcd"}'],
+         "matrix descriptor key 'matrix' must be an array of 4 real numbers, got 'abcd'"),
+        (["williamson", "--matrix", '{"n":1,"matrix":[true,0,0,true]}'],
+         "matrix descriptor key 'matrix' entry must be a real number, got True"),
+        (["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,1],"foo":1}'],
+         "matrix descriptor has unknown key 'foo'"),
+        (["shadow", "--random", "0"], "need N >= 1, got 0"),
+        (["quantize-1d", "--potential", "harmonic", "bracket=5", "--nmax", "0"],
+         "harmonic potential key 'bracket' must be an array of 2 real numbers, got 5"),
+        (["quantize-1d", "--potential", "harmonic", "bracket=[1]", "--nmax", "0"],
+         "harmonic potential key 'bracket' must be an array of 2 real numbers, got an array of 1"),
+        (["quantize-1d", "--potential", "harmonic", "bracket=[1,2,3]", "--nmax", "0"],
+         "harmonic potential key 'bracket' must be an array of 2 real numbers, got an array of 3"),
+        (["quantize-1d", "--potential", '{"kind":"polynomial","coeffs":5}', "--nmax", "0"],
+         "polynomial potential key 'coeffs' must be an array of real numbers, got 5"),
+        (["quantize-1d", "--potential", "harmonic", "bracket=[-1e400,1]", "--nmax", "0"],
+         "bracket must be finite ends lo < hi, got (-inf, 1.0)"),
+        (["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
+          '[1, 0, 0, 1]}, "energy": NaN}'], "energy must be finite and positive, got nan"),
+        (["dos", "--energy", "nan"], "energy must be finite and positive, got nan"),
+        (["shadow", "--random", "2", "--sigma", "inf"],
+         "sigma must be finite and positive, got inf"),
+        (["capacity", "--ball", "R=1", "N=2", "--out", "{dir}"], "--out '{dir}': Is a directory"),
+        (["williamson", "--matrix-file", "{dir}"], "--matrix-file '{dir}': Is a directory"),
+    ])
+    def test_refused_by_name(self, capsys, tmp_path, argv, message):
+        # once exit 3 (DimensionError), a traceback (a directory for a file),
+        # Python's or numpy's own text, "result is not finite" (a NaN energy,
+        # an infinite sigma), or exit 0 (the boolean matrix, the infinite
+        # bracket end, the unknown matrix key)
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert json.loads(captured.out) == {
+            "error": "InvalidInput", "message": message.replace("{dir}", str(tmp_path))}
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_fault_is_not_input_error(self, capsys, monkeypatch, error):
+        # only ValueError, OSError and OverflowError are bad input
+        def broken(args):
+            raise error("a fault in the program")
+
+        monkeypatch.setattr(cli, "cmd_capacity", broken)
+        with pytest.raises(error, match="a fault in the program"):
+            run(["capacity", "--ball", "R=1", "N=2"])
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         ["capacity", "--ball", "R=1", "N=3", "--tol", "1e-3"],
@@ -797,7 +868,7 @@ class TestSharedParser:
 # unknown flag.
 FUZZ_COMMANDS = [
     (["capacity", "--ball", "R=1", "N=2"], ["--ball", "--cylinder", "--region"]),
-    (["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,4]}'], ["--matrix"]),
+    (["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,4]}'], ["--matrix", "--matrix-file"]),
     (["shadow", "--random", "2", "--seed", "5"],
      ["--matrix", "--random", "--sigma", "--radius", "--plane", "--seed", "--tol"]),
     (["nonsqueeze-ensemble", "--n", "2", "--count", "2"], ["--n", "--count", "--sigma", "--seed"]),
@@ -816,6 +887,12 @@ FUZZ_COMMANDS = [
     (["blob-check", "--value", "3.14"], ["--value", "--tol", "--hbar"]),
     (["bottle-demo", "--neck", "0.5"], ["--radius", "--neck"]),
     (["frobnicate"], []),
+    # a descriptor option last: a value drawn alone is then its descriptor
+    (["quantize-1d", "--nmax", "0", "--potential"], ["--potential", "--nmax", "--hbar"]),
+    (["quantize-1d", "--nmax", "0", "--potential", "polynomial"], ["--potential", "--nmax"]),
+    (["quantize-separable", "--n", "0", "--potentials"], ["--potentials", "--n", "--format"]),
+    (["williamson", "--matrix"], ["--matrix", "--matrix-file"]),
+    (["capacity", "--region"], ["--region", "--ball"]),
 ]
 FUZZ_UNKNOWN = ["--bogus", "-h"]
 FUZZ_VALUES = [
@@ -833,6 +910,19 @@ FUZZ_VALUES = [
     '{"n":1,"matrix":[1,0,0]}', '{"n":1,"matrix":[NaN,0,0,1]}', '{"n":null,"matrix":[1,0,0,1]}',
     '[{"kind":"morse"}]', '[{"kind":"harmonic","omega":null}]',
     "omega=nan", "a=0", "coeff=1e300", '{"kind":"polynomial","coeffs":[]}', "1_0", " 3",
+    # every descriptor array in each wrong shape; "." is a directory for --matrix-file
+    "bracket=5", "bracket=[1]", "bracket=[1,2,3]", "bracket=[-1e400,1]", "bracket=[2,1]",
+    "bracket=[true,1]", 'bracket="ab"', "bracket=null", "bracket={}", "bracket=[[1],2]",
+    "coeffs=5", 'coeffs="ab"', "coeffs=[true]", "coeffs=null", "coeffs={}", "coeffs=[[1]]",
+    '{"kind":"harmonic","bracket":[1,2,3]}', '{"kind":"polynomial","coeffs":"ab"}',
+    '{"kind":"harmonic","bracket":null}', '{"kind":"polynomial","coeffs":5}',
+    '[{"kind":"harmonic","bracket":5}]', '[{"kind":"polynomial","coeffs":{"a":1}}]',
+    '[{"kind":"polynomial","coeffs":null}]',
+    '{"n":1,"matrix":"abcd"}', '{"n":1,"matrix":[true,0,0,true]}', '{"n":0,"matrix":[]}',
+    '{"n":-1,"matrix":[1,0,0,1]}', '{"n":1,"matrix":[1,0,0,1],"foo":1}', '{"n":1,"matrix":5}',
+    '{"n":1,"matrix":[[1,0],[0,1]]}', '{"n":1,"matrix":null}', '{"n":1,"matrix":{}}',
+    '{"type":"ellipsoid","matrix":[1,0,0,1],"energy":1}',
+    '{"type":"ellipsoid","matrix":{"n":1,"matrix":[1,0,0,1]},"energy":NaN}', ".",
 ]
 
 

@@ -105,10 +105,10 @@ def _sign_changes(v, E):
 
 class TestPlanckConfig:
     @pytest.mark.parametrize("hbar,message", [
-        (math.nan, "hbar must be positive, got nan"),
-        (0.0, "hbar must be positive, got 0.0"),
-        (-1.0, "hbar must be positive, got -1.0"),
-        (math.inf, "hbar must be finite, got inf"),
+        (math.nan, "hbar must be finite and positive, got nan"),
+        (0.0, "hbar must be finite and positive, got 0.0"),
+        (-1.0, "hbar must be finite and positive, got -1.0"),
+        (math.inf, "hbar must be finite and positive, got inf"),
     ])
     def test_hbar_finite_and_positive(self, hbar, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -222,7 +222,7 @@ class TestEnsemble:
         assert summary.conjugate_bound_held
 
     def test_nan_sigma_rejected(self):
-        with pytest.raises(ValueError, match="need sigma > 0, got nan"):
+        with pytest.raises(ValueError, match="sigma must be finite and positive, got nan"):
             nonsqueeze_ensemble(2, 5, sigma=float("nan"))
 
     @pytest.mark.parametrize("count", [0, -3])
