@@ -48,6 +48,14 @@ def _parse_kv(tokens):
     return out
 
 
+def _parse_float(text: str, name: str) -> float:
+    """float(text), a command-line token; what float() refuses is refused by name."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a real number, got {text!r}") from None
+
+
 def _parse_ints(spec: str):
     return [core._parse_int(s, "quantum number") for s in spec.split(",")]
 
@@ -237,7 +245,7 @@ def cmd_evolve(args):
     pot = _parse_potential(args)
     flow = shadows.FlowSpec(V=lambda q: pot.V(q[..., 0]), grad_V=pot.dV, dt=args.dt,
                             mass=pot.mass)
-    times = [float(s) for s in args.times.split(",")]
+    times = [_parse_float(s, "--times entry") for s in args.times.split(",")]
     reports, clouds = shadows.evolve_ball_shadow(
         args.radius, flow, shadows.PlaneSelector.parse(args.plane), args.samples, args.grid_cell,
         times, seed=args.seed,
@@ -292,7 +300,7 @@ def cmd_dos(args):
 def cmd_blob_check(args):
     cfg = ebk.PlanckConfig(args.hbar)
     cap = (cap_mod.CapacityValue.infinity() if args.value == "inf"
-           else cap_mod.CapacityValue(float(args.value), exact=True))
+           else cap_mod.CapacityValue(_parse_float(args.value, "--value"), exact=True))
     n = ebk.blob_check(cap, cfg, tol=args.tol)
     _emit_json(args, {"blob_index": n, "is_blob": n is not None})
     return 0
@@ -434,18 +442,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(handler="cmd_bottle_demo")
 
+    p.commands = sub.choices  # name -> subcommand parser
     return p
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first run() call and shared by every later one."""
+    """The top-level parser and, in its `commands`, the subcommand parsers: built
+    on the first run() call and shared by every later one."""
     return build_parser()
 
 
 def run(argv) -> int:
+    parser = _parser()
+    # a command's own parser reads the rest of argv; the top-level parser is
+    # left with help, an empty argv and an unknown command
+    if argv and argv[0] in parser.commands:
+        parser, argv = parser.commands[argv[0]], argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -6,6 +6,7 @@ standard form is J = [[0, I], [-I, 0]] in that block ordering.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -16,11 +17,15 @@ from .errors import NotPositiveDefinite, NumericalDegeneracy
 DEFAULT_SYMPLECTIC_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=16)
 def standard_form(n: int) -> np.ndarray:
-    """The 2n x 2n standard form J with blocks [[0, I], [-I, 0]]."""
+    """The 2n x 2n standard form J with blocks [[0, I], [-I, 0]]: one read-only
+    array per n, shared by every caller (the 16 latest n are kept)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
+    J = np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
+    J.flags.writeable = False
+    return J
 
 
 def _check_even_square(S: np.ndarray) -> int:
@@ -215,6 +220,8 @@ def _parse_int(text: str, name: str = "integer") -> int:
 def _real(name: str, value) -> float:
     """`value` as a float; anything but a real number (a bool, a string, null,
     a list) is refused by name rather than parsed."""
+    if type(value) in (float, int):  # what JSON reads, without the ABC check; not a bool
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
@@ -228,7 +235,7 @@ def _reals(name: str, value, size=None) -> list:
         of = "" if size is None else f"{size} "
         raise ValueError(f"{name} must be an array of {of}real numbers, got "
                          + (repr(value) if length is None else f"an array of {length}"))
-    return [_real(f"{name} entry", x) for x in value]
+    return [float(x) if type(x) in (float, int) else _real(f"{name} entry", x) for x in value]
 
 
 def _require_positive(w: np.ndarray) -> None:

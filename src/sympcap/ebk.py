@@ -71,9 +71,14 @@ class Potential1D:
             raise ValueError(f"bracket must be finite ends lo < hi, got {self.bracket}")
 
     def confinement_energy(self) -> float:
-        """Largest energy the bracket can confine."""
+        """Largest energy the bracket can confine; V must be finite at both ends."""
         lo, hi = self.bracket
-        return float(min(self.V(lo), self.V(hi)))
+        with np.errstate(all="ignore"):  # an overflow is refused below, by name
+            v_lo, v_hi = float(self.V(lo)), float(self.V(hi))
+        if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
+            raise ValueError(f"V must be finite at the bracket ends, got V({lo}) = {v_lo} "
+                             f"and V({hi}) = {v_hi}")
+        return min(v_lo, v_hi)
 
 
 @dataclass(frozen=True)

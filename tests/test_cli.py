@@ -662,12 +662,25 @@ class TestInputErrors:
          "sigma must be finite and positive, got inf"),
         (["capacity", "--ball", "R=1", "N=2", "--out", "{dir}"], "--out '{dir}': Is a directory"),
         (["williamson", "--matrix-file", "{dir}"], "--matrix-file '{dir}': Is a directory"),
+        # entries that the exact float and int read passes on to the named refusal
+        (["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,false]}'],
+         "matrix descriptor key 'matrix' entry must be a real number, got False"),
+        (["williamson", "--matrix", '{"n":1,"matrix":[1,0,"1",1]}'],
+         "matrix descriptor key 'matrix' entry must be a real number, got '1'"),
+        (["williamson", "--matrix", '{"n":1,"matrix":[1,null,0,1]}'],
+         "matrix descriptor key 'matrix' entry must be a real number, got None"),
+        (["quantize-1d", "--potential", "harmonic", "bracket=[-1e200,1e200]", "--nmax", "0"],
+         "V must be finite at the bracket ends, got V(-1e+200) = inf and V(1e+200) = inf"),
+        (["blob-check", "--value", "x"], "--value must be a real number, got 'x'"),
+        (["evolve", "--potential", "harmonic", "--samples", "100", "--times", "0,a"],
+         "--times entry must be a real number, got 'a'"),
     ])
     def test_refused_by_name(self, capsys, tmp_path, argv, message):
         # once exit 3 (DimensionError), a traceback (a directory for a file),
-        # Python's or numpy's own text, "result is not finite" (a NaN energy,
-        # an infinite sigma), or exit 0 (the boolean matrix, the infinite
-        # bracket end, the unknown matrix key)
+        # Python's or numpy's own text (numpy's overflow warning on stderr for
+        # a bracket whose V overflows, float()'s message naming no option),
+        # "result is not finite" (a NaN energy, an infinite sigma), or exit 0
+        # (the boolean matrix, the infinite bracket end, the unknown matrix key)
         argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -695,10 +708,12 @@ class TestInputErrors:
         ["dos", "--ndim", "3", "--energy", "2", "--numeric"],
     ])
     def test_unread_options_rejected(self, capsys, argv):
+        # the usage shown is the subcommand's, not the list of subcommands
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments" in captured.err
+        assert captured.err.startswith(f"usage: sympcap {argv[0]} [-h]")
+        assert f"sympcap {argv[0]}: error: unrecognized arguments" in captured.err
 
     @pytest.mark.parametrize("argv", [["-h"], ["shadow", "--help"], ["evolve", "-h"]])
     def test_help_on_stderr(self, capsys, argv):
@@ -840,19 +855,44 @@ def quiet_run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def spy_parse_args(monkeypatch):
+    """The parsers whose parse_args runs from now on, in call order."""
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(parser, *args, **kwargs):
+        used.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    return used
+
+
 class TestSharedParser:
-    def test_one_parser_for_every_call(self, capsys, monkeypatch):
-        used = []
-        parse_args = argparse.ArgumentParser.parse_args
-
-        def spy(parser, *args, **kwargs):
-            used.append(parser)
-            return parse_args(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    def test_one_parser_per_command(self, capsys, monkeypatch):
+        # every parser is built on the first call; a known command is read by
+        # its own parser alone, the same object on every call
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        used = spy_parse_args(monkeypatch)
         assert invoke(capsys, "capacity", "--ball", "R=1", "N=3")[0] == 0
         assert invoke(capsys, "blob-check", "--value", "1")[0] == 0
-        assert len(used) == 2 and used[0] is used[1]
+        assert invoke(capsys, "capacity", "--ball", "R=2", "N=1")[0] == 0
+        commands = cli._parser().commands
+        assert built == [1]
+        assert used == [commands["capacity"], commands["blob-check"], commands["capacity"]]
+        assert cli._parser() not in used
+
+    @pytest.mark.parametrize("argv,code", [(["-h"], 0), ([], 2), (["frobnicate"], 2)])
+    def test_top_level_usage_without_a_command(self, capsys, monkeypatch, argv, code):
+        used = spy_parse_args(monkeypatch)
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: sympcap [-h]") and "{capacity," in captured.err
+        assert used == [cli._parser()]
 
     def test_handler_rebound_after_first_call_runs(self, capsys, monkeypatch):
         assert invoke(capsys, "capacity", "--ball", "R=1", "N=3")[0] == 0  # parser built
@@ -895,35 +935,62 @@ FUZZ_COMMANDS = [
     (["capacity", "--region"], ["--region", "--ball"]),
 ]
 FUZZ_UNKNOWN = ["--bogus", "-h"]
-FUZZ_VALUES = [
-    "0", "1", "2", "-1", "0.5", "-0.5", "1e-3", "1e308", "nan", "inf", "-inf", "x", "",
+# Values by kind, valid and not; "." is a directory for --matrix-file. Each
+# option draws from its own kind's pool half the time (FUZZ_OWN) and from
+# the shared pool, every kind together, the other half.
+FUZZ_INTEGERS = ["0", "1", "2", "-1", "+2", "1_0", " 3", "2.5", "0,1", "1,2"]
+FUZZ_REALS = ["0.5", "-0.5", "1e-3", "1e308", "nan", "inf", "-inf", "x", ""]
+FUZZ_PLANES = ["conjugate:1", "qq:1,2", "qp:2", "pp:1,1"]
+FUZZ_KEY_VALUES = [
     "R=1", "N=2", "R=-1", "N=0", "R=nan", "R=[1]", "N=null", "j=3", "plane=qq", "N=2.5",
     "j=true", "foo=1", "plane=qq:1,2", "plane=conjugate:3", "plane=qp:1,1",
-    "conjugate:1", "qq:1,2", "qp:2", "pp:1,1", "0,1", "1,2",
+]
+# potential tokens and descriptors, their bracket and coeffs in each wrong shape
+FUZZ_POTENTIALS = [
     "harmonic", "quartic", "morse", "polynomial", "coeff=1", "omega=0", "omega=[1]", "D=null",
-    "coeffs=[0,0,1]", "json", "csv", "{}", "[]", "null",
+    "coeffs=[0,0,1]", "omega=nan", "a=0", "coeff=1e300", '{"kind":"polynomial","coeffs":[]}',
+    "omega=1", "D=2", "a=1",
+    "bracket=5", "bracket=[1]", "bracket=[1,2,3]", "bracket=[-1e400,1]", "bracket=[2,1]",
+    "bracket=[true,1]", 'bracket="ab"', "bracket=null", "bracket={}", "bracket=[[1],2]",
+    "bracket=[-1e200,1e200]",
+    "coeffs=5", 'coeffs="ab"', "coeffs=[true]", "coeffs=null", "coeffs={}", "coeffs=[[1]]",
+    '{"kind":"harmonic","bracket":[1,2,3]}', '{"kind":"polynomial","coeffs":"ab"}',
+    '{"kind":"harmonic","bracket":null}', '{"kind":"polynomial","coeffs":5}',
+]
+FUZZ_SEPARABLE = [
+    '[{"kind":"morse"}]', '[{"kind":"harmonic","omega":null}]',
+    '[{"kind":"harmonic","bracket":5}]', '[{"kind":"polynomial","coeffs":{"a":1}}]',
+    '[{"kind":"polynomial","coeffs":null}]', '[{"kind":"harmonic","omega":2}]',
+]
+FUZZ_MATRICES = [
+    '{"n":1,"matrix":[1,0,0]}', '{"n":1,"matrix":[NaN,0,0,1]}', '{"n":null,"matrix":[1,0,0,1]}',
+    '{"n":1,"matrix":"abcd"}', '{"n":1,"matrix":[true,0,0,true]}', '{"n":0,"matrix":[]}',
+    '{"n":-1,"matrix":[1,0,0,1]}', '{"n":1,"matrix":[1,0,0,1],"foo":1}', '{"n":1,"matrix":5}',
+    '{"n":1,"matrix":[[1,0],[0,1]]}', '{"n":1,"matrix":null}', '{"n":1,"matrix":{}}',
+    '{"n":1,"matrix":[1,null,0,false]}', '{"n":1,"matrix":[2,0,0,0.5]}', ".",
+]
+FUZZ_REGIONS = [
     '{"type":"ball"}', '{"type":"ball","radius":[1],"n":2}',
     '{"type":"cylinder","radius":1,"n":2,"axis":"x"}',
     '{"type":"cylinder","radius":1,"n":2,"plane":1}',
     '{"type":"ellipsoid","matrix":{"n":1,"matrix":[1,0,0,-1]},"energy":1}',
     '{"type":"ellipsoid","matrix":{"n":1,"matrix":[NaN,0,0,1]},"energy":1}',
-    '{"n":1,"matrix":[1,0,0]}', '{"n":1,"matrix":[NaN,0,0,1]}', '{"n":null,"matrix":[1,0,0,1]}',
-    '[{"kind":"morse"}]', '[{"kind":"harmonic","omega":null}]',
-    "omega=nan", "a=0", "coeff=1e300", '{"kind":"polynomial","coeffs":[]}', "1_0", " 3",
-    # every descriptor array in each wrong shape; "." is a directory for --matrix-file
-    "bracket=5", "bracket=[1]", "bracket=[1,2,3]", "bracket=[-1e400,1]", "bracket=[2,1]",
-    "bracket=[true,1]", 'bracket="ab"', "bracket=null", "bracket={}", "bracket=[[1],2]",
-    "coeffs=5", 'coeffs="ab"', "coeffs=[true]", "coeffs=null", "coeffs={}", "coeffs=[[1]]",
-    '{"kind":"harmonic","bracket":[1,2,3]}', '{"kind":"polynomial","coeffs":"ab"}',
-    '{"kind":"harmonic","bracket":null}', '{"kind":"polynomial","coeffs":5}',
-    '[{"kind":"harmonic","bracket":5}]', '[{"kind":"polynomial","coeffs":{"a":1}}]',
-    '[{"kind":"polynomial","coeffs":null}]',
-    '{"n":1,"matrix":"abcd"}', '{"n":1,"matrix":[true,0,0,true]}', '{"n":0,"matrix":[]}',
-    '{"n":-1,"matrix":[1,0,0,1]}', '{"n":1,"matrix":[1,0,0,1],"foo":1}', '{"n":1,"matrix":5}',
-    '{"n":1,"matrix":[[1,0],[0,1]]}', '{"n":1,"matrix":null}', '{"n":1,"matrix":{}}',
     '{"type":"ellipsoid","matrix":[1,0,0,1],"energy":1}',
-    '{"type":"ellipsoid","matrix":{"n":1,"matrix":[1,0,0,1]},"energy":NaN}', ".",
+    '{"type":"ellipsoid","matrix":{"n":1,"matrix":[1,0,0,1]},"energy":NaN}',
+    '{"type":"bottle","radius":1,"neck":0.5}',
 ]
+FUZZ_OWN = {
+    **dict.fromkeys(["--random", "--n", "--count", "--seed", "--samples", "--nmax", "--ndim"],
+                    FUZZ_INTEGERS),
+    **dict.fromkeys(["--sigma", "--radius", "--tol", "--dt", "--grid-cell", "--times", "--hbar",
+                     "--omega", "--mass", "--energy", "--value", "--neck"], FUZZ_REALS),
+    **dict.fromkeys(["--ball", "--cylinder"], FUZZ_KEY_VALUES),
+    **dict.fromkeys(["--matrix", "--matrix-file"], FUZZ_MATRICES),
+    "--plane": FUZZ_PLANES, "--potential": FUZZ_POTENTIALS, "--potentials": FUZZ_SEPARABLE,
+    "--region": FUZZ_REGIONS, "--format": ["json", "csv"],
+}
+FUZZ_VALUES = [*dict.fromkeys(value for pool in FUZZ_OWN.values() for value in pool),
+               "{}", "[]", "null"]
 
 
 @st.composite
@@ -933,7 +1000,10 @@ def fuzz_argv(draw):
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):  # an option and a value; a value alone extends a list
             argv.append(draw(st.sampled_from(options + FUZZ_UNKNOWN)))
-        argv.append(draw(st.sampled_from(FUZZ_VALUES)))
+        # the value's kind is that of the last option before it
+        option = next((a for a in reversed(argv) if a.startswith("--")), None)
+        own = [st.sampled_from(FUZZ_OWN[option])] if option in FUZZ_OWN else []
+        argv.append(draw(st.one_of(*own, st.sampled_from(FUZZ_VALUES))))
     return argv
 
 

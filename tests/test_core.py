@@ -38,6 +38,31 @@ class TestStandardForm:
         assert np.array_equal(J @ J, -np.eye(6))
         assert np.array_equal(J.T, -J)
 
+    def test_shared_and_read_only(self):
+        J = standard_form(2)
+        assert standard_form(2) is J
+        with pytest.raises(ValueError, match="read-only"):
+            J[0, 2] = 5.0
+        assert np.array_equal(J, np.eye(4, k=2) - np.eye(4, k=-2))
+
+    def test_memo_bounded(self):
+        assert standard_form.cache_info().maxsize is not None
+        for n in range(1, standard_form.cache_info().maxsize + 5):
+            standard_form(n)
+        assert standard_form.cache_info().currsize == standard_form.cache_info().maxsize
+
+
+class TestRealRead:
+    @pytest.mark.parametrize("value", [
+        0, 1, -3, 2**53 + 1, 10**20, 0.1, -0.0, 5e-324, 1e308, float("inf"), float("nan"),
+        np.float64(0.1), np.float32(0.1), np.int64(-7), np.float64(-0.0),
+    ])
+    def test_same_bits_as_float(self, value):
+        # the exact float and int read and the numbers.Real read give float(value)
+        want = np.float64(float(value)).view(np.int64)
+        assert np.float64(core._real("x", value)).view(np.int64) == want
+        assert np.float64(core._reals("x", [value])[0]).view(np.int64) == want
+
 
 class TestIsSymplectic:
     def test_identity(self):
