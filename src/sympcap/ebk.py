@@ -50,35 +50,25 @@ def _finite(name: str, value: float) -> float:
 
 @dataclass
 class Potential1D:
-    """Confining 1-D potential V(q) with mass m on a search bracket.
+    """Confining 1-D potential V(q) with mass m, carrying its own inverse.
 
-    The callables must accept numpy arrays. The bracket must confine every
-    energy that will be requested: V at both edges above E. `dV` is the
-    analytic derivative dV/dq (minus the force): turning_points polishes
-    roots with it, and its sign change locates the well bottom. A plain
-    value: it carries no solver state and can be shared between calls.
+    V and its analytic derivative dV = dV/dq (minus the force) accept numpy arrays,
+    complex ones included. `bottom` = (vmin, k, C) is the leading Taylor term
+    V - vmin ~ C |q - x|^k at the well bottom x, and `top` the energy from which the
+    well no longer confines (inf: never). `inverse(E)` gives the turning points
+    q- < q+ of V(q) = E for vmin < E < top. A plain value: it carries no solver state
+    and can be shared between calls.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
     dV: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[float], tuple]
+    bottom: tuple
+    top: float = math.inf
     mass: float = 1.0
-    bracket: tuple = (-50.0, 50.0)
 
     def __post_init__(self):
         _positive("mass", self.mass)
-        lo, hi = self.bracket
-        if not -math.inf < lo < hi < math.inf:  # NaN too
-            raise ValueError(f"bracket must be finite ends lo < hi, got {self.bracket}")
-
-    def confinement_energy(self) -> float:
-        """Largest energy the bracket can confine; V must be finite at both ends."""
-        lo, hi = self.bracket
-        with np.errstate(all="ignore"):  # an overflow is refused below, by name
-            v_lo, v_hi = float(self.V(lo)), float(self.V(hi))
-        if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
-            raise ValueError(f"V must be finite at the bracket ends, got V({lo}) = {v_lo} "
-                             f"and V({hi}) = {v_hi}")
-        return min(v_lo, v_hi)
 
 
 @dataclass(frozen=True)
@@ -152,169 +142,27 @@ def quantize_quadratic(H: QuadraticHamiltonian, n, cfg: PlanckConfig) -> Spectru
     )
 
 
-_SCAN_POINTS = 4096
 _ULP4 = 4 * float(np.finfo(float).eps)  # 4 ulp of 1
 
 
-def _monotone_runs(v: np.ndarray) -> list:
-    """The monotone runs of the samples v, as (start, first, last, key, descending):
-    key is v[start:start + key.size], negated if descending so that it ascends, and
-    first and last are the run's end values. Neighbouring runs share an end point;
-    a flat cell joins the run before it."""
-    d = np.sign(np.diff(v))
-    d = d[np.maximum.accumulate(np.where(d != 0, np.arange(d.size), 0))]
-    cuts = [0, *(np.flatnonzero(d[1:] != d[:-1]) + 1).tolist(), d.size]
-    runs = []
-    for start, end in zip(cuts[:-1], cuts[1:]):
-        key, descending = v[start:end + 1], bool(d[start] < 0)
-        runs.append((start, float(key[0]), float(key[-1]), -key if descending else key,
-                     descending))
-    return runs
-
-
-def _crossings(runs: list, E: float) -> np.ndarray:
-    """Cells k of the sampled grid with (v[k] < E) != (v[k+1] < E), the sign changes
-    of v - E, by one binary search in each monotone run whose end values straddle E."""
-    cells = [start - 1 + int(key.searchsorted(-E, "right") if descending
-                             else key.searchsorted(E, "left"))
-             for start, first, last, key, descending in runs if (first < E) != (last < E)]
-    return np.array(cells, dtype=np.intp)
+def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
+    """Classical turning points q- < q+ of V(q) = E about the well bottom, from the
+    potential's own inverse. Energies at or below the bottom, or at or above the top of
+    the well, have none (NoClassicalRegion). Runs under the solver's np.errstate.
+    """
+    if not pot.bottom[0] < E:
+        raise NoClassicalRegion(f"E={E} is below the potential minimum")
+    if not E < pot.top:
+        raise NoClassicalRegion(f"E={E} is not below the top of the well at {pot.top}")
+    return pot.inverse(E)
 
 
 class _Well:
-    """The solver state of one spectrum_1d or level_1d call: the confinement energy, the
-    well scan (q, v, vmin, runs), which samples V once on _SCAN_POINTS over the bracket
-    with the well bottom spliced in where it lies below every sample, that bottom (vmin,
-    0, T0), the action at the bracket top once evaluated, and the (E, roots, dV, V''
-    estimate) of the last turning-point polish, each a pair but E, which the next one
-    starts from (None: start cold)."""
+    """The solver state of one spectrum_1d or level_1d call: the potential, and the
+    action at the top of the well once evaluated."""
 
     def __init__(self, pot: Potential1D):
-        self.pot, self.e_cap = pot, pot.confinement_energy()
-        q = np.linspace(*pot.bracket, _SCAN_POINTS)
-        v = np.asarray(pot.V(q), dtype=float)
-        x, vmin, period = _well_bottom(pot, q, v)
-        self.bottom = (vmin, 0.0, period)
-        if vmin < v.min():
-            k = int(q.searchsorted(x))
-            q = np.concatenate((q[:k], [x], q[k:]))
-            v = np.concatenate((v[:k], [vmin], v[k:]))
-        self.scan = q, v, float(v.min()), _monotone_runs(v)
-        self.top_action = self.warm = None
-
-
-def _bisect(f, a: float, b: float, xtol: float = 0.0) -> float:
-    """A sign change of f on [a, b], by bisection on floats: the cell is halved
-    until it is no wider than xtol or its midpoint rounds to an end."""
-    neg = math.copysign(1.0, f(a)) < 0
-    while True:
-        m = 0.5 * (a + b)
-        if not (b - a > xtol and a < m < b):
-            return m
-        if (math.copysign(1.0, f(m)) < 0) == neg:  # the change is in [m, b]
-            a = m
-        else:
-            b = m
-
-
-def _sign_change(f, a: float, b: float, xtol: float) -> float:
-    """A sign change of f on [a, b], to within xtol, by regula falsi with the Illinois
-    rule: the value at an end kept twice running is halved. A point within xtol / 2 of
-    an end moves xtol / 2 inside, so the bracket closes around a root once one is
-    found; a bracket not halved in three steps is bisected, and one whose ends have the
-    same sign goes to _bisect. Stops as _bisect does, at the bracket's midpoint."""
-    fa, fb = float(f(a)), float(f(b))
-    if not (fa < 0.0 < fb or fb < 0.0 < fa):
-        return _bisect(f, a, b, xtol)
-    kept, widths = None, (math.inf,) * 3
-    while True:
-        m = 0.5 * (a + b)
-        if not (b - a > xtol and a < m < b):
-            return m
-        x = m
-        if b - a <= 0.5 * widths[0]:
-            chord = min(max(a - fa * (b - a) / (fb - fa), a + 0.5 * xtol), b - 0.5 * xtol)
-            if a < chord < b:
-                x = chord
-        widths = (*widths[1:], b - a)
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (fa < 0.0):  # the change is in [x, b]
-            a, fa = x, fx
-            if kept == "b":
-                fb *= 0.5
-            kept = "b"
-        else:
-            b, fb = x, fx
-            if kept == "a":
-                fa *= 0.5
-            kept = "a"
-
-
-def turning_points(well: _Well, E: float) -> tuple[float, float]:
-    """Classical turning points V(q) = E bracketing a single well, on a solver's _Well.
-
-    Looks the crossings of E up in the monotone runs of the well scan, which holds the
-    well bottom, refuses energies at or below the scan's minimum and multi-well energies,
-    and polishes both crossings at once by Newton on dV. Each root starts from the last
-    polish's root moved to second order in E where that lands in its crossing cell, else
-    from the chord of the scan across the cell. Runs under the solver's np.errstate.
-    """
-    pot, (q, v, vmin, runs) = well.pot, well.scan
-    if not vmin < E:
-        raise NoClassicalRegion(f"E={E} is below the potential minimum")
-    cells = _crossings(runs, E)
-    if cells.size > 2:
-        raise MultiWell(f"{cells.size} turning points at E={E}; single well required")
-    if cells.size < 2:
-        raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
-    # Newton on dV, both roots at once, from the warm prediction x0 + t - V'' t^2 / 2 V'
-    # (t = (E - E0) / V') where it falls in the cell, else from the chord of the scan
-    # across it; bisection on its cell for a root that leaves it or has not settled in
-    # 8 steps. The steps run on the two-root array, the tests on its Python floats.
-    a, b, x = [], [], []
-    for k in cells.tolist():
-        (qa, qb), (va, vb) = q[k:k + 2].tolist(), v[k:k + 2].tolist()
-        a.append(qa)
-        b.append(qb)
-        x.append(qa + (E - va) / (vb - va) * (qb - qa))
-    if well.warm:
-        E0, x0, d0, c0 = well.warm
-        for i in range(2):
-            if d0[i]:
-                t = (E - E0) / d0[i]
-                guess = x0[i] + t - 0.5 * c0[i] * t * t / d0[i]
-                if a[i] <= guess <= b[i]:
-                    x[i] = guess
-    x, f_tol = np.array(x), _ULP4 * abs(E)
-    x_last = d_last = None
-    for _ in range(8):
-        f = np.asarray(pot.V(x), dtype=float) - E
-        d = np.asarray(pot.dV(x), dtype=float)
-        step = f / d
-        x_prev, d_prev, x_last, d_last = x_last, d_last, x, d
-        x = x - step
-        # a step within 4 ulp of x, or a residual at the rounding level of E;
-        # a NaN step or residual is not settled
-        (s0, s1), (r0, r1), (f0, f1) = step.tolist(), x.tolist(), f.tolist()
-        settled = (abs(s0) <= _ULP4 * abs(r0) or abs(f0) <= f_tol,
-                   abs(s1) <= _ULP4 * abs(r1) or abs(f1) <= f_tol)
-        if settled[0] and settled[1]:
-            break
-    # V'' for the next prediction: the slope of dV between the last two iterates,
-    # 0 where there is one or they are within 4 ulp of each other
-    roots, d_at, curvature = x.tolist(), d_last.tolist(), [0.0, 0.0]
-    if x_prev is not None:
-        for i, (xl, xp, dp) in enumerate(zip(x_last.tolist(), x_prev.tolist(),
-                                             d_prev.tolist())):
-            if abs(xl - xp) > _ULP4 * abs(xl):
-                curvature[i] = (d_at[i] - dp) / (xl - xp)
-    for i in range(2):
-        if not (settled[i] and a[i] <= roots[i] <= b[i]):
-            roots[i] = _bisect(lambda s: pot.V(s) - E, a[i], b[i])
-    well.warm = (E, roots, d_at, curvature)
-    return roots[0], roots[1]
+        self.pot, self.top_action = pot, None
 
 
 _QUAD_NODES = 256  # Gauss-Legendre nodes of every action and period integral
@@ -328,14 +176,14 @@ def _gauss_legendre():
     return np.sin(0.5 * math.pi * x), w * np.cos(0.5 * math.pi * x)
 
 
-def _action_period(well: _Well, E: float) -> tuple[float, float]:
+def _action_period(pot: Potential1D, E: float) -> tuple[float, float]:
     """Loop action A(E) = 2 int sqrt(2m (E - V)) dq between the turning points and
     period T(E) = dA/dE = 2 int m/p dq on the same nodes. The substitution
     q = mid + half sin(theta), with Gauss-Legendre in theta, absorbs the square-root
     endpoint singularity, so both integrands are smooth and each integral is one dot
     product of the folded weights with p or 1/p. Runs under the caller's np.errstate:
     a p that rounds to 0 at a node makes T infinite, and Newton bisects."""
-    pot, (q_minus, q_plus) = well.pot, turning_points(well, E)
+    q_minus, q_plus = turning_points(pot, E)
     mid = 0.5 * (q_plus + q_minus)
     half = 0.5 * (q_plus - q_minus)
     sin, wc = _gauss_legendre()
@@ -345,73 +193,64 @@ def _action_period(well: _Well, E: float) -> tuple[float, float]:
     return math.pi * half * float(wc @ p), math.pi * half * pot.mass * float(wc @ (1.0 / p))
 
 
-def _well_bottom(pot: Potential1D, q: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    """The well bottom (x, vmin, T0) of the samples v = V(q) on an even grid q: x is where
-    dV changes sign in the argmin cell and its neighbour, located by _sign_change to 1e-13
-    of those two cells, vmin = V(x), and T0 = 2 pi sqrt(m / V'') the harmonic period, with
-    V'' the second difference D(h) of the samples (inf if not positive). (vmin, 0, T0) is
-    the bottom's point of the action curve.
-
-    Regula falsi is slow on a multiple root, so it runs on dV^(1/r), r the order of the
-    root read off the scan: V ~ |q - q*|^(r+1) has D(2h) / D(h) = 2^(r+1) where q* is a
-    sample, and above 8 for r = 3 wherever q* lies in the cell. The estimate is rounded
-    to an odd r, the order at a smooth bottom.
-    """
-    k = min(max(int(np.argmin(v)), 1), q.size - 2)
-    a, b = float(q[k - 1]), float(q[k + 1])
-    below, at, above = v[k - 1:k + 2].tolist()
-    second = below - 2.0 * at + above  # D(h)
-    order = 1
-    if 2 <= k <= q.size - 3 and second > 0:
-        ratio = (float(v[k - 2]) - 2.0 * at + float(v[k + 2])) / second
-        if 8.0 < ratio < math.inf:
-            order = 2 * round(math.log2(ratio) / 2.0 - 1.0) + 1
-
-    def root(s):
-        d = float(pot.dV(s))
-        return math.copysign(abs(d) ** (1.0 / order), d)
-
-    x = _sign_change(root, a, b, 1e-13 * (b - a))
-    curvature = second / float(q[1] - q[0]) ** 2
-    period = 2.0 * math.pi * math.sqrt(pot.mass / curvature) if curvature > 0 else math.inf
-    return x, float(pot.V(x)), period
+def _bottom_start(pot: Potential1D, target_action: float) -> float:
+    """E at target_action on the leading Taylor term V - vmin = C |q - x|^k at the well
+    bottom, whose action is A = 4 sqrt(2m) B_k C^(-1/k) (E - vmin)^(1/2 + 1/k) with
+    B_k = int_0^1 sqrt(1 - u^k) du = Gamma(1 + 1/k) Gamma(3/2) / Gamma(3/2 + 1/k).
+    Exact for the harmonic and quartic wells; at k = 2 it is vmin + A / T0, T0 the
+    harmonic period. NaN where C is not positive, inf where E - vmin overflows."""
+    vmin, k, C = pot.bottom
+    b = math.gamma(1.0 + 1.0 / k) * math.gamma(1.5) / math.gamma(1.5 + 1.0 / k)
+    with np.errstate(all="ignore"):
+        scale = np.float64(C) ** (1.0 / k) / (4.0 * math.sqrt(2.0 * pot.mass) * b)
+        return vmin + float((target_action * scale) ** (1.0 / (0.5 + 1.0 / k)))
 
 
-# Action evaluations allowed per level. Levels take at most 13 in the ebk-spectra
-# benchmark pass and 7 in the test suite; pure bisection from a bracket 2^90 times
+# Action evaluations allowed per level. Levels take at most 16 in the ebk-spectra
+# benchmark (seeds 1 to 5), 39 from a start 200 decades off and 66 from one 8 decades
+# low with no period to step by (tests); pure bisection from a bracket 2^90 times
 # wider than its 4-ulp stop would take 90.
 _MAX_EVALUATIONS = 100
 
 
 def _solve_level(well: _Well, target_action: float, below: tuple,
-                 guess: float = math.nan) -> tuple[float, float, float]:
+                 guess: float) -> tuple[float, float, float]:
     """(E, A, T) where A(E) = target_action, by Newton with slope dA/dE = T.
 
     Starts from `below`, a point (E, A, T) with A < target_action, and takes its first
-    step to `guess` if that lies strictly between E and the bracket's top. The top, just
-    under the well's confinement energy, is evaluated only when a step reaches it or fails
-    before that, and at most once per well, which keeps its action. A step fails if it
-    leaves the bracket, has no finite T, or does not halve the last step once the top is
-    `reached` (known to reach the target); it then bisects. Stops at a step of 4 ulp;
-    raises NoConvergence where that takes more than _MAX_EVALUATIONS steps. The scan holds
-    the well bottom, so an energy above `below` without two turning points is one the
-    bracket no longer confines: LevelNotBound. The first evaluation's turning points
-    start cold, each later one's from the previous one's.
+    step to `guess` if that lies strictly between E and the top of the well. A step
+    fails if it leaves the bracket [e_lo, e_hi] of energies known to lie below and above
+    the level, has no finite T, or does not halve the last step once the level is
+    `reached` (bracketed from above). A failed step bisects once the level is reached,
+    in log(E - vmin) while the bracket spans more than three decades. Before that it goes
+    to the top, just under the well's `top`, which is evaluated at most once per well
+    and keeps its action; in a well with no top it multiplies E - vmin by 4. Stops at a
+    step of 4 ulp; raises NoConvergence where that takes more than _MAX_EVALUATIONS
+    steps or an action is NaN. An energy below the top without two turning points (one
+    a polynomial's bracket no longer confines, or the bottom itself, where E - vmin
+    underflows) is LevelNotBound.
     The evaluations run under one np.errstate that ignores floating-point warnings.
     """
-    E, A, T = below
-    e_cap = well.e_cap
-    e_top = e_cap * (1 - 1e-12) if e_cap > 0 else e_cap + abs(e_cap) * 1e-12
+    pot = well.pot
+    vmin, E, A, T = pot.bottom[0], *below
+    e_top = pot.top * (1 - math.copysign(1e-12, pot.top))
     e_lo, e_hi, reached, last = E, e_top, False, math.inf
     step = guess - E if e_lo < guess < e_hi else None
-    well.warm = None
     with np.errstate(all="ignore"):  # for every evaluation of the level
         for steps in range(_MAX_EVALUATIONS + 1):
             if step is None:
-                step = (target_action - A) / T
+                step = (target_action - A) / T if T > 0 else math.nan
                 if (not (T < math.inf and e_lo <= E + step <= e_hi)
                         or (reached and abs(step) > 0.5 * abs(last))):
-                    step = (0.5 * (e_lo + e_hi) if reached else e_top) - E
+                    if reached:  # from the bottom, log(E - vmin) starts 52 octaves down
+                        hi = e_hi - vmin
+                        lo = max(e_lo - vmin, hi * 2.0 ** -52)
+                        mid = vmin + math.sqrt(lo) * math.sqrt(hi)
+                        if not (hi > 1e3 * lo and e_lo < mid < e_hi):
+                            mid = 0.5 * (e_lo + e_hi)
+                    else:
+                        mid = e_top if e_top < math.inf else vmin + 4.0 * (E - vmin)
+                    step = mid - E
                 # never return the unevaluated start point, nor stop short of an
                 # unevaluated top
                 if (E != below[0] and abs(step) <= _ULP4 * max(abs(E), abs(below[0]))
@@ -425,20 +264,22 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
                 A = well.top_action
             else:
                 try:
-                    A, T = _action_period(well, E)
+                    A, T = _action_period(pot, E)
                 except (NoClassicalRegion, MultiWell) as exc:
                     if not top:
                         if isinstance(exc, MultiWell):
                             raise
-                        raise LevelNotBound(
-                            "bracket stopped confining before the target action")
+                        raise LevelNotBound(f"no turning points below the target action: {exc}")
                     A = -math.inf
                 if top:
                     well.top_action = A
+            if math.isnan(A):  # turning points or V out of range: no level to report
+                raise NoConvergence(f"action {target_action} not converged: the action at "
+                                    f"E={E} is not a number")
             if A < target_action:
                 if top:
                     raise LevelNotBound(
-                        f"action {target_action} not reached below dissociation at E={e_cap}"
+                        f"action {target_action} not reached below dissociation at E={pot.top}"
                     )
                 e_lo = E
             else:
@@ -452,7 +293,7 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
 def _hermite_start(prev: tuple, last: tuple, target_action: float) -> float:
     """E at target_action on the Hermite interpolant of E(A) through two points (E, A, T)
     of the action curve, with slopes dE/dA = 1/T: cubic, or quadratic when `prev` is the
-    well bottom (A = 0), whose scan-based period is not used. NaN on a division by 0."""
+    well bottom (A = 0), whose period is not used. NaN on a division by 0."""
     (E0, A0, T0), (E1, A1, T1) = prev, last
     h, d = A1 - A0, target_action - A1
     try:
@@ -469,26 +310,28 @@ def level_1d(pot: Potential1D, n: int, cfg: PlanckConfig) -> tuple[float, float]
     """(energy, action) for the single level with action (n + 1/2) h."""
     if n < 0:
         raise ValueError(f"quantum number must be nonnegative, got {n}")
-    well = _Well(pot)
-    return _solve_level(well, (n + 0.5) * cfg.h, well.bottom)[:2]
+    target = (n + 0.5) * cfg.h
+    bottom = (pot.bottom[0], 0.0, math.inf)
+    return _solve_level(_Well(pot), target, bottom, _bottom_start(pot, target))[:2]
 
 
 def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResult:
     """Librational EBK levels n = 0..n_max: solve loop action = (n + 1/2) h.
 
     Each level carries Maslov index 2 (two caustic touches per loop). Level 0 starts
-    from the well bottom, each later one from a Hermite extrapolation of E(A) through the
-    last two points solved (the bottom among them for level 1). Levels above
-    dissociation are skipped with a notice.
+    from the leading Taylor term at the well bottom, each later one from a Hermite
+    extrapolation of E(A) through the last two points solved (the bottom among them for
+    level 1). Levels above dissociation are skipped with a notice.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     well = _Well(pot)
-    below, prev = well.bottom, None
+    below, prev = (pot.bottom[0], 0.0, math.inf), None
     result = SpectrumResult(entries=[], hbar=cfg.hbar)
     for n in range(n_max + 1):
         target = (n + 0.5) * cfg.h
-        guess = math.nan if prev is None else _hermite_start(prev, below, target)
+        guess = (_bottom_start(pot, target) if prev is None
+                 else _hermite_start(prev, below, target))
         try:
             prev, below = below, _solve_level(well, target, below, guess)
         except LevelNotBound as exc:
@@ -582,30 +425,38 @@ def density_of_states(H: QuadraticHamiltonian, E: float, cfg: PlanckConfig) -> f
 # Potential factory used by the CLI and tests
 
 
-def harmonic_potential(omega: float = 1.0, mass: float = 1.0, bracket=None) -> Potential1D:
+def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Potential1D:
     _positive("harmonic omega", omega)
     _positive("mass", mass)
-    if bracket is None:
-        bracket = (-60.0 / math.sqrt(mass) / omega, 60.0 / math.sqrt(mass) / omega)
-    return Potential1D(V=lambda q: 0.5 * mass * omega**2 * np.square(q), mass=mass,
-                       bracket=bracket, dV=lambda q: mass * omega**2 * np.asarray(q))
+
+    def inverse(E):
+        r = math.sqrt(2.0 * E / mass) / omega
+        return -r, r
+
+    return Potential1D(V=lambda q: 0.5 * mass * omega**2 * np.square(q),
+                       dV=lambda q: mass * omega**2 * np.asarray(q), inverse=inverse,
+                       bottom=(0.0, 2, 0.5 * mass * omega**2), mass=mass)
 
 
-def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0, bracket=None) -> Potential1D:
+def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0) -> Potential1D:
     _finite("morse D", D)
+    if D <= 0:
+        raise ValueError(f"morse D must be positive, got {D}: the potential is not confining")
     _positive("morse a", a)
-    if bracket is None:
-        bracket = (-3.0 / a, 60.0 / a)
 
     def dV(q):
-        x = np.exp(-a * np.asarray(q, dtype=float))
-        return 2.0 * D * a * x * (1.0 - x)
+        x = np.expm1(-a * q)
+        return -2.0 * D * a * x * (1.0 + x)
 
-    return Potential1D(V=lambda q: D * np.square(1.0 - np.exp(-a * np.asarray(q, dtype=float))),
-                       mass=mass, bracket=bracket, dV=dV)
+    def inverse(E):
+        s = math.sqrt(E / D)  # below 1, but it rounds to 1 within 1 ulp of D
+        return -math.log1p(s) / a, -math.log1p(-s) / a if s < 1.0 else math.inf
+
+    return Potential1D(V=lambda q: D * np.square(np.expm1(-a * q)), dV=dV, inverse=inverse,
+                       bottom=(0.0, 2, D * a * a), top=D, mass=mass)
 
 
-def quartic_potential(coeff: float = 0.25, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Potential1D:
+def quartic_potential(coeff: float = 0.25, mass: float = 1.0) -> Potential1D:
     _finite("quartic coeff", coeff)
     if coeff <= 0:
         raise ValueError(f"quartic coeff must be positive, got {coeff}: the potential is "
@@ -617,15 +468,19 @@ def quartic_potential(coeff: float = 0.25, mass: float = 1.0, bracket=(-30.0, 30
         f *= q
         return f
 
-    return Potential1D(V=lambda q: coeff * np.square(np.square(q)), mass=mass, bracket=bracket,
-                       dV=dV)
+    def inverse(E):
+        r = math.sqrt(math.sqrt(E / coeff))
+        return -r, r
+
+    return Potential1D(V=lambda q: coeff * np.square(np.square(q)), dV=dV, inverse=inverse,
+                       bottom=(0.0, 4, coeff), mass=mass)
 
 
 def _horner(c: list):
-    """q -> sum_k c[k] q^k on float arrays, in the operation order of numpy's
+    """q -> sum_k c[k] q^k on numpy arrays, in the operation order of numpy's
     polyval, updating one fresh array in place."""
     def value(q):
-        q = np.asarray(q, dtype=float)
+        q = np.asarray(q)
         y = c[-1] + q * 0
         for ck in c[-2::-1]:
             y *= q
@@ -635,12 +490,65 @@ def _horner(c: list):
     return value
 
 
+def _roots(c: list) -> np.ndarray:
+    """The roots of sum c[k] q^k as np.roots finds them, the eigenvalues of the companion
+    matrix, but with the leading coefficients dropped while they are zero or so small
+    that another divided by them overflows: the roots they add lie beyond 1e300 or so."""
+    lead = len(c) - 1
+    while lead > 0 and not (c[lead] and max(map(abs, c[:lead])) / abs(c[lead]) < math.inf):
+        lead -= 1
+    companion = np.eye(lead, k=-1)
+    companion[:1] = [-ck / c[lead] for ck in reversed(c[:lead])]
+    return np.linalg.eigvals(companion)
+
+
 def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Potential1D:
+    """V(q) = sum_k coeffs[k] q^k on the bracket (lo, hi), which holds the well: its top
+    is the lower of V at the two ends, its turning points are the real roots of V - E in
+    the bracket (MultiWell where more than two lie there), from the companion matrix and
+    one Newton step on dV, and its bottom the lowest V at the real parts of the roots of
+    V' inside the bracket, which include every stationary point. With none there, the
+    bottom is lo, at or above the top: no level is bound."""
     c = [_finite("polynomial coefficient", float(ck)) for ck in coeffs]
     if not c:
         raise ValueError("polynomial potential needs at least one coefficient")
+    lo, hi = bracket
+    if not -math.inf < lo < hi < math.inf:  # NaN too
+        raise ValueError(f"bracket must be finite ends lo < hi, got {bracket}")
     dc = np.polynomial.polynomial.polyder(c).tolist()
-    return Potential1D(V=_horner(c), mass=mass, bracket=bracket, dV=_horner(dc))
+    V, dV = _horner(c), _horner(dc)
+    with np.errstate(all="ignore"):  # an overflow is refused below, by name
+        v_lo, v_hi = float(V(lo)), float(V(hi))
+        if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
+            raise ValueError(f"V must be finite at the bracket ends, got V({lo}) = {v_lo} "
+                             f"and V({hi}) = {v_hi}")
+        x = min((r for r in _roots(dc).real.tolist() if lo < r < hi), key=V, default=lo)
+        vmin = float(V(x))
+    taylor = c.copy()  # the Taylor coefficients at x, by repeated synthetic division
+    for j in range(len(c)):
+        for i in range(len(c) - 2, j - 1, -1):
+            taylor[i] += x * taylor[i + 1]
+    k = next((j for j in range(2, len(c)) if taylor[j] != 0), 2)
+
+    def newton(q, E):
+        v = d = 0.0  # V(q) and dV(q) by one Horner pass over c, cheaper than two numpy calls
+        for ck in reversed(c):
+            d = d * q + v
+            v = v * q + ck
+        return q - (v - E) / d if d else q
+
+    def inverse(E):
+        q = sorted(r.real for r in _roots([c[0] - E, *c[1:]]).tolist()
+                   if r.imag == 0 and lo <= r.real <= hi)
+        if len(q) > 2:
+            raise MultiWell(f"{len(q)} turning points at E={E}; single well required")
+        if len(q) < 2:
+            raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
+        return newton(q[0], E), newton(q[1], E)
+
+    return Potential1D(V=V, dV=dV, inverse=inverse,
+                       bottom=(vmin, k, taylor[k] if k < len(c) else 0.0),
+                       top=min(v_lo, v_hi), mass=mass)
 
 
 def make_potential(desc: dict) -> Potential1D:
@@ -654,8 +562,6 @@ def make_potential(desc: dict) -> Potential1D:
         return _real(f"{kind} potential key {key!r}", desc.pop(key, default))
 
     kwargs = {"mass": real("mass", 1.0)}
-    if "bracket" in desc:
-        kwargs["bracket"] = tuple(_reals(f"{kind} potential key 'bracket'", desc.pop("bracket"), 2))
     if kind == "harmonic":
         factory = harmonic_potential
         kwargs["omega"] = real("omega", 1.0)
@@ -670,6 +576,9 @@ def make_potential(desc: dict) -> Potential1D:
             raise ValueError("polynomial potential is missing key 'coeffs'")
         factory = polynomial_potential
         kwargs["coeffs"] = _reals("polynomial potential key 'coeffs'", desc.pop("coeffs"))
+        if "bracket" in desc:
+            kwargs["bracket"] = tuple(_reals("polynomial potential key 'bracket'",
+                                             desc.pop("bracket"), 2))
     if desc:
         raise ValueError(f"{kind} potential has unknown key {next(iter(desc))!r}")
     return factory(**kwargs)

@@ -13,13 +13,13 @@ Each library kernel has one entry, and its oracle checks that entry:
 `certify_oracle` the one symplectic certificate (`core._certify`, which
 `SymplecticMatrix` runs), `advance_oracle` the one Verlet kernel
 (`shadows._advance`, a single step at count 1), and `turning_points_oracle`
-`ebk.turning_points` on a solver's `ebk._Well`.
+`ebk.turning_points`, each potential's own inverse.
 The ensemble oracle draws its members with the library's single-member
 `random_symplectic`, so it also checks that a stacked draw matches draws in
 a row; as a single draw takes scipy's expm and a stack the library's
 batched Pade (`core._expm`), it also cross-checks that kernel against
-scipy. The turning-point oracle shares the library's well scan, crossing
-lookup and bisection, and polishes with whole-array masks.
+scipy. The turning-point oracle knows nothing of the library's inverses: it
+runs scipy's brentq on V - E outward from a point inside the well.
 """
 
 import math
@@ -27,13 +27,12 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.linalg import expm
 from scipy.special import ndtri
 from scipy.stats import qmc
 
 from sympcap.core import random_symplectic
-from sympcap.ebk import _bisect, _crossings
-from sympcap.errors import MultiWell, NoClassicalRegion
 
 
 def morse_levels(D, a, mass, hbar):
@@ -260,52 +259,28 @@ def squeezing_map(plane, n, lam):
     return np.diag(d)
 
 
-def turning_points_oracle(well, E):
-    """`ebk.turning_points` on a solver's `ebk._Well`, with its polish run on numpy
-    arrays and masks: the chord start across each crossing cell, the second-order warm
-    start where it lands in the cell, the convergence test `|step| <= 4 eps |x| or
-    |f| <= 4 eps |E|`, the in-cell test and the V'' estimate from the last two iterates
-    all build arrays. Reads and updates the warm state `well.warm` as the library
-    does, with arrays for its pairs."""
-    eps = np.finfo(float).eps
-    pot, (q, v, vmin, runs) = well.pot, well.scan
-    if not vmin < E:
-        raise NoClassicalRegion(f"E={E} is below the potential minimum")
-    cells = _crossings(runs, E)
-    if cells.size > 2:
-        raise MultiWell(f"{cells.size} turning points at E={E}; single well required")
-    if cells.size < 2:
-        raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
-    a, b = q[cells], q[cells + 1]
-    va, vb = v[cells], v[cells + 1]
-    warm = well.warm
-    with np.errstate(all="ignore"):
-        x = a + (E - va) / (vb - va) * (b - a)
-        if warm:
-            E0, x0, d0, c0 = warm[0], *(np.asarray(pair) for pair in warm[1:])
-            t = (E - E0) / d0
-            guess = x0 + t - 0.5 * c0 * t * t / d0
-            x = np.where((d0 != 0) & (a <= guess) & (guess <= b), guess, x)
-        iterates = []
-        for _ in range(8):
-            f = np.asarray(pot.V(x), dtype=float) - E
-            d = np.asarray(pot.dV(x), dtype=float)
-            step = f / d
-            iterates.append((x, d))
-            x = x - step
-            settled = ((np.abs(step) <= 4 * eps * np.abs(x))
-                       | (np.abs(f) <= 4 * eps * abs(E)))
-            if settled.all():
-                break
-        curvature = np.zeros(2)
-        if len(iterates) > 1:
-            (x_prev, d_prev), (x_last, d_last) = iterates[-2:]
-            curvature = np.where(np.abs(x_last - x_prev) > 4 * eps * np.abs(x_last),
-                                 (d_last - d_prev) / (x_last - x_prev), 0.0)
-    for i in np.flatnonzero(~(settled & (a <= x) & (x <= b))):
-        x[i] = _bisect(lambda s: pot.V(s) - E, float(a[i]), float(b[i]))
-    well.warm = (E, x, iterates[-1][1], curvature)
-    return float(x[0]), float(x[1])
+def turning_points_oracle(V, E, inside):
+    """The turning points q- < q+ of V(q) = E on either side of `inside`, a point with
+    V < E: on each side the first of the intervals [inside + s 2^(j-1), inside + s 2^j]
+    (s = -1, then +1; j from -10 up) whose outer end has V > E, then scipy's brentq on
+    V - E there, then ulp by ulp outward to the first float where V - E is not
+    negative: the sign change of the rounded V - E."""
+    def g(q):
+        return float(V(q)) - E
+
+    roots = []
+    for s in (-1.0, 1.0):
+        near, width = inside, 2.0 ** -10
+        while not g(inside + s * width) > 0:
+            near, width = inside + s * width, 2.0 * width
+        far = inside + s * width
+        q = brentq(g, min(near, far), max(near, far), xtol=5e-324, rtol=4 * np.finfo(float).eps)
+        while g(q) < 0:
+            q = np.nextafter(q, far)
+        while g(np.nextafter(q, near)) >= 0:
+            q = np.nextafter(q, near)
+        roots.append(float(q))
+    return tuple(roots)
 
 
 def halton_oracle(count, dim, seed):

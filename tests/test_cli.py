@@ -155,20 +155,44 @@ class TestQuantizeCommands:
         assert json.loads(out)["entries"][0]["energy"] == pytest.approx(1.0, rel=1e-10)
 
     def test_unresolved_well_stops_at_the_cap(self, capsys, monkeypatch):
-        # the well bottom is found at 0 and joins the scan, but the energy search
-        # bisects linearly over some 200 decades: the solver stops with
-        # NoConvergence within its evaluation cap, and does not loop
+        # a Morse ground state takes 4 action evaluations; with a cap of 2 the solver
+        # stops with NoConvergence (exit 3) within the cap, and does not loop
+        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 2)
         action_period, calls = ebk._action_period, []
         monkeypatch.setattr(ebk, "_action_period",
                             lambda *args: calls.append(1) or action_period(*args))
-        code, out = invoke(capsys, "quantize-1d", "--potential", "quartic", "coeff=1e300",
+        code, out = invoke(capsys, "quantize-1d", "--potential", "morse", "D=10", "a=1",
                            "--nmax", "1")
         assert code == 3
-        assert len(calls) <= 2 * ebk._MAX_EVALUATIONS
+        assert len(calls) == 2
         obj = json.loads(out)
         assert obj["error"] == "NoConvergence"
-        assert obj["message"].startswith(f"action {math.pi} not converged in "
-                                         f"{ebk._MAX_EVALUATIONS} action evaluations")
+        assert obj["message"].startswith(f"action {math.pi} not converged in 2 action "
+                                         "evaluations")
+
+    def test_harmonic_well_never_dissociates(self, capsys):
+        # a default bracket of +-60 / (omega sqrt(m)) once confined only E <= 1800, so
+        # n = 18..20 were skipped as "not reached below dissociation"
+        code, out = invoke(capsys, "quantize-1d", "--potential", "harmonic", "omega=100",
+                           "--nmax", "20")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["skipped"] == []
+        assert [e["n"] for e in obj["entries"]] == [[n] for n in range(21)]
+        for e in obj["entries"]:
+            assert e["energy"] == pytest.approx((e["n"][0] + 0.5) * 100.0, rel=1e-12)
+
+    def test_wide_quartic_levels(self, capsys):
+        # 200 decades above the scale of the old bracket: the energy search once ran out
+        # (exit 3). The levels are the power-law EBK levels of c q^4:
+        # (n + 1/2) h = 4 sqrt(2m) B c^(-1/4) E^(3/4), B = int_0^1 sqrt(1 - u^4) du
+        code, out = invoke(capsys, "quantize-1d", "--potential", "quartic", "coeff=1e300",
+                           "--nmax", "1")
+        assert code == 0
+        b = math.gamma(1.25) * math.gamma(1.5) / math.gamma(1.75)
+        for n, e in enumerate(json.loads(out)["entries"]):
+            want = ((n + 0.5) * 2 * math.pi * 1e300 ** 0.25 / (4 * math.sqrt(2) * b)) ** (4 / 3)
+            assert e["energy"] == pytest.approx(want, rel=1e-10)
 
     def test_nonpd_matrix_exit_3(self, capsys):
         m = {"n": 1, "matrix": [1.0, 0.0, 0.0, -1.0]}
@@ -427,8 +451,8 @@ class TestInputErrors:
         (["quantize-1d", "--potential", '{"kind": "polynomial", "coeffs": [0, "1", 0.5]}',
           "--nmax", "1"], "polynomial potential key 'coeffs' entry must be a real number, got '1'"),
         (["quantize-separable", "--potentials",
-          '[{"kind": "harmonic", "bracket": ["-5", 5]}]', "--n", "0"],
-         "harmonic potential key 'bracket' entry must be a real number, got '-5'"),
+          '[{"kind": "polynomial", "coeffs": [0, 0, 1], "bracket": ["-5", 5]}]', "--n", "0"],
+         "polynomial potential key 'bracket' entry must be a real number, got '-5'"),
     ])
     def test_real_not_parsed(self, capsys, argv, message):
         # float() once read the JSON strings "1" and "0.3" as numbers, and its
@@ -569,6 +593,10 @@ class TestInputErrors:
         (["quartic", "coeff=inf"], "quartic coeff must be finite, got inf"),
         (["harmonic", "omega=1", "mass=0"], "mass must be finite and positive, got 0.0"),
         (["quartic", "mass=nan"], "mass must be finite and positive, got nan"),
+        # once exit 0, every level "not reached below dissociation" at an energy of
+        # the old bracket's
+        (["morse", "D=-1"], "morse D must be positive, got -1.0: the potential is not confining"),
+        (["morse", "D=0"], "morse D must be positive, got 0.0: the potential is not confining"),
     ])
     def test_bad_potential_parameter(self, capsys, potential, message):
         code, out = invoke(capsys, "quantize-1d", "--potential", *potential, "--nmax", "1")
@@ -623,6 +651,9 @@ class TestInputErrors:
          "matrix descriptor must be a JSON object with keys 'n' and 'matrix'"),
         (["quantize-1d", "--potential", "harmonic", "foo=1", "--nmax", "1"],
          "harmonic potential has unknown key 'foo'"),
+        # only a polynomial has a bracket: the other wells are inverted in closed form
+        (["quantize-1d", "--potential", "harmonic", "bracket=[-5,5]", "--nmax", "1"],
+         "harmonic potential has unknown key 'bracket'"),
     ])
     def test_wrong_shaped_json(self, capsys, argv, message):
         code, out = invoke(capsys, *argv)
@@ -645,15 +676,17 @@ class TestInputErrors:
         (["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,1],"foo":1}'],
          "matrix descriptor has unknown key 'foo'"),
         (["shadow", "--random", "0"], "need N >= 1, got 0"),
-        (["quantize-1d", "--potential", "harmonic", "bracket=5", "--nmax", "0"],
-         "harmonic potential key 'bracket' must be an array of 2 real numbers, got 5"),
-        (["quantize-1d", "--potential", "harmonic", "bracket=[1]", "--nmax", "0"],
-         "harmonic potential key 'bracket' must be an array of 2 real numbers, got an array of 1"),
-        (["quantize-1d", "--potential", "harmonic", "bracket=[1,2,3]", "--nmax", "0"],
-         "harmonic potential key 'bracket' must be an array of 2 real numbers, got an array of 3"),
+        (["quantize-1d", "--potential", "polynomial", "coeffs=[0,0,1]", "bracket=5", "--nmax", "0"],
+         "polynomial potential key 'bracket' must be an array of 2 real numbers, got 5"),
+        (["quantize-1d", "--potential", "polynomial", "coeffs=[0,0,1]", "bracket=[1]", "--nmax", "0"],
+         "polynomial potential key 'bracket' must be an array of 2 real numbers, got an array "
+         "of 1"),
+        (["quantize-1d", "--potential", "polynomial", "coeffs=[0,0,1]", "bracket=[1,2,3]", "--nmax", "0"],
+         "polynomial potential key 'bracket' must be an array of 2 real numbers, got an array "
+         "of 3"),
         (["quantize-1d", "--potential", '{"kind":"polynomial","coeffs":5}', "--nmax", "0"],
          "polynomial potential key 'coeffs' must be an array of real numbers, got 5"),
-        (["quantize-1d", "--potential", "harmonic", "bracket=[-1e400,1]", "--nmax", "0"],
+        (["quantize-1d", "--potential", "polynomial", "coeffs=[0,0,1]", "bracket=[-1e400,1]", "--nmax", "0"],
          "bracket must be finite ends lo < hi, got (-inf, 1.0)"),
         (["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
           '[1, 0, 0, 1]}, "energy": NaN}'], "energy must be finite and positive, got nan"),
@@ -669,7 +702,7 @@ class TestInputErrors:
          "matrix descriptor key 'matrix' entry must be a real number, got '1'"),
         (["williamson", "--matrix", '{"n":1,"matrix":[1,null,0,1]}'],
          "matrix descriptor key 'matrix' entry must be a real number, got None"),
-        (["quantize-1d", "--potential", "harmonic", "bracket=[-1e200,1e200]", "--nmax", "0"],
+        (["quantize-1d", "--potential", "polynomial", "coeffs=[0,0,1]", "bracket=[-1e200,1e200]", "--nmax", "0"],
          "V must be finite at the bracket ends, got V(-1e+200) = inf and V(1e+200) = inf"),
         (["blob-check", "--value", "x"], "--value must be a real number, got 'x'"),
         (["evolve", "--potential", "harmonic", "--samples", "100", "--times", "0,a"],
@@ -954,12 +987,14 @@ FUZZ_POTENTIALS = [
     "bracket=[true,1]", 'bracket="ab"', "bracket=null", "bracket={}", "bracket=[[1],2]",
     "bracket=[-1e200,1e200]",
     "coeffs=5", 'coeffs="ab"', "coeffs=[true]", "coeffs=null", "coeffs={}", "coeffs=[[1]]",
-    '{"kind":"harmonic","bracket":[1,2,3]}', '{"kind":"polynomial","coeffs":"ab"}',
-    '{"kind":"harmonic","bracket":null}', '{"kind":"polynomial","coeffs":5}',
+    '{"kind":"polynomial","coeffs":[0,0,1],"bracket":[1,2,3]}',
+    '{"kind":"polynomial","coeffs":"ab"}', '{"kind":"polynomial","coeffs":[0,0,1],"bracket":null}',
+    '{"kind":"polynomial","coeffs":5}',
 ]
 FUZZ_SEPARABLE = [
     '[{"kind":"morse"}]', '[{"kind":"harmonic","omega":null}]',
-    '[{"kind":"harmonic","bracket":5}]', '[{"kind":"polynomial","coeffs":{"a":1}}]',
+    '[{"kind":"polynomial","coeffs":[0,0,1],"bracket":5}]',
+    '[{"kind":"polynomial","coeffs":{"a":1}}]',
     '[{"kind":"polynomial","coeffs":null}]', '[{"kind":"harmonic","omega":2}]',
 ]
 FUZZ_MATRICES = [

@@ -83,6 +83,25 @@ def test_linear_algebra_commands_load_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_ebk_commands_load_no_scipy():
+    # every potential is inverted by its own closed form or by np.roots: EBK levels
+    # need no root finder of scipy's
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (
+        "import contextlib, io, sys\n"
+        "from sympcap import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for kind in ('harmonic', 'morse', 'quartic', 'polynomial coeffs=[0,0.1,0.5,0,0.1]'):\n"
+        "        assert cli.run(['quantize-1d', '--potential', *kind.split(), '--nmax', '3']) == 0\n"
+        "    assert cli.run(['quantize-separable', '--potentials', '[{\"kind\": \"morse\"}]',\n"
+        "                    '--n', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_ensemble_loads_no_scipy():
     # a stack of draws is exponentiated by numpy's Pade 13: scipy.linalg's expm
     # cost a cold nonsqueeze-ensemble about 0.2 s
@@ -98,6 +117,20 @@ def test_ensemble_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def private_imports(path):
+    """`line name` for each name beginning with an underscore that `path` imports
+    from the sympcap package."""
+    return [f"{node.lineno} {alias.name}" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympcap"
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_oracles_import_no_private_names():
+    # an oracle that shares a library kernel (the well scan's crossing lookup and
+    # bisection once) checks nothing of that kernel
+    assert private_imports(pathlib.Path(__file__).with_name("oracles.py")) == []
 
 
 # Public names with no caller in the package, each kept for a reason of its own.
