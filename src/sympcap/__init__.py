@@ -2,9 +2,7 @@
 
 from .capacity import (
     BordeauxBottle,
-    CapacityValue,
     Cylinder,
-    EnergyShellRegion,
     bordeaux_bottle_fixture,
     capacity_ball,
     capacity_cylinder,

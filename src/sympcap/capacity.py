@@ -5,7 +5,8 @@ A cylinder over a conjugate plane (q_j, p_j) has capacity pi R^2: no ball
 wider than its hole fits inside (Gromov, Invent. Math. 82, 307 (1985)).
 Over any other coordinate plane its capacity is infinite: a diagonal linear
 symplectic map shrinks both of the plane's coordinates, growing their
-conjugate partners instead, and so takes any ball inside.
+conjugate partners instead, and so takes any ball inside. Every capacity
+is a float, and math.inf is the infinite one.
 
 The capacity of a quadratic energy shell, 2 pi E / w_max
 (`capacity_ellipsoid`), is also the action of its fastest normal-mode orbit.
@@ -29,37 +30,14 @@ SANDWICH_SAMPLES = 10_000  # points of each sampled inclusion check
 SANDWICH_SEED = 0  # of the inner-ball draw; the bounding-box draw uses SANDWICH_SEED + 1
 
 
-@dataclass(frozen=True)
-class CapacityValue:
-    """A symplectic area: a nonnegative number or an explicit infinity flag.
-
-    `exact` distinguishes analytic values from numerical estimates.
-    """
-
-    value: float
-    exact: bool = True
-    infinite: bool = False
-
-    def __post_init__(self):
-        if not self.infinite and not self.value >= 0:  # NaN too
-            raise ValueError(f"capacity must be nonnegative, got {self.value}")
-
-    @classmethod
-    def infinity(cls) -> "CapacityValue":
-        return cls(value=math.inf, exact=True, infinite=True)
-
-    def to_json(self) -> dict:
-        return {"value": "inf" if self.infinite else self.value, "exact": self.exact}
-
-
-def _area(value: float) -> CapacityValue:
-    """An analytic capacity. One that is not finite (from a NaN input, or an
-    overflow such as pi R^2 at R = 1e200) raises OverflowError, as float
-    arithmetic that overflows does, rather than becoming a NaN or an
-    unflagged infinite value."""
+def _area(value: float) -> float:
+    """A finite analytic capacity. One that is not finite (from a NaN input,
+    or an overflow such as pi R^2 at R = 1e200) raises OverflowError, as
+    float arithmetic that overflows does, rather than passing for the
+    infinite capacity of a nonconjugate cylinder."""
     if not math.isfinite(value):
         raise OverflowError(f"capacity {value} is not finite")
-    return CapacityValue(value=value, exact=True)
+    return value
 
 
 @dataclass(frozen=True)
@@ -84,18 +62,7 @@ class Cylinder:
         return x * x + y * y <= self.radius**2 * (1 + 1e-12)
 
 
-@dataclass(frozen=True)
-class EnergyShellRegion:
-    """Interior of the quadratic energy shell H(z) = E."""
-
-    hamiltonian: QuadraticHamiltonian
-    energy: float
-
-    def __post_init__(self):
-        _positive("energy", self.energy)
-
-
-def capacity_ball(R: float, N: int) -> CapacityValue:
+def capacity_ball(R: float, N: int) -> float:
     """pi R^2, independent of the ambient dimension."""
     _positive("radius", R)
     if N < 1:
@@ -111,22 +78,24 @@ def volume_ball(R: float, N: int) -> float:
     return math.pi**N * R ** (2 * N) / math.factorial(N)
 
 
-def capacity_cylinder(Z: Cylinder) -> CapacityValue:
-    """pi R^2 over a conjugate plane, regardless of N; infinite over any other,
-    for every radius. Over a conjugate plane a radius whose pi R^2 overflows
-    raises OverflowError.
+def capacity_cylinder(Z: Cylinder) -> float:
+    """pi R^2 over a conjugate plane, regardless of N; math.inf over any
+    other, for every radius. Over a conjugate plane a radius whose pi R^2
+    overflows raises OverflowError.
     """
     # two distinct coordinates of one mode j are q_j and p_j
     if Z.plane.i != Z.plane.j:
-        return CapacityValue.infinity()
+        return math.inf
     return _area(math.pi * Z.radius * Z.radius)
 
 
-def capacity_ellipsoid(region: EnergyShellRegion) -> CapacityValue:
-    """2 pi E / w_max with w_max the largest symplectic eigenvalue: the
-    smallest action of a closed orbit on the shell, the fastest normal mode's."""
-    w_max = float(symplectic_eigenvalues(region.hamiltonian)[0])
-    return _area(2.0 * math.pi * region.energy / w_max)
+def capacity_ellipsoid(H: QuadraticHamiltonian, E: float) -> float:
+    """Capacity of the interior of the energy shell H(z) = E, E > 0: 2 pi E /
+    w_max with w_max the largest symplectic eigenvalue, the smallest action of
+    a closed orbit on the shell, the fastest normal mode's."""
+    _positive("energy", E)
+    w_max = float(symplectic_eigenvalues(H)[0])
+    return _area(2.0 * math.pi * E / w_max)
 
 
 @dataclass(frozen=True)
@@ -143,7 +112,7 @@ def capacity_sandwich(oracle: Callable[[np.ndarray], np.ndarray], radius: float,
     `oracle` tests membership in the region and `box` = (lo, hi) encloses
     it in 2N dimensions. Both inclusions are validated on SANDWICH_SAMPLES
     quasi-random points, not proved; the first violation raises
-    CertificateInvalid with a witness point. Returns (CapacityValue,
+    CertificateInvalid with a witness point. Returns (capacity,
     CertificateReport).
     """
     lo, hi = box
@@ -174,7 +143,7 @@ class BordeauxBottle:
 
     oracle: Callable[[np.ndarray], np.ndarray]
     neck_loop_action: float
-    capacity: CapacityValue
+    capacity: float
     report: CertificateReport
 
 

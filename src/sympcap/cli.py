@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import SympcapError
 
 FLOAT_FMT = "%.17g"
 NOT_FINITE = "result is not finite"
+_REAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)")
 
 
 def _fmt(x) -> str:
@@ -41,19 +43,25 @@ def _parse_kv(tokens):
         try:
             out[k] = json.loads(v)
         except json.JSONDecodeError:
-            try:  # a number JSON does not read, such as nan, inf or 1.
-                out[k] = float(v)
+            try:  # a real token JSON does not read, such as nan, inf or 1.
+                out[k] = _parse_float(v)
             except ValueError:
                 out[k] = v
     return out
 
 
-def _parse_float(text: str, name: str) -> float:
-    """float(text), a command-line token; what float() refuses is refused by name."""
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{name} must be a real number, got {text!r}") from None
+def _parse_float(text: str, name: str = "value") -> float:
+    """`text`, a command-line token, as a float: an optional sign, then ASCII
+    digits with at most one point and an optional exponent, or `inf` or
+    `nan`. Anything else (`1_0`, ` 1.5`, `Infinity`, `INF`) and a finite
+    spelling that overflows (`1e400`) are refused by name. The argparse type
+    of every real option."""
+    if not _REAL.fullmatch(text):
+        raise ValueError(f"{name} must be a real number, got {text!r}")
+    value = float(text)
+    if math.isinf(value) and not text.endswith("inf"):
+        raise ValueError(f"{name} {text} overflows a double")
+    return value
 
 
 def _parse_ints(spec: str):
@@ -159,11 +167,17 @@ def cmd_capacity(args):
         result = _capacity_from_descriptor(desc.pop("type", None), desc)
     else:
         raise ValueError("provide --ball, --cylinder or --region")
-    _emit_json(args, result.to_json())
+    _emit_json(args, _capacity_json(result))
     return 0
 
 
-def _capacity_from_descriptor(kind, fields: dict, names=None) -> cap_mod.CapacityValue:
+def _capacity_json(value: float) -> dict:
+    """A capacity as printed: math.inf as the string "inf". `exact` is always
+    true, since every capacity is analytic."""
+    return {"value": "inf" if math.isinf(value) else value, "exact": True}
+
+
+def _capacity_from_descriptor(kind, fields: dict, names=None) -> float:
     """Capacity of a region of type `kind`; `names` maps its descriptor keys to
     the user's spelling, in which `fields` is keyed."""
     if not (isinstance(kind, str) and kind in _REGION_KEYS):
@@ -194,8 +208,7 @@ def _capacity_from_descriptor(kind, fields: dict, names=None) -> cap_mod.Capacit
         return cap_mod.capacity_cylinder(Z)
     if kind == "ellipsoid":
         M = core.matrix_from_json(need("matrix"))
-        region = cap_mod.EnergyShellRegion(core.QuadraticHamiltonian(M), real("energy"))
-        return cap_mod.capacity_ellipsoid(region)
+        return cap_mod.capacity_ellipsoid(core.QuadraticHamiltonian(M), real("energy"))
     bottle = cap_mod.bordeaux_bottle_fixture(real("radius"), real("neck"))
     return bottle.capacity
 
@@ -231,8 +244,8 @@ def cmd_nonsqueeze(args):
     summary = shadows.nonsqueeze_ensemble(args.n, args.count, args.sigma, args.seed)
     witness = summary.nonconjugate_witness
     _emit_json(args, {
-        "n": summary.n_modes,
-        "count": summary.count,
+        "n": args.n,
+        "count": args.count,
         "min_conjugate_det": summary.min_conjugate_det,
         "min_nonconjugate_det": witness["det"] if witness else None,
         "nonconjugate_witness": witness,
@@ -299,9 +312,7 @@ def cmd_dos(args):
 
 def cmd_blob_check(args):
     cfg = ebk.PlanckConfig(args.hbar)
-    cap = (cap_mod.CapacityValue.infinity() if args.value == "inf"
-           else cap_mod.CapacityValue(_parse_float(args.value, "--value"), exact=True))
-    n = ebk.blob_check(cap, cfg, tol=args.tol)
+    n = ebk.blob_check(_parse_float(args.value, "--value"), cfg, tol=args.tol)
     _emit_json(args, {"blob_index": n, "is_blob": n is not None})
     return 0
 
@@ -309,9 +320,9 @@ def cmd_blob_check(args):
 def cmd_bottle_demo(args):
     bottle = cap_mod.bordeaux_bottle_fixture(args.radius, args.neck)
     _emit_json(args, {
-        "capacity": bottle.capacity.to_json(),
+        "capacity": _capacity_json(bottle.capacity),
         "neck_loop_action": bottle.neck_loop_action,
-        "neck_action_below_capacity": bottle.neck_loop_action < bottle.capacity.value,
+        "neck_action_below_capacity": bottle.neck_loop_action < bottle.capacity,
         "certificate": {
             "inner_samples": bottle.report.inner_samples,
             "region_hits": bottle.report.region_hits,
@@ -342,6 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     def integer(text):
         return core._parse_int(text)
 
+    def real(text):
+        return _parse_float(text)
+
     def seed(text):
         if (value := core._parse_int(text)) < 0:
             raise ValueError(text)
@@ -364,28 +378,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--matrix-file", default=None)
     sp.add_argument("--random", type=integer, default=None, metavar="N")
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--radius", type=float, default=1.0)
+    sp.add_argument("--sigma", type=real, default=1.0)
+    sp.add_argument("--radius", type=real, default=1.0)
     sp.add_argument("--plane", default="conjugate:1")
     sp.add_argument("--seed", type=seed, default=0)
-    sp.add_argument("--tol", type=float, default=core.DEFAULT_SYMPLECTIC_TOL)
+    sp.add_argument("--tol", type=real, default=core.DEFAULT_SYMPLECTIC_TOL)
     common(sp)
     sp.set_defaults(handler="cmd_shadow")
 
     sp = sub.add_parser("nonsqueeze-ensemble", help="conjugate-plane determinant sweep")
     sp.add_argument("--n", type=integer, required=True)
     sp.add_argument("--count", type=integer, required=True)
-    sp.add_argument("--sigma", type=float, default=1.0)
+    sp.add_argument("--sigma", type=real, default=1.0)
     sp.add_argument("--seed", type=seed, default=0)
     common(sp)
     sp.set_defaults(handler="cmd_nonsqueeze")
 
     sp = sub.add_parser("evolve", help="advect a ball and estimate shadow areas")
     sp.add_argument("--potential", nargs="+", required=True)
-    sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
+    sp.add_argument("--radius", type=real, default=1.0)
+    sp.add_argument("--dt", type=real, default=1e-3)
     sp.add_argument("--samples", type=integer, default=20_000)
-    sp.add_argument("--grid-cell", type=float, default=0.05)
+    sp.add_argument("--grid-cell", type=real, default=0.05)
     sp.add_argument("--times", default="1")
     sp.add_argument("--plane", default="conjugate:1")
     sp.add_argument("--dump-points", default=None, metavar="PREFIX")
@@ -396,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("quantize-1d", help="EBK levels of a confining 1-D potential")
     sp.add_argument("--potential", nargs="+", required=True)
     sp.add_argument("--nmax", type=integer, required=True)
-    sp.add_argument("--hbar", type=float, default=1.0)
+    sp.add_argument("--hbar", type=real, default=1.0)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     common(sp)
     sp.set_defaults(handler="cmd_quantize_1d")
@@ -405,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--matrix-file", default=None)
     sp.add_argument("--n", required=True, help="comma-separated quantum numbers")
-    sp.add_argument("--hbar", type=float, default=1.0)
+    sp.add_argument("--hbar", type=real, default=1.0)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     common(sp)
     sp.set_defaults(handler="cmd_quantize_quadratic")
@@ -413,32 +427,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("quantize-separable", help="torus level of a separable system")
     sp.add_argument("--potentials", required=True, help="JSON list of potential descriptors")
     sp.add_argument("--n", required=True)
-    sp.add_argument("--hbar", type=float, default=1.0)
+    sp.add_argument("--hbar", type=real, default=1.0)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     common(sp)
     sp.set_defaults(handler="cmd_quantize_separable")
 
     sp = sub.add_parser("dos", help="density of states of an oscillator Hamiltonian")
     sp.add_argument("--ndim", type=integer, default=1)
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--mass", type=float, default=1.0)
-    sp.add_argument("--energy", type=float, required=True)
+    sp.add_argument("--omega", type=real, default=1.0)
+    sp.add_argument("--mass", type=real, default=1.0)
+    sp.add_argument("--energy", type=real, required=True)
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--matrix-file", default=None)
-    sp.add_argument("--hbar", type=float, default=1.0)
+    sp.add_argument("--hbar", type=real, default=1.0)
     common(sp)
     sp.set_defaults(handler="cmd_dos")
 
     sp = sub.add_parser("blob-check", help="match a capacity to a blob index")
     sp.add_argument("--value", required=True)
-    sp.add_argument("--tol", type=float, default=ebk.BLOB_TOL)
-    sp.add_argument("--hbar", type=float, default=1.0)
+    sp.add_argument("--tol", type=real, default=ebk.BLOB_TOL)
+    sp.add_argument("--hbar", type=real, default=1.0)
     common(sp)
     sp.set_defaults(handler="cmd_blob_check")
 
     sp = sub.add_parser("bottle-demo", help="nonconvex counterexample numbers")
-    sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--neck", type=float, default=0.5)
+    sp.add_argument("--radius", type=real, default=1.0)
+    sp.add_argument("--neck", type=real, default=0.5)
     common(sp)
     sp.set_defaults(handler="cmd_bottle_demo")
 

@@ -15,7 +15,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .capacity import CapacityValue
 from .core import QuadraticHamiltonian, _positive, _real, _reals, symplectic_eigenvalues
 from .errors import (
     LevelNotBound,
@@ -96,25 +95,28 @@ class SpectrumResult:
     skipped: list = field(default_factory=list)  # levels above dissociation, with notices
 
 
-def blob_check(cap: CapacityValue, cfg: PlanckConfig, tol: float = BLOB_TOL) -> Optional[int]:
+def blob_check(cap: float, cfg: PlanckConfig, tol: float = BLOB_TOL) -> Optional[int]:
     """Blob index n with |cap - (n + 1/2) h| <= tol * h, if one exists.
 
-    A capacity whose double spacing exceeds max(tol, 4 eps) * h cannot be
-    placed on the ladder: its distance to (n + 1/2) h is lost to rounding
-    (1e308 once read as a blob), so it is refused. The 4 eps floor keeps
-    tol = 0 usable on values below 4h.
+    A NaN or negative capacity is refused, and an infinite one (math.inf)
+    has no index. A capacity whose double spacing exceeds max(tol, 4 eps) * h
+    cannot be placed on the ladder: its distance to (n + 1/2) h is lost to
+    rounding (1e308 once read as a blob), so it is refused. The 4 eps floor
+    keeps tol = 0 usable on values below 4h.
     """
+    if not cap >= 0:  # NaN too
+        raise ValueError(f"capacity must be nonnegative, got {cap}")
     if not tol >= 0:  # NaN too
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    if cap.infinite:
+    if math.isinf(cap):
         raise NotABlob("infinite capacity has no blob index")
     resolution = max(tol, _ULP4) * cfg.h
-    if math.ulp(cap.value) > resolution:
-        raise ValueError(f"capacity {cap.value!r} has double spacing {math.ulp(cap.value):.3e}, "
+    if math.ulp(cap) > resolution:
+        raise ValueError(f"capacity {cap!r} has double spacing {math.ulp(cap):.3e}, "
                          f"coarser than the tolerance max(tol, 4 eps) * h = {resolution:.3e}")
-    x = cap.value / cfg.h - 0.5
+    x = cap / cfg.h - 0.5
     n = round(x)
-    if n >= 0 and abs(cap.value - (n + 0.5) * cfg.h) <= tol * cfg.h:
+    if n >= 0 and abs(cap - (n + 0.5) * cfg.h) <= tol * cfg.h:
         return n
     return None
 

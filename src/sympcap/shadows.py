@@ -104,8 +104,6 @@ def linear_shadow_area(S: SymplecticMatrix, R: float, plane: PlaneSelector) -> S
 
 @dataclass
 class EnsembleSummary:
-    n_modes: int
-    count: int
     min_conjugate_det: float
     nonconjugate_witness: Optional[dict]
     conjugate_bound_held: bool
@@ -163,8 +161,6 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
         k, p = divmod(int(np.argmin(dets[:, N:])), len(nonconj))
         witness = {"member": k, "plane": nonconj[p].label(), "det": float(dets[k, N + p])}
     return EnsembleSummary(
-        n_modes=N,
-        count=count,
         min_conjugate_det=min_conj,
         nonconjugate_witness=witness,
         conjugate_bound_held=min_conj >= 1 - CONJUGATE_TOL,

@@ -12,7 +12,6 @@ import pytest
 from scipy.linalg import expm
 
 from sympcap.capacity import (
-    EnergyShellRegion,
     bordeaux_bottle_fixture,
     capacity_ball,
     capacity_ellipsoid,
@@ -61,9 +60,9 @@ def test_criterion_2_capacity_volume_identity():
     ok = True
     R = 1.234
     for N in range(1, 9):
-        cap = capacity_ball(R, N).value
+        cap = capacity_ball(R, N)
         ok &= abs(volume_ball(R, N) * math.factorial(N) - cap**N) <= 1e-12 * cap**N
-        ok &= cap == capacity_ball(R, 1).value  # independent of N exactly
+        ok &= cap == capacity_ball(R, 1)  # independent of N exactly
     report(2, "volume * N! = capacity^N for N = 1..8", ok)
 
 
@@ -107,13 +106,13 @@ def test_criterion_3_ellipsoid_capacity_minimal_action():
         N = int(rng.integers(1, 5))
         M = random_pd_matrix(rng, N)
         E = float(rng.uniform(0.2, 4.0))
-        cap = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(M), E)).value
+        cap = capacity_ellipsoid(QuadraticHamiltonian(M), E)
         on_orbit, actions = _normal_mode_actions(M, E, check_flow=True)
         ok &= on_orbit and abs(cap - min(actions)) <= 1e-12 * cap
         for _ in range(20):
             S = random_symplectic(N, 0.6, rng)
             Mc = S.matrix.T @ M @ S.matrix
-            cap_c = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(Mc), E)).value
+            cap_c = capacity_ellipsoid(QuadraticHamiltonian(Mc), E)
             on_shell, actions_c = _normal_mode_actions(Mc, E, check_flow=False)
             ok &= abs(cap_c - cap) <= 1e-8 * cap
             ok &= on_shell and abs(cap_c - min(actions_c)) <= 1e-12 * cap_c
@@ -131,8 +130,7 @@ def test_criterion_4_isotropic_capacity_value():
         w = float(rng.uniform(0.2, 5.0))
         E = float(rng.uniform(0.1, 10.0))
         N = int(rng.integers(1, 4))
-        region = EnergyShellRegion(QuadraticHamiltonian.isotropic(N, w, m), E)
-        cap = capacity_ellipsoid(region).value
+        cap = capacity_ellipsoid(QuadraticHamiltonian.isotropic(N, w, m), E)
         ok &= abs(cap - 2 * math.pi * E / w) <= 1e-12 * cap
     report(4, "isotropic shell capacity 2 pi E / w over 50 random triples", ok)
 
@@ -253,7 +251,7 @@ def test_criterion_10_bordeaux_bottle():
     ok = True
     for R, r in ((1.0, 0.5), (2.0, 1.0)):
         b = bordeaux_bottle_fixture(R, r)
-        ok &= b.capacity.value == math.pi * R * R  # exact arithmetic
+        ok &= b.capacity == math.pi * R * R  # exact arithmetic
         ok &= b.neck_loop_action == math.pi * r * r
-        ok &= b.neck_loop_action < b.capacity.value  # strict
+        ok &= b.neck_loop_action < b.capacity  # strict
     report(10, "bottle capacity pi R^2, neck action pi r^2, strict gap", ok)

@@ -7,9 +7,7 @@ import pytest
 
 from sympcap import capacity
 from sympcap.capacity import (
-    CapacityValue,
     Cylinder,
-    EnergyShellRegion,
     bordeaux_bottle_fixture,
     capacity_ball,
     capacity_cylinder,
@@ -26,13 +24,13 @@ from oracles import normal_mode_actions, random_pd_matrix, squeezing_map
 
 class TestBallCapacity:
     def test_unit_ball(self):
-        assert capacity_ball(1.0, 3).value == pytest.approx(math.pi, abs=0)
+        assert capacity_ball(1.0, 3) == pytest.approx(math.pi, abs=0)
 
     def test_dimension_independence(self):
-        assert capacity_ball(1.0, 1).value == capacity_ball(1.0, 7).value
+        assert capacity_ball(1.0, 1) == capacity_ball(1.0, 7)
 
     def test_scaling(self):
-        assert capacity_ball(2.0, 1).value == pytest.approx(4 * math.pi, rel=1e-15)
+        assert capacity_ball(2.0, 1) == pytest.approx(4 * math.pi, rel=1e-15)
 
     @pytest.mark.parametrize("R,error,message", [
         (math.nan, ValueError, "radius must be finite and positive, got nan"),
@@ -66,7 +64,7 @@ class TestBallVolume:
     def test_volume_capacity_identity(self, N):
         R = 1.37
         lhs = volume_ball(R, N) * math.factorial(N)
-        rhs = capacity_ball(R, N).value ** N
+        rhs = capacity_ball(R, N) ** N
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -89,15 +87,15 @@ def sphere_points(count, dim, radius, seed=0):
 class TestCylinderCapacity:
     def test_basic(self):
         Z = Cylinder(PlaneSelector.conjugate(1), 1.0, 3)
-        assert capacity_cylinder(Z).value == pytest.approx(math.pi)
+        assert capacity_cylinder(Z) == pytest.approx(math.pi)
 
     def test_blob_sized(self):
         Z = Cylinder(PlaneSelector.conjugate(2), math.sqrt(3.0), 2)
-        assert capacity_cylinder(Z).value == pytest.approx(3 * math.pi, rel=1e-15)
+        assert capacity_cylinder(Z) == pytest.approx(3 * math.pi, rel=1e-15)
 
     def test_degenerate_disk(self):
         Z = Cylinder(PlaneSelector.conjugate(1), 1.0, 1)
-        assert capacity_cylinder(Z).value == pytest.approx(math.pi)
+        assert capacity_cylinder(Z) == pytest.approx(math.pi)
 
     @pytest.mark.parametrize("kind", ["foo", "", "QQ", "conjugate:1", None, 1])
     def test_unknown_plane_kind_is_bad_input(self, kind):
@@ -131,7 +129,7 @@ class TestCylinderCapacity:
         assert r * r * np.linalg.eigvalsh(block).max() <= R * R * (1 + 1e-12)
         Z = Cylinder(plane, R, N)
         assert Z.contains(sphere_points(2000, 2 * N, r) @ S.T).all()
-        assert capacity_cylinder(Z).infinite
+        assert capacity_cylinder(Z) == math.inf
 
     @pytest.mark.parametrize("ratio", [2.0, 10.0])
     @pytest.mark.parametrize("N,j", [(2, 1), (2, 2), (3, 1), (3, 3)])
@@ -145,46 +143,51 @@ class TestCylinderCapacity:
         assert np.linalg.det(block) >= 1 - 1e-12
         Z = Cylinder(plane, R, N)
         assert not Z.contains(sphere_points(2000, 2 * N, ratio * R) @ S.T).all()
-        assert capacity_cylinder(Z) == CapacityValue(math.pi * R * R)
+        assert capacity_cylinder(Z) == math.pi * R * R
 
 
 class TestEllipsoidCapacity:
     def test_isotropic(self):
         for m, w, E in [(1.0, 1.0, 1.0), (2.0, 3.0, 0.7), (0.5, 0.2, 5.0)]:
-            region = EnergyShellRegion(QuadraticHamiltonian.isotropic(2, w, m), E)
-            assert capacity_ellipsoid(region).value == pytest.approx(
-                2 * math.pi * E / w, rel=1e-12)
+            H = QuadraticHamiltonian.isotropic(2, w, m)
+            assert capacity_ellipsoid(H, E) == pytest.approx(2 * math.pi * E / w, rel=1e-12)
 
     def test_unit_ball_region(self):
-        region = EnergyShellRegion(QuadraticHamiltonian(np.eye(4)), 0.5)
-        assert capacity_ellipsoid(region).value == pytest.approx(math.pi, rel=1e-12)
+        assert capacity_ellipsoid(QuadraticHamiltonian(np.eye(4)), 0.5) == pytest.approx(
+            math.pi, rel=1e-12)
 
     def test_two_frequencies_via_conjugation(self):
         # conjugate diag(1,3,1,3) by a random symplectic; w_max = 3 survives
         S = random_symplectic(2, 0.8, seed=21)
         M = S.matrix.T @ np.diag([1.0, 3.0, 1.0, 3.0]) @ S.matrix
-        region = EnergyShellRegion(QuadraticHamiltonian(M), 1.0)
-        assert capacity_ellipsoid(region).value == pytest.approx(2 * math.pi / 3, rel=1e-8)
+        assert capacity_ellipsoid(QuadraticHamiltonian(M), 1.0) == pytest.approx(
+            2 * math.pi / 3, rel=1e-8)
 
     def test_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
-            capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(np.diag([1.0, -2.0])), 1.0))
+            capacity_ellipsoid(QuadraticHamiltonian(np.diag([1.0, -2.0])), 1.0)
 
     def test_indefinite_shell_has_no_minimal_action(self):
         # an indefinite shell is no ellipsoid and has no minimal-action orbit,
         # so the capacity (the action of that orbit) is refused
-        region = EnergyShellRegion(QuadraticHamiltonian(np.diag([1.0, 2.0, -1.0, 1.0])), 1.0)
+        H = QuadraticHamiltonian(np.diag([1.0, 2.0, -1.0, 1.0]))
         with pytest.raises(NotPositiveDefinite):
-            capacity_ellipsoid(region)
+            capacity_ellipsoid(H, 1.0)
+
+    @pytest.mark.parametrize("E", [0.0, -1.0, math.nan, math.inf])
+    def test_energy_refused_by_name(self, E):
+        # checked before the spectrum, so a NaN energy is not "not finite"
+        with pytest.raises(ValueError, match=f"energy must be finite and positive, got {E}"):
+            capacity_ellipsoid(QuadraticHamiltonian(np.eye(2)), E)
 
     def test_spectrum_alone_matches_williamson(self):
         # w_max from eig(JM) instead of the normal form: the same to rounding
         rng = np.random.default_rng(42)
         for N in (1, 2, 3, 4):
             for _ in range(6):
-                region = EnergyShellRegion(QuadraticHamiltonian(random_pd_matrix(rng, N)), 0.7)
-                want = 2 * math.pi * 0.7 / williamson(region.hamiltonian).omegas[0]
-                got = capacity_ellipsoid(region).value
+                H = QuadraticHamiltonian(random_pd_matrix(rng, N))
+                want = 2 * math.pi * 0.7 / williamson(H).omegas[0]
+                got = capacity_ellipsoid(H, 0.7)
                 assert got == pytest.approx(want, rel=32 * sys.float_info.epsilon, abs=0)
 
     def test_symplectic_invariance(self):
@@ -193,9 +196,9 @@ class TestEllipsoidCapacity:
             N = int(rng.integers(1, 5))
             M = random_pd_matrix(rng, N)
             S = random_symplectic(N, 0.6, rng)
-            c1 = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(M), 1.0)).value
+            c1 = capacity_ellipsoid(QuadraticHamiltonian(M), 1.0)
             Mc = S.matrix.T @ M @ S.matrix
-            c2 = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(Mc), 1.0)).value
+            c2 = capacity_ellipsoid(QuadraticHamiltonian(Mc), 1.0)
             assert c2 == pytest.approx(c1, rel=1e-8)
 
     def test_monotone_in_region_inclusion(self):
@@ -205,8 +208,8 @@ class TestEllipsoidCapacity:
             M2 = random_pd_matrix(rng, 2)
             G = rng.normal(size=(4, 4))
             M1 = M2 + G @ G.T
-            c1 = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(M1), 1.0)).value
-            c2 = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(M2), 1.0)).value
+            c1 = capacity_ellipsoid(QuadraticHamiltonian(M1), 1.0)
+            c2 = capacity_ellipsoid(QuadraticHamiltonian(M2), 1.0)
             assert c1 <= c2 * (1 + 1e-10)
 
 
@@ -214,19 +217,18 @@ class TestMinimalAction:
     """The ellipsoid capacity is the action of the fastest normal-mode orbit."""
 
     def test_isotropic(self):
-        region = EnergyShellRegion(QuadraticHamiltonian.isotropic(3, 2.0), 1.5)
-        assert capacity_ellipsoid(region).value == pytest.approx(2 * math.pi * 1.5 / 2.0,
-                                                                 rel=1e-12)
+        assert capacity_ellipsoid(QuadraticHamiltonian.isotropic(3, 2.0), 1.5) == pytest.approx(
+            2 * math.pi * 1.5 / 2.0, rel=1e-12)
 
     def test_unit_circle(self):
-        region = EnergyShellRegion(QuadraticHamiltonian(np.eye(2)), 0.5)
-        assert capacity_ellipsoid(region).value == pytest.approx(math.pi, rel=1e-12)
+        assert capacity_ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.5) == pytest.approx(
+            math.pi, rel=1e-12)
 
     def test_against_orbit_integration(self):
         # integrate both normal-mode orbits and trapezoid their circulation
         M = np.diag([1.0, 3.0, 1.0, 3.0])
         oracle_actions = normal_mode_actions(M, E=1.0)
-        action = capacity_ellipsoid(EnergyShellRegion(QuadraticHamiltonian(M), 1.0)).value
+        action = capacity_ellipsoid(QuadraticHamiltonian(M), 1.0)
         assert action == pytest.approx(min(oracle_actions), rel=1e-6)
         assert action == pytest.approx(2 * math.pi / 3, rel=1e-12)
 
@@ -244,8 +246,7 @@ class TestSandwich:
 
     def test_ball_is_its_own_sandwich(self):
         cap, report = capacity_sandwich(self._ball_oracle(), 1.0, self._box())
-        assert cap.value == pytest.approx(math.pi, abs=0)
-        assert cap.exact
+        assert cap == pytest.approx(math.pi, abs=0)
         assert report.region_hits > 0
 
     def test_oracle_rejecting_center_fails(self):
@@ -270,24 +271,24 @@ class TestSandwich:
 class TestBordeauxBottle:
     def test_reference_numbers(self):
         b = bordeaux_bottle_fixture(1.0, 0.5)
-        assert b.capacity.value == math.pi * 1.0**2
+        assert b.capacity == math.pi * 1.0**2
         assert b.neck_loop_action == math.pi * 0.5**2
-        assert b.neck_loop_action < b.capacity.value
+        assert b.neck_loop_action < b.capacity
 
     def test_scaled(self):
         b = bordeaux_bottle_fixture(2.0, 1.0)
-        assert b.capacity.value == math.pi * 4.0
+        assert b.capacity == math.pi * 4.0
         assert b.neck_loop_action == math.pi
 
     def test_gap_closes_as_neck_widens(self):
         b = bordeaux_bottle_fixture(1.0, 1.0 - 1e-9)
         assert b.neck_loop_action == pytest.approx(math.pi, rel=1e-8)
-        assert b.neck_loop_action < b.capacity.value
+        assert b.neck_loop_action < b.capacity
 
     def test_strict_gap_for_all_necks(self):
         for r in (0.1, 0.3, 0.7, 0.99):
             b = bordeaux_bottle_fixture(1.0, r)
-            assert b.neck_loop_action < b.capacity.value
+            assert b.neck_loop_action < b.capacity
 
     def test_invalid_neck(self):
         with pytest.raises(ValueError, match="neck radius 1.0 must be smaller"):
@@ -317,16 +318,14 @@ class TestBordeauxBottle:
         assert bool(inside_ball) and bool(in_neck) and not bool(outside)
 
 
-class TestCapacityValue:
-    def test_infinite_flag(self):
-        c = CapacityValue.infinity()
-        assert c.infinite and c.to_json()["value"] == "inf"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            CapacityValue(-1.0)
-
-    def test_nan_rejected(self):
-        # NaN once passed `value < 0` and reached blob_check's round()
-        with pytest.raises(ValueError, match="capacity must be nonnegative, got nan"):
-            CapacityValue(math.nan)
+class TestCapacitiesAreFloats:
+    def test_every_capacity_is_a_float(self):
+        # math.inf is the only infinity: no flag beside the value to disagree with it
+        finite = [capacity_ball(1.0, 2),
+                  capacity_cylinder(Cylinder(PlaneSelector.conjugate(1), 1.0, 2)),
+                  capacity_ellipsoid(QuadraticHamiltonian(np.eye(2)), 1.0),
+                  capacity_sandwich(TestSandwich._ball_oracle(), 1.0, TestSandwich._box())[0],
+                  bordeaux_bottle_fixture(1.0, 0.5).capacity]
+        infinite = capacity_cylinder(Cylinder(PlaneSelector.parse("qq:1,2"), 1e-200, 2))
+        assert all(type(c) is float and math.isfinite(c) for c in finite)
+        assert type(infinite) is float and infinite == math.inf

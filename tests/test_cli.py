@@ -244,6 +244,14 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out) == {"blob_index": 1, "is_blob": True}
 
+    def test_blob_check_infinite_value(self, capsys):
+        # inf is the one spelling of an infinite capacity (Infinity, INF,
+        # ' inf' and 1e400 once read as inf too, but exited 2, not 3)
+        code, out = invoke(capsys, "blob-check", "--value", "inf")
+        assert code == 3
+        assert json.loads(out) == {"error": "NotABlob",
+                                   "message": "infinite capacity has no blob index"}
+
     def test_bottle_demo(self, capsys):
         code, out = invoke(capsys, "bottle-demo", "--radius", "1", "--neck", "0.5")
         assert code == 0
@@ -272,6 +280,21 @@ class TestOtherCommands:
         assert code == 0
         dumped = np.loadtxt(f"{prefix}_t0.csv", delimiter=",", skiprows=1)
         assert dumped.shape == (1000, 2)
+
+
+# every real option, with an argv that reads it
+REAL_OPTIONS = [
+    ("--sigma", ["nonsqueeze-ensemble", "--n", "1", "--count", "1"]),
+    ("--radius", ["shadow", "--random", "2"]),
+    ("--dt", ["evolve", "--potential", "harmonic", "--samples", "10"]),
+    ("--grid-cell", ["evolve", "--potential", "harmonic", "--samples", "10"]),
+    ("--hbar", ["quantize-1d", "--potential", "harmonic", "--nmax", "0"]),
+    ("--energy", ["dos"]),
+    ("--omega", ["dos", "--energy", "1"]),
+    ("--mass", ["dos", "--energy", "1"]),
+    ("--tol", ["blob-check", "--value", "1"]),
+    ("--neck", ["bottle-demo"]),
+]
 
 
 class TestInputErrors:
@@ -409,6 +432,10 @@ class TestInputErrors:
          "argument --seed: invalid seed value: '-1'"),
         (["evolve", "--potential", "harmonic", "--samples", "100", "--seed", "-1"],
          "argument --seed: invalid seed value: '-1'"),
+        *[(base + [option, token], f"argument {option}: invalid real value: {token!r}")
+          for option, base in REAL_OPTIONS for token in ("1_0", " 1.5")],
+        *[(["evolve", "--potential", "harmonic", "--samples", "10", "--times", f"0,{token}"],
+           f"--times entry must be a real number, got {token!r}") for token in ("1_0", " 1.5")],
     ])
     def test_integer_not_truncated(self, capsys, argv, message):
         # int() once read N=2.7 as 2, true as 1 and the string "2" as 2, and
@@ -416,7 +443,8 @@ class TestInputErrors:
         # "1.5", named Python's int(), not the key; it also read digit-group
         # underscores, surrounding whitespace and non-ASCII digits. A usage
         # error names what the option takes, not a private function, and a
-        # negative seed is refused by name before numpy sees it
+        # negative seed is refused by name before numpy sees it. Real tokens
+        # follow the same rule: float() once read 1_0 as 10 and ' 1.5' as 1.5
         code = run(argv)
         captured = capsys.readouterr()
         assert code == 2
@@ -467,6 +495,9 @@ class TestInputErrors:
         ["capacity", "--region", '{"type": "ball", "radius": 2, "n": 2}'],
         ["quantize-1d", "--potential", '{"kind": "quartic", "coeff": 1, "mass": 2}', "--nmax", "0"],
         ["nonsqueeze-ensemble", "--n", "+2", "--count", "1", "--seed", "-0"],
+        # the real-token rule's other spellings
+        ["shadow", "--random", "2", "--sigma", "+.5", "--radius", "2.", "--tol", "1E-9"],
+        ["blob-check", "--value", "1e-400"],
     ])
     def test_integer_real_accepted(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -560,6 +591,7 @@ class TestInputErrors:
          "radius must be finite and positive, got nan"),
         (["shadow", "--random", "2", "--radius", "inf"],
          "radius must be finite and positive, got inf"),
+        (["blob-check", "--value=-inf"], "capacity must be nonnegative, got -inf"),
     ])
     def test_nan_refused_before_computing(self, capsys, argv, message):
         code, out = invoke(capsys, *argv)
@@ -707,6 +739,12 @@ class TestInputErrors:
         (["blob-check", "--value", "x"], "--value must be a real number, got 'x'"),
         (["evolve", "--potential", "harmonic", "--samples", "100", "--times", "0,a"],
          "--times entry must be a real number, got 'a'"),
+        (["blob-check", "--value", "Infinity"], "--value must be a real number, got 'Infinity'"),
+        (["blob-check", "--value", " inf"], "--value must be a real number, got ' inf'"),
+        (["blob-check", "--value", "1_0"], "--value must be a real number, got '1_0'"),
+        (["blob-check", "--value", "1e400"], "--value 1e400 overflows a double"),
+        (["capacity", "--ball", "R=1_0", "N=2"],
+         "ball region key 'R' must be a real number, got '1_0'"),
     ])
     def test_refused_by_name(self, capsys, tmp_path, argv, message):
         # once exit 3 (DimensionError), a traceback (a directory for a file),
@@ -972,7 +1010,8 @@ FUZZ_UNKNOWN = ["--bogus", "-h"]
 # option draws from its own kind's pool half the time (FUZZ_OWN) and from
 # the shared pool, every kind together, the other half.
 FUZZ_INTEGERS = ["0", "1", "2", "-1", "+2", "1_0", " 3", "2.5", "0,1", "1,2"]
-FUZZ_REALS = ["0.5", "-0.5", "1e-3", "1e308", "nan", "inf", "-inf", "x", ""]
+FUZZ_REALS = ["0.5", "-0.5", "1e-3", "1e308", "nan", "inf", "-inf", "x", "", "1_0", "Infinity",
+              "1e400"]
 FUZZ_PLANES = ["conjugate:1", "qq:1,2", "qp:2", "pp:1,1"]
 FUZZ_KEY_VALUES = [
     "R=1", "N=2", "R=-1", "N=0", "R=nan", "R=[1]", "N=null", "j=3", "plane=qq", "N=2.5",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sympcap import ebk
-from sympcap.capacity import CapacityValue, capacity_ball, capacity_ellipsoid, EnergyShellRegion
+from sympcap.capacity import capacity_ball, capacity_ellipsoid
 from sympcap.core import QuadraticHamiltonian
 from sympcap.ebk import (
     PlanckConfig,
@@ -106,15 +106,21 @@ class TestBlobCheck:
         assert blob_check(cap, CFG) == 0
 
     def test_level_two_from_energy(self):
-        cap = CapacityValue(2 * math.pi * 2.5)  # 2 pi E / w with E = 2.5 hbar w
+        cap = 2 * math.pi * 2.5  # 2 pi E / w with E = 2.5 hbar w
         assert blob_check(cap, CFG) == 2
 
     def test_between_levels(self):
-        assert blob_check(CapacityValue(0.9 * CFG.h), CFG, tol=0.05) is None
+        assert blob_check(0.9 * CFG.h, CFG, tol=0.05) is None
 
     def test_infinite_rejected(self):
         with pytest.raises(NotABlob):
-            blob_check(CapacityValue.infinity(), CFG)
+            blob_check(math.inf, CFG)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, -math.inf])
+    def test_capacity_nonnegative(self, value):
+        # NaN once passed `value < 0` and reached round(); refused before tol is read
+        with pytest.raises(ValueError, match=f"capacity must be nonnegative, got {value}"):
+            blob_check(value, CFG, tol=math.nan)
 
     @pytest.mark.parametrize("value,tol", [(1e308, 0.05), (1e20, 0.001), (1e17, 0.05),
                                            (40.0, 0.0)])
@@ -122,24 +128,24 @@ class TestBlobCheck:
         # |cap - (n + 1/2) h| once rounded to 0 here: 1e308 read as a blob
         # with a 308-digit index
         with pytest.raises(ValueError, match=r"double spacing .* coarser than the tolerance"):
-            blob_check(CapacityValue(value), CFG, tol=tol)
+            blob_check(value, CFG, tol=tol)
 
     def test_resolution_edge(self):
         # ulp(2^40) = 2^-12 = 2.4e-4 is within 0.001 h = 6.3e-3; ulp(2^46) = 2^-6 is not
-        assert blob_check(CapacityValue(2.0**40), CFG, tol=0.001) is None
+        assert blob_check(2.0**40, CFG, tol=0.001) is None
         with pytest.raises(ValueError, match="double spacing"):
-            blob_check(CapacityValue(2.0**46), CFG, tol=0.001)
+            blob_check(2.0**46, CFG, tol=0.001)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_zero_tol_places_exact_rungs(self, n):
-        assert blob_check(CapacityValue((n + 0.5) * CFG.h), CFG, tol=0.0) == n
-        assert blob_check(CapacityValue((n + 0.6) * CFG.h), CFG, tol=0.0) is None
+        assert blob_check((n + 0.5) * CFG.h, CFG, tol=0.0) == n
+        assert blob_check((n + 0.6) * CFG.h, CFG, tol=0.0) is None
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
     def test_tol_nonnegative(self, tol):
         # a NaN or negative tol once matched no index and answered "no blob"
         with pytest.raises(ValueError, match="tol must be nonnegative"):
-            blob_check(CapacityValue(CFG.h / 2), CFG, tol=tol)
+            blob_check(CFG.h / 2, CFG, tol=tol)
 
 
 class TestQuantizeQuadratic:
@@ -656,8 +662,8 @@ class TestCrossModule:
         H = QuadraticHamiltonian.isotropic(2, omega)
         for n in range(6):
             E_n = (n + 0.5) * CFG.hbar * omega
-            cap = capacity_ellipsoid(EnergyShellRegion(H, E_n))
-            assert cap.value == pytest.approx((n + 0.5) * CFG.h, rel=1e-10)
+            cap = capacity_ellipsoid(H, E_n)
+            assert cap == pytest.approx((n + 0.5) * CFG.h, rel=1e-10)
             assert blob_check(cap, CFG) == n
 
 
