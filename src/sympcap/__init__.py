@@ -8,7 +8,6 @@ from .capacity import (
     capacity_cylinder,
     capacity_ellipsoid,
     capacity_sandwich,
-    volume_ball,
 )
 from .core import (
     QuadraticHamiltonian,
@@ -20,14 +19,12 @@ from .core import (
     williamson,
 )
 from .ebk import (
-    LoopRecord,
     PlanckConfig,
     Potential1D,
     SpectrumEntry,
     SpectrumResult,
     blob_check,
     density_of_states,
-    loop_action,
     make_potential,
     quantize_quadratic,
     spectrum_1d,

@@ -70,14 +70,6 @@ def capacity_ball(R: float, N: int) -> float:
     return _area(math.pi * R * R)
 
 
-def volume_ball(R: float, N: int) -> float:
-    """pi^N R^{2N} / N!  (Lebesgue volume of the 2N-ball)."""
-    _positive("radius", R)
-    if N < 1:
-        raise ValueError(f"need N >= 1, got N={N}")
-    return math.pi**N * R ** (2 * N) / math.factorial(N)
-
-
 def capacity_cylinder(Z: Cylinder) -> float:
     """pi R^2 over a conjugate plane, regardless of N; math.inf over any
     other, for every radius. Over a conjugate plane a radius whose pi R^2

@@ -68,6 +68,14 @@ def _parse_ints(spec: str):
     return [core._parse_int(s, "quantum number") for s in spec.split(",")]
 
 
+def _json(text: str, option: str):
+    """`text`, the value of `option`, read as JSON; a syntax error is refused by the option."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _open(path: str, option: str, mode: str = "r"):
     """open(path); a file that cannot be opened is refused by its option."""
     try:
@@ -78,17 +86,17 @@ def _open(path: str, option: str, mode: str = "r"):
 
 def _load_matrix(args) -> np.ndarray:
     if getattr(args, "matrix", None):
-        return core.matrix_from_json(json.loads(args.matrix))
+        return core.matrix_from_json(_json(args.matrix, "--matrix"))
     if getattr(args, "matrix_file", None):
         with _open(args.matrix_file, "--matrix-file") as fh:
-            return core.matrix_from_json(json.load(fh))
+            return core.matrix_from_json(_json(fh.read(), "--matrix-file"))
     raise ValueError("provide --matrix or --matrix-file")
 
 
 def _parse_potential(args) -> ebk.Potential1D:
     tokens = args.potential
     if len(tokens) == 1 and tokens[0].lstrip().startswith("{"):
-        desc = json.loads(tokens[0])
+        desc = _json(tokens[0], "--potential")
     else:
         desc = _parse_kv(tokens[1:])
         desc["kind"] = tokens[0]
@@ -161,7 +169,7 @@ def cmd_capacity(args):
         kind, tokens = ("ball", args.ball) if args.ball else ("cylinder", args.cylinder)
         result = _capacity_from_descriptor(kind, _parse_kv(tokens), _REGION_TOKENS)
     elif args.region:
-        desc = json.loads(args.region)
+        desc = _json(args.region, "--region")
         if not isinstance(desc, dict):
             raise ValueError("--region must be a JSON object")
         result = _capacity_from_descriptor(desc.pop("type", None), desc)
@@ -276,7 +284,7 @@ def cmd_quantize_1d(args):
     pot = _parse_potential(args)
     cfg = ebk.PlanckConfig(args.hbar)
     res = ebk.spectrum_1d(pot, args.nmax, cfg)
-    _emit_spectrum(args, res.entries, res.hbar, skipped=res.skipped)
+    _emit_spectrum(args, res.entries, cfg.hbar, skipped=res.skipped)
     return 0
 
 
@@ -289,7 +297,7 @@ def cmd_quantize_quadratic(args):
 
 
 def cmd_quantize_separable(args):
-    descs = json.loads(args.potentials)
+    descs = _json(args.potentials, "--potentials")
     if not (isinstance(descs, list) and all(isinstance(d, dict) for d in descs)):
         raise ValueError("--potentials must be a JSON array of potential objects")
     pots = [ebk.make_potential(d) for d in descs]
@@ -306,7 +314,7 @@ def cmd_dos(args):
     else:
         H = core.QuadraticHamiltonian.isotropic(args.ndim, args.omega, args.mass)
     g = ebk.density_of_states(H, args.energy, cfg)
-    _emit_json(args, {"energy": args.energy, "g": g, "mode": "analytic"})
+    _emit_json(args, {"energy": args.energy, "g": g})
     return 0
 
 

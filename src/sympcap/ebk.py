@@ -71,16 +71,6 @@ class Potential1D:
 
 
 @dataclass(frozen=True)
-class LoopRecord:
-    """A loop on a quantized torus: winding numbers, action, Maslov index."""
-
-    nu: tuple
-    action: float
-    maslov: int
-    ebk_integer: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class SpectrumEntry:
     quantum_numbers: tuple
     energy: float
@@ -91,7 +81,6 @@ class SpectrumEntry:
 @dataclass
 class SpectrumResult:
     entries: list
-    hbar: float
     skipped: list = field(default_factory=list)  # levels above dissociation, with notices
 
 
@@ -329,7 +318,7 @@ def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResu
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     well = _Well(pot)
     below, prev = (pot.bottom[0], 0.0, math.inf), None
-    result = SpectrumResult(entries=[], hbar=cfg.hbar)
+    result = SpectrumResult(entries=[])
     for n in range(n_max + 1):
         target = (n + 0.5) * cfg.h
         guess = (_bottom_start(pot, target) if prev is None
@@ -368,42 +357,6 @@ def spectrum_separable(pots: Sequence[Potential1D], n, cfg: PlanckConfig) -> Spe
         actions=tuple(actions),
         maslov_per_loop=(2,) * len(n),
     )
-
-
-def basis_loops(entry: SpectrumEntry) -> list[LoopRecord]:
-    """Unit-winding loop records for each mode of a spectrum entry."""
-    N = len(entry.quantum_numbers)
-    loops = []
-    for j in range(N):
-        nu = tuple(1 if k == j else 0 for k in range(N))
-        loops.append(LoopRecord(nu=nu, action=entry.actions[j], maslov=2,
-                                ebk_integer=entry.quantum_numbers[j]))
-    return loops
-
-
-def loop_action(basis_actions, nu, cfg: PlanckConfig, tol: float = 1e-8) -> LoopRecord:
-    """Action and Maslov index of a torus loop with winding numbers nu.
-
-    action = sum_j nu_j A_j and maslov = 2 sum_j nu_j; when every nu_j >= 0
-    the combination action/h - maslov/4 is verified to be a nonnegative
-    integer (the basis actions must come from a quantized torus).
-    """
-    basis_actions = np.asarray(basis_actions, dtype=float)
-    nu = tuple(int(k) for k in np.atleast_1d(nu))
-    if len(nu) != basis_actions.size:
-        raise ValueError(f"expected {basis_actions.size} winding numbers, got {len(nu)}")
-    action = float(np.dot(nu, basis_actions))
-    maslov = 2 * sum(nu)
-    ebk = None
-    if all(k >= 0 for k in nu):
-        x = action / cfg.h - maslov / 4.0
-        k = round(x)
-        if abs(x - k) > tol or k < 0:
-            raise ValueError(
-                f"basis actions are not quantized: action/h - maslov/4 = {x}"
-            )
-        ebk = int(k)
-    return LoopRecord(nu=nu, action=action, maslov=maslov, ebk_integer=ebk)
 
 
 def density_of_states(H: QuadraticHamiltonian, E: float, cfg: PlanckConfig) -> float:

@@ -51,4 +51,4 @@ class NoConvergence(SympcapError):
 
 
 class NotABlob(SympcapError):
-    """Capacity is infinite (or zero), so no blob index can be assigned."""
+    """Capacity is infinite, so no blob index can be assigned."""

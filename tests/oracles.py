@@ -35,6 +35,11 @@ from scipy.stats import qmc
 from sympcap.core import random_symplectic
 
 
+def ball_volume(R, N):
+    """Lebesgue volume pi^N R^(2N) / N! of the ball of radius R in 2N dimensions."""
+    return math.pi**N * R ** (2 * N) / math.factorial(N)
+
+
 def morse_levels(D, a, mass, hbar):
     """Closed-form Morse bound-state energies."""
     w0 = a * math.sqrt(2.0 * D / mass)

@@ -15,22 +15,21 @@ from sympcap.capacity import (
     bordeaux_bottle_fixture,
     capacity_ball,
     capacity_ellipsoid,
-    volume_ball,
 )
 from sympcap.core import QuadraticHamiltonian, random_symplectic, williamson
 from sympcap.ebk import (
     PlanckConfig,
     density_of_states,
     harmonic_potential,
-    loop_action,
     morse_potential,
     quantize_quadratic,
     quartic_potential,
     spectrum_1d,
+    spectrum_separable,
 )
 from sympcap.shadows import FlowSpec, PlaneSelector, evolve_ball_shadow, nonsqueeze_ensemble
 
-from oracles import morse_levels, quartic_levels, random_pd_matrix
+from oracles import ball_volume, morse_levels, quartic_levels, random_pd_matrix
 
 CFG = PlanckConfig(1.0)
 
@@ -61,7 +60,7 @@ def test_criterion_2_capacity_volume_identity():
     R = 1.234
     for N in range(1, 9):
         cap = capacity_ball(R, N)
-        ok &= abs(volume_ball(R, N) * math.factorial(N) - cap**N) <= 1e-12 * cap**N
+        ok &= abs(ball_volume(R, N) * math.factorial(N) - cap**N) <= 1e-12 * cap**N
         ok &= cap == capacity_ball(R, 1)  # independent of N exactly
     report(2, "volume * N! = capacity^N for N = 1..8", ok)
 
@@ -220,31 +219,25 @@ def test_criterion_8_density_of_states():
     report(8, "level count within O(E^(N-1)) of Weyl's E g(E) / N, (hbar, spectrum) grid", ok)
 
 
+def _ebk_integers_hold(entry):
+    """Each basis loop of `entry` has action/h - maslov/4 equal to its own quantum
+    number, within 1e-8."""
+    return all(abs(action / CFG.h - mu / 4.0 - n) <= 1e-8 for n, action, mu
+               in zip(entry.quantum_numbers, entry.actions, entry.maslov_per_loop))
+
+
 def test_criterion_9_ebk_integer_property():
     ok = True
-    measured = []  # (level, action) of every emitted spectrum entry
     for pot in (harmonic_potential(1.0), morse_potential(10.0, 1.0), quartic_potential(0.25)):
-        res = spectrum_1d(pot, 3, CFG)
-        for entry in res.entries:
-            for action, mu in zip(entry.actions, entry.maslov_per_loop):
-                x = action / CFG.h - mu / 4.0
-                ok &= abs(x - round(x)) <= 1e-8 and round(x) >= 0
-            measured.append((entry.quantum_numbers[0], entry.actions[0]))
-    # loop_action on tori of those measured actions, with random nonnegative
-    # windings: its integer is the same combination of the entries' levels
-    rng = np.random.default_rng(99)
-    for _ in range(200):
-        picks = rng.integers(0, len(measured), size=int(rng.integers(1, 5)))
-        nus = rng.integers(0, 6, size=picks.size)
-        try:
-            rec = loop_action([measured[i][1] for i in picks], nus, CFG)
-        except ValueError:  # loop_action refuses actions it finds unquantized
-            ok = False
-            continue
-        want = sum(int(nu) * measured[i][0] for nu, i in zip(nus, picks))
-        x = rec.action / CFG.h - rec.maslov / 4.0
-        ok &= abs(x - want) <= 1e-8 and rec.ebk_integer == want
-    report(9, "action/h - maslov/4 is a nonnegative integer", ok)
+        for entry in spectrum_1d(pot, 3, CFG).entries:
+            ok &= _ebk_integers_hold(entry)
+    # two-mode tori of the separable solver at mixed quantum numbers: each
+    # basis loop carries its own mode's integer, not another mode's
+    for pots in ((harmonic_potential(1.0), morse_potential(10.0, 1.0)),
+                 (morse_potential(10.0, 1.0), quartic_potential(0.25))):
+        for n in ((0, 2), (2, 1), (3, 0), (1, 2)):
+            ok &= _ebk_integers_hold(spectrum_separable(pots, n, CFG))
+    report(9, "action/h - maslov/4 is each loop's quantum number", ok)
 
 
 def test_criterion_10_bordeaux_bottle():

@@ -13,13 +13,12 @@ from sympcap.capacity import (
     capacity_cylinder,
     capacity_ellipsoid,
     capacity_sandwich,
-    volume_ball,
 )
 from sympcap.core import QuadraticHamiltonian, SymplecticMatrix, random_symplectic, williamson
 from sympcap.errors import CertificateInvalid, NotPositiveDefinite
 from sympcap.shadows import PlaneSelector
 
-from oracles import normal_mode_actions, random_pd_matrix, squeezing_map
+from oracles import ball_volume, normal_mode_actions, random_pd_matrix, squeezing_map
 
 
 class TestBallCapacity:
@@ -45,25 +44,10 @@ class TestBallCapacity:
 
 
 class TestBallVolume:
-    @pytest.mark.parametrize("R", [math.nan, math.inf, 0.0])
-    def test_radius_refused_by_name(self, R):
-        # a NaN or infinite radius once gave a NaN or infinite volume
-        with pytest.raises(ValueError, match="^radius must be finite and positive"):
-            volume_ball(R, 2)
-
-    def test_disk(self):
-        assert volume_ball(1.0, 1) == pytest.approx(math.pi, rel=1e-15)
-
-    def test_four_dim(self):
-        assert volume_ball(1.0, 2) == pytest.approx(math.pi**2 / 2, rel=1e-15)
-
-    def test_twelve_dim(self):
-        assert volume_ball(1.0, 6) == pytest.approx(math.pi**6 / 720, rel=1e-15)
-
     @pytest.mark.parametrize("N", range(1, 9))
     def test_volume_capacity_identity(self, N):
         R = 1.37
-        lhs = volume_ball(R, N) * math.factorial(N)
+        lhs = ball_volume(R, N) * math.factorial(N)
         rhs = capacity_ball(R, N) ** N
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

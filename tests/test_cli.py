@@ -236,8 +236,7 @@ class TestOtherCommands:
         code, out = invoke(capsys, "dos", "--matrix", json.dumps(m), "--energy", "1")
         assert code == 0
         obj = json.loads(out)
-        assert obj["g"] == pytest.approx(0.5, rel=1e-12)
-        assert obj["mode"] == "analytic"
+        assert obj == {"energy": 1.0, "g": pytest.approx(0.5, rel=1e-12)}
 
     def test_blob_check(self, capsys):
         code, out = invoke(capsys, "blob-check", "--value", str(3 * math.pi))
@@ -745,13 +744,27 @@ class TestInputErrors:
         (["blob-check", "--value", "1e400"], "--value 1e400 overflows a double"),
         (["capacity", "--ball", "R=1_0", "N=2"],
          "ball region key 'R' must be a real number, got '1_0'"),
+        # JSON text that does not parse, refused by its option
+        (["williamson", "--matrix", "[1"],
+         "--matrix: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+        (["williamson", "--matrix-file", "{dir}/bad.json"],
+         "--matrix-file: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+        (["capacity", "--region", "{bad"],
+         "--region: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["quantize-1d", "--potential", '{"kind": "harmonic",}', "--nmax", "0"],
+         "--potential: Expecting property name enclosed in double quotes: line 1 column 21 "
+         "(char 20)"),
+        (["quantize-separable", "--potentials", "[", "--n", "0"],
+         "--potentials: Expecting value: line 1 column 2 (char 1)"),
     ])
     def test_refused_by_name(self, capsys, tmp_path, argv, message):
         # once exit 3 (DimensionError), a traceback (a directory for a file),
         # Python's or numpy's own text (numpy's overflow warning on stderr for
         # a bracket whose V overflows, float()'s message naming no option),
         # "result is not finite" (a NaN energy, an infinite sigma), or exit 0
-        # (the boolean matrix, the infinite bracket end, the unknown matrix key)
+        # (the boolean matrix, the infinite bracket end, the unknown matrix key);
+        # JSON that did not parse once gave the JSON reader's message, naming no option
+        (tmp_path / "bad.json").write_text("[1")
         argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

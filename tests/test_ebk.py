@@ -12,12 +12,10 @@ from sympcap.core import QuadraticHamiltonian
 from sympcap.ebk import (
     PlanckConfig,
     Potential1D,
-    basis_loops,
     blob_check,
     density_of_states,
     harmonic_potential,
     level_1d,
-    loop_action,
     make_potential,
     morse_potential,
     quantize_quadratic,
@@ -586,43 +584,6 @@ class TestSpectrumSeparable:
         sep = spectrum_separable(pots, n, CFG)
         quad = quantize_quadratic(QuadraticHamiltonian(np.diag(omegas + omegas)), n, CFG)
         assert sep.energy == pytest.approx(quad.energy, rel=1e-10)
-
-    def test_basis_loops(self):
-        entry = spectrum_separable([harmonic_potential(1.0), harmonic_potential(2.0)], (1, 0), CFG)
-        loops = basis_loops(entry)
-        assert [l.nu for l in loops] == [(1, 0), (0, 1)]
-        assert all(l.maslov == 2 for l in loops)
-
-
-class TestLoopAction:
-    def test_single_basis_loop(self):
-        rec = loop_action([(3 + 0.5) * CFG.h], (1,), CFG)
-        assert rec.ebk_integer == 3
-        assert rec.maslov == 2
-
-    def test_zero_winding(self):
-        rec = loop_action([1.5 * CFG.h, 2.5 * CFG.h], (0, 0), CFG)
-        assert rec.action == 0.0 and rec.maslov == 0 and rec.ebk_integer == 0
-
-    def test_diagonal_loop(self):
-        # nu = (1,1) on the (n1, n2) = (1, 2) torus: action 4h, maslov 4
-        rec = loop_action([1.5 * CFG.h, 2.5 * CFG.h], (1, 1), CFG)
-        assert rec.action == pytest.approx(4 * CFG.h, rel=1e-12)
-        assert rec.maslov == 4
-        assert rec.ebk_integer == 3
-
-    def test_random_nonnegative_windings_give_integers(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            k = int(rng.integers(1, 4))
-            ns = rng.integers(0, 6, size=k)
-            nus = rng.integers(0, 5, size=k)
-            rec = loop_action([(n + 0.5) * CFG.h for n in ns], nus, CFG)
-            assert rec.ebk_integer is not None and rec.ebk_integer >= 0
-
-    def test_unquantized_actions_rejected(self):
-        with pytest.raises(ValueError):
-            loop_action([0.77 * CFG.h], (1,), CFG)
 
 
 class TestDensityOfStates:

@@ -133,14 +133,6 @@ def test_oracles_import_no_private_names():
     assert private_imports(pathlib.Path(__file__).with_name("oracles.py")) == []
 
 
-# Public names with no caller in the package, each kept for a reason of its own.
-NO_CALLER_NEEDED = {
-    "volume_ball": "the Liouville volume that criterion 1 contrasts with the capacity",
-    "loop_action": "the action of a torus loop, consumed by the acceptance tests",
-    "basis_loops": "the unit-winding loops whose actions loop_action combines",
-}
-
-
 def uncalled_public_functions(paths):
     """`module.name` or `module.Class.name` for each public top-level function, and
     each public method of a public class, that nothing in `paths` names outside its
@@ -175,8 +167,4 @@ def uncalled_public_functions(paths):
 def test_public_functions_have_a_caller():
     # a public function that only tests call is a second entry to a kernel the
     # package already runs; re-exports in __init__.py are imports, not calls
-    uncalled = uncalled_public_functions(sorted(SRC.glob("*.py")))
-    assert [label for label in uncalled
-            if label.split(".")[-1] not in NO_CALLER_NEEDED] == []
-    # the allow-list holds only names that would otherwise fail
-    assert sorted(label.split(".")[-1] for label in uncalled) == sorted(NO_CALLER_NEEDED)
+    assert uncalled_public_functions(sorted(SRC.glob("*.py"))) == []
