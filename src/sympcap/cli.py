@@ -33,6 +33,18 @@ def _fmt(x) -> str:
     return FLOAT_FMT % x
 
 
+def _finite_or_text(text: str):
+    """A JSON number as a float, or as its own text where that is not finite."""
+    value = float(text)
+    return value if math.isfinite(value) else text
+
+
+# JSON read strictly: Infinity, -Infinity, NaN and a number that overflows (1e400)
+# stay strings, so the reader of each value refuses them by name as not a real number,
+# by the rule of the command-line tokens
+_strict_json = json.JSONDecoder(parse_constant=str, parse_float=_finite_or_text).decode
+
+
 def _parse_kv(tokens):
     """Parse ["R=1", "N=3"] style token lists into a dict."""
     out = {}
@@ -41,7 +53,7 @@ def _parse_kv(tokens):
             raise ValueError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
         try:
-            out[k] = json.loads(v)
+            out[k] = _strict_json(v)
         except json.JSONDecodeError:
             try:  # a real token JSON does not read, such as nan, inf or 1.
                 out[k] = _parse_float(v)
@@ -71,7 +83,7 @@ def _parse_ints(spec: str):
 def _json(text: str, option: str):
     """`text`, the value of `option`, read as JSON; a syntax error is refused by the option."""
     try:
-        return json.loads(text)
+        return _strict_json(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{option}: {exc}") from None
 
@@ -89,7 +101,11 @@ def _load_matrix(args) -> np.ndarray:
         return core.matrix_from_json(_json(args.matrix, "--matrix"))
     if getattr(args, "matrix_file", None):
         with _open(args.matrix_file, "--matrix-file") as fh:
-            return core.matrix_from_json(_json(fh.read(), "--matrix-file"))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"--matrix-file {args.matrix_file!r}: {exc}") from None
+        return core.matrix_from_json(_json(text, "--matrix-file"))
     raise ValueError("provide --matrix or --matrix-file")
 
 

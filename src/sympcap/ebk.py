@@ -52,8 +52,8 @@ class Potential1D:
     """Confining 1-D potential V(q) with mass m, carrying its own inverse.
 
     V and its analytic derivative dV = dV/dq (minus the force) accept numpy arrays,
-    complex ones included. `bottom` = (vmin, k, C) is the leading Taylor term
-    V - vmin ~ C |q - x|^k at the well bottom x, and `top` the energy from which the
+    complex ones included. `bottom` = (vmin, k, w) is the leading Taylor term
+    V - vmin ~ (w |q - x|)^k at the well bottom x, and `top` the energy from which the
     well no longer confines (inf: never). `inverse(E)` gives the turning points
     q- < q+ of V(q) = E for vmin < E < top. A plain value: it carries no solver state
     and can be shared between calls.
@@ -134,6 +134,7 @@ def quantize_quadratic(H: QuadraticHamiltonian, n, cfg: PlanckConfig) -> Spectru
 
 
 _ULP4 = 4 * float(np.finfo(float).eps)  # 4 ulp of 1
+_EXACT_START = 4 * _ULP4  # a level within this of the Taylor start lies on it to rounding
 
 
 def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
@@ -185,22 +186,47 @@ def _action_period(pot: Potential1D, E: float) -> tuple[float, float]:
 
 
 def _bottom_start(pot: Potential1D, target_action: float) -> float:
-    """E at target_action on the leading Taylor term V - vmin = C |q - x|^k at the well
-    bottom, whose action is A = 4 sqrt(2m) B_k C^(-1/k) (E - vmin)^(1/2 + 1/k) with
+    """E at target_action on the leading Taylor term V - vmin = (w |q - x|)^k at the well
+    bottom, whose action is A = 4 sqrt(2m) B_k (E - vmin)^(1/2 + 1/k) / w with
     B_k = int_0^1 sqrt(1 - u^k) du = Gamma(1 + 1/k) Gamma(3/2) / Gamma(3/2 + 1/k).
     Exact for the harmonic and quartic wells; at k = 2 it is vmin + A / T0, T0 the
-    harmonic period. NaN where C is not positive, inf where E - vmin overflows."""
-    vmin, k, C = pot.bottom
+    harmonic period. E - vmin is the power 2k / (k + 2) >= 1 of A w / (4 sqrt(2m) B_k),
+    so it leaves the double range only where that base does, not where C = w^k would
+    (C of `harmonic omega=1e-300` is 0). NaN where w is NaN, inf where E - vmin
+    overflows."""
+    vmin, k, w = pot.bottom
     b = math.gamma(1.0 + 1.0 / k) * math.gamma(1.5) / math.gamma(1.5 + 1.0 / k)
-    with np.errstate(all="ignore"):
-        scale = np.float64(C) ** (1.0 / k) / (4.0 * math.sqrt(2.0 * pot.mass) * b)
-        return vmin + float((target_action * scale) ** (1.0 / (0.5 + 1.0 / k)))
+    base = target_action * w / (4.0 * math.sqrt(2.0 * pot.mass) * b)
+    try:
+        return vmin + base ** (2.0 * k / (k + 2.0))
+    except OverflowError:
+        return math.inf
 
 
-# Action evaluations allowed per level. Levels take at most 16 in the ebk-spectra
-# benchmark (seeds 1 to 5), 39 from a start 200 decades off and 66 from one 8 decades
-# low with no period to step by (tests); pure bisection from a bracket 2^90 times
-# wider than its 4-ulp stop would take 90.
+def _split(a: float, b: float) -> float:
+    """The point that bisects the bracket with ends a and b: their geometric mean where
+    both lie on one side of 0 and span more than three decades, the nearer end floored at
+    2^-52 of the farther (so an end at 0 is approached 26 octaves a step), else their
+    midpoint."""
+    near, far = sorted((abs(a), abs(b)))
+    near = max(near, far * 2.0 ** -52)
+    if far > 1e3 * near and (min(a, b) >= 0 or max(a, b) <= 0):
+        return math.copysign(math.sqrt(near) * math.sqrt(far), a + b)
+    return 0.5 * (a + b)
+
+
+def _newton_settles(E: float, step: float, T: float, curvature: float, stop: float) -> bool:
+    """Whether the Newton point E + step on A(E) lies within `stop` of the level: its
+    error is about |A''| step^2 / (2 T), with A'' = dT/dE = `curvature`. False where
+    the curvature is not finite."""
+    return abs(curvature) * step * step <= 2.0 * T * stop
+
+
+# Action evaluations allowed per level. Levels take at most 15 in the ebk-spectra
+# benchmark (seeds 1 to 5), where a harmonic or quartic level takes 1, a Morse level
+# 2 or 3 and a polynomial one 2 or 3 in quantize-1d; 38 from a start 200 decades off
+# and 66 from one 8 decades low with no period to step by (tests). Pure bisection
+# from a bracket 2^90 times wider than its 4-ulp stop would take 90.
 _MAX_EVALUATIONS = 100
 
 
@@ -213,42 +239,49 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
     fails if it leaves the bracket [e_lo, e_hi] of energies known to lie below and above
     the level, has no finite T, or does not halve the last step once the level is
     `reached` (bracketed from above). A failed step bisects once the level is reached,
-    in log(E - vmin) while the bracket spans more than three decades. Before that it goes
-    to the top, just under the well's `top`, which is evaluated at most once per well
-    and keeps its action; in a well with no top it multiplies E - vmin by 4. Stops at a
-    step of 4 ulp; raises NoConvergence where that takes more than _MAX_EVALUATIONS
-    steps or an action is NaN. An energy below the top without two turning points (one
-    a polynomial's bracket no longer confines, or the bottom itself, where E - vmin
-    underflows) is LevelNotBound.
+    in log(E - vmin) while the bracket spans more than three decades (`_split`). Before
+    that it goes to the top, just under the well's `top`, which is evaluated at most once
+    per well and keeps its action; in a well with no top it multiplies E - vmin by 4.
+    Stops at a step of 4 ulp, or without evaluating again where the Newton point's
+    predicted error is within that stop (`_newton_settles`, with dT/dE from the last
+    two evaluations of the level): then it returns E + step, with action A + T step and
+    period T + step dT/dE. It never returns the start point, nor an unevaluated top.
+    Raises NoConvergence where that takes more than _MAX_EVALUATIONS steps or an action
+    is NaN. An energy below the top without two turning points (one a polynomial's
+    bracket no longer confines, or the bottom itself, where E - vmin underflows) is
+    LevelNotBound.
     The evaluations run under one np.errstate that ignores floating-point warnings.
     """
     pot = well.pot
     vmin, E, A, T = pot.bottom[0], *below
     e_top = pot.top * (1 - math.copysign(1e-12, pot.top))
     e_lo, e_hi, reached, last = E, e_top, False, math.inf
+    e_prev, t_prev = E, math.inf  # the evaluation before the last in this level
     step = guess - E if e_lo < guess < e_hi else None
     with np.errstate(all="ignore"):  # for every evaluation of the level
         for steps in range(_MAX_EVALUATIONS + 1):
             if step is None:
                 step = (target_action - A) / T if T > 0 else math.nan
+                stop = _ULP4 * max(abs(E), abs(below[0]))
                 if (not (T < math.inf and e_lo <= E + step <= e_hi)
                         or (reached and abs(step) > 0.5 * abs(last))):
-                    if reached:  # from the bottom, log(E - vmin) starts 52 octaves down
-                        hi = e_hi - vmin
-                        lo = max(e_lo - vmin, hi * 2.0 ** -52)
-                        mid = vmin + math.sqrt(lo) * math.sqrt(hi)
-                        if not (hi > 1e3 * lo and e_lo < mid < e_hi):
+                    if reached:
+                        mid = vmin + _split(e_lo - vmin, e_hi - vmin)
+                        if not e_lo < mid < e_hi:
                             mid = 0.5 * (e_lo + e_hi)
                     else:
                         mid = e_top if e_top < math.inf else vmin + 4.0 * (E - vmin)
                     step = mid - E
-                # never return the unevaluated start point, nor stop short of an
-                # unevaluated top
-                if (E != below[0] and abs(step) <= _ULP4 * max(abs(E), abs(below[0]))
-                        and (reached or E + step < e_top)):
+                elif E != e_prev and (reached or E + step < e_top):
+                    # A'' = dT/dE from the periods of the last two evaluations of this level
+                    curvature = (T - t_prev) / (E - e_prev)
+                    if _newton_settles(E, step, T, curvature, stop):
+                        return E + step, A + T * step, T + curvature * step
+                if E != below[0] and abs(step) <= stop and (reached or E + step < e_top):
                     return E, A, T
             if steps == _MAX_EVALUATIONS:
                 break
+            e_prev, t_prev = E, T if steps else math.inf
             E, last, step = E + step, step, None
             top = E == e_top and not reached
             if top and well.top_action is not None:
@@ -260,6 +293,9 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
                     if not top:
                         if isinstance(exc, MultiWell):
                             raise
+                        if E == vmin:
+                            raise LevelNotBound(f"action {target_action} lies within rounding "
+                                                f"of the bottom: E - vmin underflows at E={E}")
                         raise LevelNotBound(f"no turning points below the target action: {exc}")
                     A = -math.inf
                 if top:
@@ -310,25 +346,29 @@ def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResu
     """Librational EBK levels n = 0..n_max: solve loop action = (n + 1/2) h.
 
     Each level carries Maslov index 2 (two caustic touches per loop). Level 0 starts
-    from the leading Taylor term at the well bottom, each later one from a Hermite
-    extrapolation of E(A) through the last two points solved (the bottom among them for
-    level 1). Levels above dissociation are skipped with a notice.
+    from the leading Taylor term at the well bottom, and so does each later one while
+    the level below it lies on that term's energy to rounding, as in any pure-power
+    well; otherwise a level starts from a Hermite extrapolation of E(A) through the last
+    two points solved (the bottom among them for level 1). Levels above dissociation
+    are skipped with a notice.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     well = _Well(pot)
-    below, prev = (pot.bottom[0], 0.0, math.inf), None
+    vmin = pot.bottom[0]
+    below, prev, exact = (vmin, 0.0, math.inf), None, True
     result = SpectrumResult(entries=[])
     for n in range(n_max + 1):
         target = (n + 0.5) * cfg.h
-        guess = (_bottom_start(pot, target) if prev is None
-                 else _hermite_start(prev, below, target))
+        start = _bottom_start(pot, target)
+        guess = start if exact else _hermite_start(prev, below, target)
         try:
             prev, below = below, _solve_level(well, target, below, guess)
         except LevelNotBound as exc:
             result.skipped.append({"n": n, "reason": str(exc)})
             continue
         E, action, _ = below
+        exact = abs(E - start) <= _EXACT_START * (start - vmin)
         result.entries.append(
             SpectrumEntry(
                 quantum_numbers=(n,), energy=E, actions=(action,), maslov_per_loop=(2,)
@@ -388,9 +428,10 @@ def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Potential1D:
         r = math.sqrt(2.0 * E / mass) / omega
         return -r, r
 
-    return Potential1D(V=lambda q: 0.5 * mass * omega**2 * np.square(q),
+    # (omega q)^2, not omega^2 q^2: omega^2 underflows from omega of about 1e-154
+    return Potential1D(V=lambda q: 0.5 * mass * np.square(omega * q),
                        dV=lambda q: mass * omega**2 * np.asarray(q), inverse=inverse,
-                       bottom=(0.0, 2, 0.5 * mass * omega**2), mass=mass)
+                       bottom=(0.0, 2, omega * math.sqrt(0.5 * mass)), mass=mass)
 
 
 def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0) -> Potential1D:
@@ -408,7 +449,7 @@ def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0) -> Poten
         return -math.log1p(s) / a, -math.log1p(-s) / a if s < 1.0 else math.inf
 
     return Potential1D(V=lambda q: D * np.square(np.expm1(-a * q)), dV=dV, inverse=inverse,
-                       bottom=(0.0, 2, D * a * a), top=D, mass=mass)
+                       bottom=(0.0, 2, a * math.sqrt(D)), top=D, mass=mass)
 
 
 def quartic_potential(coeff: float = 0.25, mass: float = 1.0) -> Potential1D:
@@ -428,7 +469,7 @@ def quartic_potential(coeff: float = 0.25, mass: float = 1.0) -> Potential1D:
         return -r, r
 
     return Potential1D(V=lambda q: coeff * np.square(np.square(q)), dV=dV, inverse=inverse,
-                       bottom=(0.0, 4, coeff), mass=mass)
+                       bottom=(0.0, 4, math.sqrt(math.sqrt(coeff))), mass=mass)
 
 
 def _horner(c: list):
@@ -457,13 +498,20 @@ def _roots(c: list) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
+_MAX_NEWTON = 200  # safeguarded Newton steps per polynomial turning point
+
+
 def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Potential1D:
     """V(q) = sum_k coeffs[k] q^k on the bracket (lo, hi), which holds the well: its top
-    is the lower of V at the two ends, its turning points are the real roots of V - E in
-    the bracket (MultiWell where more than two lie there), from the companion matrix and
-    one Newton step on dV, and its bottom the lowest V at the real parts of the roots of
-    V' inside the bracket, which include every stationary point. With none there, the
-    bottom is lo, at or above the top: no level is bound."""
+    is the lower of V at the two ends. The real parts of the roots of V' inside the
+    bracket (the companion eigenvalues, computed once) cut it into pieces on which V is
+    monotone, and the bottom is the lowest V at these cuts, which include every
+    stationary point; with none there, the bottom is lo, at or above the top, and no level
+    is bound. The turning points at E lie in the pieces across which V - E changes sign:
+    MultiWell where more than two do. In each, safeguarded Newton (Numerical Recipes'
+    rtsafe) with Halley's correction takes V, V' and V'' from one scalar Horner pass a
+    step; a step that leaves the piece's bracket of the root, or does not halve the step
+    before the last, bisects it (`_split`)."""
     c = [_finite("polynomial coefficient", float(ck)) for ck in coeffs]
     if not c:
         raise ValueError("polynomial potential needs at least one coefficient")
@@ -472,37 +520,80 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
         raise ValueError(f"bracket must be finite ends lo < hi, got {bracket}")
     dc = np.polynomial.polynomial.polyder(c).tolist()
     V, dV = _horner(c), _horner(dc)
-    with np.errstate(all="ignore"):  # an overflow is refused below, by name
-        v_lo, v_hi = float(V(lo)), float(V(hi))
-        if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
-            raise ValueError(f"V must be finite at the bracket ends, got V({lo}) = {v_lo} "
-                             f"and V({hi}) = {v_hi}")
-        x = min((r for r in _roots(dc).real.tolist() if lo < r < hi), key=V, default=lo)
-        vmin = float(V(x))
+
+    def horner(q):
+        """V(q), V'(q) and V''(q) / 2 by one Horner pass over c, cheaper than numpy calls."""
+        v = d = e = 0.0
+        for ck in reversed(c):
+            e = e * q + d
+            d = d * q + v
+            v = v * q + ck
+        return v, d, e
+
+    v_lo, v_hi = horner(lo)[0], horner(hi)[0]  # the bits of V, in its order
+    if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
+        raise ValueError(f"V must be finite at the bracket ends, got V({lo}) = {v_lo} "
+                         f"and V({hi}) = {v_hi}")
+    with np.errstate(all="ignore"):
+        inner = sorted(r for r in _roots(dc).real.tolist() if lo < r < hi)
+    cuts, v_cut = [lo, *inner, hi], [v_lo, *(horner(r)[0] for r in inner), v_hi]
+    x, vmin = min(zip(inner, v_cut[1:-1]), key=lambda point: point[1], default=(lo, v_lo))
     taylor = c.copy()  # the Taylor coefficients at x, by repeated synthetic division
     for j in range(len(c)):
         for i in range(len(c) - 2, j - 1, -1):
             taylor[i] += x * taylor[i + 1]
     k = next((j for j in range(2, len(c)) if taylor[j] != 0), 2)
+    C = taylor[k] if k < len(c) else 0.0
+    w = C ** (1.0 / k) if C >= 0 else math.nan
+    # on each side of x, the Taylor terms t_j |q - x|^j that raise V there
+    terms = {side: [(1.0 / j, t * side ** j) for j, t in enumerate(taylor) if j >= 2
+                    and t * side ** j > 0] for side in (-1, 1)}
 
-    def newton(q, E):
-        v = d = 0.0  # V(q) and dV(q) by one Horner pass over c, cheaper than two numpy calls
-        for ck in reversed(c):
-            d = d * q + v
-            v = v * q + ck
-        return q - (v - E) / d if d else q
+    def crossing(E, i):
+        """The root of V = E in the piece between cuts i and i + 1, V - E <= 0 at `neg`
+        and > 0 at `pos`. It starts from the nearest of the roots of vmin + t_j |q - x|^j
+        = E on the piece's side of x, each a bound on it where every term raises V."""
+        a, b = cuts[i], cuts[i + 1]
+        neg, pos = (a, b) if v_cut[i] <= E else (b, a)
+        side = 1 if a >= x else -1
+        q = x + side * min([((E - vmin) / t) ** p for p, t in terms[side]], default=math.nan)
+        if not a < q < b:
+            q = _split(a, b)
+        older = last = b - a
+        for _ in range(_MAX_NEWTON):
+            v, d, e = horner(q)
+            f = v - E
+            if f < 0:
+                neg = q
+            elif f == 0:
+                return q
+            else:  # NaN too: V beyond range
+                pos = q
+            step = math.inf
+            if d:
+                step = f / d
+                drift = step * e / d  # the Newton point q - step is off by about drift step
+                if abs(drift * step) <= _ULP4 * abs(q):
+                    return q - step / (1.0 - drift)
+                step /= 1.0 - drift  # Halley's step
+            if not (min(neg, pos) < q - step < max(neg, pos)) or abs(step) > 0.5 * abs(older):
+                step = q - _split(neg, pos)
+                if abs(step) <= _ULP4 * abs(q):  # the bracket has closed
+                    return q - step
+            older, last = last, step
+            q -= step
+        raise NoConvergence(f"turning point at E={E} not converged in {_MAX_NEWTON} steps")
 
     def inverse(E):
-        q = sorted(r.real for r in _roots([c[0] - E, *c[1:]]).tolist()
-                   if r.imag == 0 and lo <= r.real <= hi)
-        if len(q) > 2:
-            raise MultiWell(f"{len(q)} turning points at E={E}; single well required")
-        if len(q) < 2:
+        above = [v > E for v in v_cut]
+        pieces = [i for i in range(len(cuts) - 1) if above[i] != above[i + 1]]
+        if len(pieces) > 2:
+            raise MultiWell(f"{len(pieces)} turning points at E={E}; single well required")
+        if len(pieces) < 2:
             raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
-        return newton(q[0], E), newton(q[1], E)
+        return crossing(E, pieces[0]), crossing(E, pieces[1])
 
-    return Potential1D(V=V, dV=dV, inverse=inverse,
-                       bottom=(vmin, k, taylor[k] if k < len(c) else 0.0),
+    return Potential1D(V=V, dV=dV, inverse=inverse, bottom=(vmin, k, w),
                        top=min(v_lo, v_hi), mass=mass)
 
 

@@ -155,7 +155,7 @@ class TestQuantizeCommands:
         assert json.loads(out)["entries"][0]["energy"] == pytest.approx(1.0, rel=1e-10)
 
     def test_unresolved_well_stops_at_the_cap(self, capsys, monkeypatch):
-        # a Morse ground state takes 4 action evaluations; with a cap of 2 the solver
+        # a Morse ground state takes 3 action evaluations; with a cap of 2 the solver
         # stops with NoConvergence (exit 3) within the cap, and does not loop
         monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 2)
         action_period, calls = ebk._action_period, []
@@ -193,6 +193,39 @@ class TestQuantizeCommands:
         for n, e in enumerate(json.loads(out)["entries"]):
             want = ((n + 0.5) * 2 * math.pi * 1e300 ** 0.25 / (4 * math.sqrt(2) * b)) ** (4 / 3)
             assert e["energy"] == pytest.approx(want, rel=1e-10)
+
+    def test_underflowing_well_scale(self, capsys):
+        # C = m omega^2 / 2 underflows to 0 at omega = 1e-300, which once put every
+        # start at the bottom, so both levels were skipped as "below the potential
+        # minimum"; the levels themselves are normal doubles
+        code, out = invoke(capsys, "quantize-1d", "--potential", "harmonic", "omega=1e-300",
+                           "--nmax", "1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["skipped"] == []
+        assert [e["energy"] for e in obj["entries"]] == [
+            pytest.approx(5e-301, rel=1e-12), pytest.approx(1.5e-300, rel=1e-12)]
+
+    def test_underflowing_level_skipped(self, capsys):
+        # the quartic levels at hbar = 1e-300 lie near 1e-401, below every double: each
+        # is skipped with a reason that says so
+        code, out = invoke(capsys, "quantize-1d", "--potential", "quartic", "--hbar", "1e-300",
+                           "--nmax", "1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["entries"] == []
+        assert [s["n"] for s in obj["skipped"]] == [0, 1]
+        assert all("E - vmin underflows at E=0.0" in s["reason"] for s in obj["skipped"])
+
+    def test_coefficients_spanning_150_decades(self, capsys):
+        # 2 + 1e150 q^2 - q^3 / 4 has turning points near +-1e-38; the companion
+        # eigenvalues of V - E read them as 0, and a Newton step from 0 diverged
+        # (NoConvergence, exit 3)
+        code, out = invoke(capsys, "quantize-1d", "--potential",
+                           '{"kind":"polynomial","coeffs":[2,1e-300,1e150,-0.25]}', "--nmax", "1")
+        assert code == 0
+        assert [e["energy"] for e in json.loads(out)["entries"]] == [
+            pytest.approx(2 + (n + 0.5) * math.sqrt(2e150), rel=1e-10) for n in range(2)]
 
     def test_nonpd_matrix_exit_3(self, capsys):
         m = {"n": 1, "matrix": [1.0, 0.0, 0.0, -1.0]}
@@ -390,7 +423,8 @@ class TestInputErrors:
         (["capacity", "--ball", "R=1", "N=2.7"], "ball region key 'N' must be an integer, got 2.7"),
         (["capacity", "--ball", "R=1", "N=true"],
          "ball region key 'N' must be an integer, got True"),
-        (["capacity", "--ball", "R=1", "N=NaN"], "ball region key 'N' must be an integer, got nan"),
+        (["capacity", "--ball", "R=1", "N=NaN"],
+         "ball region key 'N' must be an integer, got 'NaN'"),
         (["shadow", "--random", "2", "--plane", "conjugate:1.5"],
          "plane index must be an integer, got '1.5'"),
         (["shadow", "--random", "2", "--plane", "qq:a,2"],
@@ -570,12 +604,12 @@ class TestInputErrors:
         (["nonsqueeze-ensemble", "--n", "2", "--count", "3", "--sigma", "nan"],
          "sigma must be finite and positive, got nan"),
         (["shadow", "--matrix", '{"n": 1, "matrix": [NaN, 0, 0, NaN]}'],
-         "symplectic defect nan exceeds tolerance 1.000e-10"),
+         "matrix descriptor key 'matrix' entry must be a real number, got 'NaN'"),
         (["quantize-1d", "--potential", "harmonic", "--nmax", "1", "--hbar", "nan"],
          "hbar must be finite and positive, got nan"),
         (["capacity", "--region",
           '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": [NaN, 0, 0, 1]}, "energy": 1}'],
-         "matrix entries must be finite"),
+         "matrix descriptor key 'matrix' entry must be a real number, got 'NaN'"),
         (["blob-check", "--value", "nan"], "capacity must be nonnegative, got nan"),
         (["evolve", "--potential", "harmonic", "--samples", "100", "--times", "0,nan"],
          "snapshot time nan is not finite"),
@@ -617,7 +651,7 @@ class TestInputErrors:
         (["quartic", "coeff=nan"], "quartic coeff must be finite, got nan"),
         (["morse", "D=nan"], "morse D must be finite, got nan"),
         (['{"kind":"polynomial","coeffs":[0,NaN,0.5]}'],
-         "polynomial coefficient must be finite, got nan"),
+         "polynomial potential key 'coeffs' entry must be a real number, got 'NaN'"),
         (["harmonic", "omega=nan"], "harmonic omega must be finite and positive, got nan"),
         (["harmonic", "omega=inf"], "harmonic omega must be finite and positive, got inf"),
         (["morse", "a=-1"], "morse a must be finite and positive, got -1.0"),
@@ -718,9 +752,10 @@ class TestInputErrors:
         (["quantize-1d", "--potential", '{"kind":"polynomial","coeffs":5}', "--nmax", "0"],
          "polynomial potential key 'coeffs' must be an array of real numbers, got 5"),
         (["quantize-1d", "--potential", "polynomial", "coeffs=[0,0,1]", "bracket=[-1e400,1]", "--nmax", "0"],
-         "bracket must be finite ends lo < hi, got (-inf, 1.0)"),
+         "polynomial potential key 'bracket' entry must be a real number, got '-1e400'"),
         (["capacity", "--region", '{"type": "ellipsoid", "matrix": {"n": 1, "matrix": '
-          '[1, 0, 0, 1]}, "energy": NaN}'], "energy must be finite and positive, got nan"),
+          '[1, 0, 0, 1]}, "energy": NaN}'],
+         "ellipsoid region key 'energy' must be a real number, got 'NaN'"),
         (["dos", "--energy", "nan"], "energy must be finite and positive, got nan"),
         (["shadow", "--random", "2", "--sigma", "inf"],
          "sigma must be finite and positive, got inf"),
@@ -756,6 +791,29 @@ class TestInputErrors:
          "(char 20)"),
         (["quantize-separable", "--potentials", "[", "--n", "0"],
          "--potentials: Expecting value: line 1 column 2 (char 1)"),
+        # JSON is read strictly: Infinity, NaN and 1e400, which Python's json reads as
+        # floats, are refused by the rule of the command-line tokens, as INF is
+        (["capacity", "--ball", "R=Infinity", "N=2"],
+         "ball region key 'R' must be a real number, got 'Infinity'"),
+        (["capacity", "--ball", "R=INF", "N=2"], "ball region key 'R' must be a real number, got 'INF'"),
+        (["capacity", "--ball", "R=1e400", "N=2"],
+         "ball region key 'R' must be a real number, got '1e400'"),
+        (["capacity", "--ball", "R=-Infinity", "N=2"],
+         "ball region key 'R' must be a real number, got '-Infinity'"),
+        (["capacity", "--region", '{"type": "ball", "radius": Infinity, "n": 2}'],
+         "ball region key 'radius' must be a real number, got 'Infinity'"),
+        (["capacity", "--region", '{"type": "ball", "radius": 1e400, "n": 2}'],
+         "ball region key 'radius' must be a real number, got '1e400'"),
+        (["williamson", "--matrix", '{"n": 1, "matrix": [1, 0, 0, -1E+999]}'],
+         "matrix descriptor key 'matrix' entry must be a real number, got '-1E+999'"),
+        (["quantize-1d", "--potential", '{"kind": "harmonic", "omega": Infinity}', "--nmax", "0"],
+         "harmonic potential key 'omega' must be a real number, got 'Infinity'"),
+        (["quantize-1d", "--potential", "quartic", "coeff=NaN", "--nmax", "0"],
+         "quartic potential key 'coeff' must be a real number, got 'NaN'"),
+        # a --matrix-file that is not UTF-8 text was the codec's message alone
+        (["williamson", "--matrix-file", "{dir}/latin.json"],
+         "--matrix-file '{dir}/latin.json': 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
     ])
     def test_refused_by_name(self, capsys, tmp_path, argv, message):
         # once exit 3 (DimensionError), a traceback (a directory for a file),
@@ -765,6 +823,7 @@ class TestInputErrors:
         # (the boolean matrix, the infinite bracket end, the unknown matrix key);
         # JSON that did not parse once gave the JSON reader's message, naming no option
         (tmp_path / "bad.json").write_text("[1")
+        (tmp_path / "latin.json").write_bytes(b"\xff\xfe")
         argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -396,17 +396,19 @@ class TestSpectrum1D:
             [pytest.approx((n + 0.5) * omega, rel=1e-12) for n in range(4)]
 
     @pytest.mark.parametrize("desc,bound", [
-        ({"kind": "harmonic", "omega": 1.0}, 2.0),
-        ({"kind": "morse", "D": 10.0, "a": 1.0}, 3.2),
-        ({"kind": "quartic", "coeff": 0.25}, 3.8),
-        (BENCH_POLY, 3.5),
+        ({"kind": "harmonic", "omega": 1.0}, 1.0),
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, 2.75),
+        ({"kind": "quartic", "coeff": 0.25}, 1.0),
+        (BENCH_POLY, 2.3),
     ])
     def test_action_evaluations_per_level(self, desc, bound, monkeypatch):
-        # level 0 starts from the leading Taylor term at the bottom, exact for the
-        # harmonic and quartic wells, and levels n >= 1 from a Hermite extrapolation of
-        # E(A), which lands at rounding level for the harmonic (E linear in A) and Morse
-        # (quadratic) wells: 1.91, 3.0, 3.18 and 3.27 here. A Newton step from the level
-        # below took 1.91, 5.0, 4.27 and 4.0
+        # the harmonic and quartic levels start from the leading Taylor term at the
+        # bottom, exact there, and take 1 evaluation each; Morse and BENCH_POLY levels
+        # n >= 1 start from a Hermite extrapolation of E(A), and a Newton step whose
+        # predicted error is within the 4-ulp stop is taken without a confirming
+        # evaluation: 1.0, 2.75, 1.0 and 2.27 here. With every level n >= 1 from the
+        # Hermite start and a confirming evaluation this took 1.91, 3.0, 3.18 and 3.27,
+        # and a Newton step from the level below 1.91, 5.0, 4.27 and 4.0
         action_period, calls = ebk._action_period, []
 
         def counted(p, E, *args):
@@ -416,6 +418,58 @@ class TestSpectrum1D:
         monkeypatch.setattr(ebk, "_action_period", counted)
         res = spectrum_1d(make_potential(desc), 10, CFG)
         assert len(calls) <= bound * len(res.entries)
+
+    @pytest.mark.parametrize("desc,confirmed_counts", [
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, [4, 5, 10, 12]),
+        (BENCH_POLY, [4, 5, 5, 5]),
+    ], ids=["morse", "poly"])
+    def test_no_confirming_evaluation(self, desc, confirmed_counts, monkeypatch):
+        # a Newton step whose predicted error is within the 4-ulp stop is taken without
+        # evaluating the action again there: levels 0..3 each take at least one
+        # evaluation fewer than confirmed_counts, the counts of a solver that evaluated
+        # once more at a point whose step was already under 4 ulp
+        action_period, calls = ebk._action_period, []
+        monkeypatch.setattr(ebk, "_action_period",
+                            lambda p, E: calls.append(E) or action_period(p, E))
+        for n, confirmed in enumerate(confirmed_counts):
+            calls.clear()
+            assert level_1d(make_potential(desc), n, CFG)[1] == pytest.approx(
+                (n + 0.5) * CFG.h, rel=1e-12)
+            assert len(calls) <= confirmed - 1, n
+
+    @staticmethod
+    def _morse_error(D, a, m):
+        """The largest relative distance of the Morse spectrum's levels to their closed
+        form."""
+        exact = morse_levels(D, a, m, CFG.hbar)
+        res = spectrum_1d(morse_potential(D, a, m), 10, CFG)
+        assert len(res.entries) == len(exact)
+        return max(abs(e.energy - x) / x for e, x in zip(res.entries, exact))
+
+    @pytest.mark.parametrize("D,a,m", [(10.0, 1.0, 1.0), (10.0, math.sqrt(20.0) / 3.7, 1.0),
+                                       (8.0, 1.4, 0.7)])
+    def test_morse_levels_to_rounding(self, D, a, m):
+        # every bound Morse level within 1e-13 of the closed form, where the period
+        # grows fastest too: at sqrt(2 m D) / (a hbar) = 3.7 level 3 lies 0.3% below
+        # dissociation. The 1e-8 of the test above cannot tell a solver that stops short
+        # of the level
+        assert self._morse_error(D, a, m) < 1e-13
+
+    def test_curvature_bound_is_needed(self, monkeypatch):
+        # negative control: a stop that takes every Newton step under 1e-3 relative,
+        # ignoring the curvature bound, misses the closed form of the test above
+        monkeypatch.setattr(ebk, "_newton_settles",
+                            lambda E, step, T, curvature, stop: abs(step) < 1e-3 * abs(E))
+        assert self._morse_error(10.0, 1.0, 1.0) > 1e-10
+
+    def test_companion_matrix_once_per_potential(self, monkeypatch):
+        # the roots of V' cut the bracket into monotone pieces once; each turning point
+        # is then a safeguarded Newton solve inside its piece, with no eigenproblem
+        eigvals, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+        pot = make_potential(BENCH_POLY)
+        assert spectrum_1d(pot, 10, CFG).entries
+        assert len(calls) == 1
 
     def test_hermite_start_keeps_levels(self, monkeypatch):
         # with the Hermite start refused (NaN guess), every level is the one a plain
@@ -479,11 +533,12 @@ class TestSpectrum1D:
         assert len(calls) < ebk._MAX_EVALUATIONS
 
     def test_evaluation_cap(self, monkeypatch):
-        # the Morse ground state takes 4 evaluations from the harmonic start
-        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 3)
-        with pytest.raises(NoConvergence, match="not converged in 3 action evaluations"):
+        # the Morse ground state takes 3 evaluations from the harmonic start (4 with a
+        # confirming evaluation at the last Newton point)
+        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 2)
+        with pytest.raises(NoConvergence, match="not converged in 2 action evaluations"):
             level_1d(morse_potential(10.0, 1.0), 0, CFG)
-        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 4)
+        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 3)
         assert level_1d(morse_potential(10.0, 1.0), 0, CFG)[1] == pytest.approx(0.5 * CFG.h)
 
     def test_bracket_top_evaluated_once(self, monkeypatch):
@@ -507,7 +562,13 @@ class TestSpectrum1D:
     @pytest.mark.parametrize("desc", WELL_DESCS, ids=WELL_IDS)
     def test_reentrant(self, desc, monkeypatch):
         # a solve and a turning-point lookup on the same potential, run from inside
-        # each action evaluation of another solve, leave its levels bit for bit
+        # each action evaluation of another solve, leave its levels bit for bit. The
+        # starts are put 10% high, so that level 0 takes several evaluations in every
+        # well (the harmonic and quartic levels take 1 from the exact start): the inner
+        # solves then interleave with an unfinished level
+        start = ebk._bottom_start
+        monkeypatch.setattr(ebk, "_bottom_start",
+                            lambda p, A: p.bottom[0] + 1.1 * (start(p, A) - p.bottom[0]))
         pot = make_potential(desc)
         plain = spectrum_1d(pot, 8, CFG)
         action_period, state = ebk._action_period, {"nested": False, "outer": 0}
