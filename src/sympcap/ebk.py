@@ -281,7 +281,7 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
                     return E, A, T
             if steps == _MAX_EVALUATIONS:
                 break
-            e_prev, t_prev = E, T if steps else math.inf
+            e_prev, t_prev = E, T if steps else math.inf  # the start is not of this level
             E, last, step = E + step, step, None
             top = E == e_top and not reached
             if top and well.top_action is not None:

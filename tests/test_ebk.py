@@ -396,19 +396,18 @@ class TestSpectrum1D:
             [pytest.approx((n + 0.5) * omega, rel=1e-12) for n in range(4)]
 
     @pytest.mark.parametrize("desc,bound", [
-        ({"kind": "harmonic", "omega": 1.0}, 1.0),
-        ({"kind": "morse", "D": 10.0, "a": 1.0}, 2.75),
-        ({"kind": "quartic", "coeff": 0.25}, 1.0),
-        (BENCH_POLY, 2.3),
+        ({"kind": "harmonic", "omega": 1.0}, 2.0),
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, 3.2),
+        ({"kind": "quartic", "coeff": 0.25}, 3.8),
+        (BENCH_POLY, 3.5),
     ])
     def test_action_evaluations_per_level(self, desc, bound, monkeypatch):
-        # the harmonic and quartic levels start from the leading Taylor term at the
-        # bottom, exact there, and take 1 evaluation each; Morse and BENCH_POLY levels
-        # n >= 1 start from a Hermite extrapolation of E(A), and a Newton step whose
-        # predicted error is within the 4-ulp stop is taken without a confirming
-        # evaluation: 1.0, 2.75, 1.0 and 2.27 here. With every level n >= 1 from the
-        # Hermite start and a confirming evaluation this took 1.91, 3.0, 3.18 and 3.27,
-        # and a Newton step from the level below 1.91, 5.0, 4.27 and 4.0
+        # level 0 starts from the leading Taylor term at the bottom, exact for the
+        # harmonic and quartic wells, and levels n >= 1 from a Hermite extrapolation of
+        # E(A), which lands at rounding level for the harmonic (E linear in A) and Morse
+        # (quadratic) wells: 1.91, 3.0, 3.18 and 3.27 here. A Newton step from the level
+        # below took 1.91, 5.0, 4.27 and 4.0. test_evaluations_per_level_tight holds the
+        # counts with exact starts reused and settled Newton points taken
         action_period, calls = ebk._action_period, []
 
         def counted(p, E, *args):
@@ -418,6 +417,23 @@ class TestSpectrum1D:
         monkeypatch.setattr(ebk, "_action_period", counted)
         res = spectrum_1d(make_potential(desc), 10, CFG)
         assert len(calls) <= bound * len(res.entries)
+
+    @pytest.mark.parametrize("desc,per_level", [
+        ({"kind": "harmonic", "omega": 1.0}, 1.0),
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, 2.75),
+        ({"kind": "quartic", "coeff": 0.25}, 1.0),
+        (BENCH_POLY, 2.3),
+    ], ids=WELL_IDS)
+    def test_evaluations_per_level_tight(self, desc, per_level, monkeypatch):
+        # the harmonic and quartic levels n >= 1 start from the leading Taylor term too,
+        # exact there, and take 1 evaluation each; Morse and BENCH_POLY levels take a
+        # Newton step whose predicted error is within the 4-ulp stop without a
+        # confirming evaluation: 1.0, 2.75, 1.0 and 2.27 here
+        action_period, calls = ebk._action_period, []
+        monkeypatch.setattr(ebk, "_action_period",
+                            lambda p, E: calls.append(E) or action_period(p, E))
+        res = spectrum_1d(make_potential(desc), 10, CFG)
+        assert len(calls) <= per_level * len(res.entries)
 
     @pytest.mark.parametrize("desc,confirmed_counts", [
         ({"kind": "morse", "D": 10.0, "a": 1.0}, [4, 5, 10, 12]),
