@@ -219,12 +219,15 @@ def _parse_int(text: str, name: str = "integer") -> int:
 
 def _real(name: str, value) -> float:
     """`value` as a float; anything but a real number (a bool, a string, null,
-    a list) is refused by name rather than parsed."""
-    if type(value) in (float, int):  # what JSON reads, without the ABC check; not a bool
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    a list) is refused by name rather than parsed, and so is an integer beyond
+    the double range, as JSON's 1e400 is."""
+    if type(value) not in (float, int) and (  # what JSON reads, without the ABC check
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 def _reals(name: str, value, size=None) -> list:
@@ -235,7 +238,10 @@ def _reals(name: str, value, size=None) -> list:
         of = "" if size is None else f"{size} "
         raise ValueError(f"{name} must be an array of {of}real numbers, got "
                          + (repr(value) if length is None else f"an array of {length}"))
-    return [float(x) if type(x) in (float, int) else _real(f"{name} entry", x) for x in value]
+    try:
+        return [float(x) if type(x) in (float, int) else _real(f"{name} entry", x) for x in value]
+    except OverflowError:  # an integer beyond the double range
+        return [_real(f"{name} entry", x) for x in value]
 
 
 def _require_positive(w: np.ndarray) -> None:

@@ -51,16 +51,17 @@ def _finite(name: str, value: float) -> float:
 class Potential1D:
     """Confining 1-D potential V(q) with mass m, carrying its own inverse.
 
-    V and its analytic derivative dV = dV/dq (minus the force) accept numpy arrays,
-    complex ones included. `bottom` = (vmin, k, w) is the leading Taylor term
-    V - vmin ~ (w |q - x|)^k at the well bottom x, and `top` the energy from which the
-    well no longer confines (inf: never). `inverse(E)` gives the turning points
-    q- < q+ of V(q) = E for vmin < E < top. A plain value: it carries no solver state
-    and can be shared between calls.
+    V(q) and its analytic derivative dV(q, scale=1, out=None) = scale dV/dq (minus the
+    force, times scale) accept numpy arrays, complex ones included; dV writes into `out`
+    where one is given and returns it, so it serves as a `FlowSpec.grad_V`.
+    `bottom` = (vmin, k, w) is the leading Taylor term V - vmin ~ (w |q - x|)^k at the
+    well bottom x, and `top` the energy from which the well no longer confines (inf:
+    never). `inverse(E)` gives the turning points q- < q+ of V(q) = E for vmin < E < top.
+    A plain value: it carries no solver state and can be shared between calls.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
-    dV: Callable[[np.ndarray], np.ndarray]
+    dV: Callable[..., np.ndarray]
     inverse: Callable[[float], tuple]
     bottom: tuple
     top: float = math.inf
@@ -222,11 +223,12 @@ def _newton_settles(E: float, step: float, T: float, curvature: float, stop: flo
     return abs(curvature) * step * step <= 2.0 * T * stop
 
 
-# Action evaluations allowed per level. Levels take at most 15 in the ebk-spectra
-# benchmark (seeds 1 to 5), where a harmonic or quartic level takes 1, a Morse level
-# 2 or 3 and a polynomial one 2 or 3 in quantize-1d; 38 from a start 200 decades off
-# and 66 from one 8 decades low with no period to step by (tests). Pure bisection
-# from a bracket 2^90 times wider than its 4-ulp stop would take 90.
+# Action evaluations allowed per level. Levels take at most 5 in the ebk-spectra
+# benchmark (seeds 1 to 5): a harmonic or quartic level takes 1, a Morse level 2 or 3
+# and a polynomial one 2 or 3 in quantize-1d, and a Morse level of quantize-separable
+# whose start lies past dissociation 3 to 5; 38 from a start 200 decades off and 66
+# from one 8 decades low with no period to step by (tests). Pure bisection from a
+# bracket 2^90 times wider than its 4-ulp stop would take 90.
 _MAX_EVALUATIONS = 100
 
 
@@ -242,6 +244,9 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
     in log(E - vmin) while the bracket spans more than three decades (`_split`). Before
     that it goes to the top, just under the well's `top`, which is evaluated at most once
     per well and keeps its action; in a well with no top it multiplies E - vmin by 4.
+    Right after the top, while the bracket's lower end is still the bottom, a failed step
+    goes instead to the quadratic E(A) through the bottom and the top, whose slope
+    dE/dA = 1/T is 0 there (`_hermite_start`): exact for Morse.
     Stops at a step of 4 ulp, or without evaluating again where the Newton point's
     predicted error is within that stop (`_newton_settles`, with dT/dE from the last
     two evaluations of the level): then it returns E + step, with action A + T step and
@@ -266,7 +271,12 @@ def _solve_level(well: _Well, target_action: float, below: tuple,
                 if (not (T < math.inf and e_lo <= E + step <= e_hi)
                         or (reached and abs(step) > 0.5 * abs(last))):
                     if reached:
-                        mid = vmin + _split(e_lo - vmin, e_hi - vmin)
+                        if E == e_top and e_lo == vmin:
+                            # E(A) through the bottom and the top, where dE/dA = 1/T = 0
+                            mid = _hermite_start((vmin, 0.0, math.inf), (E, A, T),
+                                                 target_action)
+                        else:
+                            mid = vmin + _split(e_lo - vmin, e_hi - vmin)
                         if not e_lo < mid < e_hi:
                             mid = 0.5 * (e_lo + e_hi)
                     else:
@@ -430,7 +440,8 @@ def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Potential1D:
 
     # (omega q)^2, not omega^2 q^2: omega^2 underflows from omega of about 1e-154
     return Potential1D(V=lambda q: 0.5 * mass * np.square(omega * q),
-                       dV=lambda q: mass * omega**2 * np.asarray(q), inverse=inverse,
+                       dV=lambda q, scale=1.0, out=None: np.multiply(
+                           q, scale * mass * omega**2, out=out), inverse=inverse,
                        bottom=(0.0, 2, omega * math.sqrt(0.5 * mass)), mass=mass)
 
 
@@ -440,9 +451,9 @@ def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0) -> Poten
         raise ValueError(f"morse D must be positive, got {D}: the potential is not confining")
     _positive("morse a", a)
 
-    def dV(q):
+    def dV(q, scale=1.0, out=None):
         x = np.expm1(-a * q)
-        return -2.0 * D * a * x * (1.0 + x)
+        return np.multiply(-2.0 * D * a * scale * x, 1.0 + x, out=out)
 
     def inverse(E):
         s = math.sqrt(E / D)  # below 1, but it rounds to 1 within 1 ulp of D
@@ -458,8 +469,9 @@ def quartic_potential(coeff: float = 0.25, mass: float = 1.0) -> Potential1D:
         raise ValueError(f"quartic coeff must be positive, got {coeff}: the potential is "
                          "not confining")
 
-    def dV(q):
-        f = 4.0 * coeff * q  # 4 coeff q^3 in that order, on one fresh array
+    def dV(q, scale=1.0, out=None):
+        c = 4.0 * coeff * scale  # c q^3 in that order, on `out` or one fresh value
+        f = c * q if out is None else np.multiply(q, c, out=out)
         f *= q
         f *= q
         return f
@@ -473,14 +485,15 @@ def quartic_potential(coeff: float = 0.25, mass: float = 1.0) -> Potential1D:
 
 
 def _horner(c: list):
-    """q -> sum_k c[k] q^k on numpy arrays, in the operation order of numpy's
-    polyval, updating one fresh array in place."""
-    def value(q):
+    """(q, scale=1, out=None) -> sum_k scale c[k] q^k on numpy arrays, in the operation
+    order of numpy's polyval, updating `out` or one fresh array in place."""
+    def value(q, scale=1.0, out=None):
         q = np.asarray(q)
-        y = c[-1] + q * 0
+        y = np.multiply(q, 0, out=out)
+        y += c[-1] * scale
         for ck in c[-2::-1]:
             y *= q
-            y += ck
+            y += ck * scale
         return y
 
     return value

@@ -208,17 +208,22 @@ def certify_oracle(stack, tol):
 
 
 def advance_oracle(q, p, flow, count):
-    """`shadows._advance` as first written: fused half-kicks, a fresh array
-    for every kick and drift, and the drift as dt * (p / mass)."""
+    """`shadows._advance` as first written: fused half-kicks on the unscaled
+    momentum, a fresh array for every force, kick and drift, and the drift as
+    dt * (p / mass)."""
     if count <= 0:
         return
+
+    def force(q):
+        return flow.grad_V(q, 1.0, np.empty_like(q))
+
     dt = flow.dt
-    p -= 0.5 * dt * np.asarray(flow.grad_V(q))
+    p -= 0.5 * dt * force(q)
     for _ in range(count - 1):
         q += dt * (p / flow.mass)
-        p -= dt * np.asarray(flow.grad_V(q))
+        p -= dt * force(q)
     q += dt * (p / flow.mass)
-    p -= 0.5 * dt * np.asarray(flow.grad_V(q))
+    p -= 0.5 * dt * force(q)
 
 
 def quartic_dV_oracle(coeff):

@@ -48,6 +48,7 @@ def read_golden(name):
 # least 16 times either. The absolute floor covers values that are pure
 # rounding noise, such as the Williamson residual of 2.2e-16.
 GOLDEN_FLOAT_TOL = 64 * sys.float_info.epsilon
+BIG_INT = "1" + "0" * 400  # an integer beyond the double range
 
 # Number literals as the CLI prints them: Python float repr, "%.17g" CSV
 # fields and integers. Digits inside words, such as the CSV plane "q1p1",
@@ -814,6 +815,17 @@ class TestInputErrors:
         (["williamson", "--matrix-file", "{dir}/latin.json"],
          "--matrix-file '{dir}/latin.json': 'utf-8' codec can't decode byte 0xff in position 0: "
          "invalid start byte"),
+        # a JSON integer beyond the double range once overflowed float() unnamed, as
+        # "result is not finite"; it is refused by its key, as JSON's 1e400 is
+        (["capacity", "--ball", f"R={BIG_INT}", "N=2"],
+         f"ball region key 'R' must be a real number, got {BIG_INT}"),
+        (["williamson", "--matrix", f'{{"n":1,"matrix":[{BIG_INT},0,0,1]}}'],
+         f"matrix descriptor key 'matrix' entry must be a real number, got {BIG_INT}"),
+        (["quantize-1d", "--potential", "harmonic", f"omega={BIG_INT}", "--nmax", "1"],
+         f"harmonic potential key 'omega' must be a real number, got {BIG_INT}"),
+        # the Verlet kernel carries (dt / mass) p, which would be subnormal
+        (["evolve", "--potential", "harmonic", "--dt", "1e-300", "--samples", "10", "--times", "0"],
+         "dt / mass = 1e-300 is below 2^-960: the momentum scaled by it would be subnormal"),
     ])
     def test_refused_by_name(self, capsys, tmp_path, argv, message):
         # once exit 3 (DimensionError), a traceback (a directory for a file),

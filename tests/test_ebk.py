@@ -557,6 +557,24 @@ class TestSpectrum1D:
         monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 3)
         assert level_1d(morse_potential(10.0, 1.0), 0, CFG)[1] == pytest.approx(0.5 * CFG.h)
 
+    @pytest.mark.parametrize("lam", [3.7, 4.0, 4.3])
+    def test_morse_start_above_dissociation(self, lam, monkeypatch):
+        # at sqrt(2 m D) / (a hbar) = lam the harmonic start of levels 2 and 3 lies above
+        # dissociation. From the top, where dE/dA = 1/T = 0, the next point is the
+        # quadratic E(A) through the bottom and the top, exact for Morse: 3 evaluations
+        # a level. Bisecting down from 2^-52 of the top took 9 to 15
+        D = 10.0
+        a = math.sqrt(2.0 * D) / (lam * CFG.hbar)
+        exact = morse_levels(D, a, 1.0, CFG.hbar)
+        action_period, calls = ebk._action_period, []
+        monkeypatch.setattr(ebk, "_action_period",
+                            lambda p, E: calls.append(E) or action_period(p, E))
+        for n in (2, 3):
+            calls.clear()
+            assert level_1d(morse_potential(D, a), n, CFG)[0] == pytest.approx(exact[n],
+                                                                              rel=1e-13)
+            assert len(calls) <= 3, n
+
     def test_bracket_top_evaluated_once(self, monkeypatch):
         # levels 4..10 lie past dissociation: each is refused at the top of the
         # well, whose action is computed for the first of them only
@@ -796,13 +814,17 @@ class TestPotentialFactory:
     ], ids=WELL_IDS)
     def test_complex_step_derivative(self, desc):
         # V keeps a complex argument complex, so V(x + ih).imag / h is dV(x) with no
-        # cancellation; a cast to float once dropped the imaginary part
+        # cancellation; a cast to float once dropped the imaginary part. dV does too, at
+        # any scale: its complex step is scale V''(x)
         pot = make_potential(desc)
         for x in (-0.7, 0.3, 1.1, 2.5):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = complex(pot.V(x + 1e-30j)).imag / 1e-30
+                d2V = complex(pot.dV(x + 1e-30j, 0.5)).imag / 1e-30
             assert got == pytest.approx(float(pot.dV(x)), rel=1e-13)
+            fd = (float(pot.dV(x + 1e-6)) - float(pot.dV(x - 1e-6))) / 2e-6
+            assert d2V == pytest.approx(0.5 * fd, rel=1e-6)
 
     @pytest.mark.parametrize("coeff", [0.0, -1.0])
     def test_nonconfining_quartic_rejected(self, coeff):

@@ -6,7 +6,12 @@ import pytest
 
 from sympcap import shadows
 from sympcap.core import DEFAULT_SYMPLECTIC_TOL, SymplecticMatrix, random_symplectic
-from sympcap.ebk import harmonic_potential, polynomial_potential, quartic_potential
+from sympcap.ebk import (
+    harmonic_potential,
+    morse_potential,
+    polynomial_potential,
+    quartic_potential,
+)
 from sympcap.errors import FlowDiverged, FlowError
 from sympcap.sampling import _halton, _unit_ball, ball_points, box_points
 from sympcap.shadows import (
@@ -32,16 +37,30 @@ from oracles import (
 )
 
 
+def _linear(q, scale, out):
+    """The harmonic force scale q into out."""
+    return np.multiply(q, scale, out=out)
+
+
+def _cube(q, scale, out):
+    """The quartic force scale q^3 into out, as scale q q q."""
+    np.multiply(q, scale, out=out)
+    out *= q
+    out *= q
+    return out
+
+
 def harmonic_flow(dt):
-    return FlowSpec(V=lambda q: 0.5 * np.sum(np.square(q), axis=-1), grad_V=lambda q: q, dt=dt)
+    return FlowSpec(V=lambda q: 0.5 * np.sum(np.square(q), axis=-1), grad_V=_linear, dt=dt)
 
 
 def quartic_flow(dt):
-    return FlowSpec(V=lambda q: 0.25 * np.sum(q**4, axis=-1), grad_V=lambda q: q**3, dt=dt)
+    return FlowSpec(V=lambda q: 0.25 * np.sum(q**4, axis=-1), grad_V=_cube, dt=dt)
 
 
 def free_flow(dt, n_modes=1):
-    return FlowSpec(V=lambda q: np.zeros(q.shape[:-1]), grad_V=np.zeros_like, dt=dt,
+    return FlowSpec(V=lambda q: np.zeros(q.shape[:-1]),
+                    grad_V=lambda q, scale, out: np.multiply(q, 0.0, out=out), dt=dt,
                     n_modes=n_modes)
 
 
@@ -50,8 +69,8 @@ def cli_flow(pot, dt, mass=1.0):
     return FlowSpec(V=lambda q: pot.V(q[..., 0]), grad_V=pot.dV, dt=dt, mass=mass)
 
 
-def _read_only_cube(q):
-    g = q**3
+def _read_only_cube(q, scale, out):
+    g = scale * q**3
     g.flags.writeable = False
     return g
 
@@ -60,6 +79,7 @@ CLI_POTENTIALS = [
     pytest.param(harmonic_potential(1.1), id="harmonic"),
     pytest.param(quartic_potential(0.25), id="quartic"),
     pytest.param(polynomial_potential([0.0, 0.1, 0.5, 0.15, 0.12]), id="polynomial"),
+    pytest.param(morse_potential(10.0, 0.5), id="morse"),
 ]
 
 
@@ -287,44 +307,77 @@ class TestVerlet:
             _advance(q1, p1, flow, 1)
         assert np.max(np.abs(np.concatenate([q - q1, p - p1], axis=1))) <= 1e-12
 
-    @pytest.mark.parametrize("pot", CLI_POTENTIALS)
-    def test_in_place_kernel_is_bit_identical_at_mass_1(self, pot):
-        got, want = _advance_both(cli_flow(pot, 0.02), (0, 1, 2, 250))
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("mass", [0.5, 3.0])
+    @pytest.mark.parametrize("mass", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("pot", CLI_POTENTIALS)
     def test_in_place_kernel_with_mass(self, pot, mass):
-        # the kernel rounds h = dt / mass, the oracle p / mass: last-bit differences
-        got, want = _advance_both(cli_flow(pot, 0.02, mass), (1, 250))
-        assert np.max(np.abs(got - want)) <= 1e-12
+        # the kernel carries (dt / mass) p and rounds it back at the end of a call, the
+        # oracle drifts by dt * (p / mass): rounding apart, which 250 steps amplify. From
+        # the unit ball they were at most 1.3e-14 of the largest coordinate apart (Morse
+        # at mass 0.5, where |z| reaches 1.7; quartic 8.7e-15, the others below 3e-15)
+        got, want = _advance_both(cli_flow(pot, 0.02, mass), (0, 1, 2, 250))
+        assert np.max(np.abs(got - want)) <= 3e-14 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("V,grad", [
-        (lambda q: 0.5 * np.sum(q * q, -1), lambda q: q),
-        (lambda q: 0.25 * np.sum(q**4, -1), _read_only_cube),
-    ], ids=["own-argument", "read-only"])
-    def test_in_place_kernel_gradient_aliasing(self, V, grad):
-        got, want = _advance_both(FlowSpec(V=V, grad_V=grad, dt=0.01), (1, 100))
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("V,grad,message", [
+        (lambda q: 0.5 * np.sum(q * q, -1), lambda q, scale, out: q, "ignores its out"),
+        (lambda q: 0.25 * np.sum(q**4, -1), _read_only_cube, "ignores its out"),
+        (lambda q: 0.5 * np.sum(q * q, -1), lambda q, scale, out: np.multiply(q, 1.0, out=out),
+         "ignores its scale"),
+        (lambda q: 0.25 * np.sum(q**4, -1), lambda q: q**3, "gradient evaluation failed"),
+    ], ids=["own-argument", "read-only", "unscaled", "one-argument"])
+    def test_in_place_kernel_gradient_aliasing(self, V, grad, message):
+        # the kernel subtracts what the force writes into its one scratch buffer at the
+        # kernel's scale, so a force that returns another array (its own argument, a fresh
+        # read-only one), drops its scale, or takes q alone is refused when the flow is built
+        with pytest.raises(FlowError, match=message):
+            FlowSpec(V=V, grad_V=grad, dt=0.01)
 
     def test_mass_step_is_kick_drift_kick(self):
+        # one step on the scaled momentum P = h p, h = dt / m, with s = dt h
         m, dt = 2.0, 0.05
-        flow = FlowSpec(V=lambda q: 0.25 * np.sum(q**4, -1), grad_V=lambda q: q**3, dt=dt, mass=m)
+        flow = FlowSpec(V=lambda q: 0.25 * np.sum(q**4, -1), grad_V=_cube, dt=dt, mass=m)
         z = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
         q, p = z[:, :1], z[:, 1:]
         got = [q.copy(), p.copy()]
         _advance(*got, flow, 1)
-        p = p - 0.5 * dt * q**3
-        q = q + dt * (p / m)
-        p = p - 0.5 * dt * q**3
+        h = dt / m
+        s = dt * h
+        P = p * h
+        P = P - q * (0.5 * s) * q * q
+        q = q + P
+        P = P - q * (0.5 * s) * q * q
+        p = P / h
         assert np.array_equal(np.concatenate(got, axis=1), np.concatenate([q, p], axis=1))
+
+    @pytest.mark.parametrize("mass", [1.0, 3.0])
+    @pytest.mark.parametrize("pot", CLI_POTENTIALS[1:3])
+    def test_time_reversal(self, pot, mass):
+        # Verlet is symmetric: 250 steps, p -> -p, 250 steps and p -> -p again return to
+        # the start, here to at most 2.6e-15 from the unit ball. Each leg is two calls, as
+        # between evolve's snapshots: with full kicks at both ends each call is still
+        # symmetric, but the two no longer commute, and that kernel missed by 1.2e-2 to 4.6e-2
+        flow = cli_flow(pot, 0.02, mass)
+        z = ball_points(2000, 2, 1.0, seed=3)
+        q, p = z[:, :1].copy(), z[:, 1:].copy()
+        for _ in range(2):
+            _advance(q, p, flow, 1)
+            _advance(q, p, flow, 249)
+            np.negative(p, out=p)
+        assert np.max(np.abs(np.concatenate([q, p], axis=1) - z)) <= 1e-14
+
+    @pytest.mark.parametrize("dt,mass", [(2.0**-961, 1.0), (1e-200, 1e100), (1.0, 1e300)])
+    def test_step_ratio_floor(self, dt, mass):
+        # the kernel carries (dt / mass) p; below 2^-960 it would be subnormal and lose bits
+        with pytest.raises(ValueError, match=r"dt / mass = .* is below 2\^-960"):
+            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=_linear, dt=dt, mass=mass)
+        FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=_linear, dt=2.0**-960)
 
     @pytest.mark.parametrize("m", [0.5, 3.0])
     def test_harmonic_period_with_mass(self, m):
         # V = m w^2 q^2 / 2 with kinetic p^2 / 2m has period 2 pi / w whatever m is
         omega, steps = 2.0, 4000
         flow = FlowSpec(V=lambda q: 0.5 * m * omega**2 * np.sum(q * q, -1),
-                        grad_V=lambda q: m * omega**2 * q, dt=2 * math.pi / omega / steps, mass=m)
+                        grad_V=lambda q, scale, out: np.multiply(q, scale * m * omega**2, out=out),
+                        dt=2 * math.pi / omega / steps, mass=m)
         q, p = np.array([[1.0]]), np.array([[0.0]])
         _advance(q, p, flow, steps)
         # Verlet's phase error over a period is 2 pi (w dt)^2 / 24, 6.5e-7 here
@@ -334,11 +387,12 @@ class TestVerlet:
     @pytest.mark.parametrize("mass", [0.0, -1.0, math.inf, math.nan])
     def test_mass_must_be_finite_and_positive(self, mass):
         with pytest.raises(ValueError, match="mass must be finite and positive"):
-            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=lambda q: q, dt=0.1, mass=mass)
+            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=_linear, dt=0.1, mass=mass)
 
     def test_bad_gradient_rejected(self):
-        with pytest.raises(FlowError):
-            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=lambda q: 3 * q, dt=0.1)
+        with pytest.raises(FlowError, match="disagrees with finite differences"):
+            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1),
+                     grad_V=lambda q, scale, out: np.multiply(q, 3 * scale, out=out), dt=0.1)
 
 
 class TestEvolveShadow:
@@ -374,7 +428,8 @@ class TestEvolveShadow:
 
     def test_divergence_detected(self):
         # inverted quartic: trajectories escape to infinity fast
-        flow = FlowSpec(V=lambda q: -12.5 * np.sum(q**4, -1), grad_V=lambda q: -(q**3) * 50,
+        flow = FlowSpec(V=lambda q: -12.5 * np.sum(q**4, -1),
+                        grad_V=lambda q, scale, out: _cube(q, -50 * scale, out),
                         dt=0.5)
         with pytest.raises(FlowDiverged), np.errstate(all="ignore"):
             evolve_ball_shadow(2.0, flow, PlaneSelector.conjugate(1),
