@@ -242,7 +242,7 @@ def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int) -> None:
     writes into the call's one scratch buffer. A quartic step takes five
     array passes and allocates nothing. On 5 000 one-mode particles
     (2 cores, numpy 2.4.6) a traced particle-step of the benchmark's
-    quartic and harmonic flows took 1.7 ns this way, against 2.5 ns with a
+    quartic and harmonic flows took 1.8 ns this way, against 2.5 ns with a
     drift multiply and a fresh force array per step. The scaling rounds: p
     differs from the unscaled kernel's in the last bits.
     """

@@ -152,16 +152,16 @@ def test_criterion_5_linear_nonsqueezing():
 def test_criterion_6_nonlinear_shadow():
     t0 = time.perf_counter()
     ok = True
-    quartic_flow = FlowSpec(V=lambda q: 0.25 * np.sum(q**4, -1), grad_V=lambda q, s, out: np.multiply(q * q * q, s, out=out),
-                            dt=1e-3)
+    quartic_flow = FlowSpec(V=lambda q: 0.25 * np.sum(q**4, -1),
+                            grad_V=lambda q, s, out: np.multiply(q * q * q, s, out=out), dt=1e-3)
     reports, _ = evolve_ball_shadow(1.0, quartic_flow,
                                  PlaneSelector.conjugate(1), 100_000, 0.025,
                                  [1.0, 2.0, 5.0], seed=0)
     for rep in reports:
         ok &= rep.area >= 0.95 * math.pi
 
-    harmonic_flow = FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=lambda q, s, out: np.multiply(q, s, out=out),
-                            dt=1e-3)
+    harmonic_flow = FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1),
+                             grad_V=lambda q, s, out: np.multiply(q, s, out=out), dt=1e-3)
     controls, _ = evolve_ball_shadow(1.0, harmonic_flow,
                                   PlaneSelector.conjugate(1), 100_000, 0.025,
                                   [0.0, 1.0, 2.0, 5.0], seed=0)
