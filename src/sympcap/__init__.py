@@ -19,7 +19,6 @@ from .core import (
     williamson,
 )
 from .ebk import (
-    PlanckConfig,
     Potential1D,
     SpectrumEntry,
     SpectrumResult,

@@ -298,17 +298,15 @@ def cmd_evolve(args):
 
 def cmd_quantize_1d(args):
     pot = _parse_potential(args)
-    cfg = ebk.PlanckConfig(args.hbar)
-    res = ebk.spectrum_1d(pot, args.nmax, cfg)
-    _emit_spectrum(args, res.entries, cfg.hbar, skipped=res.skipped)
+    res = ebk.spectrum_1d(pot, args.nmax, args.hbar)
+    _emit_spectrum(args, res.entries, args.hbar, skipped=res.skipped)
     return 0
 
 
 def cmd_quantize_quadratic(args):
     M = _load_matrix(args)
-    cfg = ebk.PlanckConfig(args.hbar)
-    entry = ebk.quantize_quadratic(core.QuadraticHamiltonian(M), _parse_ints(args.n), cfg)
-    _emit_spectrum(args, [entry], cfg.hbar)
+    entry = ebk.quantize_quadratic(core.QuadraticHamiltonian(M), _parse_ints(args.n), args.hbar)
+    _emit_spectrum(args, [entry], args.hbar)
     return 0
 
 
@@ -317,26 +315,23 @@ def cmd_quantize_separable(args):
     if not (isinstance(descs, list) and all(isinstance(d, dict) for d in descs)):
         raise ValueError("--potentials must be a JSON array of potential objects")
     pots = [ebk.make_potential(d) for d in descs]
-    cfg = ebk.PlanckConfig(args.hbar)
-    entry = ebk.spectrum_separable(pots, _parse_ints(args.n), cfg)
-    _emit_spectrum(args, [entry], cfg.hbar)
+    entry = ebk.spectrum_separable(pots, _parse_ints(args.n), args.hbar)
+    _emit_spectrum(args, [entry], args.hbar)
     return 0
 
 
 def cmd_dos(args):
-    cfg = ebk.PlanckConfig(args.hbar)
     if args.matrix or args.matrix_file:
         H = core.QuadraticHamiltonian(_load_matrix(args))
     else:
         H = core.QuadraticHamiltonian.isotropic(args.ndim, args.omega, args.mass)
-    g = ebk.density_of_states(H, args.energy, cfg)
+    g = ebk.density_of_states(H, args.energy, args.hbar)
     _emit_json(args, {"energy": args.energy, "g": g})
     return 0
 
 
 def cmd_blob_check(args):
-    cfg = ebk.PlanckConfig(args.hbar)
-    n = ebk.blob_check(_parse_float(args.value, "--value"), cfg, tol=args.tol)
+    n = ebk.blob_check(_parse_float(args.value, "--value"), args.hbar, tol=args.tol)
     _emit_json(args, {"blob_index": n, "is_blob": n is not None})
     return 0
 

@@ -27,20 +27,6 @@ from .errors import (
 BLOB_TOL = 0.05  # default blob_check distance to (n + 1/2) h, in units of h
 
 
-@dataclass(frozen=True)
-class PlanckConfig:
-    """Single source for the action quantum; h = 2 pi hbar."""
-
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        _positive("hbar", self.hbar)
-
-    @property
-    def h(self) -> float:
-        return 2.0 * math.pi * self.hbar
-
-
 def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -56,13 +42,14 @@ class Potential1D:
     where one is given and returns it, so it serves as a `FlowSpec.grad_V`.
     `bottom` = (vmin, k, w) is the leading Taylor term V - vmin ~ (w |q - x|)^k at the
     well bottom x, and `top` the energy from which the well no longer confines (inf:
-    never). `inverse(E)` gives the turning points q- < q+ of V(q) = E for vmin < E < top.
-    A plain value: it carries no solver state and can be shared between calls.
+    never). `inverse(E)` gives the turning points q- < q+ of V(q) = E for vmin < E < top,
+    as numpy values, elementwise over an array of energies. A plain value: it carries no
+    solver state and can be shared between calls.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
     dV: Callable[..., np.ndarray]
-    inverse: Callable[[float], tuple]
+    inverse: Callable[[np.ndarray], tuple]
     bottom: tuple
     top: float = math.inf
     mass: float = 1.0
@@ -85,7 +72,7 @@ class SpectrumResult:
     skipped: list = field(default_factory=list)  # levels above dissociation, with notices
 
 
-def blob_check(cap: float, cfg: PlanckConfig, tol: float = BLOB_TOL) -> Optional[int]:
+def blob_check(cap: float, hbar: float, tol: float = BLOB_TOL) -> Optional[int]:
     """Blob index n with |cap - (n + 1/2) h| <= tol * h, if one exists.
 
     A NaN or negative capacity is refused, and an infinite one (math.inf)
@@ -94,38 +81,41 @@ def blob_check(cap: float, cfg: PlanckConfig, tol: float = BLOB_TOL) -> Optional
     rounding (1e308 once read as a blob), so it is refused. The 4 eps floor
     keeps tol = 0 usable on values below 4h.
     """
+    _positive("hbar", hbar)
+    h = 2.0 * math.pi * hbar
     if not cap >= 0:  # NaN too
         raise ValueError(f"capacity must be nonnegative, got {cap}")
     if not tol >= 0:  # NaN too
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if math.isinf(cap):
         raise NotABlob("infinite capacity has no blob index")
-    resolution = max(tol, _ULP4) * cfg.h
+    resolution = max(tol, _ULP4) * h
     if math.ulp(cap) > resolution:
         raise ValueError(f"capacity {cap!r} has double spacing {math.ulp(cap):.3e}, "
                          f"coarser than the tolerance max(tol, 4 eps) * h = {resolution:.3e}")
-    x = cap / cfg.h - 0.5
+    x = cap / h - 0.5
     n = round(x)
-    if n >= 0 and abs(cap - (n + 0.5) * cfg.h) <= tol * cfg.h:
+    if n >= 0 and abs(cap - (n + 0.5) * h) <= tol * h:
         return n
     return None
 
 
-def quantize_quadratic(H: QuadraticHamiltonian, n, cfg: PlanckConfig) -> SpectrumEntry:
+def quantize_quadratic(H: QuadraticHamiltonian, n, hbar: float) -> SpectrumEntry:
     """E = sum_j (n_j + 1/2) hbar w_j from the symplectic spectrum of M.
 
     Quantum numbers pair with the frequencies in ascending order (mode 1 is
     the slowest); each basis loop carries action (n_j + 1/2) h and Maslov
     index 2.
     """
+    _positive("hbar", hbar)
     n = tuple(int(k) for k in np.atleast_1d(n))
     if any(k < 0 for k in n):
         raise ValueError(f"quantum numbers must be nonnegative, got {n}")
     omegas = symplectic_eigenvalues(H)[::-1]  # ascending
     if len(n) != omegas.size:
         raise ValueError(f"expected {omegas.size} quantum numbers, got {len(n)}")
-    energy = float(sum((k + 0.5) * cfg.hbar * w for k, w in zip(n, omegas)))
-    actions = tuple((k + 0.5) * cfg.h for k in n)
+    energy = float(sum((k + 0.5) * hbar * w for k, w in zip(n, omegas)))
+    actions = tuple((k + 0.5) * (2.0 * math.pi * hbar) for k in n)
     return SpectrumEntry(
         quantum_numbers=n,
         energy=energy,
@@ -135,27 +125,21 @@ def quantize_quadratic(H: QuadraticHamiltonian, n, cfg: PlanckConfig) -> Spectru
 
 
 _ULP4 = 4 * float(np.finfo(float).eps)  # 4 ulp of 1
-_EXACT_START = 4 * _ULP4  # a level within this of the Taylor start lies on it to rounding
 
 
-def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
+def turning_points(pot: Potential1D, E):
     """Classical turning points q- < q+ of V(q) = E about the well bottom, from the
-    potential's own inverse. Energies at or below the bottom, or at or above the top of
-    the well, have none (NoClassicalRegion). Runs under the solver's np.errstate.
+    potential's own inverse, elementwise over an array of energies. Energies at or below
+    the bottom, or at or above the top of the well, have none (NoClassicalRegion, naming
+    the first). Runs under the solver's np.errstate.
     """
-    if not pot.bottom[0] < E:
-        raise NoClassicalRegion(f"E={E} is below the potential minimum")
-    if not E < pot.top:
-        raise NoClassicalRegion(f"E={E} is not below the top of the well at {pot.top}")
-    return pot.inverse(E)
-
-
-class _Well:
-    """The solver state of one spectrum_1d or level_1d call: the potential, and the
-    action at the top of the well once evaluated."""
-
-    def __init__(self, pot: Potential1D):
-        self.pot, self.top_action = pot, None
+    E = np.asarray(E, dtype=float)
+    for e in E.reshape(-1).tolist():
+        if not pot.bottom[0] < e:
+            raise NoClassicalRegion(f"E={e} is below the potential minimum")
+        if not e < pot.top:
+            raise NoClassicalRegion(f"E={e} is not below the top of the well at {pot.top}")
+    return pot.inverse(E[()])  # one energy as a numpy scalar, which numpy takes fastest
 
 
 _QUAD_NODES = 256  # Gauss-Legendre nodes of every action and period integral
@@ -169,26 +153,28 @@ def _gauss_legendre():
     return np.sin(0.5 * math.pi * x), w * np.cos(0.5 * math.pi * x)
 
 
-def _action_period(pot: Potential1D, E: float) -> tuple[float, float]:
+def _action_period(pot: Potential1D, E):
     """Loop action A(E) = 2 int sqrt(2m (E - V)) dq between the turning points and
-    period T(E) = dA/dE = 2 int m/p dq on the same nodes. The substitution
-    q = mid + half sin(theta), with Gauss-Legendre in theta, absorbs the square-root
-    endpoint singularity, so both integrands are smooth and each integral is one dot
-    product of the folded weights with p or 1/p. Runs under the caller's np.errstate:
-    a p that rounds to 0 at a node makes T infinite, and Newton bisects."""
+    period T(E) = dA/dE = 2 int m/p dq on the same nodes, elementwise over an array of
+    energies. The substitution q = mid + half sin(theta), with Gauss-Legendre in theta,
+    absorbs the square-root endpoint singularity, so both integrands are smooth: K
+    energies make one (K, nodes) grid of p, and each integral is one matrix-vector product
+    with the folded weights. Runs under the caller's np.errstate: a p that rounds to 0 at
+    a node makes T infinite, and Newton bisects."""
+    E = np.asarray(E, dtype=float)
     q_minus, q_plus = turning_points(pot, E)
-    mid = 0.5 * (q_plus + q_minus)
-    half = 0.5 * (q_plus - q_minus)
     sin, wc = _gauss_legendre()
-    p = E - np.asarray(pot.V(mid + half * sin))
+    half = 0.5 * (q_plus - q_minus)
+    p = E[..., None] - pot.V((0.5 * (q_plus + q_minus))[..., None] + half[..., None] * sin)
     p *= 2.0 * pot.mass
     p = np.sqrt(np.maximum(p, 0.0, out=p), out=p)
-    return math.pi * half * float(wc @ p), math.pi * half * pot.mass * float(wc @ (1.0 / p))
+    scale = math.pi * half
+    return scale * (p @ wc), scale * pot.mass * (np.reciprocal(p, out=p) @ wc)
 
 
 def _bottom_start(pot: Potential1D, target_action: float) -> float:
-    """E at target_action on the leading Taylor term V - vmin = (w |q - x|)^k at the well
-    bottom, whose action is A = 4 sqrt(2m) B_k (E - vmin)^(1/2 + 1/k) / w with
+    """E at target_action on the leading Taylor term V - vmin = (w |q - x|)^k at the
+    well bottom, whose action is A = 4 sqrt(2m) B_k (E - vmin)^(1/2 + 1/k) / w with
     B_k = int_0^1 sqrt(1 - u^k) du = Gamma(1 + 1/k) Gamma(3/2) / Gamma(3/2 + 1/k).
     Exact for the harmonic and quartic wells; at k = 2 it is vmin + A / T0, T0 the
     harmonic period. E - vmin is the power 2k / (k + 2) >= 1 of A w / (4 sqrt(2m) B_k),
@@ -223,193 +209,199 @@ def _newton_settles(E: float, step: float, T: float, curvature: float, stop: flo
     return abs(curvature) * step * step <= 2.0 * T * stop
 
 
-# Action evaluations allowed per level. Levels take at most 5 in the ebk-spectra
-# benchmark (seeds 1 to 5): a harmonic or quartic level takes 1, a Morse level 2 or 3
-# and a polynomial one 2 or 3 in quantize-1d, and a Morse level of quantize-separable
-# whose start lies past dissociation 3 to 5; 38 from a start 200 decades off and 66
-# from one 8 decades low with no period to step by (tests). Pure bisection from a
-# bracket 2^90 times wider than its 4-ulp stop would take 90.
-_MAX_EVALUATIONS = 100
+# Rounds allowed per solve, each one evaluation of the vector of open levels (the top of
+# the well is not one). The ebk-spectra benchmark (seeds 1 to 5) takes 1 per harmonic,
+# quartic or Morse spectrum (2 in 2 of 150) and per quantize-separable mode, and 3 or 4
+# per polynomial spectrum; a start 200 decades off takes 38 and one 8 decades low with no
+# period to step by 66 (tests). Pure bisection across 2^90 times its 4-ulp stop takes 90.
+_MAX_ROUNDS = 100
 
 
-def _solve_level(well: _Well, target_action: float, below: tuple,
-                 guess: float) -> tuple[float, float, float]:
-    """(E, A, T) where A(E) = target_action, by Newton with slope dA/dE = T.
+def _newton(vmin: float, e_top: float, target: float, start: float):
+    """One level's safeguarded Newton (Numerical Recipes' rtsafe) on A(E) = target, slope
+    dA/dE = T: a generator that yields each energy to evaluate, first `start` if that lies
+    inside (vmin, e_top), is sent (A, T, guess) there, and returns (E, A) at the level.
 
-    Starts from `below`, a point (E, A, T) with A < target_action, and takes its first
-    step to `guess` if that lies strictly between E and the top of the well. A step
-    fails if it leaves the bracket [e_lo, e_hi] of energies known to lie below and above
-    the level, has no finite T, or does not halve the last step once the level is
-    `reached` (bracketed from above). A failed step bisects once the level is reached,
-    in log(E - vmin) while the bracket spans more than three decades (`_split`). Before
-    that it goes to the top, just under the well's `top`, which is evaluated at most once
-    per well and keeps its action; in a well with no top it multiplies E - vmin by 4.
-    Right after the top, while the bracket's lower end is still the bottom, a failed step
-    goes instead to the quadratic E(A) through the bottom and the top, whose slope
-    dE/dA = 1/T is 0 there (`_hermite_start`): exact for Morse.
-    Stops at a step of 4 ulp, or without evaluating again where the Newton point's
-    predicted error is within that stop (`_newton_settles`, with dT/dE from the last
-    two evaluations of the level): then it returns E + step, with action A + T step and
-    period T + step dT/dE. It never returns the start point, nor an unevaluated top.
-    Raises NoConvergence where that takes more than _MAX_EVALUATIONS steps or an action
-    is NaN. An energy below the top without two turning points (one a polynomial's
-    bracket no longer confines, or the bottom itself, where E - vmin underflows) is
-    LevelNotBound.
-    The evaluations run under one np.errstate that ignores floating-point warnings.
+    A step fails if it leaves the bracket [e_lo, e_hi] of energies known to lie below and
+    above the level, has no finite T, or does not halve the last step once the level is
+    `reached` (bracketed from above by an evaluation). A failed step multiplies E - vmin
+    by 4 while the level is not reached and that stays below e_hi; otherwise it bisects
+    the bracket, in log(E - vmin) across more than three decades (`_split`). Stops at a
+    step of 4 ulp, or without evaluating again where the Newton point's predicted error
+    is within that stop (`_newton_settles`, with dT/dE from the level's last two
+    evaluations): then it returns E + step, with action A + T step. Otherwise a `guess`
+    inside the bracket replaces the step. A step to the bottom, where E - vmin
+    underflows, is LevelNotBound, and a NaN action NoConvergence.
     """
-    pot = well.pot
-    vmin, E, A, T = pot.bottom[0], *below
-    e_top = pot.top * (1 - math.copysign(1e-12, pot.top))
-    e_lo, e_hi, reached, last = E, e_top, False, math.inf
-    e_prev, t_prev = E, math.inf  # the evaluation before the last in this level
-    step = guess - E if e_lo < guess < e_hi else None
-    with np.errstate(all="ignore"):  # for every evaluation of the level
-        for steps in range(_MAX_EVALUATIONS + 1):
-            if step is None:
-                step = (target_action - A) / T if T > 0 else math.nan
-                stop = _ULP4 * max(abs(E), abs(below[0]))
-                if (not (T < math.inf and e_lo <= E + step <= e_hi)
-                        or (reached and abs(step) > 0.5 * abs(last))):
-                    if reached:
-                        if E == e_top and e_lo == vmin:
-                            # E(A) through the bottom and the top, where dE/dA = 1/T = 0
-                            mid = _hermite_start((vmin, 0.0, math.inf), (E, A, T),
-                                                 target_action)
-                        else:
-                            mid = vmin + _split(e_lo - vmin, e_hi - vmin)
-                        if not e_lo < mid < e_hi:
-                            mid = 0.5 * (e_lo + e_hi)
-                    else:
-                        mid = e_top if e_top < math.inf else vmin + 4.0 * (E - vmin)
-                    step = mid - E
-                elif E != e_prev and (reached or E + step < e_top):
-                    # A'' = dT/dE from the periods of the last two evaluations of this level
-                    curvature = (T - t_prev) / (E - e_prev)
-                    if _newton_settles(E, step, T, curvature, stop):
-                        return E + step, A + T * step, T + curvature * step
-                if E != below[0] and abs(step) <= stop and (reached or E + step < e_top):
-                    return E, A, T
-            if steps == _MAX_EVALUATIONS:
-                break
-            e_prev, t_prev = E, T if steps else math.inf  # the start is not of this level
-            E, last, step = E + step, step, None
-            top = E == e_top and not reached
-            if top and well.top_action is not None:
-                A = well.top_action
+    E, T, e_lo, e_hi, reached = vmin, math.inf, vmin, e_top, False
+
+    def failed():
+        """The step that replaces a failed one."""
+        grown = vmin + 4.0 * (E - vmin)  # at the bottom of a well with no top: skipped
+        if not reached and (vmin < grown < e_hi or e_hi == math.inf):
+            return grown - E
+        mid = vmin + _split(e_lo - vmin, e_hi - vmin)
+        return (mid if e_lo < mid < e_hi else 0.5 * (e_lo + e_hi)) - E
+
+    step = start - vmin if vmin < start < e_top else failed()
+    while True:
+        e_prev, t_prev, last, E = E, T, step, E + step
+        if not E > vmin:
+            raise LevelNotBound(f"action {target} lies within rounding of the bottom: "
+                                f"E - vmin underflows at E={E}")
+        A, T, guess = yield E
+        if math.isnan(A):  # turning points or V out of range: no level to report
+            raise NoConvergence(f"action {target} not converged: the action at E={E} is "
+                                "not a number")
+        if A < target:
+            e_lo = E
+        else:
+            e_hi, reached = E, True
+        step = (target - A) / T if T > 0 else math.nan
+        stop = _ULP4 * max(abs(E), abs(vmin))
+        if not (T < math.inf and e_lo <= E + step <= e_hi) or (
+                reached and abs(step) > 0.5 * abs(last)):
+            step = failed()
+        # A'' = dT/dE from the periods of the last two evaluations of this level
+        elif E != e_prev and _newton_settles(E, step, T, (T - t_prev) / (E - e_prev), stop):
+            return E + step, A + T * step
+        if abs(step) <= stop:
+            return E, A
+        if e_lo < guess < e_hi:
+            step = guess - E
+
+
+def _second_starts(E: list, A: list, T: list, targets: list) -> list:
+    """Where a level's first evaluation (E, A, T) missed its action by more than 1e-6,
+    E(target) on the piecewise cubic Hermite interpolant of E(A) through the first
+    evaluations of two or more levels, with slopes dE/dA = 1/T; NaN elsewhere. On the
+    benchmark's polynomials, whose Taylor starts lie up to 36% low, these lie 1e-9 to
+    4e-4 off the levels, Newton's points 3e-4 to 2e-2: a round fewer."""
+    missed = [abs(a - t) > 1e-6 * t for a, t in zip(A, targets)]
+    if not any(missed):
+        return [math.nan] * len(E)
+    order = np.argsort(A)
+    e, a, m = np.array(E)[order], np.array(A)[order], 1.0 / np.array(T)[order]
+    j = np.clip(np.searchsorted(a, targets) - 1, 0, len(a) - 2)
+    h = a[j + 1] - a[j]
+    s = (np.array(targets) - a[j]) / h
+    d = (e[j + 1] - e[j]) / h  # the secant slope
+    e = e[j] + h * s * (m[j] + s * (3.0 * d - 2.0 * m[j] - m[j + 1]
+                                    + s * (m[j] + m[j + 1] - 2.0 * d)))
+    return [g if miss else math.nan for g, miss in zip(e.tolist(), missed)]
+
+
+def _solve(pot: Potential1D, targets: list) -> tuple[dict, dict]:
+    """({n: (E, A)}, {n: reason skipped}) for the levels with loop action A(E) =
+    targets[n], each by its own safeguarded Newton (`_newton`), all in rounds: a round
+    evaluates A and T at the next energy of every open level at once (`_action_period`
+    on the vector), and a level leaves the vector once it has converged.
+
+    A top of the well is evaluated first, once: a level above its action is skipped ("not
+    reached below dissociation"), and every other one has it as the upper end of its
+    bracket. A level starts from the lower of the Taylor term at the bottom
+    (`_bottom_start`) and the quadratic in A through the bottom, with that term's slope,
+    and the top (exact for Morse), then goes on from `_second_starts`. A level whose step
+    goes to the bottom is skipped by itself; NoConvergence names a level by its action.
+    All runs under one np.errstate that ignores floating-point warnings.
+    """
+    vmin, top = pot.bottom[0], pot.top
+    e_top = top * (1 - math.copysign(1e-12, top))
+    skipped, solved = {}, {}
+    with np.errstate(all="ignore"):  # for every evaluation of the solve
+        a_top, lift = math.inf, 0.0
+        if top < math.inf:
+            try:
+                a_top = float(_action_period(pot, e_top)[0])
+            except (NoClassicalRegion, MultiWell):
+                a_top = -math.inf
+            if math.isnan(a_top):
+                raise NoConvergence(f"the action at the top of the well, E={e_top}, is not "
+                                    "a number")
+            if a_top > 0:  # the quadratic is the Taylor term plus lift A^2
+                lift = (e_top - _bottom_start(pot, a_top)) / (a_top * a_top)
+        opened = []  # (level, its Newton, the energy it asks for: None before the first)
+        for n, target in enumerate(targets):
+            if target > a_top:
+                skipped[n] = f"action {target} not reached below dissociation at E={top}"
             else:
+                start = _bottom_start(pot, target)
+                start = min(start, start + lift * target * target)
+                opened.append((n, _newton(vmin, e_top, target, start), None))
+        for rounds in range(_MAX_ROUNDS + 1):
+            results = [None] * len(opened)
+            if rounds:  # one energy goes as a float, which numpy takes faster than an array
+                E = [e for _, _, e in opened]
+                A, T = _action_period(pot, E[0] if len(E) == 1 else np.array(E))
+                A, T = A.reshape(-1).tolist(), T.reshape(-1).tolist()
+                guesses = [math.nan] * len(E)
+                if rounds == 1 and len(E) > 1:
+                    guesses = _second_starts(E, A, T, [targets[n] for n, _, _ in opened])
+                results = zip(A, T, guesses)
+            still = []
+            for (n, level, _), result in zip(opened, results):
                 try:
-                    A, T = _action_period(pot, E)
-                except (NoClassicalRegion, MultiWell) as exc:
-                    if not top:
-                        if isinstance(exc, MultiWell):
-                            raise
-                        if E == vmin:
-                            raise LevelNotBound(f"action {target_action} lies within rounding "
-                                                f"of the bottom: E - vmin underflows at E={E}")
-                        raise LevelNotBound(f"no turning points below the target action: {exc}")
-                    A = -math.inf
-                if top:
-                    well.top_action = A
-            if math.isnan(A):  # turning points or V out of range: no level to report
-                raise NoConvergence(f"action {target_action} not converged: the action at "
-                                    f"E={E} is not a number")
-            if A < target_action:
-                if top:
-                    raise LevelNotBound(
-                        f"action {target_action} not reached below dissociation at E={pot.top}"
-                    )
-                e_lo = E
-            else:
-                e_hi, reached = E, True
-            if top:
-                T = math.inf  # the period diverges at dissociation: bisect next
-    raise NoConvergence(f"action {target_action} not converged in {_MAX_EVALUATIONS} "
-                        f"action evaluations, last E={E} in [{e_lo}, {e_hi}]")
+                    still.append((n, level, level.send(result)))
+                except StopIteration as done:
+                    solved[n] = done.value
+                except LevelNotBound as exc:
+                    skipped[n] = str(exc)
+            if not still:
+                return solved, skipped
+            opened = still
+    n, _, E = opened[0]
+    raise NoConvergence(f"action {targets[n]} not converged in {_MAX_ROUNDS} rounds, "
+                        f"last E={E}")
 
 
-def _hermite_start(prev: tuple, last: tuple, target_action: float) -> float:
-    """E at target_action on the Hermite interpolant of E(A) through two points (E, A, T)
-    of the action curve, with slopes dE/dA = 1/T: cubic, or quadratic when `prev` is the
-    well bottom (A = 0), whose period is not used. NaN on a division by 0."""
-    (E0, A0, T0), (E1, A1, T1) = prev, last
-    h, d = A1 - A0, target_action - A1
-    try:
-        s, m1 = (E1 - E0) / h, 1.0 / T1
-        c = (m1 - s) / h
-        if A0 > 0:
-            c += (d + h) * (1.0 / T0 + m1 - 2.0 * s) / (h * h)
-    except ZeroDivisionError:
-        return math.nan
-    return E1 + d * (m1 + d * c)
-
-
-def level_1d(pot: Potential1D, n: int, cfg: PlanckConfig) -> tuple[float, float]:
-    """(energy, action) for the single level with action (n + 1/2) h."""
+def level_1d(pot: Potential1D, n: int, hbar: float) -> tuple[float, float]:
+    """(energy, action) for the single level with action (n + 1/2) h: the spectrum
+    solve on a vector of one. LevelNotBound where that level is skipped."""
+    _positive("hbar", hbar)
     if n < 0:
         raise ValueError(f"quantum number must be nonnegative, got {n}")
-    target = (n + 0.5) * cfg.h
-    bottom = (pot.bottom[0], 0.0, math.inf)
-    return _solve_level(_Well(pot), target, bottom, _bottom_start(pot, target))[:2]
+    solved, skipped = _solve(pot, [(n + 0.5) * (2.0 * math.pi * hbar)])
+    if skipped:
+        raise LevelNotBound(skipped[0])
+    return solved[0]
 
 
-def spectrum_1d(pot: Potential1D, n_max: int, cfg: PlanckConfig) -> SpectrumResult:
-    """Librational EBK levels n = 0..n_max: solve loop action = (n + 1/2) h.
+def spectrum_1d(pot: Potential1D, n_max: int, hbar: float) -> SpectrumResult:
+    """Librational EBK levels n = 0..n_max: solve loop action = (n + 1/2) h, every level
+    in one vector Newton (`_solve`).
 
-    Each level carries Maslov index 2 (two caustic touches per loop). Level 0 starts
-    from the leading Taylor term at the well bottom, and so does each later one while
-    the level below it lies on that term's energy to rounding, as in any pure-power
-    well; otherwise a level starts from a Hermite extrapolation of E(A) through the last
-    two points solved (the bottom among them for level 1). Levels above dissociation
-    are skipped with a notice.
+    Each level carries Maslov index 2 (two caustic touches per loop). Levels above
+    dissociation are skipped with a notice.
     """
+    _positive("hbar", hbar)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    well = _Well(pot)
-    vmin = pot.bottom[0]
-    below, prev, exact = (vmin, 0.0, math.inf), None, True
-    result = SpectrumResult(entries=[])
-    for n in range(n_max + 1):
-        target = (n + 0.5) * cfg.h
-        start = _bottom_start(pot, target)
-        guess = start if exact else _hermite_start(prev, below, target)
-        try:
-            prev, below = below, _solve_level(well, target, below, guess)
-        except LevelNotBound as exc:
-            result.skipped.append({"n": n, "reason": str(exc)})
-            continue
-        E, action, _ = below
-        exact = abs(E - start) <= _EXACT_START * (start - vmin)
-        result.entries.append(
-            SpectrumEntry(
-                quantum_numbers=(n,), energy=E, actions=(action,), maslov_per_loop=(2,)
-            )
-        )
-    return result
+    h = 2.0 * math.pi * hbar
+    targets = [(n + 0.5) * h for n in range(n_max + 1)]
+    solved, skipped = _solve(pot, targets)
+    return SpectrumResult(
+        entries=[SpectrumEntry(quantum_numbers=(n,), energy=E, actions=(action,),
+                               maslov_per_loop=(2,)) for n, (E, action) in sorted(solved.items())],
+        skipped=[{"n": n, "reason": reason} for n, reason in sorted(skipped.items())])
 
 
-def spectrum_separable(pots: Sequence[Potential1D], n, cfg: PlanckConfig) -> SpectrumEntry:
+def spectrum_separable(pots: Sequence[Potential1D], n, hbar: float) -> SpectrumEntry:
     """One torus of a separable system: per-mode 1-D levels summed.
 
     The basis loops are unit-winding circles, one per mode, each with
     Maslov index 2.
     """
+    _positive("hbar", hbar)
     n = tuple(int(k) for k in np.atleast_1d(n))
     if len(n) != len(pots):
         raise ValueError(f"expected {len(pots)} quantum numbers, got {len(n)}")
-    energies, actions = [], []
-    for pot, k in zip(pots, n):
-        E, action = level_1d(pot, k, cfg)
-        energies.append(E)
-        actions.append(action)
-    return SpectrumEntry(
-        quantum_numbers=n,
-        energy=float(sum(energies)),
-        actions=tuple(actions),
-        maslov_per_loop=(2,) * len(n),
-    )
+    levels = [level_1d(pot, k, hbar) for pot, k in zip(pots, n)]
+    return SpectrumEntry(quantum_numbers=n, energy=float(sum(E for E, _ in levels)),
+                         actions=tuple(action for _, action in levels),
+                         maslov_per_loop=(2,) * len(n))
 
 
-def density_of_states(H: QuadraticHamiltonian, E: float, cfg: PlanckConfig) -> float:
+def density_of_states(H: QuadraticHamiltonian, E: float, hbar: float) -> float:
     """States per unit energy of N oscillator modes, for any spectrum:
     g(E) = E^(N-1) / ((N-1)! prod_j hbar w_j), the E-derivative of the
     phase-space volume (2 pi E)^N / (N! prod_j w_j) counted in cells h^N.
@@ -418,11 +410,12 @@ def density_of_states(H: QuadraticHamiltonian, E: float, cfg: PlanckConfig) -> f
     fastest frequency, so an isotropic spectrum gives (1 / hbar w)^N
     E^(N-1) / (N-1)! with no rounding from the ratios.
     """
+    _positive("hbar", hbar)
     _positive("energy", E)
     omegas = symplectic_eigenvalues(H)
     N = omegas.size
     omega = float(omegas[0])
-    return ((1.0 / (cfg.hbar * omega)) ** N * E ** (N - 1) / math.factorial(N - 1)
+    return ((1.0 / (hbar * omega)) ** N * E ** (N - 1) / math.factorial(N - 1)
             * float(np.prod(omega / omegas)))
 
 
@@ -435,7 +428,7 @@ def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Potential1D:
     _positive("mass", mass)
 
     def inverse(E):
-        r = math.sqrt(2.0 * E / mass) / omega
+        r = np.sqrt(2.0 * E / mass) / omega
         return -r, r
 
     # (omega q)^2, not omega^2 q^2: omega^2 underflows from omega of about 1e-154
@@ -456,8 +449,8 @@ def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0) -> Poten
         return np.multiply(-2.0 * D * a * scale * x, 1.0 + x, out=out)
 
     def inverse(E):
-        s = math.sqrt(E / D)  # below 1, but it rounds to 1 within 1 ulp of D
-        return -math.log1p(s) / a, -math.log1p(-s) / a if s < 1.0 else math.inf
+        s = np.sqrt(E / D)  # below 1, but it rounds to 1 within 1 ulp of D: q+ is then inf
+        return -np.log1p(s) / a, -np.log1p(-s) / a
 
     return Potential1D(V=lambda q: D * np.square(np.expm1(-a * q)), dV=dV, inverse=inverse,
                        bottom=(0.0, 2, a * math.sqrt(D)), top=D, mass=mass)
@@ -477,7 +470,7 @@ def quartic_potential(coeff: float = 0.25, mass: float = 1.0) -> Potential1D:
         return f
 
     def inverse(E):
-        r = math.sqrt(math.sqrt(E / coeff))
+        r = np.sqrt(np.sqrt(E / coeff))
         return -r, r
 
     return Potential1D(V=lambda q: coeff * np.square(np.square(q)), dV=dV, inverse=inverse,
@@ -521,10 +514,11 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
     monotone, and the bottom is the lowest V at these cuts, which include every
     stationary point; with none there, the bottom is lo, at or above the top, and no level
     is bound. The turning points at E lie in the pieces across which V - E changes sign:
-    MultiWell where more than two do. In each, safeguarded Newton (Numerical Recipes'
-    rtsafe) with Halley's correction takes V, V' and V'' from one scalar Horner pass a
-    step; a step that leaves the piece's bracket of the root, or does not halve the step
-    before the last, bisects it (`_split`)."""
+    MultiWell where more than two do. In each of the two, safeguarded Newton (Numerical
+    Recipes' rtsafe) with Halley's correction takes V, V' and V'' from one scalar Horner
+    pass a step, energy by energy (numpy calls on 14 roots cost more than their scalar
+    steps); a step that leaves the piece's bracket of the root, or does not halve the
+    step before the last, bisects it (`_split`)."""
     c = [_finite("polynomial coefficient", float(ck)) for ck in coeffs]
     if not c:
         raise ValueError("polynomial potential needs at least one coefficient")
@@ -598,13 +592,18 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
         raise NoConvergence(f"turning point at E={E} not converged in {_MAX_NEWTON} steps")
 
     def inverse(E):
-        above = [v > E for v in v_cut]
-        pieces = [i for i in range(len(cuts) - 1) if above[i] != above[i + 1]]
-        if len(pieces) > 2:
-            raise MultiWell(f"{len(pieces)} turning points at E={E}; single well required")
-        if len(pieces) < 2:
-            raise NoClassicalRegion(f"bracket does not confine E={E} (V(edges) must exceed E)")
-        return crossing(E, pieces[0]), crossing(E, pieces[1])
+        pairs = []
+        for e in np.ravel(E).tolist():
+            above = [v > e for v in v_cut]
+            pieces = [i for i in range(len(cuts) - 1) if above[i] != above[i + 1]]
+            if len(pieces) > 2:
+                raise MultiWell(f"{len(pieces)} turning points at E={e}; single well required")
+            if len(pieces) < 2:
+                raise NoClassicalRegion(f"bracket does not confine E={e} (V(edges) must "
+                                        "exceed E)")
+            pairs.append((crossing(e, pieces[0]), crossing(e, pieces[1])))
+        q = np.array(pairs).reshape(np.shape(E) + (2,))
+        return q[..., 0][()], q[..., 1][()]
 
     return Potential1D(V=V, dV=dV, inverse=inverse, bottom=(vmin, k, w),
                        top=min(v_lo, v_hi), mass=mass)

@@ -18,7 +18,6 @@ from sympcap.capacity import (
 )
 from sympcap.core import QuadraticHamiltonian, random_symplectic, williamson
 from sympcap.ebk import (
-    PlanckConfig,
     density_of_states,
     harmonic_potential,
     morse_potential,
@@ -31,7 +30,8 @@ from sympcap.shadows import FlowSpec, PlaneSelector, evolve_ball_shadow, nonsque
 
 from oracles import ball_volume, morse_levels, quartic_levels, random_pd_matrix
 
-CFG = PlanckConfig(1.0)
+HBAR = 1.0
+PLANCK_H = 2 * math.pi * HBAR
 
 
 def report(num, name, ok):
@@ -43,12 +43,12 @@ def test_criterion_1_oscillator_levels():
     t0 = time.perf_counter()
     ok = True
     for omega in (0.5, 1.0, 3.0):
-        res = spectrum_1d(harmonic_potential(omega), 20, CFG)
+        res = spectrum_1d(harmonic_potential(omega), 20, HBAR)
         for n, entry in enumerate(res.entries):
             exact = (n + 0.5) * omega
             ok &= abs(entry.energy - exact) / exact <= 1e-10
         for n in range(21):
-            e_quad = quantize_quadratic(QuadraticHamiltonian.isotropic(1, omega), (n,), CFG)
+            e_quad = quantize_quadratic(QuadraticHamiltonian.isotropic(1, omega), (n,), HBAR)
             ok &= abs(e_quad.energy - (n + 0.5) * omega) / ((n + 0.5) * omega) <= 1e-10
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
@@ -175,14 +175,14 @@ def test_criterion_6_nonlinear_shadow():
 def test_criterion_7_morse_and_quartic_spectra():
     ok = True
     D, a, m = 10.0, 1.0, 1.0
-    exact = morse_levels(D, a, m, CFG.hbar)
-    res = spectrum_1d(morse_potential(D, a, m), len(exact) + 2, CFG)
+    exact = morse_levels(D, a, m, HBAR)
+    res = spectrum_1d(morse_potential(D, a, m), len(exact) + 2, HBAR)
     ok &= len(res.entries) == len(exact)
     for entry, E_exact in zip(res.entries, exact):
         ok &= abs(entry.energy - E_exact) <= 1e-8
 
     oracle = quartic_levels(0.25, 1.0, 1.0, nbasis=200)
-    qres = spectrum_1d(quartic_potential(0.25), 10, CFG)
+    qres = spectrum_1d(quartic_potential(0.25), 10, HBAR)
     for n in range(3, 11):
         ok &= abs(qres.entries[n].energy - oracle[n]) / oracle[n] <= 0.01
     report(7, "Morse EBK exact to 1e-8; quartic within 1% of 200-basis oracle", ok)
@@ -208,13 +208,12 @@ def test_criterion_8_density_of_states():
     for hbar, omegas, E in ((1.0, (1.0,), 10.3), (1.0, (1.0, 1.0), 20.3),
                             (0.5, (1.0, 2.0), 15.2), (1.0, (0.7, 1.0, 1.3), 12.1),
                             (0.6, (1.0, 1.0, 1.0), 7.1), (1.0, (0.9, 1.1, 1.3, 1.7), 12.0)):
-        cfg = PlanckConfig(hbar)
         N = len(omegas)
         S = random_symplectic(N, 0.5, seed=N).matrix
         H = QuadraticHamiltonian(S.T @ np.diag(omegas + omegas) @ S)
         a = [hbar * w for w in omegas]
-        count = sum(quantize_quadratic(H, n, cfg).energy <= E for n in _quantum_numbers(a, E))
-        weyl = E * density_of_states(H, E, cfg) / N
+        count = sum(quantize_quadratic(H, n, hbar).energy <= E for n in _quantum_numbers(a, E))
+        weyl = E * density_of_states(H, E, hbar) / N
         half_cell = sum(a) / (2 * E)
         ok &= weyl * (1 - half_cell) ** N <= count <= weyl * (1 + half_cell) ** N
     report(8, "level count within O(E^(N-1)) of Weyl's E g(E) / N, (hbar, spectrum) grid", ok)
@@ -223,21 +222,21 @@ def test_criterion_8_density_of_states():
 def _ebk_integers_hold(entry):
     """Each basis loop of `entry` has action/h - maslov/4 equal to its own quantum
     number, within 1e-8."""
-    return all(abs(action / CFG.h - mu / 4.0 - n) <= 1e-8 for n, action, mu
+    return all(abs(action / PLANCK_H - mu / 4.0 - n) <= 1e-8 for n, action, mu
                in zip(entry.quantum_numbers, entry.actions, entry.maslov_per_loop))
 
 
 def test_criterion_9_ebk_integer_property():
     ok = True
     for pot in (harmonic_potential(1.0), morse_potential(10.0, 1.0), quartic_potential(0.25)):
-        for entry in spectrum_1d(pot, 3, CFG).entries:
+        for entry in spectrum_1d(pot, 3, HBAR).entries:
             ok &= _ebk_integers_hold(entry)
     # two-mode tori of the separable solver at mixed quantum numbers: each
     # basis loop carries its own mode's integer, not another mode's
     for pots in ((harmonic_potential(1.0), morse_potential(10.0, 1.0)),
                  (morse_potential(10.0, 1.0), quartic_potential(0.25))):
         for n in ((0, 2), (2, 1), (3, 0), (1, 2)):
-            ok &= _ebk_integers_hold(spectrum_separable(pots, n, CFG))
+            ok &= _ebk_integers_hold(spectrum_separable(pots, n, HBAR))
     report(9, "action/h - maslov/4 is each loop's quantum number", ok)
 
 

@@ -42,8 +42,8 @@ def read_golden(name):
 # of E, and where a root finder stops in it depends on the summation order
 # of np.sum and on libm's sin, which vary with the numpy build and the CPU.
 # Between two such builds the harmonic energies moved by up to 4 ULP
-# (2.2e-16, 2 eps relative) and the actions by 1 ULP. `ebk._solve_level`
-# now stops at a Newton step of 4 ULP; here it lands within 1 ULP of the
+# (2.2e-16, 2 eps relative) and the actions by 1 ULP. Each level's Newton in
+# `ebk._solve` now stops at a Newton step of 4 ULP; here it lands within 1 ULP of the
 # golden energies and 4 ULP of the golden actions. 64 eps (1.4e-14) is at
 # least 16 times either. The absolute floor covers values that are pure
 # rounding noise, such as the Williamson residual of 2.2e-16.
@@ -156,20 +156,21 @@ class TestQuantizeCommands:
         assert json.loads(out)["entries"][0]["energy"] == pytest.approx(1.0, rel=1e-10)
 
     def test_unresolved_well_stops_at_the_cap(self, capsys, monkeypatch):
-        # a Morse ground state takes 3 action evaluations; with a cap of 2 the solver
-        # stops with NoConvergence (exit 3) within the cap, and does not loop
-        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 2)
+        # this polynomial spectrum takes the top of its well and 3 rounds; with a cap of
+        # 2 rounds the solver stops with NoConvergence (exit 3) within the cap, and does
+        # not loop
+        monkeypatch.setattr(ebk, "_MAX_ROUNDS", 2)
         action_period, calls = ebk._action_period, []
         monkeypatch.setattr(ebk, "_action_period",
                             lambda *args: calls.append(1) or action_period(*args))
-        code, out = invoke(capsys, "quantize-1d", "--potential", "morse", "D=10", "a=1",
+        code, out = invoke(capsys, "quantize-1d", "--potential",
+                           '{"kind": "polynomial", "coeffs": [0, 0.1, 0.5, 0.15, 0.12]}',
                            "--nmax", "1")
         assert code == 3
-        assert len(calls) == 2
+        assert len(calls) == 3
         obj = json.loads(out)
         assert obj["error"] == "NoConvergence"
-        assert obj["message"].startswith(f"action {math.pi} not converged in 2 action "
-                                         "evaluations")
+        assert re.match(r"action \S+ not converged in 2 rounds, last E=", obj["message"])
 
     def test_harmonic_well_never_dissociates(self, capsys):
         # a default bracket of +-60 / (omega sqrt(m)) once confined only E <= 1800, so

@@ -10,7 +10,6 @@ from sympcap import ebk
 from sympcap.capacity import capacity_ball, capacity_ellipsoid
 from sympcap.core import QuadraticHamiltonian
 from sympcap.ebk import (
-    PlanckConfig,
     Potential1D,
     blob_check,
     density_of_states,
@@ -41,7 +40,8 @@ from oracles import (
     turning_points_oracle,
 )
 
-CFG = PlanckConfig(1.0)
+HBAR = 1.0
+PLANCK_H = 2 * math.pi * HBAR
 
 
 @pytest.fixture
@@ -55,6 +55,27 @@ def _spoil_dV(pot, spoil):
     """A copy of `pot` whose dV returns spoil(dV(q))."""
     dV = pot.dV
     return dataclasses.replace(pot, dV=lambda q: spoil(dV(q)))
+
+
+def _spoil_start(monkeypatch, factor):
+    """Put every Taylor start at factor times its distance to the well bottom."""
+    start = ebk._bottom_start
+    monkeypatch.setattr(ebk, "_bottom_start",
+                        lambda p, A: p.bottom[0] + factor * (start(p, A) - p.bottom[0]))
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The number of energies of each `_action_period` call, in order: a call is one
+    round of a solve, or the top of the well."""
+    action_period, sizes = ebk._action_period, []
+
+    def counted(pot, E):
+        sizes.append(np.size(E))
+        return action_period(pot, E)
+
+    monkeypatch.setattr(ebk, "_action_period", counted)
+    return sizes
 
 
 # (potential, energy, exact turning points)
@@ -85,7 +106,7 @@ WELL_DESCS = [{"kind": "harmonic", "omega": 1.0}, {"kind": "morse", "D": 10.0, "
 WELL_IDS = ["harmonic", "morse", "quartic", "poly"]
 
 
-class TestPlanckConfig:
+class TestHbarArgument:
     @pytest.mark.parametrize("hbar,message", [
         (math.nan, "hbar must be finite and positive, got nan"),
         (0.0, "hbar must be finite and positive, got 0.0"),
@@ -93,32 +114,38 @@ class TestPlanckConfig:
         (math.inf, "hbar must be finite and positive, got inf"),
     ])
     def test_hbar_finite_and_positive(self, hbar, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            PlanckConfig(hbar)
+        # hbar is a plain float: each function that takes it refuses a bad one by name
+        H, pot = QuadraticHamiltonian.isotropic(1, 1.0), harmonic_potential(1.0)
+        for call in (lambda: blob_check(1.0, hbar), lambda: quantize_quadratic(H, (0,), hbar),
+                     lambda: density_of_states(H, 1.0, hbar), lambda: level_1d(pot, 0, hbar),
+                     lambda: spectrum_1d(pot, 0, hbar),
+                     lambda: spectrum_separable([pot], (0,), hbar)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestBlobCheck:
     def test_ground_state_ball(self):
         # B(sqrt((2n+1) hbar)) has area pi (2n+1) hbar = (n + 1/2) h
         cap = capacity_ball(math.sqrt(1.0), 3)
-        assert blob_check(cap, CFG) == 0
+        assert blob_check(cap, HBAR) == 0
 
     def test_level_two_from_energy(self):
         cap = 2 * math.pi * 2.5  # 2 pi E / w with E = 2.5 hbar w
-        assert blob_check(cap, CFG) == 2
+        assert blob_check(cap, HBAR) == 2
 
     def test_between_levels(self):
-        assert blob_check(0.9 * CFG.h, CFG, tol=0.05) is None
+        assert blob_check(0.9 * PLANCK_H, HBAR, tol=0.05) is None
 
     def test_infinite_rejected(self):
         with pytest.raises(NotABlob):
-            blob_check(math.inf, CFG)
+            blob_check(math.inf, HBAR)
 
     @pytest.mark.parametrize("value", [-1.0, math.nan, -math.inf])
     def test_capacity_nonnegative(self, value):
         # NaN once passed `value < 0` and reached round(); refused before tol is read
         with pytest.raises(ValueError, match=f"capacity must be nonnegative, got {value}"):
-            blob_check(value, CFG, tol=math.nan)
+            blob_check(value, HBAR, tol=math.nan)
 
     @pytest.mark.parametrize("value,tol", [(1e308, 0.05), (1e20, 0.001), (1e17, 0.05),
                                            (40.0, 0.0)])
@@ -126,39 +153,39 @@ class TestBlobCheck:
         # |cap - (n + 1/2) h| once rounded to 0 here: 1e308 read as a blob
         # with a 308-digit index
         with pytest.raises(ValueError, match=r"double spacing .* coarser than the tolerance"):
-            blob_check(value, CFG, tol=tol)
+            blob_check(value, HBAR, tol=tol)
 
     def test_resolution_edge(self):
         # ulp(2^40) = 2^-12 = 2.4e-4 is within 0.001 h = 6.3e-3; ulp(2^46) = 2^-6 is not
-        assert blob_check(2.0**40, CFG, tol=0.001) is None
+        assert blob_check(2.0**40, HBAR, tol=0.001) is None
         with pytest.raises(ValueError, match="double spacing"):
-            blob_check(2.0**46, CFG, tol=0.001)
+            blob_check(2.0**46, HBAR, tol=0.001)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_zero_tol_places_exact_rungs(self, n):
-        assert blob_check((n + 0.5) * CFG.h, CFG, tol=0.0) == n
-        assert blob_check((n + 0.6) * CFG.h, CFG, tol=0.0) is None
+        assert blob_check((n + 0.5) * PLANCK_H, HBAR, tol=0.0) == n
+        assert blob_check((n + 0.6) * PLANCK_H, HBAR, tol=0.0) is None
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
     def test_tol_nonnegative(self, tol):
         # a NaN or negative tol once matched no index and answered "no blob"
         with pytest.raises(ValueError, match="tol must be nonnegative"):
-            blob_check(CFG.h / 2, CFG, tol=tol)
+            blob_check(PLANCK_H / 2, HBAR, tol=tol)
 
 
 class TestQuantizeQuadratic:
     def test_single_mode_ground_state(self):
         for omega in (0.5, 1.0, 3.0):
             H = QuadraticHamiltonian.isotropic(1, omega)
-            entry = quantize_quadratic(H, (0,), CFG)
+            entry = quantize_quadratic(H, (0,), HBAR)
             assert entry.energy == pytest.approx(0.5 * omega, rel=1e-12)
 
     def test_two_mode_example(self):
         H = QuadraticHamiltonian(np.diag([1.0, 3.0, 1.0, 3.0]))
-        entry = quantize_quadratic(H, (2, 0), CFG)
+        entry = quantize_quadratic(H, (2, 0), HBAR)
         # cross-check: exact two-mode oscillator formula (2.5)(1) + (0.5)(3)
         assert entry.energy == pytest.approx(4.0, rel=1e-12)
-        assert entry.actions == pytest.approx((2.5 * CFG.h, 0.5 * CFG.h))
+        assert entry.actions == pytest.approx((2.5 * PLANCK_H, 0.5 * PLANCK_H))
         assert entry.maslov_per_loop == (2, 2)
 
     def test_zero_point_sum(self):
@@ -167,7 +194,7 @@ class TestQuantizeQuadratic:
         from sympcap.core import williamson
         M = random_pd_matrix(rng, 3)
         H = QuadraticHamiltonian(M)
-        entry = quantize_quadratic(H, (0, 0, 0), CFG)
+        entry = quantize_quadratic(H, (0, 0, 0), HBAR)
         assert entry.energy == pytest.approx(0.5 * np.sum(williamson(H).omegas), rel=1e-10)
 
 
@@ -290,15 +317,15 @@ class TestActionIntegral:
 class TestSpectrum1D:
     def test_harmonic_levels_exact(self):
         for omega in (0.5, 1.0, 3.0):
-            res = spectrum_1d(harmonic_potential(omega), 5, CFG)
+            res = spectrum_1d(harmonic_potential(omega), 5, HBAR)
             for n, entry in enumerate(res.entries):
                 assert entry.energy == pytest.approx((n + 0.5) * omega, rel=1e-10)
                 assert entry.maslov_per_loop == (2,)
 
     def test_morse_all_bound_levels(self):
         D, a, m = 10.0, 1.0, 1.0
-        exact = morse_levels(D, a, m, CFG.hbar)
-        res = spectrum_1d(morse_potential(D, a, m), 10, CFG)
+        exact = morse_levels(D, a, m, HBAR)
+        res = spectrum_1d(morse_potential(D, a, m), 10, HBAR)
         assert len(res.entries) == len(exact)
         for entry, E_exact in zip(res.entries, exact):
             assert entry.energy == pytest.approx(E_exact, abs=1e-8)
@@ -306,27 +333,27 @@ class TestSpectrum1D:
         assert [s["n"] for s in res.skipped] == list(range(len(exact), 11))
 
     def test_quartic_against_diagonalization(self):
-        res = spectrum_1d(quartic_potential(0.25), 10, CFG)
+        res = spectrum_1d(quartic_potential(0.25), 10, HBAR)
         oracle = quartic_levels(0.25, 1.0, 1.0, nbasis=200)
         for n in range(3, 11):
             ebk_E = res.entries[n].energy
             assert abs(ebk_E - oracle[n]) / oracle[n] < 0.01
 
     def test_actions_are_quantized(self):
-        res = spectrum_1d(quartic_potential(0.25), 6, CFG)
+        res = spectrum_1d(quartic_potential(0.25), 6, HBAR)
         for entry in res.entries:
-            x = entry.actions[0] / CFG.h - 0.5
+            x = entry.actions[0] / PLANCK_H - 0.5
             assert abs(x - round(x)) < 1e-8
 
     def test_V_reassigned_after_solve(self):
         # each call reads the V, inverse and bottom it is given: nothing of an earlier
         # solve is kept
         pot = harmonic_potential(1.0)
-        assert level_1d(pot, 0, CFG)[0] == pytest.approx(0.5, rel=1e-12)
+        assert level_1d(pot, 0, HBAR)[0] == pytest.approx(0.5, rel=1e-12)
         other = harmonic_potential(2.0)
         pot.V, pot.inverse, pot.bottom = other.V, other.inverse, other.bottom
-        assert level_1d(pot, 0, CFG)[0] == pytest.approx(1.0, rel=1e-12)
-        assert spectrum_1d(pot, 1, CFG).entries[1].energy == pytest.approx(3.0, rel=1e-12)
+        assert level_1d(pot, 0, HBAR)[0] == pytest.approx(1.0, rel=1e-12)
+        assert spectrum_1d(pot, 1, HBAR).entries[1].energy == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("desc", [
         {"kind": "quartic", "coeff": 0.25},
@@ -345,7 +372,7 @@ class TestSpectrum1D:
             return V(q)
 
         pot.V = counted
-        res = spectrum_1d(pot, 10, CFG)
+        res = spectrum_1d(pot, 10, HBAR)
         assert res.entries
         assert sum(points) <= 20_000 * len(res.entries)
 
@@ -361,7 +388,7 @@ class TestSpectrum1D:
         pot = make_potential(desc)
         dV, calls = pot.dV, []
         pot.dV = lambda q: calls.append(np.ndim(q)) or dV(q)
-        res = spectrum_1d(pot, 10, CFG)
+        res = spectrum_1d(pot, 10, HBAR)
         assert sum(calls) <= bound * len(res.entries)
 
     @pytest.mark.parametrize("desc,levels", [
@@ -378,7 +405,7 @@ class TestSpectrum1D:
         action_period, evaluations = ebk._action_period, []
         monkeypatch.setattr(ebk, "_action_period",
                             lambda pot, E: evaluations.append(E) or action_period(pot, E))
-        res = spectrum_1d(pot, 6, CFG)
+        res = spectrum_1d(pot, 6, HBAR)
         assert [e.quantum_numbers for e in res.entries] == [(n,) for n in range(levels)]
         assert evaluations and calls == []
 
@@ -390,75 +417,66 @@ class TestSpectrum1D:
         pot = harmonic_potential(omega)
         V, scalar = pot.V, []
         pot.V = lambda q: scalar.append(np.ndim(q) == 0) or V(q)
-        res = spectrum_1d(pot, 3, CFG)
+        res = spectrum_1d(pot, 3, HBAR)
         assert scalar and not any(scalar)
         assert [e.energy for e in res.entries] == \
             [pytest.approx((n + 0.5) * omega, rel=1e-12) for n in range(4)]
 
     @pytest.mark.parametrize("desc,bound", [
-        ({"kind": "harmonic", "omega": 1.0}, 2.0),
-        ({"kind": "morse", "D": 10.0, "a": 1.0}, 3.2),
-        ({"kind": "quartic", "coeff": 0.25}, 3.8),
-        (BENCH_POLY, 3.5),
-    ])
-    def test_action_evaluations_per_level(self, desc, bound, monkeypatch):
-        # level 0 starts from the leading Taylor term at the bottom, exact for the
-        # harmonic and quartic wells, and levels n >= 1 from a Hermite extrapolation of
-        # E(A), which lands at rounding level for the harmonic (E linear in A) and Morse
-        # (quadratic) wells: 1.91, 3.0, 3.18 and 3.27 here. A Newton step from the level
-        # below took 1.91, 5.0, 4.27 and 4.0. test_evaluations_per_level_tight holds the
-        # counts with exact starts reused and settled Newton points taken
-        action_period, calls = ebk._action_period, []
-
-        def counted(p, E, *args):
-            calls.append(E)
-            return action_period(p, E, *args)
-
-        monkeypatch.setattr(ebk, "_action_period", counted)
-        res = spectrum_1d(make_potential(desc), 10, CFG)
-        assert len(calls) <= bound * len(res.entries)
-
-    @pytest.mark.parametrize("desc,per_level", [
         ({"kind": "harmonic", "omega": 1.0}, 1.0),
-        ({"kind": "morse", "D": 10.0, "a": 1.0}, 2.75),
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, 1.25),
         ({"kind": "quartic", "coeff": 0.25}, 1.0),
-        (BENCH_POLY, 2.3),
-    ], ids=WELL_IDS)
-    def test_evaluations_per_level_tight(self, desc, per_level, monkeypatch):
-        # the harmonic and quartic levels n >= 1 start from the leading Taylor term too,
-        # exact there, and take 1 evaluation each; Morse and BENCH_POLY levels take a
-        # Newton step whose predicted error is within the 4-ulp stop without a
-        # confirming evaluation: 1.0, 2.75, 1.0 and 2.27 here
-        action_period, calls = ebk._action_period, []
-        monkeypatch.setattr(ebk, "_action_period",
-                            lambda p, E: calls.append(E) or action_period(p, E))
-        res = spectrum_1d(make_potential(desc), 10, CFG)
-        assert len(calls) <= per_level * len(res.entries)
+        (BENCH_POLY, 3.0),
+    ])
+    def test_action_evaluations_per_level(self, desc, bound, evaluations):
+        # the energies evaluated per level, summed over a spectrum's rounds and the top of
+        # its well: 1.0, 1.25, 1.0 and 2.91 here. The harmonic and quartic levels lie on
+        # their Taylor start and the Morse levels on the quadratic through the bottom and
+        # the top, and a polynomial level goes on from a second start after its first
+        # evaluation. The scalar solver, one level at a time with Hermite starts from the
+        # levels below, took 1.0, 2.75, 1.0 and 2.27
+        res = spectrum_1d(make_potential(desc), 10, HBAR)
+        assert sum(evaluations) <= bound * len(res.entries)
 
-    @pytest.mark.parametrize("desc,confirmed_counts", [
-        ({"kind": "morse", "D": 10.0, "a": 1.0}, [4, 5, 10, 12]),
-        (BENCH_POLY, [4, 5, 5, 5]),
+    @pytest.mark.parametrize("desc,calls", [
+        ({"kind": "harmonic", "omega": 1.0}, 1),
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, 2),
+        ({"kind": "quartic", "coeff": 0.25}, 1),
+        (BENCH_POLY, 5),
+    ], ids=WELL_IDS)
+    def test_evaluations_per_level_tight(self, desc, calls, evaluations):
+        # one action evaluation of the whole vector a round, and one for the top of a well
+        # that has one: the harmonic and quartic spectra to nmax 10 take 1 round, the
+        # Morse one the top and 1 round, and BENCH_POLY the top and 4 rounds
+        spectrum_1d(make_potential(desc), 10, HBAR)
+        assert len(evaluations) <= calls
+
+    @pytest.mark.parametrize("desc,spoil,bound", [
+        ({"kind": "morse", "D": 10.0, "a": 1.0}, 1.1, 9),
+        (BENCH_POLY, 1.0, 32),
     ], ids=["morse", "poly"])
-    def test_no_confirming_evaluation(self, desc, confirmed_counts, monkeypatch):
+    def test_no_confirming_evaluation(self, desc, spoil, bound, evaluations, monkeypatch):
         # a Newton step whose predicted error is within the 4-ulp stop is taken without
-        # evaluating the action again there: levels 0..3 each take at least one
-        # evaluation fewer than confirmed_counts, the counts of a solver that evaluated
-        # once more at a point whose step was already under 4 ulp
-        action_period, calls = ebk._action_period, []
-        monkeypatch.setattr(ebk, "_action_period",
-                            lambda p, E: calls.append(E) or action_period(p, E))
-        for n, confirmed in enumerate(confirmed_counts):
-            calls.clear()
-            assert level_1d(make_potential(desc), n, CFG)[1] == pytest.approx(
-                (n + 0.5) * CFG.h, rel=1e-12)
-            assert len(calls) <= confirmed - 1, n
+        # evaluating the action again there: the spectrum to nmax 10 (Morse from starts
+        # 10% high, which its exact start would not need) evaluates `bound` energies,
+        # fewer than a solver that evaluates once more at a point whose step was already
+        # under 4 ulp (13 and 42 here)
+        _spoil_start(monkeypatch, spoil)
+        pot, counts = make_potential(desc), []
+        for settles in (ebk._newton_settles, lambda *args: False):
+            monkeypatch.setattr(ebk, "_newton_settles", settles)
+            evaluations.clear()
+            for n, entry in enumerate(spectrum_1d(pot, 10, HBAR).entries):
+                assert entry.actions[0] == pytest.approx((n + 0.5) * PLANCK_H, rel=1e-12)
+            counts.append(sum(evaluations))
+        assert counts[0] <= bound < counts[1]
 
     @staticmethod
     def _morse_error(D, a, m):
         """The largest relative distance of the Morse spectrum's levels to their closed
         form."""
-        exact = morse_levels(D, a, m, CFG.hbar)
-        res = spectrum_1d(morse_potential(D, a, m), 10, CFG)
+        exact = morse_levels(D, a, m, HBAR)
+        res = spectrum_1d(morse_potential(D, a, m), 10, HBAR)
         assert len(res.entries) == len(exact)
         return max(abs(e.energy - x) / x for e, x in zip(res.entries, exact))
 
@@ -472,8 +490,13 @@ class TestSpectrum1D:
         assert self._morse_error(D, a, m) < 1e-13
 
     def test_curvature_bound_is_needed(self, monkeypatch):
-        # negative control: a stop that takes every Newton step under 1e-3 relative,
-        # ignoring the curvature bound, misses the closed form of the test above
+        # from starts 10% high, and by Newton steps alone (no second starts), the levels
+        # still lie within 1e-13 of the closed form. Negative control: a stop that takes
+        # every Newton step under 1e-3 relative, ignoring the curvature bound, misses it
+        # (by 2.4e-6 here)
+        _spoil_start(monkeypatch, 1.1)
+        monkeypatch.setattr(ebk, "_second_starts", lambda E, A, T, t: [math.nan] * len(E))
+        assert self._morse_error(10.0, 1.0, 1.0) < 1e-13
         monkeypatch.setattr(ebk, "_newton_settles",
                             lambda E, step, T, curvature, stop: abs(step) < 1e-3 * abs(E))
         assert self._morse_error(10.0, 1.0, 1.0) > 1e-10
@@ -484,16 +507,16 @@ class TestSpectrum1D:
         eigvals, calls = np.linalg.eigvals, []
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
         pot = make_potential(BENCH_POLY)
-        assert spectrum_1d(pot, 10, CFG).entries
+        assert spectrum_1d(pot, 10, HBAR).entries
         assert len(calls) == 1
 
-    def test_hermite_start_keeps_levels(self, monkeypatch):
-        # with the Hermite start refused (NaN guess), every level is the one a plain
-        # Newton start finds, to within the rounding plateau of A(E)
+    def test_second_start_keeps_levels(self, monkeypatch):
+        # with the second starts refused (NaN), every level is the one Newton from its
+        # first evaluation finds, to within the rounding plateau of A(E)
         for desc in ({"kind": "morse", "D": 10.0, "a": 1.0}, {"kind": "quartic"}, BENCH_POLY):
-            with_start = spectrum_1d(make_potential(desc), 10, CFG).entries
-            monkeypatch.setattr(ebk, "_hermite_start", lambda *args: math.nan)
-            plain = spectrum_1d(make_potential(desc), 10, CFG).entries
+            with_start = spectrum_1d(make_potential(desc), 10, HBAR).entries
+            monkeypatch.setattr(ebk, "_second_starts", lambda E, A, T, t: [math.nan] * len(E))
+            plain = spectrum_1d(make_potential(desc), 10, HBAR).entries
             monkeypatch.undo()
             assert [e.quantum_numbers for e in with_start] == [e.quantum_numbers for e in plain]
             for a, b in zip(with_start, plain):
@@ -502,18 +525,14 @@ class TestSpectrum1D:
     @pytest.mark.parametrize("desc", [{"kind": "quartic", "coeff": 0.25}, BENCH_POLY],
                              ids=["quartic", "poly"])
     @pytest.mark.parametrize("factor", [1e200, 1e-200])
-    def test_start_decades_off(self, desc, factor, monkeypatch):
+    def test_start_decades_off(self, desc, factor, evaluations, monkeypatch):
         # a start 200 decades off the level is bisected in log(E - vmin), down from the
         # bottom 52 octaves below the start: linear bisection from the bottom took more
         # than 100 evaluations to come down 200 decades
-        start, calls = ebk._bottom_start, []
-        monkeypatch.setattr(ebk, "_bottom_start",
-                            lambda p, A: p.bottom[0] + factor * (start(p, A) - p.bottom[0]))
-        action_period = ebk._action_period
-        monkeypatch.setattr(ebk, "_action_period",
-                            lambda p, E: calls.append(E) or action_period(p, E))
-        assert level_1d(make_potential(desc), 0, CFG)[1] == pytest.approx(0.5 * CFG.h, rel=1e-12)
-        assert len(calls) <= 40
+        _spoil_start(monkeypatch, factor)
+        level = level_1d(make_potential(desc), 0, HBAR)
+        assert level[1] == pytest.approx(0.5 * PLANCK_H, rel=1e-12)
+        assert len(evaluations) <= 40
 
     @pytest.mark.parametrize("coeffs,scale,k", [
         # 1e150 q^4 holds the well: the roots of V - E span 150 decades, and a zero
@@ -526,9 +545,9 @@ class TestSpectrum1D:
     def test_coefficients_spanning_decades(self, coeffs, scale, k):
         # the levels of the term C q^k that holds the well, from its closed-form action
         b = math.gamma(1 + 1 / k) * math.gamma(1.5) / math.gamma(1.5 + 1 / k)
-        res = spectrum_1d(make_potential({"kind": "polynomial", "coeffs": coeffs}), 2, CFG)
+        res = spectrum_1d(make_potential({"kind": "polynomial", "coeffs": coeffs}), 2, HBAR)
         assert [e.energy for e in res.entries] == [
-            pytest.approx(((n + 0.5) * CFG.h * scale ** (1 / k) / (4 * math.sqrt(2) * b))
+            pytest.approx(((n + 0.5) * PLANCK_H * scale ** (1 / k) / (4 * math.sqrt(2) * b))
                           ** (1 / (0.5 + 1 / k)), rel=1e-10) for n in range(3)]
 
     def test_well_with_no_top_grows(self, monkeypatch):
@@ -538,88 +557,118 @@ class TestSpectrum1D:
         monkeypatch.setattr(ebk, "_bottom_start", lambda p, A: 1e-8 * start(p, A))
         action_period, calls = ebk._action_period, []
 
-        def no_period(p, E):
+        def no_period(p, E):  # a level alone is evaluated at a float
             calls.append(E)
-            return action_period(p, E)[0], math.inf
+            return action_period(p, E)[0], np.float64(math.inf)
 
         monkeypatch.setattr(ebk, "_action_period", no_period)
-        assert level_1d(harmonic_potential(1.0), 0, CFG)[0] == pytest.approx(0.5, rel=1e-12)
+        assert level_1d(harmonic_potential(1.0), 0, HBAR)[0] == pytest.approx(0.5, rel=1e-12)
         assert calls[1:3] == [4.0 * calls[0], 16.0 * calls[0]]
         assert calls[0] == pytest.approx(5e-9)
-        assert len(calls) < ebk._MAX_EVALUATIONS
+        assert len(calls) < ebk._MAX_ROUNDS
 
     def test_evaluation_cap(self, monkeypatch):
-        # the Morse ground state takes 3 evaluations from the harmonic start (4 with a
-        # confirming evaluation at the last Newton point)
-        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 2)
-        with pytest.raises(NoConvergence, match="not converged in 2 action evaluations"):
-            level_1d(morse_potential(10.0, 1.0), 0, CFG)
-        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 3)
-        assert level_1d(morse_potential(10.0, 1.0), 0, CFG)[1] == pytest.approx(0.5 * CFG.h)
+        # the BENCH_POLY ground state alone takes 3 rounds after the top of its well
+        # (a level alone has no second start)
+        monkeypatch.setattr(ebk, "_MAX_ROUNDS", 2)
+        with pytest.raises(NoConvergence, match=r"^action 3\.14159\S* not converged in 2 rounds"):
+            level_1d(make_potential(BENCH_POLY), 0, HBAR)
+        monkeypatch.setattr(ebk, "_MAX_ROUNDS", 3)
+        assert level_1d(make_potential(BENCH_POLY), 0, HBAR)[1] == pytest.approx(0.5 * PLANCK_H)
 
     @pytest.mark.parametrize("lam", [3.7, 4.0, 4.3])
     def test_morse_start_above_dissociation(self, lam, monkeypatch):
         # at sqrt(2 m D) / (a hbar) = lam the harmonic start of levels 2 and 3 lies above
-        # dissociation. From the top, where dE/dA = 1/T = 0, the next point is the
-        # quadratic E(A) through the bottom and the top, exact for Morse: 3 evaluations
-        # a level. Bisecting down from 2^-52 of the top took 9 to 15
+        # dissociation. The lower quadratic E(A) through the bottom, with the harmonic
+        # slope, and the top is exact for Morse: the top and 1 round a level. Bisecting
+        # down from 2^-52 of the top took 9 to 15 evaluations
         D = 10.0
-        a = math.sqrt(2.0 * D) / (lam * CFG.hbar)
-        exact = morse_levels(D, a, 1.0, CFG.hbar)
+        a = math.sqrt(2.0 * D) / (lam * HBAR)
+        exact = morse_levels(D, a, 1.0, HBAR)
         action_period, calls = ebk._action_period, []
         monkeypatch.setattr(ebk, "_action_period",
                             lambda p, E: calls.append(E) or action_period(p, E))
         for n in (2, 3):
             calls.clear()
-            assert level_1d(morse_potential(D, a), n, CFG)[0] == pytest.approx(exact[n],
+            assert level_1d(morse_potential(D, a), n, HBAR)[0] == pytest.approx(exact[n],
                                                                               rel=1e-13)
             assert len(calls) <= 3, n
 
     def test_bracket_top_evaluated_once(self, monkeypatch):
         # levels 4..10 lie past dissociation: each is refused at the top of the
-        # well, whose action is computed for the first of them only
+        # well, whose action is computed once, before the solve
         pot = morse_potential(10.0, 1.0)
         e_cap = pot.top
         action_period, tops = ebk._action_period, []
 
         def counted(p, E, *args):
-            tops.extend([E] if E > e_cap * (1 - 1e-11) else [])
+            tops.extend(e for e in np.ravel(E) if e > e_cap * (1 - 1e-11))
             return action_period(p, E, *args)
 
         monkeypatch.setattr(ebk, "_action_period", counted)
-        res = spectrum_1d(pot, 10, CFG)
+        res = spectrum_1d(pot, 10, HBAR)
         assert len(tops) == 1
         assert res.skipped == [
-            {"n": n, "reason": f"action {(n + 0.5) * CFG.h} not reached below dissociation "
+            {"n": n, "reason": f"action {(n + 0.5) * PLANCK_H} not reached below dissociation "
                                f"at E={e_cap}"} for n in range(4, 11)]
 
     @pytest.mark.parametrize("desc", WELL_DESCS, ids=WELL_IDS)
     def test_reentrant(self, desc, monkeypatch):
         # a solve and a turning-point lookup on the same potential, run from inside
         # each action evaluation of another solve, leave its levels bit for bit. The
-        # starts are put 10% high, so that level 0 takes several evaluations in every
-        # well (the harmonic and quartic levels take 1 from the exact start): the inner
-        # solves then interleave with an unfinished level
-        start = ebk._bottom_start
-        monkeypatch.setattr(ebk, "_bottom_start",
-                            lambda p, A: p.bottom[0] + 1.1 * (start(p, A) - p.bottom[0]))
+        # starts are put 10% high, so that the spectrum takes several rounds in every
+        # well (the harmonic and quartic spectra take 1 from the exact start): the inner
+        # solves then interleave with unfinished levels
+        _spoil_start(monkeypatch, 1.1)
         pot = make_potential(desc)
-        plain = spectrum_1d(pot, 8, CFG)
+        plain = spectrum_1d(pot, 8, HBAR)
         action_period, state = ebk._action_period, {"nested": False, "outer": 0}
 
         def interrupting(p, E, *args):
             if not state["nested"]:
                 state["nested"], state["outer"] = True, state["outer"] + 1
-                spectrum_1d(pot, 1, CFG)
+                spectrum_1d(pot, 1, HBAR)
                 turning_points(pot, 0.5 * E)
                 state["nested"] = False
             return action_period(p, E, *args)
 
         monkeypatch.setattr(ebk, "_action_period", interrupting)
-        got = spectrum_1d(pot, 8, CFG)
-        assert state["outer"] > len(plain.entries)
+        got = spectrum_1d(pot, 8, HBAR)
+        assert state["outer"] > 1
         assert got.entries == plain.entries
         assert got.skipped == plain.skipped
+
+    @staticmethod
+    def _independence_gap(desc):
+        """The largest distance, in ULP, of a level of the spectrum to nmax 10 to the same
+        level solved alone."""
+        pot = make_potential(desc)
+        return max(abs(e.energy - level_1d(pot, e.quantum_numbers[0], HBAR)[0])
+                   / math.ulp(e.energy) for e in spectrum_1d(pot, 10, HBAR).entries)
+
+    @pytest.mark.parametrize("desc", WELL_DESCS, ids=WELL_IDS)
+    def test_level_independent_of_others(self, desc):
+        # each level keeps its own bracket and stops, so the levels solved with it move
+        # it by rounding only: 0, 0, 0 and 2 ULP here (BENCH_POLY's levels alone take no
+        # second start)
+        assert self._independence_gap(desc) <= 4
+
+    def test_frozen_level_breaks_independence(self, monkeypatch):
+        # negative control: a solver that stops updating one level of a spectrum after
+        # its first round reports that level's start, far off the level solved alone
+        newton, made = ebk._newton, []
+
+        def frozen(vmin, e_top, target, start):
+            made.append(target)
+            level = newton(vmin, e_top, target, start)
+            if len(made) != 4:  # the fourth level of the spectrum, not a level alone
+                return (yield from level)
+            E = next(level)
+            A, _, _ = yield E
+            return E, A
+
+        monkeypatch.setattr(ebk, "_newton", frozen)
+        assert self._independence_gap(BENCH_POLY) > 1e6
 
     @pytest.mark.parametrize("desc", WELL_DESCS, ids=WELL_IDS)
     def test_turning_points_by_module_name(self, desc, monkeypatch):
@@ -632,8 +681,51 @@ class TestSpectrum1D:
                 return _fn(*args)
 
             monkeypatch.setattr(ebk, name, counted)
-        assert spectrum_1d(make_potential(desc), 10, CFG).entries
+        assert spectrum_1d(make_potential(desc), 10, HBAR).entries
         assert counts["turning_points"] == counts["_action_period"] > 0
+
+
+def _closed_form(kind, params, hbar, n, mpmath):
+    """The EBK level n of a harmonic, quartic or Morse well to the working precision of
+    mpmath, from the double parameters taken exactly."""
+    p = {key: mpmath.mpf(value) for key, value in params.items()}
+    hbar, half = mpmath.mpf(hbar), n + mpmath.mpf(1) / 2
+    if kind == "harmonic":
+        return half * hbar * p["omega"]
+    if kind == "quartic":  # (n + 1/2) h = 4 sqrt(2m) B c^(-1/4) E^(3/4)
+        b = (mpmath.gamma(mpmath.mpf(5) / 4) * mpmath.gamma(mpmath.mpf(3) / 2)
+             / mpmath.gamma(mpmath.mpf(7) / 4))
+        return (half * 2 * mpmath.pi * hbar * p["coeff"] ** (mpmath.mpf(1) / 4)
+                / (4 * mpmath.sqrt(2 * p["mass"]) * b)) ** (mpmath.mpf(4) / 3)
+    x = hbar * p["a"] * mpmath.sqrt(2 * p["D"] / p["mass"]) * half
+    return x - x * x / (4 * p["D"])
+
+
+class TestClosedFormDigits:
+    @pytest.mark.parametrize("kind,configs,bound", [
+        ("harmonic", [({"omega": 1.0, "mass": 1.0}, 1.0), ({"omega": 1.3, "mass": 2.5}, 1.0),
+                      ({"omega": 0.7, "mass": 1.0}, 0.9)], 3),
+        ("quartic", [({"coeff": 0.25, "mass": 1.0}, 1.0), ({"coeff": 0.3, "mass": 2.0}, 1.0),
+                     ({"coeff": 1.0, "mass": 1.0}, 0.8)], 6),
+        ("morse", [({"D": 10.0, "a": 1.0, "mass": 1.0}, 1.0),
+                   ({"D": 50.0, "a": 0.5, "mass": 1.0}, 1.0),
+                   ({"D": 8.0, "a": 1.4, "mass": 0.7}, 1.0),
+                   ({"D": 30.0, "a": 0.3, "mass": 1.0}, 0.8)], 3),
+    ], ids=["harmonic", "quartic", "morse"])
+    def test_levels_round_to_closed_form(self, kind, configs, bound):
+        # every printed level n <= 12 within `bound` ULP of the double nearest its
+        # 50-digit closed form. The scalar solver was off by up to 3 ULP (harmonic, at
+        # omega 1.3 and mass 2.5), 5 (quartic) and 3 (Morse) here; these bounds keep it
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(50):
+            for params, hbar in configs:
+                res = spectrum_1d(make_potential({"kind": kind, **params}), 12, hbar)
+                assert res.entries
+                for e in res.entries:
+                    exact = float(_closed_form(kind, params, hbar, e.quantum_numbers[0], mpmath))
+                    worst = max(worst, abs(e.energy - exact) / math.ulp(exact))
+        assert worst <= bound
 
 
 class TestWarningHygiene:
@@ -653,8 +745,8 @@ class TestWarningHygiene:
                 assert math.isfinite(_action_period(pot, E)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            level_1d(pot, 3, CFG)
-            assert spectrum_1d(pot, 12, CFG).entries
+            level_1d(pot, 3, HBAR)
+            assert spectrum_1d(pot, 12, HBAR).entries
         if desc["kind"] == "morse":
             with np.errstate(divide="ignore"):
                 assert _action_period(pot, energies[-1])[1] == math.inf
@@ -663,12 +755,12 @@ class TestWarningHygiene:
 class TestSpectrumSeparable:
     def test_two_harmonic_zero_point(self):
         pots = [harmonic_potential(1.0), harmonic_potential(1.0)]
-        entry = spectrum_separable(pots, (0, 0), CFG)
+        entry = spectrum_separable(pots, (0, 0), HBAR)
         assert entry.energy == pytest.approx(1.0, rel=1e-10)
 
     def test_harmonic_times_morse(self):
         D, a = 10.0, 1.0
-        entry = spectrum_separable([harmonic_potential(2.0), morse_potential(D, a)], (1, 2), CFG)
+        entry = spectrum_separable([harmonic_potential(2.0), morse_potential(D, a)], (1, 2), HBAR)
         expected = 1.5 * 2.0 + morse_levels(D, a, 1.0, 1.0)[2]
         assert entry.energy == pytest.approx(expected, abs=1e-8)
 
@@ -676,8 +768,8 @@ class TestSpectrumSeparable:
         omegas = (0.7, 2.2)
         pots = [harmonic_potential(w) for w in omegas]
         n = (1, 3)
-        sep = spectrum_separable(pots, n, CFG)
-        quad = quantize_quadratic(QuadraticHamiltonian(np.diag(omegas + omegas)), n, CFG)
+        sep = spectrum_separable(pots, n, HBAR)
+        quad = quantize_quadratic(QuadraticHamiltonian(np.diag(omegas + omegas)), n, HBAR)
         assert sep.energy == pytest.approx(quad.energy, rel=1e-10)
 
 
@@ -685,31 +777,31 @@ class TestDensityOfStates:
     def test_one_mode_constant(self):
         H = QuadraticHamiltonian.isotropic(1, 2.0)
         for E in (0.3, 1.0, 4.0):
-            assert density_of_states(H, E, CFG) == pytest.approx(0.5, rel=1e-12)
+            assert density_of_states(H, E, HBAR) == pytest.approx(0.5, rel=1e-12)
 
     def test_three_mode_value(self):
         H = QuadraticHamiltonian.isotropic(3, 1.0)
-        assert density_of_states(H, 2.0, CFG) == pytest.approx(2.0, rel=1e-12)
+        assert density_of_states(H, 2.0, HBAR) == pytest.approx(2.0, rel=1e-12)
 
     def test_anisotropic_value(self):
         # E^(N-1) / ((N-1)! prod_j hbar w_j) at w = (1, 2), hbar = 1 and 0.5
         H = QuadraticHamiltonian(np.diag([1.0, 2.0, 1.0, 2.0]))
-        assert density_of_states(H, 1.0, CFG) == pytest.approx(0.5, rel=1e-12)
-        assert density_of_states(H, 3.0, PlanckConfig(0.5)) == pytest.approx(6.0, rel=1e-12)
+        assert density_of_states(H, 1.0, HBAR) == pytest.approx(0.5, rel=1e-12)
+        assert density_of_states(H, 3.0, 0.5) == pytest.approx(6.0, rel=1e-12)
 
     def test_three_mode_anisotropic_matches_volume_derivative(self):
         # d/dE of the phase-space volume (2 pi E)^3 / (3! prod w_j) in cells h^3,
         # by a central difference of relative step 1e-4, which is off by step^2 / 3
         omegas = (0.7, 1.0, 1.3)
         H = QuadraticHamiltonian(np.diag(omegas * 2))
-        cfg = PlanckConfig(0.8)
+        hbar = 0.8
 
         def states(e):
-            return (2 * math.pi * e) ** 3 / (6 * math.prod(omegas)) / cfg.h ** 3
+            return (2 * math.pi * e) ** 3 / (6 * math.prod(omegas)) / (2 * math.pi * hbar) ** 3
 
         E, step = 2.0, 2e-4
         want = (states(E + step) - states(E - step)) / (2 * step)
-        assert density_of_states(H, E, cfg) == pytest.approx(want, rel=1e-8)
+        assert density_of_states(H, E, hbar) == pytest.approx(want, rel=1e-8)
 
 
 class TestCrossModule:
@@ -717,10 +809,10 @@ class TestCrossModule:
         omega = 1.3
         H = QuadraticHamiltonian.isotropic(2, omega)
         for n in range(6):
-            E_n = (n + 0.5) * CFG.hbar * omega
+            E_n = (n + 0.5) * HBAR * omega
             cap = capacity_ellipsoid(H, E_n)
-            assert cap == pytest.approx((n + 0.5) * CFG.h, rel=1e-10)
-            assert blob_check(cap, CFG) == n
+            assert cap == pytest.approx((n + 0.5) * PLANCK_H, rel=1e-10)
+            assert blob_check(cap, HBAR) == n
 
 
 class TestPotentialValue:
@@ -731,13 +823,13 @@ class TestPotentialValue:
     def test_solve_leaves_no_state(self, monkeypatch):
         pot = quartic_potential(0.25)
         before = dict(vars(pot))
-        assert spectrum_1d(pot, 3, CFG).entries
+        assert spectrum_1d(pot, 3, HBAR).entries
         assert vars(pot) == before
         pot = morse_potential(10.0, 1.0)
         before = dict(vars(pot))
-        monkeypatch.setattr(ebk, "_MAX_EVALUATIONS", 2)  # the energy search runs out
+        monkeypatch.setattr(ebk, "_MAX_ROUNDS", 0)  # the energy search runs out
         with pytest.raises(NoConvergence):
-            spectrum_1d(pot, 1, CFG)
+            spectrum_1d(pot, 1, HBAR)
         assert vars(pot) == before
 
     def test_value_equality(self):
@@ -754,8 +846,8 @@ class TestPotentialFactory:
                      {"kind": "quartic", "coeff": 0.1},
                      {"kind": "polynomial", "coeffs": [0.0, 0.0, 0.5]}):
             pot = make_potential(desc)
-            E, action = level_1d(pot, 0, CFG)
-            assert E > 0 and action == pytest.approx(0.5 * CFG.h, rel=1e-8)
+            E, action = level_1d(pot, 0, HBAR)
+            assert E > 0 and action == pytest.approx(0.5 * PLANCK_H, rel=1e-8)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -835,7 +927,7 @@ class TestPotentialFactory:
         # harmonic levels scale linearly with hbar, to 1e-9 of the well's scale
         pot = harmonic_potential(1.0)
         for hbar, rel in [(0.5, 1e-10), (1e-9, 1e-15)]:
-            res = spectrum_1d(pot, 2, PlanckConfig(hbar=hbar))
+            res = spectrum_1d(pot, 2, hbar)
             assert len(res.entries) == 3
             for n, entry in enumerate(res.entries):
                 assert entry.energy == pytest.approx((n + 0.5) * hbar, rel=rel)
