@@ -530,8 +530,8 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
 
     def horner(q):
         """V(q), V'(q) and V''(q) / 2 by one Horner pass over c, cheaper than numpy calls."""
-        v = d = e = 0.0
-        for ck in reversed(c):
+        v, d, e = c[-1], 0.0, 0.0
+        for ck in c[-2::-1]:
             e = e * q + d
             d = d * q + v
             v = v * q + ck
@@ -594,8 +594,7 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
     def inverse(E):
         pairs = []
         for e in np.ravel(E).tolist():
-            above = [v > e for v in v_cut]
-            pieces = [i for i in range(len(cuts) - 1) if above[i] != above[i + 1]]
+            pieces = [i for i in range(len(cuts) - 1) if (v_cut[i] > e) != (v_cut[i + 1] > e)]
             if len(pieces) > 2:
                 raise MultiWell(f"{len(pieces)} turning points at E={e}; single well required")
             if len(pieces) < 2:
