@@ -209,11 +209,10 @@ def _newton_settles(E: float, step: float, T: float, curvature: float, stop: flo
     return abs(curvature) * step * step <= 2.0 * T * stop
 
 
-# Rounds allowed per solve, each one evaluation of the vector of open levels (the top of
-# the well is not one). The ebk-spectra benchmark (seeds 1 to 5) takes 1 per harmonic,
-# quartic or Morse spectrum (2 in 2 of 150) and per quantize-separable mode, and 3 or 4
-# per polynomial spectrum; a start 200 decades off takes 38 and one 8 decades low with no
-# period to step by 66 (tests). Pure bisection across 2^90 times its 4-ulp stop takes 90.
+# Rounds per solve, each one evaluation of the open levels (the top is not one). Seeds 1-5
+# of ebk-spectra take 1 per harmonic, quartic or Morse spectrum (2 in 2 of 150) and per
+# separable mode, 3 or 4 per polynomial; a start 200 decades off takes 38, one 8 decades
+# low with no period 66 (tests), and bisection across 2^90 times its 4-ulp stop 90.
 _MAX_ROUNDS = 100
 
 
@@ -528,22 +527,20 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
     dc = np.polynomial.polynomial.polyder(c).tolist()
     V, dV = _horner(c), _horner(dc)
 
-    def horner(q):
-        """V(q), V'(q) and V''(q) / 2 by one Horner pass over c, cheaper than numpy calls."""
-        v, d, e = c[-1], 0.0, 0.0
+    def value(q):
+        """V(q) on a float, with the bits of V: Horner in its operation order."""
+        v = c[-1]
         for ck in c[-2::-1]:
-            e = e * q + d
-            d = d * q + v
             v = v * q + ck
-        return v, d, e
+        return v
 
-    v_lo, v_hi = horner(lo)[0], horner(hi)[0]  # the bits of V, in its order
+    v_lo, v_hi = value(lo), value(hi)
     if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
         raise ValueError(f"V must be finite at the bracket ends, got V({lo}) = {v_lo} "
                          f"and V({hi}) = {v_hi}")
     with np.errstate(all="ignore"):
         inner = sorted(r for r in _roots(dc).real.tolist() if lo < r < hi)
-    cuts, v_cut = [lo, *inner, hi], [v_lo, *(horner(r)[0] for r in inner), v_hi]
+    cuts, v_cut = [lo, *inner, hi], [v_lo, *(value(r) for r in inner), v_hi]
     x, vmin = min(zip(inner, v_cut[1:-1]), key=lambda point: point[1], default=(lo, v_lo))
     taylor = c.copy()  # the Taylor coefficients at x, by repeated synthetic division
     for j in range(len(c)):
@@ -568,7 +565,11 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
             q = _split(a, b)
         older = last = b - a
         for _ in range(_MAX_NEWTON):
-            v, d, e = horner(q)
+            v, d, e = c[-1], 0.0, 0.0  # V, V' and V''/2 in one Horner pass, inline
+            for ck in c[-2::-1]:
+                e = e * q + d
+                d = d * q + v
+                v = v * q + ck
             f = v - E
             if f < 0:
                 neg = q
@@ -593,7 +594,7 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
 
     def inverse(E):
         pairs = []
-        for e in np.ravel(E).tolist():
+        for e in E.reshape(-1).tolist():
             pieces = [i for i in range(len(cuts) - 1) if (v_cut[i] > e) != (v_cut[i + 1] > e)]
             if len(pieces) > 2:
                 raise MultiWell(f"{len(pieces)} turning points at E={e}; single well required")
