@@ -427,7 +427,7 @@ class TestSpectrum1D:
         ({"kind": "morse", "D": 10.0, "a": 1.0}, 1.25),
         ({"kind": "quartic", "coeff": 0.25}, 1.0),
         (BENCH_POLY, 3.0),
-    ])
+    ], ids=["desc0-2.0", "desc1-3.2", "desc2-3.8", "desc3-3.5"])  # ids of the old bounds, kept
     def test_action_evaluations_per_level(self, desc, bound, evaluations):
         # the energies evaluated per level, summed over a spectrum's rounds and the top of
         # its well: 1.0, 1.25, 1.0 and 2.91 here. The harmonic and quartic levels lie on
