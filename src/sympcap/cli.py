@@ -169,12 +169,16 @@ def _emit_spectrum(args, entries, hbar, **extra):
 # subcommand handlers
 
 
-# descriptor keys of each region type
-_REGION_KEYS = {
-    "ball": ("radius", "n"),
-    "cylinder": ("radius", "n", "plane"),
-    "ellipsoid": ("matrix", "energy"),
-    "bottle": ("radius", "neck"),
+# region type -> descriptor key -> (reader, required), read by core._read; a plane and
+# a matrix are refused by their own grammar
+_REGIONS = {
+    "ball": {"radius": (core._real, True), "n": (core._integer, True)},
+    "cylinder": {"radius": (core._real, True), "n": (core._integer, True),
+                 "plane": (lambda name, spec: shadows.PlaneSelector.parse(spec), False)},
+    "ellipsoid": {
+        "matrix": (lambda name, obj: core.QuadraticHamiltonian(core.matrix_from_json(obj)), True),
+        "energy": (core._real, True)},
+    "bottle": {"radius": (core._real, True), "neck": (core._real, True)},
 }
 # descriptor key -> token name in `capacity --ball` / `--cylinder`
 _REGION_TOKENS = {"radius": "R", "n": "N"}
@@ -204,37 +208,17 @@ def _capacity_json(value: float) -> dict:
 def _capacity_from_descriptor(kind, fields: dict, names=None) -> float:
     """Capacity of a region of type `kind`; `names` maps its descriptor keys to
     the user's spelling, in which `fields` is keyed."""
-    if not (isinstance(kind, str) and kind in _REGION_KEYS):
+    if not (isinstance(kind, str) and kind in _REGIONS):
         raise ValueError(f"unknown region type {kind!r}")
-    names = names or {}
-    keys = {names.get(key, key): key for key in _REGION_KEYS[kind]}
-    for name in fields:
-        if name not in keys:
-            raise ValueError(f"{kind} region has unknown key {name!r}")
-    desc = {keys[name]: value for name, value in fields.items()}
-
-    def need(key):
-        if key not in desc:
-            raise ValueError(f"{kind} region is missing key {names.get(key, key)!r}")
-        return desc[key]
-
-    def integer(key):
-        return core._integer(f"{kind} region key {names.get(key, key)!r}", need(key))
-
-    def real(key):
-        return core._real(f"{kind} region key {names.get(key, key)!r}", need(key))
-
+    desc = core._read(f"{kind} region", fields, _REGIONS[kind], names)
     if kind == "ball":
-        return cap_mod.capacity_ball(real("radius"), integer("n"))
+        return cap_mod.capacity_ball(desc["radius"], desc["n"])
     if kind == "cylinder":
-        Z = cap_mod.Cylinder(radius=real("radius"), dim=integer("n"),
-                             plane=shadows.PlaneSelector.parse(desc.get("plane", "conjugate:1")))
-        return cap_mod.capacity_cylinder(Z)
+        plane = desc.get("plane", shadows.PlaneSelector.conjugate(1))
+        return cap_mod.capacity_cylinder(cap_mod.Cylinder(plane, desc["radius"], desc["n"]))
     if kind == "ellipsoid":
-        M = core.matrix_from_json(need("matrix"))
-        return cap_mod.capacity_ellipsoid(core.QuadraticHamiltonian(M), real("energy"))
-    bottle = cap_mod.bordeaux_bottle_fixture(real("radius"), real("neck"))
-    return bottle.capacity
+        return cap_mod.capacity_ellipsoid(desc["matrix"], desc["energy"])
+    return cap_mod.bordeaux_bottle_fixture(desc["radius"], desc["neck"]).capacity
 
 
 def cmd_williamson(args):

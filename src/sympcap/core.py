@@ -244,6 +244,24 @@ def _reals(name: str, value, size=None) -> list:
         return [_real(f"{name} entry", x) for x in value]
 
 
+def _read(label: str, desc: dict, keys: dict, names=None) -> dict:
+    """The keys given in the descriptor `desc`, each read by its reader in `keys`, a
+    table of key -> (reader, required); `names` maps a key to the user's spelling, in
+    which `desc` is keyed. The one rule of every descriptor: an unknown key is refused
+    first, then a missing required one, and then each given value, in the table's order,
+    by its reader(name, value) under the name "<label> key '<name>'"."""
+    names = names or {}
+    spelled = {names.get(key, key): key for key in keys}
+    for name in desc:
+        if name not in spelled:
+            raise ValueError(f"{label} has unknown key {name!r}")
+    for name, key in spelled.items():
+        if keys[key][1] and name not in desc:
+            raise ValueError(f"{label} is missing key {name!r}")
+    return {key: keys[key][0](f"{label} key {name!r}", desc[name])
+            for name, key in spelled.items() if name in desc}
+
+
 def _require_positive(w: np.ndarray) -> None:
     """Raise NotPositiveDefinite unless the ascending eigenvalues `w` are all positive.
 
@@ -325,16 +343,16 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return {"n": n, "matrix": [float(x) for x in np.asarray(M, dtype=float).ravel()]}
 
 
+# matrix descriptor key -> (reader, required); the entries are read once n is known
+_MATRIX_KEYS = {"n": (_integer, True), "matrix": (lambda name, value: value, True)}
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix descriptor must be a JSON object with keys 'n' and 'matrix'")
-    for key in ("n", "matrix", *obj):
-        if key not in ("n", "matrix"):
-            raise ValueError(f"matrix descriptor has unknown key {key!r}")
-        if key not in obj:
-            raise ValueError(f"matrix descriptor is missing key {key!r}")
-    n = _integer("matrix descriptor key 'n'", obj["n"])
+    desc = _read("matrix descriptor", obj, _MATRIX_KEYS)
+    n = desc["n"]
     if n < 1:
         raise ValueError(f"matrix descriptor key 'n' must be positive, got {n}")
-    flat = _reals("matrix descriptor key 'matrix'", obj["matrix"], 4 * n * n)
+    flat = _reals("matrix descriptor key 'matrix'", desc["matrix"], 4 * n * n)
     return np.array(flat).reshape(2 * n, 2 * n)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import QuadraticHamiltonian, _positive, _real, _reals, symplectic_eigenvalues
+from .core import QuadraticHamiltonian, _positive, _read, _real, _reals, symplectic_eigenvalues
 from .errors import (
     LevelNotBound,
     MultiWell,
@@ -298,9 +298,11 @@ def _solve(pot: Potential1D, targets: list) -> tuple[dict, dict]:
 
     A top of the well is evaluated first, once: a level above its action is skipped ("not
     reached below dissociation"), and every other one has it as the upper end of its
-    bracket. A level starts from the lower of the Taylor term at the bottom
-    (`_bottom_start`) and the quadratic in A through the bottom, with that term's slope,
-    and the top (exact for Morse), then goes on from `_second_starts`. A level whose step
+    bracket. A potential whose bottom is not below its top has no well
+    (NoClassicalRegion), and one with several wells at its top is MultiWell. A level
+    starts from the lower of the Taylor term at the bottom (`_bottom_start`) and the
+    quadratic in A through the bottom, with that term's slope, and the top (exact for
+    Morse), then goes on from `_second_starts`. A level whose step
     goes to the bottom is skipped by itself; NoConvergence names a level by its action.
     All runs under one np.errstate that ignores floating-point warnings.
     """
@@ -310,10 +312,10 @@ def _solve(pot: Potential1D, targets: list) -> tuple[dict, dict]:
     with np.errstate(all="ignore"):  # for every evaluation of the solve
         a_top, lift = math.inf, 0.0
         if top < math.inf:
-            try:
-                a_top = float(_action_period(pot, e_top)[0])
-            except (NoClassicalRegion, MultiWell):
-                a_top = -math.inf
+            if not vmin < top:
+                raise NoClassicalRegion(f"no well: the bottom {vmin} is not below the top of "
+                                        f"the well at {top}")
+            a_top = float(_action_period(pot, e_top)[0])
             if math.isnan(a_top):
                 raise NoConvergence(f"the action at the top of the well, E={e_top}, is not "
                                     "a number")
@@ -424,7 +426,7 @@ def density_of_states(H: QuadraticHamiltonian, E: float, hbar: float) -> float:
 
 def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Potential1D:
     _positive("harmonic omega", omega)
-    _positive("mass", mass)
+    _positive("mass", mass)  # before the bottom's math.sqrt, which refuses a negative unnamed
 
     def inverse(E):
         r = np.sqrt(2.0 * E / mass) / omega
@@ -511,8 +513,8 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
     is the lower of V at the two ends. The real parts of the roots of V' inside the
     bracket (the companion eigenvalues, computed once) cut it into pieces on which V is
     monotone, and the bottom is the lowest V at these cuts, which include every
-    stationary point; with none there, the bottom is lo, at or above the top, and no level
-    is bound. The turning points at E lie in the pieces across which V - E changes sign:
+    stationary point; with none there, the bottom is lo, at or above the top: there is no
+    well. The turning points at E lie in the pieces across which V - E changes sign:
     MultiWell where more than two do. In each of the two, safeguarded Newton (Numerical
     Recipes' rtsafe) with Halley's correction takes V, V' and V'' from one scalar Horner
     pass a step, energy by energy (numpy calls on 14 roots cost more than their scalar
@@ -526,21 +528,14 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
         raise ValueError(f"bracket must be finite ends lo < hi, got {bracket}")
     dc = np.polynomial.polynomial.polyder(c).tolist()
     V, dV = _horner(c), _horner(dc)
-
-    def value(q):
-        """V(q) on a float, with the bits of V: Horner in its operation order."""
-        v = c[-1]
-        for ck in c[-2::-1]:
-            v = v * q + ck
-        return v
-
-    v_lo, v_hi = value(lo), value(hi)
+    with np.errstate(all="ignore"):
+        inner = sorted(r for r in _roots(dc).real.tolist() if lo < r < hi)
+        cuts = [lo, *inner, hi]
+        v_cut = V(np.array(cuts)).tolist()
+    v_lo, v_hi = v_cut[0], v_cut[-1]
     if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
         raise ValueError(f"V must be finite at the bracket ends, got V({lo}) = {v_lo} "
                          f"and V({hi}) = {v_hi}")
-    with np.errstate(all="ignore"):
-        inner = sorted(r for r in _roots(dc).real.tolist() if lo < r < hi)
-    cuts, v_cut = [lo, *inner, hi], [v_lo, *(value(r) for r in inner), v_hi]
     x, vmin = min(zip(inner, v_cut[1:-1]), key=lambda point: point[1], default=(lo, v_lo))
     taylor = c.copy()  # the Taylor coefficients at x, by repeated synthetic division
     for j in range(len(c)):
@@ -609,34 +604,25 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
                        top=min(v_lo, v_hi), mass=mass)
 
 
+# kind -> (its factory, named, so a factory rebound on this module is the one that runs;
+# descriptor key -> (reader, required), read by core._read). Each key is an argument of
+# the factory, and one left out takes its default there.
+_POTENTIALS = {
+    "harmonic": ("harmonic_potential", {"omega": (_real, False), "mass": (_real, False)}),
+    "morse": ("morse_potential", {"D": (_real, False), "a": (_real, False),
+                                  "mass": (_real, False)}),
+    "quartic": ("quartic_potential", {"coeff": (_real, False), "mass": (_real, False)}),
+    "polynomial": ("polynomial_potential", {
+        "coeffs": (_reals, True), "mass": (_real, False),
+        "bracket": (lambda name, ends: tuple(_reals(name, ends, 2)), False)}),
+}
+
+
 def make_potential(desc: dict) -> Potential1D:
     """Build a Potential1D from a JSON descriptor {"kind": ..., params...}."""
     desc = dict(desc)
     kind = desc.pop("kind", None)
-    if kind not in ("harmonic", "morse", "quartic", "polynomial"):
+    if not (isinstance(kind, str) and kind in _POTENTIALS):
         raise ValueError(f"unknown potential kind {kind!r}")
-
-    def real(key, default):
-        return _real(f"{kind} potential key {key!r}", desc.pop(key, default))
-
-    kwargs = {"mass": real("mass", 1.0)}
-    if kind == "harmonic":
-        factory = harmonic_potential
-        kwargs["omega"] = real("omega", 1.0)
-    elif kind == "morse":
-        factory = morse_potential
-        kwargs.update(D=real("D", 10.0), a=real("a", 1.0))
-    elif kind == "quartic":
-        factory = quartic_potential
-        kwargs["coeff"] = real("coeff", 0.25)
-    else:
-        if "coeffs" not in desc:
-            raise ValueError("polynomial potential is missing key 'coeffs'")
-        factory = polynomial_potential
-        kwargs["coeffs"] = _reals("polynomial potential key 'coeffs'", desc.pop("coeffs"))
-        if "bracket" in desc:
-            kwargs["bracket"] = tuple(_reals("polynomial potential key 'bracket'",
-                                             desc.pop("bracket"), 2))
-    if desc:
-        raise ValueError(f"{kind} potential has unknown key {next(iter(desc))!r}")
-    return factory(**kwargs)
+    factory, keys = _POTENTIALS[kind]
+    return globals()[factory](**_read(f"{kind} potential", desc, keys))

@@ -119,6 +119,12 @@ class TestCapacityCommand:
         assert code == 0
         assert json.loads(out) == {"exact": True, "value": "inf"}
 
+    def test_bottle_region(self, capsys):
+        code, out = invoke(capsys, "capacity", "--region",
+                           '{"type":"bottle","radius":1,"neck":0.5}')
+        assert code == 0
+        assert out == '{"exact": true, "value": 3.141592653589793}\n'
+
     def test_missing_region_exit_2(self, capsys):
         code, out = invoke(capsys, "capacity")
         assert code == 2
@@ -171,6 +177,34 @@ class TestQuantizeCommands:
         obj = json.loads(out)
         assert obj["error"] == "NoConvergence"
         assert re.match(r"action \S+ not converged in 2 rounds, last E=", obj["message"])
+
+    @pytest.mark.parametrize("argv,error,message", [
+        # the no-well polynomials once exited 0, every level "not reached below
+        # dissociation" at the bracket's top
+        (["quantize-1d", "--potential", "polynomial", "coeffs=[0,1]", "--nmax", "1"],
+         "NoClassicalRegion",
+         "no well: the bottom -30.0 is not below the top of the well at -30.0"),
+        # a double well whose bracket ends below its barrier at q = 0
+        (["quantize-1d", "--potential", "polynomial", "coeffs=[0,0,-2,0,1]",
+          "bracket=[-1.05,30]", "--nmax", "1"], "MultiWell",
+         "4 turning points at E=-0.9894937500009895; single well required"),
+        (["quantize-separable", "--potentials", '[{"kind":"morse","D":1,"a":1}]', "--n", "5"],
+         "LevelNotBound", "action 34.55751918948772 not reached below dissociation at E=1.0"),
+    ], ids=["no-well", "low-barrier", "separable-past-dissociation"])
+    def test_no_bound_level_exit_3(self, capsys, argv, error, message):
+        code, out = invoke(capsys, *argv)
+        assert code == 3
+        assert json.loads(out) == {"error": error, "message": message}
+
+    @pytest.mark.parametrize("potential", [
+        ["polynomial", "coeffs=[0,1]"],
+        ["polynomial", "coeffs=[0,0,-2,0,1]", "bracket=[-1.05,30]"],
+    ], ids=["no-well", "low-barrier"])
+    def test_flow_needs_no_well(self, capsys, potential):
+        code, out = invoke(capsys, "evolve", "--potential", *potential, "--samples", "100",
+                           "--times", "0,0.1", "--dt", "0.01")
+        assert code == 0
+        assert out.startswith("time,plane,area,bound,satisfied\n")
 
     def test_harmonic_well_never_dissociates(self, capsys):
         # a default bracket of +-60 / (omega sqrt(m)) once confined only E <= 1800, so
@@ -406,6 +440,43 @@ class TestInputErrors:
         code, out = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv,message", [
+        # an unknown key first, then a missing one, then each value in its table's order
+        (["capacity", "--ball", "R=x", "foo=1"], "ball region has unknown key 'foo'"),
+        (["capacity", "--ball", "R=x"], "ball region is missing key 'N'"),
+        (["capacity", "--cylinder", "R=x", "N=y", "plane=foo"],
+         "cylinder region key 'R' must be a real number, got 'x'"),
+        (["capacity", "--region", '{"type": "ellipsoid", "energy": "1", "matrix": {"n": 0}}'],
+         "matrix descriptor is missing key 'matrix'"),
+        (["quantize-1d", "--potential", '{"kind": "polynomial", "foo": 1}', "--nmax", "0"],
+         "polynomial potential has unknown key 'foo'"),
+        (["quantize-1d", "--potential", "harmonic", "mass=x", "omega=y", "--nmax", "0"],
+         "harmonic potential key 'omega' must be a real number, got 'y'"),
+        # the readers before the factory's range checks
+        (["quantize-1d", "--potential", "morse", "D=-1", "a=x", "--nmax", "0"],
+         "morse potential key 'a' must be a real number, got 'x'"),
+        (["williamson", "--matrix", '{"matrix": [1], "foo": 1}'],
+         "matrix descriptor has unknown key 'foo'"),
+        (["williamson", "--matrix", '{"n": 0, "matrix": "x"}'],
+         "matrix descriptor key 'n' must be positive, got 0"),
+    ])
+    def test_descriptor_fault_precedence(self, capsys, argv, message):
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--ball", "R=1", "N=3"],
+        ["quantize-1d", "--potential", "harmonic", "omega=1", "--nmax", "2", "--format", "csv"],
+    ], ids=["json", "csv"])
+    def test_out_file_holds_stdout(self, capsys, tmp_path, argv):
+        code, want = invoke(capsys, *argv)
+        assert code == 0 and want
+        path = tmp_path / "result"
+        code, out = invoke(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("argv,message", [
         (["capacity", "--cylinder", "R=1", "N=2", "plane=qq:1,3"], "plane index 3 outside 1..2"),
@@ -659,6 +730,8 @@ class TestInputErrors:
         (["morse", "a=-1"], "morse a must be finite and positive, got -1.0"),
         (["quartic", "coeff=inf"], "quartic coeff must be finite, got inf"),
         (["harmonic", "omega=1", "mass=0"], "mass must be finite and positive, got 0.0"),
+        # refused before math.sqrt(mass / 2) of the harmonic bottom: "math domain error"
+        (["harmonic", "mass=-1"], "mass must be finite and positive, got -1.0"),
         (["quartic", "mass=nan"], "mass must be finite and positive, got nan"),
         # once exit 0, every level "not reached below dissociation" at an energy of
         # the old bracket's
@@ -706,6 +779,10 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv,message", [
         (["capacity", "--region", "[1]"], "--region must be a JSON object"),
+        (["capacity", "--region", '{"type": "torus", "radius": 1}'],
+         "unknown region type 'torus'"),
+        (["capacity", "--region", '{"radius": 1, "n": 2}'], "unknown region type None"),
+        (["williamson"], "provide --matrix or --matrix-file"),
         (["quantize-separable", "--potentials", "[1]", "--n", "0"],
          "--potentials must be a JSON array of potential objects"),
         (["quantize-separable", "--potentials", '{"kind": "harmonic"}', "--n", "0"],

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -253,6 +254,53 @@ class TestTurningPoints:
             got, want = turning_points(pot, E), turning_points_oracle(pot.V, E, inside)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 4 * math.ulp(w), (gap, got, want)
+
+
+def _numpy_turning_points(coeffs, bracket, E):
+    """The two real roots of V - E inside the bracket, by np.roots."""
+    c = np.array(coeffs, dtype=float)
+    c[0] -= E
+    r = np.roots(c[::-1])
+    r = np.sort(r[np.abs(r.imag) < 1e-12].real)
+    return r[(bracket[0] < r) & (r < bracket[1])].tolist()
+
+
+@pytest.mark.usefixtures("solver_errstate")
+class TestPolynomialCrossing:
+    """The safeguards of a polynomial's turning-point Newton, on inputs found by fuzzing."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """'start' for each `_split` that replaced a start outside its piece, 'bisect'
+        for each that replaced a failed Newton step (the loop's locals are bound)."""
+        split, kinds = ebk._split, []
+
+        def spy(a, b):
+            kinds.append("bisect" if "older" in sys._getframe(1).f_locals else "start")
+            return split(a, b)
+
+        monkeypatch.setattr(ebk, "_split", spy)
+        return kinds
+
+    @pytest.mark.parametrize("coeffs,bracket,E,branch", [
+        ([0.277, 1.209, -1.748, 0.245, 0.763], (-2.64, 1.96), 9.036530017270962, "start"),
+        ([1.746, -0.312, 1.32, 0.681, -0.787, 0.35, 1.766], (-0.77, 2.58),
+         2.4546510720697197, "bisect"),
+    ], ids=["start-outside-piece", "bisection"])
+    def test_safeguard_runs_and_finds_the_roots(self, splits, coeffs, bracket, E, branch):
+        pot = ebk.polynomial_potential(coeffs, bracket=bracket)
+        got = turning_points(pot, E)
+        assert branch in splits
+        want = _numpy_turning_points(coeffs, bracket, E)
+        assert len(want) == 2
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+    def test_newton_cap(self, monkeypatch):
+        monkeypatch.setattr(ebk, "_MAX_NEWTON", 1)
+        with pytest.raises(NoConvergence, match=r"^turning point at E=0.5 not converged in 1 "
+                                                r"steps$"):
+            turning_points(make_potential(BENCH_POLY), 0.5)
 
 
 @pytest.mark.usefixtures("solver_errstate")
