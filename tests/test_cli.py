@@ -730,13 +730,13 @@ class TestInputErrors:
         (["morse", "a=-1"], "morse a must be finite and positive, got -1.0"),
         (["quartic", "coeff=inf"], "quartic coeff must be finite, got inf"),
         (["harmonic", "omega=1", "mass=0"], "mass must be finite and positive, got 0.0"),
-        # refused before math.sqrt(mass / 2) of the harmonic bottom: "math domain error"
-        (["harmonic", "mass=-1"], "mass must be finite and positive, got -1.0"),
         (["quartic", "mass=nan"], "mass must be finite and positive, got nan"),
         # once exit 0, every level "not reached below dissociation" at an energy of
         # the old bracket's
         (["morse", "D=-1"], "morse D must be positive, got -1.0: the potential is not confining"),
         (["morse", "D=0"], "morse D must be positive, got 0.0: the potential is not confining"),
+        # refused before math.sqrt(mass / 2) of the harmonic bottom: "math domain error"
+        (["harmonic", "mass=-1"], "mass must be finite and positive, got -1.0"),
     ])
     def test_bad_potential_parameter(self, capsys, potential, message):
         code, out = invoke(capsys, "quantize-1d", "--potential", *potential, "--nmax", "1")
@@ -779,10 +779,6 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv,message", [
         (["capacity", "--region", "[1]"], "--region must be a JSON object"),
-        (["capacity", "--region", '{"type": "torus", "radius": 1}'],
-         "unknown region type 'torus'"),
-        (["capacity", "--region", '{"radius": 1, "n": 2}'], "unknown region type None"),
-        (["williamson"], "provide --matrix or --matrix-file"),
         (["quantize-separable", "--potentials", "[1]", "--n", "0"],
          "--potentials must be a JSON array of potential objects"),
         (["quantize-separable", "--potentials", '{"kind": "harmonic"}', "--n", "0"],
@@ -798,6 +794,10 @@ class TestInputErrors:
         # only a polynomial has a bracket: the other wells are inverted in closed form
         (["quantize-1d", "--potential", "harmonic", "bracket=[-5,5]", "--nmax", "1"],
          "harmonic potential has unknown key 'bracket'"),
+        (["capacity", "--region", '{"type": "torus", "radius": 1}'],
+         "unknown region type 'torus'"),
+        (["capacity", "--region", '{"radius": 1, "n": 2}'], "unknown region type None"),
+        (["williamson"], "provide --matrix or --matrix-file"),
     ])
     def test_wrong_shaped_json(self, capsys, argv, message):
         code, out = invoke(capsys, *argv)
