@@ -172,8 +172,8 @@ def _emit_spectrum(args, entries, hbar, **extra):
 # region type -> descriptor key -> (reader, required), read by core._read; a plane and
 # a matrix are refused by their own grammar
 _REGIONS = {
-    "ball": {"radius": (core._real, True), "n": (core._integer, True)},
-    "cylinder": {"radius": (core._real, True), "n": (core._integer, True),
+    "ball": {"radius": (core._real, True), "n": (core._positive_integer, True)},
+    "cylinder": {"radius": (core._real, True), "n": (core._positive_integer, True),
                  "plane": (lambda name, spec: shadows.PlaneSelector.parse(spec), False)},
     "ellipsoid": {
         "matrix": (lambda name, obj: core.QuadraticHamiltonian(core.matrix_from_json(obj)), True),

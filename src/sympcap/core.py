@@ -196,14 +196,18 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int; anything but an integral number (a bool, a string,
-    null, a list, a float with a fractional part, NaN, inf) is refused by
-    name rather than truncated or parsed."""
+def _positive_integer(name: str, value) -> int:
+    """`value` as an int of at least 1, the reader of every dimension key;
+    anything but an integral number (a bool, a string, null, a list, a float
+    with a fractional part, NaN, inf) is refused by name rather than
+    truncated or parsed, and so is an integer below 1."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"{name} must be positive, got {n}")
+    return n
 
 
 def _parse_int(text: str, name: str = "integer") -> int:
@@ -344,7 +348,7 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 # matrix descriptor key -> (reader, required); the entries are read once n is known
-_MATRIX_KEYS = {"n": (_integer, True), "matrix": (lambda name, value: value, True)}
+_MATRIX_KEYS = {"n": (_positive_integer, True), "matrix": (lambda name, value: value, True)}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -352,7 +356,5 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError("matrix descriptor must be a JSON object with keys 'n' and 'matrix'")
     desc = _read("matrix descriptor", obj, _MATRIX_KEYS)
     n = desc["n"]
-    if n < 1:
-        raise ValueError(f"matrix descriptor key 'n' must be positive, got {n}")
     flat = _reals("matrix descriptor key 'matrix'", desc["matrix"], 4 * n * n)
     return np.array(flat).reshape(2 * n, 2 * n)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from sympcap import cli, ebk, shadows
 from sympcap.cli import run
+from sympcap.sampling import ball_points
 
 from oracles import pd_matrix_with_condition
 
@@ -347,7 +348,10 @@ class TestOtherCommands:
                            "--dump-points", prefix)
         assert code == 0
         dumped = np.loadtxt(f"{prefix}_t0.csv", delimiter=",", skiprows=1)
-        assert dumped.shape == (1000, 2)
+        # the t = 0 cloud is the unmoved sample of the ball, (q1, p1) of each
+        # point, and %.17g reads back to the same bits
+        want = ball_points(1000, 2, 1.0, seed=0)
+        assert dumped.shape == want.shape and dumped.tobytes() == want.tobytes()
 
 
 # every real option, with an argv that reads it
@@ -460,6 +464,14 @@ class TestInputErrors:
          "matrix descriptor has unknown key 'foo'"),
         (["williamson", "--matrix", '{"n": 0, "matrix": "x"}'],
          "matrix descriptor key 'n' must be positive, got 0"),
+        # a dimension below 1 is refused by its reader, named by its key as written
+        (["capacity", "--ball", "R=1", "N=0"], "ball region key 'N' must be positive, got 0"),
+        (["capacity", "--cylinder", "R=1", "N=0"],
+         "cylinder region key 'N' must be positive, got 0"),
+        (["capacity", "--region", '{"type": "ball", "radius": 1, "n": 0}'],
+         "ball region key 'n' must be positive, got 0"),
+        (["capacity", "--cylinder", "R=-1", "N=-3", "plane=qq:1,2"],
+         "cylinder region key 'N' must be positive, got -3"),
     ])
     def test_descriptor_fault_precedence(self, capsys, argv, message):
         code, out = invoke(capsys, *argv)

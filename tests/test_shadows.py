@@ -435,6 +435,26 @@ class TestEvolveShadow:
             evolve_ball_shadow(2.0, flow, PlaneSelector.conjugate(1),
                                1000, 0.05, [50.0])
 
+    def test_divergence_detected_off_the_plane(self):
+        # mode 1 is a harmonic oscillator and mode 2 an inverted quartic: only
+        # mode 2 escapes, so a check of the plotted plane (q1, p1) alone would
+        # pass a cloud whose other coordinates are no longer finite
+        def force(q, scale, out):
+            np.multiply(q[:, :1], scale, out=out[:, :1])
+            _cube(q[:, 1:], -50 * scale, out[:, 1:])
+            return out
+
+        flow = FlowSpec(V=lambda q: 0.5 * q[..., 0] ** 2 - 12.5 * q[..., 1] ** 4,
+                        grad_V=force, dt=0.5, n_modes=2)
+        state = ball_points(1000, 4, 2.0, seed=0)
+        q, p = state[:, :2].copy(), state[:, 2:].copy()
+        with np.errstate(all="ignore"):
+            _advance(q, p, flow, 100)
+        assert np.isfinite(q[:, 0]).all() and np.isfinite(p[:, 0]).all()
+        assert not np.isfinite(q[:, 1]).all()
+        with pytest.raises(FlowDiverged), np.errstate(all="ignore"):
+            evolve_ball_shadow(2.0, flow, PlaneSelector.conjugate(1), 1000, 0.05, [50.0])
+
     def test_snapshot_must_align_with_dt(self):
         flow = harmonic_flow(1e-2)
         with pytest.raises(ValueError):
@@ -508,6 +528,22 @@ def _annulus(n):
     return pts[np.hypot(pts[:, 0], pts[:, 1]) > 0.8]
 
 
+def _box_cloud(n, width, height, cell=0.5):
+    """n points at cell centres of a box of width x height cells, with both
+    corner cells occupied, so its box with a one-cell margin holds
+    (width + 2) (height + 2) cells."""
+    idx = np.random.default_rng(9).integers(0, [width, height], size=(n, 2))
+    idx[0], idx[1] = [0, 0], [width - 1, height - 1]
+    return (idx + 0.5) * cell
+
+
+_COMPACT = np.random.default_rng(10).normal(size=(5000, 2))
+# 192 x 256 = 32 * 1024 + 2^14 cells: at the bitmap limit with 1024 points,
+# 32 cells over it with 1023
+_AT_LIMIT = _box_cloud(1024, 190, 254)
+_OVER_LIMIT = _box_cloud(1023, 190, 254)
+
+
 @pytest.mark.parametrize("points,cell", [
     pytest.param(np.random.default_rng(3).normal(size=(5000, 2)) * 0.7 + [-7.3, -2.1], 0.05,
                  id="negative"),
@@ -522,6 +558,9 @@ def _annulus(n):
                  id="fortran-ordered"),
     pytest.param(np.repeat(np.random.default_rng(8).uniform(-1, 1, size=(50, 2)), 100, axis=0),
                  0.05, id="heavy-duplicates"),
+    pytest.param(np.vstack([_COMPACT, [[1e4, 0.0]]]), 0.05, id="compact-plus-outlier"),
+    pytest.param(_AT_LIMIT, 0.5, id="bitmap-at-limit"),
+    pytest.param(_OVER_LIMIT, 0.5, id="bitmap-over-limit"),
 ])
 @pytest.mark.parametrize("reverse", [True, False])
 def test_grid_area_matches_cell_set_oracle(points, cell, reverse):
@@ -530,6 +569,27 @@ def test_grid_area_matches_cell_set_oracle(points, cell, reverse):
     if reverse:
         points = points[::-1]
     assert grid_shadow_area(points, cell) == grid_area_oracle(points, cell)
+
+
+@pytest.mark.parametrize("points,cell,bitmap", [
+    pytest.param(_COMPACT, 0.05, True, id="compact"),
+    pytest.param(np.vstack([_COMPACT, [[1e4, 0.0]]]), 0.05, False, id="compact-plus-outlier"),
+    pytest.param(_AT_LIMIT, 0.5, True, id="at-limit"),
+    pytest.param(_OVER_LIMIT, 0.5, False, id="over-limit"),
+])
+def test_grid_area_takes_bitmap_within_box_limit(monkeypatch, points, cell, bitmap):
+    # the wide-cloud path is the only one that sorts
+    assert 192 * 256 == shadows._BITMAP_CELLS_PER_POINT * 1024 + shadows._BITMAP_MIN_CELLS
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    if bitmap:
+        grid_shadow_area(points, cell)
+    else:
+        with pytest.raises(AssertionError, match="sorted"):
+            grid_shadow_area(points, cell)
 
 
 @pytest.mark.parametrize("points", [
