@@ -312,11 +312,11 @@ def grid_shadow_area(points_2d: np.ndarray, grid_cell: float) -> float:
     if size <= _BITMAP_CELLS_PER_POINT * len(codes) + _BITMAP_MIN_CELLS:
         grid = np.zeros(size, dtype=bool)
         grid[codes] = True
-        count = np.count_nonzero(grid)
+        count = int(np.count_nonzero(grid))
         interior = grid[span:-span] & grid[:-2 * span]
         for shifted in (grid[2 * span:], grid[span - 1:-span - 1], grid[span + 1:size - span + 1]):
             interior &= shifted
-        boundary = count - np.count_nonzero(interior)
+        boundary = count - int(np.count_nonzero(interior))
     else:
         codes = np.sort(codes)
         codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
