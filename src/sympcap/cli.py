@@ -43,6 +43,9 @@ def _finite_or_text(text: str):
 # stay strings, so the reader of each value refuses them by name as not a real number,
 # by the rule of the command-line tokens
 _strict_json = json.JSONDecoder(parse_constant=str, parse_float=_finite_or_text).decode
+# every JSON object on stdout, a result or an error, keys sorted; an infinite or NaN
+# float raises ValueError
+_encode_json = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def _parse_kv(tokens):
@@ -129,7 +132,7 @@ def _emit(args, text: str):
 
 def _emit_json(args, obj):
     try:
-        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+        text = _encode_json(obj)
     except ValueError:  # an infinite or NaN float
         raise ValueError(NOT_FINITE) from None
     _emit(args, text + "\n")
@@ -470,16 +473,71 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _option_table(parser: argparse.ArgumentParser):
+    """What `_read_argv` reads `parser`'s argv by, from the Actions argparse built:
+    each option string of a store action that takes one value or a run of them,
+    the namespace defaults (the handler included) and the required actions."""
+    table = {option: action for action in parser._actions
+             if type(action) is argparse._StoreAction and action.nargs in (None, "+", "*")
+             for option in action.option_strings}
+    # an action's default wins over set_defaults, as in parse_args
+    defaults = {**parser._defaults, **{action.dest: action.default for action in parser._actions
+                                       if action.default is not argparse.SUPPRESS}}
+    return table, defaults, {action for action in parser._actions if action.required}
+
+
+def _read_argv(parser: argparse.ArgumentParser, argv):
+    """The namespace `parser.parse_args(argv)` gives, read from `parser`'s option
+    table where argv takes the usual form: each option an exact option string
+    of a store action, then its value, or for nargs "+" and "*" the run of
+    values after it, no value starting with "-". Each value goes through the
+    option's type and choices. None where argparse must read argv: help, an
+    abbreviation, --opt=value, a value such as -1, an unknown token, a missing,
+    extra or invalid value or a missing required option. So every usage error
+    and help text comes from argparse."""
+    table, defaults, required = _option_table(parser)
+    args = argparse.Namespace()
+    args.__dict__.update(defaults)  # Namespace(**defaults) sets each by setattr, far slower
+    given = []  # (action, its value tokens), in argv order
+    for token in argv:
+        if token.startswith("-"):
+            if (action := table.get(token)) is None:
+                return None
+            given.append((action, tokens := []))
+        elif given and (action.nargs is not None or not tokens):
+            tokens.append(token)
+        else:
+            return None
+    for action, tokens in given:
+        if not tokens and action.nargs != "*":
+            return None
+        try:
+            values = [action.type(token) for token in tokens] if action.type else tokens
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and not all(v in action.choices for v in values):
+            return None
+        setattr(args, action.dest, values if action.nargs else values[0])
+    if not required.issubset([action for action, _ in given]):
+        return None
+    return args
+
+
 def run(argv) -> int:
     parser = _parser()
-    # a command's own parser reads the rest of argv; the top-level parser is
+    args = None
+    # a command's own parser reads the rest of argv, from its option table when
+    # argv takes the usual form, else by parse_args; the top-level parser is
     # left with help, an empty argv and an unknown command
     if argv and argv[0] in parser.commands:
         parser, argv = parser.commands[argv[0]], argv[1:]
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = _read_argv(parser, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         # by name, so a cmd_* rebound on this module after the parser was
         # built (a tracer, a test's monkeypatch) is the one that runs
@@ -487,12 +545,10 @@ def run(argv) -> int:
     # bad input, named by its key or option; any other exception is a fault
     except (ValueError, OSError, OverflowError) as exc:
         message = NOT_FINITE if isinstance(exc, OverflowError) else str(exc)
-        sys.stdout.write(json.dumps(
-            {"error": "InvalidInput", "message": message}, sort_keys=True) + "\n")
+        sys.stdout.write(_encode_json({"error": "InvalidInput", "message": message}) + "\n")
         return 2
     except SympcapError as exc:
-        sys.stdout.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n")
+        sys.stdout.write(_encode_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3
 
 

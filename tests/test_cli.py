@@ -1026,26 +1026,30 @@ class TestDeterminism:
         assert obj["value"] == "inf" or isinstance(obj["value"], float)
 
 
+# The golden argv lists: each prints its docs/golden file.
+GOLDEN_ARGV = [
+    ("capacity.json", ["capacity", "--ball", "R=1", "N=3"]),
+    ("williamson.json", ["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,4]}']),
+    ("shadow.json", ["shadow", "--random", "2", "--seed", "3"]),
+    ("nonsqueeze-ensemble.json",
+     ["nonsqueeze-ensemble", "--n", "2", "--count", "10", "--seed", "1"]),
+    ("evolve.csv", ["evolve", "--potential", "harmonic", "omega=1", "--times", "0",
+                    "--dt", "0.01", "--samples", "5000", "--grid-cell", "0.1"]),
+    ("quantize-1d.json", ["quantize-1d", "--potential", "harmonic", "omega=1",
+                          "--nmax", "2"]),
+    ("quantize-quadratic.json",
+     ["quantize-quadratic", "--matrix", '{"n":1,"matrix":[1,0,0,1]}', "--n", "0"]),
+    ("quantize-separable.json",
+     ["quantize-separable", "--potentials",
+      '[{"kind":"harmonic","omega":1}]', "--n", "1"]),
+    ("dos.json", ["dos", "--ndim", "3", "--energy", "2"]),
+    ("blob-check.json", ["blob-check", "--value", "3.141592653589793"]),
+    ("bottle-demo.json", ["bottle-demo", "--radius", "1", "--neck", "0.5"]),
+]
+
+
 class TestGoldenFiles:
-    @pytest.mark.parametrize("name,argv", [
-        ("capacity.json", ["capacity", "--ball", "R=1", "N=3"]),
-        ("williamson.json", ["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,4]}']),
-        ("shadow.json", ["shadow", "--random", "2", "--seed", "3"]),
-        ("nonsqueeze-ensemble.json",
-         ["nonsqueeze-ensemble", "--n", "2", "--count", "10", "--seed", "1"]),
-        ("evolve.csv", ["evolve", "--potential", "harmonic", "omega=1", "--times", "0",
-                        "--dt", "0.01", "--samples", "5000", "--grid-cell", "0.1"]),
-        ("quantize-1d.json", ["quantize-1d", "--potential", "harmonic", "omega=1",
-                              "--nmax", "2"]),
-        ("quantize-quadratic.json",
-         ["quantize-quadratic", "--matrix", '{"n":1,"matrix":[1,0,0,1]}', "--n", "0"]),
-        ("quantize-separable.json",
-         ["quantize-separable", "--potentials",
-          '[{"kind":"harmonic","omega":1}]', "--n", "1"]),
-        ("dos.json", ["dos", "--ndim", "3", "--energy", "2"]),
-        ("blob-check.json", ["blob-check", "--value", "3.141592653589793"]),
-        ("bottle-demo.json", ["bottle-demo", "--radius", "1", "--neck", "0.5"]),
-    ])
+    @pytest.mark.parametrize("name,argv", GOLDEN_ARGV)
     def test_matches_golden(self, capsys, name, argv):
         code, out = invoke(capsys, *argv)
         assert code == 0
@@ -1100,16 +1104,24 @@ def quiet_run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def spy_parse_args(monkeypatch):
-    """The parsers whose parse_args runs from now on, in call order."""
+def spy_argv_readers(monkeypatch):
+    """The parsers that read an argv from now on, in call order: by their
+    option table (a `cli._read_argv` that does not decline) or by parse_args."""
     used = []
-    parse_args = argparse.ArgumentParser.parse_args
+    read_argv, parse_args = cli._read_argv, argparse.ArgumentParser.parse_args
 
-    def spy(parser, *args, **kwargs):
+    def spy_read(parser, argv):
+        args = read_argv(parser, argv)
+        if args is not None:
+            used.append(parser)
+        return args
+
+    def spy_parse(parser, *args, **kwargs):
         used.append(parser)
         return parse_args(parser, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    monkeypatch.setattr(cli, "_read_argv", spy_read)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy_parse)
     return used
 
 
@@ -1121,7 +1133,7 @@ class TestSharedParser:
         build_parser = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
         cli._parser.cache_clear()
-        used = spy_parse_args(monkeypatch)
+        used = spy_argv_readers(monkeypatch)
         assert invoke(capsys, "capacity", "--ball", "R=1", "N=3")[0] == 0
         assert invoke(capsys, "blob-check", "--value", "1")[0] == 0
         assert invoke(capsys, "capacity", "--ball", "R=2", "N=1")[0] == 0
@@ -1132,7 +1144,7 @@ class TestSharedParser:
 
     @pytest.mark.parametrize("argv,code", [(["-h"], 0), ([], 2), (["frobnicate"], 2)])
     def test_top_level_usage_without_a_command(self, capsys, monkeypatch, argv, code):
-        used = spy_parse_args(monkeypatch)
+        used = spy_argv_readers(monkeypatch)
         assert run(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1315,3 +1327,92 @@ def test_contract_refuses_non_finite_csv_cell(cell):
     out = f"time,plane,area,bound,satisfied\n1,q1p1,{cell},3.1415926535897931,True\n"
     assert stdout_contract(0, out, "") == "a non-finite CSV cell"
     assert stdout_contract(0, out.replace(cell, "3.5"), "") is None
+
+
+# One argv per subcommand that names every option of its parser, each with a
+# value it takes (read only, never run).
+ONE_MODE = '{"n":1,"matrix":[1,0,0,4]}'
+EVERY_OPTION_ARGV = [
+    ["capacity", "--ball", "R=1", "N=2", "--cylinder", "R=1", "N=2", "plane=conjugate:2",
+     "--region", '{"type":"bottle","radius":1,"neck":0.5}', "--out", "o.json"],
+    ["williamson", "--matrix", ONE_MODE, "--matrix-file", "m.json", "--out", "o.json"],
+    ["shadow", "--matrix", ONE_MODE, "--matrix-file", "m.json", "--random", "2", "--sigma", "0.5",
+     "--radius", "2", "--plane", "qq:1,2", "--seed", "3", "--tol", "1e-6", "--out", "o.json"],
+    ["nonsqueeze-ensemble", "--n", "2", "--count", "3", "--sigma", "2", "--seed", "1",
+     "--out", "o.json"],
+    ["evolve", "--potential", "harmonic", "omega=1", "--radius", "0.5", "--dt", "0.01",
+     "--samples", "10", "--grid-cell", "0.1", "--times", "0,1", "--plane", "conjugate:1",
+     "--dump-points", "d", "--seed", "2", "--out", "o.csv"],
+    ["quantize-1d", "--potential", "morse", "D=2", "a=1", "--nmax", "2", "--hbar", "0.5",
+     "--format", "csv", "--out", "o.csv"],
+    ["quantize-quadratic", "--matrix", ONE_MODE, "--matrix-file", "m.json", "--n", "0,1", "--hbar", "2",
+     "--format", "csv", "--out", "o.csv"],
+    ["quantize-separable", "--potentials", '[{"kind":"harmonic","omega":1}]', "--n", "1",
+     "--hbar", "2", "--format", "json", "--out", "o.json"],
+    ["dos", "--ndim", "2", "--omega", "2", "--mass", "3", "--energy", "4", "--matrix", ONE_MODE,
+     "--matrix-file", "m.json", "--hbar", "1", "--out", "o.json"],
+    ["blob-check", "--value", "3.14", "--tol", "0.1", "--hbar", "2", "--out", "o.json"],
+    ["bottle-demo", "--radius", "2", "--neck", "1", "--out", "o.json"],
+]
+# argv that parse_args refuses or reads in a spelling other than the usual one
+UNUSUAL_ARGV = [
+    ["quantize-1d", "--potential", "harmonic"],  # a required option missing
+    ["quantize-1d", "--potential", "harmonic", "--nmax", "1", "--format", "xml"],  # choices
+    ["shadow", "--plane", "-x"],  # a value starting with "-"
+    ["shadow", "--sigma", "-1"],
+    ["capacity", "--ball", "R=1", "N=2", "--bogus"],
+    ["capacity", "--region"],  # no value
+    ["blob-check", "--value", "1", "2"],  # an extra value
+    ["nonsqueeze-ensemble", "--n", "2", "--cou", "2"],  # an abbreviation
+    ["blob-check", "--value=1"],
+    ["nonsqueeze-ensemble", "--n", "x", "--count", "1"],  # the option's type refuses it
+    ["shadow", "-h"],
+]
+
+
+def parse_args_or_exit(parser, argv):
+    """parser.parse_args(argv), or None where argparse exits with a usage error or help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def read_as_argparse(argv):
+    """cli._read_argv on a command's argv: it declines or gives the namespace of
+    parse_args, each value of the same type (2 is not 2.0), and it declines
+    wherever argparse exits. Returns what it read."""
+    parser = cli._parser().commands.get(argv[0])
+    if parser is None:  # no command: the top-level parser reads it
+        return None
+    read, parsed = cli._read_argv(parser, argv[1:]), parse_args_or_exit(parser, argv[1:])
+    if read is not None:
+        assert parsed is not None, argv
+        # repr tells int from float and str, lists by their items, and NaN from nothing
+        assert {k: repr(v) for k, v in vars(read).items()} == {
+            k: repr(v) for k, v in vars(parsed).items()}, argv
+    return read
+
+
+def test_every_option_argv_names_every_option():
+    for argv in EVERY_OPTION_ARGV:
+        parser = cli._parser().commands[argv[0]]
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert {a for a in argv if a.startswith("--")} == options, argv[0]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN_ARGV] + EVERY_OPTION_ARGV)
+def test_reader_reads_usual_argv_as_parse_args(argv):
+    assert read_as_argparse(argv) is not None
+
+
+@pytest.mark.parametrize("argv", UNUSUAL_ARGV)
+def test_reader_declines_unusual_argv(argv):
+    assert read_as_argparse(argv) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=fuzz_argv())
+def test_reader_agrees_with_parse_args_on_fuzzed_argv(argv):
+    read_as_argparse(argv)
