@@ -27,6 +27,13 @@ from .errors import SympcapError
 FLOAT_FMT = "%.17g"
 NOT_FINITE = "result is not finite"
 _REAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)")
+# Bounds on the sizes one request may ask for, each refused by its option before
+# anything is allocated. At each bound a request peaks below 0.7 GB and runs in
+# under 8 s on 2 cores (measured; docs/cli.md gives the figures).
+MAX_MODES = 1000  # shadow --random, dos --ndim: one dense 2N x 2N problem
+MAX_SAMPLES = 5 * 10**6  # evolve --samples, some 120 bytes a sample
+MAX_ENSEMBLE_ENTRIES = 2**23  # nonsqueeze-ensemble: --count x (2n)^2 stacked entries
+MAX_ENSEMBLE_MINORS = 25 * 10**7  # and --count x (n (2n - 1))^2 squared plane minors
 
 
 def _fmt(x) -> str:
@@ -77,6 +84,11 @@ def _parse_float(text: str, name: str = "value") -> float:
     if math.isinf(value) and not text.endswith("inf"):
         raise ValueError(f"{name} {text} overflows a double")
     return value
+
+
+def _at_most(option: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise ValueError(f"{option} {value} exceeds the bound of {bound}")
 
 
 def _parse_ints(spec: str):
@@ -237,6 +249,7 @@ def cmd_williamson(args):
 
 def cmd_shadow(args):
     if args.random is not None:
+        _at_most("--random", args.random, MAX_MODES)
         S = core.random_symplectic(args.random, args.sigma, args.seed)
     else:
         S = core.SymplecticMatrix(_load_matrix(args), tol=args.tol)
@@ -252,6 +265,13 @@ def cmd_shadow(args):
 
 
 def cmd_nonsqueeze(args):
+    n, count = args.n, args.count
+    for what, per_member, bound in (("stacked matrix entries", 4 * n * n, MAX_ENSEMBLE_ENTRIES),
+                                    ("squared minors", (n * (2 * n - 1)) ** 2,
+                                     MAX_ENSEMBLE_MINORS)):
+        if count * per_member > bound:
+            raise ValueError(f"--count {count} at --n {n} asks for {count * per_member} "
+                             f"{what}, beyond the bound of {bound}")
     summary = shadows.nonsqueeze_ensemble(args.n, args.count, args.sigma, args.seed)
     witness = summary.nonconjugate_witness
     _emit_json(args, {
@@ -266,6 +286,7 @@ def cmd_nonsqueeze(args):
 
 
 def cmd_evolve(args):
+    _at_most("--samples", args.samples, MAX_SAMPLES)
     pot = _parse_potential(args)
     flow = shadows.FlowSpec(V=lambda q: pot.V(q[..., 0]), grad_V=pot.dV, dt=args.dt,
                             mass=pot.mass)
@@ -311,6 +332,7 @@ def cmd_dos(args):
     if args.matrix or args.matrix_file:
         H = core.QuadraticHamiltonian(_load_matrix(args))
     else:
+        _at_most("--ndim", args.ndim, MAX_MODES)
         H = core.QuadraticHamiltonian.isotropic(args.ndim, args.omega, args.mass)
     g = ebk.density_of_states(H, args.energy, args.hbar)
     _emit_json(args, {"energy": args.energy, "g": g})

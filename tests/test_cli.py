@@ -916,6 +916,22 @@ class TestInputErrors:
         # the Verlet kernel carries (dt / mass) p, which would be subnormal
         (["evolve", "--potential", "harmonic", "--dt", "1e-300", "--samples", "10", "--times", "0"],
          "dt / mass = 1e-300 is below 2^-960: the momentum scaled by it would be subnormal"),
+        # oversized sizes once ended in a MemoryError traceback (29.1 TiB for the
+        # first two, 745 GiB, 14.9 GiB), or ran past 60 s (--n 300)
+        (["nonsqueeze-ensemble", "--n", "1", "--count", "1000000000000"],
+         "--count 1000000000000 at --n 1 asks for 4000000000000 stacked matrix entries, "
+         "beyond the bound of 8388608"),
+        (["nonsqueeze-ensemble", "--n", "300", "--count", "1"],
+         "--count 1 at --n 300 asks for 32292090000 squared minors, beyond the bound of "
+         "250000000"),
+        (["nonsqueeze-ensemble", "--n", "1", "--count", BIG_INT],
+         f"--count {BIG_INT} at --n 1 asks for 4{BIG_INT[1:]} stacked matrix entries, beyond "
+         "the bound of 8388608"),
+        (["shadow", "--random", "1000000"], "--random 1000000 exceeds the bound of 1000"),
+        (["dos", "--ndim", "100000000000", "--energy", "1"],
+         "--ndim 100000000000 exceeds the bound of 1000"),
+        (["evolve", "--potential", "harmonic", "--samples", "2000000000", "--times", "0"],
+         "--samples 2000000000 exceeds the bound of 5000000"),
     ])
     def test_refused_by_name(self, capsys, tmp_path, argv, message):
         # once exit 3 (DimensionError), a traceback (a directory for a file),
@@ -934,6 +950,22 @@ class TestInputErrors:
         assert code == 2 and captured.err == ""
         assert json.loads(captured.out) == {
             "error": "InvalidInput", "message": message.replace("{dir}", str(tmp_path))}
+
+    @pytest.mark.parametrize("bound,value,largest,argv", [
+        ("MAX_MODES", 3, 3, ["shadow", "--random", "{}"]),
+        ("MAX_MODES", 3, 3, ["dos", "--ndim", "{}", "--energy", "1"]),
+        ("MAX_SAMPLES", 3, 3, ["evolve", "--potential", "harmonic", "--samples", "{}",
+                               "--times", "0"]),
+        # n = 2: 16 stacked entries and 36 squared minors a member
+        ("MAX_ENSEMBLE_ENTRIES", 5 * 16, 5, ["nonsqueeze-ensemble", "--n", "2", "--count", "{}"]),
+        ("MAX_ENSEMBLE_MINORS", 5 * 36, 5, ["nonsqueeze-ensemble", "--n", "2", "--count", "{}"]),
+    ])
+    def test_size_bound_is_inclusive(self, capsys, monkeypatch, bound, value, largest, argv):
+        # with the bound at `value`, `largest` runs and one more is refused by its option
+        monkeypatch.setattr(cli, bound, value)
+        assert invoke(capsys, *[a.format(largest) for a in argv])[0] == 0
+        code, out = invoke(capsys, *[a.format(largest + 1) for a in argv])
+        assert code == 2 and "bound" in json.loads(out)["message"]
 
     @pytest.mark.parametrize("error", [TypeError, KeyError])
     def test_fault_is_not_input_error(self, capsys, monkeypatch, error):
