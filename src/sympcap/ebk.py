@@ -8,6 +8,7 @@ spectrum.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -270,24 +271,42 @@ def _newton(vmin: float, e_top: float, target: float, start: float):
             step = guess - E
 
 
+def _ratio(x: float, y: float) -> float:
+    """x / y as numpy divides: by a zero y, +-inf by the signs, or NaN where x is 0 or
+    NaN."""
+    if y:
+        return x / y
+    if x == 0 or math.isnan(x):
+        return math.nan
+    return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
 def _second_starts(E: list, A: list, T: list, targets: list) -> list:
     """Where a level's first evaluation (E, A, T) missed its action by more than 1e-6,
     E(target) on the piecewise cubic Hermite interpolant of E(A) through the first
-    evaluations of two or more levels, with slopes dE/dA = 1/T; NaN elsewhere. On the
-    benchmark's polynomials, whose Taylor starts lie up to 36% low, these lie 1e-9 to
-    4e-4 off the levels, Newton's points 3e-4 to 2e-2: a round fewer."""
+    evaluations of two or more levels, with slopes dE/dA = 1/T; NaN elsewhere. Where a
+    period is 0 or two actions coincide, the guess is not finite, and Newton ignores it.
+    On the benchmark's polynomials, whose Taylor starts lie up to 36% low, these lie 1e-9
+    to 4e-4 off the levels, Newton's points 3e-4 to 2e-2: a round fewer."""
     missed = [abs(a - t) > 1e-6 * t for a, t in zip(A, targets)]
     if not any(missed):
         return [math.nan] * len(E)
-    order = np.argsort(A)
-    e, a, m = np.array(E)[order], np.array(A)[order], 1.0 / np.array(T)[order]
-    j = np.clip(np.searchsorted(a, targets) - 1, 0, len(a) - 2)
-    h = a[j + 1] - a[j]
-    s = (np.array(targets) - a[j]) / h
-    d = (e[j + 1] - e[j]) / h  # the secant slope
-    e = e[j] + h * s * (m[j] + s * (3.0 * d - 2.0 * m[j] - m[j + 1]
-                                    + s * (m[j] + m[j + 1] - 2.0 * d)))
-    return [g if miss else math.nan for g, miss in zip(e.tolist(), missed)]
+    order = sorted(range(len(A)), key=A.__getitem__)
+    a = [A[i] for i in order]
+    guesses = []
+    for t, miss in zip(targets, missed):
+        if not miss:
+            guesses.append(math.nan)
+            continue
+        j = min(max(bisect.bisect_left(a, t) - 1, 0), len(a) - 2)
+        i, k = order[j], order[j + 1]
+        h = a[j + 1] - a[j]
+        s = _ratio(t - a[j], h)
+        d = _ratio(E[k] - E[i], h)  # the secant slope
+        m, n = _ratio(1.0, T[i]), _ratio(1.0, T[k])
+        guesses.append(E[i] + h * s * (m + s * (3.0 * d - 2.0 * m - n
+                                                + s * (m + n - 2.0 * d))))
+    return guesses
 
 
 def _solve(pot: Potential1D, targets: list) -> tuple[dict, dict]:
@@ -409,15 +428,27 @@ def density_of_states(H: QuadraticHamiltonian, E: float, hbar: float) -> float:
 
     The product is taken as (hbar w_1)^N prod_j (w_j / w_1) with w_1 the
     fastest frequency, so an isotropic spectrum gives (1 / hbar w)^N
-    E^(N-1) / (N-1)! with no rounding from the ratios.
+    E^(N-1) / (N-1)! with no rounding from the ratios. Where a factor leaves the
+    double range (E^(N-1) or (N-1)! from N = 172), g is taken from logs instead,
+    (N-1) log E - lgamma(N) - N log(hbar w_1) + sum_j log(w_1 / w_j); a g that is
+    itself beyond the double range is an OverflowError.
     """
     _positive("hbar", hbar)
     _positive("energy", E)
     omegas = symplectic_eigenvalues(H)
     N = omegas.size
     omega = float(omegas[0])
-    return ((1.0 / (hbar * omega)) ** N * E ** (N - 1) / math.factorial(N - 1)
-            * float(np.prod(omega / omegas)))
+    with np.errstate(over="ignore"):
+        ratios = omega / omegas
+        try:
+            g = ((1.0 / (hbar * omega)) ** N * E ** (N - 1) / math.factorial(N - 1)
+                 * float(np.prod(ratios)))
+        except (OverflowError, ZeroDivisionError):  # hbar w underflows to 0 too
+            g = math.inf
+    if math.isfinite(g):
+        return g
+    return math.exp((N - 1) * math.log(E) - math.lgamma(N)
+                    - N * (math.log(hbar) + math.log(omega)) + float(np.log(ratios).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +536,24 @@ def _roots(c: list) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
+def _cuts(c: list, lo: float, hi: float) -> tuple:
+    """(dc, cuts, v_cut) for V = sum c[k] q^k on the bracket (lo, hi): the coefficients
+    k c[k] of V', with polyder's bits; lo, the real parts of the roots of V' inside the
+    bracket in ascending order, and hi; and V at each cut by scalar Horner, with
+    polyval's bits (its operation order, from q * 0 + c[-1])."""
+    dc = [k * ck for k, ck in enumerate(c)][1:] or [c[0] * 0.0]
+    with np.errstate(all="ignore"):
+        inner = sorted(r for r in _roots(dc).real.tolist() if lo < r < hi)
+    cuts = [lo, *inner, hi]
+    v_cut = []
+    for q in cuts:
+        v = q * 0.0 + c[-1]
+        for ck in c[-2::-1]:
+            v = v * q + ck
+        v_cut.append(v)
+    return dc, cuts, v_cut
+
+
 _MAX_NEWTON = 200  # safeguarded Newton steps per polynomial turning point
 
 
@@ -512,7 +561,7 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
     """V(q) = sum_k coeffs[k] q^k on the bracket (lo, hi), which holds the well: its top
     is the lower of V at the two ends. The real parts of the roots of V' inside the
     bracket (the companion eigenvalues, computed once) cut it into pieces on which V is
-    monotone, and the bottom is the lowest V at these cuts, which include every
+    monotone (`_cuts`), and the bottom is the lowest V at these cuts, which include every
     stationary point; with none there, the bottom is lo, at or above the top: there is no
     well. The turning points at E lie in the pieces across which V - E changes sign:
     MultiWell where more than two do. In each of the two, safeguarded Newton (Numerical
@@ -526,17 +575,12 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
     lo, hi = bracket
     if not -math.inf < lo < hi < math.inf:  # NaN too
         raise ValueError(f"bracket must be finite ends lo < hi, got {bracket}")
-    dc = np.polynomial.polynomial.polyder(c).tolist()
-    V, dV = _horner(c), _horner(dc)
-    with np.errstate(all="ignore"):
-        inner = sorted(r for r in _roots(dc).real.tolist() if lo < r < hi)
-        cuts = [lo, *inner, hi]
-        v_cut = V(np.array(cuts)).tolist()
+    dc, cuts, v_cut = _cuts(c, lo, hi)
     v_lo, v_hi = v_cut[0], v_cut[-1]
     if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
         raise ValueError(f"V must be finite at the bracket ends, got V({lo}) = {v_lo} "
                          f"and V({hi}) = {v_hi}")
-    x, vmin = min(zip(inner, v_cut[1:-1]), key=lambda point: point[1], default=(lo, v_lo))
+    x, vmin = min(zip(cuts[1:-1], v_cut[1:-1]), key=lambda point: point[1], default=(lo, v_lo))
     taylor = c.copy()  # the Taylor coefficients at x, by repeated synthetic division
     for j in range(len(c)):
         for i in range(len(c) - 2, j - 1, -1):
@@ -547,6 +591,7 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
     # on each side of x, the Taylor terms t_j |q - x|^j that raise V there
     terms = {side: [(1.0 / j, t * side ** j) for j, t in enumerate(taylor) if j >= 2
                     and t * side ** j > 0] for side in (-1, 1)}
+    top, rest = c[-1], c[-3::-1]  # Horner's order, past c[-1] and c[-2]
 
     def crossing(E, i):
         """The root of V = E in the piece between cuts i and i + 1, V - E <= 0 at `neg`
@@ -555,13 +600,20 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
         a, b = cuts[i], cuts[i + 1]
         neg, pos = (a, b) if v_cut[i] <= E else (b, a)
         side = 1 if a >= x else -1
-        q = x + side * min([((E - vmin) / t) ** p for p, t in terms[side]], default=math.nan)
+        nearest = math.inf
+        for p, t in terms[side]:
+            u = ((E - vmin) / t) ** p
+            if u < nearest:
+                nearest = u
+        q = x + side * nearest
         if not a < q < b:
             q = _split(a, b)
         older = last = b - a
         for _ in range(_MAX_NEWTON):
-            v, d, e = c[-1], 0.0, 0.0  # V, V' and V''/2 in one Horner pass, inline
-            for ck in c[-2::-1]:
+            # V, V' and V''/2 in one Horner pass, inline, from its second term (a root
+            # of V' cuts the bracket, so c has three terms or more)
+            v, d, e = top * q + c[-2], top, 0.0
+            for ck in rest:
                 e = e * q + d
                 d = d * q + v
                 v = v * q + ck
@@ -579,7 +631,8 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
                 if abs(drift * step) <= _ULP4 * abs(q):
                     return q - step / (1.0 - drift)
                 step /= 1.0 - drift  # Halley's step
-            if not (min(neg, pos) < q - step < max(neg, pos)) or abs(step) > 0.5 * abs(older):
+            r = q - step
+            if not (neg < r < pos or pos < r < neg) or abs(step) > 0.5 * abs(older):
                 step = q - _split(neg, pos)
                 if abs(step) <= _ULP4 * abs(q):  # the bracket has closed
                     return q - step
@@ -587,20 +640,23 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
             q -= step
         raise NoConvergence(f"turning point at E={E} not converged in {_MAX_NEWTON} steps")
 
+    pieces = list(zip(range(len(cuts) - 1), v_cut, v_cut[1:]))  # (i, V at its two ends)
+
     def inverse(E):
-        pairs = []
+        lows, highs = [], []
         for e in E.reshape(-1).tolist():
-            pieces = [i for i in range(len(cuts) - 1) if (v_cut[i] > e) != (v_cut[i + 1] > e)]
-            if len(pieces) > 2:
-                raise MultiWell(f"{len(pieces)} turning points at E={e}; single well required")
-            if len(pieces) < 2:
+            crossed = [i for i, u, v in pieces if (u > e) != (v > e)]
+            if len(crossed) > 2:
+                raise MultiWell(f"{len(crossed)} turning points at E={e}; single well required")
+            if len(crossed) < 2:
                 raise NoClassicalRegion(f"bracket does not confine E={e} (V(edges) must "
                                         "exceed E)")
-            pairs.append((crossing(e, pieces[0]), crossing(e, pieces[1])))
-        q = np.array(pairs).reshape(np.shape(E) + (2,))
-        return q[..., 0][()], q[..., 1][()]
+            lows.append(crossing(e, crossed[0]))
+            highs.append(crossing(e, crossed[1]))
+        shape = np.shape(E)
+        return np.array(lows).reshape(shape)[()], np.array(highs).reshape(shape)[()]
 
-    return Potential1D(V=V, dV=dV, inverse=inverse, bottom=(vmin, k, w),
+    return Potential1D(V=_horner(c), dV=_horner(dc), inverse=inverse, bottom=(vmin, k, w),
                        top=min(v_lo, v_hi), mass=mass)
 
 

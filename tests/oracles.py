@@ -6,9 +6,10 @@ J M for the symplectic spectrum, adaptive quadrature, direct ODE
 integration, plain loops over ensemble members, planes, grid cells and
 certificate entries, exact-rational (Fraction) Gram determinants,
 diagonal squeezing maps for cylinders over coordinate planes, and
-scipy's scrambled Halton and inverse-normal map for the samplers, and the
+scipy's scrambled Halton and inverse-normal map for the samplers, the
 allocating forms of the Verlet kernel and of the quartic and polynomial
-forces.
+forces, mpmath's polynomial roots at 50 digits, and the numpy form of the
+EBK solver's Hermite second starts.
 Each library kernel has one entry, and its oracle checks that entry:
 `certify_oracle` the one symplectic certificate (`core._certify`, which
 `SymplecticMatrix` runs), `advance_oracle` the one Verlet kernel
@@ -291,6 +292,40 @@ def turning_points_oracle(V, E, inside):
             q = np.nextafter(q, near)
         roots.append(float(q))
     return tuple(roots)
+
+
+def polynomial_root_oracle(c, E, near, dps=50):
+    """The real root of sum c[k] q^k = E nearest `near`, from all the roots that
+    mpmath's polyroots finds at `dps` digits, the coefficients taken exactly."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        coeffs = [mpmath.mpf(ck) for ck in c]
+        coeffs[0] -= mpmath.mpf(E)
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=100, extraprec=dps)
+        real = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** (5 - dps)]
+        return min(real, key=lambda r: abs(r - mpmath.mpf(near)))
+
+
+def second_starts_oracle(E, A, T, targets):
+    """The Hermite second starts in numpy, elementwise over the levels: E(target) on the
+    piecewise cubic Hermite interpolant of E(A) through the points (E, A) with slopes
+    1/T, where |A - target| > 1e-6 target, NaN elsewhere. The actions are sorted
+    stably, so levels with equal actions keep their order (numpy's default argsort
+    orders them by its sorting network)."""
+    missed = [abs(a - t) > 1e-6 * t for a, t in zip(A, targets)]
+    if not any(missed):
+        return [math.nan] * len(E)
+    with np.errstate(all="ignore"):
+        order = np.argsort(A, kind="stable")
+        e, a, m = np.array(E)[order], np.array(A)[order], 1.0 / np.array(T)[order]
+        j = np.clip(np.searchsorted(a, targets) - 1, 0, len(a) - 2)
+        h = a[j + 1] - a[j]
+        s = (np.array(targets) - a[j]) / h
+        d = (e[j + 1] - e[j]) / h
+        e = e[j] + h * s * (m[j] + s * (3.0 * d - 2.0 * m[j] - m[j + 1]
+                                        + s * (m[j] + m[j + 1] - 2.0 * d)))
+    return [g if miss else math.nan for g, miss in zip(e.tolist(), missed)]
 
 
 def halton_oracle(count, dim, seed):

@@ -300,6 +300,13 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["g"] == pytest.approx(2.0)
 
+    def test_dos_past_the_factorial_range(self, capsys):
+        # 199! is not a double: g = E^199 / 199! from logs
+        code, out = invoke(capsys, "dos", "--ndim", "200", "--energy", "100")
+        assert code == 0
+        assert json.loads(out) == {"energy": 100.0, "g": pytest.approx(2.535953906961925e25,
+                                                                       rel=1e-12)}
+
     def test_dos_anisotropic_matrix(self, capsys):
         # g(E) = E^(N-1) / ((N-1)! prod_j hbar w_j) = 1 / (1 * 2) at E = 1
         m = {"n": 2, "matrix": np.diag([1.0, 2.0, 1.0, 2.0]).ravel().tolist()}
@@ -666,6 +673,9 @@ class TestInputErrors:
         ["nonsqueeze-ensemble", "--n", "2", "--count", "5", "--sigma", "1e3", "--seed", "1"],
         # a shadow determinant that overflows, once after numpy's warning
         ["shadow", "--random", "10", "--sigma", "100", "--seed", "1"],
+        ["dos", "--energy", "1e4", "--ndim", "200"],  # g = e^975, from logs
+        # hbar w rounds to 0: once a ZeroDivisionError
+        ["dos", "--energy", "1", "--ndim", "2", "--hbar", "1e-320", "--omega", "1e-10"],
     ])
     def test_not_finite(self, capsys, argv):
         with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import struct
 import sys
 import warnings
 
@@ -36,8 +37,10 @@ from oracles import (
     action_by_quad,
     horner_oracle,
     morse_levels,
+    polynomial_root_oracle,
     quartic_dV_oracle,
     quartic_levels,
+    second_starts_oracle,
     turning_points_oracle,
 )
 
@@ -256,6 +259,29 @@ class TestTurningPoints:
                 assert abs(g - w) <= 4 * math.ulp(w), (gap, got, want)
 
 
+def _bits(values):
+    """The IEEE bit patterns of a list of floats."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def _numbers(values):
+    """The values that are not NaN."""
+    return [v for v in values if not math.isnan(v)]
+
+
+def _convex_quartic(seed):
+    """b q + q^2/2 + c3 q^3 + c4 q^4 with c3^2 < 4 c4 / 3, drawn as the benchmark's
+    ebk-spectra workload draws its polynomial wells."""
+    rng = np.random.default_rng(seed)
+    c4, s3, b = rng.uniform(0.05, 0.2), rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2)
+    return [0.0, b, 0.5, s3 * math.sqrt(c4), c4]
+
+
+CONVEX_QUARTICS = [_convex_quartic(seed) for seed in range(20)]
+POLYVAL_COEFFS = [BENCH_POLY["coeffs"], [0.0, 0.0, 0.5], [3.0], [1.5, -2.0, 0.25, 1e-3, -7.0, 0.5]]
+EPS = float(np.finfo(float).eps)
+
+
 def _numpy_turning_points(coeffs, bracket, E):
     """The two real roots of V - E inside the bracket, by np.roots."""
     c = np.array(coeffs, dtype=float)
@@ -295,6 +321,30 @@ class TestPolynomialCrossing:
         assert len(want) == 2
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+    @pytest.mark.parametrize("coeffs,bracket,energies", [
+        *[(coeffs, (-30.0, 30.0), None) for coeffs in CONVEX_QUARTICS],
+        ([0.277, 1.209, -1.748, 0.245, 0.763], (-2.64, 1.96), [9.036530017270962]),
+        ([1.746, -0.312, 1.32, 0.681, -0.787, 0.35, 1.766], (-0.77, 2.58),
+         [2.4546510720697197]),
+    ])
+    def test_within_forward_error_bound(self, coeffs, bracket, energies):
+        # each turning point within its forward error bound of the 50-digit root: the
+        # rounding of V - E, 4 eps (sum |c_k q^k| + |E|), over |V'(q)|, plus 4 ULP of q.
+        # They lie within 2.4 ULP here. Returning the last iterate q rather than its
+        # Halley-corrected point misses by up to 2e8 ULP, a stop at 1e-9 |q| by 110
+        pytest.importorskip("mpmath")
+        pot = ebk.polynomial_potential(coeffs, bracket=bracket)
+        if energies is None:  # from just above the bottom to past the benchmark's levels
+            energies = (pot.bottom[0] + np.geomspace(1e-3, 12.0, 8)).tolist()
+        lows, highs = turning_points(pot, np.array(energies))
+        for E, low, high in zip(energies, np.atleast_1d(lows).tolist(),
+                                np.atleast_1d(highs).tolist()):
+            for q in (low, high):
+                size = sum(abs(ck * q ** k) for k, ck in enumerate(coeffs)) + abs(E)
+                slope = abs(sum(k * ck * q ** (k - 1) for k, ck in enumerate(coeffs) if k))
+                bound = 4 * EPS * size / slope + 4 * math.ulp(q)
+                assert float(abs(polynomial_root_oracle(coeffs, E, q) - q)) <= bound
 
     def test_newton_cap(self, monkeypatch):
         monkeypatch.setattr(ebk, "_MAX_NEWTON", 1)
@@ -733,6 +783,49 @@ class TestSpectrum1D:
         assert counts["turning_points"] == counts["_action_period"] > 0
 
 
+class TestSecondStarts:
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_numpy_bitwise(self, seed):
+        # the plain-Python Hermite second starts against their numpy form, bit for bit, on
+        # 2 to 12 levels: energies and actions rising, targets up to 30% off their actions
+        # or on them; in turn an action repeated (with its level's energy and period, or
+        # with another's), a period 0 and a period inf
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(2, 13))
+        E = np.sort(rng.uniform(0.1, 20.0, K)).tolist()
+        A = np.sort(rng.uniform(0.5, 60.0, K)).tolist()
+        T = rng.uniform(0.5, 8.0, K).tolist()
+        targets = [a * (1.0 + rng.uniform(-0.3, 0.3)) if rng.random() < 0.8 else a for a in A]
+        i, j = rng.choice(K, 2, replace=False).tolist()
+        if seed % 4 == 1:
+            A[j] = A[i]
+            if seed % 8 == 1:
+                E[j], T[j] = E[i], T[i]
+        elif seed % 4 == 2:
+            T[i] = 0.0
+        elif seed % 4 == 3:
+            T[i] = math.inf
+        got, want = ebk._second_starts(E, A, T, targets), second_starts_oracle(E, A, T, targets)
+        assert [math.isnan(g) for g in got] == [math.isnan(w) for w in want]
+        assert _bits(_numbers(got)) == _bits(_numbers(want))
+
+    @pytest.mark.parametrize("A,T", [
+        ([2.0, 2.0, 3.0], [1.0, 1.0, 1.0]),  # equal actions below the target, h = 0
+        ([1.0, 2.0, 2.0], [1.0, 1.0, 1.0]),  # and above it
+        ([1.0, 2.0, 3.0], [0.0, 1.0, -0.0]),  # periods of 0, of either sign
+        ([1.0, 2.0, 3.0], [math.inf, 1.0, 1.0]),
+    ])
+    @pytest.mark.parametrize("targets", [[0.5, 1.7, 3.5], [1.0, 2.0, 3.0], [0.5, 2.0, 3.0]])
+    def test_degenerate_points_give_numpy_guesses(self, A, T, targets):
+        # where two actions coincide or a period is 0, the guess is numpy's non-finite
+        # one (or its finite one, where the interval does not touch them), not a
+        # ZeroDivisionError
+        got = ebk._second_starts([1.0, 1.5, 2.5], A, T, targets)
+        want = second_starts_oracle([1.0, 1.5, 2.5], A, T, targets)
+        assert [math.isnan(g) for g in got] == [math.isnan(w) for w in want]
+        assert _bits(_numbers(got)) == _bits(_numbers(want))
+
+
 def _closed_form(kind, params, hbar, n, mpmath):
     """The EBK level n of a harmonic, quartic or Morse well to the working precision of
     mpmath, from the double parameters taken exactly."""
@@ -851,6 +944,31 @@ class TestDensityOfStates:
         want = (states(E + step) - states(E - step)) / (2 * step)
         assert density_of_states(H, E, hbar) == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("N,E,hbar,omega", [
+        (172, 1.0, 1.0, 1.0), (172, 50.0, 0.7, 1.3), (200, 100.0, 1.0, 1.0),
+        (200, 1e-3, 1e-5, 1.0), (50, 100.0, 1e-5, 1.0)])
+    def test_beyond_the_double_range_of_its_factors(self, N, E, hbar, omega):
+        # E^(N-1), (N-1)! (from N = 172) or (1 / hbar w)^N leaves the double range, so g
+        # comes from logs, within the rounding of its log terms of the 30-digit value
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = float(mpmath.mpf(E) ** (N - 1) / mpmath.factorial(N - 1)
+                         / (mpmath.mpf(hbar) * mpmath.mpf(omega)) ** N)
+        logs = (N - 1) * abs(math.log(E)) + math.lgamma(N) + N * abs(math.log(hbar * omega))
+        got = density_of_states(QuadraticHamiltonian.isotropic(N, omega), E, hbar)
+        assert got == pytest.approx(want, rel=4 * EPS * logs + 2 * N * EPS)
+
+    def test_closed_form_kept_where_finite(self):
+        # the last N whose (N - 1)! is a double keeps the closed form's bits
+        H = QuadraticHamiltonian.isotropic(171, 1.0)
+        assert density_of_states(H, 1.0, 1.0) == 1.0 / math.factorial(170)
+
+    @pytest.mark.parametrize("N,E,hbar,omega", [(200, 1e4, 1.0, 1.0), (2, 1.0, 1e-320, 1e-10)])
+    def test_beyond_the_double_range_refused(self, N, E, hbar, omega):
+        # g = e^975, and 1 / (hbar w)^2 with hbar w rounding to 0 (once a ZeroDivisionError)
+        with pytest.raises(OverflowError):
+            density_of_states(QuadraticHamiltonian.isotropic(N, omega), E, hbar)
+
 
 class TestCrossModule:
     def test_capacity_matches_blob_area_at_quantized_energies(self):
@@ -919,8 +1037,7 @@ class TestPotentialFactory:
         dV = pot.dV(q)
         assert np.max(np.abs(dV - fd)) <= 1e-7 * np.max(np.abs(dV))
 
-    @pytest.mark.parametrize("coeffs", [BENCH_POLY["coeffs"], [0.0, 0.0, 0.5],
-                                        [3.0], [1.5, -2.0, 0.25, 1e-3, -7.0, 0.5]])
+    @pytest.mark.parametrize("coeffs", POLYVAL_COEFFS)
     def test_polynomial_is_polyval_bitwise(self, coeffs):
         pot = make_potential({"kind": "polynomial", "coeffs": coeffs})
         polyval, polyder = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
@@ -928,6 +1045,22 @@ class TestPotentialFactory:
         for x in (q, q[:2], q[3], float(q[4]), -q):
             assert np.array_equal(pot.V(x), polyval(x, coeffs))
             assert np.array_equal(pot.dV(x), polyval(x, polyder(coeffs)))
+
+    @pytest.mark.parametrize("coeffs,bracket", [
+        *[(coeffs, (-30.0, 30.0)) for coeffs in POLYVAL_COEFFS],
+        *[(coeffs, (-30.0, 30.0)) for coeffs in CONVEX_QUARTICS[:5]],
+        ([-3.0], (-1.0, 2.0)), ([1.0, -0.0, 2.0, -0.0], (-2.0, 1.0)),
+        *[(np.random.default_rng(seed).uniform(-2.0, 2.0, seed % 7 + 2).tolist(),
+           (-3.0 - seed, 1.5 + seed)) for seed in range(12)],
+    ])
+    def test_polynomial_setup_is_numpy_bitwise(self, coeffs, bracket):
+        # the scalar set-up: V' as polyder's coefficients and V at the cuts as polyval's,
+        # zero signs included
+        polyval, polyder = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+        dc, cuts, v_cut = ebk._cuts([float(ck) for ck in coeffs], *bracket)
+        assert _bits(dc) == _bits(polyder(coeffs).tolist())
+        assert cuts[0] == bracket[0] and cuts[-1] == bracket[1] and cuts == sorted(cuts)
+        assert _bits(v_cut) == _bits(polyval(np.array(cuts), coeffs).tolist())
 
     @pytest.mark.parametrize("pot,V,dV", [
         (quartic_potential(0.25), lambda q: 0.25 * np.square(np.square(q)),
