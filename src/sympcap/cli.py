@@ -31,7 +31,7 @@ _REAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|in
 # anything is allocated. At each bound a request peaks below 0.7 GB and runs in
 # under 8 s on 2 cores (measured; docs/cli.md gives the figures).
 MAX_MODES = 1000  # shadow --random, dos --ndim: one dense 2N x 2N problem
-MAX_SAMPLES = 5 * 10**6  # evolve --samples, some 120 bytes a sample
+MAX_SAMPLES = 5 * 10**6  # evolve --samples, some 130 bytes a sample
 MAX_ENSEMBLE_ENTRIES = 2**23  # nonsqueeze-ensemble: --count x (2n)^2 stacked entries
 MAX_ENSEMBLE_MINORS = 25 * 10**7  # and --count x (n (2n - 1))^2 squared plane minors
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -429,8 +430,10 @@ def density_of_states(H: QuadraticHamiltonian, E: float, hbar: float) -> float:
     The product is taken as (hbar w_1)^N prod_j (w_j / w_1) with w_1 the
     fastest frequency, so an isotropic spectrum gives (1 / hbar w)^N
     E^(N-1) / (N-1)! with no rounding from the ratios. Where a factor leaves the
-    double range (E^(N-1) or (N-1)! from N = 172), g is taken from logs instead,
-    (N-1) log E - lgamma(N) - N log(hbar w_1) + sum_j log(w_1 / w_j); a g that is
+    double range (E^(N-1) or (N-1)! from N = 172) or falls below the normal
+    doubles, as a product on the way may too, g is taken from logs instead,
+    (N-1) log E - lgamma(N) - N log(hbar w_1) + sum_j log(w_1 / w_j), with the
+    powers of 2 of E, hbar, w_1 and the ratios kept out of the logs; a g that is
     itself beyond the double range is an OverflowError.
     """
     _positive("hbar", hbar)
@@ -441,14 +444,25 @@ def density_of_states(H: QuadraticHamiltonian, E: float, hbar: float) -> float:
     with np.errstate(over="ignore"):
         ratios = omega / omegas
         try:
-            g = ((1.0 / (hbar * omega)) ** N * E ** (N - 1) / math.factorial(N - 1)
-                 * float(np.prod(ratios)))
+            hw = hbar * omega
+            a, e = (1.0 / hw) ** N, E ** (N - 1)
+            b = a * e / math.factorial(N - 1)
+            g = b * float(np.prod(ratios))
         except (OverflowError, ZeroDivisionError):  # hbar w underflows to 0 too
             g = math.inf
-    if math.isfinite(g):
+    # a factor or partial product that fell to 0 or a subnormal lost its bits
+    if math.isfinite(g) and min(hw, a, e, a * e, b) >= sys.float_info.min:
         return g
-    return math.exp((N - 1) * math.log(E) - math.lgamma(N)
-                    - N * (math.log(hbar) + math.log(omega)) + float(np.log(ratios).sum()))
+    # each of E, hbar, w_1 and the ratios as m 2^k, m in [1/sqrt 2, sqrt 2): the logs
+    # of the mantissas are small, and the powers of 2 are summed exactly
+    m, k = np.frexp(np.concatenate(([E, hbar, omega], ratios)))
+    low = m < math.sqrt(0.5)
+    m[low], k[low] = 2 * m[low], k[low] - 1
+    logs, k = np.log(m).tolist(), k.tolist()
+    x = (N - 1) * logs[0] - math.lgamma(N) - N * (logs[1] + logs[2]) + math.fsum(logs[3:])
+    j = round(x / math.log(2))
+    return math.ldexp(math.exp(x - j * math.log(2)),
+                      (N - 1) * k[0] - N * (k[1] + k[2]) + sum(k[3:]) + j)
 
 
 # ---------------------------------------------------------------------------

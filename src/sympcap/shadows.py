@@ -28,7 +28,8 @@ GRADIENT_CHECK_POINTS = 5
 GRADIENT_CHECK_SCALE = 0.375  # the scale at which a force is checked to follow it
 MIN_STEP_RATIO = 2.0**-960  # least dt / mass: the scaled momentum stays a normal double
 # bound on samples x Verlet steps of one evolve_ball_shadow call: 4 times
-# the 5e8 of the README's quartic example, some 4 s at 2 ns a particle-step
+# the 5e8 of the README's quartic example, which takes 1.0-1.1 s in-process
+# (2.0-2.3 ns a particle-step on 1e5 samples), so some 4 s
 MAX_PARTICLE_STEPS = 2 * 10**9
 
 
@@ -173,6 +174,14 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _check_points(n_modes: int) -> np.ndarray:
+    """The points in [-1, 1)^n_modes where a force is checked, drawn once, read-only."""
+    x = np.random.default_rng(1234).uniform(-1.0, 1.0, size=(GRADIENT_CHECK_POINTS, n_modes))
+    x.flags.writeable = False
+    return x
+
+
 @dataclass
 class FlowSpec:
     """Hamiltonian H(q, p) = |p|^2 / 2 mass + V(q) on n_modes degrees of freedom.
@@ -200,8 +209,7 @@ class FlowSpec:
         if not self.dt / self.mass >= MIN_STEP_RATIO:
             raise ValueError(f"dt / mass = {self.dt / self.mass!r} is below 2^-960: the "
                              "momentum scaled by it would be subnormal")
-        rng = np.random.default_rng(1234)
-        x = rng.uniform(-1.0, 1.0, size=(GRADIENT_CHECK_POINTS, self.n_modes))
+        x = _check_points(self.n_modes)
         g = self._force(x, 1.0)
         h = 1e-6
         for k in range(self.n_modes):
@@ -235,7 +243,14 @@ class FlowSpec:
         return np.sum(p * p, axis=-1) / (2.0 * self.mass) + np.asarray(self.V(state[..., :n]))
 
 
-def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int) -> None:
+def _aligned(size: int) -> np.ndarray:
+    """An uninitialized float array of `size` whose data starts on a 64-byte boundary."""
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size]
+
+
+def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int, buf: np.ndarray) -> None:
     """Advance in place by `count` Stoermer-Verlet (kick-drift-kick) steps,
     exactly symplectic, fusing adjacent half-kicks: one force evaluation per
     step instead of two, algebraically identical to `count` single steps.
@@ -243,18 +258,19 @@ def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int) -> None:
     For the length of the call `p` holds the scaled momentum P = h p, with
     h = dt / mass: each drift is then `q += P`, and each kick subtracts
     s dV/dq, s = dt h (halved at the two end half-kicks), which the force
-    writes into the call's one scratch buffer. A quartic step takes five
-    array passes and allocates nothing. On 5 000 one-mode particles
-    (2 cores, numpy 2.4.6) a traced particle-step of the benchmark's
-    quartic and harmonic flows took 1.8 ns this way, against 2.5 ns with a
-    drift multiply and a fresh force array per step. The scaling rounds: p
-    differs from the unscaled kernel's in the last bits.
+    writes into `buf`, the caller's scratch array of p's shape. A quartic
+    step takes five array passes and allocates nothing. Its speed depends on
+    where the arrays start: on 5 000 one-mode particles (2 cores, numpy 2.4.6,
+    pinned to one core) a quartic particle-step took 1.5 ns with q, p and buf
+    on 64-byte boundaries and 1.8 ns with all three at 16 or 48 mod 64, a
+    harmonic one 0.93 against 1.08 ns. The scaling rounds: p differs from
+    the unscaled kernel's in the last bits.
     """
     if count <= 0:
         return
     h = flow.dt / flow.mass
     s = flow.dt * h
-    force, buf = flow.grad_V, np.empty_like(p)
+    force = flow.grad_V
     p *= h
     try:  # gradient callables are caller-supplied
         p -= force(q, 0.5 * s, buf)
@@ -370,14 +386,16 @@ def evolve_ball_shadow(
         raise ValueError(f"{samples} samples x {steps} Verlet steps exceeds the bound of "
                          f"{MAX_PARTICLE_STEPS:.1e} particle-steps")
 
+    # the kernel's state and force scratch, each on a 64-byte boundary
+    q, p, buf = (_aligned(samples * n).reshape(samples, n) for _ in range(3))
     state = ball_points(samples, 2 * n, radius, seed=seed)
-    q = np.ascontiguousarray(state[:, :n])
-    p = np.ascontiguousarray(state[:, n:])
+    q[...], p[...] = state[:, :n], state[:, n:]
+    del state  # kept through the run, it raised the peak at 5e6 samples by 78 MB
     reports = []
     clouds = []
     step = 0
     for t, target in zip(times, snap_steps):
-        _advance(q, p, flow, target - step)
+        _advance(q, p, flow, target - step, buf)
         step = target
         if not (np.isfinite(q).all() and np.isfinite(p).all()):
             raise FlowDiverged(f"non-finite coordinate at t={t}")

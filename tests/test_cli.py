@@ -307,6 +307,13 @@ class TestOtherCommands:
         assert json.loads(out) == {"energy": 100.0, "g": pytest.approx(2.535953906961925e25,
                                                                        rel=1e-12)}
 
+    def test_dos_where_a_factor_underflows(self, capsys):
+        # (1 / hbar w)^2 = 1e-400 rounds to 0 before E multiplies it: g = 1e-100 from logs
+        code, out = invoke(capsys, "dos", "--ndim", "2", "--energy", "1e300", "--hbar", "1e200")
+        assert code == 0
+        g = json.loads(out)["g"]
+        assert abs(g - 1.0000000000000001e-100) <= 4 * math.ulp(g)
+
     def test_dos_anisotropic_matrix(self, capsys):
         # g(E) = E^(N-1) / ((N-1)! prod_j hbar w_j) = 1 / (1 * 2) at E = 1
         m = {"n": 2, "matrix": np.diag([1.0, 2.0, 1.0, 2.0]).ravel().tolist()}

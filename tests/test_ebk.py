@@ -958,6 +958,21 @@ class TestDensityOfStates:
         got = density_of_states(QuadraticHamiltonian.isotropic(N, omega), E, hbar)
         assert got == pytest.approx(want, rel=4 * EPS * logs + 2 * N * EPS)
 
+    @pytest.mark.parametrize("E,hbar,omegas", [
+        (1e300, 1e200, (1.0, 1.0)), (1e-200, 1e-101, (1.0,) * 3), (1e100, 1e100, (1e2,) * 4),
+        (1e-160, 1.0, (1e-100,) * 3), (1e-100, 1.0, (1e150, 1.0))])
+    def test_underflowing_factor_takes_logs(self, E, hbar, omegas):
+        # (1 / hbar w_1)^N, E^(N-1) or their product falls below the normal doubles,
+        # where the closed form gave 0 or a g short of its bits; the logs of the
+        # mantissas, with the powers of 2 summed exactly, keep g within a few ulp
+        mpmath = pytest.importorskip("mpmath")
+        N = len(omegas)
+        with mpmath.workdps(30):
+            want = float(mpmath.mpf(E) ** (N - 1) / mpmath.factorial(N - 1)
+                         / mpmath.fprod(mpmath.mpf(hbar) * w for w in omegas))
+        got = density_of_states(QuadraticHamiltonian(np.diag(omegas * 2)), E, hbar)
+        assert abs(got - want) <= 8 * math.ulp(want)
+
     def test_closed_form_kept_where_finite(self):
         # the last N whose (N - 1)! is a double keeps the closed form's bits
         H = QuadraticHamiltonian.isotropic(171, 1.0)

@@ -1,10 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sympcap import shadows
+from sympcap import cli, shadows
 from sympcap.core import DEFAULT_SYMPLECTIC_TOL, SymplecticMatrix, random_symplectic
 from sympcap.ebk import (
     harmonic_potential,
@@ -83,13 +84,23 @@ CLI_POTENTIALS = [
 ]
 
 
+def _at_offset(a, offset):
+    """A copy of `a` whose data starts `offset` bytes past a 64-byte boundary."""
+    raw = np.empty(a.size + 16)
+    start = (-raw.ctypes.data % 64 + offset) // 8
+    out = raw[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
 def _advance_both(flow, counts, size=2000):
     """(kernel, oracle) states after advancing the same ball by each count in turn."""
     z = ball_points(size, 2, 1.0, seed=3)
     got = [z[:, :1].copy(), z[:, 1:].copy()]
     want = [a.copy() for a in got]
     for count in counts:
-        _advance(*got, flow, count)
+        _advance(*got, flow, count, np.empty_like(got[1]))
         advance_oracle(*want, flow, count)
     return np.concatenate(got, axis=1), np.concatenate(want, axis=1)
 
@@ -254,7 +265,7 @@ class TestEnsemble:
 class TestVerlet:
     def test_free_particle_drift_is_exact(self):
         q, p = np.array([1.0]), np.array([2.0])
-        _advance(q, p, free_flow(0.25), 1)
+        _advance(q, p, free_flow(0.25), 1, np.empty_like(p))
         assert np.concatenate([q, p]) == pytest.approx([1.5, 2.0], abs=0)
 
     def test_harmonic_period_returns_to_start(self):
@@ -263,7 +274,7 @@ class TestVerlet:
         steps = round(2 * math.pi / dt)
         q, p = np.array([1.0]), np.array([0.0])
         for _ in range(steps):
-            _advance(q, p, flow, 1)
+            _advance(q, p, flow, 1, np.empty_like(p))
         # closed-form solution is a rotation; residual from dt and period rounding
         assert np.max(np.abs(np.concatenate([q, p]) - [1.0, 0.0])) <= 1e-3
 
@@ -273,7 +284,7 @@ class TestVerlet:
         q, p = np.array([[1.0]]), np.array([[0.0]])
         e0 = float(flow.energy(np.concatenate([q, p], axis=1))[0])
         for _ in range(10_000):
-            _advance(q, p, flow, 1)
+            _advance(q, p, flow, 1, np.empty_like(p))
         e1 = float(flow.energy(np.concatenate([q, p], axis=1))[0])
         assert abs(e1 - e0) / e0 <= 1e-6
 
@@ -282,7 +293,7 @@ class TestVerlet:
 
         def step(z):
             q, p = z[:1].copy(), z[1:].copy()
-            _advance(q, p, flow, 1)
+            _advance(q, p, flow, 1, np.empty_like(p))
             return np.concatenate([q, p])
 
         rng = np.random.default_rng(5)
@@ -302,9 +313,9 @@ class TestVerlet:
         z = np.random.default_rng(7).uniform(-1, 1, size=(50, 2))
         q, p = z[:, :1].copy(), z[:, 1:].copy()
         q1, p1 = q.copy(), p.copy()
-        _advance(q, p, flow, 300)
+        _advance(q, p, flow, 300, np.empty_like(p))
         for _ in range(300):
-            _advance(q1, p1, flow, 1)
+            _advance(q1, p1, flow, 1, np.empty_like(p1))
         assert np.max(np.abs(np.concatenate([q - q1, p - p1], axis=1))) <= 1e-12
 
     @pytest.mark.parametrize("mass", [0.5, 1.0, 3.0])
@@ -331,6 +342,21 @@ class TestVerlet:
         with pytest.raises(FlowError, match=message):
             FlowSpec(V=V, grad_V=grad, dt=0.01)
 
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_gradient_checked_at_the_same_points_each_time(self, n_modes):
+        # the check points are drawn once per n_modes and shared, read-only
+        seen = []
+
+        def force(q, scale, out):
+            seen.append(q)
+            return np.multiply(q, scale, out=out)
+
+        for _ in range(2):
+            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=force, dt=0.1, n_modes=n_modes)
+        want = np.random.default_rng(1234).uniform(-1.0, 1.0, size=(5, n_modes))
+        assert len(seen) == 4 and all(q is seen[0] for q in seen)
+        assert not seen[0].flags.writeable and np.array_equal(seen[0], want)
+
     def test_mass_step_is_kick_drift_kick(self):
         # one step on the scaled momentum P = h p, h = dt / m, with s = dt h
         m, dt = 2.0, 0.05
@@ -338,7 +364,7 @@ class TestVerlet:
         z = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
         q, p = z[:, :1], z[:, 1:]
         got = [q.copy(), p.copy()]
-        _advance(*got, flow, 1)
+        _advance(*got, flow, 1, np.empty_like(got[1]))
         h = dt / m
         s = dt * h
         P = p * h
@@ -359,8 +385,8 @@ class TestVerlet:
         z = ball_points(2000, 2, 1.0, seed=3)
         q, p = z[:, :1].copy(), z[:, 1:].copy()
         for _ in range(2):
-            _advance(q, p, flow, 1)
-            _advance(q, p, flow, 249)
+            _advance(q, p, flow, 1, np.empty_like(p))
+            _advance(q, p, flow, 249, np.empty_like(p))
             np.negative(p, out=p)
         assert np.max(np.abs(np.concatenate([q, p], axis=1) - z)) <= 1e-14
 
@@ -379,7 +405,7 @@ class TestVerlet:
                         grad_V=lambda q, scale, out: np.multiply(q, scale * m * omega**2, out=out),
                         dt=2 * math.pi / omega / steps, mass=m)
         q, p = np.array([[1.0]]), np.array([[0.0]])
-        _advance(q, p, flow, steps)
+        _advance(q, p, flow, steps, np.empty_like(p))
         # Verlet's phase error over a period is 2 pi (w dt)^2 / 24, 6.5e-7 here
         assert abs(q[0, 0] - 1.0) <= 1e-6
         assert abs(p[0, 0]) <= 1e-6 * m * omega
@@ -393,6 +419,57 @@ class TestVerlet:
         with pytest.raises(FlowError, match="disagrees with finite differences"):
             FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1),
                      grad_V=lambda q, scale, out: np.multiply(q, 3 * scale, out=out), dt=0.1)
+
+
+class TestVerletWorkspace:
+    def test_evolve_passes_aligned_state_and_one_scratch(self, monkeypatch):
+        calls = []
+
+        def spy(q, p, flow, count, buf):
+            calls.append((q, p, buf))
+            real(q, p, flow, count, buf)
+
+        real = shadows._advance
+        monkeypatch.setattr(shadows, "_advance", spy)
+        evolve_ball_shadow(1.0, free_flow(0.1, n_modes=2), PlaneSelector.conjugate(2), 1001,
+                           0.1, [0.0, 0.5, 1.0])
+        assert len(calls) == 3
+        for q, p, buf in calls:
+            for a in (q, p, buf):
+                assert a.shape == (1001, 2) and a.flags.c_contiguous
+                assert a.ctypes.data % 64 == 0
+            assert not (np.shares_memory(q, p) or np.shares_memory(q, buf)
+                        or np.shares_memory(p, buf))
+            assert all(x is y for x, y in zip(calls[0], (q, p, buf)))
+
+    @pytest.mark.parametrize("pot", CLI_POTENTIALS)
+    def test_bits_do_not_depend_on_alignment(self, pot):
+        # numpy may take another loop for an unaligned head, so each offset runs
+        # the same data through the kernel and must land on the same bits
+        flow = cli_flow(pot, 0.02)
+        z = ball_points(1001, 2, 1.0, seed=4)
+        got = []
+        for offsets in ((0, 0, 0), (16, 16, 16), (32, 32, 32), (48, 48, 48), (0, 16, 48)):
+            q, p, buf = (_at_offset(a, k) for a, k in zip((z[:, :1], z[:, 1:], z[:, 1:]),
+                                                        offsets))
+            _advance(q, p, flow, 250, buf)
+            got.append(np.concatenate([q, p], axis=1).tobytes())
+        assert got[1:] == got[:1] * 4
+
+    def test_dumped_clouds_keep_their_bits(self, tmp_path, capsys):
+        # sha256 of the --dump-points clouds of a quartic run, as the kernel wrote
+        # them before its workspace was aligned
+        assert cli.run(["evolve", "--potential", "quartic", "coeff=0.25", "--times", "1,2,5",
+                        "--dt", "0.02", "--samples", "5000", "--grid-cell", "0.1",
+                        "--dump-points", str(tmp_path / "cloud")]) == 0
+        capsys.readouterr()
+        digests = {t: hashlib.sha256(tmp_path.joinpath(f"cloud_t{t}.csv").read_bytes()).hexdigest()
+                   for t in (1, 2, 5)}
+        assert digests == {
+            1: "d5cbbef61f937b28aa1570a1a8d2d8228c0cc7a14f6dab4e5d88f82c080a4a6b",
+            2: "ccab5d2c2f4bb8fd977d691bd95746da27e7651fa22bd3bd153ab92c21573137",
+            5: "7370ea553ba4d96803e5a79cdb7dd252e9002bb23556dc97bc71c9aad7f40db3",
+        }
 
 
 class TestEvolveShadow:
@@ -449,7 +526,7 @@ class TestEvolveShadow:
         state = ball_points(1000, 4, 2.0, seed=0)
         q, p = state[:, :2].copy(), state[:, 2:].copy()
         with np.errstate(all="ignore"):
-            _advance(q, p, flow, 100)
+            _advance(q, p, flow, 100, np.empty_like(p))
         assert np.isfinite(q[:, 0]).all() and np.isfinite(p[:, 0]).all()
         assert not np.isfinite(q[:, 1]).all()
         with pytest.raises(FlowDiverged), np.errstate(all="ignore"):
