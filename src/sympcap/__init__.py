@@ -19,7 +19,7 @@ from .core import (
     williamson,
 )
 from .ebk import (
-    Potential1D,
+    Potential,
     SpectrumEntry,
     SpectrumResult,
     blob_check,

@@ -124,7 +124,7 @@ def _load_matrix(args) -> np.ndarray:
     raise ValueError("provide --matrix or --matrix-file")
 
 
-def _parse_potential(args) -> ebk.Potential1D:
+def _parse_potential(args) -> ebk.Potential:
     tokens = args.potential
     if len(tokens) == 1 and tokens[0].lstrip().startswith("{"):
         desc = _json(tokens[0], "--potential")
@@ -287,9 +287,7 @@ def cmd_nonsqueeze(args):
 
 def cmd_evolve(args):
     _at_most("--samples", args.samples, MAX_SAMPLES)
-    pot = _parse_potential(args)
-    flow = shadows.FlowSpec(V=lambda q: pot.V(q[..., 0]), grad_V=pot.dV, dt=args.dt,
-                            mass=pot.mass)
+    flow = shadows.FlowSpec(_parse_potential(args), args.dt)
     times = [_parse_float(s, "--times entry") for s in args.times.split(",")]
     reports, clouds = shadows.evolve_ball_shadow(
         args.radius, flow, shadows.PlaneSelector.parse(args.plane), args.samples, args.grid_cell,

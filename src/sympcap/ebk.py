@@ -36,25 +36,27 @@ def _finite(name: str, value: float) -> float:
 
 
 @dataclass
-class Potential1D:
-    """Confining 1-D potential V(q) with mass m, carrying its own inverse.
+class Potential:
+    """Potential V(q) on n_modes degrees of freedom with mass m: the Hamiltonian
+    |p|^2 / 2m + V(q) that EBK quantizes and `FlowSpec` flows.
 
-    V(q) and its analytic derivative dV(q, scale=1, out=None) = scale dV/dq (minus the
-    force, times scale) accept numpy arrays, complex ones included; dV writes into `out`
-    where one is given and returns it, so it serves as a `FlowSpec.grad_V`.
-    `bottom` = (vmin, k, w) is the leading Taylor term V - vmin ~ (w |q - x|)^k at the
-    well bottom x, and `top` the energy from which the well no longer confines (inf:
-    never). `inverse(E)` gives the turning points q- < q+ of V(q) = E for vmin < E < top,
-    as numpy values, elementwise over an array of energies. A plain value: it carries no
-    solver state and can be shared between calls.
+    V maps (..., n_modes) to (...), or acts elementwise with one mode, as the four kinds
+    do, on complex q too. dV(q, scale=1, out=None) = scale dV/dq (minus the force, times
+    scale) writes into `out`, of q's shape, where one is given and returns it. EBK needs a
+    one-mode well: `bottom` = (vmin, k, w) is the leading Taylor term V - vmin ~
+    (w |q - x|)^k at the well bottom x, `top` the energy from which it no longer confines
+    (inf: never), and `inverse(E)` the turning points q- < q+ of V(q) = E for vmin < E <
+    top as numpy values, elementwise over an array of energies. A plain value: it carries
+    no solver state and can be shared between calls.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
     dV: Callable[..., np.ndarray]
-    inverse: Callable[[np.ndarray], tuple]
-    bottom: tuple
+    inverse: Optional[Callable[[np.ndarray], tuple]] = None
+    bottom: Optional[tuple] = None
     top: float = math.inf
     mass: float = 1.0
+    n_modes: int = 1
 
     def __post_init__(self):
         _positive("mass", self.mass)
@@ -129,7 +131,7 @@ def quantize_quadratic(H: QuadraticHamiltonian, n, hbar: float) -> SpectrumEntry
 _ULP4 = 4 * float(np.finfo(float).eps)  # 4 ulp of 1
 
 
-def turning_points(pot: Potential1D, E):
+def turning_points(pot: Potential, E):
     """Classical turning points q- < q+ of V(q) = E about the well bottom, from the
     potential's own inverse, elementwise over an array of energies. Energies at or below
     the bottom, or at or above the top of the well, have none (NoClassicalRegion, naming
@@ -155,7 +157,7 @@ def _gauss_legendre():
     return np.sin(0.5 * math.pi * x), w * np.cos(0.5 * math.pi * x)
 
 
-def _action_period(pot: Potential1D, E):
+def _action_period(pot: Potential, E):
     """Loop action A(E) = 2 int sqrt(2m (E - V)) dq between the turning points and
     period T(E) = dA/dE = 2 int m/p dq on the same nodes, elementwise over an array of
     energies. The substitution q = mid + half sin(theta), with Gauss-Legendre in theta,
@@ -174,7 +176,7 @@ def _action_period(pot: Potential1D, E):
     return scale * (p @ wc), scale * pot.mass * (np.reciprocal(p, out=p) @ wc)
 
 
-def _bottom_start(pot: Potential1D, target_action: float) -> float:
+def _bottom_start(pot: Potential, target_action: float) -> float:
     """E at target_action on the leading Taylor term V - vmin = (w |q - x|)^k at the
     well bottom, whose action is A = 4 sqrt(2m) B_k (E - vmin)^(1/2 + 1/k) / w with
     B_k = int_0^1 sqrt(1 - u^k) du = Gamma(1 + 1/k) Gamma(3/2) / Gamma(3/2 + 1/k).
@@ -310,7 +312,7 @@ def _second_starts(E: list, A: list, T: list, targets: list) -> list:
     return guesses
 
 
-def _solve(pot: Potential1D, targets: list) -> tuple[dict, dict]:
+def _solve(pot: Potential, targets: list) -> tuple[dict, dict]:
     """({n: (E, A)}, {n: reason skipped}) for the levels with loop action A(E) =
     targets[n], each by its own safeguarded Newton (`_newton`), all in rounds: a round
     evaluates A and T at the next energy of every open level at once (`_action_period`
@@ -326,6 +328,9 @@ def _solve(pot: Potential1D, targets: list) -> tuple[dict, dict]:
     goes to the bottom is skipped by itself; NoConvergence names a level by its action.
     All runs under one np.errstate that ignores floating-point warnings.
     """
+    for name in ("inverse", "bottom"):
+        if getattr(pot, name) is None:
+            raise ValueError(f"potential has no {name}: EBK needs a one-mode well")
     vmin, top = pot.bottom[0], pot.top
     e_top = top * (1 - math.copysign(1e-12, top))
     skipped, solved = {}, {}
@@ -375,7 +380,7 @@ def _solve(pot: Potential1D, targets: list) -> tuple[dict, dict]:
                         f"last E={E}")
 
 
-def level_1d(pot: Potential1D, n: int, hbar: float) -> tuple[float, float]:
+def level_1d(pot: Potential, n: int, hbar: float) -> tuple[float, float]:
     """(energy, action) for the single level with action (n + 1/2) h: the spectrum
     solve on a vector of one. LevelNotBound where that level is skipped."""
     _positive("hbar", hbar)
@@ -387,7 +392,7 @@ def level_1d(pot: Potential1D, n: int, hbar: float) -> tuple[float, float]:
     return solved[0]
 
 
-def spectrum_1d(pot: Potential1D, n_max: int, hbar: float) -> SpectrumResult:
+def spectrum_1d(pot: Potential, n_max: int, hbar: float) -> SpectrumResult:
     """Librational EBK levels n = 0..n_max: solve loop action = (n + 1/2) h, every level
     in one vector Newton (`_solve`).
 
@@ -406,7 +411,7 @@ def spectrum_1d(pot: Potential1D, n_max: int, hbar: float) -> SpectrumResult:
         skipped=[{"n": n, "reason": reason} for n, reason in sorted(skipped.items())])
 
 
-def spectrum_separable(pots: Sequence[Potential1D], n, hbar: float) -> SpectrumEntry:
+def spectrum_separable(pots: Sequence[Potential], n, hbar: float) -> SpectrumEntry:
     """One torus of a separable system: per-mode 1-D levels summed.
 
     The basis loops are unit-winding circles, one per mode, each with
@@ -469,7 +474,7 @@ def density_of_states(H: QuadraticHamiltonian, E: float, hbar: float) -> float:
 # Potential factory used by the CLI and tests
 
 
-def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Potential1D:
+def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Potential:
     _positive("harmonic omega", omega)
     _positive("mass", mass)  # before the bottom's math.sqrt, which refuses a negative unnamed
 
@@ -477,14 +482,17 @@ def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Potential1D:
         r = np.sqrt(2.0 * E / mass) / omega
         return -r, r
 
+    try:  # omega**2's bits, or inf where Python's ** raises from omega of about 1.34e154
+        w2 = omega**2
+    except OverflowError:
+        w2 = math.inf
     # (omega q)^2, not omega^2 q^2: omega^2 underflows from omega of about 1e-154
-    return Potential1D(V=lambda q: 0.5 * mass * np.square(omega * q),
-                       dV=lambda q, scale=1.0, out=None: np.multiply(
-                           q, scale * mass * omega**2, out=out), inverse=inverse,
-                       bottom=(0.0, 2, omega * math.sqrt(0.5 * mass)), mass=mass)
+    return Potential(V=lambda q: 0.5 * mass * np.square(omega * q),
+                     dV=lambda q, scale=1.0, out=None: np.multiply(q, scale * mass * w2, out=out),
+                     inverse=inverse, bottom=(0.0, 2, omega * math.sqrt(0.5 * mass)), mass=mass)
 
 
-def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0) -> Potential1D:
+def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0) -> Potential:
     _finite("morse D", D)
     if D <= 0:
         raise ValueError(f"morse D must be positive, got {D}: the potential is not confining")
@@ -498,11 +506,11 @@ def morse_potential(D: float = 10.0, a: float = 1.0, mass: float = 1.0) -> Poten
         s = np.sqrt(E / D)  # below 1, but it rounds to 1 within 1 ulp of D: q+ is then inf
         return -np.log1p(s) / a, -np.log1p(-s) / a
 
-    return Potential1D(V=lambda q: D * np.square(np.expm1(-a * q)), dV=dV, inverse=inverse,
-                       bottom=(0.0, 2, a * math.sqrt(D)), top=D, mass=mass)
+    return Potential(V=lambda q: D * np.square(np.expm1(-a * q)), dV=dV, inverse=inverse,
+                     bottom=(0.0, 2, a * math.sqrt(D)), top=D, mass=mass)
 
 
-def quartic_potential(coeff: float = 0.25, mass: float = 1.0) -> Potential1D:
+def quartic_potential(coeff: float = 0.25, mass: float = 1.0) -> Potential:
     _finite("quartic coeff", coeff)
     if coeff <= 0:
         raise ValueError(f"quartic coeff must be positive, got {coeff}: the potential is "
@@ -519,8 +527,8 @@ def quartic_potential(coeff: float = 0.25, mass: float = 1.0) -> Potential1D:
         r = np.sqrt(np.sqrt(E / coeff))
         return -r, r
 
-    return Potential1D(V=lambda q: coeff * np.square(np.square(q)), dV=dV, inverse=inverse,
-                       bottom=(0.0, 4, math.sqrt(math.sqrt(coeff))), mass=mass)
+    return Potential(V=lambda q: coeff * np.square(np.square(q)), dV=dV, inverse=inverse,
+                     bottom=(0.0, 4, math.sqrt(math.sqrt(coeff))), mass=mass)
 
 
 def _horner(c: list):
@@ -571,7 +579,7 @@ def _cuts(c: list, lo: float, hi: float) -> tuple:
 _MAX_NEWTON = 200  # safeguarded Newton steps per polynomial turning point
 
 
-def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Potential1D:
+def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Potential:
     """V(q) = sum_k coeffs[k] q^k on the bracket (lo, hi), which holds the well: its top
     is the lower of V at the two ends. The real parts of the roots of V' inside the
     bracket (the companion eigenvalues, computed once) cut it into pieces on which V is
@@ -670,8 +678,8 @@ def polynomial_potential(coeffs, mass: float = 1.0, bracket=(-30.0, 30.0)) -> Po
         shape = np.shape(E)
         return np.array(lows).reshape(shape)[()], np.array(highs).reshape(shape)[()]
 
-    return Potential1D(V=_horner(c), dV=_horner(dc), inverse=inverse, bottom=(vmin, k, w),
-                       top=min(v_lo, v_hi), mass=mass)
+    return Potential(V=_horner(c), dV=_horner(dc), inverse=inverse, bottom=(vmin, k, w),
+                     top=min(v_lo, v_hi), mass=mass)
 
 
 # kind -> (its factory, named, so a factory rebound on this module is the one that runs;
@@ -688,8 +696,8 @@ _POTENTIALS = {
 }
 
 
-def make_potential(desc: dict) -> Potential1D:
-    """Build a Potential1D from a JSON descriptor {"kind": ..., params...}."""
+def make_potential(desc: dict) -> Potential:
+    """Build a Potential from a JSON descriptor {"kind": ..., params...}."""
     desc = dict(desc)
     kind = desc.pop("kind", None)
     if not (isinstance(kind, str) and kind in _POTENTIALS):

@@ -9,11 +9,12 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import SymplecticMatrix, _certify, _parse_int, _positive, _random_symplectic_stack
+from .ebk import Potential
 from .errors import FlowDiverged, FlowError
 from .sampling import ball_points
 
@@ -184,40 +185,38 @@ def _check_points(n_modes: int) -> np.ndarray:
 
 @dataclass
 class FlowSpec:
-    """Hamiltonian H(q, p) = |p|^2 / 2 mass + V(q) on n_modes degrees of freedom.
+    """The flow of H(q, p) = |p|^2 / 2 mass + V(q) of a `Potential`, in Verlet steps of dt.
 
-    `V` must be vectorized over a leading sample axis (V maps (..., n_modes)
-    to (...)). The force `grad_V(q, scale, out)` writes scale * dV/dq at q
-    into `out`, an array of q's shape, and returns it, so the Verlet kernel
-    folds its step into the force's constants and allocates nothing per
-    step. At construction the force is checked, on a fresh `out` each call,
-    to return that `out`, to match central finite differences of V at scale
-    1, and to follow its scale. dt / mass must be at least 2^-960: the kernel
-    carries the momentum scaled by it, which would otherwise lose bits as a
-    subnormal.
+    Its force grad_V is the potential's dV(q, scale, out), which writes scale * dV/dq into
+    `out` and returns it: the kernel folds its step into the force's constants and
+    allocates nothing per step. At construction V, read as np.reshape(V(q), -1), and the
+    force must be finite at the check points, where the force must also return its fresh
+    `out`, match central finite differences of V and follow its scale. dt / mass must be
+    at least 2^-960, or the momentum the kernel scales by it would lose bits as a subnormal.
     """
 
-    V: Callable[[np.ndarray], np.ndarray]
-    grad_V: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
+    potential: Potential
     dt: float
-    mass: float = 1.0
-    n_modes: int = 1
 
     def __post_init__(self):
         _positive("dt", self.dt)
-        _positive("mass", self.mass)
-        if not self.dt / self.mass >= MIN_STEP_RATIO:
-            raise ValueError(f"dt / mass = {self.dt / self.mass!r} is below 2^-960: the "
+        pot = self.potential
+        if not self.dt / pot.mass >= MIN_STEP_RATIO:
+            raise ValueError(f"dt / mass = {self.dt / pot.mass!r} is below 2^-960: the "
                              "momentum scaled by it would be subnormal")
-        x = _check_points(self.n_modes)
-        g = self._force(x, 1.0)
+        n = pot.n_modes
+        x = _check_points(n)
         h = 1e-6
-        for k in range(self.n_modes):
-            e = np.zeros(self.n_modes)
-            e[k] = h
-            fd = (np.asarray(self.V(x + e)) - np.asarray(self.V(x - e))) / (2 * h)
-            scale = np.maximum(np.abs(g[:, k]), 1.0)
-            if not np.max(np.abs(fd - g[:, k]) / scale) <= 1e-6 * 10:  # NaN too
+        with np.errstate(all="ignore"):  # what is not finite is refused by name
+            g = self._force(x, 1.0)
+            v = np.array([(np.reshape(pot.V(x + e), -1), np.reshape(pot.V(x - e), -1))
+                          for e in h * np.eye(n)])
+            if not np.isfinite(v).all():
+                raise FlowError("V is not finite at the gradient check points")
+            if not np.isfinite(g).all():
+                raise FlowError("grad_V is not finite at the gradient check points")
+            fd = (v[:, 0] - v[:, 1]).T / (2 * h)  # inf where the difference overflows
+            if not np.max(np.abs(fd - g) / np.maximum(np.abs(g), 1.0)) <= 1e-6 * 10:
                 raise FlowError("gradient of V disagrees with finite differences")
         s = GRADIENT_CHECK_SCALE
         if not np.max(np.abs(self._force(x, s) - s * g)) <= 1e-9 * s * np.max(np.abs(g)):
@@ -225,22 +224,16 @@ class FlowSpec:
                             "times grad_V(q, 1, out)")
 
     def _force(self, x: np.ndarray, scale: float) -> np.ndarray:
-        """grad_V(x, scale, out) on a fresh NaN-filled `out`, which it must return."""
+        """dV(x, scale, out) on a fresh NaN-filled `out`, which it must return."""
         out = np.full_like(x, np.nan)
         try:  # gradient callables are caller-supplied
-            g = self.grad_V(x, scale, out)
+            g = self.potential.dV(x, scale, out)
         except Exception as exc:
             raise FlowError(f"gradient evaluation failed: {exc}") from exc
         if g is not out:
             raise FlowError("grad_V ignores its out: grad_V(q, scale, out) must write "
                             "scale * dV/dq into out and return it")
         return g
-
-    def energy(self, state: np.ndarray) -> np.ndarray:
-        n = self.n_modes
-        state = np.asarray(state, dtype=float)
-        p = state[..., n:]
-        return np.sum(p * p, axis=-1) / (2.0 * self.mass) + np.asarray(self.V(state[..., :n]))
 
 
 def _aligned(size: int) -> np.ndarray:
@@ -268,9 +261,9 @@ def _advance(q: np.ndarray, p: np.ndarray, flow: FlowSpec, count: int, buf: np.n
     """
     if count <= 0:
         return
-    h = flow.dt / flow.mass
+    h = flow.dt / flow.potential.mass
     s = flow.dt * h
-    force = flow.grad_V
+    force = flow.potential.dV
     p *= h
     try:  # gradient callables are caller-supplied
         p -= force(q, 0.5 * s, buf)
@@ -366,7 +359,7 @@ def evolve_ball_shadow(
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     _positive("grid_cell", grid_cell)
-    n = flow.n_modes
+    n = flow.potential.n_modes
     a, b = plane.indices(n)
     bound = math.pi * radius**2
 

@@ -216,15 +216,25 @@ def advance_oracle(q, p, flow, count):
         return
 
     def force(q):
-        return flow.grad_V(q, 1.0, np.empty_like(q))
+        return flow.potential.dV(q, 1.0, np.empty_like(q))
 
-    dt = flow.dt
+    dt, mass = flow.dt, flow.potential.mass
     p -= 0.5 * dt * force(q)
     for _ in range(count - 1):
-        q += dt * (p / flow.mass)
+        q += dt * (p / mass)
         p -= dt * force(q)
-    q += dt * (p / flow.mass)
+    q += dt * (p / mass)
     p -= 0.5 * dt * force(q)
+
+
+def energy_oracle(pot, state):
+    """H = |p|^2 / 2 mass + V(q) of a potential on (..., 2 n_modes) states (q-block,
+    p-block); a one-mode V acting elementwise gives the same (...) shape."""
+    n = pot.n_modes
+    state = np.asarray(state, dtype=float)
+    p = state[..., n:]
+    return (np.sum(p * p, axis=-1) / (2.0 * pot.mass)
+            + np.reshape(pot.V(state[..., :n]), state.shape[:-1]))
 
 
 def quartic_dV_oracle(coeff):

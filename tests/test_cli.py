@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import inspect
 import io
 import json
 import math
@@ -366,6 +367,70 @@ class TestOtherCommands:
         # point, and %.17g reads back to the same bits
         want = ball_points(1000, 2, 1.0, seed=0)
         assert dumped.shape == want.shape and dumped.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("potential,what", [(["harmonic", "omega=1e200"], "V"),
+                                                (["morse", "D=1e300", "a=1e10"], "V"),
+                                                (["quartic", "coeff=1e308"], "grad_V")],
+                             ids=["harmonic", "morse", "quartic"])
+    def test_evolve_refuses_values_beyond_range(self, capsys, potential, what):
+        # V or the force is inf at the check points. The harmonic force's omega**2 once
+        # raised Python's OverflowError, printed as "gradient evaluation failed: (34,
+        # 'Numerical result out of range')"; the Morse and quartic analytic forces were
+        # blamed as "gradient of V disagrees with finite differences", from inf - inf.
+        # quantize-1d runs on all three
+        code, out = invoke(capsys, "evolve", "--potential", *potential, "--samples", "10",
+                           "--times", "1", "--dt", "0.1")
+        assert code == 3
+        assert json.loads(out) == {
+            "error": "FlowError", "message": f"{what} is not finite at the gradient check points"}
+        assert invoke(capsys, "quantize-1d", "--potential", *potential, "--nmax", "1")[0] == 0
+
+
+class TestBenchmarkHooks:
+    """What the benchmark's tracer reads from outside the package: a counting V put on
+    what make_potential returns, and evolve_ball_shadow's bound arguments. A refactor
+    that bypasses either would read 0 for ebk.potential.V_calls or
+    shadows.particle_step_ns without failing anything else."""
+
+    @staticmethod
+    def _rebind(monkeypatch, real, replacement):
+        """`replacement` at every binding of `real` in sympcap, as the tracer installs it."""
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "sympcap"]:
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, replacement)
+        return real
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--potential", "quartic", "--samples", "10", "--times", "0.5", "--dt", "0.1"],
+        ["quantize-1d", "--potential", "quartic", "--nmax", "2"],
+    ], ids=["evolve", "quantize-1d"])
+    def test_V_put_on_make_potential_result_is_the_one_called(self, monkeypatch, capsys, argv):
+        calls = []
+
+        def counted_potential(desc):
+            pot = real(desc)
+            V = pot.V
+            pot.V = lambda q: calls.append(np.size(q)) or V(q)
+            return pot
+
+        real = self._rebind(monkeypatch, ebk.make_potential, counted_potential)
+        assert invoke(capsys, *argv)[0] == 0
+        assert calls and all(size > 0 for size in calls)
+
+    def test_evolve_binds_flow_samples_and_times(self, monkeypatch, capsys):
+        bound = []
+
+        def spy(*args, **kwargs):
+            bound.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
+
+        real = self._rebind(monkeypatch, shadows.evolve_ball_shadow, spy)
+        assert invoke(capsys, "evolve", "--potential", "quartic", "--samples", "10",
+                      "--times", "0.5,1", "--dt", "0.1")[0] == 0
+        [a] = bound
+        # the tracer's particle-steps: samples x Verlet steps to the last snapshot
+        assert a["samples"] * round(max(a["snapshot_times"]) / a["flow"].dt) == 100
 
 
 # every real option, with an argv that reads it

@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from sympcap import ebk
+from sympcap import ebk, shadows
 from sympcap.capacity import capacity_ball, capacity_ellipsoid
 from sympcap.core import QuadraticHamiltonian
 from sympcap.ebk import (
-    Potential1D,
+    Potential,
     blob_check,
     density_of_states,
     harmonic_potential,
@@ -998,8 +998,8 @@ class TestCrossModule:
 
 class TestPotentialValue:
     def test_fields(self):
-        names = [f.name for f in dataclasses.fields(Potential1D)]
-        assert names == ["V", "dV", "inverse", "bottom", "top", "mass"]
+        names = [f.name for f in dataclasses.fields(Potential)]
+        assert names == ["V", "dV", "inverse", "bottom", "top", "mass", "n_modes"]
 
     def test_solve_leaves_no_state(self, monkeypatch):
         pot = quartic_potential(0.25)
@@ -1016,8 +1016,41 @@ class TestPotentialValue:
     def test_value_equality(self):
         pot = harmonic_potential(1.0)
         fields = {"V": pot.V, "dV": pot.dV, "inverse": pot.inverse, "bottom": pot.bottom}
-        assert Potential1D(**fields) == Potential1D(**fields) == pot
-        assert Potential1D(**fields, mass=2.0) != Potential1D(**fields)
+        assert Potential(**fields) == Potential(**fields) == pot
+        assert Potential(**fields, mass=2.0) != Potential(**fields)
+
+    @pytest.mark.parametrize("solve", [
+        lambda pot: spectrum_1d(pot, 2, HBAR),
+        lambda pot: level_1d(pot, 0, HBAR),
+        lambda pot: spectrum_separable([harmonic_potential(1.0), pot], (0, 1), HBAR),
+    ], ids=["spectrum_1d", "level_1d", "spectrum_separable"])
+    @pytest.mark.parametrize("missing", ["inverse", "bottom"])
+    def test_ebk_refuses_a_potential_without_its_well(self, solve, missing):
+        # a caller's two-mode potential has no inverse and no bottom; EBK once called
+        # the None and failed with a TypeError
+        pot = dataclasses.replace(harmonic_potential(1.0), **{missing: None})
+        with pytest.raises(ValueError, match=f"potential has no {missing}: EBK needs a "
+                                             "one-mode well"):
+            solve(pot)
+        two_mode = Potential(V=lambda q: 0.5 * np.sum(q * q, -1),
+                             dV=lambda q, scale, out: np.multiply(q, scale, out=out), n_modes=2)
+        with pytest.raises(ValueError, match="potential has no inverse"):
+            solve(two_mode)
+
+    def test_ebk_path_runs_no_flow_check(self, monkeypatch):
+        # the force check belongs to FlowSpec: building a potential and quantizing it
+        # must not pay for it (some 30 us a potential, 72 potentials an ebk pass)
+        def refuse(*args):
+            raise AssertionError("the flow check ran on the EBK path")
+
+        monkeypatch.setattr(shadows, "_check_points", refuse)
+        monkeypatch.setattr(shadows.FlowSpec, "__post_init__", refuse)
+        pots = [make_potential(desc) for desc in (
+            {"kind": "harmonic", "omega": 2.0}, {"kind": "morse", "D": 10.0, "a": 1.0},
+            {"kind": "quartic"}, {"kind": "polynomial", "coeffs": [0, 0, 1, 0, 0.1]})]
+        for pot in pots:
+            assert spectrum_1d(pot, 3, HBAR).entries
+        assert spectrum_separable(pots, (1, 0, 2, 1), HBAR).energy > 0
 
 
 class TestPotentialFactory:

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +10,9 @@ import pytest
 from sympcap import cli, shadows
 from sympcap.core import DEFAULT_SYMPLECTIC_TOL, SymplecticMatrix, random_symplectic
 from sympcap.ebk import (
+    Potential,
     harmonic_potential,
+    make_potential,
     morse_potential,
     polynomial_potential,
     quartic_potential,
@@ -31,6 +35,7 @@ from oracles import (
     advance_oracle,
     ball_points_oracle,
     certify_oracle,
+    energy_oracle,
     ensemble_oracle,
     exact_plane_det,
     grid_area_oracle,
@@ -52,22 +57,22 @@ def _cube(q, scale, out):
 
 
 def harmonic_flow(dt):
-    return FlowSpec(V=lambda q: 0.5 * np.sum(np.square(q), axis=-1), grad_V=_linear, dt=dt)
+    return FlowSpec(Potential(V=lambda q: 0.5 * np.sum(np.square(q), axis=-1), dV=_linear), dt)
 
 
 def quartic_flow(dt):
-    return FlowSpec(V=lambda q: 0.25 * np.sum(q**4, axis=-1), grad_V=_cube, dt=dt)
+    return FlowSpec(Potential(V=lambda q: 0.25 * np.sum(q**4, axis=-1), dV=_cube), dt)
 
 
 def free_flow(dt, n_modes=1):
-    return FlowSpec(V=lambda q: np.zeros(q.shape[:-1]),
-                    grad_V=lambda q, scale, out: np.multiply(q, 0.0, out=out), dt=dt,
-                    n_modes=n_modes)
+    return FlowSpec(Potential(V=lambda q: np.zeros(q.shape[:-1]),
+                              dV=lambda q, scale, out: np.multiply(q, 0.0, out=out),
+                              n_modes=n_modes), dt)
 
 
 def cli_flow(pot, dt, mass=1.0):
-    """The flow `evolve` builds from a 1-D potential."""
-    return FlowSpec(V=lambda q: pot.V(q[..., 0]), grad_V=pot.dV, dt=dt, mass=mass)
+    """The flow `evolve` builds from a 1-D potential, with the kernel's mass replaced."""
+    return FlowSpec(dataclasses.replace(pot, mass=mass), dt)
 
 
 def _read_only_cube(q, scale, out):
@@ -279,14 +284,14 @@ class TestVerlet:
         assert np.max(np.abs(np.concatenate([q, p]) - [1.0, 0.0])) <= 1e-3
 
     def test_energy_drift_bounded(self):
-        dt = 1e-3
-        flow = harmonic_flow(dt)
-        q, p = np.array([[1.0]]), np.array([[0.0]])
-        e0 = float(flow.energy(np.concatenate([q, p], axis=1))[0])
-        for _ in range(10_000):
-            _advance(q, p, flow, 1, np.empty_like(p))
-        e1 = float(flow.energy(np.concatenate([q, p], axis=1))[0])
-        assert abs(e1 - e0) / e0 <= 1e-6
+        # H of a summed V and of the CLI's elementwise one-mode V
+        for flow in (harmonic_flow(1e-3), cli_flow(harmonic_potential(1.0), 1e-3)):
+            q, p = np.array([[1.0]]), np.array([[0.0]])
+            e0 = float(energy_oracle(flow.potential, np.concatenate([q, p], axis=1))[0])
+            for _ in range(10_000):
+                _advance(q, p, flow, 1, np.empty_like(p))
+            e1 = float(energy_oracle(flow.potential, np.concatenate([q, p], axis=1))[0])
+            assert abs(e1 - e0) / e0 <= 1e-6
 
     def test_liouville_jacobian_determinant(self):
         flow = quartic_flow(0.01)
@@ -340,7 +345,7 @@ class TestVerlet:
         # kernel's scale, so a force that returns another array (its own argument, a fresh
         # read-only one), drops its scale, or takes q alone is refused when the flow is built
         with pytest.raises(FlowError, match=message):
-            FlowSpec(V=V, grad_V=grad, dt=0.01)
+            FlowSpec(Potential(V=V, dV=grad), dt=0.01)
 
     @pytest.mark.parametrize("n_modes", [1, 3])
     def test_gradient_checked_at_the_same_points_each_time(self, n_modes):
@@ -352,7 +357,8 @@ class TestVerlet:
             return np.multiply(q, scale, out=out)
 
         for _ in range(2):
-            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=force, dt=0.1, n_modes=n_modes)
+            FlowSpec(Potential(V=lambda q: 0.5 * np.sum(q * q, -1), dV=force, n_modes=n_modes),
+                     dt=0.1)
         want = np.random.default_rng(1234).uniform(-1.0, 1.0, size=(5, n_modes))
         assert len(seen) == 4 and all(q is seen[0] for q in seen)
         assert not seen[0].flags.writeable and np.array_equal(seen[0], want)
@@ -360,7 +366,7 @@ class TestVerlet:
     def test_mass_step_is_kick_drift_kick(self):
         # one step on the scaled momentum P = h p, h = dt / m, with s = dt h
         m, dt = 2.0, 0.05
-        flow = FlowSpec(V=lambda q: 0.25 * np.sum(q**4, -1), grad_V=_cube, dt=dt, mass=m)
+        flow = FlowSpec(Potential(V=lambda q: 0.25 * np.sum(q**4, -1), dV=_cube, mass=m), dt)
         z = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
         q, p = z[:, :1], z[:, 1:]
         got = [q.copy(), p.copy()]
@@ -394,16 +400,17 @@ class TestVerlet:
     def test_step_ratio_floor(self, dt, mass):
         # the kernel carries (dt / mass) p; below 2^-960 it would be subnormal and lose bits
         with pytest.raises(ValueError, match=r"dt / mass = .* is below 2\^-960"):
-            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=_linear, dt=dt, mass=mass)
-        FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=_linear, dt=2.0**-960)
+            FlowSpec(Potential(V=lambda q: 0.5 * np.sum(q * q, -1), dV=_linear, mass=mass), dt)
+        FlowSpec(Potential(V=lambda q: 0.5 * np.sum(q * q, -1), dV=_linear), 2.0**-960)
 
     @pytest.mark.parametrize("m", [0.5, 3.0])
     def test_harmonic_period_with_mass(self, m):
         # V = m w^2 q^2 / 2 with kinetic p^2 / 2m has period 2 pi / w whatever m is
         omega, steps = 2.0, 4000
-        flow = FlowSpec(V=lambda q: 0.5 * m * omega**2 * np.sum(q * q, -1),
-                        grad_V=lambda q, scale, out: np.multiply(q, scale * m * omega**2, out=out),
-                        dt=2 * math.pi / omega / steps, mass=m)
+        flow = FlowSpec(Potential(
+            V=lambda q: 0.5 * m * omega**2 * np.sum(q * q, -1),
+            dV=lambda q, scale, out: np.multiply(q, scale * m * omega**2, out=out), mass=m),
+            dt=2 * math.pi / omega / steps)
         q, p = np.array([[1.0]]), np.array([[0.0]])
         _advance(q, p, flow, steps, np.empty_like(p))
         # Verlet's phase error over a period is 2 pi (w dt)^2 / 24, 6.5e-7 here
@@ -413,12 +420,30 @@ class TestVerlet:
     @pytest.mark.parametrize("mass", [0.0, -1.0, math.inf, math.nan])
     def test_mass_must_be_finite_and_positive(self, mass):
         with pytest.raises(ValueError, match="mass must be finite and positive"):
-            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1), grad_V=_linear, dt=0.1, mass=mass)
+            FlowSpec(Potential(V=lambda q: 0.5 * np.sum(q * q, -1), dV=_linear, mass=mass), 0.1)
+
+    def test_non_finite_force_is_named(self):
+        # V is finite, the force inf: once "disagrees with finite differences", from
+        # inf / inf
+        with pytest.raises(FlowError, match="^grad_V is not finite at the gradient check "
+                                            "points$"):
+            FlowSpec(Potential(V=lambda q: 0.5 * np.sum(q * q, -1),
+                               dV=lambda q, scale, out: np.multiply(q, scale * math.inf,
+                                                                    out=out)), dt=0.1)
+
+    def test_non_finite_V_is_named_before_the_force(self):
+        # a correct force where V is NaN or inf was once blamed as disagreeing
+        with pytest.raises(FlowError, match="^V is not finite at the gradient check points$"):
+            FlowSpec(Potential(V=lambda q: np.where(np.abs(q[..., 0]) < 2, np.nan, 0.0),
+                               dV=_linear), dt=0.1)
+        with pytest.raises(FlowError, match="^V is not finite"):
+            FlowSpec(make_potential({"kind": "morse", "D": 1e300, "a": 1e10}), 0.1)
 
     def test_bad_gradient_rejected(self):
         with pytest.raises(FlowError, match="disagrees with finite differences"):
-            FlowSpec(V=lambda q: 0.5 * np.sum(q * q, -1),
-                     grad_V=lambda q, scale, out: np.multiply(q, 3 * scale, out=out), dt=0.1)
+            FlowSpec(Potential(V=lambda q: 0.5 * np.sum(q * q, -1),
+                               dV=lambda q, scale, out: np.multiply(q, 3 * scale, out=out)),
+                     dt=0.1)
 
 
 class TestVerletWorkspace:
@@ -473,6 +498,30 @@ class TestVerletWorkspace:
 
 
 class TestEvolveShadow:
+    @pytest.mark.parametrize("desc", [
+        {"kind": "harmonic", "omega": 1.3, "mass": 2.0}, {"kind": "morse", "D": 10.0, "a": 0.5},
+        {"kind": "quartic"}, {"kind": "polynomial", "coeffs": [0, 0.1, 0.5, 0.15, 0.12]},
+    ], ids=lambda desc: desc["kind"])
+    def test_cli_flow_is_the_library_flow(self, monkeypatch, capsys, desc):
+        # `evolve` flows the descriptor's potential itself, with no glue around V or mass
+        clouds = []
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            clouds.append(result[1])
+            return result
+
+        real = shadows.evolve_ball_shadow
+        monkeypatch.setattr(shadows, "evolve_ball_shadow", spy)
+        assert cli.run(["evolve", "--potential", json.dumps(desc), "--radius", "0.8",
+                        "--times", "0.5,1", "--dt", "0.05", "--samples", "500",
+                        "--grid-cell", "0.1", "--seed", "2"]) == 0
+        capsys.readouterr()
+        _, want = real(0.8, FlowSpec(make_potential(desc), 0.05), PlaneSelector.conjugate(1),
+                       500, 0.1, [0.5, 1.0], seed=2)
+        [got] = clouds
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
     def test_initial_snapshot_all_planes(self):
         flow = free_flow(0.1, n_modes=2)
         for plane in (PlaneSelector.conjugate(1), PlaneSelector("q", 1, "q", 2),
@@ -505,9 +554,8 @@ class TestEvolveShadow:
 
     def test_divergence_detected(self):
         # inverted quartic: trajectories escape to infinity fast
-        flow = FlowSpec(V=lambda q: -12.5 * np.sum(q**4, -1),
-                        grad_V=lambda q, scale, out: _cube(q, -50 * scale, out),
-                        dt=0.5)
+        flow = FlowSpec(Potential(V=lambda q: -12.5 * np.sum(q**4, -1),
+                                  dV=lambda q, scale, out: _cube(q, -50 * scale, out)), dt=0.5)
         with pytest.raises(FlowDiverged), np.errstate(all="ignore"):
             evolve_ball_shadow(2.0, flow, PlaneSelector.conjugate(1),
                                1000, 0.05, [50.0])
@@ -521,8 +569,8 @@ class TestEvolveShadow:
             _cube(q[:, 1:], -50 * scale, out[:, 1:])
             return out
 
-        flow = FlowSpec(V=lambda q: 0.5 * q[..., 0] ** 2 - 12.5 * q[..., 1] ** 4,
-                        grad_V=force, dt=0.5, n_modes=2)
+        flow = FlowSpec(Potential(V=lambda q: 0.5 * q[..., 0] ** 2 - 12.5 * q[..., 1] ** 4,
+                                  dV=force, n_modes=2), dt=0.5)
         state = ball_points(1000, 4, 2.0, seed=0)
         q, p = state[:, :2].copy(), state[:, 2:].copy()
         with np.errstate(all="ignore"):
