@@ -209,14 +209,13 @@ class FlowSpec:
         h = 1e-6
         with np.errstate(all="ignore"):  # what is not finite is refused by name
             g = self._force(x, 1.0)
-            v = np.array([(np.reshape(pot.V(x + e), -1), np.reshape(pot.V(x - e), -1))
-                          for e in h * np.eye(n)])
-            if not np.isfinite(v).all():
-                raise FlowError("V is not finite at the gradient check points")
-            if not np.isfinite(g).all():
-                raise FlowError("grad_V is not finite at the gradient check points")
-            fd = (v[:, 0] - v[:, 1]).T / (2 * h)  # inf where the difference overflows
+            v = np.array([(pot.V(x + e), pot.V(x - e)) for e in h * np.eye(n)]).reshape(n, 2, -1)
+            fd = (v[:, 0] - v[:, 1]).T / (2 * h)
+            # fails where anything is not finite too (NaN, or inf where fd overflows)
             if not np.max(np.abs(fd - g) / np.maximum(np.abs(g), 1.0)) <= 1e-6 * 10:
+                for name, values in (("V", v), ("grad_V", g)):
+                    if not np.isfinite(values).all():
+                        raise FlowError(f"{name} is not finite at the gradient check points")
                 raise FlowError("gradient of V disagrees with finite differences")
         s = GRADIENT_CHECK_SCALE
         if not np.max(np.abs(self._force(x, s) - s * g)) <= 1e-9 * s * np.max(np.abs(g)):

@@ -1066,6 +1066,15 @@ class TestPotentialFactory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_potential({"kind": "coulomb"})
+
+    def test_harmonic_force_constant_overflows_to_inf(self):
+        # omega**2 raised Python's OverflowError from omega of about 1.34e154; the force now
+        # overflows to inf as V does, and keeps omega**2's bits where that is finite
+        q = np.array([-1.0, 0.5])
+        assert np.array_equal(harmonic_potential(1e200).dV(q), [-math.inf, math.inf])
+        for omega in (1.1, 3.7e100, 1.3e154):
+            assert np.array_equal(harmonic_potential(omega, 2.0).dV(q, 0.5),
+                                  q * (0.5 * 2.0 * omega**2))
         # the kind is checked before any key is read
         with pytest.raises(ValueError, match="unknown potential kind 'coulomb'"):
             make_potential({"kind": "coulomb", "mass": "1"})
