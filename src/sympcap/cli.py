@@ -30,7 +30,7 @@ _REAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|in
 # Bounds on the sizes one request may ask for, each refused by its option before
 # anything is allocated. At each bound a request peaks below 0.7 GB and runs in
 # under 8 s on 2 cores (measured; docs/cli.md gives the figures).
-MAX_MODES = 1000  # shadow --random, dos --ndim: one dense 2N x 2N problem
+MAX_MODES = 1000  # shadow --random: one dense 2N x 2N expm; dos --ndim: its integer products
 MAX_SAMPLES = 5 * 10**6  # evolve --samples, some 130 bytes a sample
 MAX_ENSEMBLE_ENTRIES = 2**23  # nonsqueeze-ensemble: --count x (2n)^2 stacked entries
 MAX_ENSEMBLE_MINORS = 25 * 10**7  # and --count x (n (2n - 1))^2 squared plane minors
@@ -329,10 +329,13 @@ def cmd_quantize_separable(args):
 def cmd_dos(args):
     if args.matrix or args.matrix_file:
         H = core.QuadraticHamiltonian(_load_matrix(args))
+        core._positive("hbar", args.hbar)  # malformed input before the spectrum's exit 3
+        core._positive("energy", args.energy)
+        omegas = core.symplectic_eigenvalues(H)
     else:
         _at_most("--ndim", args.ndim, MAX_MODES)
-        H = core.QuadraticHamiltonian.isotropic(args.ndim, args.omega, args.mass)
-    g = ebk.density_of_states(H, args.energy, args.hbar)
+        omegas = [args.omega] * core._positive_integer("--ndim", args.ndim)
+    g = ebk.density_of_states(omegas, args.energy, args.hbar)
     _emit_json(args, {"energy": args.energy, "g": g})
     return 0
 
@@ -461,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dos", help="density of states of an oscillator Hamiltonian")
     sp.add_argument("--ndim", type=integer, default=1)
     sp.add_argument("--omega", type=real, default=1.0)
-    sp.add_argument("--mass", type=real, default=1.0)
     sp.add_argument("--energy", type=real, required=True)
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--matrix-file", default=None)

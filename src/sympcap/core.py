@@ -167,16 +167,6 @@ class QuadraticHamiltonian:
         # store the exactly symmetric part
         self.M = 0.5 * (self.M + self.M.T)
 
-    @classmethod
-    def isotropic(cls, N: int, omega: float, mass: float = 1.0) -> "QuadraticHamiltonian":
-        """N identical harmonic modes: H = sum_j (p_j^2 + m^2 w^2 q_j^2) / 2m."""
-        if N < 1:
-            raise ValueError(f"need N >= 1, got {N}")
-        _positive("omega", omega)
-        _positive("mass", mass)
-        d = np.concatenate([np.full(N, mass * omega**2), np.full(N, 1.0 / mass)])
-        return cls(np.diag(d))
-
 
 @dataclass(eq=False)
 class WilliamsonDecomposition:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import QuadraticHamiltonian, _positive, _read, _real, _reals, symplectic_eigenvalues
+from .core import (QuadraticHamiltonian, _positive, _positive_integer, _read, _real, _reals,
+                   symplectic_eigenvalues)
 from .errors import (
     LevelNotBound,
     MultiWell,
@@ -60,6 +60,7 @@ class Potential:
 
     def __post_init__(self):
         _positive("mass", self.mass)
+        self.n_modes = _positive_integer("n_modes", self.n_modes)
 
 
 @dataclass(frozen=True)
@@ -427,47 +428,32 @@ def spectrum_separable(pots: Sequence[Potential], n, hbar: float) -> SpectrumEnt
                          maslov_per_loop=(2,) * len(n))
 
 
-def density_of_states(H: QuadraticHamiltonian, E: float, hbar: float) -> float:
-    """States per unit energy of N oscillator modes, for any spectrum:
+def _dyadic(x: float) -> tuple:
+    """(m, k) with x = m / 2^k exactly, m an integer below 2^53."""
+    m, e = math.frexp(x)
+    return int(m * 2.0**53), 53 - e
+
+
+def density_of_states(omegas: Sequence[float], E: float, hbar: float) -> float:
+    """States per unit energy of oscillator modes of frequencies `omegas`, N of them:
     g(E) = E^(N-1) / ((N-1)! prod_j hbar w_j), the E-derivative of the
     phase-space volume (2 pi E)^N / (N! prod_j w_j) counted in cells h^N.
 
-    The product is taken as (hbar w_1)^N prod_j (w_j / w_1) with w_1 the
-    fastest frequency, so an isotropic spectrum gives (1 / hbar w)^N
-    E^(N-1) / (N-1)! with no rounding from the ratios. Where a factor leaves the
-    double range (E^(N-1) or (N-1)! from N = 172) or falls below the normal
-    doubles, as a product on the way may too, g is taken from logs instead,
-    (N-1) log E - lgamma(N) - N log(hbar w_1) + sum_j log(w_1 / w_j), with the
-    powers of 2 of E, hbar, w_1 and the ratios kept out of the logs; a g that is
-    itself beyond the double range is an OverflowError.
+    Each double is exactly m / 2^k with m an integer, so g is one exact rational:
+    the integers are multiplied, the powers of 2 applied as one shift, and one
+    int / int true division rounds it correctly (to a subnormal or 0.0 too); a g
+    beyond the double range is an OverflowError.
     """
     _positive("hbar", hbar)
     _positive("energy", E)
-    omegas = symplectic_eigenvalues(H)
-    N = omegas.size
-    omega = float(omegas[0])
-    with np.errstate(over="ignore"):
-        ratios = omega / omegas
-        try:
-            hw = hbar * omega
-            a, e = (1.0 / hw) ** N, E ** (N - 1)
-            b = a * e / math.factorial(N - 1)
-            g = b * float(np.prod(ratios))
-        except (OverflowError, ZeroDivisionError):  # hbar w underflows to 0 too
-            g = math.inf
-    # a factor or partial product that fell to 0 or a subnormal lost its bits
-    if math.isfinite(g) and min(hw, a, e, a * e, b) >= sys.float_info.min:
-        return g
-    # each of E, hbar, w_1 and the ratios as m 2^k, m in [1/sqrt 2, sqrt 2): the logs
-    # of the mantissas are small, and the powers of 2 are summed exactly
-    m, k = np.frexp(np.concatenate(([E, hbar, omega], ratios)))
-    low = m < math.sqrt(0.5)
-    m[low], k[low] = 2 * m[low], k[low] - 1
-    logs, k = np.log(m).tolist(), k.tolist()
-    x = (N - 1) * logs[0] - math.lgamma(N) - N * (logs[1] + logs[2]) + math.fsum(logs[3:])
-    j = round(x / math.log(2))
-    return math.ldexp(math.exp(x - j * math.log(2)),
-                      (N - 1) * k[0] - N * (k[1] + k[2]) + sum(k[3:]) + j)
+    for w in omegas:
+        _positive("omega", w)
+    N = len(omegas)
+    (e, a), (h, b) = _dyadic(E), _dyadic(hbar)
+    ws = [_dyadic(w) for w in omegas]
+    num, den = e ** (N - 1), math.factorial(N - 1) * h**N * math.prod(m for m, _ in ws)
+    shift = N * b + sum(k for _, k in ws) - (N - 1) * a  # g = num / den * 2^shift
+    return (num << shift) / den if shift >= 0 else num / (den << -shift)
 
 
 # ---------------------------------------------------------------------------

@@ -187,9 +187,9 @@ def _check_points(n_modes: int) -> np.ndarray:
 class FlowSpec:
     """The flow of H(q, p) = |p|^2 / 2 mass + V(q) of a `Potential`, in Verlet steps of dt.
 
-    Its force grad_V is the potential's dV(q, scale, out), which writes scale * dV/dq into
-    `out` and returns it: the kernel folds its step into the force's constants and
-    allocates nothing per step. At construction V, read as np.reshape(V(q), -1), and the
+    Its force is the potential's dV(q, scale, out), which writes scale * dV/dq into `out`
+    and returns it: the kernel folds its step into the force's constants and allocates
+    nothing per step. At construction V, read as np.reshape(V(q), -1), and the
     force must be finite at the check points, where the force must also return its fresh
     `out`, match central finite differences of V and follow its scale. dt / mass must be
     at least 2^-960, or the momentum the kernel scales by it would lose bits as a subnormal.
@@ -213,14 +213,14 @@ class FlowSpec:
             fd = (v[:, 0] - v[:, 1]).T / (2 * h)
             # fails where anything is not finite too (NaN, or inf where fd overflows)
             if not np.max(np.abs(fd - g) / np.maximum(np.abs(g), 1.0)) <= 1e-6 * 10:
-                for name, values in (("V", v), ("grad_V", g)):
+                for name, values in (("V", v), ("dV", g)):
                     if not np.isfinite(values).all():
                         raise FlowError(f"{name} is not finite at the gradient check points")
                 raise FlowError("gradient of V disagrees with finite differences")
         s = GRADIENT_CHECK_SCALE
         if not np.max(np.abs(self._force(x, s) - s * g)) <= 1e-9 * s * np.max(np.abs(g)):
-            raise FlowError(f"grad_V ignores its scale: grad_V(q, {s}, out) is not {s} "
-                            "times grad_V(q, 1, out)")
+            raise FlowError(f"dV ignores its scale: dV(q, {s}, out) is not {s} "
+                            "times dV(q, 1, out)")
 
     def _force(self, x: np.ndarray, scale: float) -> np.ndarray:
         """dV(x, scale, out) on a fresh NaN-filled `out`, which it must return."""
@@ -230,7 +230,7 @@ class FlowSpec:
         except Exception as exc:
             raise FlowError(f"gradient evaluation failed: {exc}") from exc
         if g is not out:
-            raise FlowError("grad_V ignores its out: grad_V(q, scale, out) must write "
+            raise FlowError("dV ignores its out: dV(q, scale, out) must write "
                             "scale * dV/dq into out and return it")
         return g
 

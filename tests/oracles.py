@@ -33,7 +33,13 @@ from scipy.linalg import expm
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from sympcap.core import random_symplectic
+from sympcap.core import QuadraticHamiltonian, random_symplectic
+
+
+def isotropic_hamiltonian(N, omega, mass=1.0):
+    """N identical harmonic modes, H = sum_j (p_j^2 + m^2 w^2 q_j^2) / 2m, as the
+    diagonal matrix diag(m w^2, ..., 1/m, ...); its symplectic spectrum is w, N times."""
+    return QuadraticHamiltonian(np.diag([mass * omega**2] * N + [1.0 / mass] * N))
 
 
 def ball_volume(R, N):

@@ -18,7 +18,13 @@ from sympcap.core import QuadraticHamiltonian, SymplecticMatrix, random_symplect
 from sympcap.errors import CertificateInvalid, NotPositiveDefinite
 from sympcap.shadows import PlaneSelector
 
-from oracles import ball_volume, normal_mode_actions, random_pd_matrix, squeezing_map
+from oracles import (
+    ball_volume,
+    isotropic_hamiltonian,
+    normal_mode_actions,
+    random_pd_matrix,
+    squeezing_map,
+)
 
 
 class TestBallCapacity:
@@ -133,7 +139,7 @@ class TestCylinderCapacity:
 class TestEllipsoidCapacity:
     def test_isotropic(self):
         for m, w, E in [(1.0, 1.0, 1.0), (2.0, 3.0, 0.7), (0.5, 0.2, 5.0)]:
-            H = QuadraticHamiltonian.isotropic(2, w, m)
+            H = isotropic_hamiltonian(2, w, m)
             assert capacity_ellipsoid(H, E) == pytest.approx(2 * math.pi * E / w, rel=1e-12)
 
     def test_unit_ball_region(self):
@@ -201,7 +207,7 @@ class TestMinimalAction:
     """The ellipsoid capacity is the action of the fastest normal-mode orbit."""
 
     def test_isotropic(self):
-        assert capacity_ellipsoid(QuadraticHamiltonian.isotropic(3, 2.0), 1.5) == pytest.approx(
+        assert capacity_ellipsoid(isotropic_hamiltonian(3, 2.0), 1.5) == pytest.approx(
             2 * math.pi * 1.5 / 2.0, rel=1e-12)
 
     def test_unit_circle(self):

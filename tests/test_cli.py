@@ -301,19 +301,28 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["g"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("argv,g", [
+        # a product of doubles left this about 400 ulp low
+        (["--ndim", "200", "--energy", "50", "--hbar", "0.7", "--omega", "1.3"],
+         4.907877952232268e-27),
+        (["--ndim", "2", "--omega", "1e200", "--energy", "1"], 0.0),  # g = 1e-400
+    ])
+    def test_dos_correctly_rounded(self, capsys, argv, g):
+        code, out = invoke(capsys, "dos", *argv)
+        assert code == 0
+        assert json.loads(out)["g"] == g
+
     def test_dos_past_the_factorial_range(self, capsys):
-        # 199! is not a double: g = E^199 / 199! from logs
+        # 199! is not a double: g = E^199 / 199!, rounded once
         code, out = invoke(capsys, "dos", "--ndim", "200", "--energy", "100")
         assert code == 0
-        assert json.loads(out) == {"energy": 100.0, "g": pytest.approx(2.535953906961925e25,
-                                                                       rel=1e-12)}
+        assert json.loads(out) == {"energy": 100.0, "g": 2.535953906961925e25}
 
     def test_dos_where_a_factor_underflows(self, capsys):
-        # (1 / hbar w)^2 = 1e-400 rounds to 0 before E multiplies it: g = 1e-100 from logs
+        # (1 / hbar w)^2 = 1e-400 is below the doubles, and g = 1e-100 rounded once
         code, out = invoke(capsys, "dos", "--ndim", "2", "--energy", "1e300", "--hbar", "1e200")
         assert code == 0
-        g = json.loads(out)["g"]
-        assert abs(g - 1.0000000000000001e-100) <= 4 * math.ulp(g)
+        assert json.loads(out)["g"] == 1.0000000000000001e-100
 
     def test_dos_anisotropic_matrix(self, capsys):
         # g(E) = E^(N-1) / ((N-1)! prod_j hbar w_j) = 1 / (1 * 2) at E = 1
@@ -370,7 +379,7 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("potential,what", [(["harmonic", "omega=1e200"], "V"),
                                                 (["morse", "D=1e300", "a=1e10"], "V"),
-                                                (["quartic", "coeff=1e308"], "grad_V")],
+                                                (["quartic", "coeff=1e308"], "dV")],
                              ids=["harmonic", "morse", "quartic"])
     def test_evolve_refuses_values_beyond_range(self, capsys, potential, what):
         # V or the force is inf at the check points. The harmonic force's omega**2 once
@@ -442,7 +451,7 @@ REAL_OPTIONS = [
     ("--hbar", ["quantize-1d", "--potential", "harmonic", "--nmax", "0"]),
     ("--energy", ["dos"]),
     ("--omega", ["dos", "--energy", "1"]),
-    ("--mass", ["dos", "--energy", "1"]),
+    ("--hbar", ["dos", "--energy", "1"]),
     ("--tol", ["blob-check", "--value", "1"]),
     ("--neck", ["bottle-demo"]),
 ]
@@ -459,7 +468,7 @@ class TestInputErrors:
         ["capacity", "--region", '{"type": "bottle", "radius": 1, "neck": 2}'],
         ["dos", "--ndim", "1", "--omega", "-1", "--energy", "2"],
         ["dos", "--ndim", "1", "--omega", "0", "--energy", "2"],
-        ["dos", "--ndim", "1", "--mass", "-1", "--energy", "2"],
+        ["dos", "--ndim", "1", "--omega", "nan", "--energy", "2"],
         ["dos", "--ndim", "1", "--omega", "inf", "--energy", "2"],
         ["blob-check", "--value", "3", "--hbar", "inf"],
         ["dos", "--ndim", "2", "--energy", "1", "--hbar", "inf"],
@@ -722,7 +731,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv", [
         ["williamson", "--matrix", '{"n": 1, "matrix": [1e-300, 0, 0, 1e300]}'],
-        ["dos", "--ndim", "2", "--mass", "1e300", "--energy", "1"],
+        ["dos", "--matrix", '{"n": 1, "matrix": [1e-300, 0, 0, 1e300]}', "--energy", "1"],
     ])
     def test_singular_to_double_precision_exit_3(self, capsys, argv):
         code, out = invoke(capsys, *argv)
@@ -745,9 +754,10 @@ class TestInputErrors:
         ["nonsqueeze-ensemble", "--n", "2", "--count", "5", "--sigma", "1e3", "--seed", "1"],
         # a shadow determinant that overflows, once after numpy's warning
         ["shadow", "--random", "10", "--sigma", "100", "--seed", "1"],
-        ["dos", "--energy", "1e4", "--ndim", "200"],  # g = e^975, from logs
-        # hbar w rounds to 0: once a ZeroDivisionError
+        ["dos", "--energy", "1e4", "--ndim", "200"],  # g = e^975
+        # hbar w = 1e-330, below the doubles: once a ZeroDivisionError
         ["dos", "--energy", "1", "--ndim", "2", "--hbar", "1e-320", "--omega", "1e-10"],
+        ["dos", "--ndim", "2", "--omega", "1e-200", "--energy", "1"],  # g = 1e400
     ])
     def test_not_finite(self, capsys, argv):
         with warnings.catch_warnings():
@@ -1014,6 +1024,9 @@ class TestInputErrors:
          "--ndim 100000000000 exceeds the bound of 1000"),
         (["evolve", "--potential", "harmonic", "--samples", "2000000000", "--times", "0"],
          "--samples 2000000000 exceeds the bound of 5000000"),
+        (["dos", "--ndim", "-3", "--energy", "1"], "--ndim must be positive, got -3"),
+        (["dos", "--matrix", '{"n": 1, "matrix": [1e-300, 0, 0, 1e300]}', "--energy", "1",
+          "--hbar", "-1"], "hbar must be finite and positive, got -1.0"),
     ])
     def test_refused_by_name(self, capsys, tmp_path, argv, message):
         # once exit 3 (DimensionError), a traceback (a directory for a file),
@@ -1065,6 +1078,7 @@ class TestInputErrors:
         ["williamson", "--matrix", '{"n":1,"matrix":[1,0,0,4]}', "--seed", "1"],
         ["bottle-demo", "--format", "csv"],
         ["dos", "--ndim", "3", "--energy", "2", "--numeric"],
+        ["dos", "--ndim", "2", "--mass", "3", "--energy", "1"],  # --mass changed no g
     ])
     def test_unread_options_rejected(self, capsys, argv):
         # the usage shown is the subcommand's, not the list of subcommands
@@ -1294,7 +1308,7 @@ FUZZ_COMMANDS = [
     (["quantize-separable", "--potentials", '[{"kind":"harmonic","omega":1}]', "--n", "1"],
      ["--potentials", "--n", "--hbar", "--format"]),
     (["dos", "--energy", "2"],
-     ["--ndim", "--omega", "--mass", "--energy", "--matrix", "--hbar"]),
+     ["--ndim", "--omega", "--energy", "--matrix", "--hbar"]),
     (["blob-check", "--value", "3.14"], ["--value", "--tol", "--hbar"]),
     (["bottle-demo", "--neck", "0.5"], ["--radius", "--neck"]),
     (["frobnicate"], []),
@@ -1357,7 +1371,7 @@ FUZZ_OWN = {
     **dict.fromkeys(["--random", "--n", "--count", "--seed", "--samples", "--nmax", "--ndim"],
                     FUZZ_INTEGERS),
     **dict.fromkeys(["--sigma", "--radius", "--tol", "--dt", "--grid-cell", "--times", "--hbar",
-                     "--omega", "--mass", "--energy", "--value", "--neck"], FUZZ_REALS),
+                     "--omega", "--energy", "--value", "--neck"], FUZZ_REALS),
     **dict.fromkeys(["--ball", "--cylinder"], FUZZ_KEY_VALUES),
     **dict.fromkeys(["--matrix", "--matrix-file"], FUZZ_MATRICES),
     "--plane": FUZZ_PLANES, "--potential": FUZZ_POTENTIALS, "--potentials": FUZZ_SEPARABLE,
@@ -1463,7 +1477,7 @@ EVERY_OPTION_ARGV = [
      "--format", "csv", "--out", "o.csv"],
     ["quantize-separable", "--potentials", '[{"kind":"harmonic","omega":1}]', "--n", "1",
      "--hbar", "2", "--format", "json", "--out", "o.json"],
-    ["dos", "--ndim", "2", "--omega", "2", "--mass", "3", "--energy", "4", "--matrix", ONE_MODE,
+    ["dos", "--ndim", "2", "--omega", "2", "--energy", "4", "--matrix", ONE_MODE,
      "--matrix-file", "m.json", "--hbar", "1", "--out", "o.json"],
     ["blob-check", "--value", "3.14", "--tol", "0.1", "--hbar", "2", "--out", "o.json"],
     ["bottle-demo", "--radius", "2", "--neck", "1", "--out", "o.json"],

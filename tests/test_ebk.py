@@ -35,6 +35,7 @@ from sympcap.ebk import _action_period
 
 from oracles import (
     action_by_quad,
+    isotropic_hamiltonian,
     horner_oracle,
     morse_levels,
     polynomial_root_oracle,
@@ -119,9 +120,9 @@ class TestHbarArgument:
     ])
     def test_hbar_finite_and_positive(self, hbar, message):
         # hbar is a plain float: each function that takes it refuses a bad one by name
-        H, pot = QuadraticHamiltonian.isotropic(1, 1.0), harmonic_potential(1.0)
+        H, pot = isotropic_hamiltonian(1, 1.0), harmonic_potential(1.0)
         for call in (lambda: blob_check(1.0, hbar), lambda: quantize_quadratic(H, (0,), hbar),
-                     lambda: density_of_states(H, 1.0, hbar), lambda: level_1d(pot, 0, hbar),
+                     lambda: density_of_states([1.0], 1.0, hbar), lambda: level_1d(pot, 0, hbar),
                      lambda: spectrum_1d(pot, 0, hbar),
                      lambda: spectrum_separable([pot], (0,), hbar)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -180,7 +181,7 @@ class TestBlobCheck:
 class TestQuantizeQuadratic:
     def test_single_mode_ground_state(self):
         for omega in (0.5, 1.0, 3.0):
-            H = QuadraticHamiltonian.isotropic(1, omega)
+            H = isotropic_hamiltonian(1, omega)
             entry = quantize_quadratic(H, (0,), HBAR)
             assert entry.energy == pytest.approx(0.5 * omega, rel=1e-12)
 
@@ -914,27 +915,64 @@ class TestSpectrumSeparable:
         assert sep.energy == pytest.approx(quad.energy, rel=1e-10)
 
 
+def _nearest_double(mpmath, v):
+    """The double nearest the mpmath value v, or None where v rounds past the
+    largest double."""
+    if v >= mpmath.ldexp(2 - mpmath.ldexp(1, -53), 1023):
+        return None
+    d = float(v)
+    return min((d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)),
+               key=lambda x: abs(mpmath.mpf(x) - v))
+
+
+def _dos_exact(mpmath, omegas, E, hbar):
+    """E^(N-1) / ((N-1)! prod_j hbar w_j) at 480 bits, rounded to the nearest double
+    (None past the largest)."""
+    N = len(omegas)
+    with mpmath.workprec(480):
+        v = (mpmath.mpf(E) ** (N - 1) / mpmath.factorial(N - 1)
+             / mpmath.mpf(hbar) ** N / mpmath.fprod(mpmath.mpf(w) for w in omegas))
+        return _nearest_double(mpmath, v)
+
+
+def _dos_sweep(seed, count):
+    """`count` draws (omegas, E, hbar): N up to 1000 (1, 2, 171, 172 and 1000 always),
+    hbar, E and each w from 1e-300 to 1e300, half the draws with N equal frequencies.
+    E is aimed at a g between 1e-330 and 1e320, so most draws land inside the double
+    range and its subnormals and the rest just past either end."""
+    rng = np.random.default_rng(seed)
+    power = lambda x: float(10.0 ** np.clip(x, -300, 300))  # 10^x within the range
+    for i in range(count):
+        N = [1, 2, 171, 172, 1000][i] if i < 5 else int(np.exp(rng.uniform(0, math.log(1000))))
+        log_hbar = rng.uniform(-300, 300)
+        log_hw = np.resize(rng.uniform(-30, 30, size=1 if i % 2 else N), N)  # equal or not
+        hbar, omegas = power(log_hbar), [power(x - log_hbar) for x in log_hw]
+        log_g = rng.uniform(-330, 320)
+        if N == 1:
+            hbar, E = power(-log_g - math.log10(omegas[0])), power(rng.uniform(-300, 300))
+        else:
+            E = power((log_g + math.lgamma(N) / math.log(10) + N * math.log10(hbar)
+                       + sum(map(math.log10, omegas))) / (N - 1))
+        yield omegas, E, hbar
+
+
 class TestDensityOfStates:
     def test_one_mode_constant(self):
-        H = QuadraticHamiltonian.isotropic(1, 2.0)
         for E in (0.3, 1.0, 4.0):
-            assert density_of_states(H, E, HBAR) == pytest.approx(0.5, rel=1e-12)
+            assert density_of_states([2.0], E, HBAR) == 0.5
 
     def test_three_mode_value(self):
-        H = QuadraticHamiltonian.isotropic(3, 1.0)
-        assert density_of_states(H, 2.0, HBAR) == pytest.approx(2.0, rel=1e-12)
+        assert density_of_states([1.0] * 3, 2.0, HBAR) == 2.0
 
     def test_anisotropic_value(self):
-        # E^(N-1) / ((N-1)! prod_j hbar w_j) at w = (1, 2), hbar = 1 and 0.5
-        H = QuadraticHamiltonian(np.diag([1.0, 2.0, 1.0, 2.0]))
-        assert density_of_states(H, 1.0, HBAR) == pytest.approx(0.5, rel=1e-12)
-        assert density_of_states(H, 3.0, 0.5) == pytest.approx(6.0, rel=1e-12)
+        # E^(N-1) / ((N-1)! prod_j hbar w_j) at w = (2, 1), hbar = 1 and 0.5
+        assert density_of_states([2.0, 1.0], 1.0, HBAR) == 0.5
+        assert density_of_states([2.0, 1.0], 3.0, 0.5) == 6.0
 
     def test_three_mode_anisotropic_matches_volume_derivative(self):
         # d/dE of the phase-space volume (2 pi E)^3 / (3! prod w_j) in cells h^3,
         # by a central difference of relative step 1e-4, which is off by step^2 / 3
         omegas = (0.7, 1.0, 1.3)
-        H = QuadraticHamiltonian(np.diag(omegas * 2))
         hbar = 0.8
 
         def states(e):
@@ -942,53 +980,83 @@ class TestDensityOfStates:
 
         E, step = 2.0, 2e-4
         want = (states(E + step) - states(E - step)) / (2 * step)
-        assert density_of_states(H, E, hbar) == pytest.approx(want, rel=1e-8)
+        assert density_of_states(omegas, E, hbar) == pytest.approx(want, rel=1e-8)
 
     @pytest.mark.parametrize("N,E,hbar,omega", [
         (172, 1.0, 1.0, 1.0), (172, 50.0, 0.7, 1.3), (200, 100.0, 1.0, 1.0),
         (200, 1e-3, 1e-5, 1.0), (50, 100.0, 1e-5, 1.0)])
     def test_beyond_the_double_range_of_its_factors(self, N, E, hbar, omega):
-        # E^(N-1), (N-1)! (from N = 172) or (1 / hbar w)^N leaves the double range, so g
-        # comes from logs, within the rounding of its log terms of the 30-digit value
+        # E^(N-1), (N-1)! (from N = 172) or (1 / hbar w)^N leaves the double range,
+        # where a product of doubles gave 0 or inf: g is still the correctly rounded value
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(30):
-            want = float(mpmath.mpf(E) ** (N - 1) / mpmath.factorial(N - 1)
-                         / (mpmath.mpf(hbar) * mpmath.mpf(omega)) ** N)
-        logs = (N - 1) * abs(math.log(E)) + math.lgamma(N) + N * abs(math.log(hbar * omega))
-        got = density_of_states(QuadraticHamiltonian.isotropic(N, omega), E, hbar)
-        assert got == pytest.approx(want, rel=4 * EPS * logs + 2 * N * EPS)
+        got = density_of_states([omega] * N, E, hbar)
+        assert got == _dos_exact(mpmath, [omega] * N, E, hbar)
 
     @pytest.mark.parametrize("E,hbar,omegas", [
         (1e300, 1e200, (1.0, 1.0)), (1e-200, 1e-101, (1.0,) * 3), (1e100, 1e100, (1e2,) * 4),
         (1e-160, 1.0, (1e-100,) * 3), (1e-100, 1.0, (1e150, 1.0))])
     def test_underflowing_factor_takes_logs(self, E, hbar, omegas):
         # (1 / hbar w_1)^N, E^(N-1) or their product falls below the normal doubles,
-        # where the closed form gave 0 or a g short of its bits; the logs of the
-        # mantissas, with the powers of 2 summed exactly, keep g within a few ulp
+        # where a product of doubles gave 0 or a g short of its bits (a log path once
+        # took these): g is the correctly rounded value
         mpmath = pytest.importorskip("mpmath")
-        N = len(omegas)
-        with mpmath.workdps(30):
-            want = float(mpmath.mpf(E) ** (N - 1) / mpmath.factorial(N - 1)
-                         / mpmath.fprod(mpmath.mpf(hbar) * w for w in omegas))
-        got = density_of_states(QuadraticHamiltonian(np.diag(omegas * 2)), E, hbar)
-        assert abs(got - want) <= 8 * math.ulp(want)
+        assert density_of_states(omegas, E, hbar) == _dos_exact(mpmath, omegas, E, hbar)
 
     def test_closed_form_kept_where_finite(self):
-        # the last N whose (N - 1)! is a double keeps the closed form's bits
-        H = QuadraticHamiltonian.isotropic(171, 1.0)
-        assert density_of_states(H, 1.0, 1.0) == 1.0 / math.factorial(170)
+        # the last N whose (N - 1)! is a double: 1 / 170!, rounded once (int / int is
+        # correctly rounded; 1.0 / 170! would round 170! first)
+        assert density_of_states([1.0] * 171, 1.0, 1.0) == 1 / math.factorial(170)
 
     @pytest.mark.parametrize("N,E,hbar,omega", [(200, 1e4, 1.0, 1.0), (2, 1.0, 1e-320, 1e-10)])
     def test_beyond_the_double_range_refused(self, N, E, hbar, omega):
-        # g = e^975, and 1 / (hbar w)^2 with hbar w rounding to 0 (once a ZeroDivisionError)
+        # g = e^975, and 1 / (hbar w)^2 = 1e660
         with pytest.raises(OverflowError):
-            density_of_states(QuadraticHamiltonian.isotropic(N, omega), E, hbar)
+            density_of_states([omega] * N, E, hbar)
+
+    @pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
+    def test_omegas_finite_and_positive(self, omega):
+        with pytest.raises(ValueError, match=f"^omega must be finite and positive, got {omega}$"):
+            density_of_states([1.0, omega], 1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_correctly_rounded(self, seed):
+        # every g is the double nearest the 480-bit value, a subnormal or 0.0 included,
+        # and every g that rounds past the largest double is an OverflowError
+        mpmath = pytest.importorskip("mpmath")
+        for omegas, E, hbar in _dos_sweep(seed, 100):
+            want = _dos_exact(mpmath, omegas, E, hbar)
+            if want is None:
+                with pytest.raises(OverflowError):
+                    density_of_states(omegas, E, hbar)
+            else:
+                assert density_of_states(omegas, E, hbar) == want, (len(omegas), E, hbar)
+
+    @pytest.mark.parametrize("E,hbar,omegas,g", [
+        (1.0, 1.0, [2.0**-1024], None),
+        (1.0, 1.0, [2.0**-1024 + 2.0**-1074], (2 - 2.0**-49) * 2.0**1023),
+        (1.0, 2.0**1000, [2.0**74], 5e-324),
+        (1.0, 2.0**1000, [2.0**75], 0.0),
+        (1.0, 2.0**1000, [2.0**75 * (1 - 2.0**-53)], 5e-324),
+        (1 + 2.0**-30, 1.0, [1 + 2.0**-29, 2.0**537, 2.0**537], 5e-324),
+    ], ids=["overflow", "largest", "least-subnormal", "tie", "above-tie", "above-tie-by-2^-60"])
+    def test_rounding_at_either_end(self, E, hbar, omegas, g):
+        # g = 1 / hbar w at N = 1: 2^1024 overflows, 1 / (2^-1024 + 2^-1074) rounds to the
+        # double below the largest; 2^-1074 is the least subnormal, 2^-1075 a tie that
+        # rounds to even, 0.0, and just above it rounds up. At N = 3, g = 2^-1075 (1 +
+        # 2^-60 + ...): rounded first to 53 bits it would be the tie, and round to 0.0
+        mpmath = pytest.importorskip("mpmath")
+        assert _dos_exact(mpmath, omegas, E, hbar) == g
+        if g is None:
+            with pytest.raises(OverflowError):
+                density_of_states(omegas, E, hbar)
+        else:
+            assert density_of_states(omegas, E, hbar) == g
 
 
 class TestCrossModule:
     def test_capacity_matches_blob_area_at_quantized_energies(self):
         omega = 1.3
-        H = QuadraticHamiltonian.isotropic(2, omega)
+        H = isotropic_hamiltonian(2, omega)
         for n in range(6):
             E_n = (n + 0.5) * HBAR * omega
             cap = capacity_ellipsoid(H, E_n)
@@ -1000,6 +1068,16 @@ class TestPotentialValue:
     def test_fields(self):
         names = [f.name for f in dataclasses.fields(Potential)]
         assert names == ["V", "dV", "inverse", "bottom", "top", "mass", "n_modes"]
+
+    @pytest.mark.parametrize("n_modes,message", [
+        (0, "n_modes must be positive, got 0"), (-1, "n_modes must be positive, got -1"),
+        (2.5, "n_modes must be an integer, got 2.5"), (True, "n_modes must be an integer, got True"),
+        ("2", "n_modes must be an integer, got '2'")])
+    def test_n_modes_refused_by_name(self, n_modes, message):
+        # numpy's texts once named nothing (too many indices, negative dimensions), or
+        # True passed as one mode
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Potential(V=lambda q: 0.5 * q * q, dV=lambda q, scale, out: q, n_modes=n_modes)
 
     def test_solve_leaves_no_state(self, monkeypatch):
         pot = quartic_potential(0.25)

@@ -83,6 +83,26 @@ def test_linear_algebra_commands_load_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_dos_loads_no_fractions():
+    # g is one exact rational of Python ints: fractions (with decimal) would add
+    # about 4 ms to every cold process
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (
+        "import contextlib, io, sys\n"
+        "import sympcap\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+        "from sympcap import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['dos', '--ndim', '200', '--energy', '100']) == 0\n"
+        "    assert cli.run(['dos', '--matrix', '{\"n\": 1, \"matrix\": [1, 0, 0, 4]}',\n"
+        "                    '--energy', '2']) == 0\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
 def test_ebk_commands_load_no_scipy():
     # every potential is inverted by its own closed form or by np.roots: EBK levels
     # need no root finder of scipy's

@@ -334,10 +334,10 @@ class TestVerlet:
         assert np.max(np.abs(got - want)) <= 3e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("V,grad,message", [
-        (lambda q: 0.5 * np.sum(q * q, -1), lambda q, scale, out: q, "ignores its out"),
-        (lambda q: 0.25 * np.sum(q**4, -1), _read_only_cube, "ignores its out"),
+        (lambda q: 0.5 * np.sum(q * q, -1), lambda q, scale, out: q, "dV ignores its out"),
+        (lambda q: 0.25 * np.sum(q**4, -1), _read_only_cube, "dV ignores its out"),
         (lambda q: 0.5 * np.sum(q * q, -1), lambda q, scale, out: np.multiply(q, 1.0, out=out),
-         "ignores its scale"),
+         "dV ignores its scale"),
         (lambda q: 0.25 * np.sum(q**4, -1), lambda q: q**3, "gradient evaluation failed"),
     ], ids=["own-argument", "read-only", "unscaled", "one-argument"])
     def test_in_place_kernel_gradient_aliasing(self, V, grad, message):
@@ -425,7 +425,7 @@ class TestVerlet:
     def test_non_finite_force_is_named(self):
         # V is finite, the force inf: once "disagrees with finite differences", from
         # inf / inf
-        with pytest.raises(FlowError, match="^grad_V is not finite at the gradient check "
+        with pytest.raises(FlowError, match="^dV is not finite at the gradient check "
                                             "points$"):
             FlowSpec(Potential(V=lambda q: 0.5 * np.sum(q * q, -1),
                                dV=lambda q, scale, out: np.multiply(q, scale * math.inf,
