@@ -48,7 +48,7 @@ def _defects(S: np.ndarray) -> np.ndarray:
     JS = J @ S  # exact: J is a signed permutation, so |J S| = |J| |S|
     St = np.swapaxes(S, -1, -2)
     scale = np.abs(St) @ np.abs(JS)
-    return np.max(np.abs(St @ JS - J) / (1.0 + scale), axis=(-2, -1))
+    return (np.abs(St @ JS - J) / (1.0 + scale)).max(axis=(-2, -1))
 
 
 def _certify(stack: np.ndarray, tol: float = DEFAULT_SYMPLECTIC_TOL) -> None:
@@ -150,6 +150,17 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return X
 
 
+_HALF_MAX = np.finfo(float).max / 2
+
+
+def _half_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """0.5 (X + Y), or 0.5 X + 0.5 Y in the entries where X + Y overflows: halving
+    is exact for a normal double, so the two differ only where an entry is subnormal."""
+    with np.errstate(over="ignore"):
+        total = X + Y
+    return np.where(np.isinf(total), 0.5 * X + 0.5 * Y, 0.5 * total)
+
+
 @dataclass(eq=False)
 class QuadraticHamiltonian:
     """H(z) = 1/2 z^T M z with M a 2N x 2N symmetric matrix (energy units)."""
@@ -159,13 +170,13 @@ class QuadraticHamiltonian:
     def __post_init__(self):
         self.M = np.asarray(self.M, dtype=float)
         self.n = _check_even_square(self.M)
-        if not np.all(np.isfinite(self.M)):
+        if not np.isfinite(self.M).all():
             raise ValueError("matrix entries must be finite")
-        scale = np.max(np.abs(self.M))
-        if scale == 0 or np.max(np.abs(self.M - self.M.T)) > 1e-12 * scale:
+        scale = np.abs(self.M).max()
+        if scale == 0 or np.abs(self.M - self.M.T).max() > 1e-12 * scale:
             raise ValueError("matrix must be symmetric")
         # store the exactly symmetric part
-        self.M = 0.5 * (self.M + self.M.T)
+        self.M = 0.5 * (self.M + self.M.T) if scale <= _HALF_MAX else _half_sum(self.M, self.M.T)
 
 
 @dataclass(eq=False)
@@ -283,7 +294,8 @@ def _normal_modes(H: QuadraticHamiltonian, vectors: bool):
     _require_positive(w)
     root = (V * np.sqrt(w)) @ V.T
     K = root @ standard_form(n) @ root
-    iK = 0.5j * (K - K.T)
+    # |K_ij| <= |K|_2 = w[-1]: below max / 4 the difference cannot overflow
+    iK = 0.5j * (K - K.T) if w[-1] <= 0.5 * _HALF_MAX else 1j * _half_sum(K, -K.T)
     ev, X = np.linalg.eigh(iK) if vectors else (np.linalg.eigvalsh(iK), None)
     if not ev[n] > 0:
         raise NumericalDegeneracy(f"smallest symplectic eigenvalue {ev[n]:.3e} is not positive")
@@ -314,16 +326,16 @@ def williamson(H: QuadraticHamiltonian) -> WilliamsonDecomposition:
     n = H.n
     omegas, root, X = _normal_modes(H, vectors=True)
     modulus = np.abs(X)
-    top = np.argmax(modulus >= (1 - 8 * np.finfo(float).eps) * modulus.max(axis=0), axis=0)
+    top = (modulus >= (1 - 8 * np.finfo(float).eps) * modulus.max(axis=0)).argmax(axis=0)
     pivot = X[top, np.arange(n)]
     X = X * (1j * pivot.conj() / np.abs(pivot))
-    Q = np.sqrt(2.0) * np.hstack([X.imag, X.real])
+    Q = np.sqrt(2.0) * np.concatenate([X.imag, X.real], axis=1)
     d = np.concatenate([omegas, omegas])
     S = Q.T @ root / np.sqrt(d)[:, None]
     J = standard_form(n)
     S = S + 0.5 * S @ J @ (S.T @ J @ S - J)
 
-    residual = float(np.max(np.abs(S.T @ (d[:, None] * S) - H.M)) / np.max(np.abs(H.M)))
+    residual = float(np.abs(S.T @ (d[:, None] * S) - H.M).max() / np.abs(H.M).max())
     try:
         S = SymplecticMatrix(S)
     except ValueError as exc:  # M is valid: the rounding of S is at fault

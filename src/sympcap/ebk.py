@@ -446,9 +446,11 @@ def density_of_states(omegas: Sequence[float], E: float, hbar: float) -> float:
     """
     _positive("hbar", hbar)
     _positive("energy", E)
+    N = len(omegas)
+    if N == 0:
+        raise ValueError("omegas must hold at least one frequency, got none")
     for w in omegas:
         _positive("omega", w)
-    N = len(omegas)
     (e, a), (h, b) = _dyadic(E), _dyadic(hbar)
     ws = [_dyadic(w) for w in omegas]
     num, den = e ** (N - 1), math.factorial(N - 1) * h**N * math.prod(m for m, _ in ws)

@@ -126,6 +126,16 @@ def _index_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _minor_dets(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The sum over k < l of the squared 2x2 minors (u_k v_l - u_l v_k)^2 of rows
+    u and v, each (..., 2n). A stack of rows sums in k < l order, since its
+    fancy-indexed minors are not C-contiguous; a single pair of rows, whose
+    minors are, sums pairwise. Overflow is not caught here."""
+    k, l = _index_pairs(u.shape[-1])
+    minors = u[..., k] * v[..., l] - u[..., l] * v[..., k]
+    return (minors * minors).sum(axis=-1)
+
+
 def _plane_dets(S: np.ndarray, planes: Sequence[PlaneSelector]) -> np.ndarray:
     """det of the 2x2 block of SS^T on each plane; S may be a stack (..., 2n, 2n).
 
@@ -136,14 +146,56 @@ def _plane_dets(S: np.ndarray, planes: Sequence[PlaneSelector]) -> np.ndarray:
     det that overflows is inf, without a warning.
     """
     n = S.shape[-1] // 2
-    k, l = _index_pairs(2 * n)
     dets = np.empty(S.shape[:-2] + (len(planes),))
     with np.errstate(over="ignore"):
         for p, plane in enumerate(planes):
             a, b = plane.indices(n)
-            u, v = S[..., a, :], S[..., b, :]
-            minors = u[..., k] * v[..., l] - u[..., l] * v[..., k]
-            dets[..., p] = np.sum(minors * minors, axis=-1)
+            dets[..., p] = _minor_dets(S[..., a, :], S[..., b, :])
+    return dets
+
+
+# least Gram determinant, as a power of 2, whose bracket is trusted: above it
+# no step of either form underflows by more than a negligible absolute error
+_GRAM_FLOOR = 2.0**-900
+
+
+def _least_dets(stack: np.ndarray, G: np.ndarray, planes: Sequence[PlaneSelector]) -> np.ndarray:
+    """`_plane_dets(stack, planes)`, bit for bit, on every (member, plane) pair
+    whose det may be the least of the (count, len(planes)) array, +inf on the rest.
+
+    Each det is first read from the member's Gram matrix G = S S^T as
+    d = G_aa G_bb - G_ab^2, bracketed by d -+ eps ((8n + 16) G_aa G_bb + M |d|),
+    M = n (2n - 1). That is twice the first-order rounding bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3) of the
+    distance from d to the exact det of the float S, (8n + 3) u G_aa G_bb, plus
+    that from the minors sum, 8 u G_aa G_bb + M u det, with u = eps / 2. A pair
+    whose bracket is not finite, or whose G_aa, G_bb or G_aa G_bb is below
+    2^-900, has (-inf, inf). Only the pairs whose lower end reaches the least
+    upper end are re-formed from their minors, one plane at a time; a lone
+    candidate of a larger stack is gathered twice, so its minors sum in the
+    stack's order and not pairwise. All ties re-form every minor.
+    """
+    count, n = stack.shape[0], stack.shape[-1] // 2
+    a, b = np.array([plane.indices(n) for plane in planes]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        Gaa, Gbb, Gab = G[:, a, a], G[:, b, b], G[:, a, b]
+        P = Gaa * Gbb
+        d = P - Gab * Gab
+        err = np.finfo(float).eps * ((8 * n + 16) * P + n * (2 * n - 1) * np.abs(d))
+        lo, hi = d - err, d + err
+    trusted = (np.minimum(np.minimum(Gaa, Gbb), P) >= _GRAM_FLOOR) & (lo > -np.inf) & (hi < np.inf)
+    lo[~trusted], hi[~trusted] = -np.inf, np.inf  # NaN too
+    candidates = lo <= hi.min()
+    dets = np.full((count, len(planes)), np.inf)
+    with np.errstate(over="ignore"):
+        for p in np.flatnonzero(candidates.any(axis=0)):
+            i, j = a[p], b[p]
+            members = np.flatnonzero(candidates[:, p])
+            if members.size == count:
+                dets[:, p] = _minor_dets(stack[:, i, :], stack[:, j, :])
+            else:
+                gather = np.repeat(members, 2) if members.size == 1 else members
+                dets[members, p] = _minor_dets(stack[gather, i, :], stack[gather, j, :])[:members.size]
     return dets
 
 
@@ -153,6 +205,8 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
     Every conjugate 2x2 block of SS^T must have determinant >= 1 (within
     roundoff); nonconjugate blocks are free to shrink and the smallest one
     found is reported with its witness, the first in (member, plane) order.
+    The search runs on the Gram stack S S^T (`_least_dets`); the printed
+    values are the minors sums of `_plane_dets`, bit for bit.
     """
     stack = _random_symplectic_stack(N, count, sigma, np.random.default_rng(seed))
     _certify(stack)  # the first member that fails raises
@@ -162,12 +216,14 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
         if i < j:
             nonconj += [PlaneSelector("q", i, "q", j), PlaneSelector("p", i, "p", j)]
         nonconj.append(PlaneSelector("q", i, "p", j))
-    dets = _plane_dets(stack, [PlaneSelector.conjugate(j) for j in range(1, N + 1)] + nonconj)
-    min_conj = float(dets[:, :N].min())
+    with np.errstate(over="ignore"):
+        G = stack @ np.swapaxes(stack, 1, 2)
+    min_conj = float(_least_dets(stack, G, [PlaneSelector.conjugate(j) for j in range(1, N + 1)]).min())
     witness = None
     if nonconj:
-        k, p = divmod(int(np.argmin(dets[:, N:])), len(nonconj))
-        witness = {"member": k, "plane": nonconj[p].label(), "det": float(dets[k, N + p])}
+        dets = _least_dets(stack, G, nonconj)
+        k, p = divmod(int(dets.argmin()), len(nonconj))
+        witness = {"member": k, "plane": nonconj[p].label(), "det": float(dets[k, p])}
     return EnsembleSummary(
         min_conjugate_det=min_conj,
         nonconjugate_witness=witness,
