@@ -183,7 +183,7 @@ def _least_dets(stack: np.ndarray, G: np.ndarray, planes: Sequence[PlaneSelector
         d = P - Gab * Gab
         err = np.finfo(float).eps * ((8 * n + 16) * P + n * (2 * n - 1) * np.abs(d))
         lo, hi = d - err, d + err
-    trusted = (np.minimum(np.minimum(Gaa, Gbb), P) >= _GRAM_FLOOR) & (lo > -np.inf) & (hi < np.inf)
+    trusted = (np.minimum(np.minimum(Gaa, Gbb), P) >= _GRAM_FLOOR) & np.isfinite(lo) & np.isfinite(hi)
     lo[~trusted], hi[~trusted] = -np.inf, np.inf  # NaN too
     candidates = lo <= hi.min()
     dets = np.full((count, len(planes)), np.inf)
@@ -216,14 +216,18 @@ def nonsqueeze_ensemble(N: int, count: int, sigma: float = 1.0, seed: int = 0) -
         if i < j:
             nonconj += [PlaneSelector("q", i, "q", j), PlaneSelector("p", i, "p", j)]
         nonconj.append(PlaneSelector("q", i, "p", j))
-    with np.errstate(over="ignore"):
-        G = stack @ np.swapaxes(stack, 1, 2)
-    min_conj = float(_least_dets(stack, G, [PlaneSelector.conjugate(j) for j in range(1, N + 1)]).min())
+    conj = [PlaneSelector.conjugate(j) for j in range(1, N + 1)]
     witness = None
     if nonconj:
+        with np.errstate(over="ignore"):
+            G = stack @ np.swapaxes(stack, 1, 2)
+        conj_dets = _least_dets(stack, G, conj)
         dets = _least_dets(stack, G, nonconj)
         k, p = divmod(int(dets.argmin()), len(nonconj))
         witness = {"member": k, "plane": nonconj[p].label(), "det": float(dets[k, p])}
+    else:  # N = 1: det S S^T = (det S)^2 = 1 for every member, so all tie
+        conj_dets = _plane_dets(stack, conj)
+    min_conj = float(conj_dets.min())
     return EnsembleSummary(
         min_conjugate_det=min_conj,
         nonconjugate_witness=witness,

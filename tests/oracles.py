@@ -21,10 +21,13 @@ a row; as a single draw takes scipy's expm and a stack the library's
 batched Pade (`core._expm`), it also cross-checks that kernel against
 scipy. The turning-point oracle knows nothing of the library's inverses: it
 runs scipy's brentq on V - E outward from a point inside the well.
+`all_minors_oracle` keeps the ensemble's all-minors selection, which the
+Gram search of `nonsqueeze_ensemble` must reproduce bit for bit.
 """
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,6 +37,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from sympcap.core import QuadraticHamiltonian, random_symplectic
+from sympcap.shadows import CONJUGATE_TOL, PlaneSelector
 
 
 def isotropic_hamiltonian(N, omega, mass=1.0):
@@ -181,6 +185,36 @@ def ensemble_oracle(N, count, sigma, seed):
                             min_nonconj = d
                             witness = {"member": k, "plane": label, "det": d}
     return min_conj, min_nonconj, witness
+
+
+def all_minors_oracle(stack):
+    """(min conjugate det, witness, bound held) of a certified (count, 2N, 2N)
+    stack from every plane's minors at once, and numpy's first minimum in
+    (member, plane) order. This is the selection `nonsqueeze_ensemble` made
+    before its Gram search, kept as written then, which must print its bits:
+    each plane's squared minors of the whole stack in one sum over the last axis.
+    """
+    N = stack.shape[-1] // 2
+    nonconj = []
+    for i, j in permutations(range(1, N + 1), 2):
+        if i < j:
+            nonconj += [PlaneSelector("q", i, "q", j), PlaneSelector("p", i, "p", j)]
+        nonconj.append(PlaneSelector("q", i, "p", j))
+    planes = [PlaneSelector.conjugate(j) for j in range(1, N + 1)] + nonconj
+    k, l = np.triu_indices(2 * N, 1)
+    dets = np.empty((stack.shape[0], len(planes)))
+    with np.errstate(over="ignore"):
+        for p, plane in enumerate(planes):
+            a, b = plane.indices(N)
+            u, v = stack[..., a, :], stack[..., b, :]
+            minors = u[..., k] * v[..., l] - u[..., l] * v[..., k]
+            dets[..., p] = np.sum(minors * minors, axis=-1)
+    min_conj = float(dets[:, :N].min())
+    witness = None
+    if nonconj:
+        m, p = divmod(int(np.argmin(dets[:, N:])), len(nonconj))
+        witness = {"member": m, "plane": nonconj[p].label(), "det": float(dets[m, N + p])}
+    return min_conj, witness, min_conj >= 1 - CONJUGATE_TOL
 
 
 def grid_area_oracle(points, cell):

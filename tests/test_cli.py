@@ -281,6 +281,23 @@ class TestOtherCommands:
         assert obj["omegas"] == pytest.approx([2.0])
         assert obj["residual"] < 1e-10
 
+    # entries beyond 8.99e307, where M + M^T and K - K^T overflow: each part is
+    # then halved before the sum, and omega = 1e308 comes out whole
+    BIG = json.dumps({"n": 1, "matrix": [1e308, 0, 0, 1e308]})
+
+    @pytest.mark.parametrize("argv,want", [
+        (["williamson", "--matrix", BIG],
+         {"S": {"matrix": [1.0, 0.0, 0.0, 1.0], "n": 1}, "omegas": [1e308], "residual": 0.0}),
+        (["capacity", "--region", f'{{"type": "ellipsoid", "matrix": {BIG}, "energy": 1}}'],
+         {"exact": True, "value": 2 * math.pi / 1e308}),
+        (["dos", "--matrix", BIG, "--energy", "1"], {"energy": 1.0, "g": 1e-308}),
+    ])
+    def test_entries_beyond_half_the_double_range(self, capsys, argv, want):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out) == want
+
     def test_nonsqueeze(self, capsys):
         code, out = invoke(capsys, "nonsqueeze-ensemble", "--n", "2", "--count", "10",
                            "--seed", "1")

@@ -1013,6 +1013,11 @@ class TestDensityOfStates:
         with pytest.raises(OverflowError):
             density_of_states([omega] * N, E, hbar)
 
+    @pytest.mark.parametrize("omegas", [[], ()])
+    def test_no_frequencies_refused_by_name(self, omegas):
+        with pytest.raises(ValueError, match="^omegas must hold at least one frequency, got none$"):
+            density_of_states(omegas, 1.0, 1.0)
+
     @pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
     def test_omegas_finite_and_positive(self, omega):
         with pytest.raises(ValueError, match=f"^omega must be finite and positive, got {omega}$"):

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from sympcap import cli, shadows
-from sympcap.core import DEFAULT_SYMPLECTIC_TOL, SymplecticMatrix, random_symplectic
+from sympcap.core import (
+    DEFAULT_SYMPLECTIC_TOL,
+    SymplecticMatrix,
+    _random_symplectic_stack,
+    random_symplectic,
+)
 from sympcap.ebk import (
     Potential,
     harmonic_potential,
@@ -33,6 +38,7 @@ from sympcap.shadows import (
 
 from oracles import (
     advance_oracle,
+    all_minors_oracle,
     ball_points_oracle,
     certify_oracle,
     energy_oracle,
@@ -228,6 +234,48 @@ class TestEnsemble:
             for p, plane in enumerate(planes):
                 exact = exact_plane_det(S, *plane.indices(N))
                 assert abs(Fraction(float(got[k, p])) - exact) <= Fraction(1e-9) * exact
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 10])
+    @pytest.mark.parametrize("sigma", [1e-20, 1e-7, 1.0, 3.0, 5.0])
+    @pytest.mark.parametrize("count", [1, 2, 150])
+    def test_gram_search_prints_the_all_minors_bits(self, N, sigma, count):
+        """The minimum, witness and verdict of the Gram search equal, bit for
+        bit, those of every plane's minors on the same stack: ties (sigma 1e-20
+        rounds every member to the identity), near-ties, lone candidates of a
+        larger stack, and single members, which sum their minors pairwise."""
+        seed = 100 * N + count
+        stack = _random_symplectic_stack(N, count, sigma, np.random.default_rng(seed))
+        got = nonsqueeze_ensemble(N, count, sigma, seed)
+        want = all_minors_oracle(stack)
+        assert (got.min_conjugate_det, got.nonconjugate_witness, got.conjugate_bound_held) == want
+
+    # two certified draws of N = 2, sigma = 1e-7 (members 2751 and 2497 of a stack
+    # of 20 000, seed 7): on conjugate plane 1 the second's minors det is 1 ulp
+    # below the first's, while its Gram det G_11 G_33 - G_13^2 is above it, and
+    # plane 2 is above both in both forms
+    NEAR_TIE = [
+        "0x1.fffffffda4724p-1 0x1.d6a381beb23bcp-26 -0x1.1c488b0631a2bp-24 -0x1.a7c746a6c9755p-26",
+        "-0x1.30b3e27de5cf8p-25 0x1.ffffffcaef0c7p-1 -0x1.a7c73e513e331p-26 -0x1.80cb8603df038p-23",
+        "0x1.cf1979785f5cdp-24 0x1.b6c5e94fa567ep-26 0x1.000000012dc46p+0 0x1.30b3de8c0e3cap-25",
+        "0x1.b6c5ea4a1785bp-26 -0x1.bc99b6439f157p-24 -0x1.d6a380f8e865ep-26 0x1.0000001a887e9p+0",
+        "0x1.0000024a968abp+0 0x1.69f220a954847p-25 0x1.6aee2617c2bd9p-23 -0x1.1635335698fa4p-26",
+        "-0x1.5975d8f4117b4p-25 0x1.ffffff70e32a5p-1 -0x1.163532b97d633p-26 -0x1.ef6ba5af30cd4p-24",
+        "0x1.c78bac38ea33dp-25 0x1.5750406737830p-27 0x1.fffffb6ad2f91p-1 0x1.5975d51b3141ap-25",
+        "0x1.57503c1786f84p-27 0x1.02ae9671946d7p-25 -0x1.69f21d2413620p-25 0x1.000000478e697p+0",
+    ]
+
+    def test_near_tie_is_settled_by_the_minors(self, monkeypatch):
+        stack = np.array([[float.fromhex(x) for x in row.split()] for row in self.NEAR_TIE])
+        stack = stack.reshape(2, 4, 4)
+        gram = stack @ np.swapaxes(stack, 1, 2)
+        by_gram = gram[:, 0, 0] * gram[:, 2, 2] - gram[:, 0, 2] * gram[:, 0, 2]
+        by_minors = _plane_dets(stack, [PlaneSelector.conjugate(1)])[:, 0]
+        assert by_minors[1] == np.nextafter(by_minors[0], 0) and by_gram[0] < by_gram[1]
+        monkeypatch.setattr(shadows, "_random_symplectic_stack", lambda *args: stack.copy())
+        got = nonsqueeze_ensemble(2, 2, 1e-7, 0)
+        assert got.min_conjugate_det == by_minors[1]
+        want = all_minors_oracle(stack)
+        assert (got.min_conjugate_det, got.nonconjugate_witness, got.conjugate_bound_held) == want
 
     def test_witness_is_first_of_tied_minima(self):
         # at sigma 1e-20 every member rounds to the identity, so all dets tie at 1
