@@ -7,6 +7,7 @@ standard form is J = [[0, I], [-I, 0]] in that block ordering.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -150,33 +151,30 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return X
 
 
-_HALF_MAX = np.finfo(float).max / 2
-
-
-def _half_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """0.5 (X + Y), or 0.5 X + 0.5 Y in the entries where X + Y overflows: halving
-    is exact for a normal double, so the two differ only where an entry is subnormal."""
-    with np.errstate(over="ignore"):
-        total = X + Y
-    return np.where(np.isinf(total), 0.5 * X + 0.5 * Y, 0.5 * total)
-
-
 @dataclass(eq=False)
 class QuadraticHamiltonian:
-    """H(z) = 1/2 z^T M z with M a 2N x 2N symmetric matrix (energy units)."""
+    """H(z) = 1/2 z^T M z with M a 2N x 2N symmetric matrix (energy units).
+
+    M is held as 4^k U, the largest entry of U in [1/4, 1): a power of 4 is exact
+    and passes whole through a square root, and w(c M) = c w(M) with the same S
+    (Williamson's form is homogeneous). So every test and step of the spectrum runs
+    on U, in range, and only w is scaled back. An entry of M below 2^-1022 of its
+    largest is a subnormal in U, with fewer bits."""
 
     M: np.ndarray
 
     def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=float)
-        self.n = _check_even_square(self.M)
-        if not np.isfinite(self.M).all():
+        M = np.asarray(self.M, dtype=float)
+        self.n = _check_even_square(M)
+        if not np.isfinite(M).all():
             raise ValueError("matrix entries must be finite")
-        scale = np.abs(self.M).max()
-        if scale == 0 or np.abs(self.M - self.M.T).max() > 1e-12 * scale:
+        scale = float(np.abs(M).max())
+        self._k = k = -(-math.frexp(scale)[1] // 2)
+        U = np.ldexp(M, -2 * k)
+        if scale == 0 or np.abs(U - U.T).max() > 1e-12 * math.ldexp(scale, -2 * k):
             raise ValueError("matrix must be symmetric")
-        # store the exactly symmetric part
-        self.M = 0.5 * (self.M + self.M.T) if scale <= _HALF_MAX else _half_sum(self.M, self.M.T)
+        self._U = 0.5 * (U + U.T)  # the exactly symmetric part
+        self.M = np.ldexp(self._U, 2 * k)
 
 
 @dataclass(eq=False)
@@ -267,46 +265,45 @@ def _read(label: str, desc: dict, keys: dict, names=None) -> dict:
             for name, key in spelled.items() if name in desc}
 
 
-def _require_positive(w: np.ndarray) -> None:
-    """Raise NotPositiveDefinite unless the ascending eigenvalues `w` are all positive.
-
-    A w[0] within n eps max|w| of 0 has no sign at double precision (eigh
-    reads diag(1e-300, 1e300) as 0 and 1e300), so M is reported singular.
-    """
+def _require_positive(w: np.ndarray, k: int) -> None:
+    """Raise NotPositiveDefinite unless the ascending eigenvalues 4^k w are all positive;
+    a w[0] within n eps max|w| of 0 has no sign at double precision (eigh reads
+    diag(1e-300, 1e300) as 0 and 1e300), so M is reported singular."""
     if w[0] <= 0:
+        low, high = (float(x) * 2.0**k * 2.0**k for x in (w[0], w[-1]))  # inf past the range
         if -w[0] <= w.size * np.finfo(float).eps * max(-w[0], w[-1]):
             raise NotPositiveDefinite(f"matrix is singular to double precision: smallest "
-                                      f"eigenvalue {w[0]:.3e}, largest {w[-1]:.3e}")
-        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is not positive")
+                                      f"eigenvalue {low:.3e}, largest {high:.3e}")
+        raise NotPositiveDefinite(f"smallest eigenvalue {low:.3e} is not positive")
 
 
 def _normal_modes(H: QuadraticHamiltonian, vectors: bool):
-    """Symplectic spectrum of H, descending, from one Hermitian eigenproblem.
+    """Symplectic spectrum of H, descending, from one Hermitian eigenproblem on U.
 
-    K = M^{1/2} J M^{1/2} is real antisymmetric, so iK is Hermitian with
+    K = U^{1/2} J U^{1/2} is real antisymmetric, so iK is Hermitian with
     eigenvalues -w_1..-w_N, w_N..w_1 (Williamson, Amer. J. Math. 58, 141
-    (1936)). With `vectors`, returns (omegas, M^{1/2}, X), X holding the unit
-    eigenvectors of iK at +w_j as columns in the same order; else the omegas
-    alone. Raises NotPositiveDefinite first, then NumericalDegeneracy.
-    """
+    (1936)). Returns H's omegas, U's times 4^k (`QuadraticHamiltonian`); with
+    `vectors`, (those, U's omegas, U^{1/2}, X), X holding the unit eigenvectors
+    of iK at +w_j as columns in the same order. Raises as `symplectic_eigenvalues`."""
     n = H.n
-    w, V = np.linalg.eigh(H.M)
-    _require_positive(w)
+    w, V = np.linalg.eigh(H._U)
+    _require_positive(w, H._k)
     root = (V * np.sqrt(w)) @ V.T
     K = root @ standard_form(n) @ root
-    # |K_ij| <= |K|_2 = w[-1]: below max / 4 the difference cannot overflow
-    iK = 0.5j * (K - K.T) if w[-1] <= 0.5 * _HALF_MAX else 1j * _half_sum(K, -K.T)
+    iK = 0.5j * (K - K.T)
     ev, X = np.linalg.eigh(iK) if vectors else (np.linalg.eigvalsh(iK), None)
     if not ev[n] > 0:
-        raise NumericalDegeneracy(f"smallest symplectic eigenvalue {ev[n]:.3e} is not positive")
+        low = float(ev[n]) * 2.0**H._k * 2.0**H._k
+        raise NumericalDegeneracy(f"smallest symplectic eigenvalue {low:.3e} is not positive")
     omegas = ev[n:][::-1]
-    return (omegas, root, X[:, n:][:, ::-1]) if vectors else omegas
+    scaled = np.array([math.ldexp(x, 2 * H._k) for x in omegas.tolist()])
+    return (scaled, omegas, root, X[:, n:][:, ::-1]) if vectors else scaled
 
 
 def symplectic_eigenvalues(H: QuadraticHamiltonian) -> np.ndarray:
     """Symplectic spectrum w_1 >= .. >= w_N of a positive-definite M: the
     positive eigenvalues of i M^{1/2} J M^{1/2}, equal to those of eig(JM) / i.
-    Raises NotPositiveDefinite first, then NumericalDegeneracy."""
+    Raises NotPositiveDefinite, then NumericalDegeneracy; OverflowError past the doubles."""
     return _normal_modes(H, vectors=False)
 
 
@@ -324,7 +321,7 @@ def williamson(H: QuadraticHamiltonian) -> WilliamsonDecomposition:
     out of E. Raises NumericalDegeneracy if S still fails its certificate.
     """
     n = H.n
-    omegas, root, X = _normal_modes(H, vectors=True)
+    scaled, omegas, root, X = _normal_modes(H, vectors=True)
     modulus = np.abs(X)
     top = (modulus >= (1 - 8 * np.finfo(float).eps) * modulus.max(axis=0)).argmax(axis=0)
     pivot = X[top, np.arange(n)]
@@ -335,18 +332,18 @@ def williamson(H: QuadraticHamiltonian) -> WilliamsonDecomposition:
     J = standard_form(n)
     S = S + 0.5 * S @ J @ (S.T @ J @ S - J)
 
-    residual = float(np.abs(S.T @ (d[:, None] * S) - H.M).max() / np.abs(H.M).max())
+    residual = float(np.abs(S.T @ (d[:, None] * S) - H._U).max() / np.abs(H._U).max())
     try:
         S = SymplecticMatrix(S)
     except ValueError as exc:  # M is valid: the rounding of S is at fault
         raise NumericalDegeneracy(f"Williamson normal form: {exc}") from None
-    return WilliamsonDecomposition(omegas=omegas, S=S, residual=residual)
+    return WilliamsonDecomposition(omegas=scaled, S=S, residual=residual)
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
     """Serialize a 2N x 2N matrix as {"n": N, "matrix": row-major list}."""
-    n = _check_even_square(np.asarray(M, dtype=float))
-    return {"n": n, "matrix": [float(x) for x in np.asarray(M, dtype=float).ravel()]}
+    M = np.asarray(M, dtype=float)
+    return {"n": _check_even_square(M), "matrix": M.ravel().tolist()}
 
 
 # matrix descriptor key -> (reader, required); the entries are read once n is known

@@ -119,7 +119,7 @@ def quantize_quadratic(H: QuadraticHamiltonian, n, hbar: float) -> SpectrumEntry
     omegas = symplectic_eigenvalues(H)[::-1]  # ascending
     if len(n) != omegas.size:
         raise ValueError(f"expected {omegas.size} quantum numbers, got {len(n)}")
-    energy = float(sum((k + 0.5) * hbar * w for k, w in zip(n, omegas)))
+    energy = float(sum((k + 0.5) * hbar * w for k, w in zip(n, omegas.tolist())))
     actions = tuple((k + 0.5) * (2.0 * math.pi * hbar) for k in n)
     return SpectrumEntry(
         quantum_numbers=n,
@@ -549,18 +549,12 @@ def _roots(c: list) -> np.ndarray:
 def _cuts(c: list, lo: float, hi: float) -> tuple:
     """(dc, cuts, v_cut) for V = sum c[k] q^k on the bracket (lo, hi): the coefficients
     k c[k] of V', with polyder's bits; lo, the real parts of the roots of V' inside the
-    bracket in ascending order, and hi; and V at each cut by scalar Horner, with
-    polyval's bits (its operation order, from q * 0 + c[-1])."""
+    bracket in ascending order, and hi; and V at each cut by `_horner`, with
+    polyval's bits."""
     dc = [k * ck for k, ck in enumerate(c)][1:] or [c[0] * 0.0]
     with np.errstate(all="ignore"):
-        inner = sorted(r for r in _roots(dc).real.tolist() if lo < r < hi)
-    cuts = [lo, *inner, hi]
-    v_cut = []
-    for q in cuts:
-        v = q * 0.0 + c[-1]
-        for ck in c[-2::-1]:
-            v = v * q + ck
-        v_cut.append(v)
+        cuts = [lo, *sorted(r for r in _roots(dc).real.tolist() if lo < r < hi), hi]
+        v_cut = _horner(c)(np.array(cuts)).tolist()
     return dc, cuts, v_cut
 
 

@@ -96,10 +96,17 @@ def linear_shadow_area(S: SymplecticMatrix, R: float, plane: PlaneSelector) -> S
     """Exact area of the orthogonal projection of S(B(R)) onto a plane.
 
     The image of the ball is the ellipsoid z^T (SS^T)^{-1} z <= R^2; its
-    shadow is an ellipse of area pi R^2 sqrt(det (SS^T)_plane).
+    shadow is an ellipse of area pi R^2 sqrt(det (SS^T)_plane). A det past the
+    double range or below it is formed again from the plane's two rows of S, each
+    scaled by 2^-e to a largest entry in [1/2, 1), and its root scaled back by 2^e.
     """
     _positive("radius", R)
-    area = math.pi * R * R * math.sqrt(max(_plane_dets(S.matrix, [plane])[0], 0.0))
+    det, e = _plane_dets(S.matrix, [plane])[0], [0]
+    if not 0 < det < math.inf:  # NaN too; the rows of an invertible S are not 0
+        rows = S.matrix[list(plane.indices(S.n))]
+        e = [math.frexp(np.abs(row).max())[1] for row in rows]
+        det = _minor_dets(*np.ldexp(rows, -np.c_[e]))
+    area = math.pi * R * R * math.ldexp(math.sqrt(det), sum(e))
     bound = math.pi * R * R
     return ShadowReport(
         plane=plane,

@@ -10,12 +10,14 @@ import os
 import re
 import sys
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympcap import cli, ebk, shadows
+from sympcap import cli, core, ebk, shadows
 from sympcap.cli import run
 from sympcap.sampling import ball_points
 
@@ -281,8 +283,8 @@ class TestOtherCommands:
         assert obj["omegas"] == pytest.approx([2.0])
         assert obj["residual"] < 1e-10
 
-    # entries beyond 8.99e307, where M + M^T and K - K^T overflow: each part is
-    # then halved before the sum, and omega = 1e308 comes out whole
+    # entries beyond 8.99e307, where M + M^T and K - K^T would overflow: M is held
+    # as 4^k U, and omega = 1e308 comes out whole
     BIG = json.dumps({"n": 1, "matrix": [1e308, 0, 0, 1e308]})
 
     @pytest.mark.parametrize("argv,want", [
@@ -298,6 +300,43 @@ class TestOtherCommands:
         assert (code, captured.err) == (0, "")
         assert json.loads(captured.out) == want
 
+    # [[a, b], [b, c]] whose products a c and b^2 pass the double range, and whose
+    # K = M^(1/2) J M^(1/2) once summed them: exit 3, omega nan
+    A, B, C = 1e308, 1e308, 1.5e308
+    HUGE = json.dumps({"n": 1, "matrix": [A, B, B, C]})
+
+    @pytest.mark.parametrize("argv,key,of_omega", [
+        (["williamson", "--matrix", HUGE], ("omegas", 0), lambda w: w),
+        (["capacity", "--region", f'{{"type": "ellipsoid", "matrix": {HUGE}, "energy": 1}}'],
+         ("value",), lambda w: 2 * math.pi / w),
+        (["quantize-quadratic", "--matrix", HUGE, "--n", "0", "--format", "json"],
+         ("entries", 0, "energy"), lambda w: 0.5 * w),
+        (["dos", "--matrix", HUGE, "--energy", "1"], ("g",), lambda w: 1 / w),
+    ])
+    def test_products_beyond_the_double_range(self, capsys, argv, key, of_omega):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        value = json.loads(captured.out)
+        for k in key:
+            value = value[k]
+        # omega = sqrt(a c - b^2) of the doubles, exactly: entries this large are integers
+        det = Fraction(self.A) * Fraction(self.C) - Fraction(self.B) ** 2
+        assert det.denominator == 1
+        want = of_omega(float(math.isqrt(det.numerator)))
+        # eigh's backward error of a few eps, times the cancellation (a c + b^2) / det = 5
+        assert value == pytest.approx(want, rel=16 * np.finfo(float).eps, abs=0)
+
+    def test_antisymmetric_beyond_half_the_double_range_refused_quietly(self, capsys):
+        # M - M^T of [[1, 1e308], [-1e308, 1]] once overflowed in numpy, on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["williamson", "--matrix", '{"n": 1, "matrix": [1, 1e308, -1e308, 1]}'])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert json.loads(captured.out) == {"error": "InvalidInput",
+                                            "message": "matrix must be symmetric"}
+
     def test_nonsqueeze(self, capsys):
         code, out = invoke(capsys, "nonsqueeze-ensemble", "--n", "2", "--count", "10",
                            "--seed", "1")
@@ -312,6 +351,27 @@ class TestOtherCommands:
         assert code == 0
         obj = json.loads(out)
         assert obj["satisfied"] and obj["area"] >= obj["bound"] * (1 - 1e-9)
+
+    def test_shadow_det_beyond_the_double_range(self, capsys):
+        # a certified draw whose conjugate det, about 1e480, overflowed to "result is
+        # not finite" after numpy's warning: its rows are now scaled by powers of 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["shadow", "--random", "10", "--sigma", "100", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        area = json.loads(captured.out)["area"]
+        S = core.random_symplectic(10, 100.0, 1).matrix
+        u, v = S[0], S[10]  # the default plane, conjugate:1
+        pairs = [(k, l) for k in range(20) for l in range(k + 1, 20)]
+        with mpmath.workdps(80):  # each minor and square of the doubles exactly
+            u, v = [mpmath.mpf(x) for x in u], [mpmath.mpf(x) for x in v]
+            det = mpmath.fsum((u[k] * v[l] - u[l] * v[k]) ** 2 for k, l in pairs)
+            want = float(mpmath.pi * mpmath.sqrt(det))
+            spread = mpmath.fsum((abs(u[k] * v[l]) + abs(u[l] * v[k])) ** 2 for k, l in pairs)
+        assert float(spread / det) < 2  # the minors cancel little
+        # a few eps per minor, times that spread, and log2(190) of pairwise summation
+        assert area == pytest.approx(want, rel=16 * np.finfo(float).eps, abs=0)
 
     def test_dos(self, capsys):
         code, out = invoke(capsys, "dos", "--ndim", "3", "--energy", "2")
@@ -769,9 +829,14 @@ class TestInputErrors:
         # overflow: refused before numpy can warn on stderr
         ["shadow", "--random", "2", "--sigma", "1e3", "--seed", "1"],
         ["nonsqueeze-ensemble", "--n", "2", "--count", "5", "--sigma", "1e3", "--seed", "1"],
-        # a shadow determinant that overflows, once after numpy's warning
-        ["shadow", "--random", "10", "--sigma", "100", "--seed", "1"],
+        # the q1q2 shadow of diag(1e200, 1e200, 1e-200, 1e-200), of area 1e400 pi:
+        # past the doubles even from its two rows scaled by powers of 2
+        ["shadow", "--plane", "qq:1,2", "--matrix", '{"n": 2, "matrix": [1e200, 0, 0, 0, '
+         '0, 1e200, 0, 0, 0, 0, 1e-200, 0, 0, 0, 0, 1e-200]}'],
         ["dos", "--energy", "1e4", "--ndim", "200"],  # g = e^975
+        # E = 3.5 omega, omega = 7.07e307: once after numpy's warning
+        ["quantize-quadratic", "--n", "3", "--matrix",
+         '{"n": 1, "matrix": [1e308, 1e308, 1e308, 1.5e308]}'],
         # hbar w = 1e-330, below the doubles: once a ZeroDivisionError
         ["dos", "--energy", "1", "--ndim", "2", "--hbar", "1e-320", "--omega", "1e-10"],
         ["dos", "--ndim", "2", "--omega", "1e-200", "--energy", "1"],  # g = 1e400

@@ -322,9 +322,36 @@ class TestWilliamson:
     def test_positive_definiteness_checked_once(self, monkeypatch):
         checks = []
         require = core._require_positive
-        monkeypatch.setattr(core, "_require_positive", lambda w: checks.append(w) or require(w))
+        monkeypatch.setattr(core, "_require_positive",
+                            lambda w, k: checks.append(w) or require(w, k))
         williamson(QuadraticHamiltonian(random_pd_matrix(np.random.default_rng(5), 3)))
         assert len(checks) == 1
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_power_of_4_scales_omegas_alone(self, N):
+        # M is held as 4^k U and Williamson's form is homogeneous, so 4^j M has the
+        # omegas times 4^j and the same S and residual, bit for bit, out to 4^+-250
+        rng = np.random.default_rng(400 + N)
+        for _ in range(4):
+            M = random_pd_matrix(rng, N) * rng.uniform(0.1, 10.0)
+            dec = williamson(QuadraticHamiltonian(M))
+            w = symplectic_eigenvalues(QuadraticHamiltonian(M))
+            for j in (-251, -250, -5, -1, 1, 3, 250, 251):
+                H = QuadraticHamiltonian(np.ldexp(M, 2 * j))
+                scaled = williamson(H)
+                assert np.array_equal(scaled.omegas, np.ldexp(dec.omegas, 2 * j))
+                assert np.array_equal(symplectic_eigenvalues(H), np.ldexp(w, 2 * j))
+                assert np.array_equal(scaled.S.matrix, dec.S.matrix)
+                assert scaled.residual == dec.residual
+
+    def test_omega_past_the_double_range_overflows(self):
+        # A = 1e308 [[1, 0.9], [0.9, 1]] in both blocks has omegas 1.9e308 and 1e307
+        A = 1e308 * np.array([[1.0, 0.9], [0.9, 1.0]])
+        H = QuadraticHamiltonian(np.kron(np.eye(2), A))
+        with pytest.raises(OverflowError):
+            symplectic_eigenvalues(H)
+        with pytest.raises(OverflowError):
+            williamson(H)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5])
     def test_reconstruction_random_pd(self, N):

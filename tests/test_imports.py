@@ -188,3 +188,48 @@ def test_public_functions_have_a_caller():
     # a public function that only tests call is a second entry to a kernel the
     # package already runs; re-exports in __init__.py are imports, not calls
     assert uncalled_public_functions(sorted(SRC.glob("*.py"))) == []
+
+
+def unread_private_names(paths):
+    """`module.name` for each private name that a module of `paths` binds at its top
+    level (a function, a class or an assignment) and that nothing in `paths` reads
+    outside its own definition, as a name or as an attribute."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    defined = []  # (label, name, binding node)
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                names = []
+            defined += [(f"{path.stem}.{name}", name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+
+    def reads(node, skip):
+        if node is skip:
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from reads(child, skip)
+
+    return [label for label, name, node in defined
+            if not any(name in reads(tree, node) for tree in trees.values())]
+
+
+def test_private_names_are_read():
+    # a private constant or helper that nothing reads is a leftover of a deleted path
+    paths = sorted(SRC.glob("*.py"))
+    assert unread_private_names(paths) == []
+
+
+def test_unread_private_name_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("_USED = 1\n_UNUSED = 2\n\n\ndef _self_only():\n    return _self_only\n\n\n"
+                      "def read():\n    return _USED\n")
+    assert unread_private_names([module]) == ["module._UNUSED", "module._self_only"]
