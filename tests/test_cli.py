@@ -834,12 +834,12 @@ class TestInputErrors:
         ["shadow", "--plane", "qq:1,2", "--matrix", '{"n": 2, "matrix": [1e200, 0, 0, 0, '
          '0, 1e200, 0, 0, 0, 0, 1e-200, 0, 0, 0, 0, 1e-200]}'],
         ["dos", "--energy", "1e4", "--ndim", "200"],  # g = e^975
-        # E = 3.5 omega, omega = 7.07e307: once after numpy's warning
-        ["quantize-quadratic", "--n", "3", "--matrix",
-         '{"n": 1, "matrix": [1e308, 1e308, 1e308, 1.5e308]}'],
         # hbar w = 1e-330, below the doubles: once a ZeroDivisionError
         ["dos", "--energy", "1", "--ndim", "2", "--hbar", "1e-320", "--omega", "1e-10"],
         ["dos", "--ndim", "2", "--omega", "1e-200", "--energy", "1"],  # g = 1e400
+        # E = 3.5 omega, omega = 7.07e307: once after numpy's warning
+        ["quantize-quadratic", "--n", "3", "--matrix",
+         '{"n": 1, "matrix": [1e308, 1e308, 1e308, 1.5e308]}'],
     ])
     def test_not_finite(self, capsys, argv):
         with warnings.catch_warnings():
